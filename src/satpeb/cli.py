@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import sys
+import traceback
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -220,10 +221,14 @@ def execute(args) -> int:
         else:
             configs = _scenario_configs(args.command, args)
             outputs = _run_and_write(configs, args, out_dir)
-    except (SatPebError, OSError, ValueError) as exc:
-        errors.append(str(exc))
+    except Exception as exc:
+        # Every failure ends in a manifest that records it; an unexpected
+        # exception type also gets its traceback on stderr.
+        if not isinstance(exc, (SatPebError, OSError, ValueError)):
+            traceback.print_exc()
+        errors.append(str(exc) or type(exc).__name__)
         print(f"error: {exc}", file=sys.stderr)
-        status = 1
+        status = 2 if isinstance(exc, ConfigError) else 1
 
     seed = args.seed if args.seed is not None else (configs[0].seed if configs else 0)
     manifest = emit_manifest(out_dir, configs, seed, outputs, errors,

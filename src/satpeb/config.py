@@ -136,14 +136,16 @@ def validate_config(config: ScenarioConfig) -> None:
     if not -math.pi / 2 <= config.center_lat_rad <= math.pi / 2:
         raise ConfigError("center_lat_deg", "must lie in [-90, 90] degrees")
     link = config.link
-    if link.bandwidth_hz <= 0:
-        raise ConfigError("link.bandwidth_hz", "must be positive")
+    # A band signal cannot be wider than its carrier frequency.
     if link.carrier_hz <= 0:
         raise ConfigError("link.carrier_hz", "must be positive")
-    if link.gnss_bandwidth_hz <= 0:
-        raise ConfigError("link.gnss_bandwidth_hz", "must be positive")
+    if not 0 < link.bandwidth_hz <= link.carrier_hz:
+        raise ConfigError("link.bandwidth_hz", "must be positive and at most link.carrier_hz")
     if link.gnss_carrier_hz <= 0:
         raise ConfigError("link.gnss_carrier_hz", "must be positive")
+    if not 0 < link.gnss_bandwidth_hz <= link.gnss_carrier_hz:
+        raise ConfigError("link.gnss_bandwidth_hz",
+                          "must be positive and at most link.gnss_carrier_hz")
     if link.neighbor_penalty_db < 0:
         raise ConfigError("link.neighbor_penalty_db", "must be non-negative")
     if not 0 < link.beamwidth_deg < 180:
@@ -226,17 +228,15 @@ def config_from_dict(raw: dict, default_variant: str | None = None) -> ScenarioC
                 if lk == "antenna_model":
                     if not isinstance(lv, str):
                         raise ConfigError(f"link.{lk}", "must be a string")
-                elif not isinstance(lv, (int, float)) or isinstance(lv, bool):
-                    raise ConfigError(f"link.{lk}", "must be a number")
+                else:
+                    _require_number(f"link.{lk}", lv)
             overrides["link"] = LinkBudget(**value)
         elif key in _DEGREE_KEYS:
-            _require_number(key, value)
-            overrides[_DEGREE_KEYS[key]] = math.radians(float(value))
+            overrides[_DEGREE_KEYS[key]] = math.radians(_require_number(key, value))
         elif key == "measurement_times_s":
-            if not isinstance(value, list) or not all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+            if not isinstance(value, list):
                 raise ConfigError(key, "must be a list of numbers")
-            overrides[key] = tuple(float(v) for v in value)
+            overrides[key] = tuple(_require_number(key, v) for v in value)
         elif key == "scenario_class":
             if not isinstance(value, str):
                 raise ConfigError(key, "must be a string")
@@ -258,11 +258,19 @@ def config_from_dict(raw: dict, default_variant: str | None = None) -> ScenarioC
                 raise ConfigError(key, "must be an integer")
             overrides[key] = value
         else:
-            _require_number(key, value)
-            overrides[key] = float(value)
+            overrides[key] = _require_number(key, value)
     return make_config(variant, **overrides)
 
 
-def _require_number(key: str, value) -> None:
+def _require_number(key: str, value) -> float:
+    """`value` as a finite float; JSON's NaN and Infinity literals and
+    integers beyond the float range are rejected."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(key, "must be a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(key, "must be a finite number")
+    return number

@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import DegenerateGeometryError
 from .fisher import (DEGENERATE_EIGENVALUE, MeasurementKind, MeasurementSet,
-                     best_subset_indices, fim, peb, tdoa_covariance)
+                     best_subset_indices, fim, geometry_jacobian, peb,
+                     tdoa_covariance, unit_vectors_en)
 from .fisher import jacobian as fisher_jacobian
 from .geometry import (AnchorSet, Geodetic, ecef_to_enu, geodetic_to_ecef,
                        hex_constellation)
@@ -101,11 +102,8 @@ def _step_geodetic(g: Geodetic, de: float, dn: float) -> Geodetic:
 
 
 def _jacobian_rows(meas: SyntheticMeasurements, position_ecef: np.ndarray) -> np.ndarray:
-    # Placeholder covariance: fisher.jacobian only reads geometry fields.
-    eye = np.eye(len(meas.observed_m))
-    mset = MeasurementSet(meas.kind, meas.anchors, eye,
-                          reference_index=meas.reference_index)
-    return fisher_jacobian(position_ecef, mset)
+    units = unit_vectors_en(position_ecef, meas.anchors.positions())
+    return geometry_jacobian(meas.kind, units, meas.reference_index)
 
 
 def solve(meas: SyntheticMeasurements, initial_guess: Geodetic,

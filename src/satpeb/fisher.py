@@ -80,12 +80,13 @@ def toa_range_sigma(snr_db, bandwidth_hz) -> float | np.ndarray:
     """Delay-estimation lower bound mapped to range. For a flat spectrum of
     bandwidth B the RMS bandwidth is B/sqrt(12), giving
     sigma = c * sqrt(3 / (2 * pi^2 * B^2 * snr))."""
-    if np.any(np.asarray(bandwidth_hz) <= 0):
+    bandwidth = np.asarray(bandwidth_hz, dtype=float)
+    if np.any(bandwidth <= 0):
         raise ValueError("bandwidth must be positive")
     snr_lin = 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0)
     if np.any(snr_lin <= 0) or not np.all(np.isfinite(snr_lin)):
         raise ValueError("linear SNR must be positive and finite")
-    sigma = SPEED_OF_LIGHT * np.sqrt(3.0 / (2.0 * math.pi**2 * bandwidth_hz**2 * snr_lin))
+    sigma = SPEED_OF_LIGHT * np.sqrt(3.0 / (2.0 * math.pi**2 * bandwidth**2 * snr_lin))
     return float(sigma) if sigma.ndim == 0 else sigma
 
 
@@ -102,62 +103,82 @@ def rtt_range_sigma(sigma_dl_m, sigma_ul_m) -> float | np.ndarray:
 
 def tdoa_covariance(sigmas_m, reference_index: int) -> np.ndarray:
     """Covariance of range differences sharing a reference anchor: diagonal
-    sigma_i^2 + sigma_ref^2, off-diagonal sigma_ref^2."""
-    sigmas = np.asarray(sigmas_m, dtype=float)
-    n = sigmas.size
+    sigma_i^2 + sigma_ref^2, off-diagonal sigma_ref^2. Broadcasts over the
+    leading axes of `sigmas_m` (..., N)."""
+    sigmas = np.atleast_1d(np.asarray(sigmas_m, dtype=float))
+    n = sigmas.shape[-1]
     if n < 2:
         raise ValueError("TDOA requires at least two anchors")
     if not 0 <= reference_index < n:
         raise ValueError("reference index out of range")
-    others = np.delete(sigmas, reference_index)
-    ref_var = sigmas[reference_index] ** 2
-    return np.diag(others**2) + ref_var * np.ones((n - 1, n - 1))
+    others = np.delete(sigmas, reference_index, axis=-1)
+    ref_var = sigmas[..., reference_index] ** 2
+    return ((others**2)[..., None] * np.eye(n - 1)
+            + ref_var[..., None, None] * np.ones((n - 1, n - 1)))
 
 
-def _unit_vectors_en(ue_ecef: np.ndarray, anchors: AnchorSet) -> np.ndarray:
-    """(N, 2) east/north components of the UE->anchor unit vectors; raises if
-    any anchor sits at or below the UE horizon."""
+def unit_vectors_en(ue_ecef: np.ndarray, positions: np.ndarray,
+                    basis: np.ndarray | None = None) -> np.ndarray:
+    """(..., N, 2) east/north components of the UE->anchor unit vectors;
+    raises if any anchor sits at or below its UE's horizon.
+
+    Broadcasts over leading axes: `ue_ecef` (..., 3), anchor `positions`
+    (..., N, 3) and `basis` (..., 3, 3), whose rows are the UE's east, north
+    and up unit vectors. A single UE's basis defaults to its local ENU frame.
+    """
     ue = np.asarray(ue_ecef, dtype=float)
-    basis = enu_basis(ecef_to_geodetic(ue))
-    pos = anchors.positions()
-    d = pos - ue
-    dist = np.linalg.norm(d, axis=1)
-    units = d / dist[:, None]
-    up = units @ basis[2]
+    if basis is None:
+        basis = enu_basis(ecef_to_geodetic(ue))
+    d = np.asarray(positions, dtype=float) - ue[..., None, :]
+    dist = np.linalg.norm(d, axis=-1)
+    units = d / dist[..., None]
+    up = units @ basis[..., 2, :, None]
     if np.any(up <= 0):
         raise VisibilityError("anchor at or below the UE horizon")
-    return np.column_stack([units @ basis[0], units @ basis[1]])
+    return np.concatenate([units @ basis[..., 0, :, None],
+                           units @ basis[..., 1, :, None]], axis=-1)
+
+
+def geometry_jacobian(kind: MeasurementKind, units_en: np.ndarray,
+                      reference_index: int | None = None) -> np.ndarray:
+    """Partials of the observables with respect to east/north UE
+    displacement at fixed altitude, from the anchor geometry alone: the
+    (..., N, 2) UE->anchor unit vectors of `unit_vectors_en`.
+
+    RTT row i:  d(range_i)/d(e,n) = -(east, north) of the UE->anchor_i unit
+    vector. TDOA row i: d(range_i - range_ref)/d(e,n), over the
+    non-reference anchors in order. Broadcasts over leading axes.
+    """
+    if kind is MeasurementKind.RTT:
+        return -units_en
+    rows = np.delete(np.arange(units_en.shape[-2]), reference_index)
+    return (units_en[..., reference_index:reference_index + 1, :]
+            - units_en[..., rows, :])
 
 
 def jacobian(ue_ecef: np.ndarray, mset: MeasurementSet) -> np.ndarray:
-    """M x 2 partials of the observables with respect to east/north UE
-    displacement at fixed altitude.
-
-    RTT row i:  d(range_i)/d(e,n) = -(east, north) of the UE->anchor_i unit
-    vector. TDOA row i: d(range_i - range_ref)/d(e,n).
-    """
-    uv = _unit_vectors_en(ue_ecef, mset.anchors)
-    if mset.kind is MeasurementKind.RTT:
-        return -uv
-    ref = uv[mset.reference_index]
-    rows = np.delete(np.arange(len(mset.anchors)), mset.reference_index)
-    return ref - uv[rows]
+    """M x 2 partials of the observables of `mset` with respect to east/north
+    UE displacement at fixed altitude (see `geometry_jacobian`)."""
+    uv = unit_vectors_en(ue_ecef, mset.anchors.positions())
+    return geometry_jacobian(mset.kind, uv, mset.reference_index)
 
 
 def fim(J: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Fisher information J^T R^-1 J; independent sets combine by addition."""
+    """Fisher information J^T R^-1 J; independent sets combine by addition.
+    Broadcasts over stacked (..., M, 2) Jacobians and (..., M, M)
+    covariances."""
     J = np.atleast_2d(np.asarray(J, dtype=float))
     R = np.asarray(R, dtype=float)
     if R.shape == ():
         R = R.reshape(1, 1)
-    if R.shape[0] != J.shape[0]:
+    if R.shape[-1] != J.shape[-2]:
         raise ValueError("covariance and Jacobian dimensions disagree")
     try:
         w = np.linalg.solve(R, J)
     except np.linalg.LinAlgError:
         raise ValueError("singular measurement covariance") from None
-    f = J.T @ w
-    return (f + f.T) / 2.0
+    f = np.swapaxes(J, -1, -2) @ w
+    return (f + np.swapaxes(f, -1, -2)) / 2.0
 
 
 def peb(f: np.ndarray, mean_variance: float = 1.0,
@@ -180,6 +201,18 @@ def peb(f: np.ndarray, mean_variance: float = 1.0,
         condition=lam_max / lam_min,
         degenerate=False,
     )
+
+
+def peb_arrays(f: np.ndarray, mean_variance=1.0,
+               degenerate_threshold: float = DEGENERATE_EIGENVALUE):
+    """Array form of `peb` over stacked (..., 2, 2) FIMs: (peb_m, gdop,
+    degenerate) arrays, with NaN bound and GDOP where degenerate.
+    `mean_variance` broadcasts against the stack."""
+    eig = np.linalg.eigvalsh(f)
+    degenerate = eig[..., 0] < degenerate_threshold
+    usable = np.where(degenerate[..., None], 1.0, eig)
+    bound = np.where(degenerate, np.nan, np.sqrt(np.sum(1.0 / usable, axis=-1)))
+    return bound, bound / np.sqrt(mean_variance), degenerate
 
 
 def _subset_anchorset(anchors: AnchorSet, indices: tuple[int, ...]) -> AnchorSet:
@@ -223,6 +256,41 @@ def best_subset_indices(visible: AnchorSet, k: int, ue_ecef: np.ndarray,
         # Every subset degenerate; fall back to the first combination.
         best_subset = tuple(sorted((visible.serving_index,) + tuple(others[:k - 1])))
     return best_subset
+
+
+def min_gdop_subsets(units_en: np.ndarray, serving_index: int, k: int,
+                     kind: MeasurementKind = MeasurementKind.TDOA) -> np.ndarray:
+    """Array form of `best_subset_indices` over UE drops: (D, k) sorted
+    indices of each drop's minimum-GDOP k-subset containing the serving
+    anchor, from the (D, N, 2) unit vectors of `unit_vectors_en`.
+
+    All subsets of all drops are scored at once; they are then walked in
+    enumeration order with the same relative guard, so ties and the
+    all-degenerate fallback resolve exactly as in `best_subset_indices`.
+    """
+    n = units_en.shape[-2]
+    if k > n:
+        raise ValueError(f"cannot select {k} of {n} visible satellites")
+    others = [i for i in range(n) if i != serving_index]
+    combos = list(itertools.combinations(others, k - 1))
+    subsets = np.array([sorted((serving_index,) + c) for c in combos])
+    if kind is MeasurementKind.TDOA:
+        # Serving anchor first, as the reference; the rest in subset order.
+        order = np.array([(serving_index,) + c for c in combos])
+        J = geometry_jacobian(kind, units_en[:, order], 0)
+        cov = tdoa_covariance(np.ones(k), 0)
+    else:
+        J = geometry_jacobian(kind, units_en[:, subsets])
+        cov = np.eye(k)
+    _, gdop, degenerate = peb_arrays(fim(J, cov))
+    gdop = np.where(degenerate, np.inf, gdop)
+    best = np.full(len(units_en), np.inf)
+    choice = np.zeros(len(units_en), dtype=int)
+    for c in range(len(combos)):
+        better = gdop[:, c] < best * (1.0 - 1e-10)
+        best = np.where(better, gdop[:, c], best)
+        choice[better] = c
+    return subsets[choice]
 
 
 def select_satellites(visible: AnchorSet, k: int, ue_ecef: np.ndarray,

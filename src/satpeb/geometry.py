@@ -137,6 +137,22 @@ def enu_basis(origin: Geodetic) -> np.ndarray:
     ])
 
 
+def enu_frames(lat_rad, lon_rad, alt_m=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of `geodetic_to_ecef` and `enu_basis`: (..., 3) ECEF
+    positions and (..., 3, 3) bases (rows east, north, up) for arrays of
+    latitudes, longitudes and altitudes."""
+    sl, cl = np.sin(lat_rad), np.cos(lat_rad)
+    so, co = np.sin(lon_rad), np.cos(lon_rad)
+    r = EARTH_RADIUS_M + np.asarray(alt_m, dtype=float)
+    ecef = np.stack([r * cl * co, r * cl * so, r * sl], axis=-1)
+    basis = np.stack([
+        np.stack([-so, co, np.zeros_like(so)], axis=-1),
+        np.stack([-sl * co, -sl * so, cl], axis=-1),
+        np.stack([cl * co, cl * so, sl], axis=-1),
+    ], axis=-2)
+    return ecef, basis
+
+
 def ecef_to_enu(point: np.ndarray, origin: Geodetic) -> np.ndarray:
     """Express `point` in the local east-north-up frame at `origin`."""
     return enu_basis(origin) @ (np.asarray(point, dtype=float) - geodetic_to_ecef(origin))

@@ -7,10 +7,14 @@ seven-satellite hexagonal LEO grid doing instantaneous TDOA (optionally
 augmented with serving-satellite RTT), and a GNSS-poor hybrid (two GNSS
 satellites plus one LEO, with a three-GNSS baseline).
 
+Drops are evaluated in array passes over spans of drops: geometry, link
+realization, subset selection and Fisher information run on stacked
+(drops, anchors) arrays, with the same per-matrix arithmetic for every span.
+
 Determinism: every random quantity is drawn from a substream keyed by
 (seed, stream tag, drop index[, element index]), so results are a pure
-function of (config, seed) independent of worker count, and adding drops
-never perturbs earlier ones. Link-level draws are shared across measurement
+function of (config, seed) independent of worker count and span boundaries,
+and adding drops never perturbs earlier ones. Link-level draws are shared across measurement
 times and cases of one run (common random numbers), which makes the
 more-information-never-hurts comparisons hold sample by sample.
 """
@@ -18,6 +22,7 @@ more-information-never-hurts comparisons hold sample by sample.
 from __future__ import annotations
 
 import math
+import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -31,12 +36,12 @@ from .channel import (AntennaModel, AntennaPattern, LinkDirection, LinkParams,
 from .config import ScenarioConfig, config_to_dict
 from .constants import EARTH_RADIUS_M
 from .errors import StatisticsError
-from .fisher import (MeasurementKind, MeasurementSet, best_subset_indices,
-                     fim, jacobian, peb, rtt_range_sigma, tdoa_covariance,
-                     toa_range_sigma)
-from .geometry import (AnchorSet, Geodetic, SatelliteState, SatRole,
-                       angle_between, destination_point, ecef_to_geodetic,
-                       enu_basis, geodetic_to_ecef, ground_track_orbit,
+from .fisher import (MeasurementKind, fim, geometry_jacobian, min_gdop_subsets,
+                     peb_arrays, rtt_range_sigma, tdoa_covariance,
+                     toa_range_sigma, unit_vectors_en)
+from .geometry import (Geodetic, SatelliteState, angle_between,
+                       destination_point, ecef_to_geodetic, enu_frames,
+                       geodetic_to_ecef, ground_track_orbit,
                        make_virtual_anchors, hex_constellation,
                        propagate_circular_orbit)
 
@@ -178,14 +183,15 @@ class _LinkModel:
     def _realize(self, anchor_pos: np.ndarray, ue_ecef: np.ndarray,
                  boresight_target: np.ndarray, z_los: np.ndarray,
                  z_shadow: np.ndarray):
-        """Common geometry and channel state for a batch of LEO links."""
-        vec = anchor_pos - ue_ecef
-        dist = np.linalg.norm(vec, axis=1)
-        up = ue_ecef / np.linalg.norm(ue_ecef)
-        elevation = np.arcsin(np.clip(vec @ up / dist, -1.0, 1.0))
+        """Common geometry and channel state of the (D, M) links from D UEs
+        (D, 3) to M anchors (M, 3); `z_*` are the (D, M) link draws."""
+        vec = anchor_pos - ue_ecef[:, None, :]
+        dist = np.linalg.norm(vec, axis=-1)
+        up = ue_ecef / np.linalg.norm(ue_ecef, axis=-1, keepdims=True)
+        elevation = np.arcsin(np.clip((vec @ up[:, :, None])[..., 0] / dist, -1.0, 1.0))
         off_boresight = angle_between(boresight_target - anchor_pos, -vec)
         if self.los_only:
-            los = np.ones(len(dist), dtype=bool)
+            los = np.ones(dist.shape, dtype=bool)
         else:
             los = z_los < channel.los_probability(self.cls, elevation)
         sigma_sh, clutter = channel.shadowing_sigma(self.cls, elevation, los)
@@ -194,56 +200,83 @@ class _LinkModel:
 
     def leo_dl_sigma(self, anchor_pos, ue_ecef, boresight_target,
                      z_los, z_shadow, neighbor=False) -> np.ndarray:
-        """Downlink TOA range sigma per anchor."""
+        """(D, M) downlink TOA range sigma per UE and anchor."""
         dist, off, los, shadow, clutter = self._realize(
             anchor_pos, ue_ecef, boresight_target, z_los, z_shadow)
         params = self.dl_neighbor if neighbor else self.dl
         dl = channel.link_snr(params, self.pattern, dist, off, los, shadow, clutter)
-        return np.atleast_1d(toa_range_sigma(dl.snr_db, params.bandwidth_hz))
+        return toa_range_sigma(dl.snr_db, params.bandwidth_hz)
 
     def leo_rtt_sigma(self, anchor_pos, ue_ecef, boresight_target,
                       z_los, z_shadow) -> np.ndarray:
-        """Two-way range sigma per anchor; one shadow/LOS draw governs both
-        directions of a link (reciprocal large-scale channel)."""
+        """(D, M) two-way range sigma per UE and anchor; one shadow/LOS draw
+        governs both directions of a link (reciprocal large-scale channel)."""
         dist, off, los, shadow, clutter = self._realize(
             anchor_pos, ue_ecef, boresight_target, z_los, z_shadow)
         dl = channel.link_snr(self.dl, self.pattern, dist, off, los, shadow, clutter)
         ul = channel.link_snr(self.ul, self.pattern, dist, off, los, shadow, clutter)
         sigma_dl = toa_range_sigma(dl.snr_db, self.dl.bandwidth_hz)
         sigma_ul = toa_range_sigma(ul.snr_db, self.ul.bandwidth_hz)
-        return np.atleast_1d(rtt_range_sigma(sigma_dl, sigma_ul))
+        return rtt_range_sigma(sigma_dl, sigma_ul)
 
 
-def _place_gnss(ue_ecef: np.ndarray, origin: Geodetic, mask_rad: float,
-                gnss_altitude_m: float, rng: np.random.Generator) -> SatelliteState:
-    """One GNSS satellite uniform by solid angle on the UE's sky cap above the
-    elevation mask, at the geometric range matching the GNSS shell."""
+def _gnss_positions(ue_ecef: np.ndarray, basis: np.ndarray, draws: np.ndarray,
+                    mask_rad: float, gnss_altitude_m: float) -> np.ndarray:
+    """(D, S, 3) GNSS satellites, each uniform by solid angle on its UE's sky
+    cap above the elevation mask, on the GNSS shell. `draws` holds (D, S, 2)
+    uniforms: elevation term, then azimuth."""
     cos_zmax = math.cos(math.pi / 2 - mask_rad)
-    cos_z = cos_zmax + (1.0 - cos_zmax) * rng.random()
-    azimuth = 2.0 * math.pi * rng.random()
-    sin_el = cos_z
-    cos_el = math.sqrt(max(0.0, 1.0 - sin_el**2))
-    d_enu = np.array([cos_el * math.sin(azimuth), cos_el * math.cos(azimuth), sin_el])
-    d_ecef = enu_basis(origin).T @ d_enu
+    sin_el = cos_zmax + (1.0 - cos_zmax) * draws[..., 0]
+    azimuth = 2.0 * math.pi * draws[..., 1]
+    cos_el = np.sqrt(np.maximum(0.0, 1.0 - sin_el**2))
+    d_enu = np.stack([cos_el * np.sin(azimuth), cos_el * np.cos(azimuth), sin_el], axis=-1)
+    d_ecef = d_enu @ basis
+    ue = ue_ecef[:, None, :]
     r_shell = EARTH_RADIUS_M + gnss_altitude_m
-    b = float(ue_ecef @ d_ecef)
-    rho = -b + math.sqrt(b * b + r_shell**2 - float(ue_ecef @ ue_ecef))
-    pos = ue_ecef + rho * d_ecef
-    sub = ecef_to_geodetic(pos)
-    orbit = ground_track_orbit(Geodetic(sub.lat_rad, sub.lon_rad, 0.0), gnss_altitude_m)
-    state = propagate_circular_orbit(orbit, 0.0, SatRole.GNSS)
-    return SatelliteState(position=state.position, velocity=state.velocity,
-                          time_s=0.0, role=SatRole.GNSS)
+    b = np.sum(ue * d_ecef, axis=-1)
+    rho = -b + np.sqrt(b * b + r_shell**2 - np.sum(ue * ue, axis=-1))
+    return ue + rho[..., None] * d_ecef
 
 
 # ---------------------------------------------------------------------------
-# Per-variant evaluators
+# Per-variant evaluators: each maps a span of drops [lo, hi) to its records
 
 
-def _rtt_result(anchors: AnchorSet, ue_ecef: np.ndarray, sigma: np.ndarray):
-    cov = np.diag(sigma**2)
-    mset = MeasurementSet(MeasurementKind.RTT, anchors, cov)
-    return fim(jacobian(ue_ecef, mset), cov), cov
+def _ue_frames(drops: list[Geodetic]) -> tuple[np.ndarray, np.ndarray]:
+    """(D, 3) ECEF positions and (D, 3, 3) ENU bases of the drops."""
+    return enu_frames(np.array([g.lat_rad for g in drops]),
+                      np.array([g.lon_rad for g in drops]),
+                      np.array([g.alt_m for g in drops]))
+
+
+def _link_draws(seed: int, tag: str, lo: int, hi: int,
+                n_links: int) -> tuple[np.ndarray, np.ndarray]:
+    """(D, n_links) LOS uniforms and shadowing normals, one substream per
+    drop, so a drop's draws do not depend on the span it is evaluated in."""
+    z_los = np.empty((hi - lo, n_links))
+    z_shadow = np.empty((hi - lo, n_links))
+    for row, i in enumerate(range(lo, hi)):
+        rng = substream(seed, tag, i)
+        z_los[row] = rng.random(n_links)
+        z_shadow[row] = rng.standard_normal(n_links)
+    return z_los, z_shadow
+
+
+def _rtt_fim(anchor_pos: np.ndarray, ue_ecef: np.ndarray, basis: np.ndarray,
+             sigma: np.ndarray) -> np.ndarray:
+    """(D, 2, 2) RTT information of D UEs from the (M, 3) anchors with (D, M)
+    independent range sigmas."""
+    units = unit_vectors_en(ue_ecef, anchor_pos, basis)
+    cov = (sigma**2)[..., None] * np.eye(sigma.shape[-1])
+    return fim(geometry_jacobian(MeasurementKind.RTT, units), cov)
+
+
+def _records(drops: list[Geodetic], f: np.ndarray,
+             mean_variance: np.ndarray) -> list[UeRecord]:
+    peb_m, gdop, degenerate = peb_arrays(f, mean_variance)
+    return [UeRecord(ue, None if deg else p, None if deg else g, deg)
+            for ue, p, g, deg in zip(drops, peb_m.tolist(), gdop.tolist(),
+                                     degenerate.tolist())]
 
 
 class _SingleLeoEvaluator:
@@ -255,29 +288,25 @@ class _SingleLeoEvaluator:
         self.orbit = ground_track_orbit(center, config.leo_altitude_m)
         self.serving = propagate_circular_orbit(self.orbit, 0.0)
         self.beam_center = geodetic_to_ecef(center)
-        self.anchor_sets = {
-            t: make_virtual_anchors(self.orbit, t, config.n_virtual_anchors)
+        self.anchor_positions = [
+            make_virtual_anchors(self.orbit, t, config.n_virtual_anchors).positions()
             for t in config.measurement_times_s
-        }
+        ]
         self.model = _LinkModel(config)
         self.drops = drop_ues(config, self.serving)
         self.case_ids = [_time_case_id("single_leo", t) for t in config.measurement_times_s]
 
-    def evaluate(self, i: int) -> dict[str, UeRecord]:
-        config = self.config
-        ue = self.drops[i]
-        ue_ecef = geodetic_to_ecef(ue)
-        rng = substream(config.seed, "sl-link", i)
-        z_los = rng.random(config.n_virtual_anchors)
-        z_shadow = rng.standard_normal(config.n_virtual_anchors)
+    def evaluate_span(self, lo: int, hi: int) -> dict[str, list[UeRecord]]:
+        drops = self.drops[lo:hi]
+        ue_ecef, basis = _ue_frames(drops)
+        z_los, z_shadow = _link_draws(self.config.seed, "sl-link", lo, hi,
+                                      self.config.n_virtual_anchors)
         out = {}
-        for t, case_id in zip(config.measurement_times_s, self.case_ids):
-            anchors = self.anchor_sets[t]
-            sigma = self.model.leo_rtt_sigma(anchors.positions(), ue_ecef,
-                                             self.beam_center, z_los, z_shadow)
-            f, cov = _rtt_result(anchors, ue_ecef, sigma)
-            res = peb(f, mean_variance=float(np.mean(np.diag(cov))))
-            out[case_id] = UeRecord(ue, res.peb_m, res.gdop, res.degenerate)
+        for case_id, anchors in zip(self.case_ids, self.anchor_positions):
+            sigma = self.model.leo_rtt_sigma(anchors, ue_ecef, self.beam_center,
+                                             z_los, z_shadow)
+            f = _rtt_fim(anchors, ue_ecef, basis, sigma)
+            out[case_id] = _records(drops, f, np.mean(sigma**2, axis=-1))
         return out
 
 
@@ -292,8 +321,9 @@ class _MultiLeoEvaluator:
         self.beam_center = geodetic_to_ecef(center)
         self.grid_positions = self.grid.positions()
         self.rtt_orbit = ground_track_orbit(center, config.leo_altitude_m)
-        self.rtt_anchors = make_virtual_anchors(
-            self.rtt_orbit, config.rtt_measurement_time_s, config.n_virtual_anchors)
+        self.rtt_positions = make_virtual_anchors(
+            self.rtt_orbit, config.rtt_measurement_time_s,
+            config.n_virtual_anchors).positions()
         self.model = _LinkModel(config)
         self.drops = drop_ues(config, self.grid.serving)
         self.active_counts = ([config.n_active_satellites]
@@ -307,53 +337,51 @@ class _MultiLeoEvaluator:
     def _case_id(k: int, rtt: bool) -> str:
         return f"multi_leo_tdoa{k}" + ("_rtt" if rtt else "")
 
-    def evaluate(self, i: int) -> dict[str, UeRecord]:
+    def evaluate_span(self, lo: int, hi: int) -> dict[str, list[UeRecord]]:
         config = self.config
-        ue_ecef = geodetic_to_ecef(self.drops[i])
-        rng = substream(config.seed, "ml-link", i)
-        z_los = rng.random(7)
-        z_shadow = rng.standard_normal(7)
+        drops = self.drops[lo:hi]
+        ue_ecef, basis = _ue_frames(drops)
+        z_los, z_shadow = _link_draws(config.seed, "ml-link", lo, hi, 7)
 
         # Downlink sigma for all seven satellites; the serving satellite's
         # beam is nadir-pointed, neighbor beams point at the same coverage
         # center but run a worse link budget.
-        sigma_dl = np.empty(7)
-        sigma_dl[:1] = self.model.leo_dl_sigma(
-            self.grid_positions[:1], ue_ecef, self.beam_center,
-            z_los[:1], z_shadow[:1], neighbor=False)
-        sigma_dl[1:] = self.model.leo_dl_sigma(
-            self.grid_positions[1:], ue_ecef, self.beam_center,
-            z_los[1:], z_shadow[1:], neighbor=True)
+        pos = self.grid_positions
+        sigma_dl = np.concatenate([
+            self.model.leo_dl_sigma(pos[:1], ue_ecef, self.beam_center,
+                                    z_los[:, :1], z_shadow[:, :1], neighbor=False),
+            self.model.leo_dl_sigma(pos[1:], ue_ecef, self.beam_center,
+                                    z_los[:, 1:], z_shadow[:, 1:], neighbor=True),
+        ], axis=1)
 
-        rtt_block = None
         if any(self.rtt_flags):
-            rng_rtt = substream(config.seed, "ml-rtt", i)
-            zr_los = rng_rtt.random(config.n_virtual_anchors)
-            zr_shadow = rng_rtt.standard_normal(config.n_virtual_anchors)
+            zr_los, zr_shadow = _link_draws(config.seed, "ml-rtt", lo, hi,
+                                            config.n_virtual_anchors)
             sigma_rtt = self.model.leo_rtt_sigma(
-                self.rtt_anchors.positions(), ue_ecef, self.beam_center,
-                zr_los, zr_shadow)
-            rtt_block = _rtt_result(self.rtt_anchors, ue_ecef, sigma_rtt)
+                self.rtt_positions, ue_ecef, self.beam_center, zr_los, zr_shadow)
+            f_rtt = _rtt_fim(self.rtt_positions, ue_ecef, basis, sigma_rtt)
 
+        units = unit_vectors_en(ue_ecef, pos, basis)
+        serving = self.grid.serving_index
         out = {}
         for k in self.active_counts:
-            indices = best_subset_indices(self.grid, k, ue_ecef, MeasurementKind.TDOA)
-            sub = AnchorSet(states=tuple(self.grid.states[j] for j in indices),
-                            serving_index=indices.index(0))
-            cov = tdoa_covariance(sigma_dl[list(indices)], sub.serving_index)
-            mset = MeasurementSet(MeasurementKind.TDOA, sub, cov,
-                                  reference_index=sub.serving_index)
-            f_tdoa = fim(jacobian(ue_ecef, mset), cov)
+            subsets = min_gdop_subsets(units, serving, k)
+            # Serving satellite first as the TDOA reference, then the others
+            # in index order.
+            others = subsets[subsets != serving].reshape(len(drops), k - 1)
+            order = np.concatenate([np.full((len(drops), 1), serving), others], axis=1)
+            cov = tdoa_covariance(np.take_along_axis(sigma_dl, order, axis=1), 0)
+            J = geometry_jacobian(MeasurementKind.TDOA,
+                                  np.take_along_axis(units, order[..., None], axis=1), 0)
+            f_tdoa = fim(J, cov)
+            tdoa_var = np.diagonal(cov, axis1=-2, axis2=-1)
             for rtt in self.rtt_flags:
-                f_total = f_tdoa
-                diag_parts = [np.diag(cov)]
                 if rtt:
-                    f_total = f_total + rtt_block[0]
-                    diag_parts.append(np.diag(rtt_block[1]))
-                mean_var = float(np.mean(np.concatenate(diag_parts)))
-                res = peb(f_total, mean_variance=mean_var)
-                out[self._case_id(k, rtt)] = UeRecord(
-                    self.drops[i], res.peb_m, res.gdop, res.degenerate)
+                    f = f_tdoa + f_rtt
+                    mean_var = np.mean(np.concatenate([tdoa_var, sigma_rtt**2], axis=1), axis=1)
+                else:
+                    f, mean_var = f_tdoa, np.mean(tdoa_var, axis=1)
+                out[self._case_id(k, rtt)] = _records(drops, f, mean_var)
         return out
 
 
@@ -372,48 +400,42 @@ class _GnssLeoEvaluator:
         self.drops = drop_ues(config, self.serving)
         if self.gnss_only:
             self.scenario_id = "gnss-only"
-            self.anchor_sets = {}
+            self.anchor_positions = []
             self.case_ids = ["gnss_only"]
         else:
-            self.anchor_sets = {
-                t: make_virtual_anchors(self.orbit, t, config.n_virtual_anchors)
+            self.anchor_positions = [
+                make_virtual_anchors(self.orbit, t, config.n_virtual_anchors).positions()
                 for t in config.measurement_times_s
-            }
+            ]
             self.case_ids = [_time_case_id("gnss_leo", t)
                              for t in config.measurement_times_s]
 
-    def evaluate(self, i: int) -> dict[str, UeRecord]:
+    def evaluate_span(self, lo: int, hi: int) -> dict[str, list[UeRecord]]:
         config = self.config
-        ue = self.drops[i]
-        ue_ecef = geodetic_to_ecef(ue)
-        states = tuple(
-            _place_gnss(ue_ecef, ue, config.gnss_elevation_mask_rad,
-                        config.gnss_altitude_m, substream(config.seed, "gnss-pos", i, s))
-            for s in range(self.n_gnss)
-        )
-        gnss_set = AnchorSet(states=states, serving_index=0)
-        sigma_g = self.model.gnss_range_sigma
-        cov_g = tdoa_covariance(np.full(self.n_gnss, sigma_g), 0)
-        mset_g = MeasurementSet(MeasurementKind.TDOA, gnss_set, cov_g, reference_index=0)
-        f_gnss = fim(jacobian(ue_ecef, mset_g), cov_g)
+        drops = self.drops[lo:hi]
+        ue_ecef, basis = _ue_frames(drops)
+        draws = np.array([[substream(config.seed, "gnss-pos", i, s).random(2)
+                           for s in range(self.n_gnss)] for i in range(lo, hi)])
+        gnss_pos = _gnss_positions(ue_ecef, basis, draws, config.gnss_elevation_mask_rad,
+                                   config.gnss_altitude_m)
+        cov_g = tdoa_covariance(np.full(self.n_gnss, self.model.gnss_range_sigma), 0)
+        units_g = unit_vectors_en(ue_ecef, gnss_pos, basis)
+        f_gnss = fim(geometry_jacobian(MeasurementKind.TDOA, units_g, 0), cov_g)
+        var_g = np.diag(cov_g)
 
-        out = {}
         if self.gnss_only:
-            res = peb(f_gnss, mean_variance=float(np.mean(np.diag(cov_g))))
-            out["gnss_only"] = UeRecord(ue, res.peb_m, res.gdop, res.degenerate)
-            return out
+            return {"gnss_only": _records(drops, f_gnss, np.mean(var_g))}
 
-        rng = substream(config.seed, "gl-link", i)
-        z_los = rng.random(config.n_virtual_anchors)
-        z_shadow = rng.standard_normal(config.n_virtual_anchors)
-        for t, case_id in zip(config.measurement_times_s, self.case_ids):
-            anchors = self.anchor_sets[t]
-            sigma = self.model.leo_rtt_sigma(anchors.positions(), ue_ecef,
-                                             self.beam_center, z_los, z_shadow)
-            f_rtt, cov_rtt = _rtt_result(anchors, ue_ecef, sigma)
-            mean_var = float(np.mean(np.concatenate([np.diag(cov_g), np.diag(cov_rtt)])))
-            res = peb(f_gnss + f_rtt, mean_variance=mean_var)
-            out[case_id] = UeRecord(ue, res.peb_m, res.gdop, res.degenerate)
+        z_los, z_shadow = _link_draws(config.seed, "gl-link", lo, hi,
+                                      config.n_virtual_anchors)
+        out = {}
+        for case_id, anchors in zip(self.case_ids, self.anchor_positions):
+            sigma = self.model.leo_rtt_sigma(anchors, ue_ecef, self.beam_center,
+                                             z_los, z_shadow)
+            f_rtt = _rtt_fim(anchors, ue_ecef, basis, sigma)
+            var = np.concatenate([np.broadcast_to(var_g, (hi - lo, len(var_g))),
+                                  sigma**2], axis=1)
+            out[case_id] = _records(drops, f_gnss + f_rtt, np.mean(var, axis=1))
         return out
 
 
@@ -451,29 +473,29 @@ def run_gnss_leo(config: ScenarioConfig, workers: int = 1) -> RunBundle:
     return run(config, workers=workers)
 
 
-def _evaluate_span(args) -> list[dict[str, UeRecord]]:
+def _evaluate_span(args) -> dict[str, list[UeRecord]]:
     config, lo, hi = args
-    evaluator = _make_evaluator(config)
-    return [evaluator.evaluate(i) for i in range(lo, hi)]
+    return _make_evaluator(config).evaluate_span(lo, hi)
 
 
 def run(config: ScenarioConfig, workers: int = 1) -> RunBundle:
-    """Evaluate a scenario; `workers` only affects wall-clock time."""
+    """Evaluate a scenario; `workers` only affects wall-clock time. It is
+    clamped to the drop count and the CPU count, and each worker process
+    evaluates one span of drops."""
     evaluator = _make_evaluator(config)
     n = config.n_ue_drops
-    if workers <= 1 or n < 4:
-        per_drop = [evaluator.evaluate(i) for i in range(n)]
+    workers = min(workers, n, os.cpu_count() or 1)
+    if workers <= 1:
+        chunks = [evaluator.evaluate_span(0, n)]
     else:
-        bounds = np.linspace(0, n, min(workers, n) + 1).astype(int)
-        spans = [(config, int(lo), int(hi))
-                 for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+        bounds = np.linspace(0, n, workers + 1).astype(int)
+        spans = [(config, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_evaluate_span, spans))
-        per_drop = [record for chunk in chunks for record in chunk]
 
     cases = {}
     for case_id in evaluator.case_ids:
-        records = tuple(d[case_id] for d in per_drop)
+        records = tuple(r for chunk in chunks for r in chunk[case_id])
         cases[case_id] = PebSampleSet(evaluator.scenario_id, case_id, records)
     stats = {case_id: summarize(sample) for case_id, sample in cases.items()}
     params = {

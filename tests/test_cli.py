@@ -81,6 +81,29 @@ class TestParseConfig:
             parse_config(path)
         assert "n_ue_drops" in str(err.value)
 
+    @pytest.mark.parametrize("payload, field", [
+        ({"variant": "multi-leo", "leo_altitude_m": math.nan}, "leo_altitude_m"),
+        ({"variant": "single-leo", "center_lat_deg": math.inf}, "center_lat_deg"),
+        ({"variant": "single-leo", "link": {"eirp_density_dbw_mhz": -math.inf}},
+         "link.eirp_density_dbw_mhz"),
+        ({"variant": "single-leo", "measurement_times_s": [2.0, math.nan]},
+         "measurement_times_s"),
+    ])
+    def test_non_finite_number_named(self, tmp_path, payload, field):
+        path = write_config(tmp_path, payload)
+        assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert err.value.field == field
+        assert "finite" in str(err.value)
+
+    def test_bandwidth_above_carrier_named(self, tmp_path):
+        path = write_config(tmp_path, {"variant": "single-leo",
+                                       "link": {"bandwidth_hz": 1e300}})
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert err.value.field == "link.bandwidth_hz"
+
     def test_hash_stable_under_key_reordering(self, tmp_path):
         a = parse_config(write_config(tmp_path, {
             "variant": "single-leo", "seed": 3, "n_ue_drops": 10}, "a.json"))
@@ -167,6 +190,28 @@ class TestExecute:
         with open(out / "samples.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert all(r["case_id"] == "gnss_only" for r in rows)
+
+    def test_config_error_exits_2_with_manifest(self, tmp_path):
+        cfg = write_config(tmp_path, {"variant": "multi-leo",
+                                      "leo_altitude_m": math.nan})
+        out = tmp_path / "out"
+        assert main(["multi-leo", "--config", str(cfg), "--out", str(out)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert any("leo_altitude_m" in e for e in manifest["errors"])
+
+    def test_unexpected_error_still_writes_manifest(self, tmp_path, monkeypatch):
+        import satpeb.cli as cli_mod
+
+        def overflow(config, workers=1):
+            raise OverflowError("(34, 'Numerical result out of range')")
+
+        monkeypatch.setattr(cli_mod, "run", overflow)
+        cfg = write_config(tmp_path, SMALL_RUN)
+        out = tmp_path / "out"
+        assert main(["single-leo", "--config", str(cfg), "--out", str(out)]) != 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["errors"]
+        assert manifest["outputs"] == []
 
     def test_missing_config_file_nonzero_exit(self, tmp_path):
         out = tmp_path / "out"

@@ -6,11 +6,15 @@ import pytest
 
 from satpeb.constants import EARTH_RADIUS_M
 from satpeb.errors import VisibilityError
-from satpeb.fisher import (MeasurementKind, MeasurementSet, fim, jacobian,
-                           peb, rtt_range_sigma, select_satellites,
-                           tdoa_covariance, toa_range_sigma, unit_sigma_gdop)
+from satpeb.fisher import (MeasurementKind, MeasurementSet,
+                           best_subset_indices, fim, geometry_jacobian,
+                           jacobian, min_gdop_subsets, peb, peb_arrays,
+                           rtt_range_sigma, select_satellites,
+                           tdoa_covariance, toa_range_sigma, unit_sigma_gdop,
+                           unit_vectors_en)
 from satpeb.geometry import (AnchorSet, Geodetic, SatelliteState, SatRole,
-                             enu_to_ecef, geodetic_to_ecef, ground_track_orbit,
+                             enu_frames, enu_to_ecef, geodetic_to_ecef,
+                             ground_track_orbit, hex_constellation,
                              make_virtual_anchors)
 
 
@@ -98,6 +102,12 @@ class TestTdoaCovariance:
         with pytest.raises(ValueError):
             tdoa_covariance([1.0], 0)
 
+    def test_stacked_rows_match_single(self):
+        sigmas = np.random.default_rng(17).uniform(0.1, 50.0, (20, 5))
+        stacked = tdoa_covariance(sigmas, 2)
+        for row, cov in zip(sigmas, stacked):
+            assert np.array_equal(cov, tdoa_covariance(row, 2))
+
 
 class TestJacobian:
     def test_overhead_anchor_has_zero_row(self):
@@ -122,6 +132,30 @@ class TestJacobian:
         mset = MeasurementSet(MeasurementKind.RTT, anchors, np.eye(1))
         with pytest.raises(VisibilityError):
             jacobian(geodetic_to_ecef(ue), mset)
+
+    @pytest.mark.parametrize("kind", [MeasurementKind.RTT, MeasurementKind.TDOA])
+    def test_stacked_geometry_jacobian_matches_single(self, kind):
+        rng = np.random.default_rng(19)
+        grid = hex_constellation(Geodetic(0.0, 0.0, 0.0), math.radians(13.0),
+                                 math.radians(6.9), 780e3)
+        lat = rng.uniform(-0.02, 0.02, 30)
+        lon = rng.uniform(-0.02, 0.02, 30)
+        ue_ecef, basis = enu_frames(lat, lon)
+        ref = 0 if kind is MeasurementKind.TDOA else None
+        stacked = geometry_jacobian(
+            kind, unit_vectors_en(ue_ecef, grid.positions(), basis), ref)
+        m = 7 if kind is MeasurementKind.RTT else 6
+        for ue, rows in zip(ue_ecef, stacked):
+            mset = MeasurementSet(kind, grid, np.eye(m), reference_index=ref)
+            assert np.allclose(rows, jacobian(ue, mset), rtol=0.0, atol=1e-12)
+
+    def test_stacked_below_horizon_raises(self):
+        ue = Geodetic(0.0, 0.0, 0.0)
+        good = _anchors_from_sky(ue, [(0.3, 0.5, 2000e3)]).positions()
+        bad = _anchors_from_sky(ue, [(0.3, -0.05, 2000e3)]).positions()
+        ue_ecef, basis = enu_frames(np.zeros(2), np.zeros(2))
+        with pytest.raises(VisibilityError):
+            unit_vectors_en(ue_ecef, np.stack([good, bad]), basis)
 
     @pytest.mark.parametrize("kind", [MeasurementKind.RTT, MeasurementKind.TDOA])
     def test_finite_difference_oracle(self, kind):
@@ -197,6 +231,15 @@ class TestFim:
         with pytest.raises(ValueError):
             fim(np.ones((2, 2)), np.zeros((2, 2)))
 
+    def test_stacked_matches_single(self):
+        rng = np.random.default_rng(39)
+        J = rng.standard_normal((25, 4, 2))
+        a = rng.standard_normal((25, 4, 4))
+        R = a @ np.swapaxes(a, -1, -2) + 0.5 * np.eye(4)
+        stacked = fim(J, R)
+        for j, r, f in zip(J, R, stacked):
+            assert np.array_equal(f, fim(j, r))
+
 
 class TestPeb:
     def test_identity_fim(self):
@@ -238,6 +281,21 @@ class TestPeb:
             if before.degenerate or after.degenerate:
                 continue
             assert after.peb_m <= before.peb_m + 1e-9
+
+    def test_arrays_match_scalar(self):
+        rng = np.random.default_rng(47)
+        fims = [fim(rng.standard_normal((3, 2)), np.diag(rng.uniform(0.5, 3.0, 3)))
+                for _ in range(40)]
+        fims += [np.diag([0.0, 5.0]), np.diag([5e-13, 1.0]), np.eye(2) * 1e-12]
+        variances = rng.uniform(0.5, 9.0, len(fims))
+        bound, gdop, degenerate = peb_arrays(np.array(fims), variances)
+        for i, (f, v) in enumerate(zip(fims, variances)):
+            ref = peb(f, mean_variance=v)
+            assert degenerate[i] == ref.degenerate
+            if ref.degenerate:
+                assert np.isnan(bound[i]) and np.isnan(gdop[i])
+            else:
+                assert bound[i] == ref.peb_m and gdop[i] == ref.gdop
 
     def test_frame_invariance(self):
         rng = np.random.default_rng(43)
@@ -340,3 +398,71 @@ class TestSelection:
         for k in (2, 3, 4):
             subset = select_satellites(anchors, k, geodetic_to_ecef(ue))
             assert anchors.serving.position is subset.serving.position
+
+    @staticmethod
+    def _batched(anchors: AnchorSet, ue: Geodetic, k: int,
+                 kind=MeasurementKind.TDOA) -> tuple[int, ...]:
+        units = unit_vectors_en(geodetic_to_ecef(ue), anchors.positions())
+        return tuple(min_gdop_subsets(units[None], anchors.serving_index, k, kind)[0])
+
+    def test_batched_matches_scalar_on_fixtures(self):
+        ue = Geodetic(0.1, 0.1, 0.0)
+        anchors = self._grid(ue)
+        for k in (2, 3, 4, 6):
+            for kind in MeasurementKind:
+                assert self._batched(anchors, ue, k, kind) == best_subset_indices(
+                    anchors, k, geodetic_to_ecef(ue), kind)
+
+    def test_batched_symmetric_tie_breaks_to_lowest_indices(self):
+        ue = Geodetic(0.0, 0.0, 0.0)
+        sky = [(0.0, math.pi / 2, 780e3),
+               (math.radians(40), 0.5, 1500e3),
+               (math.radians(-40), 0.5, 1500e3),
+               (math.radians(140), 0.5, 1500e3),
+               (math.radians(220), 0.5, 1500e3)]
+        anchors = _anchors_from_sky(ue, sky)
+        assert self._batched(anchors, ue, 3) == (0, 1, 2)
+
+    def test_batched_all_degenerate_falls_back_to_first_subset(self):
+        # every anchor on one azimuth line through the UE: no subset fixes
+        # the cross-track coordinate
+        ue = Geodetic(0.0, 0.0, 0.0)
+        sky = [(0.0, 1.2, 780e3), (0.0, 0.5, 1500e3), (math.pi, 0.6, 1400e3),
+               (0.0, 0.8, 1000e3), (math.pi, 0.4, 1700e3)]
+        anchors = _anchors_from_sky(ue, sky)
+        scalar = best_subset_indices(anchors, 3, geodetic_to_ecef(ue))
+        assert scalar == (0, 1, 2)
+        assert self._batched(anchors, ue, 3) == scalar
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_batched_matches_scalar_on_random_hex_drops(self, k):
+        rng = np.random.default_rng(100 + k)
+        grid = hex_constellation(Geodetic(0.0, 0.0, 0.0), math.radians(13.0),
+                                 math.radians(6.9), 780e3)
+        lat = rng.uniform(-0.03, 0.03, 250)
+        lon = rng.uniform(-0.03, 0.03, 250)
+        ue_ecef, basis = enu_frames(lat, lon)
+        units = unit_vectors_en(ue_ecef, grid.positions(), basis)
+        batched = min_gdop_subsets(units, grid.serving_index, k)
+        for ue, chosen in zip(ue_ecef, batched):
+            assert tuple(chosen) == best_subset_indices(grid, k, ue)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_batched_matches_scalar_on_random_skies(self, k):
+        rng = np.random.default_rng(200 + k)
+        ue = Geodetic(0.3, -0.2, 0.0)
+        skies = [_anchors_from_sky(ue, [(float(rng.uniform(0, 2 * math.pi)),
+                                         float(rng.uniform(0.1, 1.5)),
+                                         float(rng.uniform(700e3, 3000e3)))
+                                        for _ in range(6)],
+                                   serving=2)
+                 for _ in range(200)]
+        ue_ecef = geodetic_to_ecef(ue)
+        positions = np.stack([a.positions() for a in skies])
+        units = unit_vectors_en(np.broadcast_to(ue_ecef, (200, 3)), positions,
+                                np.broadcast_to(enu_frames(ue.lat_rad, ue.lon_rad)[1],
+                                                (200, 3, 3)))
+        for kind in MeasurementKind:
+            batched = min_gdop_subsets(units, 2, k, kind)
+            for anchors, chosen in zip(skies, batched):
+                assert tuple(chosen) == best_subset_indices(anchors, k, ue_ecef, kind)

@@ -9,7 +9,7 @@ from satpeb.geometry import (Geodetic, angle_between, geodetic_to_ecef,
                              ground_track_orbit, propagate_circular_orbit)
 from satpeb.scenarios import (PebSampleSet, UeRecord, cap_half_angle, drop_ues,
                               run, run_gnss_leo, run_multi_leo, run_single_leo,
-                              summarize, _SingleLeoEvaluator)
+                              summarize, _SingleLeoEvaluator, _make_evaluator)
 
 
 def _sample_set(values, degenerate=0):
@@ -119,7 +119,7 @@ class TestSingleLeo:
                           measurement_times_s=(10.0,), los_only=True)
         evaluator = _SingleLeoEvaluator(cfg)
         evaluator.drops[0] = Geodetic(math.radians(0.02), 0.0, 0.0)
-        record = evaluator.evaluate(0)["single_leo_t10"]
+        record = evaluator.evaluate_span(0, 1)["single_leo_t10"][0]
         assert record.degenerate
         assert record.peb_m is None
 
@@ -184,10 +184,35 @@ class TestGnssLeo:
                           measurement_times_s=(10.0,), los_only=True)
         evaluator = _SingleLeoEvaluator(cfg)
         evaluator.drops[0] = Geodetic(math.radians(0.05), math.radians(0.08), 0.0)
-        east = evaluator.evaluate(0)["single_leo_t10"]
+        east = evaluator.evaluate_span(0, 1)["single_leo_t10"][0]
         evaluator.drops[0] = Geodetic(math.radians(0.05), math.radians(-0.08), 0.0)
-        west = evaluator.evaluate(0)["single_leo_t10"]
+        west = evaluator.evaluate_span(0, 1)["single_leo_t10"][0]
         assert east.peb_m == pytest.approx(west.peb_m, rel=1e-6)
+
+
+class TestSpans:
+    @pytest.mark.parametrize("variant, overrides", [
+        ("single-leo", {"measurement_times_s": (2.0, 7.0)}),
+        ("multi-leo", {}),
+        ("gnss-leo", {"measurement_times_s": (2.0, 10.0)}),
+        ("gnss-only", {}),
+    ])
+    def test_split_spans_equal_one_span(self, variant, overrides):
+        n = 23
+        evaluator = _make_evaluator(make_config(variant, n_ue_drops=n, seed=4,
+                                                **overrides))
+        whole = evaluator.evaluate_span(0, n)
+        bounds = (0, 1, 9, 10, n)
+        parts = [evaluator.evaluate_span(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        assert list(whole) == evaluator.case_ids
+        for case_id, records in whole.items():
+            assert len(records) == n
+            assert records == [r for part in parts for r in part[case_id]]
+
+    def test_drop_records_follow_drop_positions(self):
+        evaluator = _make_evaluator(make_config("multi-leo", n_ue_drops=6))
+        for records in evaluator.evaluate_span(2, 5).values():
+            assert [r.position for r in records] == evaluator.drops[2:5]
 
 
 class TestRunBundle:
