@@ -11,8 +11,7 @@ from .geometry import (AnchorSet, Geodetic, OrbitSpec, SatelliteState, SatRole,
                        geodetic_to_ecef, hex_constellation,
                        make_virtual_anchors, propagate_circular_orbit)
 from .scenarios import (PebSampleSet, RunBundle, SummaryStats, UeRecord,
-                        drop_ues, run, run_gnss_leo, run_multi_leo,
-                        run_single_leo, summarize)
+                        drop_ues, run, summarize)
 
 __all__ = [
     "__version__",
@@ -22,7 +21,6 @@ __all__ = [
     "drop_ues", "ecef_to_enu", "elevation_angle", "enu_to_ecef", "fim",
     "geodetic_to_ecef", "hex_constellation", "jacobian", "make_config",
     "make_virtual_anchors", "peb", "propagate_circular_orbit",
-    "rtt_range_sigma", "run", "run_gnss_leo", "run_multi_leo",
-    "run_single_leo", "select_satellites", "summarize", "tdoa_covariance",
-    "toa_range_sigma",
+    "rtt_range_sigma", "run", "select_satellites", "summarize",
+    "tdoa_covariance", "toa_range_sigma",
 ]

@@ -85,15 +85,13 @@ class LinkParams:
 
 @dataclass(frozen=True)
 class LinkRealization:
-    """Radio outcome of one link: LOS state, losses, gains, and SNR.
+    """Radio outcome of one link: LOS state, shadowing, and SNR.
 
     Fields hold scalars or aligned arrays, matching the realization inputs.
     """
 
     los: bool | np.ndarray
-    path_loss_db: float | np.ndarray
     shadow_db: float | np.ndarray
-    antenna_gain_db: float | np.ndarray
     snr_db: float | np.ndarray
 
 
@@ -151,9 +149,21 @@ _CLASS_FILE_TAGS = {
 }
 
 
+@lru_cache(maxsize=1)
+def _table_assets() -> dict[str, tuple[bytes, str]]:
+    """Raw bytes and sha256 of every shipped table asset, keyed by file name;
+    read once per process."""
+    assets = {}
+    for quantity in _TABLE_QUANTITIES:
+        for tag in _CLASS_FILE_TAGS.values():
+            name = f"{quantity}_{tag}.csv"
+            raw = resources.files("satpeb").joinpath(f"tables/{name}").read_bytes()
+            assets[name] = (raw, hashlib.sha256(raw).hexdigest())
+    return assets
+
+
 def _read_table(name: str) -> tuple[np.ndarray, np.ndarray]:
-    data = resources.files("satpeb").joinpath(f"tables/{name}").read_text()
-    rows = list(csv.reader(data.splitlines()))
+    rows = list(csv.reader(_table_assets()[name][0].decode().splitlines()))
     if rows[0] != ["elevation_deg", "value"]:
         raise ValueError(f"unexpected header in table {name}")
     elev = np.array([float(r[0]) for r in rows[1:]])
@@ -203,14 +213,9 @@ PINNED_TABLE_CHECKSUMS = {
 
 
 def table_checksums() -> dict[str, str]:
-    """sha256 of every shipped table asset, keyed by file name."""
-    sums = {}
-    for quantity in _TABLE_QUANTITIES:
-        for tag in _CLASS_FILE_TAGS.values():
-            name = f"{quantity}_{tag}.csv"
-            raw = resources.files("satpeb").joinpath(f"tables/{name}").read_bytes()
-            sums[name] = hashlib.sha256(raw).hexdigest()
-    return sums
+    """sha256 of every shipped table asset, keyed by file name: the bytes the
+    channel tables are parsed from."""
+    return {name: digest for name, (_, digest) in _table_assets().items()}
 
 
 def _interp_table(quantity: str, cls: ScenarioClass, elevation_rad) -> float | np.ndarray:
@@ -275,13 +280,10 @@ def link_snr(params: LinkParams, pattern: AntennaPattern | None,
            - np.asarray(shadow_db, dtype=float) - np.asarray(clutter_db, dtype=float)
            - params.extra_losses_db - params.neighbor_penalty_db
            + gain + params.processing_gain_db - noise_floor_db(params.bandwidth_hz))
-    path_loss = fspl + np.asarray(clutter_db, dtype=float)
     scalar = np.asarray(snr).ndim == 0
     return LinkRealization(
         los=bool(np.asarray(los)) if scalar else np.asarray(los, dtype=bool),
-        path_loss_db=float(path_loss) if scalar else path_loss,
         shadow_db=float(np.asarray(shadow_db)) if scalar else np.asarray(shadow_db, dtype=float),
-        antenna_gain_db=float(np.asarray(gain)) if scalar else np.broadcast_to(np.asarray(gain, dtype=float), np.asarray(snr).shape),
         snr_db=float(snr) if scalar else snr,
     )
 

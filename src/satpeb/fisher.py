@@ -39,8 +39,6 @@ class MeasurementSet:
     anchors: AnchorSet
     covariance: np.ndarray
     reference_index: int | None = None
-    sigma_dl_m: np.ndarray | None = None
-    sigma_ul_m: np.ndarray | None = None
 
     def __post_init__(self):
         n = len(self.anchors)
@@ -72,7 +70,6 @@ class PebResult:
 
     peb_m: float | None
     gdop: float | None
-    condition: float
     degenerate: bool
 
 
@@ -118,9 +115,11 @@ def tdoa_covariance(sigmas_m, reference_index: int) -> np.ndarray:
 
 
 def unit_vectors_en(ue_ecef: np.ndarray, positions: np.ndarray,
-                    basis: np.ndarray | None = None) -> np.ndarray:
+                    basis: np.ndarray | None = None,
+                    check_horizon: bool = True) -> np.ndarray:
     """(..., N, 2) east/north components of the UE->anchor unit vectors;
-    raises if any anchor sits at or below its UE's horizon.
+    raises if any anchor sits at or below its UE's horizon, unless
+    `check_horizon` is false.
 
     Broadcasts over leading axes: `ue_ecef` (..., 3), anchor `positions`
     (..., N, 3) and `basis` (..., 3, 3), whose rows are the UE's east, north
@@ -132,8 +131,7 @@ def unit_vectors_en(ue_ecef: np.ndarray, positions: np.ndarray,
     d = np.asarray(positions, dtype=float) - ue[..., None, :]
     dist = np.linalg.norm(d, axis=-1)
     units = d / dist[..., None]
-    up = units @ basis[..., 2, :, None]
-    if np.any(up <= 0):
+    if check_horizon and np.any(units @ basis[..., 2, :, None] <= 0):
         raise VisibilityError("anchor at or below the UE horizon")
     return np.concatenate([units @ basis[..., 0, :, None],
                            units @ basis[..., 1, :, None]], axis=-1)
@@ -190,15 +188,12 @@ def peb(f: np.ndarray, mean_variance: float = 1.0,
     peb / sqrt(mean_variance).
     """
     eig = np.linalg.eigvalsh(np.asarray(f, dtype=float))
-    lam_min, lam_max = float(eig[0]), float(eig[-1])
-    if lam_min < degenerate_threshold:
-        cond = math.inf if lam_min <= 0 else lam_max / lam_min
-        return PebResult(peb_m=None, gdop=None, condition=cond, degenerate=True)
+    if float(eig[0]) < degenerate_threshold:
+        return PebResult(peb_m=None, gdop=None, degenerate=True)
     bound = math.sqrt(float(np.sum(1.0 / eig)))
     return PebResult(
         peb_m=bound,
         gdop=bound / math.sqrt(mean_variance),
-        condition=lam_max / lam_min,
         degenerate=False,
     )
 
@@ -259,7 +254,8 @@ def best_subset_indices(visible: AnchorSet, k: int, ue_ecef: np.ndarray,
 
 
 def min_gdop_subsets(units_en: np.ndarray, serving_index: int, k: int,
-                     kind: MeasurementKind = MeasurementKind.TDOA) -> np.ndarray:
+                     kind: MeasurementKind = MeasurementKind.TDOA,
+                     visible: np.ndarray | None = None) -> np.ndarray:
     """Array form of `best_subset_indices` over UE drops: (D, k) sorted
     indices of each drop's minimum-GDOP k-subset containing the serving
     anchor, from the (D, N, 2) unit vectors of `unit_vectors_en`.
@@ -267,6 +263,9 @@ def min_gdop_subsets(units_en: np.ndarray, serving_index: int, k: int,
     All subsets of all drops are scored at once; they are then walked in
     enumeration order with the same relative guard, so ties and the
     all-degenerate fallback resolve exactly as in `best_subset_indices`.
+    A (D, N) `visible` mask leaves each drop's hidden anchors out of its
+    candidates, as `best_subset_indices` on the drop's visible anchors
+    would; a drop with no fully visible subset gets the first subset.
     """
     n = units_en.shape[-2]
     if k > n:
@@ -286,6 +285,10 @@ def min_gdop_subsets(units_en: np.ndarray, serving_index: int, k: int,
     gdop = np.where(degenerate, np.inf, gdop)
     best = np.full(len(units_en), np.inf)
     choice = np.zeros(len(units_en), dtype=int)
+    if visible is not None:
+        usable = np.all(visible[:, subsets], axis=-1)
+        gdop = np.where(usable, gdop, np.inf)
+        choice = np.argmax(usable, axis=1)  # the all-degenerate fallback
     for c in range(len(combos)):
         better = gdop[:, c] < best * (1.0 - 1e-10)
         best = np.where(better, gdop[:, c], best)

@@ -1,15 +1,25 @@
 """Case-study engine: UE drops, link realization, measurement assembly, PEB
 evaluation, and box-plot statistics.
 
-Three scenario families are implemented: a single LEO collecting RTT
-measurements at virtual anchor positions over a measurement window, a
-seven-satellite hexagonal LEO grid doing instantaneous TDOA (optionally
-augmented with serving-satellite RTT), and a GNSS-poor hybrid (two GNSS
-satellites plus one LEO, with a three-GNSS baseline).
+Every case is a sum of independent Fisher information blocks over the same
+UE drops. `case_table` maps each case of a variant to its blocks (`Rtt`,
+`Tdoa` and `Gnss` describe the three kinds):
+
+    single-leo  single_leo_t{T}        rtt(T, "sl-link")
+    multi-leo   multi_leo_tdoa{k}      tdoa(k)
+    multi-leo   multi_leo_tdoa{k}_rtt  tdoa(k), rtt(rtt_measurement_time_s, "ml-rtt")
+    gnss-leo    gnss_leo_t{T}          gnss(2), rtt(T, "gl-link")
+    gnss-only   gnss_only              gnss(3)
+
+A case's FIM is the sum of its blocks' FIMs in table order; the mean
+variance behind its GDOP is taken over the blocks' measurement variances
+concatenated in that order.
 
 Drops are evaluated in array passes over spans of drops: geometry, link
 realization, subset selection and Fisher information run on stacked
 (drops, anchors) arrays, with the same per-matrix arithmetic for every span.
+Within a span each block, each link-draw tag and the grid's downlink sigmas
+are computed once and shared by the cases that use them.
 
 Determinism: every random quantity is drawn from a substream keyed by
 (seed, stream tag, drop index[, element index]), so results are a pure
@@ -35,7 +45,7 @@ from .channel import (AntennaModel, AntennaPattern, LinkDirection, LinkParams,
                       ScenarioClass)
 from .config import ScenarioConfig, config_to_dict
 from .constants import EARTH_RADIUS_M
-from .errors import StatisticsError
+from .errors import BelowHorizonError, StatisticsError
 from .fisher import (MeasurementKind, fim, geometry_jacobian, min_gdop_subsets,
                      peb_arrays, rtt_range_sigma, tdoa_covariance,
                      toa_range_sigma, unit_vectors_en)
@@ -149,7 +159,8 @@ class _LinkModel:
 
     def __init__(self, config: ScenarioConfig):
         budget = config.link
-        self.budget = budget
+        self.beam_center = geodetic_to_ecef(
+            Geodetic(config.center_lat_rad, config.center_lon_rad, 0.0))
         self.cls = ScenarioClass(config.scenario_class)
         self.los_only = config.los_only
         self.pattern = AntennaPattern(
@@ -180,66 +191,103 @@ class _LinkModel:
                                       budget.gnss_processing_gain_db)
         self.gnss_range_sigma = toa_range_sigma(gnss_snr, budget.gnss_bandwidth_hz)
 
-    def _realize(self, anchor_pos: np.ndarray, ue_ecef: np.ndarray,
-                 boresight_target: np.ndarray, z_los: np.ndarray,
-                 z_shadow: np.ndarray):
-        """Common geometry and channel state of the (D, M) links from D UEs
-        (D, 3) to M anchors (M, 3); `z_*` are the (D, M) link draws."""
+    def _realize(self, params: tuple[LinkParams, ...], anchor_pos: np.ndarray,
+                 ue_ecef: np.ndarray, z_los: np.ndarray, z_shadow: np.ndarray):
+        """SNR under each of `params` of the links from D UEs (D, 3) to M
+        anchors (M, 3) that clear the UE's horizon, flattened in (D, M) order,
+        and the (D, M) mask of those links. Links below the horizon are not
+        realized. One LOS/shadowing draw (`z_*`, (D, M)) governs every
+        direction of a link (reciprocal large-scale channel)."""
         vec = anchor_pos - ue_ecef[:, None, :]
         dist = np.linalg.norm(vec, axis=-1)
         up = ue_ecef / np.linalg.norm(ue_ecef, axis=-1, keepdims=True)
         elevation = np.arcsin(np.clip((vec @ up[:, :, None])[..., 0] / dist, -1.0, 1.0))
-        off_boresight = angle_between(boresight_target - anchor_pos, -vec)
+        visible = elevation > 0
+        elevation = elevation[visible]
+        off_boresight = angle_between(self.beam_center - anchor_pos, -vec)[visible]
         if self.los_only:
-            los = np.ones(dist.shape, dtype=bool)
+            los = np.ones(elevation.shape, dtype=bool)
         else:
-            los = z_los < channel.los_probability(self.cls, elevation)
+            los = z_los[visible] < channel.los_probability(self.cls, elevation)
         sigma_sh, clutter = channel.shadowing_sigma(self.cls, elevation, los)
-        shadow = z_shadow * sigma_sh
-        return dist, off_boresight, los, shadow, clutter
+        shadow = z_shadow[visible] * sigma_sh
+        return [channel.link_snr(p, self.pattern, dist[visible], off_boresight, los,
+                                 shadow, clutter).snr_db for p in params], visible
 
-    def leo_dl_sigma(self, anchor_pos, ue_ecef, boresight_target,
-                     z_los, z_shadow, neighbor=False) -> np.ndarray:
-        """(D, M) downlink TOA range sigma per UE and anchor."""
-        dist, off, los, shadow, clutter = self._realize(
-            anchor_pos, ue_ecef, boresight_target, z_los, z_shadow)
-        params = self.dl_neighbor if neighbor else self.dl
-        dl = channel.link_snr(params, self.pattern, dist, off, los, shadow, clutter)
-        return toa_range_sigma(dl.snr_db, params.bandwidth_hz)
+    def leo_rtt_sigma(self, anchor_pos, ue_ecef, z_los, z_shadow) -> np.ndarray:
+        """(D, M) two-way range sigma per UE and anchor."""
+        (dl, ul), visible = self._realize((self.dl, self.ul), anchor_pos, ue_ecef,
+                                          z_los, z_shadow)
+        if not np.all(visible):
+            raise BelowHorizonError("virtual anchor at or below the UE horizon")
+        return rtt_range_sigma(toa_range_sigma(dl, self.dl.bandwidth_hz),
+                               toa_range_sigma(ul, self.ul.bandwidth_hz)).reshape(visible.shape)
 
-    def leo_rtt_sigma(self, anchor_pos, ue_ecef, boresight_target,
-                      z_los, z_shadow) -> np.ndarray:
-        """(D, M) two-way range sigma per UE and anchor; one shadow/LOS draw
-        governs both directions of a link (reciprocal large-scale channel)."""
-        dist, off, los, shadow, clutter = self._realize(
-            anchor_pos, ue_ecef, boresight_target, z_los, z_shadow)
-        dl = channel.link_snr(self.dl, self.pattern, dist, off, los, shadow, clutter)
-        ul = channel.link_snr(self.ul, self.pattern, dist, off, los, shadow, clutter)
-        sigma_dl = toa_range_sigma(dl.snr_db, self.dl.bandwidth_hz)
-        sigma_ul = toa_range_sigma(ul.snr_db, self.ul.bandwidth_hz)
-        return rtt_range_sigma(sigma_dl, sigma_ul)
-
-
-def _gnss_positions(ue_ecef: np.ndarray, basis: np.ndarray, draws: np.ndarray,
-                    mask_rad: float, gnss_altitude_m: float) -> np.ndarray:
-    """(D, S, 3) GNSS satellites, each uniform by solid angle on its UE's sky
-    cap above the elevation mask, on the GNSS shell. `draws` holds (D, S, 2)
-    uniforms: elevation term, then azimuth."""
-    cos_zmax = math.cos(math.pi / 2 - mask_rad)
-    sin_el = cos_zmax + (1.0 - cos_zmax) * draws[..., 0]
-    azimuth = 2.0 * math.pi * draws[..., 1]
-    cos_el = np.sqrt(np.maximum(0.0, 1.0 - sin_el**2))
-    d_enu = np.stack([cos_el * np.sin(azimuth), cos_el * np.cos(azimuth), sin_el], axis=-1)
-    d_ecef = d_enu @ basis
-    ue = ue_ecef[:, None, :]
-    r_shell = EARTH_RADIUS_M + gnss_altitude_m
-    b = np.sum(ue * d_ecef, axis=-1)
-    rho = -b + np.sqrt(b * b + r_shell**2 - np.sum(ue * ue, axis=-1))
-    return ue + rho[..., None] * d_ecef
+    def grid_dl_sigma(self, grid_pos, ue_ecef, z_los,
+                      z_shadow) -> tuple[np.ndarray, np.ndarray]:
+        """(D, N) downlink TOA range sigma per UE and grid satellite, and the
+        (D, N) mask of links above the UE's horizon; hidden links keep a 1 m
+        placeholder sigma. All beams point at the coverage center, but only
+        the serving satellite (index 0) runs the nominal budget."""
+        (dl, neighbor), visible = self._realize((self.dl, self.dl_neighbor), grid_pos,
+                                                ue_ecef, z_los, z_shadow)
+        sigma = np.ones(visible.shape)
+        sigma[visible] = toa_range_sigma(np.where(np.nonzero(visible)[1] == 0, dl, neighbor),
+                                         self.dl.bandwidth_hz)
+        return sigma, visible
 
 
 # ---------------------------------------------------------------------------
-# Per-variant evaluators: each maps a span of drops [lo, hi) to its records
+# Cases as sums of information blocks
+
+
+@dataclass(frozen=True)
+class Rtt:
+    """Two-way ranges from the serving LEO at `n_virtual_anchors` virtual
+    anchors spread over a window of `time_s`, with the link draws of `tag`."""
+
+    time_s: float
+    tag: str
+
+
+@dataclass(frozen=True)
+class Tdoa:
+    """Downlink range differences over each drop's minimum-GDOP k-subset of
+    the hexagonal grid's satellites above its horizon, the serving satellite
+    as reference. A drop with fewer than k visible satellites is degenerate
+    in every case that holds the block."""
+
+    k: int
+
+
+@dataclass(frozen=True)
+class Gnss:
+    """Range differences over n GNSS satellites drawn on each UE's sky above
+    the elevation mask, the first one as reference."""
+
+    n: int
+
+
+def _time_case_id(prefix: str, t: float) -> str:
+    return f"{prefix}_t{t:g}".replace(".", "p")
+
+
+def case_table(config: ScenarioConfig) -> dict[str, tuple[Rtt | Tdoa | Gnss, ...]]:
+    """Case id -> its information blocks, in summation order (see the
+    module docstring)."""
+    times = config.measurement_times_s
+    if config.variant == "single-leo":
+        return {_time_case_id("single_leo", t): (Rtt(t, "sl-link"),) for t in times}
+    if config.variant == "gnss-leo":
+        return {_time_case_id("gnss_leo", t): (Gnss(2), Rtt(t, "gl-link")) for t in times}
+    if config.variant == "gnss-only":
+        return {"gnss_only": (Gnss(3),)}
+    ks = [config.n_active_satellites] if config.n_active_satellites is not None else [3, 4]
+    flags = ([config.rtt_augmentation] if config.rtt_augmentation is not None
+             else [False, True])
+    rtt = Rtt(config.rtt_measurement_time_s, "ml-rtt")
+    return {f"multi_leo_tdoa{k}" + ("_rtt" if r else ""): (Tdoa(k),) + ((rtt,) if r else ())
+            for k in ks for r in flags}
 
 
 def _ue_frames(drops: list[Geodetic]) -> tuple[np.ndarray, np.ndarray]:
@@ -262,227 +310,117 @@ def _link_draws(seed: int, tag: str, lo: int, hi: int,
     return z_los, z_shadow
 
 
-def _rtt_fim(anchor_pos: np.ndarray, ue_ecef: np.ndarray, basis: np.ndarray,
-             sigma: np.ndarray) -> np.ndarray:
-    """(D, 2, 2) RTT information of D UEs from the (M, 3) anchors with (D, M)
-    independent range sigmas."""
-    units = unit_vectors_en(ue_ecef, anchor_pos, basis)
-    cov = (sigma**2)[..., None] * np.eye(sigma.shape[-1])
-    return fim(geometry_jacobian(MeasurementKind.RTT, units), cov)
-
-
-def _records(drops: list[Geodetic], f: np.ndarray,
-             mean_variance: np.ndarray) -> list[UeRecord]:
-    peb_m, gdop, degenerate = peb_arrays(f, mean_variance)
-    return [UeRecord(ue, None if deg else p, None if deg else g, deg)
-            for ue, p, g, deg in zip(drops, peb_m.tolist(), gdop.tolist(),
-                                     degenerate.tolist())]
-
-
-class _SingleLeoEvaluator:
-    scenario_id = "single-leo"
+class _Evaluator:
+    """Evaluates the config's case table over spans of drops [lo, hi)."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
+        self.cases = case_table(config)
+        self.case_ids = list(self.cases)
+        self.blocks = list(dict.fromkeys(b for bs in self.cases.values() for b in bs))
         center = Geodetic(config.center_lat_rad, config.center_lon_rad, 0.0)
-        self.orbit = ground_track_orbit(center, config.leo_altitude_m)
-        self.serving = propagate_circular_orbit(self.orbit, 0.0)
-        self.beam_center = geodetic_to_ecef(center)
-        self.anchor_positions = [
-            make_virtual_anchors(self.orbit, t, config.n_virtual_anchors).positions()
-            for t in config.measurement_times_s
-        ]
+        orbit = ground_track_orbit(center, config.leo_altitude_m)
+        self.rtt_anchors = {
+            b.time_s: make_virtual_anchors(orbit, b.time_s, config.n_virtual_anchors).positions()
+            for b in self.blocks if isinstance(b, Rtt)}
+        self.grid = None
+        if any(isinstance(b, Tdoa) for b in self.blocks):
+            self.grid = hex_constellation(center, config.lon_gap_rad,
+                                          config.lat_gap_rad, config.leo_altitude_m)
+            self.grid_positions = self.grid.positions()
         self.model = _LinkModel(config)
-        self.drops = drop_ues(config, self.serving)
-        self.case_ids = [_time_case_id("single_leo", t) for t in config.measurement_times_s]
+        # The grid's serving satellite sits where this orbit is at t = 0.
+        self.drops = drop_ues(config, propagate_circular_orbit(orbit, 0.0))
 
     def evaluate_span(self, lo: int, hi: int) -> dict[str, list[UeRecord]]:
-        drops = self.drops[lo:hi]
+        seed, drops = self.config.seed, self.drops[lo:hi]
         ue_ecef, basis = _ue_frames(drops)
-        z_los, z_shadow = _link_draws(self.config.seed, "sl-link", lo, hi,
-                                      self.config.n_virtual_anchors)
+        # One set of link draws per tag, shared by every block that names it.
+        draws = {tag: _link_draws(seed, tag, lo, hi, self.config.n_virtual_anchors)
+                 for tag in dict.fromkeys(b.tag for b in self.blocks if isinstance(b, Rtt))}
+        if self.grid is not None:
+            grid = (unit_vectors_en(ue_ecef, self.grid_positions, basis, check_horizon=False),
+                    *self.model.grid_dl_sigma(self.grid_positions, ue_ecef, *_link_draws(
+                        seed, "ml-link", lo, hi, len(self.grid))))
+        no_short = np.zeros(hi - lo, dtype=bool)
+        info = {}
+        for block in self.blocks:
+            if isinstance(block, Rtt):
+                info[block] = (*self._rtt(block, ue_ecef, basis, draws[block.tag]), no_short)
+            elif isinstance(block, Tdoa):
+                info[block] = self._tdoa(block.k, *grid)
+            else:
+                info[block] = (*self._gnss(block.n, lo, hi, ue_ecef, basis), no_short)
+
         out = {}
-        for case_id, anchors in zip(self.case_ids, self.anchor_positions):
-            sigma = self.model.leo_rtt_sigma(anchors, ue_ecef, self.beam_center,
-                                             z_los, z_shadow)
-            f = _rtt_fim(anchors, ue_ecef, basis, sigma)
-            out[case_id] = _records(drops, f, np.mean(sigma**2, axis=-1))
+        for case_id, blocks in self.cases.items():
+            fims, variances, shorts = zip(*(info[b] for b in blocks))
+            f = sum(fims[1:], fims[0])
+            peb_m, gdop, degenerate = peb_arrays(
+                f, np.mean(np.concatenate(variances, axis=1), axis=1))
+            out[case_id] = [
+                UeRecord(ue, None if deg else p, None if deg else g, deg)
+                for ue, p, g, deg in zip(drops, peb_m.tolist(), gdop.tolist(),
+                                         (degenerate | np.any(shorts, axis=0)).tolist())]
         return out
 
+    def _rtt(self, block: Rtt, ue_ecef, basis, draws):
+        """(D, 2, 2) RTT information and (D, M) range variances."""
+        anchors = self.rtt_anchors[block.time_s]
+        sigma = self.model.leo_rtt_sigma(anchors, ue_ecef, *draws)
+        cov = (sigma**2)[..., None] * np.eye(sigma.shape[-1])
+        units = unit_vectors_en(ue_ecef, anchors, basis)
+        return fim(geometry_jacobian(MeasurementKind.RTT, units), cov), sigma**2
 
-class _MultiLeoEvaluator:
-    scenario_id = "multi-leo"
-
-    def __init__(self, config: ScenarioConfig):
-        self.config = config
-        center = Geodetic(config.center_lat_rad, config.center_lon_rad, 0.0)
-        self.grid = hex_constellation(center, config.lon_gap_rad,
-                                      config.lat_gap_rad, config.leo_altitude_m)
-        self.beam_center = geodetic_to_ecef(center)
-        self.grid_positions = self.grid.positions()
-        self.rtt_orbit = ground_track_orbit(center, config.leo_altitude_m)
-        self.rtt_positions = make_virtual_anchors(
-            self.rtt_orbit, config.rtt_measurement_time_s,
-            config.n_virtual_anchors).positions()
-        self.model = _LinkModel(config)
-        self.drops = drop_ues(config, self.grid.serving)
-        self.active_counts = ([config.n_active_satellites]
-                              if config.n_active_satellites is not None else [3, 4])
-        self.rtt_flags = ([config.rtt_augmentation]
-                          if config.rtt_augmentation is not None else [False, True])
-        self.case_ids = [self._case_id(k, r)
-                         for k in self.active_counts for r in self.rtt_flags]
-
-    @staticmethod
-    def _case_id(k: int, rtt: bool) -> str:
-        return f"multi_leo_tdoa{k}" + ("_rtt" if rtt else "")
-
-    def evaluate_span(self, lo: int, hi: int) -> dict[str, list[UeRecord]]:
-        config = self.config
-        drops = self.drops[lo:hi]
-        ue_ecef, basis = _ue_frames(drops)
-        z_los, z_shadow = _link_draws(config.seed, "ml-link", lo, hi, 7)
-
-        # Downlink sigma for all seven satellites; the serving satellite's
-        # beam is nadir-pointed, neighbor beams point at the same coverage
-        # center but run a worse link budget.
-        pos = self.grid_positions
-        sigma_dl = np.concatenate([
-            self.model.leo_dl_sigma(pos[:1], ue_ecef, self.beam_center,
-                                    z_los[:, :1], z_shadow[:, :1], neighbor=False),
-            self.model.leo_dl_sigma(pos[1:], ue_ecef, self.beam_center,
-                                    z_los[:, 1:], z_shadow[:, 1:], neighbor=True),
-        ], axis=1)
-
-        if any(self.rtt_flags):
-            zr_los, zr_shadow = _link_draws(config.seed, "ml-rtt", lo, hi,
-                                            config.n_virtual_anchors)
-            sigma_rtt = self.model.leo_rtt_sigma(
-                self.rtt_positions, ue_ecef, self.beam_center, zr_los, zr_shadow)
-            f_rtt = _rtt_fim(self.rtt_positions, ue_ecef, basis, sigma_rtt)
-
-        units = unit_vectors_en(ue_ecef, pos, basis)
+    def _tdoa(self, k: int, units, sigma_dl, visible):
+        """(D, 2, 2) grid TDOA information, (D, k-1) variances, and the (D,)
+        mask of drops with fewer than k visible satellites."""
         serving = self.grid.serving_index
-        out = {}
-        for k in self.active_counts:
-            subsets = min_gdop_subsets(units, serving, k)
-            # Serving satellite first as the TDOA reference, then the others
-            # in index order.
-            others = subsets[subsets != serving].reshape(len(drops), k - 1)
-            order = np.concatenate([np.full((len(drops), 1), serving), others], axis=1)
-            cov = tdoa_covariance(np.take_along_axis(sigma_dl, order, axis=1), 0)
-            J = geometry_jacobian(MeasurementKind.TDOA,
-                                  np.take_along_axis(units, order[..., None], axis=1), 0)
-            f_tdoa = fim(J, cov)
-            tdoa_var = np.diagonal(cov, axis1=-2, axis2=-1)
-            for rtt in self.rtt_flags:
-                if rtt:
-                    f = f_tdoa + f_rtt
-                    mean_var = np.mean(np.concatenate([tdoa_var, sigma_rtt**2], axis=1), axis=1)
-                else:
-                    f, mean_var = f_tdoa, np.mean(tdoa_var, axis=1)
-                out[self._case_id(k, rtt)] = _records(drops, f, mean_var)
-        return out
+        subsets = min_gdop_subsets(units, serving, k, visible=visible)
+        short = ~np.all(np.take_along_axis(visible, subsets, axis=1), axis=1)
+        # Serving satellite first as the TDOA reference, then the others in
+        # index order.
+        others = subsets[subsets != serving].reshape(len(units), k - 1)
+        order = np.concatenate([np.full((len(units), 1), serving), others], axis=1)
+        cov = tdoa_covariance(np.take_along_axis(sigma_dl, order, axis=1), 0)
+        J = geometry_jacobian(MeasurementKind.TDOA,
+                              np.take_along_axis(units, order[..., None], axis=1), 0)
+        return fim(J, cov), np.diagonal(cov, axis1=-2, axis2=-1), short
 
-
-class _GnssLeoEvaluator:
-    scenario_id = "gnss-leo"
-
-    def __init__(self, config: ScenarioConfig):
-        self.config = config
-        center = Geodetic(config.center_lat_rad, config.center_lon_rad, 0.0)
-        self.orbit = ground_track_orbit(center, config.leo_altitude_m)
-        self.serving = propagate_circular_orbit(self.orbit, 0.0)
-        self.beam_center = geodetic_to_ecef(center)
-        self.gnss_only = config.variant == "gnss-only"
-        self.n_gnss = 3 if self.gnss_only else 2
-        self.model = _LinkModel(config)
-        self.drops = drop_ues(config, self.serving)
-        if self.gnss_only:
-            self.scenario_id = "gnss-only"
-            self.anchor_positions = []
-            self.case_ids = ["gnss_only"]
-        else:
-            self.anchor_positions = [
-                make_virtual_anchors(self.orbit, t, config.n_virtual_anchors).positions()
-                for t in config.measurement_times_s
-            ]
-            self.case_ids = [_time_case_id("gnss_leo", t)
-                             for t in config.measurement_times_s]
-
-    def evaluate_span(self, lo: int, hi: int) -> dict[str, list[UeRecord]]:
+    def _gnss(self, n: int, lo: int, hi: int, ue_ecef, basis):
+        """(D, 2, 2) GNSS TDOA information and (D, n-1) variances of n
+        satellites on the GNSS shell, each uniform by solid angle on its UE's
+        sky cap above the elevation mask."""
         config = self.config
-        drops = self.drops[lo:hi]
-        ue_ecef, basis = _ue_frames(drops)
+        # Per satellite: an elevation term, then an azimuth uniform.
         draws = np.array([[substream(config.seed, "gnss-pos", i, s).random(2)
-                           for s in range(self.n_gnss)] for i in range(lo, hi)])
-        gnss_pos = _gnss_positions(ue_ecef, basis, draws, config.gnss_elevation_mask_rad,
-                                   config.gnss_altitude_m)
-        cov_g = tdoa_covariance(np.full(self.n_gnss, self.model.gnss_range_sigma), 0)
-        units_g = unit_vectors_en(ue_ecef, gnss_pos, basis)
-        f_gnss = fim(geometry_jacobian(MeasurementKind.TDOA, units_g, 0), cov_g)
-        var_g = np.diag(cov_g)
-
-        if self.gnss_only:
-            return {"gnss_only": _records(drops, f_gnss, np.mean(var_g))}
-
-        z_los, z_shadow = _link_draws(config.seed, "gl-link", lo, hi,
-                                      config.n_virtual_anchors)
-        out = {}
-        for case_id, anchors in zip(self.case_ids, self.anchor_positions):
-            sigma = self.model.leo_rtt_sigma(anchors, ue_ecef, self.beam_center,
-                                             z_los, z_shadow)
-            f_rtt = _rtt_fim(anchors, ue_ecef, basis, sigma)
-            var = np.concatenate([np.broadcast_to(var_g, (hi - lo, len(var_g))),
-                                  sigma**2], axis=1)
-            out[case_id] = _records(drops, f_gnss + f_rtt, np.mean(var, axis=1))
-        return out
-
-
-def _time_case_id(prefix: str, t: float) -> str:
-    return f"{prefix}_t{t:g}".replace(".", "p")
-
-
-_EVALUATORS = {
-    "single-leo": _SingleLeoEvaluator,
-    "multi-leo": _MultiLeoEvaluator,
-    "gnss-leo": _GnssLeoEvaluator,
-    "gnss-only": _GnssLeoEvaluator,
-}
-
-
-def _make_evaluator(config: ScenarioConfig):
-    return _EVALUATORS[config.variant](config)
-
-
-def run_single_leo(config: ScenarioConfig, workers: int = 1) -> RunBundle:
-    if config.variant != "single-leo":
-        raise ValueError("config variant must be single-leo")
-    return run(config, workers=workers)
-
-
-def run_multi_leo(config: ScenarioConfig, workers: int = 1) -> RunBundle:
-    if config.variant != "multi-leo":
-        raise ValueError("config variant must be multi-leo")
-    return run(config, workers=workers)
-
-
-def run_gnss_leo(config: ScenarioConfig, workers: int = 1) -> RunBundle:
-    if config.variant not in ("gnss-leo", "gnss-only"):
-        raise ValueError("config variant must be gnss-leo or gnss-only")
-    return run(config, workers=workers)
+                           for s in range(n)] for i in range(lo, hi)])
+        cos_zmax = math.cos(math.pi / 2 - config.gnss_elevation_mask_rad)
+        sin_el = cos_zmax + (1.0 - cos_zmax) * draws[..., 0]
+        azimuth = 2.0 * math.pi * draws[..., 1]
+        cos_el = np.sqrt(np.maximum(0.0, 1.0 - sin_el**2))
+        d_enu = np.stack([cos_el * np.sin(azimuth), cos_el * np.cos(azimuth), sin_el], axis=-1)
+        d_ecef = d_enu @ basis
+        ue = ue_ecef[:, None, :]
+        r_shell = EARTH_RADIUS_M + config.gnss_altitude_m
+        b = np.sum(ue * d_ecef, axis=-1)
+        rho = -b + np.sqrt(b * b + r_shell**2 - np.sum(ue * ue, axis=-1))
+        units = unit_vectors_en(ue_ecef, ue + rho[..., None] * d_ecef, basis)
+        cov = tdoa_covariance(np.full(n, self.model.gnss_range_sigma), 0)
+        f = fim(geometry_jacobian(MeasurementKind.TDOA, units, 0), cov)
+        return f, np.broadcast_to(np.diag(cov), (hi - lo, n - 1))
 
 
 def _evaluate_span(args) -> dict[str, list[UeRecord]]:
     config, lo, hi = args
-    return _make_evaluator(config).evaluate_span(lo, hi)
+    return _Evaluator(config).evaluate_span(lo, hi)
 
 
 def run(config: ScenarioConfig, workers: int = 1) -> RunBundle:
     """Evaluate a scenario; `workers` only affects wall-clock time. It is
     clamped to the drop count and the CPU count, and each worker process
     evaluates one span of drops."""
-    evaluator = _make_evaluator(config)
+    evaluator = _Evaluator(config)
     n = config.n_ue_drops
     workers = min(workers, n, os.cpu_count() or 1)
     if workers <= 1:
@@ -496,7 +434,7 @@ def run(config: ScenarioConfig, workers: int = 1) -> RunBundle:
     cases = {}
     for case_id in evaluator.case_ids:
         records = tuple(r for chunk in chunks for r in chunk[case_id])
-        cases[case_id] = PebSampleSet(evaluator.scenario_id, case_id, records)
+        cases[case_id] = PebSampleSet(config.variant, case_id, records)
     stats = {case_id: summarize(sample) for case_id, sample in cases.items()}
     params = {
         "config": config_to_dict(config),

@@ -213,6 +213,16 @@ class TestExecute:
         assert manifest["errors"]
         assert manifest["outputs"] == []
 
+    def test_no_visible_neighbors_ends_in_statistics_error(self, tmp_path):
+        # 60 deg gaps leave only the serving satellite above every UE's horizon
+        cfg = write_config(tmp_path, {"variant": "multi-leo", "n_ue_drops": 5,
+                                      "lon_gap_deg": 60})
+        out = tmp_path / "out"
+        assert main(["multi-leo", "--config", str(cfg), "--out", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["errors"] == [
+            "case multi_leo_tdoa3: no non-degenerate samples"]
+
     def test_missing_config_file_nonzero_exit(self, tmp_path):
         out = tmp_path / "out"
         assert main(["single-leo", "--config", str(tmp_path / "nope.json"),

@@ -1,0 +1,72 @@
+"""Regression check of `run()` against outputs captured before the scenario
+engine was rewritten as one block-sum evaluator.
+
+Regenerate the golden file (only from a commit whose outputs are trusted):
+
+    PYTHONPATH=src python -m tests.test_golden
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from satpeb.config import make_config
+from satpeb.scenarios import run
+
+GOLDEN = Path(__file__).parent / "data" / "run_golden.json"
+VARIANTS = ("single-leo", "multi-leo", "gnss-leo", "gnss-only")
+SEEDS = (0, 3)
+N_DROPS = 25
+REL_TOL = 1e-12
+
+
+def _snapshot(variant: str, seed: int) -> dict:
+    bundle = run(make_config(variant, n_ue_drops=N_DROPS, seed=seed))
+    return {
+        "variant": variant,
+        "seed": seed,
+        "cases": {
+            case_id: {
+                "ue": [[r.position.lat_rad, r.position.lon_rad, r.position.alt_m]
+                       for r in sample.records],
+                "peb_m": [r.peb_m for r in sample.records],
+                "gdop": [r.gdop for r in sample.records],
+                "degenerate": [r.degenerate for r in sample.records],
+            }
+            for case_id, sample in bundle.cases.items()
+        },
+    }
+
+
+def _close(a, b) -> bool:
+    if a is None or b is None:
+        return a is None and b is None
+    return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=0.0)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return {(g["variant"], g["seed"]): g for g in json.loads(GOLDEN.read_text())}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_matches_golden(golden, variant, seed):
+    expected = golden[(variant, seed)]
+    actual = _snapshot(variant, seed)
+    assert list(actual["cases"]) == list(expected["cases"])
+    for case_id, want in expected["cases"].items():
+        got = actual["cases"][case_id]
+        assert got["ue"] == want["ue"], case_id
+        assert got["degenerate"] == want["degenerate"], case_id
+        for field in ("peb_m", "gdop"):
+            bad = [i for i, (a, b) in enumerate(zip(got[field], want[field]))
+                   if not _close(a, b)]
+            assert not bad, f"{case_id} {field} differs at drops {bad}"
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps([_snapshot(v, s) for v in VARIANTS for s in SEEDS]) + "\n")

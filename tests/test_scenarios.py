@@ -1,15 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 
+from satpeb import scenarios
 from satpeb.config import make_config
 from satpeb.constants import EARTH_RADIUS_M
 from satpeb.errors import StatisticsError
-from satpeb.geometry import (Geodetic, angle_between, geodetic_to_ecef,
+from satpeb.fisher import best_subset_indices, min_gdop_subsets, unit_vectors_en
+from satpeb.geometry import (AnchorSet, Geodetic, angle_between, geodetic_to_ecef,
                              ground_track_orbit, propagate_circular_orbit)
 from satpeb.scenarios import (PebSampleSet, UeRecord, cap_half_angle, drop_ues,
-                              run, run_gnss_leo, run_multi_leo, run_single_leo,
-                              summarize, _SingleLeoEvaluator, _make_evaluator)
+                              run, summarize, _Evaluator, _link_draws, _ue_frames)
 
 
 def _sample_set(values, degenerate=0):
@@ -91,8 +93,8 @@ class TestSingleLeo:
     def test_records_and_determinism(self):
         cfg = make_config("single-leo", n_ue_drops=30,
                           measurement_times_s=(2.0, 10.0))
-        a = run_single_leo(cfg)
-        b = run_single_leo(cfg)
+        a = run(cfg)
+        b = run(cfg)
         assert list(a.cases) == ["single_leo_t2", "single_leo_t10"]
         for case in a.cases:
             assert len(a.cases[case].records) == 30
@@ -108,7 +110,7 @@ class TestSingleLeo:
 
     def test_mean_non_increasing_in_time_and_above_median(self):
         cfg = make_config("single-leo", n_ue_drops=300)
-        bundle = run_single_leo(cfg)
+        bundle = run(cfg)
         means = [bundle.stats[c].mean for c in bundle.cases]
         assert all(a >= b for a, b in zip(means, means[1:]))
         for c in bundle.cases:
@@ -117,20 +119,16 @@ class TestSingleLeo:
     def test_ue_on_ground_track_flagged_degenerate(self):
         cfg = make_config("single-leo", n_ue_drops=1,
                           measurement_times_s=(10.0,), los_only=True)
-        evaluator = _SingleLeoEvaluator(cfg)
+        evaluator = _Evaluator(cfg)
         evaluator.drops[0] = Geodetic(math.radians(0.02), 0.0, 0.0)
         record = evaluator.evaluate_span(0, 1)["single_leo_t10"][0]
         assert record.degenerate
         assert record.peb_m is None
 
-    def test_variant_guard(self):
-        with pytest.raises(ValueError):
-            run_single_leo(make_config("multi-leo"))
-
 
 @pytest.fixture(scope="module")
 def multi_leo_bundle():
-    return run_multi_leo(make_config("multi-leo", n_ue_drops=60))
+    return run(make_config("multi-leo", n_ue_drops=60))
 
 
 class TestMultiLeo:
@@ -160,21 +158,54 @@ class TestMultiLeo:
     def test_restricting_cases_via_config(self):
         cfg = make_config("multi-leo", n_ue_drops=5, n_active_satellites=3,
                           rtt_augmentation=True)
-        bundle = run_multi_leo(cfg)
+        bundle = run(cfg)
         assert list(bundle.cases) == ["multi_leo_tdoa3_rtt"]
+
+
+class TestHiddenNeighbors:
+    def test_batched_choice_matches_scalar_on_visible_anchors(self):
+        # 27 deg gaps put one same-row neighbor below most drops' horizon
+        cfg = make_config("multi-leo", n_ue_drops=200, lon_gap_rad=math.radians(27.0))
+        evaluator = _Evaluator(cfg)
+        ue_ecef, basis = _ue_frames(evaluator.drops)
+        _, visible = evaluator.model.grid_dl_sigma(
+            evaluator.grid_positions, ue_ecef, *_link_draws(cfg.seed, "ml-link", 0, 200, 7))
+        assert np.count_nonzero((~visible).sum(axis=1) == 1) == 190
+        units = unit_vectors_en(ue_ecef, evaluator.grid_positions, basis,
+                                check_horizon=False)
+        for k in (3, 4):
+            batched = min_gdop_subsets(units, 0, k, visible=visible)
+            for ue, shown, chosen in zip(ue_ecef, visible, batched):
+                index = np.flatnonzero(shown)
+                anchors = AnchorSet(tuple(evaluator.grid.states[i] for i in index), 0)
+                assert tuple(chosen) == tuple(index[list(best_subset_indices(anchors, k, ue))])
+        bundle = run(cfg)
+        for case in bundle.cases.values():
+            assert len(case.records) == 200
+            assert case.degenerate_count == 0
+
+    def test_too_few_visible_satellites_degenerate_in_every_case(self):
+        cfg = make_config("multi-leo", n_ue_drops=5, lon_gap_rad=math.radians(60.0))
+        records = _Evaluator(cfg).evaluate_span(0, 5)
+        assert list(records) == ["multi_leo_tdoa3", "multi_leo_tdoa3_rtt",
+                                 "multi_leo_tdoa4", "multi_leo_tdoa4_rtt"]
+        for case in records.values():
+            assert all(r.degenerate and r.peb_m is None for r in case)
+        with pytest.raises(StatisticsError, match="multi_leo_tdoa3"):
+            run(cfg)
 
 
 class TestGnssLeo:
     def test_gnss_leo_cases_and_monotonicity(self):
         cfg = make_config("gnss-leo", n_ue_drops=80,
                           measurement_times_s=(2.0, 10.0))
-        bundle = run_gnss_leo(cfg)
+        bundle = run(cfg)
         assert list(bundle.cases) == ["gnss_leo_t2", "gnss_leo_t10"]
         means = [bundle.stats[c].mean for c in bundle.cases]
         assert means[0] > means[1]
 
     def test_gnss_only_single_case(self):
-        bundle = run_gnss_leo(make_config("gnss-only", n_ue_drops=40))
+        bundle = run(make_config("gnss-only", n_ue_drops=40))
         assert list(bundle.cases) == ["gnss_only"]
         assert bundle.stats["gnss_only"].n_samples == 40
 
@@ -182,7 +213,7 @@ class TestGnssLeo:
         # single-LEO LOS-only: UEs mirrored across the track get equal bounds
         cfg = make_config("single-leo", n_ue_drops=1,
                           measurement_times_s=(10.0,), los_only=True)
-        evaluator = _SingleLeoEvaluator(cfg)
+        evaluator = _Evaluator(cfg)
         evaluator.drops[0] = Geodetic(math.radians(0.05), math.radians(0.08), 0.0)
         east = evaluator.evaluate_span(0, 1)["single_leo_t10"][0]
         evaluator.drops[0] = Geodetic(math.radians(0.05), math.radians(-0.08), 0.0)
@@ -199,8 +230,8 @@ class TestSpans:
     ])
     def test_split_spans_equal_one_span(self, variant, overrides):
         n = 23
-        evaluator = _make_evaluator(make_config(variant, n_ue_drops=n, seed=4,
-                                                **overrides))
+        evaluator = _Evaluator(make_config(variant, n_ue_drops=n, seed=4,
+                                           **overrides))
         whole = evaluator.evaluate_span(0, n)
         bounds = (0, 1, 9, 10, n)
         parts = [evaluator.evaluate_span(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
@@ -209,8 +240,19 @@ class TestSpans:
             assert len(records) == n
             assert records == [r for part in parts for r in part[case_id]]
 
+    @pytest.mark.parametrize("variant, per_drop", [
+        ("single-leo", 2), ("multi-leo", 3), ("gnss-leo", 4), ("gnss-only", 4)])
+    def test_one_substream_per_drop_and_tag(self, variant, per_drop, monkeypatch):
+        # link draws are shared across cases: one stream per drop and tag
+        # (and per GNSS satellite), whatever the number of cases
+        calls = []
+        real = scenarios.substream
+        monkeypatch.setattr(scenarios, "substream", lambda *a: calls.append(a) or real(*a))
+        run(make_config(variant, n_ue_drops=7))
+        assert len(calls) == per_drop * 7
+
     def test_drop_records_follow_drop_positions(self):
-        evaluator = _make_evaluator(make_config("multi-leo", n_ue_drops=6))
+        evaluator = _Evaluator(make_config("multi-leo", n_ue_drops=6))
         for records in evaluator.evaluate_span(2, 5).values():
             assert [r.position for r in records] == evaluator.drops[2:5]
 
