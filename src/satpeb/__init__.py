@@ -10,14 +10,14 @@ from .geometry import (AnchorSet, Geodetic, OrbitSpec, SatelliteState, SatRole,
                        ecef_to_enu, elevation_angle, enu_to_ecef,
                        geodetic_to_ecef, hex_constellation,
                        make_virtual_anchors, propagate_circular_orbit)
-from .scenarios import (PebSampleSet, RunBundle, SummaryStats, UeRecord,
-                        drop_ues, run, summarize)
+from .scenarios import (PebSampleSet, RunBundle, SummaryStats, drop_ues, run,
+                        summarize)
 
 __all__ = [
     "__version__",
     "AnchorSet", "Geodetic", "LinkBudget", "MeasurementKind", "MeasurementSet",
     "OrbitSpec", "PebResult", "PebSampleSet", "RunBundle", "SatRole",
-    "SatelliteState", "ScenarioConfig", "SummaryStats", "UeRecord",
+    "SatelliteState", "ScenarioConfig", "SummaryStats",
     "drop_ues", "ecef_to_enu", "elevation_angle", "enu_to_ecef", "fim",
     "geodetic_to_ecef", "hex_constellation", "jacobian", "make_config",
     "make_virtual_anchors", "peb", "propagate_circular_orbit",

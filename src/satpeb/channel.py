@@ -83,18 +83,6 @@ class LinkParams:
             raise ValueError("neighbor penalty must be non-negative")
 
 
-@dataclass(frozen=True)
-class LinkRealization:
-    """Radio outcome of one link: LOS state, shadowing, and SNR.
-
-    Fields hold scalars or aligned arrays, matching the realization inputs.
-    """
-
-    los: bool | np.ndarray
-    shadow_db: float | np.ndarray
-    snr_db: float | np.ndarray
-
-
 # Argument where the circular-aperture pattern 4*(J1(x)/x)^2 crosses -3 dB
 # exactly (10**-0.3, slightly above one half).
 @lru_cache(maxsize=1)
@@ -261,31 +249,21 @@ def noise_floor_db(bandwidth_hz: float) -> float:
     return 10.0 * math.log10(BOLTZMANN * bandwidth_hz)
 
 
-def link_snr(params: LinkParams, pattern: AntennaPattern | None,
-             distance_m, off_boresight_rad, los, shadow_db,
-             clutter_db=0.0) -> LinkRealization:
-    """Budget out one link realization to its post-integration SNR.
+def link_snr(params: LinkParams, pattern: AntennaPattern, distance_m,
+             off_boresight_rad, shadow_db, clutter_db=0.0) -> float | np.ndarray:
+    """Budget out one link realization to its post-integration SNR in dB,
+    scalar or aligned with the array inputs.
 
     snr = EIRP + G/T - FSPL - shadow - clutter - extra - neighbor penalty
           + pattern gain + processing gain - 10*log10(k*B)
     """
     fspl = free_space_path_loss(distance_m, params.carrier_hz)
-    if pattern is not None:
-        gain = antenna_gain(pattern, off_boresight_rad)
-    else:
-        gain = np.zeros_like(np.asarray(distance_m, dtype=float))
-        if gain.ndim == 0:
-            gain = 0.0
+    gain = antenna_gain(pattern, off_boresight_rad)
     snr = (params.eirp_dbw + params.rx_g_over_t_db_k - fspl
            - np.asarray(shadow_db, dtype=float) - np.asarray(clutter_db, dtype=float)
            - params.extra_losses_db - params.neighbor_penalty_db
            + gain + params.processing_gain_db - noise_floor_db(params.bandwidth_hz))
-    scalar = np.asarray(snr).ndim == 0
-    return LinkRealization(
-        los=bool(np.asarray(los)) if scalar else np.asarray(los, dtype=bool),
-        shadow_db=float(np.asarray(shadow_db)) if scalar else np.asarray(shadow_db, dtype=float),
-        snr_db=float(snr) if scalar else snr,
-    )
+    return float(snr) if np.ndim(snr) == 0 else snr
 
 
 def cn0_to_snr(cn0_dbhz: float, bandwidth_hz: float,

@@ -66,15 +66,17 @@ def _fmt(value) -> str:
 
 
 def _sample_rows(bundle: RunBundle):
-    for case_id in bundle.cases:
-        for rec in bundle.cases[case_id].records:
+    for case_id, s in bundle.cases.items():
+        for lat, lon, peb_m, gdop, degenerate in zip(
+                s.ue_lat_rad.tolist(), s.ue_lon_rad.tolist(), s.peb_m.tolist(),
+                s.gdop.tolist(), s.degenerate.tolist()):
             yield {
-                "ue_lat_deg": math.degrees(rec.position.lat_rad),
-                "ue_lon_deg": math.degrees(rec.position.lon_rad),
+                "ue_lat_deg": math.degrees(lat),
+                "ue_lon_deg": math.degrees(lon),
                 "case_id": case_id,
-                "peb_m": rec.peb_m,
-                "gdop": rec.gdop,
-                "degenerate": rec.degenerate,
+                "peb_m": None if degenerate else peb_m,
+                "gdop": None if degenerate else gdop,
+                "degenerate": degenerate,
             }
 
 
@@ -142,24 +144,20 @@ def emit_manifest(out_dir: Path, configs: list[ScenarioConfig], seed: int,
 def _merge_bundles(bundles: list[RunBundle]) -> RunBundle:
     cases = {}
     stats = {}
-    params = {"config": [], "table_checksums": None}
     for b in bundles:
         overlap = set(cases) & set(b.cases)
         if overlap:
             raise ValueError(f"duplicate case ids across bundles: {sorted(overlap)}")
         cases.update(b.cases)
         stats.update(b.stats)
-        params["config"].append(b.params["config"])
-        params["table_checksums"] = b.params["table_checksums"]
-    return RunBundle(cases=cases, stats=stats, params=params)
+    return RunBundle(cases=cases, stats=stats)
 
 
 def _scenario_configs(command: str, args) -> list[ScenarioConfig]:
-    variant = {"single-leo": "single-leo", "multi-leo": "multi-leo",
-               "gnss-leo": "gnss-leo"}[command]
+    variant = command
     if args.config:
         config = parse_config(args.config, default_variant=variant)
-        if command != "reproduce-figures" and config.variant != variant and not (
+        if config.variant != variant and not (
                 command == "gnss-leo" and config.variant == "gnss-only"):
             raise ConfigError("variant",
                               f"config variant {config.variant!r} does not match "

@@ -21,6 +21,12 @@ realization, subset selection and Fisher information run on stacked
 Within a span each block, each link-draw tag and the grid's downlink sigmas
 are computed once and shared by the cases that use them.
 
+Results stay columnar: `drop_ues` gives (D,) latitude and longitude arrays,
+a span yields per case (D,) bound, GDOP and degenerate-flag arrays (NaN
+bound and GDOP where degenerate), and `run` joins the spans into one
+`PebSampleSet` of columns per case, which `summarize` and the CLI writers
+read directly.
+
 Determinism: every random quantity is drawn from a substream keyed by
 (seed, stream tag, drop index[, element index]), so results are a pure
 function of (config, seed) independent of worker count and span boundaries,
@@ -43,7 +49,7 @@ from scipy.optimize import brentq
 from . import channel
 from .channel import (AntennaModel, AntennaPattern, LinkDirection, LinkParams,
                       ScenarioClass)
-from .config import ScenarioConfig, config_to_dict
+from .config import ScenarioConfig
 from .constants import EARTH_RADIUS_M
 from .errors import BelowHorizonError, StatisticsError
 from .fisher import (MeasurementKind, fim, geometry_jacobian, min_gdop_subsets,
@@ -56,31 +62,18 @@ from .geometry import (Geodetic, SatelliteState, angle_between,
                        propagate_circular_orbit)
 
 
-@dataclass(frozen=True)
-class UeRecord:
-    """Outcome of one UE drop in one case."""
-
-    position: Geodetic
-    peb_m: float | None
-    gdop: float | None
-    degenerate: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PebSampleSet:
-    """All UE outcomes of one case, in drop order."""
+    """All UE outcomes of one case as (D,) columns in drop order: the UE's
+    ground position, the bound and GDOP (NaN where degenerate) and the
+    degenerate flag."""
 
-    scenario_id: str
     case_id: str
-    records: tuple[UeRecord, ...]
-
-    @property
-    def peb_values(self) -> np.ndarray:
-        return np.array([r.peb_m for r in self.records if not r.degenerate])
-
-    @property
-    def degenerate_count(self) -> int:
-        return sum(1 for r in self.records if r.degenerate)
+    ue_lat_rad: np.ndarray
+    ue_lon_rad: np.ndarray
+    peb_m: np.ndarray
+    gdop: np.ndarray
+    degenerate: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -100,12 +93,10 @@ class SummaryStats:
 
 @dataclass(frozen=True)
 class RunBundle:
-    """Full results of one run: per-case samples, statistics, and the resolved
-    parameter snapshot for reproducibility."""
+    """Full results of one run: per-case samples and statistics."""
 
     cases: dict[str, PebSampleSet]
     stats: dict[str, SummaryStats]
-    params: dict
 
 
 def substream(seed: int, *keys) -> np.random.Generator:
@@ -133,21 +124,24 @@ def cap_half_angle(altitude_m: float, beamwidth_rad: float) -> float:
     return brentq(off_boresight, 1e-9, horizon - 1e-9, xtol=1e-15)
 
 
-def drop_ues(config: ScenarioConfig, serving: SatelliteState) -> list[Geodetic]:
-    """UE positions uniform by area over the beam's spherical cap, centered on
-    the serving satellite's nadir. Drop i only consumes substream (seed, i)."""
+def drop_ues(config: ScenarioConfig,
+             serving: SatelliteState) -> tuple[np.ndarray, np.ndarray]:
+    """(D,) latitudes and longitudes of ground UE positions uniform by area
+    over the beam's spherical cap, centered on the serving satellite's nadir.
+    Drop i only consumes substream (seed, i)."""
     nadir = ecef_to_geodetic(serving.position)
     center = Geodetic(nadir.lat_rad, nadir.lon_rad, 0.0)
     psi_max = cap_half_angle(nadir.alt_m, math.radians(config.link.beamwidth_deg))
     cos_min = math.cos(psi_max)
-    drops = []
+    lat, lon = np.empty((2, config.n_ue_drops))
     for i in range(config.n_ue_drops):
         rng = substream(config.seed, "ue-drop", i)
         cos_psi = cos_min + (1.0 - cos_min) * rng.random()
         bearing = 2.0 * math.pi * rng.random()
         psi = math.acos(min(1.0, cos_psi))
-        drops.append(destination_point(center, bearing, psi))
-    return drops
+        ue = destination_point(center, bearing, psi)
+        lat[i], lon[i] = ue.lat_rad, ue.lon_rad
+    return lat, lon
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +205,8 @@ class _LinkModel:
             los = z_los[visible] < channel.los_probability(self.cls, elevation)
         sigma_sh, clutter = channel.shadowing_sigma(self.cls, elevation, los)
         shadow = z_shadow[visible] * sigma_sh
-        return [channel.link_snr(p, self.pattern, dist[visible], off_boresight, los,
-                                 shadow, clutter).snr_db for p in params], visible
+        return [channel.link_snr(p, self.pattern, dist[visible], off_boresight, shadow,
+                                 clutter) for p in params], visible
 
     def leo_rtt_sigma(self, anchor_pos, ue_ecef, z_los, z_shadow) -> np.ndarray:
         """(D, M) two-way range sigma per UE and anchor."""
@@ -290,13 +284,6 @@ def case_table(config: ScenarioConfig) -> dict[str, tuple[Rtt | Tdoa | Gnss, ...
             for k in ks for r in flags}
 
 
-def _ue_frames(drops: list[Geodetic]) -> tuple[np.ndarray, np.ndarray]:
-    """(D, 3) ECEF positions and (D, 3, 3) ENU bases of the drops."""
-    return enu_frames(np.array([g.lat_rad for g in drops]),
-                      np.array([g.lon_rad for g in drops]),
-                      np.array([g.alt_m for g in drops]))
-
-
 def _link_draws(seed: int, tag: str, lo: int, hi: int,
                 n_links: int) -> tuple[np.ndarray, np.ndarray]:
     """(D, n_links) LOS uniforms and shadowing normals, one substream per
@@ -330,11 +317,13 @@ class _Evaluator:
             self.grid_positions = self.grid.positions()
         self.model = _LinkModel(config)
         # The grid's serving satellite sits where this orbit is at t = 0.
-        self.drops = drop_ues(config, propagate_circular_orbit(orbit, 0.0))
+        self.lat_rad, self.lon_rad = drop_ues(config, propagate_circular_orbit(orbit, 0.0))
 
-    def evaluate_span(self, lo: int, hi: int) -> dict[str, list[UeRecord]]:
-        seed, drops = self.config.seed, self.drops[lo:hi]
-        ue_ecef, basis = _ue_frames(drops)
+    def evaluate_span(self, lo: int, hi: int) -> dict[str, tuple[np.ndarray, ...]]:
+        """Case id -> (D,) bound, GDOP and degenerate flag of drops [lo, hi);
+        bound and GDOP are NaN where the drop is degenerate."""
+        seed = self.config.seed
+        ue_ecef, basis = enu_frames(self.lat_rad[lo:hi], self.lon_rad[lo:hi])
         # One set of link draws per tag, shared by every block that names it.
         draws = {tag: _link_draws(seed, tag, lo, hi, self.config.n_virtual_anchors)
                  for tag in dict.fromkeys(b.tag for b in self.blocks if isinstance(b, Rtt))}
@@ -358,10 +347,9 @@ class _Evaluator:
             f = sum(fims[1:], fims[0])
             peb_m, gdop, degenerate = peb_arrays(
                 f, np.mean(np.concatenate(variances, axis=1), axis=1))
-            out[case_id] = [
-                UeRecord(ue, None if deg else p, None if deg else g, deg)
-                for ue, p, g, deg in zip(drops, peb_m.tolist(), gdop.tolist(),
-                                         (degenerate | np.any(shorts, axis=0)).tolist())]
+            degenerate |= np.any(shorts, axis=0)
+            peb_m[degenerate] = gdop[degenerate] = np.nan
+            out[case_id] = (peb_m, gdop, degenerate)
         return out
 
     def _rtt(self, block: Rtt, ue_ecef, basis, draws):
@@ -411,7 +399,7 @@ class _Evaluator:
         return f, np.broadcast_to(np.diag(cov), (hi - lo, n - 1))
 
 
-def _evaluate_span(args) -> dict[str, list[UeRecord]]:
+def _evaluate_span(args) -> dict[str, tuple[np.ndarray, ...]]:
     config, lo, hi = args
     return _Evaluator(config).evaluate_span(lo, hi)
 
@@ -433,21 +421,17 @@ def run(config: ScenarioConfig, workers: int = 1) -> RunBundle:
 
     cases = {}
     for case_id in evaluator.case_ids:
-        records = tuple(r for chunk in chunks for r in chunk[case_id])
-        cases[case_id] = PebSampleSet(config.variant, case_id, records)
+        columns = (np.concatenate(c) for c in zip(*(chunk[case_id] for chunk in chunks)))
+        cases[case_id] = PebSampleSet(case_id, evaluator.lat_rad, evaluator.lon_rad, *columns)
     stats = {case_id: summarize(sample) for case_id, sample in cases.items()}
-    params = {
-        "config": config_to_dict(config),
-        "table_checksums": channel.table_checksums(),
-    }
-    return RunBundle(cases=cases, stats=stats, params=params)
+    return RunBundle(cases=cases, stats=stats)
 
 
 def summarize(samples: PebSampleSet) -> SummaryStats:
     """Tukey box-plot statistics: quartiles by linear interpolation of order
     statistics, whiskers at the most extreme samples within 1.5*IQR of the
     quartiles, outliers beyond. Degenerate samples are counted separately."""
-    values = samples.peb_values
+    values = samples.peb_m[~samples.degenerate]
     if values.size == 0:
         raise StatisticsError(f"case {samples.case_id}: no non-degenerate samples")
     q1, median, q3 = np.percentile(values, [25.0, 50.0, 75.0])
@@ -463,6 +447,6 @@ def summarize(samples: PebSampleSet) -> SummaryStats:
         whisker_lo=float(np.min(inside)),
         whisker_hi=float(np.max(inside)),
         outlier_count=int(values.size - inside.size),
-        degenerate_count=samples.degenerate_count,
-        n_samples=len(samples.records),
+        degenerate_count=int(np.count_nonzero(samples.degenerate)),
+        n_samples=len(samples.degenerate),
     )

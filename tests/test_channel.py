@@ -133,14 +133,14 @@ def _params(bandwidth_hz=10e6, eirp_dbw=44.0, penalty=0.0):
 
 class TestLinkSnr:
     def test_halving_bandwidth_raises_snr_3db(self):
-        full = link_snr(_params(10e6), BESSEL, 600e3, 0.0, True, 0.0)
-        half = link_snr(_params(5e6), BESSEL, 600e3, 0.0, True, 0.0)
-        assert half.snr_db - full.snr_db == pytest.approx(3.01, abs=0.01)
+        full = link_snr(_params(10e6), BESSEL, 600e3, 0.0, 0.0)
+        half = link_snr(_params(5e6), BESSEL, 600e3, 0.0, 0.0)
+        assert half - full == pytest.approx(3.01, abs=0.01)
 
     def test_neighbor_penalty_is_exact(self):
-        base = link_snr(_params(), BESSEL, 900e3, 0.01, True, 1.3)
-        hit = link_snr(_params(penalty=6.0), BESSEL, 900e3, 0.01, True, 1.3)
-        assert base.snr_db - hit.snr_db == pytest.approx(6.0, abs=1e-12)
+        base = link_snr(_params(), BESSEL, 900e3, 0.01, 1.3)
+        hit = link_snr(_params(penalty=6.0), BESSEL, 900e3, 0.01, 1.3)
+        assert base - hit == pytest.approx(6.0, abs=1e-12)
 
     def test_pinned_default_downlink_snr(self):
         # serving-LEO downlink at nadir, 600 km, calibrated defaults
@@ -154,23 +154,23 @@ class TestLinkSnr:
             rx_g_over_t_db_k=budget.ue_g_over_t_db_k,
             processing_gain_db=budget.leo_dl_processing_gain_db,
         )
-        real = link_snr(params, BESSEL, 600e3, 0.0, True, 0.0)
-        assert real.snr_db == pytest.approx(6.967977542068468, abs=1e-9)
+        snr = link_snr(params, BESSEL, 600e3, 0.0, 0.0)
+        assert snr == pytest.approx(6.967977542068468, abs=1e-9)
 
     def test_strictly_decreasing_in_distance(self):
         distances = np.linspace(600e3, 2500e3, 50)
-        snr = link_snr(_params(), BESSEL, distances, 0.0, True, 0.0).snr_db
+        snr = link_snr(_params(), BESSEL, distances, 0.0, 0.0)
         assert np.all(np.diff(snr) < 0.0)
 
     def test_strictly_decreasing_off_boresight(self):
         angles = np.linspace(0.0, BESSEL.beamwidth_rad / 2.0, 50)
-        snr = link_snr(_params(), BESSEL, 600e3, angles, True, 0.0).snr_db
+        snr = link_snr(_params(), BESSEL, 600e3, angles, 0.0)
         assert np.all(np.diff(snr) < 0.0)
 
     def test_shadow_and_clutter_subtract(self):
-        clean = link_snr(_params(), BESSEL, 600e3, 0.0, True, 0.0, 0.0)
-        faded = link_snr(_params(), BESSEL, 600e3, 0.0, False, 2.5, 19.52)
-        assert clean.snr_db - faded.snr_db == pytest.approx(22.02, abs=1e-9)
+        clean = link_snr(_params(), BESSEL, 600e3, 0.0, 0.0, 0.0)
+        faded = link_snr(_params(), BESSEL, 600e3, 0.0, 2.5, 19.52)
+        assert clean - faded == pytest.approx(22.02, abs=1e-9)
 
 
 def test_cn0_to_snr():

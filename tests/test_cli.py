@@ -2,11 +2,14 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from satpeb import channel
-from satpeb.cli import config_hash, main, parse_config
+from satpeb.cli import (config_hash, main, parse_config, write_samples_csv,
+                        write_samples_json, write_summary)
 from satpeb.errors import ConfigError
+from satpeb.scenarios import PebSampleSet, RunBundle, summarize
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -254,6 +257,16 @@ class TestExecute:
                               "gnss_processing_gain_db"}
         assert manifest["table_checksums"] == channel.PINNED_TABLE_CHECKSUMS
 
+    def test_manifest_snapshot_reproducible(self, tmp_path):
+        cfg = write_config(tmp_path, {"variant": "single-leo", "n_ue_drops": 3,
+                                      "measurement_times_s": [2.0]})
+        out = tmp_path / "out"
+        assert main(["single-leo", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["resolved_config"][0]["seed"] == 0
+        assert manifest["resolved_config"][0]["variant"] == "single-leo"
+        assert len(manifest["table_checksums"]) == 12
+
     def test_tampered_table_recorded_as_warning(self, tmp_path, monkeypatch):
         monkeypatch.setitem(channel.PINNED_TABLE_CHECKSUMS,
                             "los_probability_urban.csv", "0" * 64)
@@ -262,6 +275,41 @@ class TestExecute:
         assert main(["single-leo", "--config", str(cfg), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert any("los_probability_urban.csv" in w for w in manifest["warnings"])
+
+
+def _csv_value(field, text):
+    """A samples.csv cell as the value samples.json holds for it."""
+    if field == "case_id":
+        return text
+    if field == "degenerate":
+        return {"true": True, "false": False}[text]
+    return float(text) if text else None
+
+
+class TestSampleSerialization:
+    def test_csv_and_json_samples_agree(self, tmp_path):
+        sample = PebSampleSet(
+            "case", np.radians([1.0, 2.0, 3.0]), np.radians([-4.0, 5.0, 6.0]),
+            np.array([10.5, np.nan, 12.25]), np.array([1.5, np.nan, 2.0]),
+            np.array([False, True, False]))
+        bundle = RunBundle(cases={"case": sample}, stats={"case": summarize(sample)})
+        write_samples_csv(bundle, tmp_path / "samples.csv")
+        write_samples_json(bundle, tmp_path / "samples.json")
+        write_summary(bundle, tmp_path / "summary.json")
+        with open(tmp_path / "samples.csv") as fh:
+            csv_rows = list(csv.DictReader(fh))
+        json_rows = json.loads((tmp_path / "samples.json").read_text())
+
+        assert [list(r) for r in csv_rows] == [list(r) for r in json_rows]
+        assert [{k: _csv_value(k, v) for k, v in r.items()} for r in csv_rows] == json_rows
+        assert [r["peb_m"] for r in json_rows] == [10.5, None, 12.25]
+        assert [r["gdop"] for r in json_rows] == [1.5, None, 2.0]
+        assert (csv_rows[1]["peb_m"], csv_rows[1]["gdop"], csv_rows[1]["degenerate"]) == (
+            "", "", "true")
+        summary = json.loads((tmp_path / "summary.json").read_text())["case"]
+        assert summary["degenerate_count"] == 1
+        assert summary["n_samples"] == 3
+        assert summary["mean"] == pytest.approx(11.375)
 
 
 class TestReproduceFigures:

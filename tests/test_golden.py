@@ -22,6 +22,11 @@ N_DROPS = 25
 REL_TOL = 1e-12
 
 
+def _nullable(column) -> list:
+    """Column values with NaN (degenerate drops) written as None."""
+    return [None if math.isnan(v) else v for v in column.tolist()]
+
+
 def _snapshot(variant: str, seed: int) -> dict:
     bundle = run(make_config(variant, n_ue_drops=N_DROPS, seed=seed))
     return {
@@ -29,11 +34,11 @@ def _snapshot(variant: str, seed: int) -> dict:
         "seed": seed,
         "cases": {
             case_id: {
-                "ue": [[r.position.lat_rad, r.position.lon_rad, r.position.alt_m]
-                       for r in sample.records],
-                "peb_m": [r.peb_m for r in sample.records],
-                "gdop": [r.gdop for r in sample.records],
-                "degenerate": [r.degenerate for r in sample.records],
+                "ue": [[lat, lon, 0.0] for lat, lon in zip(sample.ue_lat_rad.tolist(),
+                                                           sample.ue_lon_rad.tolist())],
+                "peb_m": _nullable(sample.peb_m),
+                "gdop": _nullable(sample.gdop),
+                "degenerate": sample.degenerate.tolist(),
             }
             for case_id, sample in bundle.cases.items()
         },

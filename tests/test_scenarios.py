@@ -8,18 +8,28 @@ from satpeb.config import make_config
 from satpeb.constants import EARTH_RADIUS_M
 from satpeb.errors import StatisticsError
 from satpeb.fisher import best_subset_indices, min_gdop_subsets, unit_vectors_en
-from satpeb.geometry import (AnchorSet, Geodetic, angle_between, geodetic_to_ecef,
-                             ground_track_orbit, propagate_circular_orbit)
-from satpeb.scenarios import (PebSampleSet, UeRecord, cap_half_angle, drop_ues,
-                              run, summarize, _Evaluator, _link_draws, _ue_frames)
+from satpeb.geometry import (AnchorSet, Geodetic, angle_between, enu_frames,
+                             geodetic_to_ecef, ground_track_orbit,
+                             propagate_circular_orbit)
+from satpeb.scenarios import (PebSampleSet, cap_half_angle, drop_ues, run,
+                              summarize, _Evaluator, _link_draws)
 
 
 def _sample_set(values, degenerate=0):
-    records = [UeRecord(Geodetic(0.0, 0.0, 0.0), float(v), 1.0, False)
-               for v in values]
-    records += [UeRecord(Geodetic(0.0, 0.0, 0.0), None, None, True)
-                for _ in range(degenerate)]
-    return PebSampleSet("test", "case", tuple(records))
+    n = len(values) + degenerate
+    flags = np.arange(n) >= len(values)
+    return PebSampleSet("case", np.zeros(n), np.zeros(n),
+                        np.append(np.asarray(values, dtype=float), np.full(degenerate, np.nan)),
+                        np.where(flags, np.nan, 1.0), flags)
+
+
+def _columns_equal(a, b) -> bool:
+    return all(np.array_equal(x, y, equal_nan=True) for x, y in zip(a, b))
+
+
+def _sample_columns(sample: PebSampleSet) -> tuple[np.ndarray, ...]:
+    return (sample.ue_lat_rad, sample.ue_lon_rad, sample.peb_m, sample.gdop,
+            sample.degenerate)
 
 
 class TestDropUes:
@@ -34,9 +44,9 @@ class TestDropUes:
         serving = propagate_circular_orbit(orbit, 0.0)
         beam_center = geodetic_to_ecef(Geodetic(0.0, 0.0, 0.0))
         half_beam = math.radians(cfg.link.beamwidth_deg) / 2.0
-        for ue in drop_ues(cfg, serving):
+        for lat, lon in zip(*drop_ues(cfg, serving)):
             off = angle_between(beam_center - serving.position,
-                                geodetic_to_ecef(ue) - serving.position)
+                                geodetic_to_ecef(Geodetic(lat, lon, 0.0)) - serving.position)
             assert off <= half_beam + 1e-9
 
     def test_seed_determinism(self):
@@ -45,16 +55,16 @@ class TestDropUes:
         serving = propagate_circular_orbit(orbit, 0.0)
         a = drop_ues(cfg, serving)
         b = drop_ues(cfg, serving)
-        assert a == b
+        assert _columns_equal(a, b)
         c = drop_ues(make_config("single-leo", n_ue_drops=50, seed=1), serving)
-        assert a != c
+        assert not _columns_equal(a, c)
 
     def test_drop_count_change_preserves_prefix(self):
         orbit = ground_track_orbit(Geodetic(0.0, 0.0, 0.0), 600e3)
         serving = propagate_circular_orbit(orbit, 0.0)
         small = drop_ues(make_config("single-leo", n_ue_drops=20), serving)
         large = drop_ues(make_config("single-leo", n_ue_drops=60), serving)
-        assert large[:20] == small
+        assert _columns_equal((large[0][:20], large[1][:20]), small)
 
 
 class TestSummarize:
@@ -97,8 +107,8 @@ class TestSingleLeo:
         b = run(cfg)
         assert list(a.cases) == ["single_leo_t2", "single_leo_t10"]
         for case in a.cases:
-            assert len(a.cases[case].records) == 30
-            assert a.cases[case].records == b.cases[case].records
+            assert len(a.cases[case].peb_m) == 30
+            assert _columns_equal(_sample_columns(a.cases[case]), _sample_columns(b.cases[case]))
 
     def test_worker_count_does_not_change_results(self):
         cfg = make_config("single-leo", n_ue_drops=24,
@@ -106,7 +116,8 @@ class TestSingleLeo:
         serial = run(cfg, workers=1)
         parallel = run(cfg, workers=3)
         for case in serial.cases:
-            assert serial.cases[case].records == parallel.cases[case].records
+            assert _columns_equal(_sample_columns(serial.cases[case]),
+                                  _sample_columns(parallel.cases[case]))
 
     def test_mean_non_increasing_in_time_and_above_median(self):
         cfg = make_config("single-leo", n_ue_drops=300)
@@ -120,10 +131,10 @@ class TestSingleLeo:
         cfg = make_config("single-leo", n_ue_drops=1,
                           measurement_times_s=(10.0,), los_only=True)
         evaluator = _Evaluator(cfg)
-        evaluator.drops[0] = Geodetic(math.radians(0.02), 0.0, 0.0)
-        record = evaluator.evaluate_span(0, 1)["single_leo_t10"][0]
-        assert record.degenerate
-        assert record.peb_m is None
+        evaluator.lat_rad[0], evaluator.lon_rad[0] = math.radians(0.02), 0.0
+        peb_m, _, degenerate = evaluator.evaluate_span(0, 1)["single_leo_t10"]
+        assert degenerate[0]
+        assert math.isnan(peb_m[0])
 
 
 @pytest.fixture(scope="module")
@@ -142,12 +153,13 @@ class TestMultiLeo:
 
     def test_rtt_augmentation_never_hurts_any_ue(self, bundle):
         for k in (3, 4):
-            plain = bundle.cases[f"multi_leo_tdoa{k}"].records
-            boosted = bundle.cases[f"multi_leo_tdoa{k}_rtt"].records
-            for p, b in zip(plain, boosted):
-                if p.degenerate or b.degenerate:
+            plain = bundle.cases[f"multi_leo_tdoa{k}"]
+            boosted = bundle.cases[f"multi_leo_tdoa{k}_rtt"]
+            for p, b, p_deg, b_deg in zip(plain.peb_m, boosted.peb_m,
+                                          plain.degenerate, boosted.degenerate):
+                if p_deg or b_deg:
                     continue
-                assert b.peb_m <= p.peb_m + 1e-9
+                assert b <= p + 1e-9
 
     def test_four_satellites_better_than_three_on_mean(self, bundle):
         # per-UE ordering is not guaranteed (selection optimizes unit-sigma
@@ -167,7 +179,7 @@ class TestHiddenNeighbors:
         # 27 deg gaps put one same-row neighbor below most drops' horizon
         cfg = make_config("multi-leo", n_ue_drops=200, lon_gap_rad=math.radians(27.0))
         evaluator = _Evaluator(cfg)
-        ue_ecef, basis = _ue_frames(evaluator.drops)
+        ue_ecef, basis = enu_frames(evaluator.lat_rad, evaluator.lon_rad)
         _, visible = evaluator.model.grid_dl_sigma(
             evaluator.grid_positions, ue_ecef, *_link_draws(cfg.seed, "ml-link", 0, 200, 7))
         assert np.count_nonzero((~visible).sum(axis=1) == 1) == 190
@@ -181,16 +193,16 @@ class TestHiddenNeighbors:
                 assert tuple(chosen) == tuple(index[list(best_subset_indices(anchors, k, ue))])
         bundle = run(cfg)
         for case in bundle.cases.values():
-            assert len(case.records) == 200
-            assert case.degenerate_count == 0
+            assert len(case.peb_m) == 200
+            assert not np.any(case.degenerate)
 
     def test_too_few_visible_satellites_degenerate_in_every_case(self):
         cfg = make_config("multi-leo", n_ue_drops=5, lon_gap_rad=math.radians(60.0))
         records = _Evaluator(cfg).evaluate_span(0, 5)
         assert list(records) == ["multi_leo_tdoa3", "multi_leo_tdoa3_rtt",
                                  "multi_leo_tdoa4", "multi_leo_tdoa4_rtt"]
-        for case in records.values():
-            assert all(r.degenerate and r.peb_m is None for r in case)
+        for peb_m, gdop, degenerate in records.values():
+            assert np.all(degenerate) and np.all(np.isnan(peb_m)) and np.all(np.isnan(gdop))
         with pytest.raises(StatisticsError, match="multi_leo_tdoa3"):
             run(cfg)
 
@@ -214,11 +226,11 @@ class TestGnssLeo:
         cfg = make_config("single-leo", n_ue_drops=1,
                           measurement_times_s=(10.0,), los_only=True)
         evaluator = _Evaluator(cfg)
-        evaluator.drops[0] = Geodetic(math.radians(0.05), math.radians(0.08), 0.0)
-        east = evaluator.evaluate_span(0, 1)["single_leo_t10"][0]
-        evaluator.drops[0] = Geodetic(math.radians(0.05), math.radians(-0.08), 0.0)
-        west = evaluator.evaluate_span(0, 1)["single_leo_t10"][0]
-        assert east.peb_m == pytest.approx(west.peb_m, rel=1e-6)
+        evaluator.lat_rad[0], evaluator.lon_rad[0] = math.radians(0.05), math.radians(0.08)
+        east = evaluator.evaluate_span(0, 1)["single_leo_t10"][0][0]
+        evaluator.lon_rad[0] = math.radians(-0.08)
+        west = evaluator.evaluate_span(0, 1)["single_leo_t10"][0][0]
+        assert east == pytest.approx(west, rel=1e-6)
 
 
 class TestSpans:
@@ -236,9 +248,10 @@ class TestSpans:
         bounds = (0, 1, 9, 10, n)
         parts = [evaluator.evaluate_span(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         assert list(whole) == evaluator.case_ids
-        for case_id, records in whole.items():
-            assert len(records) == n
-            assert records == [r for part in parts for r in part[case_id]]
+        for case_id, columns in whole.items():
+            assert all(len(c) == n for c in columns)
+            joined = [np.concatenate(c) for c in zip(*(part[case_id] for part in parts))]
+            assert _columns_equal(columns, joined)
 
     @pytest.mark.parametrize("variant, per_drop", [
         ("single-leo", 2), ("multi-leo", 3), ("gnss-leo", 4), ("gnss-only", 4)])
@@ -252,24 +265,20 @@ class TestSpans:
         assert len(calls) == per_drop * 7
 
     def test_drop_records_follow_drop_positions(self):
-        evaluator = _Evaluator(make_config("multi-leo", n_ue_drops=6))
-        for records in evaluator.evaluate_span(2, 5).values():
-            assert [r.position for r in records] == evaluator.drops[2:5]
+        cfg = make_config("multi-leo", n_ue_drops=6)
+        evaluator = _Evaluator(cfg)
+        for columns in evaluator.evaluate_span(2, 5).values():
+            assert all(len(c) == 3 for c in columns)
+        for sample in run(cfg).cases.values():
+            assert np.array_equal(sample.ue_lat_rad, evaluator.lat_rad)
+            assert np.array_equal(sample.ue_lon_rad, evaluator.lon_rad)
 
 
 class TestRunBundle:
-    def test_params_snapshot_reproducible(self):
-        cfg = make_config("single-leo", n_ue_drops=3, measurement_times_s=(2.0,))
-        bundle = run(cfg)
-        assert bundle.params["config"]["seed"] == 0
-        assert bundle.params["config"]["variant"] == "single-leo"
-        assert len(bundle.params["table_checksums"]) == 12
-
     def test_single_drop_stats_equal_sample(self):
         cfg = make_config("single-leo", n_ue_drops=1, measurement_times_s=(5.0,))
         bundle = run(cfg)
         case = bundle.cases["single_leo_t5"]
-        rec = case.records[0]
-        if not rec.degenerate:
+        if not case.degenerate[0]:
             s = bundle.stats["single_leo_t5"]
-            assert s.mean == s.median == rec.peb_m
+            assert s.mean == s.median == case.peb_m[0]
