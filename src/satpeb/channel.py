@@ -40,12 +40,6 @@ class ScenarioClass(str, Enum):
     SUBURBAN_RURAL = "suburban-rural"
 
 
-class LinkDirection(str, Enum):
-    LEO_DOWNLINK = "leo-downlink"
-    LEO_UPLINK = "leo-uplink"
-    GNSS_DOWNLINK = "gnss-downlink"
-
-
 @dataclass(frozen=True)
 class AntennaPattern:
     """Normalized pattern: 0 dB at boresight, -3 dB at half the beamwidth."""
@@ -65,7 +59,6 @@ class AntennaPattern:
 class LinkParams:
     """Link-budget terms for one direction of one link."""
 
-    direction: LinkDirection
     carrier_hz: float
     bandwidth_hz: float
     eirp_dbw: float

@@ -171,7 +171,7 @@ def _scenario_configs(command: str, args) -> list[ScenarioConfig]:
 
 
 def _run_and_write(configs: list[ScenarioConfig], args, out_dir: Path) -> list[str]:
-    bundles = [run(c, workers=args.workers) for c in configs]
+    bundles = [run(c) for c in configs]
     bundle = _merge_bundles(bundles) if len(bundles) > 1 else bundles[0]
     outputs = []
     if args.format == "json":
@@ -247,8 +247,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="samples serialization format")
     common.add_argument("--workers", type=int, default=1,
-                        help="parallel workers (performance only; never "
-                             "affects results)")
+                        help="accepted for compatibility; has no effect "
+                             "(every run is one in-process pass)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("single-leo", parents=[common],
                    help="single-LEO RTT sweep over measurement times")
@@ -265,12 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
-        return execute(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return execute(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -174,11 +174,16 @@ def reference_tdoa_case(range_sigma_m: float = 1.0,
 def validate(scenario: str = "multi-leo-tdoa4", n_trials: int = 2000,
              range_sigma_m: float = 1.0, snr_offset_db: float = 0.0,
              seed: int = 0) -> ValidationReport:
-    """Monte Carlo bound-achievability check on the reference TDOA case.
+    """Monte Carlo bound-achievability check on the reference TDOA case,
+    `scenario` "multi-leo-tdoa4", the only one implemented; any other name
+    raises ValueError.
 
     `snr_offset_db` scales the measurement sigma by 10**(-offset/20), so +20
     dB shrinks the noise tenfold.
     """
+    if scenario != "multi-leo-tdoa4":
+        raise ValueError(f"unknown validation scenario {scenario!r}; "
+                         "only 'multi-leo-tdoa4' is implemented")
     sigma = range_sigma_m * 10.0 ** (-snr_offset_db / 20.0)
     truth, anchors, cov, ref, guess = reference_tdoa_case(sigma)
     truth_ecef = geodetic_to_ecef(truth)

@@ -15,40 +15,36 @@ A case's FIM is the sum of its blocks' FIMs in table order; the mean
 variance behind its GDOP is taken over the blocks' measurement variances
 concatenated in that order.
 
-Drops are evaluated in array passes over spans of drops: geometry, link
-realization, subset selection and Fisher information run on stacked
-(drops, anchors) arrays, with the same per-matrix arithmetic for every span.
-Within a span each block, each link-draw tag and the grid's downlink sigmas
-are computed once and shared by the cases that use them.
+All drops of a run are evaluated in one in-process array pass: geometry,
+link realization, subset selection and Fisher information run on stacked
+(drops, anchors) arrays. Each block, each link-draw tag and the grid's
+downlink sigmas are computed once and shared by the cases that use them.
 
 Results stay columnar: `drop_ues` gives (D,) latitude and longitude arrays,
-a span yields per case (D,) bound, GDOP and degenerate-flag arrays (NaN
-bound and GDOP where degenerate), and `run` joins the spans into one
+the pass yields per case (D,) bound, GDOP and degenerate-flag arrays (NaN
+bound and GDOP where degenerate), and `run` wraps them into one
 `PebSampleSet` of columns per case, which `summarize` and the CLI writers
 read directly.
 
 Determinism: every random quantity is drawn from a substream keyed by
 (seed, stream tag, drop index[, element index]), so results are a pure
-function of (config, seed) independent of worker count and span boundaries,
-and adding drops never perturbs earlier ones. Link-level draws are shared across measurement
-times and cases of one run (common random numbers), which makes the
-more-information-never-hurts comparisons hold sample by sample.
+function of (config, seed), and adding drops never perturbs earlier ones.
+Link-level draws are shared across measurement times and cases of one run
+(common random numbers), which makes the more-information-never-hurts
+comparisons hold sample by sample.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
 
 from . import channel
-from .channel import (AntennaModel, AntennaPattern, LinkDirection, LinkParams,
-                      ScenarioClass)
+from .channel import AntennaModel, AntennaPattern, LinkParams, ScenarioClass
 from .config import ScenarioConfig
 from .constants import EARTH_RADIUS_M
 from .errors import BelowHorizonError, StatisticsError
@@ -163,7 +159,6 @@ class _LinkModel:
             model=AntennaModel(budget.antenna_model),
         )
         self.dl = LinkParams(
-            direction=LinkDirection.LEO_DOWNLINK,
             carrier_hz=budget.carrier_hz,
             bandwidth_hz=budget.bandwidth_hz,
             eirp_dbw=budget.dl_eirp_dbw,
@@ -173,7 +168,6 @@ class _LinkModel:
         )
         self.dl_neighbor = replace(self.dl, neighbor_penalty_db=budget.neighbor_penalty_db)
         self.ul = LinkParams(
-            direction=LinkDirection.LEO_UPLINK,
             carrier_hz=budget.carrier_hz,
             bandwidth_hz=budget.bandwidth_hz,
             eirp_dbw=budget.ue_eirp_dbw,
@@ -284,26 +278,25 @@ def case_table(config: ScenarioConfig) -> dict[str, tuple[Rtt | Tdoa | Gnss, ...
             for k in ks for r in flags}
 
 
-def _link_draws(seed: int, tag: str, lo: int, hi: int,
+def _link_draws(seed: int, tag: str, n_drops: int,
                 n_links: int) -> tuple[np.ndarray, np.ndarray]:
     """(D, n_links) LOS uniforms and shadowing normals, one substream per
-    drop, so a drop's draws do not depend on the span it is evaluated in."""
-    z_los = np.empty((hi - lo, n_links))
-    z_shadow = np.empty((hi - lo, n_links))
-    for row, i in enumerate(range(lo, hi)):
+    drop, so a drop's draws do not depend on how many drops follow it."""
+    z_los = np.empty((n_drops, n_links))
+    z_shadow = np.empty((n_drops, n_links))
+    for i in range(n_drops):
         rng = substream(seed, tag, i)
-        z_los[row] = rng.random(n_links)
-        z_shadow[row] = rng.standard_normal(n_links)
+        z_los[i] = rng.random(n_links)
+        z_shadow[i] = rng.standard_normal(n_links)
     return z_los, z_shadow
 
 
 class _Evaluator:
-    """Evaluates the config's case table over spans of drops [lo, hi)."""
+    """Evaluates the config's case table over all of its drops."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.cases = case_table(config)
-        self.case_ids = list(self.cases)
         self.blocks = list(dict.fromkeys(b for bs in self.cases.values() for b in bs))
         center = Geodetic(config.center_lat_rad, config.center_lon_rad, 0.0)
         orbit = ground_track_orbit(center, config.leo_altitude_m)
@@ -319,19 +312,20 @@ class _Evaluator:
         # The grid's serving satellite sits where this orbit is at t = 0.
         self.lat_rad, self.lon_rad = drop_ues(config, propagate_circular_orbit(orbit, 0.0))
 
-    def evaluate_span(self, lo: int, hi: int) -> dict[str, tuple[np.ndarray, ...]]:
-        """Case id -> (D,) bound, GDOP and degenerate flag of drops [lo, hi);
+    def evaluate(self) -> dict[str, tuple[np.ndarray, ...]]:
+        """Case id -> (D,) bound, GDOP and degenerate flag of every drop;
         bound and GDOP are NaN where the drop is degenerate."""
         seed = self.config.seed
-        ue_ecef, basis = enu_frames(self.lat_rad[lo:hi], self.lon_rad[lo:hi])
+        n = len(self.lat_rad)
+        ue_ecef, basis = enu_frames(self.lat_rad, self.lon_rad)
         # One set of link draws per tag, shared by every block that names it.
-        draws = {tag: _link_draws(seed, tag, lo, hi, self.config.n_virtual_anchors)
+        draws = {tag: _link_draws(seed, tag, n, self.config.n_virtual_anchors)
                  for tag in dict.fromkeys(b.tag for b in self.blocks if isinstance(b, Rtt))}
         if self.grid is not None:
             grid = (unit_vectors_en(ue_ecef, self.grid_positions, basis, check_horizon=False),
                     *self.model.grid_dl_sigma(self.grid_positions, ue_ecef, *_link_draws(
-                        seed, "ml-link", lo, hi, len(self.grid))))
-        no_short = np.zeros(hi - lo, dtype=bool)
+                        seed, "ml-link", n, len(self.grid))))
+        no_short = np.zeros(n, dtype=bool)
         info = {}
         for block in self.blocks:
             if isinstance(block, Rtt):
@@ -339,7 +333,7 @@ class _Evaluator:
             elif isinstance(block, Tdoa):
                 info[block] = self._tdoa(block.k, *grid)
             else:
-                info[block] = (*self._gnss(block.n, lo, hi, ue_ecef, basis), no_short)
+                info[block] = (*self._gnss(block.n, ue_ecef, basis), no_short)
 
         out = {}
         for case_id, blocks in self.cases.items():
@@ -375,14 +369,14 @@ class _Evaluator:
                               np.take_along_axis(units, order[..., None], axis=1), 0)
         return fim(J, cov), np.diagonal(cov, axis1=-2, axis2=-1), short
 
-    def _gnss(self, n: int, lo: int, hi: int, ue_ecef, basis):
+    def _gnss(self, n: int, ue_ecef, basis):
         """(D, 2, 2) GNSS TDOA information and (D, n-1) variances of n
         satellites on the GNSS shell, each uniform by solid angle on its UE's
         sky cap above the elevation mask."""
         config = self.config
         # Per satellite: an elevation term, then an azimuth uniform.
         draws = np.array([[substream(config.seed, "gnss-pos", i, s).random(2)
-                           for s in range(n)] for i in range(lo, hi)])
+                           for s in range(n)] for i in range(len(ue_ecef))])
         cos_zmax = math.cos(math.pi / 2 - config.gnss_elevation_mask_rad)
         sin_el = cos_zmax + (1.0 - cos_zmax) * draws[..., 0]
         azimuth = 2.0 * math.pi * draws[..., 1]
@@ -396,33 +390,14 @@ class _Evaluator:
         units = unit_vectors_en(ue_ecef, ue + rho[..., None] * d_ecef, basis)
         cov = tdoa_covariance(np.full(n, self.model.gnss_range_sigma), 0)
         f = fim(geometry_jacobian(MeasurementKind.TDOA, units, 0), cov)
-        return f, np.broadcast_to(np.diag(cov), (hi - lo, n - 1))
+        return f, np.broadcast_to(np.diag(cov), (len(ue_ecef), n - 1))
 
 
-def _evaluate_span(args) -> dict[str, tuple[np.ndarray, ...]]:
-    config, lo, hi = args
-    return _Evaluator(config).evaluate_span(lo, hi)
-
-
-def run(config: ScenarioConfig, workers: int = 1) -> RunBundle:
-    """Evaluate a scenario; `workers` only affects wall-clock time. It is
-    clamped to the drop count and the CPU count, and each worker process
-    evaluates one span of drops."""
+def run(config: ScenarioConfig) -> RunBundle:
+    """Evaluate every case of a scenario over all of its drops."""
     evaluator = _Evaluator(config)
-    n = config.n_ue_drops
-    workers = min(workers, n, os.cpu_count() or 1)
-    if workers <= 1:
-        chunks = [evaluator.evaluate_span(0, n)]
-    else:
-        bounds = np.linspace(0, n, workers + 1).astype(int)
-        spans = [(config, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_evaluate_span, spans))
-
-    cases = {}
-    for case_id in evaluator.case_ids:
-        columns = (np.concatenate(c) for c in zip(*(chunk[case_id] for chunk in chunks)))
-        cases[case_id] = PebSampleSet(case_id, evaluator.lat_rad, evaluator.lon_rad, *columns)
+    cases = {case_id: PebSampleSet(case_id, evaluator.lat_rad, evaluator.lon_rad, *columns)
+             for case_id, columns in evaluator.evaluate().items()}
     stats = {case_id: summarize(sample) for case_id, sample in cases.items()}
     return RunBundle(cases=cases, stats=stats)
 

@@ -44,7 +44,7 @@ def _report(criterion: str, passed: bool, detail: str = "") -> None:
 
 def _timed_run(variant):
     start = time.monotonic()
-    bundle = run(make_config(variant), workers=1)
+    bundle = run(make_config(variant))
     return bundle, time.monotonic() - start
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from satpeb import channel
-from satpeb.channel import (AntennaModel, AntennaPattern, LinkDirection,
-                            LinkParams, PINNED_TABLE_CHECKSUMS, ScenarioClass,
+from satpeb.channel import (AntennaModel, AntennaPattern, LinkParams,
+                            PINNED_TABLE_CHECKSUMS, ScenarioClass,
                             antenna_gain, cn0_to_snr, free_space_path_loss,
                             link_snr, los_probability, shadowing_sigma,
                             table_checksums)
@@ -122,7 +122,6 @@ class TestTables:
 
 def _params(bandwidth_hz=10e6, eirp_dbw=44.0, penalty=0.0):
     return LinkParams(
-        direction=LinkDirection.LEO_DOWNLINK,
         carrier_hz=2e9,
         bandwidth_hz=bandwidth_hz,
         eirp_dbw=eirp_dbw,
@@ -147,7 +146,6 @@ class TestLinkSnr:
         from satpeb.config import LinkBudget
         budget = LinkBudget()
         params = LinkParams(
-            direction=LinkDirection.LEO_DOWNLINK,
             carrier_hz=budget.carrier_hz,
             bandwidth_hz=budget.bandwidth_hz,
             eirp_dbw=budget.dl_eirp_dbw,

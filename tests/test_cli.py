@@ -205,7 +205,7 @@ class TestExecute:
     def test_unexpected_error_still_writes_manifest(self, tmp_path, monkeypatch):
         import satpeb.cli as cli_mod
 
-        def overflow(config, workers=1):
+        def overflow(config):
             raise OverflowError("(34, 'Numerical result out of range')")
 
         monkeypatch.setattr(cli_mod, "run", overflow)

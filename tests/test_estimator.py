@@ -107,6 +107,11 @@ class TestValidate:
         assert high.ratio < low.ratio - 0.005
         assert 0.95 <= high.ratio <= 1.10
 
+    def test_unknown_scenario_raises_instead_of_mislabelling(self):
+        assert validate(scenario="multi-leo-tdoa4", n_trials=5).scenario == "multi-leo-tdoa4"
+        with pytest.raises(ValueError, match="single-leo-rtt"):
+            validate(scenario="single-leo-rtt", n_trials=5)
+
     def test_unbiased_at_high_snr(self):
         report = validate(n_trials=2000, range_sigma_m=1.0, seed=0)
         assert report.mean_error_m < 0.1 * report.rmse_m
