@@ -13,7 +13,7 @@ Procedure (results frozen in satpeb/config.py):
 1. Baseline grid search of a single LEO processing gain (DL = UL) over
    [-10, +30] dB in 1 dB steps, LOS-only mode, minimizing the summed squared
    log ratio against the nine published single-LEO mean-PEB values. This
-   reproduces the one-parameter protocol; its optimum (about -6 dB) leaves
+   reproduces the one-parameter protocol; its optimum (-5 dB) leaves
    the multi-LEO and hybrid sweeps outside their factor-2 bands because RTT
    accuracy is uplink-limited while TDOA accuracy is downlink-limited.
 

@@ -22,8 +22,6 @@ from functools import lru_cache
 from importlib import resources
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import j1
 
 from .constants import BOLTZMANN, SPEED_OF_LIGHT
 from .errors import BelowHorizonError
@@ -77,17 +75,62 @@ class LinkParams:
 
 
 # Argument where the circular-aperture pattern 4*(J1(x)/x)^2 crosses -3 dB
-# exactly (10**-0.3, slightly above one half).
-@lru_cache(maxsize=1)
-def _half_power_arg() -> float:
-    level = 10.0 ** -0.3
-    return brentq(lambda x: 4.0 * (j1(x) / x) ** 2 - level, 1.0, 2.5, xtol=1e-12)
+# (10**-0.3, slightly above one half), to the last bit.
+_HALF_POWER_ARG = 1.6137411963697341
 
 
-@lru_cache(maxsize=32)
-def _aperture_scale(beamwidth_rad: float) -> float:
-    """k*a product sized so the pattern crosses -3 dB at beamwidth/2."""
-    return _half_power_arg() / math.sin(beamwidth_rad / 2.0)
+# The Airy lobe 2*J1(x)/x. Up to x = 3, which covers every link inside a beam
+# (x <= _HALF_POWER_ARG there), it is the ascending series of J1 (Abramowitz
+# & Stegun 9.1.10) in y = (x/2)^2, summed by Horner's rule:
+#     2*J1(x)/x = sum_k (-1)^k y^k / (k! (k+1)!),
+# truncated after 14 terms (the first term left out is below 1e-18 at x = 3).
+# Beyond, J1 comes from Miller's backward recurrence
+# J_{m-1} = (2m/x) J_m - J_{m+1}, normalised by J0 + 2*(J2 + J4 + ...) = 1
+# (A&S 9.12; Numerical Recipes, 2nd ed., section 6.5, whose bessj also
+# rescales large iterates). Started at the even order at or below
+# x + sqrt(160 x), it stays within 1e-15 of a double-precision J1 up to x = 45.
+_SERIES_MAX_ARG = 3.0
+_LOBE_SERIES = tuple((-1) ** k / (math.factorial(k) * math.factorial(k + 1))
+                     for k in reversed(range(14)))
+_RESCALE_ABOVE = 1e150
+
+
+def _airy_lobe(x: np.ndarray) -> np.ndarray:
+    """2*J1(x)/x for an array of x >= 0 (1 at x = 0)."""
+    lobe = np.empty_like(x)
+    near = x <= _SERIES_MAX_ARG
+    y = (0.5 * x[near]) ** 2
+    acc = np.full_like(y, _LOBE_SERIES[0])
+    for c in _LOBE_SERIES[1:]:
+        acc = acc * y + c
+    lobe[near] = acc
+    far = x[~near]
+    if far.size:
+        lobe[~near] = 2.0 * _miller_j1(far) / far
+    return lobe
+
+
+def _miller_j1(x: np.ndarray) -> np.ndarray:
+    """J1(x) for an array of x > 0 by normalised backward recurrence; each
+    point starts at its own order and is zero above it."""
+    start = 2 * ((x + np.sqrt(160.0 * x)).astype(int) // 2)
+    j_next = np.zeros_like(x)  # J_{m+1}, then J_m after each step
+    j_next2 = np.zeros_like(x)  # J_{m+2}
+    total = np.zeros_like(x)  # J0 + 2*(J2 + J4 + ...) so far
+    j1 = np.zeros_like(x)
+    for m in range(int(start.max()), -1, -1):
+        j_m = (2.0 * (m + 1) / x) * j_next - j_next2 + (m == start)
+        j_next2, j_next = j_next, j_m
+        if m == 1:
+            j1 = j_m
+        elif m % 2 == 0:
+            total = total + (j_m if m == 0 else 2.0 * j_m)
+        big = np.abs(j_m) > _RESCALE_ABOVE
+        if big.any():
+            scale = np.where(big, 1.0 / _RESCALE_ABOVE, 1.0)
+            j_next, j_next2 = j_next * scale, j_next2 * scale
+            total, j1 = total * scale, j1 * scale
+    return j1 / total
 
 
 def antenna_gain(pattern: AntennaPattern, off_boresight_rad) -> float | np.ndarray:
@@ -98,11 +141,10 @@ def antenna_gain(pattern: AntennaPattern, off_boresight_rad) -> float | np.ndarr
     if pattern.model is AntennaModel.GAUSSIAN_APPROX:
         gain = -12.0 * (theta / pattern.beamwidth_rad) ** 2
     else:
-        ka = _aperture_scale(pattern.beamwidth_rad)
+        # k*a product sized so the pattern crosses -3 dB at beamwidth/2.
+        ka = _HALF_POWER_ARG / math.sin(pattern.beamwidth_rad / 2.0)
         x = ka * np.sin(theta)
-        small = x < 1e-6
-        xs = np.where(small, 1.0, x)
-        lobe = np.where(small, 1.0 - x**2 / 8.0, 2.0 * j1(xs) / xs)
+        lobe = _airy_lobe(np.atleast_1d(x)).reshape(x.shape)
         # Clamp pattern nulls to a deep but finite floor.
         gain = 20.0 * np.log10(np.maximum(np.abs(lobe), 1e-8))
     return float(gain) if gain.ndim == 0 else gain
@@ -242,16 +284,18 @@ def noise_floor_db(bandwidth_hz: float) -> float:
     return 10.0 * math.log10(BOLTZMANN * bandwidth_hz)
 
 
-def link_snr(params: LinkParams, pattern: AntennaPattern, distance_m,
-             off_boresight_rad, shadow_db, clutter_db=0.0) -> float | np.ndarray:
+def link_snr(params: LinkParams, distance_m, gain_db, shadow_db,
+             clutter_db=0.0) -> float | np.ndarray:
     """Budget out one link realization to its post-integration SNR in dB,
-    scalar or aligned with the array inputs.
+    scalar or aligned with the array inputs. `gain_db` is the satellite
+    pattern gain toward the UE (`antenna_gain`), which both directions of a
+    link share.
 
     snr = EIRP + G/T - FSPL - shadow - clutter - extra - neighbor penalty
           + pattern gain + processing gain - 10*log10(k*B)
     """
     fspl = free_space_path_loss(distance_m, params.carrier_hz)
-    gain = antenna_gain(pattern, off_boresight_rad)
+    gain = np.asarray(gain_db, dtype=float)
     snr = (params.eirp_dbw + params.rx_g_over_t_db_k - fspl
            - np.asarray(shadow_db, dtype=float) - np.asarray(clutter_db, dtype=float)
            - params.extra_losses_db - params.neighbor_penalty_db

@@ -193,7 +193,12 @@ def _utcnow() -> str:
 
 def execute(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        # Without an output directory there is nowhere to write a manifest.
+        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+        return 1
     started = _utcnow()
     outputs: list[str] = []
     errors: list[str] = []

@@ -41,7 +41,6 @@ import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import channel
 from .channel import AntennaModel, AntennaPattern, LinkParams, ScenarioClass
@@ -106,18 +105,16 @@ def substream(seed: int, *keys) -> np.random.Generator:
 def cap_half_angle(altitude_m: float, beamwidth_rad: float) -> float:
     """Earth-central half-angle of the spherical cap covered by the beam: the
     surface ring where the off-boresight angle from a nadir-pointed satellite
-    equals half the beamwidth."""
+    equals half the beamwidth, or the horizon ring when the beam overfills
+    the Earth's disc."""
     r_sat = EARTH_RADIUS_M + altitude_m
-    horizon = math.acos(EARTH_RADIUS_M / r_sat)
     half_beam = beamwidth_rad / 2.0
     if half_beam >= math.asin(EARTH_RADIUS_M / r_sat):
-        return horizon
-
-    def off_boresight(psi: float) -> float:
-        return math.atan2(EARTH_RADIUS_M * math.sin(psi),
-                          r_sat - EARTH_RADIUS_M * math.cos(psi)) - half_beam
-
-    return brentq(off_boresight, 1e-9, horizon - 1e-9, xtol=1e-15)
+        return math.acos(EARTH_RADIUS_M / r_sat)
+    # Law of sines in the (Earth center, satellite, ring point) triangle: the
+    # angle at the near ring point is pi - asin((r_sat/R) sin(half_beam)),
+    # and the three angles sum to pi.
+    return math.asin(r_sat / EARTH_RADIUS_M * math.sin(half_beam)) - half_beam
 
 
 def drop_ues(config: ScenarioConfig,
@@ -184,8 +181,9 @@ class _LinkModel:
         """SNR under each of `params` of the links from D UEs (D, 3) to M
         anchors (M, 3) that clear the UE's horizon, flattened in (D, M) order,
         and the (D, M) mask of those links. Links below the horizon are not
-        realized. One LOS/shadowing draw (`z_*`, (D, M)) governs every
-        direction of a link (reciprocal large-scale channel)."""
+        realized. One LOS/shadowing draw (`z_*`, (D, M)) and one pattern
+        gain govern every direction of a link (reciprocal large-scale
+        channel)."""
         vec = anchor_pos - ue_ecef[:, None, :]
         dist = np.linalg.norm(vec, axis=-1)
         up = ue_ecef / np.linalg.norm(ue_ecef, axis=-1, keepdims=True)
@@ -199,8 +197,9 @@ class _LinkModel:
             los = z_los[visible] < channel.los_probability(self.cls, elevation)
         sigma_sh, clutter = channel.shadowing_sigma(self.cls, elevation, los)
         shadow = z_shadow[visible] * sigma_sh
-        return [channel.link_snr(p, self.pattern, dist[visible], off_boresight, shadow,
-                                 clutter) for p in params], visible
+        gain = channel.antenna_gain(self.pattern, off_boresight)
+        return [channel.link_snr(p, dist[visible], gain, shadow, clutter)
+                for p in params], visible
 
     def leo_rtt_sigma(self, anchor_pos, ue_ecef, z_los, z_shadow) -> np.ndarray:
         """(D, M) two-way range sigma per UE and anchor."""

@@ -40,6 +40,47 @@ class TestAntennaPattern:
             AntennaPattern(30.0, 0.0)
 
 
+def _j1(x):
+    """J1 from the pattern kernel's Airy lobe 2*J1(x)/x."""
+    x = np.asarray(x, dtype=float)
+    return 0.5 * x * channel._airy_lobe(x)
+
+
+class TestBesselKernel:
+    def test_tabulated_values(self):
+        assert _j1([1.0, 2.0]) == pytest.approx([0.44005058574493355, 0.5767248077568734],
+                                                rel=0, abs=1e-15)
+        first_zero = 3.8317059702075125
+        assert abs(_j1([first_zero])[0]) < 1e-15
+        assert channel._airy_lobe(np.zeros(1))[0] == 1.0
+
+    def test_matches_scipy_on_dense_grid(self):
+        special = pytest.importorskip("scipy.special")
+        x = np.linspace(0.0, 45.0, 45001)
+        assert np.max(np.abs(_j1(x) - special.j1(x))) < 1e-15
+
+    def test_recurrence_rescales_at_large_arguments(self):
+        # Started at x + sqrt(160 x), the unscaled iterates reach about 1e219
+        # here, so the rescaling runs.
+        special = pytest.importorskip("scipy.special")
+        x = np.linspace(2e4 - 10.0, 2e4, 11)
+        assert np.max(np.abs(channel._miller_j1(x) - special.j1(x))) < 1e-14
+
+    def test_continuous_across_series_switch(self):
+        edge = channel._SERIES_MAX_ARG
+        x = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, 4.0)])
+        lobe = channel._airy_lobe(x)
+        assert np.max(np.abs(np.diff(lobe))) < 1e-15
+        # Both branches agree at the switch itself.
+        recurrence = 2.0 * channel._miller_j1(np.array([edge])) / edge
+        assert abs(recurrence[0] - lobe[1]) < 1e-15
+
+    def test_half_power_arg_crosses_minus_3db(self):
+        x = np.array([channel._HALF_POWER_ARG])
+        # 4*(J1(x)/x)^2 is the square of the lobe 2*J1(x)/x.
+        assert abs(channel._airy_lobe(x)[0] ** 2 - 10.0 ** -0.3) < 1e-15
+
+
 class TestFreeSpacePathLoss:
     def test_leo_sband(self):
         assert abs(free_space_path_loss(600e3, 2e9) - 154.0) < 0.1
@@ -132,13 +173,13 @@ def _params(bandwidth_hz=10e6, eirp_dbw=44.0, penalty=0.0):
 
 class TestLinkSnr:
     def test_halving_bandwidth_raises_snr_3db(self):
-        full = link_snr(_params(10e6), BESSEL, 600e3, 0.0, 0.0)
-        half = link_snr(_params(5e6), BESSEL, 600e3, 0.0, 0.0)
+        full = link_snr(_params(10e6), 600e3, antenna_gain(BESSEL, 0.0), 0.0)
+        half = link_snr(_params(5e6), 600e3, antenna_gain(BESSEL, 0.0), 0.0)
         assert half - full == pytest.approx(3.01, abs=0.01)
 
     def test_neighbor_penalty_is_exact(self):
-        base = link_snr(_params(), BESSEL, 900e3, 0.01, 1.3)
-        hit = link_snr(_params(penalty=6.0), BESSEL, 900e3, 0.01, 1.3)
+        base = link_snr(_params(), 900e3, antenna_gain(BESSEL, 0.01), 1.3)
+        hit = link_snr(_params(penalty=6.0), 900e3, antenna_gain(BESSEL, 0.01), 1.3)
         assert base - hit == pytest.approx(6.0, abs=1e-12)
 
     def test_pinned_default_downlink_snr(self):
@@ -152,22 +193,22 @@ class TestLinkSnr:
             rx_g_over_t_db_k=budget.ue_g_over_t_db_k,
             processing_gain_db=budget.leo_dl_processing_gain_db,
         )
-        snr = link_snr(params, BESSEL, 600e3, 0.0, 0.0)
+        snr = link_snr(params, 600e3, antenna_gain(BESSEL, 0.0), 0.0)
         assert snr == pytest.approx(6.967977542068468, abs=1e-9)
 
     def test_strictly_decreasing_in_distance(self):
         distances = np.linspace(600e3, 2500e3, 50)
-        snr = link_snr(_params(), BESSEL, distances, 0.0, 0.0)
+        snr = link_snr(_params(), distances, antenna_gain(BESSEL, 0.0), 0.0)
         assert np.all(np.diff(snr) < 0.0)
 
     def test_strictly_decreasing_off_boresight(self):
         angles = np.linspace(0.0, BESSEL.beamwidth_rad / 2.0, 50)
-        snr = link_snr(_params(), BESSEL, 600e3, angles, 0.0)
+        snr = link_snr(_params(), 600e3, antenna_gain(BESSEL, angles), 0.0)
         assert np.all(np.diff(snr) < 0.0)
 
     def test_shadow_and_clutter_subtract(self):
-        clean = link_snr(_params(), BESSEL, 600e3, 0.0, 0.0, 0.0)
-        faded = link_snr(_params(), BESSEL, 600e3, 0.0, 2.5, 19.52)
+        clean = link_snr(_params(), 600e3, antenna_gain(BESSEL, 0.0), 0.0, 0.0)
+        faded = link_snr(_params(), 600e3, antenna_gain(BESSEL, 0.0), 2.5, 19.52)
         assert clean - faded == pytest.approx(22.02, abs=1e-9)
 
 

@@ -226,6 +226,15 @@ class TestExecute:
         assert manifest["errors"] == [
             "case multi_leo_tdoa3: no non-degenerate samples"]
 
+    def test_uncreatable_out_dir_ends_in_error_line(self, tmp_path, capsys):
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        status = main(["validate", "--trials", "3", "--out", str(blocker / "x")])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert blocker.read_text() == ""
+
     def test_missing_config_file_nonzero_exit(self, tmp_path):
         out = tmp_path / "out"
         assert main(["single-leo", "--config", str(tmp_path / "nope.json"),

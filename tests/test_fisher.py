@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satpeb.constants import EARTH_RADIUS_M
 from satpeb.errors import VisibilityError
@@ -295,6 +297,33 @@ class TestPeb:
                 assert np.isnan(bound[i]) and np.isnan(gdop[i])
             else:
                 assert bound[i] == ref.peb_m and gdop[i] == ref.gdop
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(1e-2, 1e2), st.floats(1e-2, 1e2),
+                              st.floats(0.0, math.pi), st.floats(1e-2, 1e2), st.booleans()),
+                    min_size=1, max_size=8),
+           st.floats(0.1, 10.0))
+    def test_scaling_every_sigma_scales_bound_only(self, specs, s):
+        # Each spec: the FIM's eigenvalues along a unit vector u at angle phi
+        # and its normal, the mean variance, and whether the FIM is singular.
+        # Singular FIMs stay small, so eigvalsh's rounding of their zero
+        # eigenvalue stays far below the degeneracy threshold at every scale.
+        fims, variances = [], []
+        for along, across, phi, variance, singular in specs:
+            u = np.array([math.cos(phi), math.sin(phi)])
+            w = np.array([-u[1], u[0]])
+            fims.append(1e-3 * along * np.outer(u, u) if singular
+                        else along * np.outer(u, u) + across * np.outer(w, w))
+            variances.append(variance)
+        f, v = np.array(fims), np.array(variances)
+        bound, gdop, degenerate = peb_arrays(f, v)
+        # Every sigma times s: information over s^2, variances times s^2.
+        bound_s, gdop_s, degenerate_s = peb_arrays(f / s**2, v * s**2)
+        assert degenerate.tolist() == [spec[-1] for spec in specs]
+        assert np.array_equal(degenerate_s, degenerate)
+        usable = ~degenerate
+        np.testing.assert_allclose(bound_s[usable], s * bound[usable], rtol=1e-10)
+        np.testing.assert_allclose(gdop_s[usable], gdop[usable], rtol=1e-10)
 
     def test_frame_invariance(self):
         rng = np.random.default_rng(43)

@@ -1,6 +1,36 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import satpeb
+
+SRC = Path(satpeb.__file__).resolve().parents[1]
+
+# Imports the CLI in a fresh interpreter, runs one command and reports its
+# exit status and every loaded module of the scipy package.
+_START_UP = """
+import json, sys
+from satpeb.cli import main
+status = main(sys.argv[1:])
+print(json.dumps([status, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
 
 
 def test_exports_resolve():
     missing = [name for name in satpeb.__all__ if not hasattr(satpeb, name)]
     assert not missing
+
+
+def test_cli_start_up_imports_no_scipy(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"variant": "single-leo", "n_ue_drops": 1}))
+    result = subprocess.run(
+        [sys.executable, "-c", _START_UP, "single-leo", "--config", str(config),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    status, scipy_modules = json.loads(result.stdout.splitlines()[-1])
+    assert status == 0
+    assert scipy_modules == []

@@ -43,6 +43,26 @@ class TestDropUes:
         psi = cap_half_angle(600e3, math.radians(150.0))
         assert psi == math.acos(EARTH_RADIUS_M / (EARTH_RADIUS_M + 600e3))
 
+    @pytest.mark.parametrize("altitude_m", [600e3, 780e3, 1200e3])
+    @pytest.mark.parametrize("beamwidth_deg", [1.0, 4.4127, 20.0])
+    def test_cap_matches_bisection_of_off_boresight_equation(self, altitude_m,
+                                                             beamwidth_deg):
+        r_sat = EARTH_RADIUS_M + altitude_m
+        half_beam = math.radians(beamwidth_deg) / 2.0
+
+        def excess(psi):  # off-boresight angle of the ring at psi, minus half_beam
+            return math.atan2(EARTH_RADIUS_M * math.sin(psi),
+                              r_sat - EARTH_RADIUS_M * math.cos(psi)) - half_beam
+
+        lo, hi = 0.0, math.acos(EARTH_RADIUS_M / r_sat)
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if excess(mid) < 0.0 else (lo, mid)
+        psi = cap_half_angle(altitude_m, math.radians(beamwidth_deg))
+        assert psi == pytest.approx(lo, rel=1e-14, abs=0.0)
+
     def test_drops_stay_inside_beam(self):
         cfg = make_config("single-leo", n_ue_drops=200)
         orbit = ground_track_orbit(Geodetic(0.0, 0.0, 0.0), cfg.leo_altitude_m)
