@@ -25,7 +25,7 @@ from .channel import PINNED_TABLE_CHECKSUMS, table_checksums
 from .config import (CALIBRATED_GNSS_PROCESSING_GAIN_DB,
                      CALIBRATED_LEO_DL_PROCESSING_GAIN_DB,
                      CALIBRATED_LEO_UL_PROCESSING_GAIN_DB, ScenarioConfig,
-                     config_from_dict, config_to_dict, make_config, with_seed)
+                     check_seed, config_from_dict, config_to_dict, make_config, with_seed)
 from .errors import ConfigError, SatPebError
 from .estimator import validate
 from .scenarios import RunBundle, run
@@ -206,7 +206,9 @@ def execute(args) -> int:
     status = 0
     try:
         if args.command == "validate":
-            report = validate(n_trials=args.trials, seed=args.seed or 0)
+            if args.trials < 1:
+                raise ConfigError("trials", "must be at least 1")
+            report = validate(n_trials=args.trials, seed=check_seed(args.seed or 0))
             payload = dataclasses.asdict(report)
             (out_dir / "validation.json").write_text(json.dumps(payload, indent=2) + "\n")
             outputs.append("validation.json")

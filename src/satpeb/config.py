@@ -110,8 +110,7 @@ def validate_config(config: ScenarioConfig) -> None:
         raise ConfigError("gnss_altitude_m", "must be positive")
     if config.n_ue_drops < 1:
         raise ConfigError("n_ue_drops", "must be at least 1")
-    if not 0 <= config.seed < 2**64:
-        raise ConfigError("seed", "must fit in 64 bits")
+    check_seed(config.seed)
     if config.n_virtual_anchors < 2:
         raise ConfigError("n_virtual_anchors", "must be at least 2")
     if config.scenario_class not in SCENARIO_CLASSES:
@@ -155,8 +154,15 @@ def validate_config(config: ScenarioConfig) -> None:
                           f"unknown model {link.antenna_model!r}; expected one of {ANTENNA_MODELS}")
 
 
+def check_seed(seed: int) -> int:
+    """`seed` itself; raises ConfigError unless 0 <= seed < 2**64."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError("seed", "must fit in 64 bits")
+    return seed
+
+
 def with_seed(config: ScenarioConfig, seed: int) -> ScenarioConfig:
-    return replace(config, seed=seed)
+    return replace(config, seed=check_seed(seed))
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:

@@ -1,23 +1,23 @@
 """Validation oracle: synthetic measurements and a Gauss-Newton position
 solver, used to check that empirical RMSE approaches the computed bound.
 
-The solver estimates the 2-D horizontal position at fixed altitude from the
-same range / range-difference models the bound computation uses.
+The solver fits the horizontal position at fixed altitude on the scenario
+evaluator's array kernels. `validate` draws all trials in one call and solves
+them as stacked rows, each with its own convergence mask; `solve` is one row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateGeometryError
-from .fisher import (DEGENERATE_EIGENVALUE, MeasurementKind, MeasurementSet,
-                     best_subset_indices, fim, geometry_jacobian, peb,
+from .fisher import (DEGENERATE_EIGENVALUE, MeasurementKind, fim,
+                     geometry_jacobian, min_gdop_subsets, peb_arrays,
                      tdoa_covariance, unit_vectors_en)
-from .fisher import jacobian as fisher_jacobian
-from .geometry import (AnchorSet, Geodetic, ecef_to_enu, geodetic_to_ecef,
+from .geometry import (AnchorSet, Geodetic, enu_frames, geodetic_to_ecef,
                        hex_constellation)
 from .constants import EARTH_RADIUS_M
 
@@ -28,7 +28,7 @@ _DIVERGENCE_STEP_M = 5e6
 
 @dataclass(frozen=True)
 class SyntheticMeasurements:
-    """Noisy observables drawn around the true geometry."""
+    """Noisy observables drawn around the true geometry, (M,) or (trials, M)."""
 
     kind: MeasurementKind
     anchors: AnchorSet
@@ -43,7 +43,6 @@ class SolveResult:
     estimate: Geodetic
     iterations: int
     converged: bool
-    residual_norm: float
 
 
 @dataclass(frozen=True)
@@ -59,13 +58,13 @@ class ValidationReport:
 
 def predict(kind: MeasurementKind, anchors: AnchorSet,
             reference_index: int | None, position_ecef: np.ndarray) -> np.ndarray:
-    """Geometric observables at a candidate position: ranges for RTT, range
+    """Geometric observables at (..., 3) ECEF positions: ranges for RTT, range
     differences against the reference for TDOA."""
-    ranges = np.linalg.norm(anchors.positions() - position_ecef, axis=1)
+    ranges = np.linalg.norm(anchors.positions() - position_ecef[..., None, :], axis=-1)
     if kind is MeasurementKind.RTT:
         return ranges
     keep = np.delete(np.arange(len(anchors)), reference_index)
-    return ranges[keep] - ranges[reference_index]
+    return ranges[..., keep] - ranges[..., reference_index, None]
 
 
 def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
@@ -77,33 +76,66 @@ def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
         return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def simulate_measurements(truth: Geodetic, kind: MeasurementKind,
-                          anchors: AnchorSet, covariance: np.ndarray,
-                          rng: np.random.Generator,
-                          reference_index: int | None = None) -> SyntheticMeasurements:
-    """Draw one noisy measurement vector; zero covariance gives exact truth."""
-    cov = np.asarray(covariance, dtype=float)
-    if cov.shape == ():
-        cov = cov.reshape(1, 1)
+def _simulate(truth: Geodetic, kind: MeasurementKind, anchors: AnchorSet,
+              covariance: np.ndarray, rng: np.random.Generator,
+              reference_index: int | None, n_trials: int) -> SyntheticMeasurements:
+    """(n_trials, M) draws from one call on the stream; row t equals draw t."""
+    cov = np.atleast_2d(np.asarray(covariance, dtype=float))
     geometric = predict(kind, anchors, reference_index, geodetic_to_ecef(truth))
-    noise = _psd_sqrt(cov) @ rng.standard_normal(geometric.size)
+    z = rng.standard_normal((n_trials, geometric.size))
+    noise = (_psd_sqrt(cov) @ z[..., None])[..., 0]
     return SyntheticMeasurements(
         kind=kind, anchors=anchors, observed_m=geometric + noise,
         covariance=cov, truth=truth, reference_index=reference_index)
 
 
-def _step_geodetic(g: Geodetic, de: float, dn: float) -> Geodetic:
-    """Move by local east/north meters along the constant-altitude sphere."""
-    r = EARTH_RADIUS_M + g.alt_m
-    lat = g.lat_rad + dn / r
-    lon = g.lon_rad + de / (r * math.cos(g.lat_rad))
-    lat = min(max(lat, -math.pi / 2), math.pi / 2)
-    return Geodetic(lat, lon, g.alt_m)
+def simulate_measurements(truth: Geodetic, kind: MeasurementKind,
+                          anchors: AnchorSet, covariance: np.ndarray,
+                          rng: np.random.Generator,
+                          reference_index: int | None = None) -> SyntheticMeasurements:
+    """Draw one noisy measurement vector; zero covariance gives exact truth."""
+    meas = _simulate(truth, kind, anchors, covariance, rng, reference_index, 1)
+    return replace(meas, observed_m=meas.observed_m[0])
 
 
-def _jacobian_rows(meas: SyntheticMeasurements, position_ecef: np.ndarray) -> np.ndarray:
-    units = unit_vectors_en(position_ecef, meas.anchors.positions())
-    return geometry_jacobian(meas.kind, units, meas.reference_index)
+def _gauss_newton(meas: SyntheticMeasurements, guess: Geodetic,
+                  max_iterations: int, tolerance_m: float):
+    """`solve` for each row of the (T, M) `meas.observed_m`, all rows at once;
+    returns (T,) latitude, longitude, iteration-count and converged arrays."""
+    kind, ref, observed = meas.kind, meas.reference_index, np.atleast_2d(meas.observed_m)
+    try:
+        weight = np.linalg.inv(meas.covariance)
+    except np.linalg.LinAlgError:
+        weight = np.eye(observed.shape[-1])  # noiseless / singular: unweighted
+    r, rows = EARTH_RADIUS_M + guess.alt_m, np.arange(len(observed))
+    lat, lon, iterations = np.empty(len(rows)), np.empty(len(rows)), np.zeros_like(rows)
+    converged = np.zeros(len(rows), dtype=bool)
+    for step_scale in (1.0, 0.5):  # rows whose step diverged restart at half step
+        lat[rows], lon[rows], iterations[rows] = guess.lat_rad, guess.lon_rad, 0
+        active, rows = rows, rows[:0]
+        while (active := active[iterations[active] < max_iterations]).size:
+            iterations[active] += 1
+            p, basis = enu_frames(lat[active], lon[active], guess.alt_m)
+            resid = observed[active] - predict(kind, meas.anchors, ref, p)
+            J = geometry_jacobian(kind, unit_vectors_en(p, meas.anchors.positions(), basis),
+                                  ref)
+            JtW = np.swapaxes(J, -1, -2) @ weight
+            normal = JtW @ J
+            if np.any(np.linalg.eigvalsh(normal)[:, 0] < DEGENERATE_EIGENVALUE):
+                raise DegenerateGeometryError(
+                    "normal equations do not constrain the horizontal position")
+            delta = step_scale * np.linalg.solve(normal, JtW @ resid[..., None])[..., 0]
+            step = np.linalg.norm(delta, axis=-1)
+            diverged = ~np.all(np.isfinite(delta), axis=-1) | (step > _DIVERGENCE_STEP_M)
+            rows = np.concatenate([rows, active[diverged]])
+            active, delta, step = active[~diverged], delta[~diverged], step[~diverged]
+            lat[active], lon[active] = (
+                np.clip(lat[active] + delta[:, 1] / r, -math.pi / 2, math.pi / 2),
+                (lon[active] + delta[:, 0] / (r * np.cos(lat[active])) + math.pi)
+                % (2.0 * math.pi) - math.pi)
+            converged[active] = step < tolerance_m
+            active = active[~converged[active]]
+    return lat, lon, iterations, converged
 
 
 def solve(meas: SyntheticMeasurements, initial_guess: Geodetic,
@@ -114,46 +146,10 @@ def solve(meas: SyntheticMeasurements, initial_guess: Geodetic,
     Converges when the step norm drops below `tolerance_m`. On divergence the
     solve restarts once with halved steps; persistent non-convergence is
     returned as a flagged result. A singular normal matrix raises
-    DegenerateGeometryError.
-    """
-    cov = meas.covariance
-    try:
-        weight = np.linalg.inv(cov)
-    except np.linalg.LinAlgError:
-        weight = np.eye(len(meas.observed_m))  # noiseless / singular: unweighted
-
-    for step_scale in (1.0, 0.5):
-        g = initial_guess
-        iterations = 0
-        diverged = False
-        while iterations < max_iterations:
-            iterations += 1
-            p = geodetic_to_ecef(g)
-            resid = meas.observed_m - predict(meas.kind, meas.anchors,
-                                              meas.reference_index, p)
-            J = _jacobian_rows(meas, p)
-            normal = J.T @ weight @ J
-            if np.linalg.eigvalsh(normal)[0] < DEGENERATE_EIGENVALUE:
-                raise DegenerateGeometryError(
-                    "normal equations do not constrain the horizontal position")
-            delta = step_scale * np.linalg.solve(normal, J.T @ weight @ resid)
-            if not np.all(np.isfinite(delta)) or np.linalg.norm(delta) > _DIVERGENCE_STEP_M:
-                diverged = True
-                break
-            g = _step_geodetic(g, float(delta[0]), float(delta[1]))
-            if np.linalg.norm(delta) < tolerance_m:
-                resid = meas.observed_m - predict(meas.kind, meas.anchors,
-                                                  meas.reference_index,
-                                                  geodetic_to_ecef(g))
-                return SolveResult(g, iterations, True,
-                                   float(math.sqrt(resid @ weight @ resid)))
-        if not diverged:
-            break
-
-    resid = meas.observed_m - predict(meas.kind, meas.anchors,
-                                      meas.reference_index, geodetic_to_ecef(g))
-    return SolveResult(g, iterations, False,
-                       float(math.sqrt(resid @ weight @ resid)))
+    DegenerateGeometryError."""
+    lat, lon, iterations, converged = (row.item() for row in _gauss_newton(
+        meas, initial_guess, max_iterations, tolerance_m))
+    return SolveResult(Geodetic(lat, lon, initial_guess.alt_m), iterations, converged)
 
 
 def reference_tdoa_case(range_sigma_m: float = 1.0,
@@ -164,9 +160,11 @@ def reference_tdoa_case(range_sigma_m: float = 1.0,
     center = Geodetic(0.0, 0.0, 0.0)
     grid = hex_constellation(center, math.radians(13.0), math.radians(6.9), altitude_m)
     truth = Geodetic(math.radians(0.05), math.radians(0.08), 0.0)
-    indices = best_subset_indices(grid, 4, geodetic_to_ecef(truth))
+    ue_ecef, basis = enu_frames(truth.lat_rad, truth.lon_rad)
+    units = unit_vectors_en(ue_ecef, grid.positions(), basis)
+    indices = min_gdop_subsets(units[None], grid.serving_index, 4)[0].tolist()
     anchors = AnchorSet(states=tuple(grid.states[j] for j in indices),
-                        serving_index=indices.index(0))
+                        serving_index=indices.index(grid.serving_index))
     cov = tdoa_covariance(np.full(4, range_sigma_m), anchors.serving_index)
     return truth, anchors, cov, anchors.serving_index, center
 
@@ -176,41 +174,33 @@ def validate(scenario: str = "multi-leo-tdoa4", n_trials: int = 2000,
              seed: int = 0) -> ValidationReport:
     """Monte Carlo bound-achievability check on the reference TDOA case,
     `scenario` "multi-leo-tdoa4", the only one implemented; any other name
-    raises ValueError.
+    raises ValueError, as does fewer than one trial.
 
     `snr_offset_db` scales the measurement sigma by 10**(-offset/20), so +20
-    dB shrinks the noise tenfold.
-    """
+    dB shrinks the noise tenfold."""
     if scenario != "multi-leo-tdoa4":
         raise ValueError(f"unknown validation scenario {scenario!r}; "
                          "only 'multi-leo-tdoa4' is implemented")
-    sigma = range_sigma_m * 10.0 ** (-snr_offset_db / 20.0)
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be at least 1, got {n_trials}")
+    tdoa, sigma = MeasurementKind.TDOA, range_sigma_m * 10.0 ** (-snr_offset_db / 20.0)
     truth, anchors, cov, ref, guess = reference_tdoa_case(sigma)
-    truth_ecef = geodetic_to_ecef(truth)
-    mset = MeasurementSet(MeasurementKind.TDOA, anchors, cov, reference_index=ref)
-    bound = peb(fim(fisher_jacobian(truth_ecef, mset), cov))
-
+    truth_ecef, truth_basis = enu_frames(truth.lat_rad, truth.lon_rad, truth.alt_m)
+    units = unit_vectors_en(truth_ecef, anchors.positions(), truth_basis)
+    bound = float(peb_arrays(fim(geometry_jacobian(tdoa, units, ref), cov))[0])
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x76616c]))
-    errors = []
-    converged = 0
-    for _ in range(n_trials):
-        meas = simulate_measurements(truth, MeasurementKind.TDOA, anchors, cov,
-                                     rng, reference_index=ref)
-        result = solve(meas, guess)
-        if result.converged:
-            converged += 1
-        enu = ecef_to_enu(geodetic_to_ecef(result.estimate),
-                          Geodetic(truth.lat_rad, truth.lon_rad, truth.alt_m))
-        errors.append(enu[:2])
-    errors = np.array(errors)
+    meas = _simulate(truth, tdoa, anchors, cov, rng, ref, n_trials)
+    errors, converged = [], []
+    # Blocks of 256 trials bound the working arrays, about 0.7 kB a trial.
+    for block in np.split(meas.observed_m, range(256, n_trials, 256)):
+        lat, lon, _, ok = _gauss_newton(replace(meas, observed_m=block), guess,
+                                        MAX_ITERATIONS, STEP_TOLERANCE_M)
+        estimate_ecef, _ = enu_frames(lat, lon, guess.alt_m)
+        errors.append((truth_basis @ (estimate_ecef - truth_ecef)[..., None])[:, :2, 0])
+        converged.append(ok)
+    errors, converged = np.concatenate(errors), np.concatenate(converged)
     rmse = float(np.sqrt(np.mean(np.sum(errors**2, axis=1))))
-    mean_err = float(np.linalg.norm(np.mean(errors, axis=0)))
     return ValidationReport(
-        scenario=scenario,
-        n_trials=n_trials,
-        rmse_m=rmse,
-        peb_m=bound.peb_m,
-        ratio=rmse / bound.peb_m,
-        convergence_rate=converged / n_trials,
-        mean_error_m=mean_err,
-    )
+        scenario=scenario, n_trials=n_trials, rmse_m=rmse, peb_m=bound,
+        ratio=rmse / bound, convergence_rate=float(np.mean(converged)),
+        mean_error_m=float(np.linalg.norm(np.mean(errors, axis=0))))

@@ -46,7 +46,7 @@ from . import channel
 from .channel import AntennaModel, AntennaPattern, LinkParams, ScenarioClass
 from .config import ScenarioConfig
 from .constants import EARTH_RADIUS_M
-from .errors import BelowHorizonError, StatisticsError
+from .errors import BelowHorizonError, ConfigError, StatisticsError
 from .fisher import (MeasurementKind, fim, geometry_jacobian, min_gdop_subsets,
                      peb_arrays, rtt_range_sigma, tdoa_covariance,
                      toa_range_sigma, unit_vectors_en)
@@ -255,18 +255,19 @@ class Gnss:
     n: int
 
 
-def _time_case_id(prefix: str, t: float) -> str:
-    return f"{prefix}_t{t:g}".replace(".", "p")
-
-
 def case_table(config: ScenarioConfig) -> dict[str, tuple[Rtt | Tdoa | Gnss, ...]]:
     """Case id -> its information blocks, in summation order (see the
     module docstring)."""
     times = config.measurement_times_s
-    if config.variant == "single-leo":
-        return {_time_case_id("single_leo", t): (Rtt(t, "sl-link"),) for t in times}
-    if config.variant == "gnss-leo":
-        return {_time_case_id("gnss_leo", t): (Gnss(2), Rtt(t, "gl-link")) for t in times}
+    if config.variant in ("single-leo", "gnss-leo"):
+        # Ids show times in `:g` form, so two times that print alike would merge.
+        ids = [f"{config.variant.replace('-', '_')}_t{t:g}".replace(".", "p") for t in times]
+        for i, case_id in enumerate(ids):
+            if case_id in ids[:i]:
+                raise ConfigError("measurement_times_s", f"two times name case {case_id!r}")
+        if config.variant == "single-leo":
+            return {c: (Rtt(t, "sl-link"),) for c, t in zip(ids, times)}
+        return {c: (Gnss(2), Rtt(t, "gl-link")) for c, t in zip(ids, times)}
     if config.variant == "gnss-only":
         return {"gnss_only": (Gnss(3),)}
     ks = [config.n_active_satellites] if config.n_active_satellites is not None else [3, 4]

@@ -202,6 +202,42 @@ class TestExecute:
         manifest = json.loads((out / "manifest.json").read_text())
         assert any("leo_altitude_m" in e for e in manifest["errors"])
 
+    @pytest.mark.parametrize("argv", [
+        ["single-leo", "--seed", "-1"],
+        ["multi-leo", "--seed", str(2**64)],
+        ["gnss-leo", "--seed", str(2**64)],
+        ["reproduce-figures", "--seed", "-1"],
+        ["validate", "--trials", "3", "--seed", "-2"],
+        ["validate", "--trials", "3", "--seed", str(2**64)],
+    ])
+    def test_seed_flag_out_of_range_exits_2_with_manifest(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["errors"] == ["seed: must fit in 64 bits"]
+        assert manifest["outputs"] == []
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_validate_without_trials_exits_2(self, tmp_path, trials):
+        out = tmp_path / "out"
+        assert main(["validate", "--trials", trials, "--out", str(out)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["errors"] == ["trials: must be at least 1"]
+
+    @pytest.mark.parametrize("command, times, case_id", [
+        ("single-leo", [2.0, 2.0], "single_leo_t2"),
+        ("single-leo", [2.0000001, 2.0000002], "single_leo_t2"),
+        ("gnss-leo", [5.0, 2.0, 5.0], "gnss_leo_t5"),
+        ("gnss-leo", [2.0000001, 2.0000002], "gnss_leo_t2"),
+    ])
+    def test_times_naming_one_case_exit_2(self, tmp_path, command, times, case_id):
+        cfg = write_config(tmp_path, {"n_ue_drops": 3, "measurement_times_s": times})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        [error] = json.loads((out / "manifest.json").read_text())["errors"]
+        assert error.startswith("measurement_times_s: ")
+        assert repr(case_id) in error
+
     def test_unexpected_error_still_writes_manifest(self, tmp_path, monkeypatch):
         import satpeb.cli as cli_mod
 

@@ -1,15 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from satpeb import estimator
 from satpeb.errors import DegenerateGeometryError
 from satpeb.estimator import (SyntheticMeasurements, predict,
                               reference_tdoa_case, simulate_measurements,
                               solve, validate)
 from satpeb.fisher import MeasurementKind, tdoa_covariance
-from satpeb.geometry import (AnchorSet, Geodetic, geodetic_to_ecef,
-                             ground_track_orbit, make_virtual_anchors)
+from satpeb.geometry import (AnchorSet, Geodetic, ecef_to_enu,
+                             geodetic_to_ecef, ground_track_orbit,
+                             make_virtual_anchors)
 
 
 @pytest.fixture
@@ -112,9 +115,116 @@ class TestValidate:
         with pytest.raises(ValueError, match="single-leo-rtt"):
             validate(scenario="single-leo-rtt", n_trials=5)
 
+    @pytest.mark.parametrize("n_trials", [0, -3])
+    def test_needs_a_trial(self, n_trials):
+        with pytest.raises(ValueError, match="n_trials"):
+            validate(n_trials=n_trials)
+
     def test_unbiased_at_high_snr(self):
         report = validate(n_trials=2000, range_sigma_m=1.0, seed=0)
         assert report.mean_error_m < 0.1 * report.rmse_m
+
+
+def _trial_by_trial(seed, n_trials, **solve_kwargs):
+    """Reference for `validate`: its stream, SeedSequence([seed, 0x76616c]),
+    drawn one trial at a time with `simulate_measurements` and each trial
+    solved alone. Returns (truth, measurements, solve results)."""
+    truth, anchors, cov, ref, guess = reference_tdoa_case(1.0)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x76616c]))
+    meas = [simulate_measurements(truth, MeasurementKind.TDOA, anchors, cov, rng,
+                                  reference_index=ref) for _ in range(n_trials)]
+    return truth, meas, [solve(m, guess, **solve_kwargs) for m in meas]
+
+
+class TestSolverPaths:
+    """The Gauss-Newton paths, each pinned on 50 reference-case trials."""
+
+    @pytest.mark.parametrize("threshold, iterations, converged", [
+        (None, {3, 4}, True),   # default: no step diverges
+        (7e3, {27}, True),      # first step diverges, half steps converge
+        (1.0, {1}, False),      # both passes diverge on their first step
+    ])
+    def test_divergence_restart(self, monkeypatch, threshold, iterations, converged):
+        if threshold is not None:
+            monkeypatch.setattr(estimator, "_DIVERGENCE_STEP_M", threshold)
+        truth, _, results = _trial_by_trial(3, 50)
+        assert {r.iterations for r in results} == iterations
+        assert all(r.converged == converged for r in results)
+
+        errors = np.array([ecef_to_enu(geodetic_to_ecef(r.estimate), truth)[:2]
+                           for r in results])
+        report = validate(n_trials=50, seed=3)
+        assert report.convergence_rate == (1.0 if converged else 0.0)
+        assert report.rmse_m == pytest.approx(
+            math.sqrt(np.mean(np.sum(errors**2, axis=1))), rel=1e-12, abs=0)
+        assert report.mean_error_m == pytest.approx(
+            np.linalg.norm(np.mean(errors, axis=0)), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("cap", [2, 3])
+    def test_iteration_cap(self, cap):
+        _, meas, free = _trial_by_trial(3, 50)
+        guess = reference_tdoa_case(1.0)[4]
+        capped = [solve(m, guess, max_iterations=cap) for m in meas]
+        for f, c in zip(free, capped):
+            assert c.iterations == min(f.iterations, cap)
+            assert c.converged == (f.iterations <= cap)
+        if cap == 2:
+            assert not any(c.converged for c in capped)
+
+    # (None, 3): some rows converge on the cap, the rest stop at it;
+    # 10494.7 m lies inside the spread of first-step lengths (10493-10497 m),
+    # so about half the rows restart; (7e3, 10): every row restarts, then stops.
+    @pytest.mark.parametrize("threshold, cap", [(None, 3), (10494.7, 50), (7e3, 10)])
+    def test_stacked_rows_solve_as_if_alone(self, monkeypatch, threshold, cap):
+        if threshold is not None:
+            monkeypatch.setattr(estimator, "_DIVERGENCE_STEP_M", threshold)
+        _, meas, _ = _trial_by_trial(4, 50)
+        guess = reference_tdoa_case(1.0)[4]
+        alone = [solve(m, guess, max_iterations=cap) for m in meas]
+        stacked = dataclasses.replace(meas[0], observed_m=np.array([m.observed_m for m in meas]))
+        lat, lon, iterations, converged = estimator._gauss_newton(
+            stacked, guess, cap, estimator.STEP_TOLERANCE_M)
+        assert lat.tolist() == [r.estimate.lat_rad for r in alone]
+        assert lon.tolist() == [r.estimate.lon_rad for r in alone]
+        assert iterations.tolist() == [r.iterations for r in alone]
+        assert converged.tolist() == [r.converged for r in alone]
+
+    def test_stacked_draws_equal_sequential_draws(self):
+        truth, anchors, cov, ref, _ = reference_tdoa_case(1.0)
+        sequential_rng, stacked_rng = np.random.default_rng(9), np.random.default_rng(9)
+        sequential = np.array([
+            simulate_measurements(truth, MeasurementKind.TDOA, anchors, cov,
+                                  sequential_rng, reference_index=ref).observed_m
+            for _ in range(50)])
+        exact = predict(MeasurementKind.TDOA, anchors, ref, geodetic_to_ecef(truth))
+        root = np.linalg.cholesky(cov)
+        stacked = np.array([exact + root @ z
+                            for z in stacked_rng.standard_normal((50, 3))])
+        assert np.array_equal(sequential, stacked)
+
+    def test_one_stacked_draw_equals_sequential_draws(self):
+        truth, anchors, cov, ref, _ = reference_tdoa_case(1.0)
+        sequential_rng, stacked_rng = np.random.default_rng(9), np.random.default_rng(9)
+        sequential = [simulate_measurements(truth, MeasurementKind.TDOA, anchors, cov,
+                                            sequential_rng, reference_index=ref).observed_m
+                      for _ in range(500)]
+        stacked = estimator._simulate(truth, MeasurementKind.TDOA, anchors, cov,
+                                      stacked_rng, ref, 500)
+        assert np.array_equal(stacked.observed_m, sequential)
+
+    # perfbench/golden/crlb-validate.json, copied here because that suite is
+    # not part of tier 1.
+    @pytest.mark.parametrize("seed, rmse_m, ratio", [
+        (0, 1.3689620640014828, 0.9967283665035659),
+        (1, 1.3663307957518598, 0.9948125649096098),
+        (2, 1.3606264760770936, 0.9906593035585797),
+    ])
+    def test_matches_benchmark_golden_figures(self, seed, rmse_m, ratio):
+        report = validate(n_trials=2000, seed=seed)
+        assert report.n_trials == 2000
+        assert report.peb_m == pytest.approx(1.3734555070441905, rel=1e-12, abs=0)
+        assert report.rmse_m == pytest.approx(rmse_m, rel=1e-12, abs=0)
+        assert report.ratio == pytest.approx(ratio, rel=1e-12, abs=0)
 
 
 def test_solver_invariant_under_frame_rotation(tdoa_case):

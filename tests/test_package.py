@@ -34,3 +34,28 @@ def test_cli_start_up_imports_no_scipy(tmp_path):
     status, scipy_modules = json.loads(result.stdout.splitlines()[-1])
     assert status == 0
     assert scipy_modules == []
+
+
+# The scalar reference layer of `fisher`, kept as API and as the tests'
+# oracle for the array kernels; no command may run through it.
+_SCALAR_LAYER = ("MeasurementSet", "jacobian", "peb", "best_subset_indices",
+                 "unit_sigma_gdop", "select_satellites")
+
+
+def test_commands_never_reach_the_scalar_layer(tmp_path, monkeypatch):
+    from satpeb.cli import main
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a command reached the scalar reference layer")
+
+    for name, module in list(sys.modules.items()):
+        if name == "satpeb" or name.startswith("satpeb."):
+            for attr in _SCALAR_LAYER:
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, forbidden)
+    assert satpeb.fisher.peb is forbidden
+    config = tmp_path / "multi.json"
+    config.write_text(json.dumps({"variant": "multi-leo", "n_ue_drops": 2}))
+    assert main(["validate", "--trials", "20", "--out", str(tmp_path / "v")]) == 0
+    assert main(["multi-leo", "--config", str(config),
+                 "--out", str(tmp_path / "m")]) == 0
