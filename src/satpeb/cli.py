@@ -5,6 +5,12 @@ Commands write four artifacts into the output directory: per-UE samples
 (CSV or JSON), per-case summary statistics (JSON), box-plot rows (CSV), and a
 run manifest recording the resolved configuration, calibration constants, and
 table-asset checksums.
+
+`samples.csv` is written by column: each case's bound, GDOP and degenerate
+columns become text as whole lists, the UE position text is formatted once per
+run whose cases share it, and each case id passes through the csv module's
+quoting once. The bytes equal a row-by-row `csv.writer` of `_sample_rows`
+(floats in shortest round-trip form, empty bound and GDOP where degenerate).
 """
 
 from __future__ import annotations
@@ -12,7 +18,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
+import io
 import json
 import math
 import sys
@@ -80,12 +88,33 @@ def _sample_rows(bundle: RunBundle):
             }
 
 
+def _csv_cell(text: str) -> str:
+    """`text` quoted as csv.writer quotes it inside a samples.csv row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]  # the empty second cell's "," and the "\n"
+
+
 def write_samples_csv(bundle: RunBundle, path: Path) -> None:
+    """The rows of `_sample_rows` in `_fmt` form, built per case from whole
+    columns. Cases of one run share their position arrays, so each distinct
+    pair of them is formatted once."""
+    positions = {}
+    lines = [",".join(SAMPLE_FIELDS) + "\n"]
+    for case_id, s in bundle.cases.items():
+        key = (id(s.ue_lat_rad), id(s.ue_lon_rad))
+        if key not in positions:
+            positions[key] = [
+                f"{math.degrees(lat)!r},{math.degrees(lon)!r},"
+                for lat, lon in zip(s.ue_lat_rad.tolist(), s.ue_lon_rad.tolist())]
+        cell = _csv_cell(case_id)
+        lines += [f"{pos}{cell},,,true\n" if degenerate else
+                  f"{pos}{cell},{peb_m!r},{gdop!r},false\n"
+                  for pos, peb_m, gdop, degenerate in zip(
+                      positions[key], s.peb_m.tolist(), s.gdop.tolist(),
+                      s.degenerate.tolist())]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SAMPLE_FIELDS)
-        for row in _sample_rows(bundle):
-            writer.writerow([_fmt(row[k]) for k in SAMPLE_FIELDS])
+        fh.writelines(lines)
 
 
 def write_samples_json(bundle: RunBundle, path: Path) -> None:
@@ -242,6 +271,7 @@ def execute(args) -> int:
     return status
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="satpeb",

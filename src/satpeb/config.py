@@ -121,6 +121,10 @@ def validate_config(config: ScenarioConfig) -> None:
     if config.variant in ("single-leo", "gnss-leo") and not config.measurement_times_s:
         raise ConfigError("measurement_times_s",
                           f"must be non-empty for variant {config.variant!r}")
+    if config.variant in ("multi-leo", "gnss-only") and config.measurement_times_s:
+        raise ConfigError("measurement_times_s",
+                          f"must be empty for variant {config.variant!r}, which has no "
+                          "measurement-time sweep")
     if config.variant == "multi-leo":
         if config.n_active_satellites is not None and config.n_active_satellites not in (3, 4):
             raise ConfigError("n_active_satellites", "must be 3 or 4")

@@ -241,7 +241,7 @@ def destination_point(origin: Geodetic, bearing_rad: float,
     north) through the given Earth-central angle; altitude preserved."""
     sd, cd = math.sin(angular_distance_rad), math.cos(angular_distance_rad)
     s1, c1 = math.sin(origin.lat_rad), math.cos(origin.lat_rad)
-    lat2 = math.asin(np.clip(s1 * cd + c1 * sd * math.cos(bearing_rad), -1.0, 1.0))
+    lat2 = math.asin(max(-1.0, min(1.0, s1 * cd + c1 * sd * math.cos(bearing_rad))))
     lon2 = origin.lon_rad + math.atan2(
         math.sin(bearing_rad) * sd * c1, cd - s1 * math.sin(lat2))
     return Geodetic(lat2, lon2, origin.alt_m)

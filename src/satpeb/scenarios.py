@@ -46,7 +46,7 @@ from . import channel
 from .channel import AntennaModel, AntennaPattern, LinkParams, ScenarioClass
 from .config import ScenarioConfig
 from .constants import EARTH_RADIUS_M
-from .errors import BelowHorizonError, ConfigError, StatisticsError
+from .errors import ConfigError, StatisticsError
 from .fisher import (MeasurementKind, fim, geometry_jacobian, min_gdop_subsets,
                      peb_arrays, rtt_range_sigma, tdoa_covariance,
                      toa_range_sigma, unit_vectors_en)
@@ -201,14 +201,17 @@ class _LinkModel:
         return [channel.link_snr(p, dist[visible], gain, shadow, clutter)
                 for p in params], visible
 
-    def leo_rtt_sigma(self, anchor_pos, ue_ecef, z_los, z_shadow) -> np.ndarray:
-        """(D, M) two-way range sigma per UE and anchor."""
+    def leo_rtt_sigma(self, anchor_pos, ue_ecef, z_los,
+                      z_shadow) -> tuple[np.ndarray, np.ndarray]:
+        """(D, M) two-way range sigma per UE and anchor, and the (D, M) mask
+        of links above the UE's horizon; hidden links keep a 1 m placeholder
+        sigma."""
         (dl, ul), visible = self._realize((self.dl, self.ul), anchor_pos, ue_ecef,
                                           z_los, z_shadow)
-        if not np.all(visible):
-            raise BelowHorizonError("virtual anchor at or below the UE horizon")
-        return rtt_range_sigma(toa_range_sigma(dl, self.dl.bandwidth_hz),
-                               toa_range_sigma(ul, self.ul.bandwidth_hz)).reshape(visible.shape)
+        sigma = np.ones(visible.shape)
+        sigma[visible] = rtt_range_sigma(toa_range_sigma(dl, self.dl.bandwidth_hz),
+                                         toa_range_sigma(ul, self.ul.bandwidth_hz))
+        return sigma, visible
 
     def grid_dl_sigma(self, grid_pos, ue_ecef, z_los,
                       z_shadow) -> tuple[np.ndarray, np.ndarray]:
@@ -325,15 +328,14 @@ class _Evaluator:
             grid = (unit_vectors_en(ue_ecef, self.grid_positions, basis, check_horizon=False),
                     *self.model.grid_dl_sigma(self.grid_positions, ue_ecef, *_link_draws(
                         seed, "ml-link", n, len(self.grid))))
-        no_short = np.zeros(n, dtype=bool)
         info = {}
         for block in self.blocks:
             if isinstance(block, Rtt):
-                info[block] = (*self._rtt(block, ue_ecef, basis, draws[block.tag]), no_short)
+                info[block] = self._rtt(block, ue_ecef, basis, draws[block.tag])
             elif isinstance(block, Tdoa):
                 info[block] = self._tdoa(block.k, *grid)
             else:
-                info[block] = (*self._gnss(block.n, ue_ecef, basis), no_short)
+                info[block] = (*self._gnss(block.n, ue_ecef, basis), np.zeros(n, dtype=bool))
 
         out = {}
         for case_id, blocks in self.cases.items():
@@ -347,12 +349,14 @@ class _Evaluator:
         return out
 
     def _rtt(self, block: Rtt, ue_ecef, basis, draws):
-        """(D, 2, 2) RTT information and (D, M) range variances."""
+        """(D, 2, 2) RTT information, (D, M) range variances, and the (D,)
+        mask of drops with a virtual anchor at or below their horizon."""
         anchors = self.rtt_anchors[block.time_s]
-        sigma = self.model.leo_rtt_sigma(anchors, ue_ecef, *draws)
+        sigma, visible = self.model.leo_rtt_sigma(anchors, ue_ecef, *draws)
         cov = (sigma**2)[..., None] * np.eye(sigma.shape[-1])
-        units = unit_vectors_en(ue_ecef, anchors, basis)
-        return fim(geometry_jacobian(MeasurementKind.RTT, units), cov), sigma**2
+        units = unit_vectors_en(ue_ecef, anchors, basis, check_horizon=False)
+        return (fim(geometry_jacobian(MeasurementKind.RTT, units), cov), sigma**2,
+                ~np.all(visible, axis=1))
 
     def _tdoa(self, k: int, units, sigma_dl, visible):
         """(D, 2, 2) grid TDOA information, (D, k-1) variances, and the (D,)
@@ -402,6 +406,20 @@ def run(config: ScenarioConfig) -> RunBundle:
     return RunBundle(cases=cases, stats=stats)
 
 
+def _linear_quantile(ordered: np.ndarray, q: float) -> float:
+    """Quantile `q` of the sorted 1-D `ordered` by NumPy's "linear" method,
+    with its arithmetic, so the bits equal `np.percentile(ordered, 100 * q)`
+    (which would import `numpy.ma` on first use)."""
+    if math.isnan(ordered[-1]):  # NaN sorts last and, as in NumPy, wins
+        return math.nan
+    virtual = (len(ordered) - 1) * q
+    i = math.floor(virtual)
+    t = virtual - i
+    a = float(ordered[i])
+    b = float(ordered[min(i + 1, len(ordered) - 1)])
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def summarize(samples: PebSampleSet) -> SummaryStats:
     """Tukey box-plot statistics: quartiles by linear interpolation of order
     statistics, whiskers at the most extreme samples within 1.5*IQR of the
@@ -409,7 +427,8 @@ def summarize(samples: PebSampleSet) -> SummaryStats:
     values = samples.peb_m[~samples.degenerate]
     if values.size == 0:
         raise StatisticsError(f"case {samples.case_id}: no non-degenerate samples")
-    q1, median, q3 = np.percentile(values, [25.0, 50.0, 75.0])
+    ordered = np.sort(values)
+    q1, median, q3 = (_linear_quantile(ordered, q) for q in (0.25, 0.5, 0.75))
     iqr = q3 - q1
     lo_fence = q1 - 1.5 * iqr
     hi_fence = q3 + 1.5 * iqr

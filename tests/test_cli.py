@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from satpeb import channel
-from satpeb.cli import (config_hash, main, parse_config, write_samples_csv,
+from satpeb.cli import (SAMPLE_FIELDS, _fmt, _merge_bundles, _sample_rows,
+                        config_hash, main, parse_config, write_samples_csv,
                         write_samples_json, write_summary)
+from satpeb.config import make_config
 from satpeb.errors import ConfigError
-from satpeb.scenarios import PebSampleSet, RunBundle, summarize
+from satpeb.scenarios import PebSampleSet, RunBundle, run, summarize
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -238,6 +240,64 @@ class TestExecute:
         assert error.startswith("measurement_times_s: ")
         assert repr(case_id) in error
 
+    @pytest.mark.parametrize("command, variant", [
+        ("multi-leo", "multi-leo"),
+        ("gnss-leo", "gnss-only"),
+    ])
+    def test_times_on_variant_without_sweep_exit_2(self, tmp_path, command, variant):
+        cfg = write_config(tmp_path, {"variant": variant, "n_ue_drops": 3,
+                                      "measurement_times_s": [1.0, 1.0]})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        [error] = manifest["errors"]
+        assert error.startswith("measurement_times_s: ")
+        assert manifest["outputs"] == []
+
+    @pytest.mark.parametrize("command, variant", [
+        ("multi-leo", "multi-leo"),
+        ("gnss-leo", "gnss-only"),
+    ])
+    def test_resolved_config_round_trips(self, tmp_path, command, variant):
+        cfg = write_config(tmp_path, {"variant": variant, "n_ue_drops": 3,
+                                      "measurement_times_s": []})
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main([command, "--config", str(cfg), "--out", str(first)]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        [resolved] = manifest["resolved_config"]
+        assert resolved["measurement_times_s"] == []
+        again = write_config(tmp_path, resolved, "resolved.json")
+        assert main([command, "--config", str(again), "--out", str(second)]) == 0
+        rerun = json.loads((second / "manifest.json").read_text())
+        assert rerun["config_hash"] == manifest["config_hash"]
+        assert (first / "samples.csv").read_bytes() == (second / "samples.csv").read_bytes()
+
+    def test_hidden_virtual_anchor_leaves_other_windows(self, tmp_path):
+        # A 770 s window carries the satellite below the horizon of some
+        # drops; those drops are degenerate in that case alone.
+        both = write_config(tmp_path, {"n_ue_drops": 50,
+                                       "measurement_times_s": [10, 770]}, "both.json")
+        alone = write_config(tmp_path, {"n_ue_drops": 50,
+                                        "measurement_times_s": [10]}, "alone.json")
+        assert main(["single-leo", "--config", str(both), "--out", str(tmp_path / "b")]) == 0
+        assert main(["single-leo", "--config", str(alone), "--out", str(tmp_path / "a")]) == 0
+        with open(tmp_path / "b" / "samples.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(tmp_path / "a" / "samples.csv") as fh:
+            assert [r for r in rows if r["case_id"] == "single_leo_t10"] == list(
+                csv.DictReader(fh))
+        flags = [r["degenerate"] for r in rows if r["case_id"] == "single_leo_t770"]
+        assert 0 < flags.count("true") < 50
+        summary = json.loads((tmp_path / "b" / "summary.json").read_text())
+        assert summary["single_leo_t770"]["degenerate_count"] == flags.count("true")
+
+    def test_every_drop_hiding_an_anchor_ends_in_statistics_error(self, tmp_path):
+        cfg = write_config(tmp_path, {"n_ue_drops": 50, "measurement_times_s": [10, 800]})
+        out = tmp_path / "out"
+        assert main(["single-leo", "--config", str(cfg), "--out", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["errors"] == ["case single_leo_t800: no non-degenerate samples"]
+
     def test_unexpected_error_still_writes_manifest(self, tmp_path, monkeypatch):
         import satpeb.cli as cli_mod
 
@@ -331,13 +391,44 @@ def _csv_value(field, text):
     return float(text) if text else None
 
 
+def _row_wise_samples_csv(bundle, path):
+    """samples.csv written row by row through csv.writer: the byte-level
+    oracle for the columnar `write_samples_csv`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SAMPLE_FIELDS)
+        for row in _sample_rows(bundle):
+            writer.writerow([_fmt(row[k]) for k in SAMPLE_FIELDS])
+
+
+def _hand_built_bundle(*case_ids):
+    """Three drops, the second degenerate, shared by every case."""
+    lat, lon = np.radians([1.0, 2.0, 3.0]), np.radians([-4.0, 5.0, 6.0])
+    cases = {c: PebSampleSet(c, lat, lon, np.array([10.5, np.nan, 12.25]),
+                             np.array([1.5, np.nan, 2.0]), np.array([False, True, False]))
+             for c in case_ids}
+    return RunBundle(cases=cases, stats={c: summarize(s) for c, s in cases.items()})
+
+
 class TestSampleSerialization:
+    @pytest.mark.parametrize("bundle", [
+        pytest.param(lambda: _hand_built_bundle("case", 'odd, "quoted"\nid', ""),
+                     id="hand-built"),
+        pytest.param(lambda: _merge_bundles([
+            run(make_config("single-leo", n_ue_drops=25)),
+            run(make_config("gnss-leo", n_ue_drops=25, seed=1))]), id="merged"),
+        *(pytest.param(lambda v=v: run(make_config(v, n_ue_drops=25)), id=v)
+          for v in ("single-leo", "multi-leo", "gnss-leo", "gnss-only")),
+    ])
+    def test_columnar_csv_equals_row_wise_writer(self, tmp_path, bundle):
+        bundle = bundle()
+        write_samples_csv(bundle, tmp_path / "columnar.csv")
+        _row_wise_samples_csv(bundle, tmp_path / "row_wise.csv")
+        columnar = (tmp_path / "columnar.csv").read_bytes()
+        assert columnar == (tmp_path / "row_wise.csv").read_bytes()
+
     def test_csv_and_json_samples_agree(self, tmp_path):
-        sample = PebSampleSet(
-            "case", np.radians([1.0, 2.0, 3.0]), np.radians([-4.0, 5.0, 6.0]),
-            np.array([10.5, np.nan, 12.25]), np.array([1.5, np.nan, 2.0]),
-            np.array([False, True, False]))
-        bundle = RunBundle(cases={"case": sample}, stats={"case": summarize(sample)})
+        bundle = _hand_built_bundle("case")
         write_samples_csv(bundle, tmp_path / "samples.csv")
         write_samples_json(bundle, tmp_path / "samples.json")
         write_summary(bundle, tmp_path / "summary.json")

@@ -9,12 +9,14 @@ import satpeb
 SRC = Path(satpeb.__file__).resolve().parents[1]
 
 # Imports the CLI in a fresh interpreter, runs one command and reports its
-# exit status and every loaded module of the scipy package.
+# exit status and every loaded module of the scipy package and of numpy.ma
+# (which `np.percentile` and `np.unique` import on first use).
 _START_UP = """
 import json, sys
 from satpeb.cli import main
 status = main(sys.argv[1:])
-print(json.dumps([status, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+print(json.dumps([status, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"])]))
 """
 
 
@@ -31,9 +33,10 @@ def test_cli_start_up_imports_no_scipy(tmp_path):
          "--out", str(tmp_path / "out")],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(SRC)})
-    status, scipy_modules = json.loads(result.stdout.splitlines()[-1])
+    status, scipy_modules, masked_array_modules = json.loads(result.stdout.splitlines()[-1])
     assert status == 0
     assert scipy_modules == []
+    assert masked_array_modules == []
 
 
 # The scalar reference layer of `fisher`, kept as API and as the tests'

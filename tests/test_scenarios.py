@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from satpeb import scenarios
 from satpeb.config import make_config
@@ -10,7 +12,7 @@ from satpeb.errors import StatisticsError
 from satpeb.fisher import best_subset_indices, min_gdop_subsets, unit_vectors_en
 from satpeb.geometry import (AnchorSet, Geodetic, angle_between, enu_frames,
                              geodetic_to_ecef, ground_track_orbit,
-                             propagate_circular_orbit)
+                             make_virtual_anchors, propagate_circular_orbit)
 from satpeb.scenarios import (PebSampleSet, cap_half_angle, drop_ues, run,
                               summarize, _Evaluator, _link_draws)
 
@@ -123,6 +125,24 @@ class TestSummarize:
         s = summarize(_sample_set([7.5]))
         assert s.mean == s.median == s.q1 == s.q3 == 7.5
 
+    # Lists drawn from a small pool of values, so ties are common.
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=120))
+        | st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=400))
+    @example([3.0])
+    @example([1e-3, 1e6])
+    @example([2.0, 2.0, 5.0, 5.0])
+    def test_quartiles_equal_numpy_percentile(self, values):
+        s = summarize(_sample_set(values))
+        assert [s.q1, s.median, s.q3] == np.percentile(values, [25.0, 50.0, 75.0]).tolist()
+
+    def test_nan_makes_every_quartile_nan_as_in_numpy(self):
+        ordered = np.sort([3.0, np.nan, 1.0, 2.0, 5.0])
+        assert np.all(np.isnan(np.percentile(ordered, [25.0, 50.0, 75.0])))
+        assert all(math.isnan(scenarios._linear_quantile(ordered, q))
+                   for q in (0.25, 0.5, 0.75))
+
 
 class TestSingleLeo:
     def test_records_and_determinism(self):
@@ -221,6 +241,38 @@ class TestHiddenNeighbors:
             assert np.all(degenerate) and np.all(np.isnan(peb_m)) and np.all(np.isnan(gdop))
         with pytest.raises(StatisticsError, match="multi_leo_tdoa3"):
             run(cfg)
+
+
+class TestHiddenVirtualAnchors:
+    def test_drops_with_an_anchor_below_horizon_are_degenerate(self):
+        # A 770 s window carries the satellite below some drops' horizon.
+        cfg = make_config("single-leo", n_ue_drops=50, measurement_times_s=(10.0, 770.0))
+        bundle = run(cfg)
+        case = bundle.cases["single_leo_t770"]
+        center = Geodetic(cfg.center_lat_rad, cfg.center_lon_rad, 0.0)
+        anchors = make_virtual_anchors(ground_track_orbit(center, cfg.leo_altitude_m),
+                                       770.0, cfg.n_virtual_anchors).positions()
+        ue_ecef, basis = enu_frames(case.ue_lat_rad, case.ue_lon_rad)
+        height = np.einsum("dmk,dk->dm", anchors - ue_ecef[:, None, :], basis[:, 2])
+        hidden = np.any(height <= 0, axis=1)
+        assert 0 < np.count_nonzero(hidden) < 50
+        assert np.array_equal(case.degenerate, hidden)
+        assert np.all(np.isnan(case.peb_m[hidden])) and np.all(np.isnan(case.gdop[hidden]))
+        assert not np.any(bundle.cases["single_leo_t10"].degenerate)
+
+    def test_hidden_rtt_block_flags_only_the_cases_holding_it(self):
+        # 900 s carries the 780 km satellite below some drops' horizon.
+        cfg = make_config("multi-leo", n_ue_drops=20, rtt_measurement_time_s=900.0)
+        plain = run(make_config("multi-leo", n_ue_drops=20))
+        bundle = run(cfg)
+        hidden = bundle.cases["multi_leo_tdoa3_rtt"].degenerate
+        assert 0 < np.count_nonzero(hidden) < 20
+        for case_id, case in bundle.cases.items():
+            if case_id.endswith("_rtt"):
+                assert np.array_equal(case.degenerate, hidden)
+            else:
+                assert _columns_equal(_sample_columns(case),
+                                      _sample_columns(plain.cases[case_id]))
 
 
 class TestGnssLeo:
