@@ -277,26 +277,30 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="satpeb",
         description="Position error bounds for LEO/GNSS positioning scenarios.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON scenario config file")
     common.add_argument("--seed", type=int, default=None,
                         help="random seed (overrides the config)")
     common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="samples serialization format")
     common.add_argument("--workers", type=int, default=1,
                         help="accepted for compatibility; has no effect "
                              "(every run is one in-process pass)")
+    # Only commands that write samples take --format, and only the variant
+    # commands read a --config.
+    samples = argparse.ArgumentParser(add_help=False, parents=[common])
+    samples.add_argument("--format", choices=("csv", "json"), default="csv",
+                         help="samples serialization format")
+    variant = argparse.ArgumentParser(add_help=False, parents=[samples])
+    variant.add_argument("--config", help="JSON scenario config file")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("single-leo", parents=[common],
+    sub.add_parser("single-leo", parents=[variant],
                    help="single-LEO RTT sweep over measurement times")
-    sub.add_parser("multi-leo", parents=[common],
+    sub.add_parser("multi-leo", parents=[variant],
                    help="hexagonal LEO grid TDOA cases (3/4 active, +-RTT)")
-    sub.add_parser("gnss-leo", parents=[common],
+    sub.add_parser("gnss-leo", parents=[variant],
                    help="2 GNSS + 1 LEO hybrid sweep (or gnss-only via config)")
     val = sub.add_parser("validate", parents=[common],
                          help="estimator bound-achievability check")
     val.add_argument("--trials", type=int, default=2000)
-    sub.add_parser("reproduce-figures", parents=[common],
+    sub.add_parser("reproduce-figures", parents=[samples],
                    help="run all scenario cases in one go")
     return parser
 

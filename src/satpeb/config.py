@@ -5,12 +5,17 @@ evaluation framework (TR 38.821 set-1 style numbers); the GNSS link is modeled
 directly by a received C/N0. The two processing-gain constants are frozen by
 ``scripts/calibrate.py`` (see README) and absorb the reference-signal
 integration assumptions that public link budgets leave open.
+
+The fields of `ScenarioConfig` and `LinkBudget` are the config file's keys, in
+the units their names carry, so the field list is the whole schema: the parser
+checks each value against its field's annotation and the manifest snapshot is
+`dataclasses.asdict`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .errors import ConfigError
 
@@ -57,7 +62,8 @@ class LinkBudget:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full experiment description for one run."""
+    """Full experiment description for one run. Each field's annotation is
+    one of the kinds `_parse_value` checks."""
 
     variant: str
     leo_altitude_m: float = 600e3
@@ -71,21 +77,19 @@ class ScenarioConfig:
     seed: int = 0
     scenario_class: str = "suburban-rural"
     los_only: bool = False
-    gnss_elevation_mask_rad: float = math.radians(30.0)
-    center_lat_rad: float = 0.0
-    center_lon_rad: float = 0.0
-    lon_gap_rad: float = math.radians(13.0)
-    lat_gap_rad: float = math.radians(6.9)
+    gnss_elevation_mask_deg: float = 30.0
+    center_lat_deg: float = 0.0
+    center_lon_deg: float = 0.0
+    lon_gap_deg: float = 13.0
+    lat_gap_deg: float = 6.9
     link: LinkBudget = field(default_factory=LinkBudget)
 
 
 _VARIANT_DEFAULTS = {
-    "single-leo": {"leo_altitude_m": 600e3,
-                   "measurement_times_s": (2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0)},
-    "multi-leo": {"leo_altitude_m": 780e3, "measurement_times_s": ()},
-    "gnss-leo": {"leo_altitude_m": 600e3,
-                 "measurement_times_s": (2.0, 5.0, 7.0, 10.0)},
-    "gnss-only": {"leo_altitude_m": 600e3, "measurement_times_s": ()},
+    "single-leo": {"measurement_times_s": (2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0)},
+    "multi-leo": {"leo_altitude_m": 780e3},
+    "gnss-leo": {"measurement_times_s": (2.0, 5.0, 7.0, 10.0)},
+    "gnss-only": {},
 }
 
 
@@ -102,8 +106,6 @@ def make_config(variant: str, **overrides) -> ScenarioConfig:
 
 def validate_config(config: ScenarioConfig) -> None:
     """Raise ConfigError naming the offending field on any contract violation."""
-    if config.variant not in VARIANTS:
-        raise ConfigError("variant", f"unknown variant {config.variant!r}")
     if config.leo_altitude_m <= 0:
         raise ConfigError("leo_altitude_m", "must be positive")
     if config.gnss_altitude_m <= 0:
@@ -130,13 +132,14 @@ def validate_config(config: ScenarioConfig) -> None:
             raise ConfigError("n_active_satellites", "must be 3 or 4")
         if config.rtt_measurement_time_s <= 0:
             raise ConfigError("rtt_measurement_time_s", "must be positive")
-        if config.lon_gap_rad <= 0:
+        # In the radians the grid is built from: a subnormal gap rounds to 0.
+        if math.radians(config.lon_gap_deg) <= 0:
             raise ConfigError("lon_gap_deg", "must be positive")
-        if config.lat_gap_rad <= 0:
+        if math.radians(config.lat_gap_deg) <= 0:
             raise ConfigError("lat_gap_deg", "must be positive")
-    if not 0 <= config.gnss_elevation_mask_rad < math.pi / 2:
+    if not 0 <= config.gnss_elevation_mask_deg < 90:
         raise ConfigError("gnss_elevation_mask_deg", "must lie in [0, 90) degrees")
-    if not -math.pi / 2 <= config.center_lat_rad <= math.pi / 2:
+    if not -90 <= config.center_lat_deg <= 90:
         raise ConfigError("center_lat_deg", "must lie in [-90, 90] degrees")
     link = config.link
     # A band signal cannot be wider than its carrier frequency.
@@ -170,106 +173,59 @@ def with_seed(config: ScenarioConfig, seed: int) -> ScenarioConfig:
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:
-    """JSON-ready snapshot using the config-file key schema (angles in degrees)."""
-    return {
-        "variant": config.variant,
-        "leo_altitude_m": config.leo_altitude_m,
-        "gnss_altitude_m": config.gnss_altitude_m,
-        "measurement_times_s": list(config.measurement_times_s),
-        "n_virtual_anchors": config.n_virtual_anchors,
-        "n_active_satellites": config.n_active_satellites,
-        "rtt_augmentation": config.rtt_augmentation,
-        "rtt_measurement_time_s": config.rtt_measurement_time_s,
-        "n_ue_drops": config.n_ue_drops,
-        "seed": config.seed,
-        "scenario_class": config.scenario_class,
-        "los_only": config.los_only,
-        "gnss_elevation_mask_deg": math.degrees(config.gnss_elevation_mask_rad),
-        "center_lat_deg": math.degrees(config.center_lat_rad),
-        "center_lon_deg": math.degrees(config.center_lon_rad),
-        "lon_gap_deg": math.degrees(config.lon_gap_rad),
-        "lat_gap_deg": math.degrees(config.lat_gap_rad),
-        "link": {f.name: getattr(config.link, f.name) for f in fields(LinkBudget)},
-    }
-
-
-_TOP_LEVEL_KEYS = {
-    "variant", "leo_altitude_m", "gnss_altitude_m", "measurement_times_s",
-    "n_virtual_anchors", "n_active_satellites", "rtt_augmentation",
-    "rtt_measurement_time_s", "n_ue_drops", "seed", "scenario_class",
-    "los_only", "gnss_elevation_mask_deg", "center_lat_deg", "center_lon_deg",
-    "lon_gap_deg", "lat_gap_deg", "link",
-}
-
-_DEGREE_KEYS = {
-    "gnss_elevation_mask_deg": "gnss_elevation_mask_rad",
-    "center_lat_deg": "center_lat_rad",
-    "center_lon_deg": "center_lon_rad",
-    "lon_gap_deg": "lon_gap_rad",
-    "lat_gap_deg": "lat_gap_rad",
-}
+    """JSON-ready snapshot: the config file's keys and units, so feeding it
+    back to `config_from_dict` rebuilds an equal config."""
+    return asdict(config)
 
 
 def config_from_dict(raw: dict, default_variant: str | None = None) -> ScenarioConfig:
     """Build and validate a config from parsed JSON; unknown keys rejected."""
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be a JSON object")
-    unknown = set(raw) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown configuration key")
+    # make_config checks the variant against the known ones.
+    overrides = _parse_fields(ScenarioConfig, {k: v for k, v in raw.items() if k != "variant"})
     variant = raw.get("variant", default_variant)
     if variant is None:
         raise ConfigError("variant", "missing required key")
-    if variant not in VARIANTS:
-        raise ConfigError("variant", f"unknown variant {variant!r}; expected one of {VARIANTS}")
-
-    overrides: dict = {}
-    for key, value in raw.items():
-        if key in ("variant",):
-            continue
-        if key == "link":
-            if not isinstance(value, dict):
-                raise ConfigError("link", "must be an object")
-            link_fields = {f.name for f in fields(LinkBudget)}
-            bad = set(value) - link_fields
-            if bad:
-                raise ConfigError(f"link.{sorted(bad)[0]}", "unknown configuration key")
-            for lk, lv in value.items():
-                if lk == "antenna_model":
-                    if not isinstance(lv, str):
-                        raise ConfigError(f"link.{lk}", "must be a string")
-                else:
-                    _require_number(f"link.{lk}", lv)
-            overrides["link"] = LinkBudget(**value)
-        elif key in _DEGREE_KEYS:
-            overrides[_DEGREE_KEYS[key]] = math.radians(_require_number(key, value))
-        elif key == "measurement_times_s":
-            if not isinstance(value, list):
-                raise ConfigError(key, "must be a list of numbers")
-            overrides[key] = tuple(_require_number(key, v) for v in value)
-        elif key == "scenario_class":
-            if not isinstance(value, str):
-                raise ConfigError(key, "must be a string")
-            overrides[key] = value
-        elif key in ("los_only",):
-            if not isinstance(value, bool):
-                raise ConfigError(key, "must be a boolean")
-            overrides[key] = value
-        elif key == "rtt_augmentation":
-            if value is not None and not isinstance(value, bool):
-                raise ConfigError(key, "must be a boolean or null")
-            overrides[key] = value
-        elif key == "n_active_satellites":
-            if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
-                raise ConfigError(key, "must be an integer or null")
-            overrides[key] = value
-        elif key in ("n_virtual_anchors", "n_ue_drops", "seed"):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(key, "must be an integer")
-            overrides[key] = value
-        else:
-            overrides[key] = _require_number(key, value)
     return make_config(variant, **overrides)
+
+
+# Field annotation -> the type its JSON value must have and that type's name.
+_PLAIN_KINDS = {"int": (int, "an integer"), "bool": (bool, "a boolean"), "str": (str, "a string")}
+
+
+def _parse_fields(cls, raw: dict, prefix: str = "") -> dict:
+    """The entries of `raw` as values of the dataclass `cls`'s fields, keyed
+    by field name; field paths in errors start with `prefix`."""
+    kinds = {f.name: f.type for f in fields(cls)}
+    unknown = set(raw) - set(kinds)
+    if unknown:
+        raise ConfigError(prefix + sorted(unknown)[0], "unknown configuration key")
+    return {key: _parse_value(prefix + key, kinds[key], value) for key, value in raw.items()}
+
+
+def _parse_value(path: str, kind: str, value):
+    """`value` checked against the field annotation `kind` and stored as the
+    config holds it: numbers as floats, lists as tuples, `link` as a
+    LinkBudget."""
+    optional = kind.endswith(" | None")
+    kind = kind.removesuffix(" | None")
+    if optional and value is None:
+        return None
+    if kind == "float":
+        return _require_number(path, value)
+    if kind == "tuple[float, ...]":
+        if not isinstance(value, list):
+            raise ConfigError(path, "must be a list of numbers")
+        return tuple(_require_number(path, v) for v in value)
+    if kind == "LinkBudget":
+        if not isinstance(value, dict):
+            raise ConfigError(path, "must be an object")
+        return LinkBudget(**_parse_fields(LinkBudget, value, path + "."))
+    expected, name = _PLAIN_KINDS[kind]
+    if not isinstance(value, expected) or (expected is int and isinstance(value, bool)):
+        raise ConfigError(path, f"must be {name}" + (" or null" if optional else ""))
+    return value
 
 
 def _require_number(key: str, value) -> float:

@@ -142,12 +142,12 @@ def drop_ues(config: ScenarioConfig,
 
 
 class _LinkModel:
-    """Per-run radio model: budgets, pattern, and channel-class tables."""
+    """Per-run radio model: budgets, pattern, and channel-class tables, with
+    every beam pointed at `center`."""
 
-    def __init__(self, config: ScenarioConfig):
+    def __init__(self, config: ScenarioConfig, center: Geodetic):
         budget = config.link
-        self.beam_center = geodetic_to_ecef(
-            Geodetic(config.center_lat_rad, config.center_lon_rad, 0.0))
+        self.beam_center = geodetic_to_ecef(center)
         self.cls = ScenarioClass(config.scenario_class)
         self.los_only = config.los_only
         self.pattern = AntennaPattern(
@@ -301,17 +301,19 @@ class _Evaluator:
         self.config = config
         self.cases = case_table(config)
         self.blocks = list(dict.fromkeys(b for bs in self.cases.values() for b in bs))
-        center = Geodetic(config.center_lat_rad, config.center_lon_rad, 0.0)
+        center = Geodetic(math.radians(config.center_lat_deg),
+                          math.radians(config.center_lon_deg), 0.0)
         orbit = ground_track_orbit(center, config.leo_altitude_m)
         self.rtt_anchors = {
             b.time_s: make_virtual_anchors(orbit, b.time_s, config.n_virtual_anchors).positions()
             for b in self.blocks if isinstance(b, Rtt)}
         self.grid = None
         if any(isinstance(b, Tdoa) for b in self.blocks):
-            self.grid = hex_constellation(center, config.lon_gap_rad,
-                                          config.lat_gap_rad, config.leo_altitude_m)
+            self.grid = hex_constellation(center, math.radians(config.lon_gap_deg),
+                                          math.radians(config.lat_gap_deg),
+                                          config.leo_altitude_m)
             self.grid_positions = self.grid.positions()
-        self.model = _LinkModel(config)
+        self.model = _LinkModel(config, center)
         # The grid's serving satellite sits where this orbit is at t = 0.
         self.lat_rad, self.lon_rad = drop_ues(config, propagate_circular_orbit(orbit, 0.0))
 
@@ -381,7 +383,7 @@ class _Evaluator:
         # Per satellite: an elevation term, then an azimuth uniform.
         draws = np.array([[substream(config.seed, "gnss-pos", i, s).random(2)
                            for s in range(n)] for i in range(len(ue_ecef))])
-        cos_zmax = math.cos(math.pi / 2 - config.gnss_elevation_mask_rad)
+        cos_zmax = math.cos(math.pi / 2 - math.radians(config.gnss_elevation_mask_deg))
         sin_el = cos_zmax + (1.0 - cos_zmax) * draws[..., 0]
         azimuth = 2.0 * math.pi * draws[..., 1]
         cos_el = np.sqrt(np.maximum(0.0, 1.0 - sin_el**2))

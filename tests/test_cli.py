@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from satpeb import channel
-from satpeb.cli import (SAMPLE_FIELDS, _fmt, _merge_bundles, _sample_rows,
-                        config_hash, main, parse_config, write_samples_csv,
-                        write_samples_json, write_summary)
+from satpeb.cli import (SAMPLE_FIELDS, _build_parser, _fmt, _merge_bundles,
+                        _sample_rows, config_hash, main, parse_config,
+                        write_samples_csv, write_samples_json, write_summary)
 from satpeb.config import make_config
 from satpeb.errors import ConfigError
 from satpeb.scenarios import PebSampleSet, RunBundle, run, summarize
@@ -39,7 +39,7 @@ class TestParseConfig:
     def test_multi_leo_defaults(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, {"variant": "multi-leo"}))
         assert cfg.leo_altitude_m == 780e3
-        assert cfg.lon_gap_rad == pytest.approx(math.radians(13.0))
+        assert cfg.lon_gap_deg == 13.0
 
     def test_active_satellite_constraint(self, tmp_path):
         path = write_config(tmp_path, {"variant": "multi-leo",
@@ -101,6 +101,56 @@ class TestParseConfig:
             parse_config(path)
         assert err.value.field == field
         assert "finite" in str(err.value)
+
+    @pytest.mark.parametrize("payload, field, message", [
+        ({"n_ue_drops": 2.0}, "n_ue_drops", "must be an integer"),
+        ({"seed": True}, "seed", "must be an integer"),
+        ({"los_only": 1}, "los_only", "must be a boolean"),
+        ({"scenario_class": None}, "scenario_class", "must be a string"),
+        ({"variant": "multi-leo", "n_active_satellites": "3"}, "n_active_satellites",
+         "must be an integer or null"),
+        ({"variant": "multi-leo", "n_active_satellites": False}, "n_active_satellites",
+         "must be an integer or null"),
+        ({"variant": "multi-leo", "rtt_augmentation": 0}, "rtt_augmentation",
+         "must be a boolean or null"),
+        ({"measurement_times_s": 2.0}, "measurement_times_s", "must be a list of numbers"),
+        ({"measurement_times_s": [2.0, "3"]}, "measurement_times_s", "must be a number"),
+        ({"link": [34.0]}, "link", "must be an object"),
+        ({"leo_altitude_m": "600e3"}, "leo_altitude_m", "must be a number"),
+        ({"center_lon_deg": None}, "center_lon_deg", "must be a number"),
+        ({"lon_gap_deg": False}, "lon_gap_deg", "must be a number"),
+        ({"link": {"antenna_model": 1}}, "link.antenna_model", "must be a string"),
+        ({"link": {"carrier_hz": "2e9"}}, "link.carrier_hz", "must be a number"),
+        ({"link": {"peak_gain_dbi": True}}, "link.peak_gain_dbi", "must be a number"),
+        ({"link": {"beamwidth_deg": None}}, "link.beamwidth_deg", "must be a number"),
+        ({"variant": 5}, "variant",
+         "unknown variant 5; expected one of "
+         "('single-leo', 'multi-leo', 'gnss-leo', 'gnss-only')"),
+    ])
+    def test_wrong_type_named(self, tmp_path, payload, field, message):
+        path = write_config(tmp_path, {"variant": "single-leo", **payload})
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert err.value.field == field
+        assert str(err.value) == f"{field}: {message}"
+
+    @pytest.mark.parametrize("payload, field, message", [
+        ([], "<root>", "config must be a JSON object"),
+        ({"seed": 1}, "variant", "missing required key"),
+    ])
+    def test_malformed_root_named(self, tmp_path, payload, field, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_config(tmp_path, payload))
+        assert str(err.value) == f"{field}: {message}"
+
+    def test_numbers_stored_as_floats(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path, {
+            "variant": "multi-leo", "leo_altitude_m": 780000, "lon_gap_deg": 12,
+            "link": {"carrier_hz": 2000000000, "peak_gain_dbi": 30}}))
+        values = (cfg.leo_altitude_m, cfg.lon_gap_deg, cfg.link.carrier_hz,
+                  cfg.link.peak_gain_dbi)
+        assert values == (780e3, 12.0, 2e9, 30.0)
+        assert all(type(v) is float for v in values)
 
     def test_bandwidth_above_carrier_named(self, tmp_path):
         path = write_config(tmp_path, {"variant": "single-leo",
@@ -219,6 +269,23 @@ class TestExecute:
         assert manifest["errors"] == ["seed: must fit in 64 bits"]
         assert manifest["outputs"] == []
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--config", "config.json"],
+        ["validate", "--format", "json"],
+        ["reproduce-figures", "--config", "config.json"],
+    ])
+    def test_flag_the_command_ignores_exits_2(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: " + " ".join(argv[1:]) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [
+        "single-leo", "multi-leo", "gnss-leo", "validate", "reproduce-figures"])
+    def test_workers_still_parses(self, command):
+        assert _build_parser().parse_args([command, "--workers", "2"]).workers == 2
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_validate_without_trials_exits_2(self, tmp_path, trials):
         out = tmp_path / "out"
@@ -254,21 +321,28 @@ class TestExecute:
         assert error.startswith("measurement_times_s: ")
         assert manifest["outputs"] == []
 
-    @pytest.mark.parametrize("command, variant", [
-        ("multi-leo", "multi-leo"),
-        ("gnss-leo", "gnss-only"),
+    @pytest.mark.parametrize("command, payload", [
+        pytest.param("multi-leo", {"variant": "multi-leo", "measurement_times_s": []},
+                     id="multi-leo-multi-leo"),
+        pytest.param("gnss-leo", {"variant": "gnss-only", "measurement_times_s": []},
+                     id="gnss-leo-gnss-only"),
+        pytest.param("multi-leo", {"variant": "multi-leo", "n_ue_drops": 20,
+                                   "lon_gap_deg": 12.0, "lat_gap_deg": 6.0},
+                     id="multi-leo-grid-gaps"),
     ])
-    def test_resolved_config_round_trips(self, tmp_path, command, variant):
-        cfg = write_config(tmp_path, {"variant": variant, "n_ue_drops": 3,
-                                      "measurement_times_s": []})
+    def test_resolved_config_round_trips(self, tmp_path, command, payload):
+        cfg = write_config(tmp_path, {"n_ue_drops": 3, **payload})
         first, second = tmp_path / "first", tmp_path / "second"
         assert main([command, "--config", str(cfg), "--out", str(first)]) == 0
         manifest = json.loads((first / "manifest.json").read_text())
         [resolved] = manifest["resolved_config"]
-        assert resolved["measurement_times_s"] == []
+        # Every key reads back exactly as written, in the file's units.
+        assert {key: resolved[key] for key in payload} == payload
+        assert resolved["gnss_elevation_mask_deg"] == 30.0
         again = write_config(tmp_path, resolved, "resolved.json")
         assert main([command, "--config", str(again), "--out", str(second)]) == 0
         rerun = json.loads((second / "manifest.json").read_text())
+        assert rerun["resolved_config"] == manifest["resolved_config"]
         assert rerun["config_hash"] == manifest["config_hash"]
         assert (first / "samples.csv").read_bytes() == (second / "samples.csv").read_bytes()
 

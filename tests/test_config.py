@@ -1,0 +1,104 @@
+import json
+from dataclasses import fields
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from satpeb.config import (ANTENNA_MODELS, SCENARIO_CLASSES, VARIANTS, LinkBudget,
+                           ScenarioConfig, config_from_dict, config_to_dict, make_config)
+from satpeb.errors import ConfigError
+
+_any_float = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(1e-3, 1e9)
+
+# Valid values of every field but `variant`, `measurement_times_s` and
+# `link`, whose valid values depend on the variant or on each other.
+_FIELD_VALUES = {
+    "leo_altitude_m": _positive,
+    "gnss_altitude_m": _positive,
+    "n_virtual_anchors": st.integers(2, 10**6),
+    "n_active_satellites": st.sampled_from([None, 3, 4]),
+    "rtt_augmentation": st.sampled_from([None, False, True]),
+    "rtt_measurement_time_s": _positive,
+    "n_ue_drops": st.integers(1, 10**9),
+    "seed": st.integers(0, 2**64 - 1),
+    "scenario_class": st.sampled_from(SCENARIO_CLASSES),
+    "los_only": st.booleans(),
+    "gnss_elevation_mask_deg": st.floats(0.0, 90.0, exclude_max=True),
+    "center_lat_deg": st.floats(-90.0, 90.0),
+    "center_lon_deg": _any_float,
+    "lon_gap_deg": st.floats(1e-3, 180.0),
+    "lat_gap_deg": st.floats(1e-3, 90.0),
+}
+
+_LINK_VALUES = {
+    **{f.name: _any_float for f in fields(LinkBudget)},
+    "neighbor_penalty_db": st.floats(0.0, 100.0),
+    "beamwidth_deg": st.floats(1e-3, 180.0, exclude_max=True),
+    "antenna_model": st.sampled_from(ANTENNA_MODELS),
+}
+
+
+@st.composite
+def _links(draw):
+    values = draw(st.fixed_dictionaries({}, optional=_LINK_VALUES))
+    # A band is positive and no wider than its carrier.
+    for carrier, bandwidth in (("carrier_hz", "bandwidth_hz"),
+                               ("gnss_carrier_hz", "gnss_bandwidth_hz")):
+        values[carrier] = draw(_positive)
+        values[bandwidth] = values[carrier] * draw(st.floats(1e-6, 1.0))
+    return LinkBudget(**values)
+
+
+@st.composite
+def _configs(draw):
+    variant = draw(st.sampled_from(VARIANTS))
+    overrides = draw(st.fixed_dictionaries({}, optional={**_FIELD_VALUES, "link": _links()}))
+    if variant in ("single-leo", "gnss-leo") and draw(st.booleans()):
+        overrides["measurement_times_s"] = tuple(draw(st.lists(_positive, min_size=1)))
+    return make_config(variant, **overrides)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def test_value_strategies_cover_the_schema():
+    assert set(_FIELD_VALUES) == {f.name for f in fields(ScenarioConfig)} - {
+        "variant", "measurement_times_s", "link"}
+    assert set(_LINK_VALUES) == {f.name for f in fields(LinkBudget)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_configs())
+def test_resolved_config_rebuilds_an_equal_config(config):
+    raw = json.loads(json.dumps(config_to_dict(config)))
+    assert config_from_dict(raw) == config
+
+
+_KEYS = [f.name for f in fields(ScenarioConfig)]
+_LINK_KEYS = [f.name for f in fields(LinkBudget)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_configs(), st.sets(st.sampled_from(_KEYS), max_size=2),
+       st.dictionaries(st.sampled_from(_KEYS), _json_values, max_size=3),
+       st.dictionaries(st.sampled_from(_LINK_KEYS), _json_values, max_size=3),
+       st.sampled_from(VARIANTS))
+def test_any_json_under_schema_keys_is_a_config_or_config_error(config, dropped, top, link,
+                                                               default_variant):
+    """A valid config's file with some keys dropped and others set to
+    arbitrary JSON values."""
+    raw = json.loads(json.dumps(config_to_dict(config)))
+    raw["link"].update(link)
+    for key in dropped:
+        del raw[key]
+    raw.update(top)
+    try:
+        parsed = config_from_dict(raw, default_variant)
+    except ConfigError:
+        return
+    assert isinstance(parsed, ScenarioConfig)

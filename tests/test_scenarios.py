@@ -213,7 +213,7 @@ class TestMultiLeo:
 class TestHiddenNeighbors:
     def test_batched_choice_matches_scalar_on_visible_anchors(self):
         # 27 deg gaps put one same-row neighbor below most drops' horizon
-        cfg = make_config("multi-leo", n_ue_drops=200, lon_gap_rad=math.radians(27.0))
+        cfg = make_config("multi-leo", n_ue_drops=200, lon_gap_deg=27.0)
         evaluator = _Evaluator(cfg)
         ue_ecef, basis = enu_frames(evaluator.lat_rad, evaluator.lon_rad)
         _, visible = evaluator.model.grid_dl_sigma(
@@ -233,7 +233,7 @@ class TestHiddenNeighbors:
             assert not np.any(case.degenerate)
 
     def test_too_few_visible_satellites_degenerate_in_every_case(self):
-        cfg = make_config("multi-leo", n_ue_drops=5, lon_gap_rad=math.radians(60.0))
+        cfg = make_config("multi-leo", n_ue_drops=5, lon_gap_deg=60.0)
         records = _Evaluator(cfg).evaluate()
         assert list(records) == ["multi_leo_tdoa3", "multi_leo_tdoa3_rtt",
                                  "multi_leo_tdoa4", "multi_leo_tdoa4_rtt"]
@@ -249,7 +249,7 @@ class TestHiddenVirtualAnchors:
         cfg = make_config("single-leo", n_ue_drops=50, measurement_times_s=(10.0, 770.0))
         bundle = run(cfg)
         case = bundle.cases["single_leo_t770"]
-        center = Geodetic(cfg.center_lat_rad, cfg.center_lon_rad, 0.0)
+        center = Geodetic(math.radians(cfg.center_lat_deg), math.radians(cfg.center_lon_deg), 0.0)
         anchors = make_virtual_anchors(ground_track_orbit(center, cfg.leo_altitude_m),
                                        770.0, cfg.n_virtual_anchors).positions()
         ue_ecef, basis = enu_frames(case.ue_lat_rad, case.ue_lon_rad)
@@ -344,3 +344,19 @@ class TestRunBundle:
         if not case.degenerate[0]:
             s = bundle.stats["single_leo_t5"]
             assert s.mean == s.median == case.peb_m[0]
+
+
+class TestLongitudeShift:
+    # On a spherical Earth, moving the whole scene east or west (beam
+    # center, orbits, grid and drops alike) changes no geometry.
+    @pytest.mark.parametrize("shift_deg", [37.0, -120.5, 179.0])
+    @pytest.mark.parametrize("variant", ["single-leo", "multi-leo", "gnss-leo", "gnss-only"])
+    def test_shifted_scene_keeps_every_bound(self, variant, shift_deg):
+        base = run(make_config(variant, n_ue_drops=20))
+        moved = run(make_config(variant, n_ue_drops=20, center_lon_deg=shift_deg))
+        assert list(moved.cases) == list(base.cases)
+        for case_id, a in base.cases.items():
+            b = moved.cases[case_id]
+            assert np.array_equal(b.degenerate, a.degenerate)
+            np.testing.assert_allclose(b.peb_m, a.peb_m, rtol=1e-8, atol=0)
+            np.testing.assert_allclose(b.gdop, a.gdop, rtol=1e-8, atol=0)
