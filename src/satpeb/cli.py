@@ -6,11 +6,15 @@ Commands write four artifacts into the output directory: per-UE samples
 run manifest recording the resolved configuration, calibration constants, and
 table-asset checksums.
 
-`samples.csv` is written by column: each case's bound, GDOP and degenerate
+Samples are written by column: each case's bound, GDOP and degenerate
 columns become text as whole lists, the UE position text is formatted once per
-run whose cases share it, and each case id passes through the csv module's
-quoting once. The bytes equal a row-by-row `csv.writer` of `_sample_rows`
-(floats in shortest round-trip form, empty bound and GDOP where degenerate).
+run whose cases share it, and each case id is quoted once. There is one row per
+case and drop, cases in bundle order: UE latitude and longitude in degrees,
+case id, bound, GDOP and the degenerate flag, with no bound or GDOP where
+degenerate. `samples.csv` holds the bytes of a row-by-row `csv.writer` (floats
+in shortest round-trip form, empty cells for the missing bound and GDOP), and
+`samples.json` the text of `json.dumps(rows, indent=2)` over one object per
+row (`null` for the missing bound and GDOP).
 """
 
 from __future__ import annotations
@@ -73,21 +77,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _sample_rows(bundle: RunBundle):
-    for case_id, s in bundle.cases.items():
-        for lat, lon, peb_m, gdop, degenerate in zip(
-                s.ue_lat_rad.tolist(), s.ue_lon_rad.tolist(), s.peb_m.tolist(),
-                s.gdop.tolist(), s.degenerate.tolist()):
-            yield {
-                "ue_lat_deg": math.degrees(lat),
-                "ue_lon_deg": math.degrees(lon),
-                "case_id": case_id,
-                "peb_m": None if degenerate else peb_m,
-                "gdop": None if degenerate else gdop,
-                "degenerate": degenerate,
-            }
-
-
 def _csv_cell(text: str) -> str:
     """`text` quoted as csv.writer quotes it inside a samples.csv row."""
     buf = io.StringIO()
@@ -96,9 +85,9 @@ def _csv_cell(text: str) -> str:
 
 
 def write_samples_csv(bundle: RunBundle, path: Path) -> None:
-    """The rows of `_sample_rows` in `_fmt` form, built per case from whole
-    columns. Cases of one run share their position arrays, so each distinct
-    pair of them is formatted once."""
+    """The sample rows in `_fmt` form, built per case from whole columns.
+    Cases of one run share their position arrays, so each distinct pair of
+    them is formatted once."""
     positions = {}
     lines = [",".join(SAMPLE_FIELDS) + "\n"]
     for case_id, s in bundle.cases.items():
@@ -117,9 +106,35 @@ def write_samples_csv(bundle: RunBundle, path: Path) -> None:
         fh.writelines(lines)
 
 
+def _json_numbers(values: list[float]) -> list[str]:
+    """Each float of `values` as `json.dumps` writes it, from one call of
+    the C encoder."""
+    return json.dumps(values)[1:-1].split(", ") if values else []
+
+
 def write_samples_json(bundle: RunBundle, path: Path) -> None:
-    rows = list(_sample_rows(bundle))
-    path.write_text(json.dumps(rows, indent=2) + "\n")
+    """The sample rows as `json.dumps(rows, indent=2)` writes them, built per
+    case from whole columns; each distinct pair of position arrays is
+    formatted once, as in `write_samples_csv`."""
+    positions = {}
+    rows = []
+    for case_id, s in bundle.cases.items():
+        key = (id(s.ue_lat_rad), id(s.ue_lon_rad))
+        if key not in positions:
+            positions[key] = [
+                f'  {{\n    "ue_lat_deg": {lat},\n    "ue_lon_deg": {lon},\n    "case_id": '
+                for lat, lon in zip(
+                    _json_numbers([math.degrees(x) for x in s.ue_lat_rad.tolist()]),
+                    _json_numbers([math.degrees(x) for x in s.ue_lon_rad.tolist()]))]
+        cell = json.dumps(case_id)
+        rows += [f'{pos}{cell},\n    "peb_m": null,\n    "gdop": null,\n'
+                 '    "degenerate": true\n  }' if degenerate else
+                 f'{pos}{cell},\n    "peb_m": {peb_m},\n    "gdop": {gdop},\n'
+                 '    "degenerate": false\n  }'
+                 for pos, peb_m, gdop, degenerate in zip(
+                     positions[key], _json_numbers(s.peb_m.tolist()),
+                     _json_numbers(s.gdop.tolist()), s.degenerate.tolist())]
+    path.write_text("[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n")
 
 
 def write_summary(bundle: RunBundle, path: Path) -> None:

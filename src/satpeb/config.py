@@ -141,6 +141,14 @@ def validate_config(config: ScenarioConfig) -> None:
         raise ConfigError("gnss_elevation_mask_deg", "must lie in [0, 90) degrees")
     if not -90 <= config.center_lat_deg <= 90:
         raise ConfigError("center_lat_deg", "must lie in [-90, 90] degrees")
+    # The grid's side rows sit lat_gap_deg north and south of the center; this
+    # sums the radians the grid is built from.
+    if config.variant == "multi-leo" and (abs(math.radians(config.center_lat_deg))
+                                          + math.radians(config.lat_gap_deg) > math.pi / 2):
+        raise ConfigError(
+            "lat_gap_deg" if math.radians(config.lat_gap_deg) > math.pi / 2 else "center_lat_deg",
+            f"the grid's side rows at {config.center_lat_deg:g} +- {config.lat_gap_deg:g} "
+            "(center_lat_deg +- lat_gap_deg) must lie in [-90, 90] degrees")
     link = config.link
     # A band signal cannot be wider than its carrier frequency.
     if link.carrier_hz <= 0:

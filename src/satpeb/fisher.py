@@ -179,6 +179,15 @@ def fim(J: np.ndarray, R: np.ndarray) -> np.ndarray:
     return (f + np.swapaxes(f, -1, -2)) / 2.0
 
 
+def fim_diagonal(J: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    """`fim` for independent measurements: (..., M, 2) Jacobians and their
+    (..., M) variances, with no (..., M, M) covariance and no solve. The rows
+    are scaled by the reciprocal variances, as the LU solve in `fim` scales
+    them for a diagonal covariance, so the two give the same bits."""
+    f = np.swapaxes(J, -1, -2) @ (J * (1.0 / variances)[..., None])
+    return (f + np.swapaxes(f, -1, -2)) / 2.0
+
+
 def peb(f: np.ndarray, mean_variance: float = 1.0,
         degenerate_threshold: float = DEGENERATE_EIGENVALUE) -> PebResult:
     """Position error bound sqrt(trace(F^-1)) with a degeneracy flag.

@@ -19,6 +19,10 @@ All drops of a run are evaluated in one in-process array pass: geometry,
 link realization, subset selection and Fisher information run on stacked
 (drops, anchors) arrays. Each block, each link-draw tag and the grid's
 downlink sigmas are computed once and shared by the cases that use them.
+The RTT windows of one link-draw tag are realized together: one stacked
+pass of (windows, drops, anchors) arrays gives every window's link budget
+and FIM. The bounds of all cases then come from one PEB pass over their
+stacked (cases, drops, 2, 2) FIMs.
 
 Results stay columnar: `drop_ues` gives (D,) latitude and longitude arrays,
 the pass yields per case (D,) bound, GDOP and degenerate-flag arrays (NaN
@@ -47,8 +51,8 @@ from .channel import AntennaModel, AntennaPattern, LinkParams, ScenarioClass
 from .config import ScenarioConfig
 from .constants import EARTH_RADIUS_M
 from .errors import ConfigError, StatisticsError
-from .fisher import (MeasurementKind, fim, geometry_jacobian, min_gdop_subsets,
-                     peb_arrays, rtt_range_sigma, tdoa_covariance,
+from .fisher import (MeasurementKind, fim, fim_diagonal, geometry_jacobian,
+                     min_gdop_subsets, peb_arrays, rtt_range_sigma, tdoa_covariance,
                      toa_range_sigma, unit_vectors_en)
 from .geometry import (Geodetic, SatelliteState, angle_between,
                        destination_point, ecef_to_geodetic, enu_frames,
@@ -304,9 +308,17 @@ class _Evaluator:
         center = Geodetic(math.radians(config.center_lat_deg),
                           math.radians(config.center_lon_deg), 0.0)
         orbit = ground_track_orbit(center, config.leo_altitude_m)
-        self.rtt_anchors = {
-            b.time_s: make_virtual_anchors(orbit, b.time_s, config.n_virtual_anchors).positions()
-            for b in self.blocks if isinstance(b, Rtt)}
+        # Link-draw tag -> its RTT windows in block order and their (W, M, 3)
+        # virtual anchors.
+        windows = {}
+        for b in self.blocks:
+            if isinstance(b, Rtt):
+                windows.setdefault(b.tag, []).append(b)
+        self.rtt_windows = {
+            tag: (blocks, np.array([make_virtual_anchors(orbit, b.time_s,
+                                                         config.n_virtual_anchors).positions()
+                                    for b in blocks]))
+            for tag, blocks in windows.items()}
         self.grid = None
         if any(isinstance(b, Tdoa) for b in self.blocks):
             self.grid = hex_constellation(center, math.radians(config.lon_gap_deg),
@@ -323,42 +335,47 @@ class _Evaluator:
         seed = self.config.seed
         n = len(self.lat_rad)
         ue_ecef, basis = enu_frames(self.lat_rad, self.lon_rad)
-        # One set of link draws per tag, shared by every block that names it.
-        draws = {tag: _link_draws(seed, tag, n, self.config.n_virtual_anchors)
-                 for tag in dict.fromkeys(b.tag for b in self.blocks if isinstance(b, Rtt))}
+        info = {}
+        # All windows of a tag in one pass, on the tag's one set of link draws.
+        for tag, (windows, anchors) in self.rtt_windows.items():
+            draws = _link_draws(seed, tag, n, self.config.n_virtual_anchors)
+            info.update(zip(windows, zip(*self._rtt(anchors, ue_ecef, basis, draws))))
         if self.grid is not None:
             grid = (unit_vectors_en(ue_ecef, self.grid_positions, basis, check_horizon=False),
                     *self.model.grid_dl_sigma(self.grid_positions, ue_ecef, *_link_draws(
                         seed, "ml-link", n, len(self.grid))))
-        info = {}
         for block in self.blocks:
-            if isinstance(block, Rtt):
-                info[block] = self._rtt(block, ue_ecef, basis, draws[block.tag])
-            elif isinstance(block, Tdoa):
+            if isinstance(block, Tdoa):
                 info[block] = self._tdoa(block.k, *grid)
-            else:
+            elif isinstance(block, Gnss):
                 info[block] = (*self._gnss(block.n, ue_ecef, basis), np.zeros(n, dtype=bool))
 
-        out = {}
-        for case_id, blocks in self.cases.items():
-            fims, variances, shorts = zip(*(info[b] for b in blocks))
-            f = sum(fims[1:], fims[0])
-            peb_m, gdop, degenerate = peb_arrays(
-                f, np.mean(np.concatenate(variances, axis=1), axis=1))
-            degenerate |= np.any(shorts, axis=0)
-            peb_m[degenerate] = gdop[degenerate] = np.nan
-            out[case_id] = (peb_m, gdop, degenerate)
-        return out
+        # Every case's summed FIM and mean variance, stacked to (C, D, 2, 2)
+        # and (C, D) for one bound pass.
+        fims, mean_variances, shorts = [], [], []
+        for blocks in self.cases.values():
+            f, variances, short = zip(*(info[b] for b in blocks))
+            fims.append(sum(f[1:], f[0]))
+            mean_variances.append(np.mean(np.concatenate(variances, axis=1), axis=1))
+            shorts.append(np.any(short, axis=0))
+        peb_m, gdop, degenerate = peb_arrays(np.stack(fims), np.stack(mean_variances))
+        degenerate |= np.stack(shorts)
+        peb_m[degenerate] = gdop[degenerate] = np.nan
+        return dict(zip(self.cases, zip(peb_m, gdop, degenerate)))
 
-    def _rtt(self, block: Rtt, ue_ecef, basis, draws):
-        """(D, 2, 2) RTT information, (D, M) range variances, and the (D,)
-        mask of drops with a virtual anchor at or below their horizon."""
-        anchors = self.rtt_anchors[block.time_s]
-        sigma, visible = self.model.leo_rtt_sigma(anchors, ue_ecef, *draws)
-        cov = (sigma**2)[..., None] * np.eye(sigma.shape[-1])
-        units = unit_vectors_en(ue_ecef, anchors, basis, check_horizon=False)
-        return (fim(geometry_jacobian(MeasurementKind.RTT, units), cov), sigma**2,
-                ~np.all(visible, axis=1))
+    def _rtt(self, anchors, ue_ecef, basis, draws):
+        """(W, D, 2, 2) RTT information, (W, D, M) range variances, and the
+        (W, D) mask of drops with a virtual anchor at or below their horizon,
+        for the W windows of (W, M, 3) `anchors`. Every window realizes its
+        anchor m with the tag's (D, M) draws of column m, so the W·M links
+        are realized in one call on the draws tiled W times."""
+        w, m = anchors.shape[:2]
+        sigma, visible = self.model.leo_rtt_sigma(anchors.reshape(w * m, 3), ue_ecef,
+                                                  *(np.tile(z, w) for z in draws))
+        variances = (sigma**2).reshape(-1, w, m).swapaxes(0, 1)
+        units = unit_vectors_en(ue_ecef, anchors[:, None], basis, check_horizon=False)
+        return (fim_diagonal(geometry_jacobian(MeasurementKind.RTT, units), variances),
+                variances, ~np.all(visible.reshape(-1, w, m), axis=2).T)
 
     def _tdoa(self, k: int, units, sigma_dl, visible):
         """(D, 2, 2) grid TDOA information, (D, k-1) variances, and the (D,)

@@ -7,8 +7,8 @@ import pytest
 
 from satpeb import channel
 from satpeb.cli import (SAMPLE_FIELDS, _build_parser, _fmt, _merge_bundles,
-                        _sample_rows, config_hash, main, parse_config,
-                        write_samples_csv, write_samples_json, write_summary)
+                        config_hash, main, parse_config, write_samples_csv,
+                        write_samples_json, write_summary)
 from satpeb.config import make_config
 from satpeb.errors import ConfigError
 from satpeb.scenarios import PebSampleSet, RunBundle, run, summarize
@@ -307,6 +307,16 @@ class TestExecute:
         assert error.startswith("measurement_times_s: ")
         assert repr(case_id) in error
 
+    def test_grid_side_row_beyond_pole_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path, {"variant": "multi-leo", "n_ue_drops": 3,
+                                      "center_lat_deg": 83.2})
+        out = tmp_path / "out"
+        assert main(["multi-leo", "--config", str(cfg), "--out", str(out)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        [error] = manifest["errors"]
+        assert error.startswith("center_lat_deg: ")
+        assert manifest["outputs"] == []
+
     @pytest.mark.parametrize("command, variant", [
         ("multi-leo", "multi-leo"),
         ("gnss-leo", "gnss-only"),
@@ -465,6 +475,29 @@ def _csv_value(field, text):
     return float(text) if text else None
 
 
+def _sample_rows(bundle):
+    """One dict per case and drop, keyed by SAMPLE_FIELDS: the rows both
+    sample writers serialize."""
+    for case_id, s in bundle.cases.items():
+        for lat, lon, peb_m, gdop, degenerate in zip(
+                s.ue_lat_rad.tolist(), s.ue_lon_rad.tolist(), s.peb_m.tolist(),
+                s.gdop.tolist(), s.degenerate.tolist()):
+            yield {
+                "ue_lat_deg": math.degrees(lat),
+                "ue_lon_deg": math.degrees(lon),
+                "case_id": case_id,
+                "peb_m": None if degenerate else peb_m,
+                "gdop": None if degenerate else gdop,
+                "degenerate": degenerate,
+            }
+
+
+def _row_wise_samples_json(bundle, path):
+    """samples.json as one `json.dumps` of the row dicts: the byte-level
+    oracle for the columnar `write_samples_json`."""
+    path.write_text(json.dumps(list(_sample_rows(bundle)), indent=2) + "\n")
+
+
 def _row_wise_samples_csv(bundle, path):
     """samples.csv written row by row through csv.writer: the byte-level
     oracle for the columnar `write_samples_csv`."""
@@ -500,6 +533,20 @@ class TestSampleSerialization:
         _row_wise_samples_csv(bundle, tmp_path / "row_wise.csv")
         columnar = (tmp_path / "columnar.csv").read_bytes()
         assert columnar == (tmp_path / "row_wise.csv").read_bytes()
+
+    @pytest.mark.parametrize("bundle", [
+        pytest.param(lambda: _hand_built_bundle("case", 'odd, "quoted"\nid', "",
+                                                "d\u00e9g\u00e9n\u00e9r\u00e9 \u03c3 \U0001f6f0"),
+                     id="hand-built"),
+        *(pytest.param(lambda v=v: run(make_config(v, n_ue_drops=25)), id=v)
+          for v in ("single-leo", "multi-leo", "gnss-leo", "gnss-only")),
+    ])
+    def test_columnar_json_equals_row_wise_dumps(self, tmp_path, bundle):
+        bundle = bundle()
+        write_samples_json(bundle, tmp_path / "columnar.json")
+        _row_wise_samples_json(bundle, tmp_path / "row_wise.json")
+        columnar = (tmp_path / "columnar.json").read_bytes()
+        assert columnar == (tmp_path / "row_wise.json").read_bytes()
 
     def test_csv_and_json_samples_agree(self, tmp_path):
         bundle = _hand_built_bundle("case")

@@ -1,12 +1,15 @@
 import json
+import math
 from dataclasses import fields
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from satpeb.config import (ANTENNA_MODELS, SCENARIO_CLASSES, VARIANTS, LinkBudget,
                            ScenarioConfig, config_from_dict, config_to_dict, make_config)
 from satpeb.errors import ConfigError
+from satpeb.scenarios import run
 
 _any_float = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(1e-3, 1e9)
@@ -56,6 +59,11 @@ def _configs(draw):
     overrides = draw(st.fixed_dictionaries({}, optional={**_FIELD_VALUES, "link": _links()}))
     if variant in ("single-leo", "gnss-leo") and draw(st.booleans()):
         overrides["measurement_times_s"] = tuple(draw(st.lists(_positive, min_size=1)))
+    if variant == "multi-leo":
+        # The grid's side rows, center_lat_deg +- lat_gap_deg, stay on the sphere.
+        assume(abs(math.radians(overrides.get("center_lat_deg", 0.0)))
+               + math.radians(overrides.get("lat_gap_deg", ScenarioConfig.lat_gap_deg))
+               <= math.pi / 2)
     return make_config(variant, **overrides)
 
 
@@ -102,3 +110,28 @@ def test_any_json_under_schema_keys_is_a_config_or_config_error(config, dropped,
     except ConfigError:
         return
     assert isinstance(parsed, ScenarioConfig)
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"center_lat_deg": 83.2}, "center_lat_deg"),
+    ({"center_lat_deg": -83.2}, "center_lat_deg"),
+    ({"center_lat_deg": 89.5}, "center_lat_deg"),
+    ({"center_lat_deg": -89.5}, "center_lat_deg"),
+    ({"center_lat_deg": 40.0, "lat_gap_deg": 50.5}, "center_lat_deg"),
+    ({"lat_gap_deg": 90.5}, "lat_gap_deg"),
+])
+def test_grid_side_rows_beyond_a_pole_name_the_field(overrides, field):
+    with pytest.raises(ConfigError) as err:
+        make_config("multi-leo", n_ue_drops=3, **overrides)
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("lat", [83.0, -83.0])
+def test_grid_side_rows_just_short_of_a_pole_run(lat):
+    """Side rows at +-89.9 degrees."""
+    bundle = run(make_config("multi-leo", n_ue_drops=3, center_lat_deg=lat))
+    assert len(bundle.cases) == 4
+
+
+def test_side_rows_bound_only_the_grid_variant():
+    make_config("single-leo", n_ue_drops=3, center_lat_deg=89.5)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from satpeb.constants import EARTH_RADIUS_M
 from satpeb.errors import VisibilityError
 from satpeb.fisher import (MeasurementKind, MeasurementSet,
-                           best_subset_indices, fim, geometry_jacobian,
-                           jacobian, min_gdop_subsets, peb, peb_arrays,
+                           best_subset_indices, fim, fim_diagonal,
+                           geometry_jacobian, jacobian, min_gdop_subsets, peb, peb_arrays,
                            rtt_range_sigma, select_satellites,
                            tdoa_covariance, toa_range_sigma, unit_sigma_gdop,
                            unit_vectors_en)
@@ -242,6 +242,14 @@ class TestFim:
         for j, r, f in zip(J, R, stacked):
             assert np.array_equal(f, fim(j, r))
 
+    @pytest.mark.parametrize("m", [2, 3, 10, 11])
+    def test_diagonal_form_equals_solve_bit_for_bit(self, m):
+        rng = np.random.default_rng(40 + m)
+        J = rng.standard_normal((4, 30, m, 2))
+        variances = 10.0 ** rng.uniform(-3.0, 6.0, (4, 30, m))
+        assert np.array_equal(fim_diagonal(J, variances),
+                              fim(J, variances[..., None] * np.eye(m)))
+
 
 class TestPeb:
     def test_identity_fim(self):
@@ -297,6 +305,18 @@ class TestPeb:
                 assert np.isnan(bound[i]) and np.isnan(gdop[i])
             else:
                 assert bound[i] == ref.peb_m and gdop[i] == ref.gdop
+
+    def test_one_call_over_stacked_cases_equals_per_case_calls(self):
+        rng = np.random.default_rng(53)
+        fims = fim_diagonal(rng.standard_normal((6, 50, 3, 2)),
+                            rng.uniform(0.5, 3.0, (6, 50, 3)))
+        fims[:, :3] = [np.diag([0.0, 5.0]), np.diag([5e-13, 1.0]), np.eye(2) * 1e-12]
+        variances = rng.uniform(0.5, 9.0, (6, 50))
+        stacked = peb_arrays(fims, variances)
+        for c in range(len(fims)):
+            for column, per_case in zip(stacked, peb_arrays(fims[c], variances[c])):
+                assert np.array_equal(column[c], per_case, equal_nan=True)
+        assert np.all(stacked[2][:, :2]) and not np.any(stacked[2][:, 2])
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.floats(1e-2, 1e2), st.floats(1e-2, 1e2),

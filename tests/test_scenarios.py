@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from satpeb import scenarios
+from satpeb import channel, scenarios
 from satpeb.config import make_config
 from satpeb.constants import EARTH_RADIUS_M
 from satpeb.errors import StatisticsError
@@ -334,6 +334,28 @@ class TestSpans:
         for sample in run(cfg).cases.values():
             assert np.array_equal(sample.ue_lat_rad, evaluator.lat_rad)
             assert np.array_equal(sample.ue_lon_rad, evaluator.lon_rad)
+
+
+class TestStackedWindows:
+    @pytest.mark.parametrize("variant", ["single-leo", "gnss-leo"])
+    def test_window_does_not_depend_on_the_other_windows(self, variant):
+        sweep = run(make_config(variant, n_ue_drops=40, measurement_times_s=(2.0, 5.0, 10.0)))
+        alone = run(make_config(variant, n_ue_drops=40, measurement_times_s=(5.0,)))
+        case_id = variant.replace("-", "_") + "_t5"
+        assert list(alone.cases) == [case_id]
+        assert _columns_equal(_sample_columns(sweep.cases[case_id]),
+                              _sample_columns(alone.cases[case_id]))
+
+    @pytest.mark.parametrize("n_times", [1, 3, 9])
+    def test_one_downlink_and_one_uplink_budget_per_tag(self, n_times, monkeypatch):
+        # All windows of the "sl-link" tag are realized in one pass.
+        calls = []
+        real = channel.link_snr
+        monkeypatch.setattr(channel, "link_snr", lambda *a: calls.append(a) or real(*a))
+        times = tuple(float(t) for t in range(2, 2 + n_times))
+        bundle = run(make_config("single-leo", n_ue_drops=7, measurement_times_s=times))
+        assert len(bundle.cases) == n_times
+        assert len(calls) == 2
 
 
 class TestRunBundle:
