@@ -1,9 +1,10 @@
 """Measurement accuracy models, Jacobians, Fisher information, and PEB/GDOP.
 
 The unknown is the 2-D horizontal UE position (east/north at fixed altitude).
-RTT measurements are two-way ranges free of UE clock bias; TDOA measurements
-are downlink range differences against a reference anchor, which cancels the
-UE clock bias under perfect network synchronization.
+RTT ranges are free of UE clock bias. TDOA takes downlink TOAs from perfectly
+synchronized anchors sharing one unknown UE clock bias, eliminated by a Schur
+complement: the equivalent FIM of Shen and Win (IEEE Trans. Inf. Theory, 2010)
+and the GNSS pseudorange model, as informative as TDOA against any reference.
 """
 
 from __future__ import annotations
@@ -179,12 +180,18 @@ def fim(J: np.ndarray, R: np.ndarray) -> np.ndarray:
     return (f + np.swapaxes(f, -1, -2)) / 2.0
 
 
-def fim_diagonal(J: np.ndarray, variances: np.ndarray) -> np.ndarray:
+def fim_diagonal(J: np.ndarray, variances: np.ndarray,
+                 clock_bias: bool = False) -> np.ndarray:
     """`fim` for independent measurements: (..., M, 2) Jacobians and their
     (..., M) variances, with no (..., M, M) covariance and no solve. The rows
     are scaled by the reciprocal variances, as the LU solve in `fim` scales
-    them for a diagonal covariance, so the two give the same bits."""
-    f = np.swapaxes(J, -1, -2) @ (J * (1.0 / variances)[..., None])
+    them for a diagonal covariance, so the two give the same bits. `clock_bias`
+    eliminates a bias common to the M measurements by centring the rows on
+    their 1/variance-weighted mean; that is `fim` of TDOA against any reference."""
+    w = 1.0 / variances
+    if clock_bias:
+        J = J - np.sum(J * w[..., None], -2, keepdims=True) / np.sum(w, -1)[..., None, None]
+    f = np.swapaxes(J, -1, -2) @ (J * w[..., None])
     return (f + np.swapaxes(f, -1, -2)) / 2.0
 
 
@@ -282,15 +289,8 @@ def min_gdop_subsets(units_en: np.ndarray, serving_index: int, k: int,
     others = [i for i in range(n) if i != serving_index]
     combos = list(itertools.combinations(others, k - 1))
     subsets = np.array([sorted((serving_index,) + c) for c in combos])
-    if kind is MeasurementKind.TDOA:
-        # Serving anchor first, as the reference; the rest in subset order.
-        order = np.array([(serving_index,) + c for c in combos])
-        J = geometry_jacobian(kind, units_en[:, order], 0)
-        cov = tdoa_covariance(np.ones(k), 0)
-    else:
-        J = geometry_jacobian(kind, units_en[:, subsets])
-        cov = np.eye(k)
-    _, gdop, degenerate = peb_arrays(fim(J, cov))
+    _, gdop, degenerate = peb_arrays(fim_diagonal(
+        units_en[:, subsets], np.ones(k), clock_bias=kind is MeasurementKind.TDOA))
     gdop = np.where(degenerate, np.inf, gdop)
     best = np.full(len(units_en), np.inf)
     choice = np.zeros(len(units_en), dtype=int)

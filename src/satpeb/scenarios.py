@@ -13,7 +13,8 @@ UE drops. `case_table` maps each case of a variant to its blocks (`Rtt`,
 
 A case's FIM is the sum of its blocks' FIMs in table order; the mean
 variance behind its GDOP is taken over the blocks' measurement variances
-concatenated in that order.
+concatenated in that order. Every block's FIM is `fim_diagonal` over its
+range variances, with the UE clock bias eliminated for TDOA and GNSS.
 
 All drops of a run are evaluated in one in-process array pass: geometry,
 link realization, subset selection and Fisher information run on stacked
@@ -51,8 +52,7 @@ from .channel import AntennaModel, AntennaPattern, LinkParams, ScenarioClass
 from .config import ScenarioConfig
 from .constants import EARTH_RADIUS_M
 from .errors import ConfigError, StatisticsError
-from .fisher import (MeasurementKind, fim, fim_diagonal, geometry_jacobian,
-                     min_gdop_subsets, peb_arrays, rtt_range_sigma, tdoa_covariance,
+from .fisher import (fim_diagonal, min_gdop_subsets, peb_arrays, rtt_range_sigma,
                      toa_range_sigma, unit_vectors_en)
 from .geometry import (Geodetic, SatelliteState, angle_between,
                        destination_point, ecef_to_geodetic, enu_frames,
@@ -374,28 +374,25 @@ class _Evaluator:
                                                   *(np.tile(z, w) for z in draws))
         variances = (sigma**2).reshape(-1, w, m).swapaxes(0, 1)
         units = unit_vectors_en(ue_ecef, anchors[:, None], basis, check_horizon=False)
-        return (fim_diagonal(geometry_jacobian(MeasurementKind.RTT, units), variances),
-                variances, ~np.all(visible.reshape(-1, w, m), axis=2).T)
+        return (fim_diagonal(units, variances), variances,
+                ~np.all(visible.reshape(-1, w, m), axis=2).T)
 
     def _tdoa(self, k: int, units, sigma_dl, visible):
-        """(D, 2, 2) grid TDOA information, (D, k-1) variances, and the (D,)
-        mask of drops with fewer than k visible satellites."""
-        serving = self.grid.serving_index
-        subsets = min_gdop_subsets(units, serving, k, visible=visible)
+        """(D, 2, 2) grid TDOA information, (D, k-1) range-difference
+        variances against the serving satellite (grid index 0, so first in
+        every sorted subset), and the (D,) mask of drops with fewer than k
+        visible satellites."""
+        subsets = min_gdop_subsets(units, 0, k, visible=visible)
         short = ~np.all(np.take_along_axis(visible, subsets, axis=1), axis=1)
-        # Serving satellite first as the TDOA reference, then the others in
-        # index order.
-        others = subsets[subsets != serving].reshape(len(units), k - 1)
-        order = np.concatenate([np.full((len(units), 1), serving), others], axis=1)
-        cov = tdoa_covariance(np.take_along_axis(sigma_dl, order, axis=1), 0)
-        J = geometry_jacobian(MeasurementKind.TDOA,
-                              np.take_along_axis(units, order[..., None], axis=1), 0)
-        return fim(J, cov), np.diagonal(cov, axis1=-2, axis2=-1), short
+        variances = np.take_along_axis(sigma_dl, subsets, axis=1) ** 2
+        f = fim_diagonal(np.take_along_axis(units, subsets[..., None], axis=1), variances,
+                         clock_bias=True)
+        return f, variances[:, 1:] + variances[:, :1], short
 
     def _gnss(self, n: int, ue_ecef, basis):
-        """(D, 2, 2) GNSS TDOA information and (D, n-1) variances of n
-        satellites on the GNSS shell, each uniform by solid angle on its UE's
-        sky cap above the elevation mask."""
+        """(D, 2, 2) GNSS TDOA information and (D, n-1) range-difference
+        variances of n satellites on the GNSS shell, each uniform by solid
+        angle on its UE's sky cap above the elevation mask."""
         config = self.config
         # Per satellite: an elevation term, then an azimuth uniform.
         draws = np.array([[substream(config.seed, "gnss-pos", i, s).random(2)
@@ -411,9 +408,9 @@ class _Evaluator:
         b = np.sum(ue * d_ecef, axis=-1)
         rho = -b + np.sqrt(b * b + r_shell**2 - np.sum(ue * ue, axis=-1))
         units = unit_vectors_en(ue_ecef, ue + rho[..., None] * d_ecef, basis)
-        cov = tdoa_covariance(np.full(n, self.model.gnss_range_sigma), 0)
-        f = fim(geometry_jacobian(MeasurementKind.TDOA, units, 0), cov)
-        return f, np.broadcast_to(np.diag(cov), (len(ue_ecef), n - 1))
+        variances = np.full(n, self.model.gnss_range_sigma) ** 2
+        return (fim_diagonal(units, variances, clock_bias=True),
+                np.broadcast_to(variances[1:] + variances[:1], (len(ue_ecef), n - 1)))
 
 
 def run(config: ScenarioConfig) -> RunBundle:

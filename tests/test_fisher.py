@@ -250,6 +250,39 @@ class TestFim:
         assert np.array_equal(fim_diagonal(J, variances),
                               fim(J, variances[..., None] * np.eye(m)))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.05, 1.5),
+                              st.booleans(), st.floats(-1.0, 3.0)),
+                    min_size=2, max_size=8),
+           st.floats(0.0, 2 * math.pi), st.sampled_from([1.0, 1e-3, 1e-6, 1e-9, 0.0]),
+           st.data())
+    def test_clock_bias_form_equals_tdoa_against_every_reference(self, sky, heading,
+                                                                 spread, data):
+        # Each anchor: azimuth, elevation, whether it sits on the far side of
+        # the line, and log10 of its range sigma. A small `spread` squeezes
+        # the azimuths onto one line through the UE: a near-collinear sky.
+        az = np.array([heading + spread * a + (math.pi if flip else 0.0)
+                       for a, _, flip, _ in sky])
+        el = np.array([e for _, e, _, _ in sky])
+        units = np.stack([np.cos(el) * np.sin(az), np.cos(el) * np.cos(az)], axis=-1)
+        sigmas = 10.0 ** np.array([s for *_, s in sky])
+        variances = sigmas**2
+        f = fim_diagonal(units, variances, clock_bias=True)
+        # F can be tiny on a collinear sky, so errors are measured against
+        # the uncentred information sum(w_i |u_i|^2). The LU solve behind
+        # the oracle loses accuracy with the covariance's condition number,
+        # which grows with the spread of the variances.
+        scale = np.sum(np.sum(units**2, axis=-1) / variances)
+        eps = np.finfo(float).eps
+        tol = 64 * eps * scale * variances.max() / variances.min()
+        for r in range(len(sky)):
+            oracle = fim(geometry_jacobian(MeasurementKind.TDOA, units, r),
+                         tdoa_covariance(sigmas, r))
+            assert np.all(np.abs(f - oracle) <= tol), r
+        order = data.draw(st.permutations(range(len(sky))))
+        permuted = fim_diagonal(units[order], variances[order], clock_bias=True)
+        assert np.all(np.abs(permuted - f) <= 16 * eps * scale)
+
 
 class TestPeb:
     def test_identity_fim(self):

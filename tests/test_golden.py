@@ -3,11 +3,15 @@ engine was rewritten as one block-sum evaluator.
 
 Regenerate the golden file (only from a commit whose outputs are trusted):
 
-    PYTHONPATH=src python -m tests.test_golden
+    PYTHONPATH=src python -m tests.test_golden [VARIANT ...]
+
+Named variants have their entries rewritten and every other entry keeps its
+bytes; with no names, every entry is rewritten.
 """
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,6 +76,37 @@ def test_run_matches_golden(golden, variant, seed):
             assert not bad, f"{case_id} {field} differs at drops {bad}"
 
 
+def recapture(variants=VARIANTS, path: Path = GOLDEN) -> None:
+    """Rewrite the entries of `variants` in the golden file at `path`. The
+    file is one `json.dumps` line, whose floats round-trip, so re-dumping
+    the other entries leaves their bytes as they were."""
+    unknown = set(variants) - set(VARIANTS)
+    if unknown:
+        raise ValueError(f"unknown variants {sorted(unknown)}; expected some of {VARIANTS}")
+    kept = ({(g["variant"], g["seed"]): g for g in json.loads(path.read_text())}
+            if path.exists() else {})
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps([_snapshot(v, s) if v in variants else kept[(v, s)]
+                                for v in VARIANTS for s in SEEDS]) + "\n")
+
+
+def test_recapture_rewrites_only_the_named_variants(tmp_path, monkeypatch):
+    path = tmp_path / "golden.json"
+    path.write_bytes(GOLDEN.read_bytes())
+    recapture((), path)
+    assert path.read_bytes() == GOLDEN.read_bytes()
+    monkeypatch.setattr(sys.modules[__name__], "_snapshot",
+                        lambda v, s: {"variant": v, "seed": s, "cases": {}})
+    recapture(("gnss-only",), path)
+    before = json.loads(GOLDEN.read_text())
+    after = json.loads(path.read_text())
+    assert [(g["variant"], g["seed"]) for g in after] == [(g["variant"], g["seed"])
+                                                         for g in before]
+    for old, new in zip(before, after):
+        assert new == (old if old["variant"] != "gnss-only" else {**old, "cases": {}})
+    with pytest.raises(ValueError, match="gnss_only"):
+        recapture(("gnss_only",), path)
+
+
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps([_snapshot(v, s) for v in VARIANTS for s in SEEDS]) + "\n")
+    recapture(tuple(sys.argv[1:]) or VARIANTS)

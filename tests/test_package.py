@@ -62,3 +62,25 @@ def test_commands_never_reach_the_scalar_layer(tmp_path, monkeypatch):
     assert main(["validate", "--trials", "20", "--out", str(tmp_path / "v")]) == 0
     assert main(["multi-leo", "--config", str(config),
                  "--out", str(tmp_path / "m")]) == 0
+
+
+def test_commands_build_no_covariance_fim(tmp_path, monkeypatch):
+    # Every command's information comes from `fisher.fim_diagonal`; the LU
+    # form `fim` stays only as the tests' oracle and the scalar layer's.
+    from satpeb.cli import main
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a command reached fisher.fim")
+
+    for name, module in list(sys.modules.items()):
+        if (name == "satpeb" or name.startswith("satpeb.")) and hasattr(module, "fim"):
+            monkeypatch.setattr(module, "fim", forbidden)
+    assert satpeb.fisher.fim is forbidden
+    assert main(["validate", "--trials", "20", "--out", str(tmp_path / "v")]) == 0
+    # gnss-only runs through the gnss-leo command, chosen by its config.
+    for command, variant in (("multi-leo", "multi-leo"), ("gnss-leo", "gnss-leo"),
+                             ("gnss-leo", "gnss-only")):
+        config = tmp_path / f"{variant}.json"
+        config.write_text(json.dumps({"variant": variant, "n_ue_drops": 3}))
+        assert main([command, "--config", str(config),
+                     "--out", str(tmp_path / variant)]) == 0

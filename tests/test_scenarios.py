@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -299,6 +300,37 @@ class TestGnssLeo:
         evaluator.lon_rad[0] = math.radians(-0.08)
         west = evaluator.evaluate()["single_leo_t10"][0][0]
         assert east == pytest.approx(west, rel=1e-6)
+
+
+class TestBlockSums:
+    # Blocks to append to every case: a window on a tag of its own, a window
+    # on single-leo's tag (stacked with its windows), and the TDOA kinds.
+    EXTRA = (scenarios.Rtt(3.0, "extra-link"), scenarios.Rtt(7.0, "sl-link"),
+             scenarios.Tdoa(3), scenarios.Tdoa(4), scenarios.Gnss(2), scenarios.Gnss(3))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["single-leo", "multi-leo", "gnss-leo", "gnss-only"]),
+           st.integers(0, 1000), st.sampled_from(EXTRA))
+    def test_adding_a_block_never_raises_a_bound(self, variant, seed, extra):
+        config = make_config(variant, n_ue_drops=30, seed=seed)
+        base = _Evaluator(config).evaluate()
+        real = scenarios.case_table
+
+        def with_extra(config):
+            cases = {c: blocks + (extra,) for c, blocks in real(config).items()}
+            return {**cases, "extra_alone": (extra,)}
+
+        with mock.patch.object(scenarios, "case_table", with_extra):
+            extended = _Evaluator(config).evaluate()
+        # A drop that cannot form the extra block (hidden anchors, too few
+        # visible satellites) is degenerate in it alone, and so in every sum.
+        cannot = extended.pop("extra_alone")[2]
+        assert list(extended) == list(base)
+        for case_id, (peb_m, _, degenerate) in base.items():
+            more_peb, _, more_degenerate = extended[case_id]
+            assert not np.any(more_degenerate & ~degenerate & ~cannot), case_id
+            both = ~degenerate & ~more_degenerate
+            assert np.all(more_peb[both] <= peb_m[both] * (1.0 + 1e-9)), case_id
 
 
 class TestSpans:
