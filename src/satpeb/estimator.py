@@ -1,9 +1,9 @@
 """Validation oracle: synthetic measurements and a Gauss-Newton position
 solver, used to check that empirical RMSE approaches the computed bound.
 
-The solver fits the horizontal position at fixed altitude on the scenario
-evaluator's array kernels. `validate` draws all trials in one call and solves
-them as stacked rows, each with its own convergence mask; `solve` is one row.
+The solver fits the horizontal position at fixed altitude. `validate` draws
+all trials in one call and solves up to `_BLOCK_TRIALS` of them per pass as
+stacked rows, each with its own convergence mask; `solve` is one row.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateGeometryError
+from .errors import DegenerateGeometryError, VisibilityError
 from .fisher import (DEGENERATE_EIGENVALUE, MeasurementKind, fim_diagonal,
-                     geometry_jacobian, min_gdop_subsets, peb_arrays,
-                     tdoa_covariance, unit_vectors_en)
+                     min_gdop_subsets, peb_arrays, tdoa_covariance,
+                     unit_vectors_en)
 from .geometry import (AnchorSet, Geodetic, enu_frames, geodetic_to_ecef,
                        hex_constellation)
 from .constants import EARTH_RADIUS_M
@@ -24,6 +24,9 @@ from .constants import EARTH_RADIUS_M
 MAX_ITERATIONS = 50
 STEP_TOLERANCE_M = 1e-4
 _DIVERGENCE_STEP_M = 5e6
+# Trials per `_gauss_newton` pass in `validate`: the default 2000 take one pass,
+# and the working set, about 0.45 kB a trial (0.9 MB here), stays bounded.
+_BLOCK_TRIALS = 2048
 
 
 @dataclass(frozen=True)
@@ -98,11 +101,33 @@ def simulate_measurements(truth: Geodetic, kind: MeasurementKind,
     return replace(meas, observed_m=meas.observed_m[0])
 
 
+def _step(observed, lat, lon, alt_m, anchors, ref, keep, weight) -> np.ndarray:
+    """(T, 2) Gauss-Newton steps of the `observed` rows; temporaries die on return."""
+    p, basis = enu_frames(lat, lon, alt_m)
+    units = p[:, None, :] - anchors  # anchor->UE, the direction of d(range)/d(UE)
+    ranges = np.sqrt(np.sum(units * units, axis=-1))  # np.linalg.norm with one temporary
+    units /= ranges[..., None]
+    if np.any(units @ basis[:, 2, :, None] >= 0):
+        raise VisibilityError("anchor at or below the UE horizon")
+    J = np.concatenate([units @ basis[:, 0, :, None], units @ basis[:, 1, :, None]], axis=-1)
+    del p, basis, units  # the (T, N, 3) arrays go before the normal equations
+    if ref is not None:  # TDOA against `ref`, as in `predict` and `geometry_jacobian`
+        J, ranges = J[:, keep] - J[:, ref:ref + 1], ranges[:, keep] - ranges[:, ref, None]
+    JtW = np.swapaxes(J, -1, -2) @ weight
+    normal = JtW @ J
+    if np.any(np.linalg.eigvalsh(normal)[:, 0] < DEGENERATE_EIGENVALUE):
+        raise DegenerateGeometryError(
+            "normal equations do not constrain the horizontal position")
+    return np.linalg.solve(normal, JtW @ (observed - ranges)[..., None])[..., 0]
+
+
 def _gauss_newton(meas: SyntheticMeasurements, guess: Geodetic,
                   max_iterations: int, tolerance_m: float):
     """`solve` for each row of the (T, M) `meas.observed_m`, all rows at once;
     returns (T,) latitude, longitude, iteration-count and converged arrays."""
-    kind, ref, observed = meas.kind, meas.reference_index, np.atleast_2d(meas.observed_m)
+    observed, anchors = np.atleast_2d(meas.observed_m), meas.anchors.positions()
+    ref = meas.reference_index if meas.kind is MeasurementKind.TDOA else None
+    keep = None if ref is None else np.delete(np.arange(len(anchors)), ref)
     try:
         weight = np.linalg.inv(meas.covariance)
     except np.linalg.LinAlgError:
@@ -115,16 +140,8 @@ def _gauss_newton(meas: SyntheticMeasurements, guess: Geodetic,
         active, rows = rows, rows[:0]
         while (active := active[iterations[active] < max_iterations]).size:
             iterations[active] += 1
-            p, basis = enu_frames(lat[active], lon[active], guess.alt_m)
-            resid = observed[active] - predict(kind, meas.anchors, ref, p)
-            J = geometry_jacobian(kind, unit_vectors_en(p, meas.anchors.positions(), basis),
-                                  ref)
-            JtW = np.swapaxes(J, -1, -2) @ weight
-            normal = JtW @ J
-            if np.any(np.linalg.eigvalsh(normal)[:, 0] < DEGENERATE_EIGENVALUE):
-                raise DegenerateGeometryError(
-                    "normal equations do not constrain the horizontal position")
-            delta = step_scale * np.linalg.solve(normal, JtW @ resid[..., None])[..., 0]
+            delta = step_scale * _step(observed[active], lat[active], lon[active],
+                                       guess.alt_m, anchors, ref, keep, weight)
             step = np.linalg.norm(delta, axis=-1)
             diverged = ~np.all(np.isfinite(delta), axis=-1) | (step > _DIVERGENCE_STEP_M)
             rows = np.concatenate([rows, active[diverged]])
@@ -191,15 +208,12 @@ def validate(scenario: str = "multi-leo-tdoa4", n_trials: int = 2000,
     bound = float(peb_arrays(fim_diagonal(units, variances, clock_bias=True))[0])
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x76616c]))
     meas = _simulate(truth, tdoa, anchors, cov, rng, ref, n_trials)
-    errors, converged = [], []
-    # Blocks of 256 trials bound the working arrays, about 0.7 kB a trial.
-    for block in np.split(meas.observed_m, range(256, n_trials, 256)):
-        lat, lon, _, ok = _gauss_newton(replace(meas, observed_m=block), guess,
-                                        MAX_ITERATIONS, STEP_TOLERANCE_M)
-        estimate_ecef, _ = enu_frames(lat, lon, guess.alt_m)
-        errors.append((truth_basis @ (estimate_ecef - truth_ecef)[..., None])[:, :2, 0])
-        converged.append(ok)
-    errors, converged = np.concatenate(errors), np.concatenate(converged)
+    blocks = np.split(meas.observed_m, range(_BLOCK_TRIALS, n_trials, _BLOCK_TRIALS))
+    solved = [_gauss_newton(replace(meas, observed_m=block), guess, MAX_ITERATIONS,
+                            STEP_TOLERANCE_M) for block in blocks]
+    lat, lon, _, converged = (np.concatenate(column) for column in zip(*solved))
+    estimate_ecef, _ = enu_frames(lat, lon, guess.alt_m)
+    errors = (truth_basis @ (estimate_ecef - truth_ecef)[..., None])[:, :2, 0]
     rmse = float(np.sqrt(np.mean(np.sum(errors**2, axis=1))))
     return ValidationReport(
         scenario=scenario, n_trials=n_trials, rmse_m=rmse, peb_m=bound,

@@ -1,11 +1,14 @@
 import json
 import math
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from satpeb.cli import main
 from satpeb.config import (ANTENNA_MODELS, SCENARIO_CLASSES, VARIANTS, LinkBudget,
                            ScenarioConfig, config_from_dict, config_to_dict, make_config)
 from satpeb.errors import ConfigError
@@ -110,6 +113,31 @@ def test_any_json_under_schema_keys_is_a_config_or_config_error(config, dropped,
     except ConfigError:
         return
     assert isinstance(parsed, ScenarioConfig)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_configs(), st.dictionaries(st.sampled_from(_KEYS), _json_values, max_size=2),
+       st.dictionaries(st.sampled_from(_LINK_KEYS), _json_values, max_size=2))
+def test_refused_config_file_exits_2_with_its_error_in_the_manifest(config, top, link):
+    """The command half of the parse fuzz: a config file that the parser
+    refuses makes the command exit 2 with that ConfigError as the manifest's
+    only error. Accepted files are not run here: a link budget whose SNR
+    leaves the float range still ends such a run in exit 1."""
+    raw = json.loads(json.dumps(config_to_dict(config)))
+    raw["link"].update(link)
+    raw.update(top)
+    command = "gnss-leo" if config.variant == "gnss-only" else config.variant
+    try:
+        config_from_dict(raw, command)
+    except ConfigError as exc:
+        refused = str(exc)
+    else:
+        return
+    with tempfile.TemporaryDirectory() as work:
+        path, out = Path(work, "config.json"), Path(work, "out")
+        path.write_text(json.dumps(raw))
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert json.loads((out / "manifest.json").read_text())["errors"] == [refused]
 
 
 @pytest.mark.parametrize("overrides, field", [

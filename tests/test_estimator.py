@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from satpeb import estimator
-from satpeb.errors import DegenerateGeometryError
+from satpeb.errors import DegenerateGeometryError, VisibilityError
 from satpeb.estimator import (SyntheticMeasurements, predict,
                               reference_tdoa_case, simulate_measurements,
                               solve, validate)
@@ -77,6 +77,13 @@ class TestSolve:
                                      np.random.default_rng(3))
         with pytest.raises(DegenerateGeometryError):
             solve(meas, truth)
+
+    def test_guess_with_anchors_below_its_horizon_raises(self, tdoa_case):
+        truth, anchors, cov, ref, _ = tdoa_case
+        meas = simulate_measurements(truth, MeasurementKind.TDOA, anchors, cov,
+                                     np.random.default_rng(0), reference_index=ref)
+        with pytest.raises(VisibilityError):
+            solve(meas, Geodetic(0.0, math.pi, 0.0))  # the far side of the Earth
 
     def test_rtt_solve_matches_truth(self):
         orbit = ground_track_orbit(Geodetic(0.0, 0.0, 0.0), 600e3)
@@ -212,12 +219,36 @@ class TestSolverPaths:
                                       stacked_rng, ref, 500)
         assert np.array_equal(stacked.observed_m, sequential)
 
+    def test_report_does_not_depend_on_the_block_bound(self, monkeypatch):
+        one_pass = validate(n_trials=450, seed=6)
+        monkeypatch.setattr(estimator, "_BLOCK_TRIALS", 100)  # five passes
+        # repr tells every float apart bit for bit, -0.0 from 0.0 included
+        assert repr(validate(n_trials=450, seed=6)) == repr(one_pass)
+
+    def test_default_trials_solve_in_one_pass(self, monkeypatch):
+        calls, gauss_newton = [], estimator._gauss_newton
+
+        def counted(meas, *args):
+            calls.append(len(meas.observed_m))
+            return gauss_newton(meas, *args)
+
+        monkeypatch.setattr(estimator, "_gauss_newton", counted)
+        validate(seed=0)
+        assert calls == [2000]
+
     # perfbench/golden/crlb-validate.json, copied here because that suite is
     # not part of tier 1.
     @pytest.mark.parametrize("seed, rmse_m, ratio", [
         (0, 1.3689620640014828, 0.9967283665035659),
         (1, 1.3663307957518598, 0.9948125649096098),
         (2, 1.3606264760770936, 0.9906593035585797),
+        (3, 1.3401195996677178, 0.9757284402694523),
+        (4, 1.3684194487154726, 0.9963332934318666),
+        (5, 1.3757323256828506, 1.0016577301754463),
+        (6, 1.36240650122205, 0.9919553230771058),
+        (7, 1.3756446705360785, 1.0015939092898607),
+        (8, 1.36486419130455, 0.9937447440448),
+        (9, 1.3783871546283064, 1.0035906860898096),
     ])
     def test_matches_benchmark_golden_figures(self, seed, rmse_m, ratio):
         report = validate(n_trials=2000, seed=seed)
