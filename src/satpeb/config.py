@@ -106,10 +106,11 @@ def make_config(variant: str, **overrides) -> ScenarioConfig:
 
 def validate_config(config: ScenarioConfig) -> None:
     """Raise ConfigError naming the offending field on any contract violation."""
-    if config.leo_altitude_m <= 0:
-        raise ConfigError("leo_altitude_m", "must be positive")
-    if config.gnss_altitude_m <= 0:
-        raise ConfigError("gnss_altitude_m", "must be positive")
+    # Past the Moon's orbit; the cap keeps the link path loss bounded (below).
+    if not 0 < config.leo_altitude_m <= 1e9:
+        raise ConfigError("leo_altitude_m", "must lie in (0, 1e9] m")
+    if not 0 < config.gnss_altitude_m <= 1e9:
+        raise ConfigError("gnss_altitude_m", "must lie in (0, 1e9] m")
     if config.n_ue_drops < 1:
         raise ConfigError("n_ue_drops", "must be at least 1")
     check_seed(config.seed)
@@ -150,16 +151,22 @@ def validate_config(config: ScenarioConfig) -> None:
             f"the grid's side rows at {config.center_lat_deg:g} +- {config.lat_gap_deg:g} "
             "(center_lat_deg +- lat_gap_deg) must lie in [-90, 90] degrees")
     link = config.link
+    # Every dB-valued budget term within +-300 dB (a power ratio of 1e30, past
+    # any physical budget) and every frequency within [1e-3, 1e15] Hz hold a
+    # link's SNR within about +-2,100 dB, path loss up to the altitude cap
+    # included, and its range variance within about 1e+-230 m^2: both stay
+    # finite, positive and invertible in float64, which spans 1e+-308.
+    for f in fields(LinkBudget):
+        value = getattr(link, f.name)
+        if f.name.endswith("_hz") and not 1e-3 <= value <= 1e15:
+            raise ConfigError(f"link.{f.name}", "must lie in [1e-3, 1e15] Hz")
+        if "_db" in f.name and not -300 <= value <= 300:
+            raise ConfigError(f"link.{f.name}", "must lie in [-300, 300] dB")
     # A band signal cannot be wider than its carrier frequency.
-    if link.carrier_hz <= 0:
-        raise ConfigError("link.carrier_hz", "must be positive")
-    if not 0 < link.bandwidth_hz <= link.carrier_hz:
-        raise ConfigError("link.bandwidth_hz", "must be positive and at most link.carrier_hz")
-    if link.gnss_carrier_hz <= 0:
-        raise ConfigError("link.gnss_carrier_hz", "must be positive")
-    if not 0 < link.gnss_bandwidth_hz <= link.gnss_carrier_hz:
-        raise ConfigError("link.gnss_bandwidth_hz",
-                          "must be positive and at most link.gnss_carrier_hz")
+    if link.bandwidth_hz > link.carrier_hz:
+        raise ConfigError("link.bandwidth_hz", "must be at most link.carrier_hz")
+    if link.gnss_bandwidth_hz > link.gnss_carrier_hz:
+        raise ConfigError("link.gnss_bandwidth_hz", "must be at most link.gnss_carrier_hz")
     if link.neighbor_penalty_db < 0:
         raise ConfigError("link.neighbor_penalty_db", "must be non-negative")
     if not 0 < link.beamwidth_deg < 180:

@@ -17,8 +17,7 @@ from .errors import DegenerateGeometryError, VisibilityError
 from .fisher import (DEGENERATE_EIGENVALUE, MeasurementKind, fim_diagonal,
                      min_gdop_subsets, peb_arrays, tdoa_covariance,
                      unit_vectors_en)
-from .geometry import (AnchorSet, Geodetic, enu_frames, geodetic_to_ecef,
-                       hex_constellation)
+from .geometry import Geodetic, enu_frames, geodetic_to_ecef, hex_constellation
 from .constants import EARTH_RADIUS_M
 
 MAX_ITERATIONS = 50
@@ -31,10 +30,11 @@ _BLOCK_TRIALS = 2048
 
 @dataclass(frozen=True)
 class SyntheticMeasurements:
-    """Noisy observables drawn around the true geometry, (M,) or (trials, M)."""
+    """Noisy observables drawn around the true geometry, (M,) or (trials, M),
+    from the (N, 3) ECEF `anchors`."""
 
     kind: MeasurementKind
-    anchors: AnchorSet
+    anchors: np.ndarray
     observed_m: np.ndarray
     covariance: np.ndarray
     truth: Geodetic
@@ -59,11 +59,12 @@ class ValidationReport:
     mean_error_m: float
 
 
-def predict(kind: MeasurementKind, anchors: AnchorSet,
+def predict(kind: MeasurementKind, anchors: np.ndarray,
             reference_index: int | None, position_ecef: np.ndarray) -> np.ndarray:
-    """Geometric observables at (..., 3) ECEF positions: ranges for RTT, range
-    differences against the reference for TDOA."""
-    ranges = np.linalg.norm(anchors.positions() - position_ecef[..., None, :], axis=-1)
+    """Geometric observables at (..., 3) ECEF positions from the (N, 3)
+    `anchors`: ranges for RTT, range differences against the reference for
+    TDOA."""
+    ranges = np.linalg.norm(anchors - position_ecef[..., None, :], axis=-1)
     if kind is MeasurementKind.RTT:
         return ranges
     keep = np.delete(np.arange(len(anchors)), reference_index)
@@ -79,7 +80,7 @@ def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
         return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _simulate(truth: Geodetic, kind: MeasurementKind, anchors: AnchorSet,
+def _simulate(truth: Geodetic, kind: MeasurementKind, anchors: np.ndarray,
               covariance: np.ndarray, rng: np.random.Generator,
               reference_index: int | None, n_trials: int) -> SyntheticMeasurements:
     """(n_trials, M) draws from one call on the stream; row t equals draw t."""
@@ -93,7 +94,7 @@ def _simulate(truth: Geodetic, kind: MeasurementKind, anchors: AnchorSet,
 
 
 def simulate_measurements(truth: Geodetic, kind: MeasurementKind,
-                          anchors: AnchorSet, covariance: np.ndarray,
+                          anchors: np.ndarray, covariance: np.ndarray,
                           rng: np.random.Generator,
                           reference_index: int | None = None) -> SyntheticMeasurements:
     """Draw one noisy measurement vector; zero covariance gives exact truth."""
@@ -125,7 +126,7 @@ def _gauss_newton(meas: SyntheticMeasurements, guess: Geodetic,
                   max_iterations: int, tolerance_m: float):
     """`solve` for each row of the (T, M) `meas.observed_m`, all rows at once;
     returns (T,) latitude, longitude, iteration-count and converged arrays."""
-    observed, anchors = np.atleast_2d(meas.observed_m), meas.anchors.positions()
+    observed, anchors = np.atleast_2d(meas.observed_m), meas.anchors
     ref = meas.reference_index if meas.kind is MeasurementKind.TDOA else None
     keep = None if ref is None else np.delete(np.arange(len(anchors)), ref)
     try:
@@ -178,12 +179,10 @@ def reference_tdoa_case(range_sigma_m: float = 1.0,
     grid = hex_constellation(center, math.radians(13.0), math.radians(6.9), altitude_m)
     truth = Geodetic(math.radians(0.05), math.radians(0.08), 0.0)
     ue_ecef, basis = enu_frames(truth.lat_rad, truth.lon_rad)
-    units = unit_vectors_en(ue_ecef, grid.positions(), basis)
-    indices = min_gdop_subsets(units[None], grid.serving_index, 4)[0].tolist()
-    anchors = AnchorSet(states=tuple(grid.states[j] for j in indices),
-                        serving_index=indices.index(grid.serving_index))
-    cov = tdoa_covariance(np.full(4, range_sigma_m), anchors.serving_index)
-    return truth, anchors, cov, anchors.serving_index, center
+    # The serving satellite (grid index 0) sorts first in the chosen subset.
+    anchors = grid[min_gdop_subsets(unit_vectors_en(ue_ecef, grid, basis)[None], 0, 4)[0]]
+    cov = tdoa_covariance(np.full(4, range_sigma_m), 0)
+    return truth, anchors, cov, 0, center
 
 
 def validate(scenario: str = "multi-leo-tdoa4", n_trials: int = 2000,
@@ -203,7 +202,7 @@ def validate(scenario: str = "multi-leo-tdoa4", n_trials: int = 2000,
     tdoa, sigma = MeasurementKind.TDOA, range_sigma_m * 10.0 ** (-snr_offset_db / 20.0)
     truth, anchors, cov, ref, guess = reference_tdoa_case(sigma)
     truth_ecef, truth_basis = enu_frames(truth.lat_rad, truth.lon_rad, truth.alt_m)
-    units = unit_vectors_en(truth_ecef, anchors.positions(), truth_basis)
+    units = unit_vectors_en(truth_ecef, anchors, truth_basis)
     variances = np.full(len(anchors), sigma) ** 2
     bound = float(peb_arrays(fim_diagonal(units, variances, clock_bias=True))[0])
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x76616c]))

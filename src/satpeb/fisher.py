@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .errors import VisibilityError
-from .geometry import AnchorSet, ecef_to_geodetic, enu_basis
+from .geometry import ecef_to_geodetic, enu_basis
 
 DEGENERATE_EIGENVALUE = 1e-12  # m^-2; smaller horizontal information is unusable
 
@@ -30,14 +30,15 @@ class MeasurementKind(str, Enum):
 
 @dataclass
 class MeasurementSet:
-    """A batch of RTT ranges or TDOA range differences with full covariance.
+    """A batch of RTT ranges or TDOA range differences with full covariance,
+    from the (N, 3) ECEF `anchors`.
 
-    For RTT the covariance is M x M with M = number of anchors; for TDOA it is
-    (M-1) x (M-1) against the reference anchor.
+    For RTT the covariance is N x N; for TDOA it is (N-1) x (N-1) against the
+    reference anchor.
     """
 
     kind: MeasurementKind
-    anchors: AnchorSet
+    anchors: np.ndarray
     covariance: np.ndarray
     reference_index: int | None = None
 
@@ -158,7 +159,7 @@ def geometry_jacobian(kind: MeasurementKind, units_en: np.ndarray,
 def jacobian(ue_ecef: np.ndarray, mset: MeasurementSet) -> np.ndarray:
     """M x 2 partials of the observables of `mset` with respect to east/north
     UE displacement at fixed altitude (see `geometry_jacobian`)."""
-    uv = unit_vectors_en(ue_ecef, mset.anchors.positions())
+    uv = unit_vectors_en(ue_ecef, mset.anchors)
     return geometry_jacobian(mset.kind, uv, mset.reference_index)
 
 
@@ -226,38 +227,36 @@ def peb_arrays(f: np.ndarray, mean_variance=1.0,
     return bound, bound / np.sqrt(mean_variance), degenerate
 
 
-def _subset_anchorset(anchors: AnchorSet, indices: tuple[int, ...]) -> AnchorSet:
-    states = tuple(anchors.states[i] for i in indices)
-    return AnchorSet(states=states, serving_index=indices.index(anchors.serving_index))
-
-
-def unit_sigma_gdop(anchors: AnchorSet, ue_ecef: np.ndarray,
+def unit_sigma_gdop(positions: np.ndarray, serving_index: int, ue_ecef: np.ndarray,
                     kind: MeasurementKind = MeasurementKind.TDOA) -> float:
-    """GDOP of the anchor geometry with all per-anchor range sigmas at 1 m."""
-    ones = np.ones(len(anchors))
+    """GDOP of the (N, 3) anchor geometry with all per-anchor range sigmas at
+    1 m; TDOA takes the serving anchor as reference."""
+    ones = np.ones(len(positions))
     if kind is MeasurementKind.TDOA:
-        cov = tdoa_covariance(ones, anchors.serving_index)
-        mset = MeasurementSet(kind, anchors, cov, reference_index=anchors.serving_index)
+        cov = tdoa_covariance(ones, serving_index)
+        mset = MeasurementSet(kind, positions, cov, reference_index=serving_index)
     else:
-        mset = MeasurementSet(kind, anchors, np.diag(ones))
+        mset = MeasurementSet(kind, positions, np.diag(ones))
     result = peb(fim(jacobian(ue_ecef, mset), mset.covariance))
     return math.inf if result.degenerate else result.gdop
 
 
-def best_subset_indices(visible: AnchorSet, k: int, ue_ecef: np.ndarray,
+def best_subset_indices(positions: np.ndarray, serving_index: int, k: int,
+                        ue_ecef: np.ndarray,
                         kind: MeasurementKind = MeasurementKind.TDOA) -> tuple[int, ...]:
-    """Indices of the minimum-GDOP k-subset containing the serving satellite,
-    by exhaustive enumeration. Ties go to the lexicographically smallest
-    index set."""
-    n = len(visible)
+    """Indices of the minimum-GDOP k-subset of the (N, 3) anchor `positions`
+    containing the serving anchor, by exhaustive enumeration. Ties go to the
+    lexicographically smallest index set."""
+    n = len(positions)
     if k > n:
         raise ValueError(f"cannot select {k} of {n} visible satellites")
-    others = [i for i in range(n) if i != visible.serving_index]
+    others = [i for i in range(n) if i != serving_index]
     best_subset = None
     best_gdop = math.inf
     for combo in itertools.combinations(others, k - 1):
-        indices = tuple(sorted((visible.serving_index,) + combo))
-        gdop = unit_sigma_gdop(_subset_anchorset(visible, indices), ue_ecef, kind)
+        indices = tuple(sorted((serving_index,) + combo))
+        gdop = unit_sigma_gdop(positions[list(indices)], indices.index(serving_index),
+                               ue_ecef, kind)
         # Relative guard keeps the first (lexicographically smallest) subset
         # on exact ties reached through symmetric geometry.
         if gdop < best_gdop * (1.0 - 1e-10):
@@ -265,7 +264,7 @@ def best_subset_indices(visible: AnchorSet, k: int, ue_ecef: np.ndarray,
             best_subset = indices
     if best_subset is None:
         # Every subset degenerate; fall back to the first combination.
-        best_subset = tuple(sorted((visible.serving_index,) + tuple(others[:k - 1])))
+        best_subset = tuple(sorted((serving_index,) + tuple(others[:k - 1])))
     return best_subset
 
 
@@ -303,10 +302,3 @@ def min_gdop_subsets(units_en: np.ndarray, serving_index: int, k: int,
         best = np.where(better, gdop[:, c], best)
         choice[better] = c
     return subsets[choice]
-
-
-def select_satellites(visible: AnchorSet, k: int, ue_ecef: np.ndarray,
-                      kind: MeasurementKind = MeasurementKind.TDOA) -> AnchorSet:
-    """Best-geometry subset: the k anchors containing the serving satellite
-    with minimum GDOP for this UE."""
-    return _subset_anchorset(visible, best_subset_indices(visible, k, ue_ecef, kind))

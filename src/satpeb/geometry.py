@@ -1,26 +1,21 @@
 """Spherical-Earth geometry: coordinate frames, circular orbits, anchor layouts.
 
-All positions are ECEF numpy arrays in meters unless stated otherwise. The
-Earth is a non-rotating sphere of radius EARTH_RADIUS_M; measurement windows
-are short enough (<= 10 s) that Earth rotation is absorbed into the anchor
-positions, which are treated as known exactly.
+All positions are ECEF numpy arrays in meters unless stated otherwise, and an
+anchor layout is an (N, 3) stack of them: an anchor enters the bound only
+through its position. The Earth is a non-rotating sphere of radius
+EARTH_RADIUS_M; measurement windows are short enough (<= 10 s) that Earth
+rotation is absorbed into the anchor positions, which are treated as known
+exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .constants import EARTH_RADIUS_M, MU_EARTH
-
-
-class SatRole(str, Enum):
-    SERVING_LEO = "serving-leo"
-    NEIGHBOR_LEO = "neighbor-leo"
-    GNSS = "gnss"
 
 
 def _wrap_longitude(lon: float) -> float:
@@ -72,41 +67,6 @@ class OrbitSpec:
         return math.sqrt(MU_EARTH / self.radius_m)
 
 
-@dataclass(frozen=True)
-class SatelliteState:
-    """ECEF position/velocity of an anchor at one time instant."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    time_s: float
-    role: SatRole = SatRole.SERVING_LEO
-
-
-@dataclass(frozen=True)
-class AnchorSet:
-    """Ordered anchors sharing an epoch convention, one of them serving."""
-
-    states: tuple[SatelliteState, ...]
-    serving_index: int = 0
-
-    def __post_init__(self):
-        if not self.states:
-            raise ValueError("anchor set must be non-empty")
-        if not 0 <= self.serving_index < len(self.states):
-            raise ValueError("serving index out of range")
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    @property
-    def serving(self) -> SatelliteState:
-        return self.states[self.serving_index]
-
-    def positions(self) -> np.ndarray:
-        """(N, 3) stack of anchor positions."""
-        return np.array([s.position for s in self.states])
-
-
 def geodetic_to_ecef(g: Geodetic) -> np.ndarray:
     r = EARTH_RADIUS_M + g.alt_m
     cl = math.cos(g.lat_rad)
@@ -153,37 +113,20 @@ def enu_frames(lat_rad, lon_rad, alt_m=0.0) -> tuple[np.ndarray, np.ndarray]:
     return ecef, basis
 
 
-def ecef_to_enu(point: np.ndarray, origin: Geodetic) -> np.ndarray:
-    """Express `point` in the local east-north-up frame at `origin`."""
-    return enu_basis(origin) @ (np.asarray(point, dtype=float) - geodetic_to_ecef(origin))
-
-
-def enu_to_ecef(enu: np.ndarray, origin: Geodetic) -> np.ndarray:
-    return geodetic_to_ecef(origin) + enu_basis(origin).T @ np.asarray(enu, dtype=float)
-
-
-def propagate_circular_orbit(spec: OrbitSpec, t: float,
-                             role: SatRole = SatRole.SERVING_LEO) -> SatelliteState:
-    """Two-body circular orbit state at time `t` seconds from epoch."""
-    if not math.isfinite(t):
+def propagate_circular_orbit(spec: OrbitSpec, t) -> np.ndarray:
+    """(..., 3) ECEF positions on a two-body circular orbit at the times `t`
+    (seconds from epoch, a scalar or an array)."""
+    if not np.all(np.isfinite(t)):
         raise ValueError("propagation time must be finite")
-    r = spec.radius_m
-    w = spec.angular_rate
-    u = spec.arg_lat0_rad + w * t
+    u = spec.arg_lat0_rad + spec.angular_rate * np.asarray(t, dtype=float)
     ci, si = math.cos(spec.inclination_rad), math.sin(spec.inclination_rad)
     co, so = math.cos(spec.raan_rad), math.sin(spec.raan_rad)
-    cu, su = math.cos(u), math.sin(u)
-    position = r * np.array([
+    cu, su = np.cos(u), np.sin(u)
+    return spec.radius_m * np.stack([
         cu * co - su * ci * so,
         cu * so + su * ci * co,
         su * si,
-    ])
-    velocity = r * w * np.array([
-        -su * co - cu * ci * so,
-        -su * so + cu * ci * co,
-        cu * si,
-    ])
-    return SatelliteState(position=position, velocity=velocity, time_s=t, role=role)
+    ], axis=-1)
 
 
 def ground_track_orbit(point: Geodetic, altitude_m: float) -> OrbitSpec:
@@ -194,20 +137,6 @@ def ground_track_orbit(point: Geodetic, altitude_m: float) -> OrbitSpec:
         raan_rad=point.lon_rad,
         arg_lat0_rad=point.lat_rad,
     )
-
-
-def elevation_angle(ue: np.ndarray, sat: np.ndarray) -> float | np.ndarray:
-    """Angle between the local horizontal plane at the UE and the UE->satellite
-    direction. Negative values mean below the horizon. `sat` may be (3,) or
-    (N, 3)."""
-    ue = np.asarray(ue, dtype=float)
-    sat = np.asarray(sat, dtype=float)
-    up = ue / np.linalg.norm(ue)
-    d = sat - ue
-    dist = np.linalg.norm(d, axis=-1)
-    sin_el = (d @ up) / dist
-    el = np.arcsin(np.clip(sin_el, -1.0, 1.0))
-    return float(el) if el.ndim == 0 else el
 
 
 def angle_between(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
@@ -222,17 +151,16 @@ def angle_between(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
 
 
 def make_virtual_anchors(spec: OrbitSpec, measurement_time_s: float,
-                         n_anchors: int,
-                         role: SatRole = SatRole.SERVING_LEO) -> AnchorSet:
-    """Satellite states uniformly spaced in time over [-T/2, +T/2] about the
-    epoch at which the beam center crosses the coverage-area center."""
+                         n_anchors: int) -> np.ndarray:
+    """(n_anchors, 3) satellite positions uniformly spaced in time over
+    [-T/2, +T/2] about the epoch at which the beam center crosses the
+    coverage-area center."""
     if measurement_time_s <= 0:
         raise ValueError("measurement time must be positive")
     if n_anchors < 2:
         raise ValueError("at least two virtual anchors are required")
-    times = np.linspace(-measurement_time_s / 2.0, measurement_time_s / 2.0, n_anchors)
-    states = tuple(propagate_circular_orbit(spec, float(t), role) for t in times)
-    return AnchorSet(states=states, serving_index=0)
+    return propagate_circular_orbit(spec, np.linspace(
+        -measurement_time_s / 2.0, measurement_time_s / 2.0, n_anchors))
 
 
 def destination_point(origin: Geodetic, bearing_rad: float,
@@ -247,23 +175,12 @@ def destination_point(origin: Geodetic, bearing_rad: float,
     return Geodetic(lat2, lon2, origin.alt_m)
 
 
-def _state_above(point: Geodetic, altitude_m: float, role: SatRole,
-                 time_s: float = 0.0) -> SatelliteState:
-    # Velocity from the north-heading polar orbit through the point, so the
-    # circular-orbit invariants (speed, perpendicularity) hold exactly.
-    orbit = ground_track_orbit(Geodetic(point.lat_rad, point.lon_rad, altitude_m),
-                               altitude_m)
-    state = propagate_circular_orbit(orbit, 0.0, role)
-    return SatelliteState(position=state.position, velocity=state.velocity,
-                          time_s=time_s, role=role)
-
-
 def hex_constellation(center: Geodetic, lon_gap_rad: float, lat_gap_rad: float,
-                      altitude_m: float) -> AnchorSet:
-    """Seven satellites on a hexagonal grid: the serving satellite above
-    `center`, two same-row neighbors at +-lon_gap, and four side-row neighbors
-    at +-lat_gap offset by half a longitude gap. A zero latitude gap collapses
-    the grid onto a single parallel."""
+                      altitude_m: float) -> np.ndarray:
+    """(7, 3) positions of seven satellites on a hexagonal grid: the serving
+    satellite above `center` first, two same-row neighbors at +-lon_gap, and
+    four side-row neighbors at +-lat_gap offset by half a longitude gap. A zero
+    latitude gap collapses the grid onto a single parallel."""
     if lon_gap_rad <= 0 or lat_gap_rad < 0:
         raise ValueError("grid gaps must be positive (latitude gap may be zero)")
     offsets = [
@@ -275,9 +192,6 @@ def hex_constellation(center: Geodetic, lon_gap_rad: float, lat_gap_rad: float,
         (-lat_gap_rad, -lon_gap_rad / 2.0),
         (-lat_gap_rad, lon_gap_rad / 2.0),
     ]
-    states = []
-    for k, (dlat, dlon) in enumerate(offsets):
-        point = Geodetic(center.lat_rad + dlat, center.lon_rad + dlon, 0.0)
-        role = SatRole.SERVING_LEO if k == 0 else SatRole.NEIGHBOR_LEO
-        states.append(_state_above(point, altitude_m, role))
-    return AnchorSet(states=tuple(states), serving_index=0)
+    return np.array([propagate_circular_orbit(ground_track_orbit(
+        Geodetic(center.lat_rad + dlat, center.lon_rad + dlon), altitude_m), 0.0)
+        for dlat, dlon in offsets])

@@ -54,10 +54,9 @@ from .constants import EARTH_RADIUS_M
 from .errors import ConfigError, StatisticsError
 from .fisher import (fim_diagonal, min_gdop_subsets, peb_arrays, rtt_range_sigma,
                      toa_range_sigma, unit_vectors_en)
-from .geometry import (Geodetic, SatelliteState, angle_between,
-                       destination_point, ecef_to_geodetic, enu_frames,
-                       geodetic_to_ecef, ground_track_orbit,
-                       make_virtual_anchors, hex_constellation,
+from .geometry import (Geodetic, angle_between, destination_point,
+                       ecef_to_geodetic, enu_frames, geodetic_to_ecef,
+                       ground_track_orbit, make_virtual_anchors, hex_constellation,
                        propagate_circular_orbit)
 
 
@@ -122,11 +121,11 @@ def cap_half_angle(altitude_m: float, beamwidth_rad: float) -> float:
 
 
 def drop_ues(config: ScenarioConfig,
-             serving: SatelliteState) -> tuple[np.ndarray, np.ndarray]:
+             serving: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(D,) latitudes and longitudes of ground UE positions uniform by area
-    over the beam's spherical cap, centered on the serving satellite's nadir.
-    Drop i only consumes substream (seed, i)."""
-    nadir = ecef_to_geodetic(serving.position)
+    over the beam's spherical cap, centered on the nadir of the serving
+    satellite's (3,) ECEF position. Drop i only consumes substream (seed, i)."""
+    nadir = ecef_to_geodetic(serving)
     center = Geodetic(nadir.lat_rad, nadir.lon_rad, 0.0)
     psi_max = cap_half_angle(nadir.alt_m, math.radians(config.link.beamwidth_deg))
     cos_min = math.cos(psi_max)
@@ -315,16 +314,14 @@ class _Evaluator:
             if isinstance(b, Rtt):
                 windows.setdefault(b.tag, []).append(b)
         self.rtt_windows = {
-            tag: (blocks, np.array([make_virtual_anchors(orbit, b.time_s,
-                                                         config.n_virtual_anchors).positions()
+            tag: (blocks, np.array([make_virtual_anchors(orbit, b.time_s, config.n_virtual_anchors)
                                     for b in blocks]))
             for tag, blocks in windows.items()}
-        self.grid = None
+        self.grid = None  # (7, 3) hexagonal grid positions, serving satellite first
         if any(isinstance(b, Tdoa) for b in self.blocks):
             self.grid = hex_constellation(center, math.radians(config.lon_gap_deg),
                                           math.radians(config.lat_gap_deg),
                                           config.leo_altitude_m)
-            self.grid_positions = self.grid.positions()
         self.model = _LinkModel(config, center)
         # The grid's serving satellite sits where this orbit is at t = 0.
         self.lat_rad, self.lon_rad = drop_ues(config, propagate_circular_orbit(orbit, 0.0))
@@ -341,8 +338,8 @@ class _Evaluator:
             draws = _link_draws(seed, tag, n, self.config.n_virtual_anchors)
             info.update(zip(windows, zip(*self._rtt(anchors, ue_ecef, basis, draws))))
         if self.grid is not None:
-            grid = (unit_vectors_en(ue_ecef, self.grid_positions, basis, check_horizon=False),
-                    *self.model.grid_dl_sigma(self.grid_positions, ue_ecef, *_link_draws(
+            grid = (unit_vectors_en(ue_ecef, self.grid, basis, check_horizon=False),
+                    *self.model.grid_dl_sigma(self.grid, ue_ecef, *_link_draws(
                         seed, "ml-link", n, len(self.grid))))
         for block in self.blocks:
             if isinstance(block, Tdoa):

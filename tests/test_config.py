@@ -38,7 +38,10 @@ _FIELD_VALUES = {
 }
 
 _LINK_VALUES = {
-    **{f.name: _any_float for f in fields(LinkBudget)},
+    # Budget terms in dB lie within +-300 dB, frequencies within [1e-3, 1e15]
+    # Hz (see `validate_config`); `_links` keeps each band within its carrier.
+    **{f.name: st.floats(-300.0, 300.0) for f in fields(LinkBudget) if "_db" in f.name},
+    **{f.name: st.floats(1e-3, 1e15) for f in fields(LinkBudget) if f.name.endswith("_hz")},
     "neighbor_penalty_db": st.floats(0.0, 100.0),
     "beamwidth_deg": st.floats(1e-3, 180.0, exclude_max=True),
     "antenna_model": st.sampled_from(ANTENNA_MODELS),
@@ -48,11 +51,11 @@ _LINK_VALUES = {
 @st.composite
 def _links(draw):
     values = draw(st.fixed_dictionaries({}, optional=_LINK_VALUES))
-    # A band is positive and no wider than its carrier.
+    # A band lies in [1e-3, 1e15] Hz and is no wider than its carrier.
     for carrier, bandwidth in (("carrier_hz", "bandwidth_hz"),
                                ("gnss_carrier_hz", "gnss_bandwidth_hz")):
-        values[carrier] = draw(_positive)
-        values[bandwidth] = values[carrier] * draw(st.floats(1e-6, 1.0))
+        values[carrier] = draw(st.floats(1e-3, 1e15))
+        values[bandwidth] = draw(st.floats(1e-3, values[carrier]))
     return LinkBudget(**values)
 
 
@@ -121,8 +124,7 @@ def test_any_json_under_schema_keys_is_a_config_or_config_error(config, dropped,
 def test_refused_config_file_exits_2_with_its_error_in_the_manifest(config, top, link):
     """The command half of the parse fuzz: a config file that the parser
     refuses makes the command exit 2 with that ConfigError as the manifest's
-    only error. Accepted files are not run here: a link budget whose SNR
-    leaves the float range still ends such a run in exit 1."""
+    only error. Accepted files are run by the next test."""
     raw = json.loads(json.dumps(config_to_dict(config)))
     raw["link"].update(link)
     raw.update(top)
@@ -138,6 +140,56 @@ def test_refused_config_file_exits_2_with_its_error_in_the_manifest(config, top,
         path.write_text(json.dumps(raw))
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
         assert json.loads((out / "manifest.json").read_text())["errors"] == [refused]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_configs(), st.dictionaries(st.sampled_from(_KEYS), _json_values, max_size=1),
+       st.dictionaries(st.sampled_from(_LINK_KEYS), st.floats(allow_nan=False), max_size=2),
+       st.integers(1, 5), st.integers(2, 12))
+def test_accepted_config_file_runs_to_a_manifest_without_errors(config, top, link, drops,
+                                                                anchors):
+    """The run half of the parse fuzz: a config file that the parser accepts,
+    link-budget numbers of any magnitude included, runs to exit 0 with no
+    error in the manifest. The designed exceptions: a case whose every drop
+    is degenerate (exit 1, `StatisticsError`, common at so few drops), and
+    measurement times that print alike and so name one case twice (exit 2,
+    found when the case table is built). The drop and virtual-anchor counts
+    are held small to keep each run cheap."""
+    raw = json.loads(json.dumps(config_to_dict(config)))
+    raw["link"].update(link)
+    raw.update(top)
+    raw["n_ue_drops"], raw["n_virtual_anchors"] = drops, anchors
+    command = "gnss-leo" if config.variant == "gnss-only" else config.variant
+    try:
+        config_from_dict(raw, command)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as work:
+        path, out = Path(work, "config.json"), Path(work, "out")
+        path.write_text(json.dumps(raw))
+        status = main([command, "--config", str(path), "--out", str(out)])
+        errors = json.loads((out / "manifest.json").read_text())["errors"]
+    if status == 1:
+        assert errors and all(e.endswith(": no non-degenerate samples") for e in errors)
+    elif status == 2:
+        assert len(errors) == 1 and errors[0].startswith("measurement_times_s: two times name")
+    else:
+        assert (status, errors) == (0, [])
+
+
+@pytest.mark.parametrize("raw, field", [
+    ({"variant": "single-leo", "link": {"ue_eirp_dbw": -1e6}}, "link.ue_eirp_dbw"),
+    ({"variant": "single-leo", "link": {"ue_eirp_dbw": 1e6}}, "link.ue_eirp_dbw"),
+    ({"variant": "gnss-only", "link": {"gnss_cn0_dbhz": -1e6}}, "link.gnss_cn0_dbhz"),
+    ({"variant": "multi-leo", "link": {"bandwidth_hz": 1e-300}}, "link.bandwidth_hz"),
+    ({"variant": "multi-leo", "leo_altitude_m": 1e200}, "leo_altitude_m"),
+])
+def test_link_budget_out_of_float_range_names_the_field(raw, field):
+    """A value that would take a link's linear SNR out of the float range is
+    refused before the run, naming the field."""
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({"n_ue_drops": 2, **raw})
+    assert err.value.field == field
 
 
 @pytest.mark.parametrize("overrides, field", [

@@ -11,32 +11,21 @@ from satpeb.errors import VisibilityError
 from satpeb.fisher import (MeasurementKind, MeasurementSet,
                            best_subset_indices, fim, fim_diagonal,
                            geometry_jacobian, jacobian, min_gdop_subsets, peb, peb_arrays,
-                           rtt_range_sigma, select_satellites,
-                           tdoa_covariance, toa_range_sigma, unit_sigma_gdop,
-                           unit_vectors_en)
-from satpeb.geometry import (AnchorSet, Geodetic, SatelliteState, SatRole,
-                             enu_frames, enu_to_ecef, geodetic_to_ecef,
+                           rtt_range_sigma, tdoa_covariance, toa_range_sigma,
+                           unit_sigma_gdop, unit_vectors_en)
+from satpeb.geometry import (Geodetic, enu_frames, geodetic_to_ecef,
                              ground_track_orbit, hex_constellation,
                              make_virtual_anchors)
 
 
-def _state_at(position):
-    # velocity content is irrelevant to the information calculations
-    return SatelliteState(position=np.asarray(position, dtype=float),
-                          velocity=np.array([0.0, 0.0, 1.0]),
-                          time_s=0.0, role=SatRole.GNSS)
-
-
-def _anchors_from_sky(ue: Geodetic, sky: list[tuple[float, float, float]],
-                      serving: int = 0) -> AnchorSet:
-    """Anchors from (azimuth, elevation, range) triples on the UE's sky."""
-    states = []
-    for az, el, rng in sky:
-        enu = rng * np.array([math.cos(el) * math.sin(az),
-                              math.cos(el) * math.cos(az),
-                              math.sin(el)])
-        states.append(_state_at(enu_to_ecef(enu, ue)))
-    return AnchorSet(states=tuple(states), serving_index=serving)
+def _anchors_from_sky(ue: Geodetic, sky: list[tuple[float, float, float]]) -> np.ndarray:
+    """(N, 3) ECEF anchors from (azimuth, elevation, range) triples on the
+    UE's sky."""
+    origin, basis = enu_frames(ue.lat_rad, ue.lon_rad, ue.alt_m)
+    az, el, rng = np.array(sky, dtype=float).T
+    enu = rng[:, None] * np.stack([np.cos(el) * np.sin(az), np.cos(el) * np.cos(az),
+                                   np.sin(el)], axis=-1)
+    return origin + enu @ basis
 
 
 class TestRangeSigmas:
@@ -145,7 +134,7 @@ class TestJacobian:
         ue_ecef, basis = enu_frames(lat, lon)
         ref = 0 if kind is MeasurementKind.TDOA else None
         stacked = geometry_jacobian(
-            kind, unit_vectors_en(ue_ecef, grid.positions(), basis), ref)
+            kind, unit_vectors_en(ue_ecef, grid, basis), ref)
         m = 7 if kind is MeasurementKind.RTT else 6
         for ue, rows in zip(ue_ecef, stacked):
             mset = MeasurementSet(kind, grid, np.eye(m), reference_index=ref)
@@ -153,8 +142,8 @@ class TestJacobian:
 
     def test_stacked_below_horizon_raises(self):
         ue = Geodetic(0.0, 0.0, 0.0)
-        good = _anchors_from_sky(ue, [(0.3, 0.5, 2000e3)]).positions()
-        bad = _anchors_from_sky(ue, [(0.3, -0.05, 2000e3)]).positions()
+        good = _anchors_from_sky(ue, [(0.3, 0.5, 2000e3)])
+        bad = _anchors_from_sky(ue, [(0.3, -0.05, 2000e3)])
         ue_ecef, basis = enu_frames(np.zeros(2), np.zeros(2))
         with pytest.raises(VisibilityError):
             unit_vectors_en(ue_ecef, np.stack([good, bad]), basis)
@@ -167,7 +156,7 @@ class TestJacobian:
 
 
 def observables(kind, anchors, ref, ue_ecef):
-    ranges = np.linalg.norm(anchors.positions() - ue_ecef, axis=1)
+    ranges = np.linalg.norm(anchors - ue_ecef, axis=1)
     if kind is MeasurementKind.RTT:
         return ranges
     keep = np.delete(np.arange(len(anchors)), ref)
@@ -413,11 +402,6 @@ class TestMeasurementSet:
                            np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
-def _indices_of(anchors: AnchorSet, subset: AnchorSet) -> tuple[int, ...]:
-    return tuple(i for i, s in enumerate(anchors.states)
-                 if any(s is t for t in subset.states))
-
-
 class TestSelection:
     def _grid(self, ue):
         # serving overhead plus five spread neighbors, one of them nearly
@@ -433,32 +417,28 @@ class TestSelection:
     def test_full_set_returned_when_k_equals_n(self):
         ue = Geodetic(0.1, 0.1, 0.0)
         anchors = self._grid(ue)
-        subset = select_satellites(anchors, len(anchors), geodetic_to_ecef(ue))
-        assert len(subset) == len(anchors)
-        assert subset.states == anchors.states
+        chosen = best_subset_indices(anchors, 0, len(anchors), geodetic_to_ecef(ue))
+        assert chosen == tuple(range(len(anchors)))
 
     def test_matches_brute_force_scan(self):
         ue = Geodetic(0.1, 0.1, 0.0)
         ue_ecef = geodetic_to_ecef(ue)
         anchors = self._grid(ue)
-        subset = select_satellites(anchors, 3, ue_ecef)
+        chosen = best_subset_indices(anchors, 0, 3, ue_ecef)
         # independent exhaustive scan over all 3-subsets containing serving
         best = None
         for combo in itertools.combinations(range(1, 6), 2):
             indices = (0,) + combo
-            sub = AnchorSet(states=tuple(anchors.states[i] for i in indices),
-                            serving_index=0)
-            gdop = unit_sigma_gdop(sub, ue_ecef)
+            gdop = unit_sigma_gdop(anchors[list(indices)], 0, ue_ecef)
             if best is None or gdop < best[0] - 1e-12:
                 best = (gdop, indices)
-        chosen = _indices_of(anchors, subset)
         assert chosen == best[1]
 
     def test_k_larger_than_visible_rejected(self):
         ue = Geodetic(0.1, 0.1, 0.0)
         anchors = self._grid(ue)
         with pytest.raises(ValueError):
-            select_satellites(anchors, 7, geodetic_to_ecef(ue))
+            best_subset_indices(anchors, 0, 7, geodetic_to_ecef(ue))
 
     def test_symmetric_tie_breaks_to_lowest_indices(self):
         ue = Geodetic(0.0, 0.0, 0.0)
@@ -470,21 +450,21 @@ class TestSelection:
                (math.radians(140), 0.5, 1500e3),
                (math.radians(220), 0.5, 1500e3)]
         anchors = _anchors_from_sky(ue, sky)
-        subset = select_satellites(anchors, 3, geodetic_to_ecef(ue))
-        assert _indices_of(anchors, subset) == (0, 1, 2)
+        assert best_subset_indices(anchors, 0, 3, geodetic_to_ecef(ue)) == (0, 1, 2)
 
     def test_serving_always_included(self):
         ue = Geodetic(0.1, 0.1, 0.0)
         anchors = self._grid(ue)
         for k in (2, 3, 4):
-            subset = select_satellites(anchors, k, geodetic_to_ecef(ue))
-            assert anchors.serving.position is subset.serving.position
+            for serving in (0, 3):
+                assert serving in best_subset_indices(anchors, serving, k,
+                                                      geodetic_to_ecef(ue))
 
     @staticmethod
-    def _batched(anchors: AnchorSet, ue: Geodetic, k: int,
+    def _batched(anchors: np.ndarray, ue: Geodetic, k: int,
                  kind=MeasurementKind.TDOA) -> tuple[int, ...]:
-        units = unit_vectors_en(geodetic_to_ecef(ue), anchors.positions())
-        return tuple(min_gdop_subsets(units[None], anchors.serving_index, k, kind)[0])
+        units = unit_vectors_en(geodetic_to_ecef(ue), anchors)
+        return tuple(min_gdop_subsets(units[None], 0, k, kind)[0])
 
     def test_batched_matches_scalar_on_fixtures(self):
         ue = Geodetic(0.1, 0.1, 0.0)
@@ -492,7 +472,7 @@ class TestSelection:
         for k in (2, 3, 4, 6):
             for kind in MeasurementKind:
                 assert self._batched(anchors, ue, k, kind) == best_subset_indices(
-                    anchors, k, geodetic_to_ecef(ue), kind)
+                    anchors, 0, k, geodetic_to_ecef(ue), kind)
 
     def test_batched_symmetric_tie_breaks_to_lowest_indices(self):
         ue = Geodetic(0.0, 0.0, 0.0)
@@ -511,7 +491,7 @@ class TestSelection:
         sky = [(0.0, 1.2, 780e3), (0.0, 0.5, 1500e3), (math.pi, 0.6, 1400e3),
                (0.0, 0.8, 1000e3), (math.pi, 0.4, 1700e3)]
         anchors = _anchors_from_sky(ue, sky)
-        scalar = best_subset_indices(anchors, 3, geodetic_to_ecef(ue))
+        scalar = best_subset_indices(anchors, 0, 3, geodetic_to_ecef(ue))
         assert scalar == (0, 1, 2)
         assert self._batched(anchors, ue, 3) == scalar
 
@@ -523,10 +503,10 @@ class TestSelection:
         lat = rng.uniform(-0.03, 0.03, 250)
         lon = rng.uniform(-0.03, 0.03, 250)
         ue_ecef, basis = enu_frames(lat, lon)
-        units = unit_vectors_en(ue_ecef, grid.positions(), basis)
-        batched = min_gdop_subsets(units, grid.serving_index, k)
+        units = unit_vectors_en(ue_ecef, grid, basis)
+        batched = min_gdop_subsets(units, 0, k)
         for ue, chosen in zip(ue_ecef, batched):
-            assert tuple(chosen) == best_subset_indices(grid, k, ue)
+            assert tuple(chosen) == best_subset_indices(grid, 0, k, ue)
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_batched_matches_scalar_on_random_skies(self, k):
@@ -535,15 +515,14 @@ class TestSelection:
         skies = [_anchors_from_sky(ue, [(float(rng.uniform(0, 2 * math.pi)),
                                          float(rng.uniform(0.1, 1.5)),
                                          float(rng.uniform(700e3, 3000e3)))
-                                        for _ in range(6)],
-                                   serving=2)
+                                        for _ in range(6)])
                  for _ in range(200)]
         ue_ecef = geodetic_to_ecef(ue)
-        positions = np.stack([a.positions() for a in skies])
+        positions = np.stack(skies)
         units = unit_vectors_en(np.broadcast_to(ue_ecef, (200, 3)), positions,
                                 np.broadcast_to(enu_frames(ue.lat_rad, ue.lon_rad)[1],
                                                 (200, 3, 3)))
         for kind in MeasurementKind:
             batched = min_gdop_subsets(units, 2, k, kind)
             for anchors, chosen in zip(skies, batched):
-                assert tuple(chosen) == best_subset_indices(anchors, k, ue_ecef, kind)
+                assert tuple(chosen) == best_subset_indices(anchors, 2, k, ue_ecef, kind)

@@ -4,11 +4,21 @@ import numpy as np
 import pytest
 
 from satpeb.constants import EARTH_RADIUS_M, MU_EARTH
-from satpeb.geometry import (AnchorSet, Geodetic, OrbitSpec, SatRole,
-                             destination_point, ecef_to_enu, ecef_to_geodetic,
-                             elevation_angle, enu_to_ecef, geodetic_to_ecef,
+from satpeb.geometry import (Geodetic, OrbitSpec, destination_point,
+                             ecef_to_geodetic, enu_frames, geodetic_to_ecef,
                              ground_track_orbit, hex_constellation,
                              make_virtual_anchors, propagate_circular_orbit)
+
+
+def _to_enu(point, origin: Geodetic) -> np.ndarray:
+    """`point` in the east-north-up frame of `enu_frames` at `origin`."""
+    ecef, basis = enu_frames(origin.lat_rad, origin.lon_rad, origin.alt_m)
+    return basis @ (point - ecef)
+
+
+def _from_enu(enu, origin: Geodetic) -> np.ndarray:
+    ecef, basis = enu_frames(origin.lat_rad, origin.lon_rad, origin.alt_m)
+    return ecef + enu @ basis
 
 
 class TestGeodeticEcef:
@@ -42,49 +52,48 @@ class TestGeodeticEcef:
 class TestEnu:
     def test_origin_maps_to_zero(self):
         origin = Geodetic(0.4, -1.2, 0.0)
-        assert np.allclose(ecef_to_enu(geodetic_to_ecef(origin), origin), 0.0,
-                           atol=1e-9)
+        assert np.allclose(_to_enu(geodetic_to_ecef(origin), origin), 0.0, atol=1e-9)
 
     def test_radial_point_is_up(self):
         origin = Geodetic(0.7, 0.3, 0.0)
         above = geodetic_to_ecef(Geodetic(0.7, 0.3, 1000.0))
-        assert np.allclose(ecef_to_enu(above, origin), [0.0, 0.0, 1000.0],
-                           atol=1e-6)
+        assert np.allclose(_to_enu(above, origin), [0.0, 0.0, 1000.0], atol=1e-6)
 
     def test_round_trip_and_rigidity(self):
         rng = np.random.default_rng(11)
         origin = Geodetic(-0.3, 2.1, 0.0)
         for _ in range(100):
             enu = rng.uniform(-5e5, 5e5, 3)
-            back = ecef_to_enu(enu_to_ecef(enu, origin), origin)
+            back = _to_enu(_from_enu(enu, origin), origin)
             assert np.linalg.norm(back - enu) < 1e-6
         a = rng.uniform(-1e5, 1e5, 3)
         b = rng.uniform(-1e5, 1e5, 3)
-        d_ecef = np.linalg.norm(enu_to_ecef(a, origin) - enu_to_ecef(b, origin))
+        d_ecef = np.linalg.norm(_from_enu(a, origin) - _from_enu(b, origin))
         assert d_ecef == pytest.approx(np.linalg.norm(a - b), rel=1e-12)
 
 
 class TestOrbit:
     def test_epoch_state_matches_spec(self):
         spec = OrbitSpec(600e3, math.radians(53.0), raan_rad=0.7, arg_lat0_rad=0.2)
-        s = propagate_circular_orbit(spec, 0.0)
-        assert s.time_s == 0.0
-        assert np.linalg.norm(s.position) == pytest.approx(spec.radius_m, abs=1e-6)
+        p = propagate_circular_orbit(spec, 0.0)
+        assert p.shape == (3,)
+        assert np.linalg.norm(p) == pytest.approx(spec.radius_m, abs=1e-6)
 
     def test_speed_at_600km(self):
-        # vis-viva for the circular orbit
+        # vis-viva for the circular orbit, against the chord flown in 10 ms,
+        # which is shorter than the arc by a relative 5e-12
         spec = OrbitSpec(600e3, math.pi / 2)
         expected = math.sqrt(MU_EARTH / (EARTH_RADIUS_M + 600e3))
-        s = propagate_circular_orbit(spec, 123.4)
-        assert np.linalg.norm(s.velocity) == pytest.approx(expected, rel=1e-12)
+        a, b = propagate_circular_orbit(spec, np.array([123.395, 123.405]))
+        assert np.linalg.norm(b - a) / 0.01 == pytest.approx(expected, rel=1e-9)
         assert expected == pytest.approx(7.56e3, rel=1e-2)
 
     def test_full_period_returns(self):
         spec = OrbitSpec(780e3, math.radians(86.4), raan_rad=-0.4, arg_lat0_rad=1.1)
         period = 2.0 * math.pi / spec.angular_rate
-        s0 = propagate_circular_orbit(spec, 0.0)
-        s1 = propagate_circular_orbit(spec, period)
-        assert np.linalg.norm(s1.position - s0.position) < 1e-3
+        p0 = propagate_circular_orbit(spec, 0.0)
+        p1 = propagate_circular_orbit(spec, period)
+        assert np.linalg.norm(p1 - p0) < 1e-3
 
     def test_state_invariants(self):
         rng = np.random.default_rng(3)
@@ -93,48 +102,31 @@ class TestOrbit:
                              rng.uniform(0, math.pi),
                              rng.uniform(-math.pi, math.pi),
                              rng.uniform(-math.pi, math.pi))
-            s = propagate_circular_orbit(spec, rng.uniform(-5000, 5000))
-            r = np.linalg.norm(s.position)
-            assert abs(r - spec.radius_m) < 1.0
-            cos_angle = s.position @ s.velocity / (r * np.linalg.norm(s.velocity))
-            assert abs(cos_angle) < 1e-6
-            assert abs(np.linalg.norm(s.velocity) - spec.speed) < 1e-3
+            p = propagate_circular_orbit(spec, rng.uniform(-5000, 5000))
+            assert abs(np.linalg.norm(p) - spec.radius_m) < 1.0
 
     def test_radius_constant_over_time(self):
         spec = OrbitSpec(600e3, 1.0, 0.5, -0.2)
-        radii = [np.linalg.norm(propagate_circular_orbit(spec, t).position)
-                 for t in np.linspace(0, 6000, 40)]
+        radii = np.linalg.norm(propagate_circular_orbit(spec, np.linspace(0, 6000, 40)),
+                               axis=-1)
         assert max(radii) - min(radii) < 1e-3
 
-
-class TestElevation:
-    def test_overhead_is_90_degrees(self):
-        ue = geodetic_to_ecef(Geodetic(0.3, 0.5, 0.0))
-        sat = geodetic_to_ecef(Geodetic(0.3, 0.5, 600e3))
-        assert elevation_angle(ue, sat) == pytest.approx(math.pi / 2, abs=1e-9)
-
-    def test_horizontal_plane_is_zero(self):
-        ue = geodetic_to_ecef(Geodetic(0.0, 0.0, 0.0))
-        sat = ue + np.array([0.0, 4e5, 0.0])  # tangent direction at the equator
-        assert elevation_angle(ue, sat) == pytest.approx(0.0, abs=1e-12)
-
-    def test_far_side_is_negative(self):
-        ue = geodetic_to_ecef(Geodetic(0.0, 0.0, 0.0))
-        sat = geodetic_to_ecef(Geodetic(0.0, math.pi - 0.1, 600e3))
-        assert elevation_angle(ue, sat) < 0.0
-
-    def test_rotation_invariance(self):
-        rng = np.random.default_rng(5)
-        ue = geodetic_to_ecef(Geodetic(0.2, -0.8, 0.0))
-        sat = geodetic_to_ecef(Geodetic(0.5, -0.6, 780e3))
-        base = elevation_angle(ue, sat)
+    def test_times_array_equals_scalar_calls(self):
+        rng = np.random.default_rng(8)
         for _ in range(20):
-            # random rotation about the Earth center
-            q = rng.standard_normal((3, 3))
-            rot, _ = np.linalg.qr(q)
-            if np.linalg.det(rot) < 0:
-                rot[:, 0] = -rot[:, 0]
-            assert elevation_angle(rot @ ue, rot @ sat) == pytest.approx(base, abs=1e-9)
+            spec = OrbitSpec(rng.uniform(400e3, 2e7), rng.uniform(0, math.pi),
+                             rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi))
+            times = rng.uniform(-6000.0, 6000.0, (4, 5))
+            stacked = propagate_circular_orbit(spec, times)
+            assert stacked.shape == (4, 5, 3)
+            scalar = [[propagate_circular_orbit(spec, float(t)) for t in row] for row in times]
+            assert np.array_equal(stacked, np.array(scalar))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf,
+                                   np.array([0.0, 1.0, math.nan])])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            propagate_circular_orbit(OrbitSpec(600e3, math.pi / 2), t)
 
 
 class TestVirtualAnchors:
@@ -142,7 +134,8 @@ class TestVirtualAnchors:
         # chord between the first and last anchors after a 10 s window
         spec = ground_track_orbit(Geodetic(0.0, 0.0, 0.0), 600e3)
         anchors = make_virtual_anchors(spec, 10.0, 10)
-        span = np.linalg.norm(anchors.states[-1].position - anchors.states[0].position)
+        assert anchors.shape == (10, 3)
+        span = np.linalg.norm(anchors[-1] - anchors[0])
         expected = 2.0 * spec.radius_m * math.sin(spec.angular_rate * 10.0 / 2.0)
         assert span == pytest.approx(expected, rel=1e-12)
         assert span == pytest.approx(75.6e3, rel=1e-2)
@@ -150,15 +143,22 @@ class TestVirtualAnchors:
     def test_two_anchors_sit_at_half_window(self):
         spec = ground_track_orbit(Geodetic(0.0, 0.0, 0.0), 600e3)
         anchors = make_virtual_anchors(spec, 8.0, 2)
-        assert anchors.states[0].time_s == pytest.approx(-4.0)
-        assert anchors.states[1].time_s == pytest.approx(4.0)
+        assert np.array_equal(anchors[0], propagate_circular_orbit(spec, -4.0))
+        assert np.array_equal(anchors[1], propagate_circular_orbit(spec, 4.0))
+
+    @pytest.mark.parametrize("window, n", [(2.0, 2), (10.0, 10), (770.0, 13)])
+    def test_equal_the_orbit_on_linspace_times(self, window, n):
+        spec = ground_track_orbit(Geodetic(0.4, -2.9, 0.0), 780e3)
+        assert np.array_equal(
+            make_virtual_anchors(spec, window, n),
+            propagate_circular_orbit(spec, np.linspace(-window / 2, window / 2, n)))
 
     def test_spans_scale_linearly(self):
         spec = ground_track_orbit(Geodetic(0.1, 0.2, 0.0), 600e3)
 
         def span(t):
             a = make_virtual_anchors(spec, t, 10)
-            return np.linalg.norm(a.states[-1].position - a.states[0].position)
+            return np.linalg.norm(a[-1] - a[0])
 
         assert span(10.0) / span(2.0) == pytest.approx(5.0, rel=1e-4)
 
@@ -167,8 +167,8 @@ class TestVirtualAnchors:
         spec = ground_track_orbit(Geodetic(0.0, 0.3, 0.0), 600e3)
         anchors = make_virtual_anchors(spec, 10.0, 10)
         for i in range(10):
-            a = anchors.states[i].position
-            b = anchors.states[9 - i].position.copy()
+            a = anchors[i]
+            b = anchors[9 - i].copy()
             b[2] = -b[2]
             assert np.linalg.norm(a - b) < 1e-6
 
@@ -182,17 +182,17 @@ class TestVirtualAnchors:
 
 class TestHexConstellation:
     def test_structure(self):
-        grid = hex_constellation(Geodetic(0.0, 0.0, 0.0), math.radians(13.0),
-                                 math.radians(6.9), 780e3)
-        assert len(grid) == 7
-        assert grid.serving_index == 0
-        assert grid.serving.role is SatRole.SERVING_LEO
-        assert all(s.role is SatRole.NEIGHBOR_LEO for s in grid.states[1:])
+        center = Geodetic(0.0, 0.0, 0.0)
+        grid = hex_constellation(center, math.radians(13.0), math.radians(6.9), 780e3)
+        assert grid.shape == (7, 3)
+        # the serving satellite, first, sits above the center
+        assert np.array_equal(grid[0], propagate_circular_orbit(
+            ground_track_orbit(center, 780e3), 0.0))
 
     def test_same_row_chord_distance(self):
         grid = hex_constellation(Geodetic(0.0, 0.0, 0.0), math.radians(13.0),
                                  math.radians(6.9), 780e3)
-        chord = np.linalg.norm(grid.states[1].position - grid.states[0].position)
+        chord = np.linalg.norm(grid[1] - grid[0])
         expected = 2.0 * (EARTH_RADIUS_M + 780e3) * math.sin(math.radians(6.5))
         assert chord == pytest.approx(expected, rel=1e-9)
         # published inter-satellite figure, accepted within 5 percent
@@ -201,19 +201,17 @@ class TestHexConstellation:
     def test_single_parallel_when_lat_gap_zero(self):
         grid = hex_constellation(Geodetic(0.0, 0.0, 0.0), math.radians(10.0),
                                  0.0, 780e3)
-        lats = [ecef_to_geodetic(s.position).lat_rad for s in grid.states]
+        lats = [ecef_to_geodetic(p).lat_rad for p in grid]
         assert np.allclose(lats, 0.0, atol=1e-9)
-        chord = np.linalg.norm(grid.states[2].position - grid.states[0].position)
+        chord = np.linalg.norm(grid[2] - grid[0])
         expected = 2.0 * (EARTH_RADIUS_M + 780e3) * math.sin(math.radians(5.0))
         assert chord == pytest.approx(expected, rel=1e-9)
 
     def test_all_states_satisfy_orbit_invariants(self):
         grid = hex_constellation(Geodetic(0.1, -0.4, 0.0), math.radians(13.0),
                                  math.radians(6.9), 780e3)
-        for s in grid.states:
-            r = np.linalg.norm(s.position)
-            assert abs(r - (EARTH_RADIUS_M + 780e3)) < 1.0
-            assert abs(s.position @ s.velocity) / (r * np.linalg.norm(s.velocity)) < 1e-6
+        for p in grid:
+            assert abs(np.linalg.norm(p) - (EARTH_RADIUS_M + 780e3)) < 1.0
 
 
 class TestDestinationPoint:
@@ -232,12 +230,3 @@ class TestDestinationPoint:
             a = geodetic_to_ecef(start) / EARTH_RADIUS_M
             b = geodetic_to_ecef(out) / EARTH_RADIUS_M
             assert math.acos(np.clip(a @ b, -1, 1)) == pytest.approx(psi, abs=1e-9)
-
-
-def test_anchor_set_validation():
-    spec = OrbitSpec(600e3, math.pi / 2)
-    s = propagate_circular_orbit(spec, 0.0)
-    with pytest.raises(ValueError):
-        AnchorSet(states=(), serving_index=0)
-    with pytest.raises(ValueError):
-        AnchorSet(states=(s,), serving_index=3)

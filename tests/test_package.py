@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -25,6 +26,23 @@ def test_exports_resolve():
     assert not missing
 
 
+def test_benchmark_traced_layers_resolve():
+    # The benchmark wraps each `perfbench/layers.py` target by name; one that
+    # is renamed or deleted away would leave its layer silently untraced.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert layers.PACKAGE == "satpeb" and layers.TARGETS
+    missing = []
+    for target in layers.TARGETS:
+        module_name, attr = target.rsplit(".", 1)
+        module = importlib.import_module(f"satpeb.{module_name}")
+        if not hasattr(module, attr):
+            missing.append(target)
+    assert not missing
+
+
 def test_cli_start_up_imports_no_scipy(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"variant": "single-leo", "n_ue_drops": 1}))
@@ -42,7 +60,7 @@ def test_cli_start_up_imports_no_scipy(tmp_path):
 # The scalar reference layer of `fisher`, kept as API and as the tests'
 # oracle for the array kernels; no command may run through it.
 _SCALAR_LAYER = ("MeasurementSet", "jacobian", "peb", "best_subset_indices",
-                 "unit_sigma_gdop", "select_satellites")
+                 "unit_sigma_gdop")
 
 
 def test_commands_never_reach_the_scalar_layer(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from satpeb.config import make_config
 from satpeb.constants import EARTH_RADIUS_M
 from satpeb.errors import StatisticsError
 from satpeb.fisher import best_subset_indices, min_gdop_subsets, unit_vectors_en
-from satpeb.geometry import (AnchorSet, Geodetic, angle_between, enu_frames,
+from satpeb.geometry import (Geodetic, angle_between, enu_frames,
                              geodetic_to_ecef, ground_track_orbit,
                              make_virtual_anchors, propagate_circular_orbit)
 from satpeb.scenarios import (PebSampleSet, cap_half_angle, drop_ues, run,
@@ -73,8 +73,8 @@ class TestDropUes:
         beam_center = geodetic_to_ecef(Geodetic(0.0, 0.0, 0.0))
         half_beam = math.radians(cfg.link.beamwidth_deg) / 2.0
         for lat, lon in zip(*drop_ues(cfg, serving)):
-            off = angle_between(beam_center - serving.position,
-                                geodetic_to_ecef(Geodetic(lat, lon, 0.0)) - serving.position)
+            off = angle_between(beam_center - serving,
+                                geodetic_to_ecef(Geodetic(lat, lon, 0.0)) - serving)
             assert off <= half_beam + 1e-9
 
     def test_seed_determinism(self):
@@ -218,16 +218,15 @@ class TestHiddenNeighbors:
         evaluator = _Evaluator(cfg)
         ue_ecef, basis = enu_frames(evaluator.lat_rad, evaluator.lon_rad)
         _, visible = evaluator.model.grid_dl_sigma(
-            evaluator.grid_positions, ue_ecef, *_link_draws(cfg.seed, "ml-link", 200, 7))
+            evaluator.grid, ue_ecef, *_link_draws(cfg.seed, "ml-link", 200, 7))
         assert np.count_nonzero((~visible).sum(axis=1) == 1) == 190
-        units = unit_vectors_en(ue_ecef, evaluator.grid_positions, basis,
-                                check_horizon=False)
+        units = unit_vectors_en(ue_ecef, evaluator.grid, basis, check_horizon=False)
         for k in (3, 4):
             batched = min_gdop_subsets(units, 0, k, visible=visible)
             for ue, shown, chosen in zip(ue_ecef, visible, batched):
                 index = np.flatnonzero(shown)
-                anchors = AnchorSet(tuple(evaluator.grid.states[i] for i in index), 0)
-                assert tuple(chosen) == tuple(index[list(best_subset_indices(anchors, k, ue))])
+                assert tuple(chosen) == tuple(index[list(best_subset_indices(
+                    evaluator.grid[index], 0, k, ue))])
         bundle = run(cfg)
         for case in bundle.cases.values():
             assert len(case.peb_m) == 200
@@ -252,7 +251,7 @@ class TestHiddenVirtualAnchors:
         case = bundle.cases["single_leo_t770"]
         center = Geodetic(math.radians(cfg.center_lat_deg), math.radians(cfg.center_lon_deg), 0.0)
         anchors = make_virtual_anchors(ground_track_orbit(center, cfg.leo_altitude_m),
-                                       770.0, cfg.n_virtual_anchors).positions()
+                                       770.0, cfg.n_virtual_anchors)
         ue_ecef, basis = enu_frames(case.ue_lat_rad, case.ue_lon_rad)
         height = np.einsum("dmk,dk->dm", anchors - ue_ecef[:, None, :], basis[:, 2])
         hidden = np.any(height <= 0, axis=1)
