@@ -34,6 +34,12 @@ read directly.
 Determinism: every random quantity is drawn from a substream keyed by
 (seed, stream tag, drop index[, element index]), so results are a pure
 function of (config, seed), and adding drops never perturbs earlier ones.
+The streams of one tag are seeded in batch: `substreams` runs NumPy's
+SeedSequence hashing for all of them as one uint32 array pass, derives each
+stream's PCG64 state from it, and re-seeds one Generator in place per
+stream, so its draws equal the scalar `substream`'s bit for bit. NumPy keeps
+both algorithms fixed (its stream-compatibility policy, NEP 19); should a
+release change either, the oracle test against `substream` fails.
 Link-level draws are shared across measurement times and cases of one run
 (common random numbers), which makes the more-information-never-hurts
 comparisons hold sample by sample.
@@ -43,6 +49,7 @@ from __future__ import annotations
 
 import math
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -98,11 +105,102 @@ class RunBundle:
 
 
 def substream(seed: int, *keys) -> np.random.Generator:
-    """Deterministic RNG substream; string keys are hashed stably."""
+    """Deterministic RNG substream; string keys are hashed stably. The scalar
+    reference of `substreams`, which the run draws through."""
     ints = [int(seed)]
     for k in keys:
         ints.append(zlib.crc32(k.encode()) if isinstance(k, str) else int(k))
     return np.random.default_rng(np.random.SeedSequence(ints))
+
+
+# NumPy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
+# (numpy/random/bit_generator.pyx and pcg64.h).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 2549297995355413924 << 64 | 4865540595714422341
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (count, 1) uint32 constants that SeedSequence's first `count`
+    hashes xor in and multiply by: the constant is multiplied by `mult`
+    between the two."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    consts = np.array(consts, np.uint32)[:, None]
+    return consts[:-1], consts[1:]
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    value = value ^ xor
+    value *= mul
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_L - y * _MIX_R
+    return result ^ (result >> 16)
+
+
+def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
+    """(N, 4) uint64 words of `SeedSequence(e).generate_state(4, np.uint64)`
+    for each column e of the (L, N) uint32 `entropy`. SeedSequence's pool
+    hashing, run on all N at once; uint32 array products wrap mod 2**32 as
+    its C code does. Hashes that update different pool words from the same
+    values are independent, so each group runs as one (k, N) step."""
+    words = len(entropy)
+    xor, mul = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(0, words - 4))
+    pool = np.zeros((4, entropy.shape[1]), np.uint32)
+    pool[:words] = entropy[:4]
+    pool = _hashmix(pool, xor[:4], mul[:4])
+    k = 4
+    for src in range(4):  # every other pool word mixes in a hash of word src
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[k:k + 3], mul[k:k + 3]))
+        k += 3
+    for word in entropy[4:]:  # every pool word mixes in a hash of each extra word
+        pool = _mix(pool, _hashmix(word, xor[k:k + 4], mul[k:k + 4]))
+        k += 4
+    # generate_state: 8 words cycled from the pool, read as 4 little-endian uint64.
+    state = _hashmix(np.tile(pool, (2, 1)), *_hash_constants(_INIT_B, _MULT_B, 8))
+    state = state.astype(np.uint64)
+    return (state[0::2] | state[1::2] << 32).T
+
+
+def substreams(seed: int, tag: str, n: int, *inner: int) -> Iterator[np.random.Generator]:
+    """The generators `substream(seed, tag, i, *j)` for every i < n and every
+    j in `np.ndindex(inner)`, in C order, bit for bit. All their SeedSequence
+    hashes run as one array pass; one PCG64 is then re-seeded in place with
+    each stream's state, so a yielded generator must be used before the next
+    is asked for."""
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if n > 1 << 32 or any(k > 1 << 32 for k in inner):
+        raise ValueError(f"substream indices must be below 2**32, got shape {(n, *inner)}")
+    # SeedSequence's entropy words: the seed's (one, or more from 2**32 on),
+    # the tag's CRC, then one word per index.
+    head = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        head.append(seed & _MASK32)
+    head.append(zlib.crc32(tag.encode()))
+    index = np.indices((n, *inner)).reshape(1 + len(inner), -1)
+    entropy = np.empty((len(head) + len(index), index.shape[1]), np.uint32)
+    entropy[:len(head)] = np.array(head, np.uint32)[:, None]
+    entropy[len(head):] = index
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for s0, s1, q0, q1 in _pcg64_seeds(entropy).tolist():
+        # pcg64_set_seed: initstate s0:s1, initseq q0:q1 (high:low), two LCG steps.
+        inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
+        state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
+        bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def cap_half_angle(altitude_m: float, beamwidth_rad: float) -> float:
@@ -124,14 +222,14 @@ def drop_ues(config: ScenarioConfig,
              serving: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(D,) latitudes and longitudes of ground UE positions uniform by area
     over the beam's spherical cap, centered on the nadir of the serving
-    satellite's (3,) ECEF position. Drop i only consumes substream (seed, i)."""
+    satellite's (3,) ECEF position. Drop i only consumes substream
+    (seed, "ue-drop", i)."""
     nadir = ecef_to_geodetic(serving)
     center = Geodetic(nadir.lat_rad, nadir.lon_rad, 0.0)
     psi_max = cap_half_angle(nadir.alt_m, math.radians(config.link.beamwidth_deg))
     cos_min = math.cos(psi_max)
     lat, lon = np.empty((2, config.n_ue_drops))
-    for i in range(config.n_ue_drops):
-        rng = substream(config.seed, "ue-drop", i)
+    for i, rng in enumerate(substreams(config.seed, "ue-drop", config.n_ue_drops)):
         cos_psi = cos_min + (1.0 - cos_min) * rng.random()
         bearing = 2.0 * math.pi * rng.random()
         psi = math.acos(min(1.0, cos_psi))
@@ -290,10 +388,9 @@ def _link_draws(seed: int, tag: str, n_drops: int,
     drop, so a drop's draws do not depend on how many drops follow it."""
     z_los = np.empty((n_drops, n_links))
     z_shadow = np.empty((n_drops, n_links))
-    for i in range(n_drops):
-        rng = substream(seed, tag, i)
-        z_los[i] = rng.random(n_links)
-        z_shadow[i] = rng.standard_normal(n_links)
+    for los, shadow, rng in zip(z_los, z_shadow, substreams(seed, tag, n_drops)):
+        rng.random(out=los)
+        rng.standard_normal(out=shadow)
     return z_los, z_shadow
 
 
@@ -392,8 +489,10 @@ class _Evaluator:
         angle on its UE's sky cap above the elevation mask."""
         config = self.config
         # Per satellite: an elevation term, then an azimuth uniform.
-        draws = np.array([[substream(config.seed, "gnss-pos", i, s).random(2)
-                           for s in range(n)] for i in range(len(ue_ecef))])
+        draws = np.empty((len(ue_ecef), n, 2))
+        for row, rng in zip(draws.reshape(-1, 2),
+                            substreams(config.seed, "gnss-pos", len(ue_ecef), n)):
+            rng.random(out=row)
         cos_zmax = math.cos(math.pi / 2 - math.radians(config.gnss_elevation_mask_deg))
         sin_el = cos_zmax + (1.0 - cos_zmax) * draws[..., 0]
         azimuth = 2.0 * math.pi * draws[..., 1]

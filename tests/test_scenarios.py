@@ -14,8 +14,8 @@ from satpeb.fisher import best_subset_indices, min_gdop_subsets, unit_vectors_en
 from satpeb.geometry import (Geodetic, angle_between, enu_frames,
                              geodetic_to_ecef, ground_track_orbit,
                              make_virtual_anchors, propagate_circular_orbit)
-from satpeb.scenarios import (PebSampleSet, cap_half_angle, drop_ues, run,
-                              summarize, _Evaluator, _link_draws)
+from satpeb.scenarios import (PebSampleSet, cap_half_angle, drop_ues, run, substream,
+                              substreams, summarize, _Evaluator, _link_draws)
 
 
 def _sample_set(values, degenerate=0):
@@ -352,12 +352,23 @@ class TestSpans:
         ("single-leo", 2), ("multi-leo", 3), ("gnss-leo", 4), ("gnss-only", 4)])
     def test_one_substream_per_drop_and_tag(self, variant, per_drop, monkeypatch):
         # link draws are shared across cases: one stream per drop and tag
-        # (and per GNSS satellite), whatever the number of cases
-        calls = []
-        real = scenarios.substream
-        monkeypatch.setattr(scenarios, "substream", lambda *a: calls.append(a) or real(*a))
+        # (and per GNSS satellite), whatever the number of cases; all of
+        # them come from the batched helper, none from the scalar one
+        streams = []
+        real = scenarios.substreams
+
+        def counted(*args):
+            for rng in real(*args):
+                streams.append(args[:2])
+                yield rng
+
+        def scalar(*args):
+            pytest.fail(f"substream{args} called on the run path")
+
+        monkeypatch.setattr(scenarios, "substreams", counted)
+        monkeypatch.setattr(scenarios, "substream", scalar)
         run(make_config(variant, n_ue_drops=7))
-        assert len(calls) == per_drop * 7
+        assert len(streams) == per_drop * 7
 
     def test_drop_records_follow_drop_positions(self):
         cfg = make_config("multi-leo", n_ue_drops=6)
@@ -365,6 +376,52 @@ class TestSpans:
         for sample in run(cfg).cases.values():
             assert np.array_equal(sample.ue_lat_rad, evaluator.lat_rad)
             assert np.array_equal(sample.ue_lon_rad, evaluator.lon_rad)
+
+
+_TAGS = ["ue-drop", "sl-link", "ml-link", "ml-rtt", "gl-link", "gnss-pos", "ß-λ-衛星"]
+
+
+def _draws(rng) -> np.ndarray:
+    return np.concatenate([rng.random(5), rng.standard_normal(5)]).view(np.uint64)
+
+
+def _assert_matches_scalar(seed, tag, n, inner):
+    streams = substreams(seed, tag, n, *inner)
+    for i in range(n):
+        for j in np.ndindex(*inner):
+            assert np.array_equal(_draws(next(streams)), _draws(substream(seed, tag, i, *j))), \
+                (seed, tag, i, j)
+    assert next(streams, None) is None
+
+
+class TestSubstreams:
+    # `substream` (one SeedSequence per stream) is the oracle: the batched
+    # seeding must reproduce NumPy's SeedSequence and PCG64 bit for bit.
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.sampled_from(_TAGS) | st.text(max_size=6),
+           st.integers(1, 5), st.lists(st.integers(1, 3), max_size=2))
+    def test_streams_equal_scalar_substreams(self, seed, tag, n, inner):
+        _assert_matches_scalar(seed, tag, n, inner)
+
+    @pytest.mark.parametrize("inner", [(), (2,), (3,)])
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_seed_word_boundaries(self, seed, inner):
+        for tag in _TAGS:
+            _assert_matches_scalar(seed, tag, 4, inner)
+            _assert_matches_scalar(seed, tag, 1, inner)
+
+    @pytest.mark.parametrize("inner", [(), (3,)])
+    def test_more_streams_keep_earlier_streams(self, inner):
+        short = [_draws(rng) for rng in substreams(7, "sl-link", 6, *inner)]
+        long = [_draws(rng) for rng in substreams(7, "sl-link", 11, *inner)]
+        assert len(long) == len(short) + 5 * math.prod(inner)
+        assert all(np.array_equal(a, b) for a, b in zip(short, long))
+
+    @pytest.mark.parametrize("seed, shape", [(-1, (1,)), (0, (2**32 + 1,)), (0, (1, 2**32 + 1))])
+    def test_rejects_what_needs_other_words(self, seed, shape):
+        # an index of 2**32 or more would take a second entropy word
+        with pytest.raises(ValueError):
+            next(substreams(seed, "ue-drop", *shape))
 
 
 class TestStackedWindows:
