@@ -17,40 +17,29 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from importlib import resources
 
 import numpy as np
 
+from .config import ANTENNA_MODELS, SCENARIO_CLASSES
 from .constants import BOLTZMANN, SPEED_OF_LIGHT
 from .errors import BelowHorizonError
 
 
-class AntennaModel(str, Enum):
-    BESSEL_APERTURE = "bessel-aperture"
-    GAUSSIAN_APPROX = "gaussian-approx"
-
-
-class ScenarioClass(str, Enum):
-    DENSE_URBAN = "dense-urban"
-    URBAN = "urban"
-    SUBURBAN_RURAL = "suburban-rural"
-
-
 @dataclass(frozen=True)
 class AntennaPattern:
-    """Normalized pattern: 0 dB at boresight, -3 dB at half the beamwidth."""
+    """Normalized pattern: 0 dB at boresight, -3 dB at half the beamwidth.
+    `model` is one of `config.ANTENNA_MODELS`."""
 
-    peak_gain_dbi: float
     beamwidth_rad: float
-    model: AntennaModel = AntennaModel.BESSEL_APERTURE
+    model: str = "bessel-aperture"
 
     def __post_init__(self):
         if not 0.0 < self.beamwidth_rad < math.pi:
             raise ValueError("beamwidth must lie in (0, pi)")
-        if not math.isfinite(self.peak_gain_dbi):
-            raise ValueError("peak gain must be finite")
+        if self.model not in ANTENNA_MODELS:
+            raise ValueError(f"unknown antenna model {self.model!r}")
 
 
 @dataclass(frozen=True)
@@ -138,7 +127,7 @@ def antenna_gain(pattern: AntennaPattern, off_boresight_rad) -> float | np.ndarr
     theta = np.asarray(off_boresight_rad, dtype=float)
     if np.any(theta < 0) or np.any(theta > math.pi):
         raise ValueError("off-boresight angle must lie in [0, pi]")
-    if pattern.model is AntennaModel.GAUSSIAN_APPROX:
+    if pattern.model == "gaussian-approx":
         gain = -12.0 * (theta / pattern.beamwidth_rad) ** 2
     else:
         # k*a product sized so the pattern crosses -3 dB at beamwidth/2.
@@ -165,11 +154,11 @@ def free_space_path_loss(distance_m, carrier_hz) -> float | np.ndarray:
 _TABLE_QUANTITIES = ("los_probability", "shadow_sigma_los",
                      "shadow_sigma_nlos", "clutter_loss")
 
-_CLASS_FILE_TAGS = {
-    ScenarioClass.DENSE_URBAN: "dense_urban",
-    ScenarioClass.URBAN: "urban",
-    ScenarioClass.SUBURBAN_RURAL: "suburban_rural",
-}
+
+def _file_name(quantity: str, cls: str) -> str:
+    """The asset holding `quantity` for scenario class `cls`, e.g.
+    `los_probability_dense_urban.csv` for "dense-urban"."""
+    return f"{quantity}_{cls.replace('-', '_')}.csv"
 
 
 @lru_cache(maxsize=1)
@@ -178,8 +167,8 @@ def _table_assets() -> dict[str, tuple[bytes, str]]:
     read once per process."""
     assets = {}
     for quantity in _TABLE_QUANTITIES:
-        for tag in _CLASS_FILE_TAGS.values():
-            name = f"{quantity}_{tag}.csv"
+        for cls in SCENARIO_CLASSES:
+            name = _file_name(quantity, cls)
             raw = resources.files("satpeb").joinpath(f"tables/{name}").read_bytes()
             assets[name] = (raw, hashlib.sha256(raw).hexdigest())
     return assets
@@ -197,24 +186,22 @@ def _read_table(name: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=1)
-def _tables() -> dict[tuple[str, ScenarioClass], tuple[np.ndarray, np.ndarray]]:
-    out = {}
-    for quantity in _TABLE_QUANTITIES:
-        for cls, tag in _CLASS_FILE_TAGS.items():
-            out[(quantity, cls)] = _read_table(f"{quantity}_{tag}.csv")
+def _tables() -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
+    out = {(quantity, cls): _read_table(_file_name(quantity, cls))
+           for quantity in _TABLE_QUANTITIES for cls in SCENARIO_CLASSES}
     # Structural checks on the transcribed values.
-    for cls in ScenarioClass:
+    for cls in SCENARIO_CLASSES:
         _, p = out[("los_probability", cls)]
         if np.any(p < 0) or np.any(p > 1) or np.any(np.diff(p) < 0):
-            raise ValueError(f"LOS probability table for {cls.value} is not a "
+            raise ValueError(f"LOS probability table for {cls} is not a "
                              "non-decreasing probability sequence")
         _, s_los = out[("shadow_sigma_los", cls)]
         _, s_nlos = out[("shadow_sigma_nlos", cls)]
         _, cl = out[("clutter_loss", cls)]
         if np.any(s_los < 0) or np.any(s_nlos < 0) or np.any(cl < 0):
-            raise ValueError(f"negative sigma/clutter entries for {cls.value}")
+            raise ValueError(f"negative sigma/clutter entries for {cls}")
         if np.any(s_los > s_nlos):
-            raise ValueError(f"LOS sigma exceeds NLOS sigma for {cls.value}")
+            raise ValueError(f"LOS sigma exceeds NLOS sigma for {cls}")
     return out
 
 
@@ -241,7 +228,7 @@ def table_checksums() -> dict[str, str]:
     return {name: digest for name, (_, digest) in _table_assets().items()}
 
 
-def _interp_table(quantity: str, cls: ScenarioClass, elevation_rad) -> float | np.ndarray:
+def _interp_table(quantity: str, cls: str, elevation_rad) -> float | np.ndarray:
     el = np.asarray(elevation_rad, dtype=float)
     if np.any(el <= 0):
         raise BelowHorizonError("elevation must be above the horizon")
@@ -254,13 +241,13 @@ def _interp_table(quantity: str, cls: ScenarioClass, elevation_rad) -> float | n
     return float(out) if out.ndim == 0 else out
 
 
-def los_probability(cls: ScenarioClass, elevation_rad) -> float | np.ndarray:
+def los_probability(cls: str, elevation_rad) -> float | np.ndarray:
     """LOS probability at the given elevation, linearly interpolated between
     the 10-degree-spaced table entries."""
     return _interp_table("los_probability", cls, elevation_rad)
 
 
-def shadowing_sigma(cls: ScenarioClass, elevation_rad, los) -> tuple:
+def shadowing_sigma(cls: str, elevation_rad, los) -> tuple:
     """(shadow-fading sigma dB, deterministic clutter loss dB).
 
     Clutter loss is zero for LOS links. Accepts scalar or array `los`.

@@ -30,6 +30,15 @@ CALIBRATED_LEO_DL_PROCESSING_GAIN_DB = -10.0
 CALIBRATED_LEO_UL_PROCESSING_GAIN_DB = 0.0
 CALIBRATED_GNSS_PROCESSING_GAIN_DB = 58.0
 
+# Run-size caps that keep the largest accepted run under about 2 GB of peak
+# RSS. A run's memory grows by about 135 B per realized link, a UE-to-anchor
+# link of one RTT window (single-leo: 20,000 drops are 1.8M links and peak at
+# 280 MB), and by about 4.3 kB per drop in the multi-leo subset search
+# (100,000 drops peak at 470 MB), whatever the link count.
+MAX_VIRTUAL_ANCHORS = 100_000
+MAX_UE_DROPS = 250_000
+MAX_REALIZED_LINKS = 10_000_000
+
 
 @dataclass(frozen=True)
 class LinkBudget:
@@ -48,8 +57,6 @@ class LinkBudget:
     leo_ul_processing_gain_db: float = CALIBRATED_LEO_UL_PROCESSING_GAIN_DB
     beamwidth_deg: float = 4.4127
     antenna_model: str = "bessel-aperture"
-    peak_gain_dbi: float = 30.0
-    gnss_carrier_hz: float = 1575.42e6
     gnss_bandwidth_hz: float = 15.345e6
     gnss_cn0_dbhz: float = 44.0
     gnss_processing_gain_db: float = CALIBRATED_GNSS_PROCESSING_GAIN_DB
@@ -67,7 +74,6 @@ class ScenarioConfig:
 
     variant: str
     leo_altitude_m: float = 600e3
-    gnss_altitude_m: float = 20200e3
     measurement_times_s: tuple[float, ...] = ()
     n_virtual_anchors: int = 10
     n_active_satellites: int | None = None   # multi-leo; None = both 3 and 4
@@ -109,13 +115,11 @@ def validate_config(config: ScenarioConfig) -> None:
     # Past the Moon's orbit; the cap keeps the link path loss bounded (below).
     if not 0 < config.leo_altitude_m <= 1e9:
         raise ConfigError("leo_altitude_m", "must lie in (0, 1e9] m")
-    if not 0 < config.gnss_altitude_m <= 1e9:
-        raise ConfigError("gnss_altitude_m", "must lie in (0, 1e9] m")
-    if config.n_ue_drops < 1:
-        raise ConfigError("n_ue_drops", "must be at least 1")
+    if not 1 <= config.n_ue_drops <= MAX_UE_DROPS:
+        raise ConfigError("n_ue_drops", f"must lie in [1, {MAX_UE_DROPS:,}]")
     check_seed(config.seed)
-    if config.n_virtual_anchors < 2:
-        raise ConfigError("n_virtual_anchors", "must be at least 2")
+    if not 2 <= config.n_virtual_anchors <= MAX_VIRTUAL_ANCHORS:
+        raise ConfigError("n_virtual_anchors", f"must lie in [2, {MAX_VIRTUAL_ANCHORS:,}]")
     if config.scenario_class not in SCENARIO_CLASSES:
         raise ConfigError("scenario_class",
                           f"unknown class {config.scenario_class!r}; expected one of {SCENARIO_CLASSES}")
@@ -128,6 +132,12 @@ def validate_config(config: ScenarioConfig) -> None:
         raise ConfigError("measurement_times_s",
                           f"must be empty for variant {config.variant!r}, which has no "
                           "measurement-time sweep")
+    links = (config.n_ue_drops * max(1, len(config.measurement_times_s))
+             * config.n_virtual_anchors)
+    if links > MAX_REALIZED_LINKS:
+        raise ConfigError("n_ue_drops",
+                          f"n_ue_drops x RTT windows x n_virtual_anchors is {links:,} "
+                          f"realized links; at most {MAX_REALIZED_LINKS:,} fit in memory")
     if config.variant == "multi-leo":
         if config.n_active_satellites is not None and config.n_active_satellites not in (3, 4):
             raise ConfigError("n_active_satellites", "must be 3 or 4")
@@ -165,8 +175,6 @@ def validate_config(config: ScenarioConfig) -> None:
     # A band signal cannot be wider than its carrier frequency.
     if link.bandwidth_hz > link.carrier_hz:
         raise ConfigError("link.bandwidth_hz", "must be at most link.carrier_hz")
-    if link.gnss_bandwidth_hz > link.gnss_carrier_hz:
-        raise ConfigError("link.gnss_bandwidth_hz", "must be at most link.gnss_carrier_hz")
     if link.neighbor_penalty_db < 0:
         raise ConfigError("link.neighbor_penalty_db", "must be non-negative")
     if not 0 < link.beamwidth_deg < 180:

@@ -186,27 +186,23 @@ def reference_tdoa_case(range_sigma_m: float = 1.0,
 
 
 def validate(scenario: str = "multi-leo-tdoa4", n_trials: int = 2000,
-             range_sigma_m: float = 1.0, snr_offset_db: float = 0.0,
-             seed: int = 0) -> ValidationReport:
+             range_sigma_m: float = 1.0, seed: int = 0) -> ValidationReport:
     """Monte Carlo bound-achievability check on the reference TDOA case,
-    `scenario` "multi-leo-tdoa4", the only one implemented; any other name
-    raises ValueError, as does fewer than one trial.
-
-    `snr_offset_db` scales the measurement sigma by 10**(-offset/20), so +20
-    dB shrinks the noise tenfold."""
+    `scenario` "multi-leo-tdoa4", the only one implemented, with every
+    satellite's range sigma `range_sigma_m`; any other name raises
+    ValueError, as does fewer than one trial."""
     if scenario != "multi-leo-tdoa4":
         raise ValueError(f"unknown validation scenario {scenario!r}; "
                          "only 'multi-leo-tdoa4' is implemented")
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
-    tdoa, sigma = MeasurementKind.TDOA, range_sigma_m * 10.0 ** (-snr_offset_db / 20.0)
-    truth, anchors, cov, ref, guess = reference_tdoa_case(sigma)
+    truth, anchors, cov, ref, guess = reference_tdoa_case(range_sigma_m)
     truth_ecef, truth_basis = enu_frames(truth.lat_rad, truth.lon_rad, truth.alt_m)
     units = unit_vectors_en(truth_ecef, anchors, truth_basis)
-    variances = np.full(len(anchors), sigma) ** 2
+    variances = np.full(len(anchors), range_sigma_m) ** 2
     bound = float(peb_arrays(fim_diagonal(units, variances, clock_bias=True))[0])
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x76616c]))
-    meas = _simulate(truth, tdoa, anchors, cov, rng, ref, n_trials)
+    meas = _simulate(truth, MeasurementKind.TDOA, anchors, cov, rng, ref, n_trials)
     blocks = np.split(meas.observed_m, range(_BLOCK_TRIALS, n_trials, _BLOCK_TRIALS))
     solved = [_gauss_newton(replace(meas, observed_m=block), guess, MAX_ITERATIONS,
                             STEP_TOLERANCE_M) for block in blocks]

@@ -55,7 +55,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import channel
-from .channel import AntennaModel, AntennaPattern, LinkParams, ScenarioClass
+from .channel import AntennaPattern, LinkParams
 from .config import ScenarioConfig
 from .constants import EARTH_RADIUS_M
 from .errors import ConfigError, StatisticsError
@@ -249,13 +249,9 @@ class _LinkModel:
     def __init__(self, config: ScenarioConfig, center: Geodetic):
         budget = config.link
         self.beam_center = geodetic_to_ecef(center)
-        self.cls = ScenarioClass(config.scenario_class)
+        self.cls = config.scenario_class
         self.los_only = config.los_only
-        self.pattern = AntennaPattern(
-            peak_gain_dbi=budget.peak_gain_dbi,
-            beamwidth_rad=math.radians(budget.beamwidth_deg),
-            model=AntennaModel(budget.antenna_model),
-        )
+        self.pattern = AntennaPattern(math.radians(budget.beamwidth_deg), budget.antenna_model)
         self.dl = LinkParams(
             carrier_hz=budget.carrier_hz,
             bandwidth_hz=budget.bandwidth_hz,
@@ -442,7 +438,7 @@ class _Evaluator:
             if isinstance(block, Tdoa):
                 info[block] = self._tdoa(block.k, *grid)
             elif isinstance(block, Gnss):
-                info[block] = (*self._gnss(block.n, ue_ecef, basis), np.zeros(n, dtype=bool))
+                info[block] = (*self._gnss(block.n), np.zeros(n, dtype=bool))
 
         # Every case's summed FIM and mean variance, stacked to (C, D, 2, 2)
         # and (C, D) for one bound pass.
@@ -483,30 +479,25 @@ class _Evaluator:
                          clock_bias=True)
         return f, variances[:, 1:] + variances[:, :1], short
 
-    def _gnss(self, n: int, ue_ecef, basis):
+    def _gnss(self, n: int):
         """(D, 2, 2) GNSS TDOA information and (D, n-1) range-difference
-        variances of n satellites on the GNSS shell, each uniform by solid
-        angle on its UE's sky cap above the elevation mask."""
-        config = self.config
+        variances of n satellite directions, each uniform by solid angle on
+        its UE's sky cap above the elevation mask. A satellite enters the
+        information only through the east and north parts of its direction."""
+        config, n_drops = self.config, len(self.lat_rad)
         # Per satellite: an elevation term, then an azimuth uniform.
-        draws = np.empty((len(ue_ecef), n, 2))
+        draws = np.empty((n_drops, n, 2))
         for row, rng in zip(draws.reshape(-1, 2),
-                            substreams(config.seed, "gnss-pos", len(ue_ecef), n)):
+                            substreams(config.seed, "gnss-pos", n_drops, n)):
             rng.random(out=row)
         cos_zmax = math.cos(math.pi / 2 - math.radians(config.gnss_elevation_mask_deg))
         sin_el = cos_zmax + (1.0 - cos_zmax) * draws[..., 0]
         azimuth = 2.0 * math.pi * draws[..., 1]
         cos_el = np.sqrt(np.maximum(0.0, 1.0 - sin_el**2))
-        d_enu = np.stack([cos_el * np.sin(azimuth), cos_el * np.cos(azimuth), sin_el], axis=-1)
-        d_ecef = d_enu @ basis
-        ue = ue_ecef[:, None, :]
-        r_shell = EARTH_RADIUS_M + config.gnss_altitude_m
-        b = np.sum(ue * d_ecef, axis=-1)
-        rho = -b + np.sqrt(b * b + r_shell**2 - np.sum(ue * ue, axis=-1))
-        units = unit_vectors_en(ue_ecef, ue + rho[..., None] * d_ecef, basis)
+        units = np.stack([cos_el * np.sin(azimuth), cos_el * np.cos(azimuth)], axis=-1)
         variances = np.full(n, self.model.gnss_range_sigma) ** 2
         return (fim_diagonal(units, variances, clock_bias=True),
-                np.broadcast_to(variances[1:] + variances[:1], (len(ue_ecef), n - 1)))
+                np.broadcast_to(variances[1:] + variances[:1], (n_drops, n - 1)))
 
 
 def run(config: ScenarioConfig) -> RunBundle:

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from satpeb import channel
-from satpeb.channel import (AntennaModel, AntennaPattern, LinkParams,
-                            PINNED_TABLE_CHECKSUMS, ScenarioClass,
+from satpeb.channel import (AntennaPattern, LinkParams, PINNED_TABLE_CHECKSUMS,
                             antenna_gain, cn0_to_snr, free_space_path_loss,
                             link_snr, los_probability, shadowing_sigma,
                             table_checksums)
+from satpeb.config import SCENARIO_CLASSES
 from satpeb.errors import BelowHorizonError
 
-BESSEL = AntennaPattern(30.0, math.radians(4.4127), AntennaModel.BESSEL_APERTURE)
-GAUSS = AntennaPattern(30.0, math.radians(4.4127), AntennaModel.GAUSSIAN_APPROX)
+BESSEL = AntennaPattern(math.radians(4.4127), "bessel-aperture")
+GAUSS = AntennaPattern(math.radians(4.4127), "gaussian-approx")
 
 
 class TestAntennaPattern:
@@ -37,7 +37,9 @@ class TestAntennaPattern:
 
     def test_beamwidth_validation(self):
         with pytest.raises(ValueError):
-            AntennaPattern(30.0, 0.0)
+            AntennaPattern(0.0)
+        with pytest.raises(ValueError, match="antenna model"):
+            AntennaPattern(0.1, "dipole")
 
 
 def _j1(x):
@@ -103,7 +105,7 @@ class TestTables:
         assert table_checksums() == PINNED_TABLE_CHECKSUMS
 
     def test_checksums_hashed_once_per_process(self, monkeypatch):
-        los_probability(ScenarioClass.URBAN, math.pi / 4)  # loads the tables
+        los_probability("urban", math.pi / 4)  # loads the tables
 
         def no_reads(*args, **kwargs):
             raise AssertionError("table assets read again")
@@ -114,7 +116,7 @@ class TestTables:
         sums.clear()
         assert table_checksums() == PINNED_TABLE_CHECKSUMS
 
-    @pytest.mark.parametrize("cls", list(ScenarioClass))
+    @pytest.mark.parametrize("cls", SCENARIO_CLASSES)
     def test_los_probability_monotone_and_bounded(self, cls):
         els = np.radians(np.arange(10.0, 91.0, 10.0))
         probs = los_probability(cls, els)
@@ -125,7 +127,7 @@ class TestTables:
 
     def test_grid_point_exact(self):
         # spot values from the S-band suburban/rural table
-        cls = ScenarioClass.SUBURBAN_RURAL
+        cls = "suburban-rural"
         assert los_probability(cls, math.radians(10.0)) == pytest.approx(0.782)
         assert los_probability(cls, math.radians(30.0)) == pytest.approx(0.919)
         sigma, clutter = shadowing_sigma(cls, math.radians(20.0), False)
@@ -133,12 +135,12 @@ class TestTables:
         assert clutter == pytest.approx(18.17)
 
     def test_midpoint_interpolation(self):
-        cls = ScenarioClass.URBAN
+        cls = "urban"
         p40 = los_probability(cls, math.radians(40.0))
         p50 = los_probability(cls, math.radians(50.0))
         assert los_probability(cls, math.radians(45.0)) == pytest.approx((p40 + p50) / 2)
 
-    @pytest.mark.parametrize("cls", list(ScenarioClass))
+    @pytest.mark.parametrize("cls", SCENARIO_CLASSES)
     def test_los_sigma_never_exceeds_nlos(self, cls):
         for el_deg in range(10, 91, 10):
             el = math.radians(el_deg)
@@ -150,12 +152,12 @@ class TestTables:
 
     def test_below_horizon_raises(self):
         with pytest.raises(BelowHorizonError):
-            los_probability(ScenarioClass.URBAN, 0.0)
+            los_probability("urban", 0.0)
         with pytest.raises(BelowHorizonError):
-            shadowing_sigma(ScenarioClass.URBAN, -0.1, True)
+            shadowing_sigma("urban", -0.1, True)
 
     def test_lookups_are_pure(self):
-        cls = ScenarioClass.DENSE_URBAN
+        cls = "dense-urban"
         el = math.radians(37.3)
         assert los_probability(cls, el) == los_probability(cls, el)
         assert shadowing_sigma(cls, el, False) == shadowing_sigma(cls, el, False)

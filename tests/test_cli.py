@@ -121,7 +121,7 @@ class TestParseConfig:
         ({"lon_gap_deg": False}, "lon_gap_deg", "must be a number"),
         ({"link": {"antenna_model": 1}}, "link.antenna_model", "must be a string"),
         ({"link": {"carrier_hz": "2e9"}}, "link.carrier_hz", "must be a number"),
-        ({"link": {"peak_gain_dbi": True}}, "link.peak_gain_dbi", "must be a number"),
+        ({"link": {"sat_g_over_t_db_k": True}}, "link.sat_g_over_t_db_k", "must be a number"),
         ({"link": {"beamwidth_deg": None}}, "link.beamwidth_deg", "must be a number"),
         ({"variant": 5}, "variant",
          "unknown variant 5; expected one of "
@@ -146,10 +146,10 @@ class TestParseConfig:
     def test_numbers_stored_as_floats(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, {
             "variant": "multi-leo", "leo_altitude_m": 780000, "lon_gap_deg": 12,
-            "link": {"carrier_hz": 2000000000, "peak_gain_dbi": 30}}))
+            "link": {"carrier_hz": 2000000000, "extra_losses_db": 3}}))
         values = (cfg.leo_altitude_m, cfg.lon_gap_deg, cfg.link.carrier_hz,
-                  cfg.link.peak_gain_dbi)
-        assert values == (780e3, 12.0, 2e9, 30.0)
+                  cfg.link.extra_losses_db)
+        assert values == (780e3, 12.0, 2e9, 3.0)
         assert all(type(v) is float for v in values)
 
     def test_bandwidth_above_carrier_named(self, tmp_path):

@@ -4,12 +4,14 @@ import tempfile
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from satpeb.cli import main
-from satpeb.config import (ANTENNA_MODELS, SCENARIO_CLASSES, VARIANTS, LinkBudget,
+from satpeb.config import (ANTENNA_MODELS, MAX_REALIZED_LINKS, MAX_UE_DROPS,
+                           MAX_VIRTUAL_ANCHORS, SCENARIO_CLASSES, VARIANTS, LinkBudget,
                            ScenarioConfig, config_from_dict, config_to_dict, make_config)
 from satpeb.errors import ConfigError
 from satpeb.scenarios import run
@@ -21,12 +23,11 @@ _positive = st.floats(1e-3, 1e9)
 # `link`, whose valid values depend on the variant or on each other.
 _FIELD_VALUES = {
     "leo_altitude_m": _positive,
-    "gnss_altitude_m": _positive,
-    "n_virtual_anchors": st.integers(2, 10**6),
+    "n_virtual_anchors": st.integers(2, MAX_VIRTUAL_ANCHORS),
     "n_active_satellites": st.sampled_from([None, 3, 4]),
     "rtt_augmentation": st.sampled_from([None, False, True]),
     "rtt_measurement_time_s": _positive,
-    "n_ue_drops": st.integers(1, 10**9),
+    "n_ue_drops": st.integers(1, MAX_UE_DROPS),
     "seed": st.integers(0, 2**64 - 1),
     "scenario_class": st.sampled_from(SCENARIO_CLASSES),
     "los_only": st.booleans(),
@@ -39,7 +40,7 @@ _FIELD_VALUES = {
 
 _LINK_VALUES = {
     # Budget terms in dB lie within +-300 dB, frequencies within [1e-3, 1e15]
-    # Hz (see `validate_config`); `_links` keeps each band within its carrier.
+    # Hz (see `validate_config`); `_links` keeps the LEO band within its carrier.
     **{f.name: st.floats(-300.0, 300.0) for f in fields(LinkBudget) if "_db" in f.name},
     **{f.name: st.floats(1e-3, 1e15) for f in fields(LinkBudget) if f.name.endswith("_hz")},
     "neighbor_penalty_db": st.floats(0.0, 100.0),
@@ -51,11 +52,9 @@ _LINK_VALUES = {
 @st.composite
 def _links(draw):
     values = draw(st.fixed_dictionaries({}, optional=_LINK_VALUES))
-    # A band lies in [1e-3, 1e15] Hz and is no wider than its carrier.
-    for carrier, bandwidth in (("carrier_hz", "bandwidth_hz"),
-                               ("gnss_carrier_hz", "gnss_bandwidth_hz")):
-        values[carrier] = draw(st.floats(1e-3, 1e15))
-        values[bandwidth] = draw(st.floats(1e-3, values[carrier]))
+    # The LEO band lies in [1e-3, 1e15] Hz and is no wider than its carrier.
+    values["carrier_hz"] = draw(st.floats(1e-3, 1e15))
+    values["bandwidth_hz"] = draw(st.floats(1e-3, values["carrier_hz"]))
     return LinkBudget(**values)
 
 
@@ -64,7 +63,15 @@ def _configs(draw):
     variant = draw(st.sampled_from(VARIANTS))
     overrides = draw(st.fixed_dictionaries({}, optional={**_FIELD_VALUES, "link": _links()}))
     if variant in ("single-leo", "gnss-leo") and draw(st.booleans()):
-        overrides["measurement_times_s"] = tuple(draw(st.lists(_positive, min_size=1)))
+        overrides["measurement_times_s"] = tuple(draw(st.lists(_positive, min_size=1,
+                                                               max_size=50)))
+    # The run's realized links stay within their cap; 9 windows covers every
+    # variant's default sweep.
+    windows = len(overrides.get("measurement_times_s", ())) or 9
+    max_drops = MAX_REALIZED_LINKS // (
+        windows * overrides.get("n_virtual_anchors", ScenarioConfig.n_virtual_anchors))
+    if overrides.get("n_ue_drops", ScenarioConfig.n_ue_drops) > max_drops:
+        overrides["n_ue_drops"] = draw(st.integers(1, max_drops))
     if variant == "multi-leo":
         # The grid's side rows, center_lat_deg +- lat_gap_deg, stay on the sphere.
         assume(abs(math.radians(overrides.get("center_lat_deg", 0.0)))
@@ -215,3 +222,113 @@ def test_grid_side_rows_just_short_of_a_pole_run(lat):
 
 def test_side_rows_bound_only_the_grid_variant():
     make_config("single-leo", n_ue_drops=3, center_lat_deg=89.5)
+
+
+def _cli_errors(raw: dict, tmp_path: Path) -> tuple[int, list[str]]:
+    """Exit status and manifest errors of a single-leo command on config `raw`."""
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(raw))
+    status = main(["single-leo", "--config", str(path), "--out", str(out)])
+    return status, json.loads((out / "manifest.json").read_text())["errors"]
+
+
+@pytest.mark.parametrize("raw, key", [
+    ({"gnss_altitude_m": 20200e3}, "gnss_altitude_m"),
+    ({"link": {"gnss_carrier_hz": 1575.42e6}}, "link.gnss_carrier_hz"),
+    ({"link": {"peak_gain_dbi": 30.0}}, "link.peak_gain_dbi"),
+])
+def test_removed_keys_exit_2_as_unknown(raw, key, tmp_path):
+    """Keys that once existed but never reached an output are refused like
+    any unknown key."""
+    status, errors = _cli_errors({"variant": "gnss-only", "n_ue_drops": 2, **raw}, tmp_path)
+    assert (status, errors) == (2, [f"{key}: unknown configuration key"])
+
+
+def test_anchors_beyond_memory_refused_before_the_run(tmp_path):
+    """10^8 virtual anchors would need tens of GB; validation names the field
+    before anything is allocated."""
+    status, errors = _cli_errors({"variant": "single-leo", "n_ue_drops": 2,
+                                  "n_virtual_anchors": 100_000_000}, tmp_path)
+    assert status == 2 and len(errors) == 1
+    assert errors[0].startswith("n_virtual_anchors: ")
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"n_ue_drops": MAX_UE_DROPS + 1}, "n_ue_drops"),
+    ({"n_virtual_anchors": MAX_VIRTUAL_ANCHORS + 1}, "n_virtual_anchors"),
+    ({"n_ue_drops": 2_000, "n_virtual_anchors": 1_000}, "n_ue_drops"),
+])
+def test_run_size_caps_name_the_field(overrides, field):
+    with pytest.raises(ConfigError) as err:
+        make_config("single-leo", **overrides)
+    assert err.value.field == field
+
+
+def test_run_size_caps_admit_the_tail_study_sizes():
+    """64,000 drops of the default sweep (5.76M links), and the largest run
+    at each cap."""
+    make_config("single-leo", n_ue_drops=64_000)
+    make_config("gnss-only", n_ue_drops=MAX_UE_DROPS)
+    make_config("single-leo", n_ue_drops=MAX_REALIZED_LINKS // 90)
+    make_config("single-leo", n_ue_drops=1, n_virtual_anchors=MAX_VIRTUAL_ANCHORS)
+
+
+# Field -> (variant, changed value) for `test_every_field_reaches_an_output`:
+# each change must show in the run of that variant at 20 drops.
+_FIELD_CHANGES = {
+    "variant": ("single-leo", "gnss-leo"),
+    "leo_altitude_m": ("single-leo", 700e3),
+    "measurement_times_s": ("single-leo", [3.5]),
+    "n_virtual_anchors": ("single-leo", 5),
+    "n_active_satellites": ("multi-leo", 3),
+    "rtt_augmentation": ("multi-leo", True),
+    "rtt_measurement_time_s": ("multi-leo", 5.0),
+    "n_ue_drops": ("single-leo", 21),
+    "seed": ("single-leo", 1),
+    "scenario_class": ("single-leo", "urban"),
+    "los_only": ("single-leo", True),
+    "gnss_elevation_mask_deg": ("gnss-only", 10.0),
+    "center_lat_deg": ("single-leo", 30.0),
+    "center_lon_deg": ("single-leo", 30.0),
+    "lon_gap_deg": ("multi-leo", 10.0),
+    "lat_gap_deg": ("multi-leo", 5.0),
+    "link": ("single-leo", {"ue_eirp_dbw": 0.0}),
+    "link.carrier_hz": ("single-leo", 2.5e9),
+    "link.bandwidth_hz": ("single-leo", 20e6),
+    "link.eirp_density_dbw_mhz": ("single-leo", 40.0),
+    "link.ue_g_over_t_db_k": ("single-leo", -20.0),
+    "link.ue_eirp_dbw": ("single-leo", 0.0),
+    "link.sat_g_over_t_db_k": ("single-leo", 5.0),
+    "link.extra_losses_db": ("single-leo", 3.0),
+    "link.neighbor_penalty_db": ("multi-leo", 0.0),
+    "link.leo_dl_processing_gain_db": ("single-leo", 0.0),
+    "link.leo_ul_processing_gain_db": ("single-leo", 10.0),
+    "link.beamwidth_deg": ("single-leo", 3.0),
+    "link.antenna_model": ("single-leo", "gaussian-approx"),
+    "link.gnss_bandwidth_hz": ("gnss-only", 2e6),
+    "link.gnss_cn0_dbhz": ("gnss-only", 40.0),
+    "link.gnss_processing_gain_db": ("gnss-only", 50.0),
+}
+
+
+def _outputs(raw: dict) -> dict:
+    return {case_id: (s.ue_lat_rad, s.ue_lon_rad, s.peb_m)
+            for case_id, s in run(config_from_dict(raw)).cases.items()}
+
+
+@pytest.mark.parametrize("path", [f.name for f in fields(ScenarioConfig)]
+                         + [f"link.{f.name}" for f in fields(LinkBudget)])
+def test_every_field_reaches_an_output(path):
+    """A settable value that changes no case id, no UE position and no bound
+    (beyond 1e-6 relative) is a knob that does nothing."""
+    if path not in _FIELD_CHANGES:
+        pytest.fail(f"{path} has no row in _FIELD_CHANGES")
+    variant, value = _FIELD_CHANGES[path]
+    base = {"variant": variant, "n_ue_drops": 20}
+    key = path.removeprefix("link.")
+    changed = {**base, "link": {key: value}} if key != path else {**base, key: value}
+    before, after = _outputs(base), _outputs(changed)
+    assert list(before) != list(after) or any(
+        not (np.array_equal(lat0, lat1) and np.array_equal(lon0, lon1))
+        or np.any(~np.isclose(peb1, peb0, rtol=1e-6, atol=0.0, equal_nan=True))
+        for (lat0, lon0, peb0), (lat1, lon1, peb1) in zip(before.values(), after.values()))

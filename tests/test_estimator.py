@@ -106,13 +106,13 @@ class TestValidate:
         assert report.n_trials == 50
 
     def test_effectively_noiseless_trials_all_converge(self):
-        report = validate(n_trials=100, snr_offset_db=80.0, seed=2)
+        report = validate(n_trials=100, range_sigma_m=1e-4, seed=2)
         assert report.convergence_rate == 1.0
         assert report.rmse_m < 1e-3
 
     def test_ratio_decreases_toward_one_with_snr(self):
         low = validate(n_trials=400, range_sigma_m=2e5, seed=5)
-        high = validate(n_trials=400, range_sigma_m=2e5, snr_offset_db=20.0, seed=5)
+        high = validate(n_trials=400, range_sigma_m=2e4, seed=5)
         assert high.ratio < low.ratio - 0.005
         assert 0.95 <= high.ratio <= 1.10
 

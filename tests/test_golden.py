@@ -6,7 +6,9 @@ Regenerate the golden file (only from a commit whose outputs are trusted):
     PYTHONPATH=src python -m tests.test_golden [VARIANT ...]
 
 Named variants have their entries rewritten and every other entry keeps its
-bytes; with no names, every entry is rewritten.
+bytes; with no names, every entry is rewritten. Each rewritten entry prints
+one line against the entry it replaces: the largest relative movement of the
+bound and of GDOP, and how many degenerate flags and UE positions changed.
 """
 
 import json
@@ -76,21 +78,64 @@ def test_run_matches_golden(golden, variant, seed):
             assert not bad, f"{case_id} {field} differs at drops {bad}"
 
 
+def movement(old: dict, new: dict) -> str:
+    """How golden entry `new` moved against the entry `old` it replaces."""
+    head = f"{new['variant']} seed {new['seed']}:"
+    if list(old["cases"]) != list(new["cases"]):
+        return f"{head} case ids {list(old['cases'])} -> {list(new['cases'])}"
+    worst = {"peb_m": 0.0, "gdop": 0.0}
+    flags = positions = 0
+    for case_id, was in old["cases"].items():
+        now = new["cases"][case_id]
+        flags += sum(a != b for a, b in zip(was["degenerate"], now["degenerate"]))
+        positions += (sum(a != b for a, b in zip(was["ue"], now["ue"]))
+                      + abs(len(was["ue"]) - len(now["ue"])))
+        for field in worst:
+            worst[field] = max([worst[field]] + [abs(b - a) / abs(a) for a, b in zip(
+                was[field], now[field]) if a is not None and b is not None])
+    return (f"{head} largest relative move peb_m {worst['peb_m']:.3g}, "
+            f"gdop {worst['gdop']:.3g}; {flags} degenerate flags and "
+            f"{positions} UE positions changed")
+
+
 def recapture(variants=VARIANTS, path: Path = GOLDEN) -> None:
-    """Rewrite the entries of `variants` in the golden file at `path`. The
-    file is one `json.dumps` line, whose floats round-trip, so re-dumping
-    the other entries leaves their bytes as they were."""
+    """Rewrite the entries of `variants` in the golden file at `path`,
+    printing each one's `movement`. The file is one `json.dumps` line, whose
+    floats round-trip, so re-dumping the other entries leaves their bytes as
+    they were."""
     unknown = set(variants) - set(VARIANTS)
     if unknown:
         raise ValueError(f"unknown variants {sorted(unknown)}; expected some of {VARIANTS}")
     kept = ({(g["variant"], g["seed"]): g for g in json.loads(path.read_text())}
             if path.exists() else {})
+    entries = []
+    for v in VARIANTS:
+        for s in SEEDS:
+            if v not in variants:
+                entries.append(kept[(v, s)])
+                continue
+            entries.append(_snapshot(v, s))
+            print(movement(kept[(v, s)], entries[-1]) if (v, s) in kept
+                  else f"{v} seed {s}: new entry")
     path.parent.mkdir(exist_ok=True)
-    path.write_text(json.dumps([_snapshot(v, s) if v in variants else kept[(v, s)]
-                                for v in VARIANTS for s in SEEDS]) + "\n")
+    path.write_text(json.dumps(entries) + "\n")
 
 
-def test_recapture_rewrites_only_the_named_variants(tmp_path, monkeypatch):
+def test_movement_reports_what_a_recapture_shifts():
+    old = json.loads(GOLDEN.read_text())[0]
+    new = json.loads(json.dumps(old))
+    case = next(iter(new["cases"].values()))
+    case["peb_m"][0] *= 1 + 2e-9
+    case["degenerate"][1] = not case["degenerate"][1]
+    case["ue"][2] = [0.0, 0.0, 0.0]
+    assert movement(old, new) == (
+        "single-leo seed 0: largest relative move peb_m 2e-09, gdop 0; "
+        "1 degenerate flags and 1 UE positions changed")
+    assert movement(old, old).endswith("peb_m 0, gdop 0; 0 degenerate flags and "
+                                       "0 UE positions changed")
+
+
+def test_recapture_rewrites_only_the_named_variants(tmp_path, monkeypatch, capsys):
     path = tmp_path / "golden.json"
     path.write_bytes(GOLDEN.read_bytes())
     recapture((), path)
@@ -98,6 +143,8 @@ def test_recapture_rewrites_only_the_named_variants(tmp_path, monkeypatch):
     monkeypatch.setattr(sys.modules[__name__], "_snapshot",
                         lambda v, s: {"variant": v, "seed": s, "cases": {}})
     recapture(("gnss-only",), path)
+    assert capsys.readouterr().out == "".join(
+        f"gnss-only seed {s}: case ids ['gnss_only'] -> []\n" for s in SEEDS)
     before = json.loads(GOLDEN.read_text())
     after = json.loads(path.read_text())
     assert [(g["variant"], g["seed"]) for g in after] == [(g["variant"], g["seed"])
