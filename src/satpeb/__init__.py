@@ -3,8 +3,7 @@
 __version__ = "0.1.0"
 
 from .config import LinkBudget, ScenarioConfig, make_config
-from .fisher import (MeasurementKind, MeasurementSet, PebResult, fim, jacobian,
-                     peb, rtt_range_sigma, tdoa_covariance, toa_range_sigma)
+from .fisher import MeasurementKind, rtt_range_sigma, tdoa_covariance, toa_range_sigma
 from .geometry import (Geodetic, OrbitSpec, geodetic_to_ecef, hex_constellation,
                        make_virtual_anchors, propagate_circular_orbit)
 from .scenarios import (PebSampleSet, RunBundle, SummaryStats, drop_ues, run,
@@ -12,9 +11,9 @@ from .scenarios import (PebSampleSet, RunBundle, SummaryStats, drop_ues, run,
 
 __all__ = [
     "__version__",
-    "Geodetic", "LinkBudget", "MeasurementKind", "MeasurementSet", "OrbitSpec",
-    "PebResult", "PebSampleSet", "RunBundle", "ScenarioConfig", "SummaryStats",
-    "drop_ues", "fim", "geodetic_to_ecef", "hex_constellation", "jacobian",
-    "make_config", "make_virtual_anchors", "peb", "propagate_circular_orbit",
-    "rtt_range_sigma", "run", "summarize", "tdoa_covariance", "toa_range_sigma",
+    "Geodetic", "LinkBudget", "MeasurementKind", "OrbitSpec", "PebSampleSet",
+    "RunBundle", "ScenarioConfig", "SummaryStats", "drop_ues", "geodetic_to_ecef",
+    "hex_constellation", "make_config", "make_virtual_anchors",
+    "propagate_circular_orbit", "rtt_range_sigma", "run", "summarize",
+    "tdoa_covariance", "toa_range_sigma",
 ]

@@ -24,7 +24,6 @@ import numpy as np
 
 from .config import ANTENNA_MODELS, SCENARIO_CLASSES
 from .constants import BOLTZMANN, SPEED_OF_LIGHT
-from .errors import BelowHorizonError
 
 
 @dataclass(frozen=True)
@@ -230,10 +229,8 @@ def table_checksums() -> dict[str, str]:
 
 def _interp_table(quantity: str, cls: str, elevation_rad) -> float | np.ndarray:
     el = np.asarray(elevation_rad, dtype=float)
-    if np.any(el <= 0):
-        raise BelowHorizonError("elevation must be above the horizon")
-    if np.any(el > math.pi / 2):
-        raise ValueError("elevation must not exceed pi/2")
+    if np.any(el <= 0) or np.any(el > math.pi / 2):
+        raise ValueError("elevation must lie in (0, pi/2]")
     grid, vals = _tables()[(quantity, cls)]
     # np.interp clamps at the table ends (entries below 10 deg reuse the
     # 10 deg value).

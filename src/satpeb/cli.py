@@ -39,7 +39,7 @@ from .config import (CALIBRATED_GNSS_PROCESSING_GAIN_DB,
                      CALIBRATED_LEO_UL_PROCESSING_GAIN_DB, ScenarioConfig,
                      check_seed, config_from_dict, config_to_dict, make_config, with_seed)
 from .errors import ConfigError, SatPebError
-from .estimator import validate
+from .estimator import MAX_TRIALS, validate
 from .scenarios import RunBundle, run
 
 SAMPLE_FIELDS = ("ue_lat_deg", "ue_lon_deg", "case_id", "peb_m", "gdop", "degenerate")
@@ -250,8 +250,8 @@ def execute(args) -> int:
     status = 0
     try:
         if args.command == "validate":
-            if args.trials < 1:
-                raise ConfigError("trials", "must be at least 1")
+            if not 1 <= args.trials <= MAX_TRIALS:
+                raise ConfigError("trials", f"must lie in [1, {MAX_TRIALS:,}]")
             report = validate(n_trials=args.trials, seed=check_seed(args.seed or 0))
             payload = dataclasses.asdict(report)
             (out_dir / "validation.json").write_text(json.dumps(payload, indent=2) + "\n")

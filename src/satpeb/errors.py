@@ -13,10 +13,6 @@ class ConfigError(SatPebError):
         super().__init__(f"{field}: {message}")
 
 
-class BelowHorizonError(SatPebError):
-    """Elevation angle at or below the horizon where a sky path is required."""
-
-
 class VisibilityError(SatPebError):
     """An anchor is below the UE's horizon."""
 

@@ -3,7 +3,8 @@ solver, used to check that empirical RMSE approaches the computed bound.
 
 The solver fits the horizontal position at fixed altitude. `validate` draws
 all trials in one call and solves up to `_BLOCK_TRIALS` of them per pass as
-stacked rows, each with its own convergence mask; `solve` is one row.
+stacked rows, each with its own convergence mask, so a row solves as it
+would alone.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ _DIVERGENCE_STEP_M = 5e6
 # Trials per `_gauss_newton` pass in `validate`: the default 2000 take one pass,
 # and the working set, about 0.45 kB a trial (0.9 MB here), stays bounded.
 _BLOCK_TRIALS = 2048
+# Largest `validate` run: peak RSS grows about 285 B a trial (322 MB at 1e6
+# trials), so this cap keeps a run near 1.4 GB (extrapolated, not run).
+MAX_TRIALS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -39,13 +43,6 @@ class SyntheticMeasurements:
     covariance: np.ndarray
     truth: Geodetic
     reference_index: int | None = None
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    estimate: Geodetic
-    iterations: int
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,8 @@ def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
 def _simulate(truth: Geodetic, kind: MeasurementKind, anchors: np.ndarray,
               covariance: np.ndarray, rng: np.random.Generator,
               reference_index: int | None, n_trials: int) -> SyntheticMeasurements:
-    """(n_trials, M) draws from one call on the stream; row t equals draw t."""
+    """(n_trials, M) draws from one call on the stream; row t equals draw t,
+    and a zero covariance gives the exact observables."""
     cov = np.atleast_2d(np.asarray(covariance, dtype=float))
     geometric = predict(kind, anchors, reference_index, geodetic_to_ecef(truth))
     z = rng.standard_normal((n_trials, geometric.size))
@@ -91,15 +89,6 @@ def _simulate(truth: Geodetic, kind: MeasurementKind, anchors: np.ndarray,
     return SyntheticMeasurements(
         kind=kind, anchors=anchors, observed_m=geometric + noise,
         covariance=cov, truth=truth, reference_index=reference_index)
-
-
-def simulate_measurements(truth: Geodetic, kind: MeasurementKind,
-                          anchors: np.ndarray, covariance: np.ndarray,
-                          rng: np.random.Generator,
-                          reference_index: int | None = None) -> SyntheticMeasurements:
-    """Draw one noisy measurement vector; zero covariance gives exact truth."""
-    meas = _simulate(truth, kind, anchors, covariance, rng, reference_index, 1)
-    return replace(meas, observed_m=meas.observed_m[0])
 
 
 def _step(observed, lat, lon, alt_m, anchors, ref, keep, weight) -> np.ndarray:
@@ -124,8 +113,14 @@ def _step(observed, lat, lon, alt_m, anchors, ref, keep, weight) -> np.ndarray:
 
 def _gauss_newton(meas: SyntheticMeasurements, guess: Geodetic,
                   max_iterations: int, tolerance_m: float):
-    """`solve` for each row of the (T, M) `meas.observed_m`, all rows at once;
-    returns (T,) latitude, longitude, iteration-count and converged arrays."""
+    """Weighted Gauss-Newton over the horizontal position at fixed altitude,
+    for each row of the (T, M) `meas.observed_m`, all rows at once; returns
+    (T,) latitude, longitude, iteration-count and converged arrays.
+
+    A row converges when its step norm drops below `tolerance_m`. A row whose
+    step diverges restarts once with halved steps; one that still does not
+    converge is flagged. A singular normal matrix raises
+    DegenerateGeometryError."""
     observed, anchors = np.atleast_2d(meas.observed_m), meas.anchors
     ref = meas.reference_index if meas.kind is MeasurementKind.TDOA else None
     keep = None if ref is None else np.delete(np.arange(len(anchors)), ref)
@@ -156,20 +151,6 @@ def _gauss_newton(meas: SyntheticMeasurements, guess: Geodetic,
     return lat, lon, iterations, converged
 
 
-def solve(meas: SyntheticMeasurements, initial_guess: Geodetic,
-          max_iterations: int = MAX_ITERATIONS,
-          tolerance_m: float = STEP_TOLERANCE_M) -> SolveResult:
-    """Weighted Gauss-Newton over the horizontal position at fixed altitude.
-
-    Converges when the step norm drops below `tolerance_m`. On divergence the
-    solve restarts once with halved steps; persistent non-convergence is
-    returned as a flagged result. A singular normal matrix raises
-    DegenerateGeometryError."""
-    lat, lon, iterations, converged = (row.item() for row in _gauss_newton(
-        meas, initial_guess, max_iterations, tolerance_m))
-    return SolveResult(Geodetic(lat, lon, initial_guess.alt_m), iterations, converged)
-
-
 def reference_tdoa_case(range_sigma_m: float = 1.0,
                         altitude_m: float = 780e3) -> tuple:
     """Well-conditioned 4-LEO TDOA fixture: hexagonal grid, UE offset from the
@@ -190,12 +171,12 @@ def validate(scenario: str = "multi-leo-tdoa4", n_trials: int = 2000,
     """Monte Carlo bound-achievability check on the reference TDOA case,
     `scenario` "multi-leo-tdoa4", the only one implemented, with every
     satellite's range sigma `range_sigma_m`; any other name raises
-    ValueError, as does fewer than one trial."""
+    ValueError, as does a trial count outside [1, MAX_TRIALS]."""
     if scenario != "multi-leo-tdoa4":
         raise ValueError(f"unknown validation scenario {scenario!r}; "
                          "only 'multi-leo-tdoa4' is implemented")
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be at least 1, got {n_trials}")
+    if not 1 <= n_trials <= MAX_TRIALS:
+        raise ValueError(f"n_trials must lie in [1, {MAX_TRIALS:,}], got {n_trials}")
     truth, anchors, cov, ref, guess = reference_tdoa_case(range_sigma_m)
     truth_ecef, truth_basis = enu_frames(truth.lat_rad, truth.lon_rad, truth.alt_m)
     units = unit_vectors_en(truth_ecef, anchors, truth_basis)

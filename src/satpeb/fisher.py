@@ -1,24 +1,25 @@
-"""Measurement accuracy models, Jacobians, Fisher information, and PEB/GDOP.
+"""Measurement accuracy models, Jacobians, Fisher information, and PEB/GDOP,
+as array kernels over stacked UE drops and cases.
 
 The unknown is the 2-D horizontal UE position (east/north at fixed altitude).
 RTT ranges are free of UE clock bias. TDOA takes downlink TOAs from perfectly
 synchronized anchors sharing one unknown UE clock bias, eliminated by a Schur
 complement: the equivalent FIM of Shen and Win (IEEE Trans. Inf. Theory, 2010)
 and the GNSS pseudorange model, as informative as TDOA against any reference.
+A case's information is a sum of independent `fim_diagonal` blocks, and
+`peb_arrays` turns it into the bound.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .errors import VisibilityError
-from .geometry import ecef_to_geodetic, enu_basis
 
 DEGENERATE_EIGENVALUE = 1e-12  # m^-2; smaller horizontal information is unusable
 
@@ -26,53 +27,6 @@ DEGENERATE_EIGENVALUE = 1e-12  # m^-2; smaller horizontal information is unusabl
 class MeasurementKind(str, Enum):
     RTT = "rtt"
     TDOA = "tdoa"
-
-
-@dataclass
-class MeasurementSet:
-    """A batch of RTT ranges or TDOA range differences with full covariance,
-    from the (N, 3) ECEF `anchors`.
-
-    For RTT the covariance is N x N; for TDOA it is (N-1) x (N-1) against the
-    reference anchor.
-    """
-
-    kind: MeasurementKind
-    anchors: np.ndarray
-    covariance: np.ndarray
-    reference_index: int | None = None
-
-    def __post_init__(self):
-        n = len(self.anchors)
-        expected = n if self.kind is MeasurementKind.RTT else n - 1
-        cov = np.asarray(self.covariance, dtype=float)
-        if cov.shape == ():
-            cov = cov.reshape(1, 1)
-        self.covariance = cov
-        if cov.shape != (expected, expected):
-            raise ValueError(f"covariance must be {expected}x{expected}, got {cov.shape}")
-        if not np.allclose(cov, cov.T, rtol=1e-9, atol=0.0):
-            raise ValueError("covariance must be symmetric")
-        try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise ValueError("covariance must be positive definite") from None
-        if self.kind is MeasurementKind.TDOA:
-            if self.reference_index is None:
-                raise ValueError("TDOA set requires a reference index")
-            if not 0 <= self.reference_index < n:
-                raise ValueError("reference index out of range")
-        elif self.reference_index is not None:
-            raise ValueError("RTT set takes no reference index")
-
-
-@dataclass(frozen=True)
-class PebResult:
-    """Horizontal position error bound for one UE drop."""
-
-    peb_m: float | None
-    gdop: float | None
-    degenerate: bool
 
 
 def toa_range_sigma(snr_db, bandwidth_hz) -> float | np.ndarray:
@@ -116,8 +70,7 @@ def tdoa_covariance(sigmas_m, reference_index: int) -> np.ndarray:
             + ref_var[..., None, None] * np.ones((n - 1, n - 1)))
 
 
-def unit_vectors_en(ue_ecef: np.ndarray, positions: np.ndarray,
-                    basis: np.ndarray | None = None,
+def unit_vectors_en(ue_ecef: np.ndarray, positions: np.ndarray, basis: np.ndarray,
                     check_horizon: bool = True) -> np.ndarray:
     """(..., N, 2) east/north components of the UE->anchor unit vectors;
     raises if any anchor sits at or below its UE's horizon, unless
@@ -125,11 +78,9 @@ def unit_vectors_en(ue_ecef: np.ndarray, positions: np.ndarray,
 
     Broadcasts over leading axes: `ue_ecef` (..., 3), anchor `positions`
     (..., N, 3) and `basis` (..., 3, 3), whose rows are the UE's east, north
-    and up unit vectors. A single UE's basis defaults to its local ENU frame.
+    and up unit vectors, as `geometry.enu_frames` returns them.
     """
     ue = np.asarray(ue_ecef, dtype=float)
-    if basis is None:
-        basis = enu_basis(ecef_to_geodetic(ue))
     d = np.asarray(positions, dtype=float) - ue[..., None, :]
     dist = np.linalg.norm(d, axis=-1)
     units = d / dist[..., None]
@@ -156,39 +107,15 @@ def geometry_jacobian(kind: MeasurementKind, units_en: np.ndarray,
             - units_en[..., rows, :])
 
 
-def jacobian(ue_ecef: np.ndarray, mset: MeasurementSet) -> np.ndarray:
-    """M x 2 partials of the observables of `mset` with respect to east/north
-    UE displacement at fixed altitude (see `geometry_jacobian`)."""
-    uv = unit_vectors_en(ue_ecef, mset.anchors)
-    return geometry_jacobian(mset.kind, uv, mset.reference_index)
-
-
-def fim(J: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Fisher information J^T R^-1 J; independent sets combine by addition.
-    Broadcasts over stacked (..., M, 2) Jacobians and (..., M, M)
-    covariances."""
-    J = np.atleast_2d(np.asarray(J, dtype=float))
-    R = np.asarray(R, dtype=float)
-    if R.shape == ():
-        R = R.reshape(1, 1)
-    if R.shape[-1] != J.shape[-2]:
-        raise ValueError("covariance and Jacobian dimensions disagree")
-    try:
-        w = np.linalg.solve(R, J)
-    except np.linalg.LinAlgError:
-        raise ValueError("singular measurement covariance") from None
-    f = np.swapaxes(J, -1, -2) @ w
-    return (f + np.swapaxes(f, -1, -2)) / 2.0
-
-
 def fim_diagonal(J: np.ndarray, variances: np.ndarray,
                  clock_bias: bool = False) -> np.ndarray:
-    """`fim` for independent measurements: (..., M, 2) Jacobians and their
-    (..., M) variances, with no (..., M, M) covariance and no solve. The rows
-    are scaled by the reciprocal variances, as the LU solve in `fim` scales
-    them for a diagonal covariance, so the two give the same bits. `clock_bias`
-    eliminates a bias common to the M measurements by centring the rows on
-    their 1/variance-weighted mean; that is `fim` of TDOA against any reference."""
+    """Fisher information J^T R^-1 J of independent measurements, from
+    (..., M, 2) Jacobians and their (..., M) variances: the rows are scaled by
+    the reciprocal variances, with no (..., M, M) covariance and no solve.
+    Independent blocks combine by addition. `clock_bias` eliminates a bias
+    common to the M measurements by centring the rows on their
+    1/variance-weighted mean; that is the information of TDOA against any
+    reference."""
     w = 1.0 / variances
     if clock_bias:
         J = J - np.sum(J * w[..., None], -2, keepdims=True) / np.sum(w, -1)[..., None, None]
@@ -196,30 +123,13 @@ def fim_diagonal(J: np.ndarray, variances: np.ndarray,
     return (f + np.swapaxes(f, -1, -2)) / 2.0
 
 
-def peb(f: np.ndarray, mean_variance: float = 1.0,
-        degenerate_threshold: float = DEGENERATE_EIGENVALUE) -> PebResult:
-    """Position error bound sqrt(trace(F^-1)) with a degeneracy flag.
-
-    `mean_variance` is the mean diagonal of the measurement covariance; GDOP
-    is the bound with all measurement sigmas normalized to one, i.e.
-    peb / sqrt(mean_variance).
-    """
-    eig = np.linalg.eigvalsh(np.asarray(f, dtype=float))
-    if float(eig[0]) < degenerate_threshold:
-        return PebResult(peb_m=None, gdop=None, degenerate=True)
-    bound = math.sqrt(float(np.sum(1.0 / eig)))
-    return PebResult(
-        peb_m=bound,
-        gdop=bound / math.sqrt(mean_variance),
-        degenerate=False,
-    )
-
-
 def peb_arrays(f: np.ndarray, mean_variance=1.0,
                degenerate_threshold: float = DEGENERATE_EIGENVALUE):
-    """Array form of `peb` over stacked (..., 2, 2) FIMs: (peb_m, gdop,
-    degenerate) arrays, with NaN bound and GDOP where degenerate.
-    `mean_variance` broadcasts against the stack."""
+    """Position error bound sqrt(trace(F^-1)) over stacked (..., 2, 2) FIMs:
+    (peb_m, gdop, degenerate) arrays, with NaN bound and GDOP where the smaller
+    eigenvalue is below `degenerate_threshold`. GDOP is the bound over
+    sqrt(`mean_variance`), the mean measurement variance, which broadcasts
+    against the stack."""
     eig = np.linalg.eigvalsh(f)
     degenerate = eig[..., 0] < degenerate_threshold
     usable = np.where(degenerate[..., None], 1.0, eig)
@@ -227,60 +137,21 @@ def peb_arrays(f: np.ndarray, mean_variance=1.0,
     return bound, bound / np.sqrt(mean_variance), degenerate
 
 
-def unit_sigma_gdop(positions: np.ndarray, serving_index: int, ue_ecef: np.ndarray,
-                    kind: MeasurementKind = MeasurementKind.TDOA) -> float:
-    """GDOP of the (N, 3) anchor geometry with all per-anchor range sigmas at
-    1 m; TDOA takes the serving anchor as reference."""
-    ones = np.ones(len(positions))
-    if kind is MeasurementKind.TDOA:
-        cov = tdoa_covariance(ones, serving_index)
-        mset = MeasurementSet(kind, positions, cov, reference_index=serving_index)
-    else:
-        mset = MeasurementSet(kind, positions, np.diag(ones))
-    result = peb(fim(jacobian(ue_ecef, mset), mset.covariance))
-    return math.inf if result.degenerate else result.gdop
-
-
-def best_subset_indices(positions: np.ndarray, serving_index: int, k: int,
-                        ue_ecef: np.ndarray,
-                        kind: MeasurementKind = MeasurementKind.TDOA) -> tuple[int, ...]:
-    """Indices of the minimum-GDOP k-subset of the (N, 3) anchor `positions`
-    containing the serving anchor, by exhaustive enumeration. Ties go to the
-    lexicographically smallest index set."""
-    n = len(positions)
-    if k > n:
-        raise ValueError(f"cannot select {k} of {n} visible satellites")
-    others = [i for i in range(n) if i != serving_index]
-    best_subset = None
-    best_gdop = math.inf
-    for combo in itertools.combinations(others, k - 1):
-        indices = tuple(sorted((serving_index,) + combo))
-        gdop = unit_sigma_gdop(positions[list(indices)], indices.index(serving_index),
-                               ue_ecef, kind)
-        # Relative guard keeps the first (lexicographically smallest) subset
-        # on exact ties reached through symmetric geometry.
-        if gdop < best_gdop * (1.0 - 1e-10):
-            best_gdop = gdop
-            best_subset = indices
-    if best_subset is None:
-        # Every subset degenerate; fall back to the first combination.
-        best_subset = tuple(sorted((serving_index,) + tuple(others[:k - 1])))
-    return best_subset
-
-
 def min_gdop_subsets(units_en: np.ndarray, serving_index: int, k: int,
                      kind: MeasurementKind = MeasurementKind.TDOA,
                      visible: np.ndarray | None = None) -> np.ndarray:
-    """Array form of `best_subset_indices` over UE drops: (D, k) sorted
-    indices of each drop's minimum-GDOP k-subset containing the serving
-    anchor, from the (D, N, 2) unit vectors of `unit_vectors_en`.
+    """(D, k) sorted indices of each UE drop's minimum-GDOP k-subset
+    containing the serving anchor, by exhaustive enumeration, from the
+    (D, N, 2) unit vectors of `unit_vectors_en`. GDOP takes every range sigma
+    at 1 m, and TDOA eliminates the clock bias.
 
-    All subsets of all drops are scored at once; they are then walked in
-    enumeration order with the same relative guard, so ties and the
-    all-degenerate fallback resolve exactly as in `best_subset_indices`.
-    A (D, N) `visible` mask leaves each drop's hidden anchors out of its
-    candidates, as `best_subset_indices` on the drop's visible anchors
-    would; a drop with no fully visible subset gets the first subset.
+    All subsets of all drops are scored at once, then walked in enumeration
+    order: a subset wins only below (1 - 1e-10) times the best so far, so
+    exact ties reached through symmetric geometry go to the lexicographically
+    smallest index set, and a drop whose candidates are all degenerate gets
+    its first. A (D, N) `visible` mask leaves each drop's hidden anchors out
+    of its candidates; a drop with no fully visible subset gets the first
+    subset.
     """
     n = units_en.shape[-2]
     if k > n:

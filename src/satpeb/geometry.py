@@ -86,21 +86,9 @@ def ecef_to_geodetic(p: np.ndarray) -> Geodetic:
     return Geodetic(lat, lon, r - EARTH_RADIUS_M)
 
 
-def enu_basis(origin: Geodetic) -> np.ndarray:
-    """Rows are the east, north, up unit vectors at `origin` in ECEF."""
-    sl, cl = math.sin(origin.lat_rad), math.cos(origin.lat_rad)
-    so, co = math.sin(origin.lon_rad), math.cos(origin.lon_rad)
-    return np.array([
-        [-so, co, 0.0],
-        [-sl * co, -sl * so, cl],
-        [cl * co, cl * so, sl],
-    ])
-
-
 def enu_frames(lat_rad, lon_rad, alt_m=0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of `geodetic_to_ecef` and `enu_basis`: (..., 3) ECEF
-    positions and (..., 3, 3) bases (rows east, north, up) for arrays of
-    latitudes, longitudes and altitudes."""
+    """(..., 3) ECEF positions and (..., 3, 3) local bases (rows east, north,
+    up) for arrays of latitudes, longitudes and altitudes."""
     sl, cl = np.sin(lat_rad), np.cos(lat_rad)
     so, co = np.sin(lon_rad), np.cos(lon_rad)
     r = EARTH_RADIUS_M + np.asarray(alt_m, dtype=float)

@@ -9,7 +9,6 @@ from satpeb.channel import (AntennaPattern, LinkParams, PINNED_TABLE_CHECKSUMS,
                             link_snr, los_probability, shadowing_sigma,
                             table_checksums)
 from satpeb.config import SCENARIO_CLASSES
-from satpeb.errors import BelowHorizonError
 
 BESSEL = AntennaPattern(math.radians(4.4127), "bessel-aperture")
 GAUSS = AntennaPattern(math.radians(4.4127), "gaussian-approx")
@@ -151,10 +150,12 @@ class TestTables:
             assert c_nlos >= 0.0
 
     def test_below_horizon_raises(self):
-        with pytest.raises(BelowHorizonError):
+        with pytest.raises(ValueError, match=r"\(0, pi/2\]"):
             los_probability("urban", 0.0)
-        with pytest.raises(BelowHorizonError):
+        with pytest.raises(ValueError, match=r"\(0, pi/2\]"):
             shadowing_sigma("urban", -0.1, True)
+        with pytest.raises(ValueError, match=r"\(0, pi/2\]"):
+            los_probability("urban", math.pi / 2 + 1e-9)
 
     def test_lookups_are_pure(self):
         cls = "dense-urban"

@@ -11,6 +11,7 @@ from satpeb.cli import (SAMPLE_FIELDS, _build_parser, _fmt, _merge_bundles,
                         write_samples_json, write_summary)
 from satpeb.config import make_config
 from satpeb.errors import ConfigError
+from satpeb.estimator import MAX_TRIALS
 from satpeb.scenarios import PebSampleSet, RunBundle, run, summarize
 
 
@@ -286,12 +287,17 @@ class TestExecute:
     def test_workers_still_parses(self, command):
         assert _build_parser().parse_args([command, "--workers", "2"]).workers == 2
 
-    @pytest.mark.parametrize("trials", ["0", "-3"])
-    def test_validate_without_trials_exits_2(self, tmp_path, trials):
+    @pytest.mark.parametrize("trials", ["0", "-3", str(MAX_TRIALS + 1)])
+    def test_validate_without_trials_exits_2(self, tmp_path, monkeypatch, trials):
+        def refused(**kwargs):
+            raise AssertionError("validate ran on a refused trial count")
+
+        monkeypatch.setattr("satpeb.cli.validate", refused)
         out = tmp_path / "out"
         assert main(["validate", "--trials", trials, "--out", str(out)]) == 2
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["errors"] == ["trials: must be at least 1"]
+        assert manifest["errors"] == [f"trials: must lie in [1, {MAX_TRIALS:,}]"]
+        assert manifest["outputs"] == []
 
     @pytest.mark.parametrize("command, times, case_id", [
         ("single-leo", [2.0, 2.0], "single_leo_t2"),

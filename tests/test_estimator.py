@@ -7,11 +7,23 @@ import pytest
 from satpeb import estimator
 from satpeb.errors import DegenerateGeometryError, VisibilityError
 from satpeb.estimator import (SyntheticMeasurements, predict,
-                              reference_tdoa_case, simulate_measurements,
-                              solve, validate)
+                              reference_tdoa_case, validate)
 from satpeb.fisher import MeasurementKind, tdoa_covariance
 from satpeb.geometry import (Geodetic, enu_frames, geodetic_to_ecef,
                              ground_track_orbit, make_virtual_anchors)
+
+
+def draw_one(truth, kind, anchors, covariance, rng, reference_index=None):
+    """One noisy (1, M) measurement row: `estimator._simulate` at one trial."""
+    return estimator._simulate(truth, kind, anchors, covariance, rng, reference_index, 1)
+
+
+def solve_one(meas, guess, max_iterations=estimator.MAX_ITERATIONS):
+    """`estimator._gauss_newton` on the one row of `meas`: (estimate,
+    iterations, converged)."""
+    lat, lon, iterations, converged = (column.item() for column in estimator._gauss_newton(
+        meas, guess, max_iterations, estimator.STEP_TOLERANCE_M))
+    return Geodetic(lat, lon, guess.alt_m), iterations, converged
 
 
 @pytest.fixture
@@ -23,17 +35,14 @@ class TestSimulate:
     def test_zero_covariance_is_exact(self, tdoa_case):
         truth, anchors, _, ref, _ = tdoa_case
         rng = np.random.default_rng(0)
-        meas = simulate_measurements(truth, MeasurementKind.TDOA, anchors,
-                                     np.zeros((3, 3)), rng, reference_index=ref)
+        meas = draw_one(truth, MeasurementKind.TDOA, anchors, np.zeros((3, 3)), rng, ref)
         exact = predict(MeasurementKind.TDOA, anchors, ref, geodetic_to_ecef(truth))
-        assert np.array_equal(meas.observed_m, exact)
+        assert np.array_equal(meas.observed_m[0], exact)
 
     def test_same_seed_same_draws(self, tdoa_case):
         truth, anchors, cov, ref, _ = tdoa_case
-        a = simulate_measurements(truth, MeasurementKind.TDOA, anchors, cov,
-                                  np.random.default_rng(42), reference_index=ref)
-        b = simulate_measurements(truth, MeasurementKind.TDOA, anchors, cov,
-                                  np.random.default_rng(42), reference_index=ref)
+        a = draw_one(truth, MeasurementKind.TDOA, anchors, cov, np.random.default_rng(42), ref)
+        b = draw_one(truth, MeasurementKind.TDOA, anchors, cov, np.random.default_rng(42), ref)
         assert np.array_equal(a.observed_m, b.observed_m)
 
     def test_empirical_covariance_matches(self, tdoa_case):
@@ -43,8 +52,7 @@ class TestSimulate:
         n = 100_000
         exact = predict(MeasurementKind.TDOA, anchors, ref, geodetic_to_ecef(truth))
         draws = np.array([
-            simulate_measurements(truth, MeasurementKind.TDOA, anchors, cov,
-                                  rng, reference_index=ref).observed_m - exact
+            draw_one(truth, MeasurementKind.TDOA, anchors, cov, rng, ref).observed_m[0] - exact
             for _ in range(n)
         ])
         empirical = np.cov(draws.T)
@@ -57,14 +65,13 @@ class TestSimulate:
 class TestSolve:
     def test_noiseless_recovery_from_5km(self, tdoa_case):
         truth, anchors, _, ref, _ = tdoa_case
-        meas = simulate_measurements(truth, MeasurementKind.TDOA, anchors,
-                                     np.zeros((3, 3)), np.random.default_rng(0),
-                                     reference_index=ref)
+        meas = draw_one(truth, MeasurementKind.TDOA, anchors, np.zeros((3, 3)),
+                        np.random.default_rng(0), ref)
         guess = Geodetic(truth.lat_rad + 5e3 / 6371e3, truth.lon_rad, 0.0)
-        result = solve(meas, guess)
-        assert result.converged
-        assert result.iterations <= 50
-        err = np.linalg.norm(geodetic_to_ecef(result.estimate) - geodetic_to_ecef(truth))
+        estimate, iterations, converged = solve_one(meas, guess)
+        assert converged
+        assert iterations <= 50
+        err = np.linalg.norm(geodetic_to_ecef(estimate) - geodetic_to_ecef(truth))
         assert err < 1e-3
 
     def test_ground_track_geometry_raises(self):
@@ -72,28 +79,26 @@ class TestSolve:
         anchors = make_virtual_anchors(orbit, 10.0, 10)
         truth = Geodetic(math.radians(0.05), 0.0, 0.0)
         cov = np.eye(10) * 25.0
-        meas = simulate_measurements(truth, MeasurementKind.RTT, anchors, cov,
-                                     np.random.default_rng(3))
+        meas = draw_one(truth, MeasurementKind.RTT, anchors, cov, np.random.default_rng(3))
         with pytest.raises(DegenerateGeometryError):
-            solve(meas, truth)
+            solve_one(meas, truth)
 
     def test_guess_with_anchors_below_its_horizon_raises(self, tdoa_case):
         truth, anchors, cov, ref, _ = tdoa_case
-        meas = simulate_measurements(truth, MeasurementKind.TDOA, anchors, cov,
-                                     np.random.default_rng(0), reference_index=ref)
+        meas = draw_one(truth, MeasurementKind.TDOA, anchors, cov, np.random.default_rng(0), ref)
         with pytest.raises(VisibilityError):
-            solve(meas, Geodetic(0.0, math.pi, 0.0))  # the far side of the Earth
+            solve_one(meas, Geodetic(0.0, math.pi, 0.0))  # the far side of the Earth
 
     def test_rtt_solve_matches_truth(self):
         orbit = ground_track_orbit(Geodetic(0.0, 0.0, 0.0), 600e3)
         anchors = make_virtual_anchors(orbit, 10.0, 10)
         truth = Geodetic(math.radians(0.05), math.radians(0.1), 0.0)
-        meas = simulate_measurements(truth, MeasurementKind.RTT, anchors,
-                                     np.zeros((10, 10)), np.random.default_rng(1))
+        meas = draw_one(truth, MeasurementKind.RTT, anchors, np.zeros((10, 10)),
+                        np.random.default_rng(1))
         # an on-track guess is singular by mirror symmetry; start beside it
-        result = solve(meas, Geodetic(0.0, math.radians(0.02), 0.0))
-        assert result.converged
-        err = np.linalg.norm(geodetic_to_ecef(result.estimate) - geodetic_to_ecef(truth))
+        estimate, _, converged = solve_one(meas, Geodetic(0.0, math.radians(0.02), 0.0))
+        assert converged
+        err = np.linalg.norm(geodetic_to_ecef(estimate) - geodetic_to_ecef(truth))
         assert err < 1e-3
 
 
@@ -121,7 +126,7 @@ class TestValidate:
         with pytest.raises(ValueError, match="single-leo-rtt"):
             validate(scenario="single-leo-rtt", n_trials=5)
 
-    @pytest.mark.parametrize("n_trials", [0, -3])
+    @pytest.mark.parametrize("n_trials", [0, -3, estimator.MAX_TRIALS + 1])
     def test_needs_a_trial(self, n_trials):
         with pytest.raises(ValueError, match="n_trials"):
             validate(n_trials=n_trials)
@@ -133,13 +138,13 @@ class TestValidate:
 
 def _trial_by_trial(seed, n_trials, **solve_kwargs):
     """Reference for `validate`: its stream, SeedSequence([seed, 0x76616c]),
-    drawn one trial at a time with `simulate_measurements` and each trial
-    solved alone. Returns (truth, measurements, solve results)."""
+    drawn one trial at a time with `draw_one` and each trial solved alone.
+    Returns (truth, measurements, `solve_one` results)."""
     truth, anchors, cov, ref, guess = reference_tdoa_case(1.0)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x76616c]))
-    meas = [simulate_measurements(truth, MeasurementKind.TDOA, anchors, cov, rng,
-                                  reference_index=ref) for _ in range(n_trials)]
-    return truth, meas, [solve(m, guess, **solve_kwargs) for m in meas]
+    meas = [draw_one(truth, MeasurementKind.TDOA, anchors, cov, rng, ref)
+            for _ in range(n_trials)]
+    return truth, meas, [solve_one(m, guess, **solve_kwargs) for m in meas]
 
 
 class TestSolverPaths:
@@ -154,12 +159,12 @@ class TestSolverPaths:
         if threshold is not None:
             monkeypatch.setattr(estimator, "_DIVERGENCE_STEP_M", threshold)
         truth, _, results = _trial_by_trial(3, 50)
-        assert {r.iterations for r in results} == iterations
-        assert all(r.converged == converged for r in results)
+        assert {n for _, n, _ in results} == iterations
+        assert all(c == converged for _, _, c in results)
 
         origin, basis = enu_frames(truth.lat_rad, truth.lon_rad, truth.alt_m)
-        errors = np.array([(basis @ (geodetic_to_ecef(r.estimate) - origin))[:2]
-                           for r in results])
+        errors = np.array([(basis @ (geodetic_to_ecef(estimate) - origin))[:2]
+                           for estimate, _, _ in results])
         report = validate(n_trials=50, seed=3)
         assert report.convergence_rate == (1.0 if converged else 0.0)
         assert report.rmse_m == pytest.approx(
@@ -171,12 +176,12 @@ class TestSolverPaths:
     def test_iteration_cap(self, cap):
         _, meas, free = _trial_by_trial(3, 50)
         guess = reference_tdoa_case(1.0)[4]
-        capped = [solve(m, guess, max_iterations=cap) for m in meas]
-        for f, c in zip(free, capped):
-            assert c.iterations == min(f.iterations, cap)
-            assert c.converged == (f.iterations <= cap)
+        capped = [solve_one(m, guess, max_iterations=cap) for m in meas]
+        for (_, free_iterations, _), (_, iterations, converged) in zip(free, capped):
+            assert iterations == min(free_iterations, cap)
+            assert converged == (free_iterations <= cap)
         if cap == 2:
-            assert not any(c.converged for c in capped)
+            assert not any(converged for _, _, converged in capped)
 
     # (None, 3): some rows converge on the cap, the rest stop at it;
     # 10494.7 m lies inside the spread of first-step lengths (10493-10497 m),
@@ -187,21 +192,21 @@ class TestSolverPaths:
             monkeypatch.setattr(estimator, "_DIVERGENCE_STEP_M", threshold)
         _, meas, _ = _trial_by_trial(4, 50)
         guess = reference_tdoa_case(1.0)[4]
-        alone = [solve(m, guess, max_iterations=cap) for m in meas]
-        stacked = dataclasses.replace(meas[0], observed_m=np.array([m.observed_m for m in meas]))
+        alone = [solve_one(m, guess, max_iterations=cap) for m in meas]
+        stacked = dataclasses.replace(
+            meas[0], observed_m=np.concatenate([m.observed_m for m in meas]))
         lat, lon, iterations, converged = estimator._gauss_newton(
             stacked, guess, cap, estimator.STEP_TOLERANCE_M)
-        assert lat.tolist() == [r.estimate.lat_rad for r in alone]
-        assert lon.tolist() == [r.estimate.lon_rad for r in alone]
-        assert iterations.tolist() == [r.iterations for r in alone]
-        assert converged.tolist() == [r.converged for r in alone]
+        assert lat.tolist() == [estimate.lat_rad for estimate, _, _ in alone]
+        assert lon.tolist() == [estimate.lon_rad for estimate, _, _ in alone]
+        assert iterations.tolist() == [n for _, n, _ in alone]
+        assert converged.tolist() == [c for _, _, c in alone]
 
     def test_stacked_draws_equal_sequential_draws(self):
         truth, anchors, cov, ref, _ = reference_tdoa_case(1.0)
         sequential_rng, stacked_rng = np.random.default_rng(9), np.random.default_rng(9)
         sequential = np.array([
-            simulate_measurements(truth, MeasurementKind.TDOA, anchors, cov,
-                                  sequential_rng, reference_index=ref).observed_m
+            draw_one(truth, MeasurementKind.TDOA, anchors, cov, sequential_rng, ref).observed_m[0]
             for _ in range(50)])
         exact = predict(MeasurementKind.TDOA, anchors, ref, geodetic_to_ecef(truth))
         root = np.linalg.cholesky(cov)
@@ -212,8 +217,8 @@ class TestSolverPaths:
     def test_one_stacked_draw_equals_sequential_draws(self):
         truth, anchors, cov, ref, _ = reference_tdoa_case(1.0)
         sequential_rng, stacked_rng = np.random.default_rng(9), np.random.default_rng(9)
-        sequential = [simulate_measurements(truth, MeasurementKind.TDOA, anchors, cov,
-                                            sequential_rng, reference_index=ref).observed_m
+        sequential = [draw_one(truth, MeasurementKind.TDOA, anchors, cov, sequential_rng,
+                               ref).observed_m[0]
                       for _ in range(500)]
         stacked = estimator._simulate(truth, MeasurementKind.TDOA, anchors, cov,
                                       stacked_rng, ref, 500)
@@ -266,9 +271,8 @@ def test_solver_invariant_under_frame_rotation(tdoa_case):
                     [math.sin(shift), math.cos(shift), 0.0],
                     [0.0, 0.0, 1.0]])
 
-    meas = simulate_measurements(truth, MeasurementKind.TDOA, anchors, cov,
-                                 np.random.default_rng(17), reference_index=ref)
-    base = solve(meas, guess)
+    meas = draw_one(truth, MeasurementKind.TDOA, anchors, cov, np.random.default_rng(17), ref)
+    base, _, base_converged = solve_one(meas, guess)
 
     rot_anchors = anchors @ rot.T
     rot_truth = Geodetic(truth.lat_rad, truth.lon_rad + shift, truth.alt_m)
@@ -277,9 +281,8 @@ def test_solver_invariant_under_frame_rotation(tdoa_case):
         kind=MeasurementKind.TDOA, anchors=rot_anchors,
         observed_m=meas.observed_m, covariance=cov, truth=rot_truth,
         reference_index=ref)
-    rotated = solve(rot_meas, rot_guess)
+    rotated, _, rotated_converged = solve_one(rot_meas, rot_guess)
 
-    assert rotated.converged == base.converged
-    assert rotated.estimate.lat_rad == pytest.approx(base.estimate.lat_rad, abs=1e-10)
-    assert (rotated.estimate.lon_rad - shift
-            == pytest.approx(base.estimate.lon_rad, abs=1e-10))
+    assert rotated_converged == base_converged
+    assert rotated.lat_rad == pytest.approx(base.lat_rad, abs=1e-10)
+    assert rotated.lon_rad - shift == pytest.approx(base.lon_rad, abs=1e-10)

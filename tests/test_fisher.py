@@ -8,14 +8,79 @@ from hypothesis import strategies as st
 
 from satpeb.constants import EARTH_RADIUS_M
 from satpeb.errors import VisibilityError
-from satpeb.fisher import (MeasurementKind, MeasurementSet,
-                           best_subset_indices, fim, fim_diagonal,
-                           geometry_jacobian, jacobian, min_gdop_subsets, peb, peb_arrays,
+from satpeb.fisher import (DEGENERATE_EIGENVALUE, MeasurementKind, fim_diagonal,
+                           geometry_jacobian, min_gdop_subsets, peb_arrays,
                            rtt_range_sigma, tdoa_covariance, toa_range_sigma,
-                           unit_sigma_gdop, unit_vectors_en)
+                           unit_vectors_en)
 from satpeb.geometry import (Geodetic, enu_frames, geodetic_to_ecef,
                              ground_track_orbit, hex_constellation,
                              make_virtual_anchors)
+
+
+def fim(J: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Reference for `fim_diagonal`: Fisher information J^T R^-1 J by an LU
+    solve against the full covariance; independent sets combine by addition.
+    Broadcasts over stacked (..., M, 2) Jacobians and (..., M, M)
+    covariances."""
+    J = np.atleast_2d(np.asarray(J, dtype=float))
+    R = np.asarray(R, dtype=float)
+    if R.shape == ():
+        R = R.reshape(1, 1)
+    if R.shape[-1] != J.shape[-2]:
+        raise ValueError("covariance and Jacobian dimensions disagree")
+    try:
+        w = np.linalg.solve(R, J)
+    except np.linalg.LinAlgError:
+        raise ValueError("singular measurement covariance") from None
+    f = np.swapaxes(J, -1, -2) @ w
+    return (f + np.swapaxes(f, -1, -2)) / 2.0
+
+
+def unit_sigma_gdop(units_en: np.ndarray, reference_index: int,
+                    kind: MeasurementKind = MeasurementKind.TDOA) -> float:
+    """GDOP of one anchor set's (N, 2) unit vectors with every range sigma at
+    1 m, through `fim` and a TDOA covariance against `reference_index`; inf
+    where degenerate."""
+    ones = np.ones(len(units_en))
+    if kind is MeasurementKind.TDOA:
+        f = fim(geometry_jacobian(kind, units_en, reference_index),
+                tdoa_covariance(ones, reference_index))
+    else:
+        f = fim(geometry_jacobian(kind, units_en), np.diag(ones))
+    eig = np.linalg.eigvalsh(f)
+    return math.inf if eig[0] < DEGENERATE_EIGENVALUE else math.sqrt(float(np.sum(1.0 / eig)))
+
+
+def best_subset_indices(units_en: np.ndarray, serving_index: int, k: int,
+                        kind: MeasurementKind = MeasurementKind.TDOA) -> tuple[int, ...]:
+    """Reference for `min_gdop_subsets` on one drop's (N, 2) unit vectors:
+    each k-subset containing the serving anchor scored alone by
+    `unit_sigma_gdop`, in enumeration order. Ties go to the lexicographically
+    smallest index set."""
+    n = len(units_en)
+    if k > n:
+        raise ValueError(f"cannot select {k} of {n} visible satellites")
+    others = [i for i in range(n) if i != serving_index]
+    best_subset = None
+    best_gdop = math.inf
+    for combo in itertools.combinations(others, k - 1):
+        indices = tuple(sorted((serving_index,) + combo))
+        gdop = unit_sigma_gdop(units_en[list(indices)], indices.index(serving_index), kind)
+        # Relative guard keeps the first (lexicographically smallest) subset
+        # on exact ties reached through symmetric geometry.
+        if gdop < best_gdop * (1.0 - 1e-10):
+            best_gdop = gdop
+            best_subset = indices
+    if best_subset is None:
+        # Every subset degenerate; fall back to the first combination.
+        best_subset = tuple(sorted((serving_index,) + tuple(others[:k - 1])))
+    return best_subset
+
+
+def _units(ue: Geodetic, anchors: np.ndarray) -> np.ndarray:
+    """(N, 2) unit vectors of the (N, 3) `anchors` in the local frame of `ue`."""
+    ue_ecef, basis = enu_frames(ue.lat_rad, ue.lon_rad, ue.alt_m)
+    return unit_vectors_en(ue_ecef, anchors, basis)
 
 
 def _anchors_from_sky(ue: Geodetic, sky: list[tuple[float, float, float]]) -> np.ndarray:
@@ -105,24 +170,21 @@ class TestJacobian:
         ue = Geodetic(0.2, 0.4, 0.0)
         anchors = _anchors_from_sky(ue, [(0.0, math.pi / 2, 600e3),
                                          (1.0, 0.5, 900e3)])
-        mset = MeasurementSet(MeasurementKind.RTT, anchors, np.eye(2))
-        J = jacobian(geodetic_to_ecef(ue), mset)
+        J = geometry_jacobian(MeasurementKind.RTT, _units(ue, anchors))
         assert np.allclose(J[0], [0.0, 0.0], atol=1e-9)
 
     def test_due_east_anchor_at_45_degrees(self):
         ue = Geodetic(0.0, 0.0, 0.0)
         anchors = _anchors_from_sky(ue, [(math.pi / 2, math.pi / 4, 800e3)])
-        mset = MeasurementSet(MeasurementKind.RTT, anchors, np.eye(1))
-        J = jacobian(geodetic_to_ecef(ue), mset)
+        J = geometry_jacobian(MeasurementKind.RTT, _units(ue, anchors))
         assert J[0, 0] == pytest.approx(-math.cos(math.pi / 4), abs=1e-9)
         assert J[0, 1] == pytest.approx(0.0, abs=1e-9)
 
     def test_below_horizon_raises(self):
         ue = Geodetic(0.0, 0.0, 0.0)
         anchors = _anchors_from_sky(ue, [(0.3, -0.05, 2000e3)])
-        mset = MeasurementSet(MeasurementKind.RTT, anchors, np.eye(1))
         with pytest.raises(VisibilityError):
-            jacobian(geodetic_to_ecef(ue), mset)
+            _units(ue, anchors)
 
     @pytest.mark.parametrize("kind", [MeasurementKind.RTT, MeasurementKind.TDOA])
     def test_stacked_geometry_jacobian_matches_single(self, kind):
@@ -135,10 +197,9 @@ class TestJacobian:
         ref = 0 if kind is MeasurementKind.TDOA else None
         stacked = geometry_jacobian(
             kind, unit_vectors_en(ue_ecef, grid, basis), ref)
-        m = 7 if kind is MeasurementKind.RTT else 6
-        for ue, rows in zip(ue_ecef, stacked):
-            mset = MeasurementSet(kind, grid, np.eye(m), reference_index=ref)
-            assert np.allclose(rows, jacobian(ue, mset), rtol=0.0, atol=1e-12)
+        for ue, b, rows in zip(ue_ecef, basis, stacked):
+            single = geometry_jacobian(kind, unit_vectors_en(ue, grid, b), ref)
+            assert np.allclose(rows, single, rtol=0.0, atol=1e-12)
 
     def test_stacked_below_horizon_raises(self):
         ue = Geodetic(0.0, 0.0, 0.0)
@@ -174,9 +235,7 @@ def assert_jacobian_matches_fd(rng, kind, rel_tol, step_m=0.1):
             float(rng.uniform(650e3, 24000e3))) for az in azimuths]
     anchors = _anchors_from_sky(ue, sky)
     ref = 0 if kind is MeasurementKind.TDOA else None
-    m = n if kind is MeasurementKind.RTT else n - 1
-    mset = MeasurementSet(kind, anchors, np.eye(m), reference_index=ref)
-    analytic = jacobian(geodetic_to_ecef(ue), mset)
+    analytic = geometry_jacobian(kind, _units(ue, anchors), ref)
 
     def displaced(de, dn):
         r = EARTH_RADIUS_M + ue.alt_m
@@ -275,43 +334,42 @@ class TestFim:
 
 class TestPeb:
     def test_identity_fim(self):
-        res = peb(np.eye(2))
-        assert not res.degenerate
-        assert res.peb_m == pytest.approx(math.sqrt(2.0))
-        assert res.gdop == pytest.approx(math.sqrt(2.0))
+        bound, gdop, degenerate = peb_arrays(np.eye(2))
+        assert not degenerate
+        assert bound == pytest.approx(math.sqrt(2.0))
+        assert gdop == pytest.approx(math.sqrt(2.0))
 
     def test_diagonal_fim(self):
-        res = peb(np.diag([4.0, 1.0]))
-        assert res.peb_m == pytest.approx(math.sqrt(1.25))
+        bound, _, _ = peb_arrays(np.diag([4.0, 1.0]))
+        assert bound == pytest.approx(math.sqrt(1.25))
 
     def test_degenerate_flagged_not_raised(self):
-        res = peb(np.diag([0.0, 5.0]))
-        assert res.degenerate
-        assert res.peb_m is None and res.gdop is None
+        bound, gdop, degenerate = peb_arrays(np.diag([0.0, 5.0]))
+        assert degenerate
+        assert np.isnan(bound) and np.isnan(gdop)
 
     def test_gdop_uses_mean_variance(self):
-        res = peb(np.eye(2), mean_variance=4.0)
-        assert res.gdop == pytest.approx(res.peb_m / 2.0)
+        bound, gdop, _ = peb_arrays(np.eye(2), mean_variance=4.0)
+        assert gdop == pytest.approx(bound / 2.0)
 
     def test_on_ground_track_single_leo_is_degenerate(self):
         orbit = ground_track_orbit(Geodetic(0.0, 0.0, 0.0), 600e3)
         anchors = make_virtual_anchors(orbit, 10.0, 10)
-        ue = geodetic_to_ecef(Geodetic(math.radians(0.05), 0.0, 0.0))
-        cov = np.eye(10) * 25.0
-        mset = MeasurementSet(MeasurementKind.RTT, anchors, cov)
-        res = peb(fim(jacobian(ue, mset), cov))
-        assert res.degenerate
+        ue = Geodetic(math.radians(0.05), 0.0, 0.0)
+        J = geometry_jacobian(MeasurementKind.RTT, _units(ue, anchors))
+        _, _, degenerate = peb_arrays(fim_diagonal(J, np.full(10, 25.0)))
+        assert degenerate
 
     def test_information_monotonicity(self):
         rng = np.random.default_rng(41)
         for _ in range(100):
             f = fim(rng.standard_normal((3, 2)), np.eye(3))
             extra = fim(rng.standard_normal((2, 2)), np.diag(rng.uniform(0.5, 3.0, 2)))
-            before = peb(f)
-            after = peb(f + extra)
-            if before.degenerate or after.degenerate:
+            before, _, before_degenerate = peb_arrays(f)
+            after, _, after_degenerate = peb_arrays(f + extra)
+            if before_degenerate or after_degenerate:
                 continue
-            assert after.peb_m <= before.peb_m + 1e-9
+            assert after <= before + 1e-9
 
     def test_arrays_match_scalar(self):
         rng = np.random.default_rng(47)
@@ -321,12 +379,15 @@ class TestPeb:
         variances = rng.uniform(0.5, 9.0, len(fims))
         bound, gdop, degenerate = peb_arrays(np.array(fims), variances)
         for i, (f, v) in enumerate(zip(fims, variances)):
-            ref = peb(f, mean_variance=v)
-            assert degenerate[i] == ref.degenerate
-            if ref.degenerate:
+            # the smaller eigenvalue in closed form, and the bound by inversion
+            smaller = (f[0, 0] + f[1, 1]) / 2 - math.hypot((f[0, 0] - f[1, 1]) / 2, f[0, 1])
+            assert degenerate[i] == (smaller < DEGENERATE_EIGENVALUE)
+            if degenerate[i]:
                 assert np.isnan(bound[i]) and np.isnan(gdop[i])
             else:
-                assert bound[i] == ref.peb_m and gdop[i] == ref.gdop
+                ref = math.sqrt(np.trace(np.linalg.inv(f)))
+                assert bound[i] == pytest.approx(ref, rel=1e-12, abs=0)
+                assert gdop[i] == pytest.approx(ref / math.sqrt(v), rel=1e-12, abs=0)
 
     def test_one_call_over_stacked_cases_equals_per_case_calls(self):
         rng = np.random.default_rng(53)
@@ -371,35 +432,14 @@ class TestPeb:
         rng = np.random.default_rng(43)
         J = rng.standard_normal((5, 2))
         R = np.diag(rng.uniform(0.5, 2.0, 5))
-        base = peb(fim(J, R), mean_variance=float(np.mean(np.diag(R))))
+        base, base_gdop, _ = peb_arrays(fim(J, R), mean_variance=float(np.mean(np.diag(R))))
         for phi in rng.uniform(0, 2 * math.pi, 10):
             rot = np.array([[math.cos(phi), -math.sin(phi)],
                             [math.sin(phi), math.cos(phi)]])
-            rotated = peb(fim(J @ rot, R), mean_variance=float(np.mean(np.diag(R))))
-            assert rotated.peb_m == pytest.approx(base.peb_m, rel=1e-9)
-            assert rotated.gdop == pytest.approx(base.gdop, rel=1e-9)
-
-
-class TestMeasurementSet:
-    def test_dimension_checks(self):
-        ue = Geodetic(0.0, 0.0, 0.0)
-        anchors = _anchors_from_sky(ue, [(0.0, 1.0, 700e3), (2.0, 1.1, 700e3),
-                                         (4.0, 0.9, 700e3)])
-        with pytest.raises(ValueError):
-            MeasurementSet(MeasurementKind.RTT, anchors, np.eye(2))
-        with pytest.raises(ValueError):
-            MeasurementSet(MeasurementKind.TDOA, anchors, np.eye(2))  # no ref
-        with pytest.raises(ValueError):
-            MeasurementSet(MeasurementKind.TDOA, anchors, np.eye(3),
-                           reference_index=0)  # wrong size
-        MeasurementSet(MeasurementKind.TDOA, anchors, np.eye(2), reference_index=0)
-
-    def test_covariance_must_be_pd(self):
-        ue = Geodetic(0.0, 0.0, 0.0)
-        anchors = _anchors_from_sky(ue, [(0.0, 1.0, 700e3), (2.0, 1.1, 700e3)])
-        with pytest.raises(ValueError):
-            MeasurementSet(MeasurementKind.RTT, anchors,
-                           np.array([[1.0, 2.0], [2.0, 1.0]]))
+            rotated, rotated_gdop, _ = peb_arrays(fim(J @ rot, R),
+                                                  mean_variance=float(np.mean(np.diag(R))))
+            assert rotated == pytest.approx(base, rel=1e-9)
+            assert rotated_gdop == pytest.approx(base_gdop, rel=1e-9)
 
 
 class TestSelection:
@@ -414,22 +454,26 @@ class TestSelection:
                (5.2, 0.5, 1500e3)]
         return _anchors_from_sky(ue, sky)
 
+    @staticmethod
+    def _batched(anchors: np.ndarray, ue: Geodetic, k: int,
+                 kind=MeasurementKind.TDOA, serving: int = 0) -> tuple[int, ...]:
+        return tuple(min_gdop_subsets(_units(ue, anchors)[None], serving, k, kind)[0])
+
     def test_full_set_returned_when_k_equals_n(self):
         ue = Geodetic(0.1, 0.1, 0.0)
         anchors = self._grid(ue)
-        chosen = best_subset_indices(anchors, 0, len(anchors), geodetic_to_ecef(ue))
-        assert chosen == tuple(range(len(anchors)))
+        assert self._batched(anchors, ue, len(anchors)) == tuple(range(len(anchors)))
 
     def test_matches_brute_force_scan(self):
         ue = Geodetic(0.1, 0.1, 0.0)
-        ue_ecef = geodetic_to_ecef(ue)
         anchors = self._grid(ue)
-        chosen = best_subset_indices(anchors, 0, 3, ue_ecef)
+        units = _units(ue, anchors)
+        chosen = self._batched(anchors, ue, 3)
         # independent exhaustive scan over all 3-subsets containing serving
         best = None
         for combo in itertools.combinations(range(1, 6), 2):
             indices = (0,) + combo
-            gdop = unit_sigma_gdop(anchors[list(indices)], 0, ue_ecef)
+            gdop = unit_sigma_gdop(units[list(indices)], 0)
             if best is None or gdop < best[0] - 1e-12:
                 best = (gdop, indices)
         assert chosen == best[1]
@@ -438,7 +482,7 @@ class TestSelection:
         ue = Geodetic(0.1, 0.1, 0.0)
         anchors = self._grid(ue)
         with pytest.raises(ValueError):
-            best_subset_indices(anchors, 0, 7, geodetic_to_ecef(ue))
+            self._batched(anchors, ue, 7)
 
     def test_symmetric_tie_breaks_to_lowest_indices(self):
         ue = Geodetic(0.0, 0.0, 0.0)
@@ -450,21 +494,14 @@ class TestSelection:
                (math.radians(140), 0.5, 1500e3),
                (math.radians(220), 0.5, 1500e3)]
         anchors = _anchors_from_sky(ue, sky)
-        assert best_subset_indices(anchors, 0, 3, geodetic_to_ecef(ue)) == (0, 1, 2)
+        assert best_subset_indices(_units(ue, anchors), 0, 3) == (0, 1, 2)
 
     def test_serving_always_included(self):
         ue = Geodetic(0.1, 0.1, 0.0)
         anchors = self._grid(ue)
         for k in (2, 3, 4):
             for serving in (0, 3):
-                assert serving in best_subset_indices(anchors, serving, k,
-                                                      geodetic_to_ecef(ue))
-
-    @staticmethod
-    def _batched(anchors: np.ndarray, ue: Geodetic, k: int,
-                 kind=MeasurementKind.TDOA) -> tuple[int, ...]:
-        units = unit_vectors_en(geodetic_to_ecef(ue), anchors)
-        return tuple(min_gdop_subsets(units[None], 0, k, kind)[0])
+                assert serving in self._batched(anchors, ue, k, serving=serving)
 
     def test_batched_matches_scalar_on_fixtures(self):
         ue = Geodetic(0.1, 0.1, 0.0)
@@ -472,7 +509,7 @@ class TestSelection:
         for k in (2, 3, 4, 6):
             for kind in MeasurementKind:
                 assert self._batched(anchors, ue, k, kind) == best_subset_indices(
-                    anchors, 0, k, geodetic_to_ecef(ue), kind)
+                    _units(ue, anchors), 0, k, kind)
 
     def test_batched_symmetric_tie_breaks_to_lowest_indices(self):
         ue = Geodetic(0.0, 0.0, 0.0)
@@ -491,7 +528,7 @@ class TestSelection:
         sky = [(0.0, 1.2, 780e3), (0.0, 0.5, 1500e3), (math.pi, 0.6, 1400e3),
                (0.0, 0.8, 1000e3), (math.pi, 0.4, 1700e3)]
         anchors = _anchors_from_sky(ue, sky)
-        scalar = best_subset_indices(anchors, 0, 3, geodetic_to_ecef(ue))
+        scalar = best_subset_indices(_units(ue, anchors), 0, 3)
         assert scalar == (0, 1, 2)
         assert self._batched(anchors, ue, 3) == scalar
 
@@ -505,8 +542,8 @@ class TestSelection:
         ue_ecef, basis = enu_frames(lat, lon)
         units = unit_vectors_en(ue_ecef, grid, basis)
         batched = min_gdop_subsets(units, 0, k)
-        for ue, chosen in zip(ue_ecef, batched):
-            assert tuple(chosen) == best_subset_indices(grid, 0, k, ue)
+        for drop, chosen in zip(units, batched):
+            assert tuple(chosen) == best_subset_indices(drop, 0, k)
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_batched_matches_scalar_on_random_skies(self, k):
@@ -524,5 +561,5 @@ class TestSelection:
                                                 (200, 3, 3)))
         for kind in MeasurementKind:
             batched = min_gdop_subsets(units, 2, k, kind)
-            for anchors, chosen in zip(skies, batched):
-                assert tuple(chosen) == best_subset_indices(anchors, 2, k, ue_ecef, kind)
+            for drop, chosen in zip(units, batched):
+                assert tuple(chosen) == best_subset_indices(drop, 2, k, kind)

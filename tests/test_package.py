@@ -1,8 +1,10 @@
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import satpeb
@@ -26,9 +28,16 @@ def test_exports_resolve():
     assert not missing
 
 
+# `perfbench/layers.py` targets whose functions this package deleted, with
+# no command calling them; the benchmark records each as absent, 0 calls.
+_DELETED_LAYERS = ("fisher.best_subset_indices", "fisher.MeasurementSet", "fisher.jacobian",
+                   "fisher.fim", "fisher.peb", "geometry.enu_basis", "estimator.solve",
+                   "estimator.simulate_measurements")
+
+
 def test_benchmark_traced_layers_resolve():
-    # The benchmark wraps each `perfbench/layers.py` target by name; one that
-    # is renamed or deleted away would leave its layer silently untraced.
+    # The benchmark wraps each `perfbench/layers.py` target by name; a live
+    # layer renamed away would leave it silently untraced.
     path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
     spec = importlib.util.spec_from_file_location("_perfbench_layers", path)
     layers = importlib.util.module_from_spec(spec)
@@ -40,7 +49,7 @@ def test_benchmark_traced_layers_resolve():
         module = importlib.import_module(f"satpeb.{module_name}")
         if not hasattr(module, attr):
             missing.append(target)
-    assert not missing
+    assert tuple(missing) == _DELETED_LAYERS
 
 
 def test_cli_start_up_imports_no_scipy(tmp_path):
@@ -57,48 +66,70 @@ def test_cli_start_up_imports_no_scipy(tmp_path):
     assert masked_array_modules == []
 
 
-# The scalar reference layer of `fisher`, kept as API and as the tests'
-# oracle for the array kernels; no command may run through it.
-_SCALAR_LAYER = ("MeasurementSet", "jacobian", "peb", "best_subset_indices",
-                 "unit_sigma_gdop")
+# Runs every command once, small, in a fresh interpreter under a profile hook
+# set before the package is imported, and reports each command's exit status
+# and the (file, qualified name) of every function that ran.
+_REACH = """
+import json, sys
+codes = set()
+def hook(frame, event, arg):
+    if event == "call":
+        codes.add(frame.f_code)
+sys.setprofile(hook)
+from satpeb.cli import main
+statuses = [main(argv) for argv in json.loads(sys.argv[1])]
+sys.setprofile(None)
+print(json.dumps([statuses, sorted({(c.co_filename, c.co_qualname) for c in codes})]))
+"""
+
+# Functions of the package that no command runs, each kept for a stated
+# reason. Anything else unreached is a second path no output depends on.
+_UNREACHED = {
+    # Past the Airy main lobe of the aperture pattern; no drop's off-axis
+    # angle gets that far.
+    "channel._miller_j1",
+    # The tests' Jacobian oracle, until the solver shares the bound's model.
+    "fisher.geometry_jacobian",
+    # Criterion 9's orbital-speed spot check.
+    "geometry.OrbitSpec.speed",
+    # The reference that `substreams` reproduces, until the one-stream redraw.
+    "scenarios.substream",
+}
 
 
-def test_commands_never_reach_the_scalar_layer(tmp_path, monkeypatch):
-    from satpeb.cli import main
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a command reached the scalar reference layer")
-
-    for name, module in list(sys.modules.items()):
-        if name == "satpeb" or name.startswith("satpeb."):
-            for attr in _SCALAR_LAYER:
-                if hasattr(module, attr):
-                    monkeypatch.setattr(module, attr, forbidden)
-    assert satpeb.fisher.peb is forbidden
-    config = tmp_path / "multi.json"
-    config.write_text(json.dumps({"variant": "multi-leo", "n_ue_drops": 2}))
-    assert main(["validate", "--trials", "20", "--out", str(tmp_path / "v")]) == 0
-    assert main(["multi-leo", "--config", str(config),
-                 "--out", str(tmp_path / "m")]) == 0
+def _package_functions() -> set[str]:
+    """"module.qualname" of every named function and method in the package's
+    source files, nested ones included."""
+    names = set()
+    for path in sorted((SRC / "satpeb").glob("*.py")):
+        stack = [compile(path.read_text(), str(path), "exec")]
+        while stack:
+            code = stack.pop()
+            stack += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+            if code.co_flags & inspect.CO_OPTIMIZED and "<" not in code.co_qualname:
+                names.add(f"{path.stem}.{code.co_qualname}")
+    return names
 
 
-def test_commands_build_no_covariance_fim(tmp_path, monkeypatch):
-    # Every command's information comes from `fisher.fim_diagonal`; the LU
-    # form `fim` stays only as the tests' oracle and the scalar layer's.
-    from satpeb.cli import main
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a command reached fisher.fim")
-
-    for name, module in list(sys.modules.items()):
-        if (name == "satpeb" or name.startswith("satpeb.")) and hasattr(module, "fim"):
-            monkeypatch.setattr(module, "fim", forbidden)
-    assert satpeb.fisher.fim is forbidden
-    assert main(["validate", "--trials", "20", "--out", str(tmp_path / "v")]) == 0
-    # gnss-only runs through the gnss-leo command, chosen by its config.
-    for command, variant in (("multi-leo", "multi-leo"), ("gnss-leo", "gnss-leo"),
-                             ("gnss-leo", "gnss-only")):
+def test_every_function_is_reached_by_a_command(tmp_path):
+    argv = []
+    for variant in ("single-leo", "multi-leo", "gnss-leo", "gnss-only"):
         config = tmp_path / f"{variant}.json"
-        config.write_text(json.dumps({"variant": variant, "n_ue_drops": 3}))
-        assert main([command, "--config", str(config),
-                     "--out", str(tmp_path / variant)]) == 0
+        config.write_text(json.dumps({"variant": variant, "n_ue_drops": 2}))
+        command = "gnss-leo" if variant == "gnss-only" else variant
+        argv += [[command, "--config", str(config), "--format", fmt,
+                  "--out", str(tmp_path / f"{variant}-{fmt}")] for fmt in ("csv", "json")]
+    refused = tmp_path / "refused.json"
+    refused.write_text(json.dumps({"variant": "single-leo", "leo_altitude_m": "600e3"}))
+    argv += [["validate", "--trials", "5", "--out", str(tmp_path / "validate")],
+             ["reproduce-figures", "--seed", "3", "--out", str(tmp_path / "figures")],
+             ["single-leo", "--config", str(refused), "--out", str(tmp_path / "refused")]]
+    result = subprocess.run(
+        [sys.executable, "-c", _REACH, json.dumps(argv)], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    statuses, reached = json.loads(result.stdout.splitlines()[-1])
+    assert statuses == [0] * 10 + [2]
+    package = SRC / "satpeb"
+    ran = {f"{Path(file).stem}.{name}" for file, name in reached
+           if Path(file).resolve().parent == package}
+    assert _package_functions() - ran == _UNREACHED

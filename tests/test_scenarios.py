@@ -10,12 +10,13 @@ from satpeb import channel, scenarios
 from satpeb.config import make_config
 from satpeb.constants import EARTH_RADIUS_M
 from satpeb.errors import StatisticsError
-from satpeb.fisher import best_subset_indices, min_gdop_subsets, unit_vectors_en
+from satpeb.fisher import min_gdop_subsets, unit_vectors_en
 from satpeb.geometry import (Geodetic, angle_between, enu_frames,
                              geodetic_to_ecef, ground_track_orbit,
                              make_virtual_anchors, propagate_circular_orbit)
 from satpeb.scenarios import (PebSampleSet, cap_half_angle, drop_ues, run, substream,
                               substreams, summarize, _Evaluator, _link_draws)
+from tests.test_fisher import best_subset_indices
 
 
 def _sample_set(values, degenerate=0):
@@ -223,10 +224,10 @@ class TestHiddenNeighbors:
         units = unit_vectors_en(ue_ecef, evaluator.grid, basis, check_horizon=False)
         for k in (3, 4):
             batched = min_gdop_subsets(units, 0, k, visible=visible)
-            for ue, shown, chosen in zip(ue_ecef, visible, batched):
+            for drop, shown, chosen in zip(units, visible, batched):
                 index = np.flatnonzero(shown)
                 assert tuple(chosen) == tuple(index[list(best_subset_indices(
-                    evaluator.grid[index], 0, k, ue))])
+                    drop[index], 0, k))])
         bundle = run(cfg)
         for case in bundle.cases.values():
             assert len(case.peb_m) == 200
