@@ -92,12 +92,13 @@ def enu_frames(lat_rad, lon_rad, alt_m=0.0) -> tuple[np.ndarray, np.ndarray]:
     sl, cl = np.sin(lat_rad), np.cos(lat_rad)
     so, co = np.sin(lon_rad), np.cos(lon_rad)
     r = EARTH_RADIUS_M + np.asarray(alt_m, dtype=float)
-    ecef = np.stack([r * cl * co, r * cl * so, r * sl], axis=-1)
-    basis = np.stack([
-        np.stack([-so, co, np.zeros_like(so)], axis=-1),
-        np.stack([-sl * co, -sl * so, cl], axis=-1),
-        np.stack([cl * co, cl * so, sl], axis=-1),
-    ], axis=-2)
+    rcl = r * cl
+    ecef = np.empty(np.broadcast_shapes(rcl.shape, np.shape(co)) + (3,))
+    ecef[..., 0], ecef[..., 1], ecef[..., 2] = rcl * co, rcl * so, r * sl
+    basis = np.empty(np.broadcast_shapes(np.shape(sl), np.shape(so)) + (3, 3))
+    basis[..., 0, 0], basis[..., 0, 1], basis[..., 0, 2] = -so, co, 0.0
+    basis[..., 1, 0], basis[..., 1, 1], basis[..., 1, 2] = -sl * co, -sl * so, cl
+    basis[..., 2, 0], basis[..., 2, 1], basis[..., 2, 2] = cl * co, cl * so, sl
     return ecef, basis
 
 

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from satpeb import estimator
 from satpeb.errors import DegenerateGeometryError, VisibilityError
 from satpeb.estimator import (SyntheticMeasurements, predict,
                               reference_tdoa_case, validate)
-from satpeb.fisher import MeasurementKind, tdoa_covariance
+from satpeb.fisher import DEGENERATE_EIGENVALUE, MeasurementKind, tdoa_covariance
 from satpeb.geometry import (Geodetic, enu_frames, geodetic_to_ecef,
                              ground_track_orbit, make_virtual_anchors)
 
@@ -261,6 +263,130 @@ class TestSolverPaths:
         assert report.peb_m == pytest.approx(1.3734555070441905, rel=1e-12, abs=0)
         assert report.rmse_m == pytest.approx(rmse_m, rel=1e-12, abs=0)
         assert report.ratio == pytest.approx(ratio, rel=1e-12, abs=0)
+
+
+def _ground_track_rtt(n_trials):
+    """RTT draws of a UE beside a single-LEO ground track, whose on-track
+    points are singular: (measurements, a guess beside the track)."""
+    orbit = ground_track_orbit(Geodetic(0.0, 0.0, 0.0), 600e3)
+    anchors = make_virtual_anchors(orbit, 10.0, 10)
+    truth = Geodetic(math.radians(0.05), math.radians(0.1), 0.0)
+    meas = estimator._simulate(truth, MeasurementKind.RTT, anchors, np.eye(10) * 25.0,
+                               np.random.default_rng(1), None, n_trials)
+    return meas, Geodetic(0.0, math.radians(0.02), 0.0)
+
+
+class TestSharedLinearisation:
+    """Every row of a pass starts at the guess, so its first `_step`
+    linearises once there and broadcasts the geometry over the rows."""
+
+    @staticmethod
+    def _step_args(meas):
+        ref = meas.reference_index if meas.kind is MeasurementKind.TDOA else None
+        keep = None if ref is None else np.delete(np.arange(len(meas.anchors)), ref)
+        return meas.anchors, ref, keep, np.linalg.inv(meas.covariance)
+
+    @pytest.mark.parametrize("kind", ["tdoa", "rtt"])
+    def test_shared_point_equals_per_row_copies(self, kind):
+        if kind == "tdoa":
+            truth, anchors, cov, ref, guess = reference_tdoa_case(1.0)
+            meas = estimator._simulate(truth, MeasurementKind.TDOA, anchors, cov,
+                                       np.random.default_rng(5), ref, 300)
+        else:
+            meas, guess = _ground_track_rtt(300)
+        rows = len(meas.observed_m)
+        shared = estimator._step(meas.observed_m, np.array([guess.lat_rad]),
+                                 np.array([guess.lon_rad]), guess.alt_m,
+                                 *self._step_args(meas))
+        copies = estimator._step(meas.observed_m, np.full(rows, guess.lat_rad),
+                                 np.full(rows, guess.lon_rad), guess.alt_m,
+                                 *self._step_args(meas))
+        assert shared.shape == (rows, 2)
+        assert np.array_equal(shared, copies)
+
+    @pytest.mark.parametrize("n_trials", [1, 7])
+    def test_singular_guess_raises_for_any_row_count(self, n_trials):
+        meas, _ = _ground_track_rtt(n_trials)
+        on_track = Geodetic(math.radians(0.05), 0.0, 0.0)
+        with pytest.raises(DegenerateGeometryError):
+            estimator._gauss_newton(meas, on_track, estimator.MAX_ITERATIONS,
+                                    estimator.STEP_TOLERANCE_M)
+
+    @staticmethod
+    def _spy_on_step(monkeypatch):
+        """(rows, linearisation points) of every `_step` call, in order."""
+        calls, step = [], estimator._step
+
+        def spy(observed, lat, *args):
+            calls.append((len(observed), len(lat)))
+            return step(observed, lat, *args)
+
+        monkeypatch.setattr(estimator, "_step", spy)
+        return calls
+
+    def test_default_validate_linearises_once_at_the_guess(self, monkeypatch):
+        calls = self._spy_on_step(monkeypatch)
+        validate(seed=0)
+        assert calls == [(2000, 1), (2000, 2000), (2000, 2000), (266, 266)]
+
+    def test_restart_pass_linearises_once_at_the_guess(self, monkeypatch):
+        # as in test_stacked_rows_solve_as_if_alone: about half the rows restart
+        monkeypatch.setattr(estimator, "_DIVERGENCE_STEP_M", 10494.7)
+        calls = self._spy_on_step(monkeypatch)
+        validate(n_trials=50, seed=4)
+        starts = [i for i, (_, points) in enumerate(calls) if points == 1]
+        assert [calls[i] for i in starts] == [(50, 1), (25, 1)]
+        assert all(points == rows for rows, points in calls[1:starts[1]] + calls[starts[1] + 1:])
+
+
+# `eigvalsh` and the closed form each land within a few ulps of the larger
+# eigenvalue (at most 2.7 over 4e6 random matrices from 1e-20 to 1e20), so
+# they may disagree only where the smaller one lies this close to the gate.
+_GATE_BAND_ULPS = 8
+
+
+def _assert_gate_agrees(normal):
+    reference = np.linalg.eigvalsh(normal)
+    closed = estimator._smallest_eigenvalue(normal)
+    band = _GATE_BAND_ULPS * np.finfo(float).eps * np.abs(reference[..., 1])
+    assert np.all(np.abs(closed - reference[..., 0]) <= band)
+    outside = np.abs(reference[..., 0] - DEGENERATE_EIGENVALUE) > band
+    assert np.array_equal((closed < DEGENERATE_EIGENVALUE)[outside],
+                          (reference[..., 0] < DEGENERATE_EIGENVALUE)[outside])
+
+
+def _symmetric(a, b, d):
+    return np.array([[a, b], [b, d]])
+
+
+def _rotated(large, small, angle):
+    """The symmetric matrix with eigenvalues `large` and `small`, rotated by `angle`."""
+    c, s = math.cos(angle), math.sin(angle)
+    return _symmetric(c * c * large + s * s * small, c * s * (large - small),
+                      s * s * large + c * c * small)
+
+
+class TestDegenerateGate:
+    @settings(max_examples=400, deadline=None)
+    @given(st.floats(-20.0, 20.0), st.one_of(st.just(math.inf), st.floats(0.0, 30.0)),
+           st.floats(0.0, math.pi))
+    def test_matches_eigvalsh_on_psd_matrices(self, log_large, decades_below, angle):
+        # decades_below = inf: the smaller eigenvalue is exactly 0
+        large = 10.0 ** log_large
+        _assert_gate_agrees(_rotated(large, large * 10.0 ** -decades_below, angle))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.floats(-12.0, 20.0), st.floats(-1e-3, 1e-3), st.floats(0.0, math.pi))
+    def test_matches_eigvalsh_near_the_gate(self, log_large, offset, angle):
+        small = DEGENERATE_EIGENVALUE * (1.0 + offset)
+        _assert_gate_agrees(_rotated(max(10.0 ** log_large, small), small, angle))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(-2**20, 2**20), st.integers(-2**20, 2**20), st.integers(-120, 60))
+    @example(0, 0, 0)
+    def test_matches_eigvalsh_on_exact_rank_one(self, p, q, scale):
+        # 2**scale * [p, q]^T [p, q] is exactly representable and exactly singular
+        _assert_gate_agrees(math.ldexp(1.0, scale) * _symmetric(p * p, p * q, q * q))
 
 
 def test_solver_invariant_under_frame_rotation(tdoa_case):

@@ -21,6 +21,25 @@ def _from_enu(enu, origin: Geodetic) -> np.ndarray:
     return ecef + enu @ basis
 
 
+def _enu_frames_stacked(lat_rad, lon_rad, alt_m=0.0):
+    """`enu_frames` built from nested `np.stack` calls: the oracle that its
+    filled arrays must match bit for bit."""
+    sl, cl = np.sin(lat_rad), np.cos(lat_rad)
+    so, co = np.sin(lon_rad), np.cos(lon_rad)
+    r = EARTH_RADIUS_M + np.asarray(alt_m, dtype=float)
+    ecef = np.stack([r * cl * co, r * cl * so, r * sl], axis=-1)
+    basis = np.stack([
+        np.stack([-so, co, np.zeros_like(so)], axis=-1),
+        np.stack([-sl * co, -sl * so, cl], axis=-1),
+        np.stack([cl * co, cl * so, sl], axis=-1),
+    ], axis=-2)
+    return ecef, basis
+
+
+_GRID_LAT = np.random.default_rng(4).uniform(-math.pi / 2, math.pi / 2, (4, 5))
+_GRID_LON = np.random.default_rng(5).uniform(-math.pi, math.pi, (4, 5))
+
+
 class TestGeodeticEcef:
     @pytest.mark.parametrize("lat,lon,alt,expected", [
         (0.0, 0.0, 0.0, (6371000.0, 0.0, 0.0)),
@@ -58,6 +77,21 @@ class TestEnu:
         origin = Geodetic(0.7, 0.3, 0.0)
         above = geodetic_to_ecef(Geodetic(0.7, 0.3, 1000.0))
         assert np.allclose(_to_enu(above, origin), [0.0, 0.0, 1000.0], atol=1e-6)
+
+    @pytest.mark.parametrize("lat, lon, alt", [
+        (0.4, -1.2, 0.0),
+        (0.0, 0.0, 0.0),  # signed zeros
+        (-math.pi / 2, math.pi, 780e3),
+        (np.float64(0.7), np.float64(0.3), np.float64(1000.0)),
+        (np.linspace(-1.5, 1.5, 7), np.linspace(-3.0, 3.0, 7), 0.0),
+        (np.zeros(4), -np.zeros(4), np.array(600e3)),
+        (_GRID_LAT, _GRID_LON, np.linspace(0.0, 2e6, 5)),  # alt_m broadcast on the last axis
+        (_GRID_LAT, _GRID_LON, np.array([[0.0], [1e3], [2e6], [-50.0]])),  # and the first
+    ])
+    def test_matches_stacked_oracle(self, lat, lon, alt):
+        for got, expected in zip(enu_frames(lat, lon, alt), _enu_frames_stacked(lat, lon, alt)):
+            assert got.shape == expected.shape and got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()  # bit for bit, zero signs included
 
     def test_round_trip_and_rigidity(self):
         rng = np.random.default_rng(11)
