@@ -18,9 +18,11 @@ command would report this script's peak when its own is lower.
 The commands are the CLI defaults: `single-leo`, `multi-leo` and `gnss-leo`
 at 1000 drops, `gnss-only` (the `gnss-leo` command on a config that names
 that variant) at 1000 drops, and `validate` at 2000 trials. Each reports
-median seconds, microseconds per drop (or trial) and per case, and the fresh
-command's median peak RSS, next to the CPU count and the Python and NumPy
-versions.
+median seconds with the quartiles around it, microseconds per drop (or
+trial) and per case, and the fresh command's median peak RSS, next to the
+CPU count and the Python and NumPy versions. With two trees it also counts,
+per command, the rounds in which the second tree's in-process round median
+beat the first's.
 
     python scripts/bench.py --tree parent=PARENT_CHECKOUT --tree change=. \\
         --out BENCH_12.json
@@ -141,13 +143,25 @@ def _summary(name: str, in_process: list[dict], fresh: list[tuple[float, float]]
     entry = {"argv": first["argv"], "items": items, "cases": cases}
     for mode, values in (("in_process", seconds), ("fresh", walls)):
         median = statistics.median(values)
+        q1, q3 = np.percentile(values, [25, 75])
         entry[mode] = {"median_s": round(median, 6),
+                       "q1_s": round(float(q1), 6), "q3_s": round(float(q3), 6),
                        per_item: round(median / items * 1e6, 3),
                        "us_per_case": round(median / (items * cases) * 1e6, 3),
                        "samples_s": [round(v, 6) for v in values]}
     entry["fresh"]["peak_rss_mb"] = round(statistics.median(peaks), 2)
     entry["fresh"]["peak_rss_mb_samples"] = [round(p, 2) for p in peaks]
     return entry
+
+
+def _round_wins(first: list[dict], second: list[dict]) -> dict:
+    """Command name -> rounds in which `second`'s median in-process time beat
+    `first`'s, out of all rounds; ties count for neither."""
+    return {name: {"wins": sum(statistics.median(b[name]["seconds"])
+                               < statistics.median(a[name]["seconds"])
+                               for a, b in zip(first, second)),
+                   "rounds": len(first)}
+            for name in first[0]}
 
 
 def main(argv=None) -> int:
@@ -196,12 +210,22 @@ def main(argv=None) -> int:
                                  for name in fresh[label]}}
             for label, tree in trees.items()},
     }
+    if len(trees) == 2:
+        first, second = trees
+        result["in_process_round_wins"] = {
+            "tree": second, "against": first,
+            "commands": _round_wins(in_process[first], in_process[second])}
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     for label, tree_result in result["trees"].items():
         for name, entry in tree_result["commands"].items():
             print(f"{label:>8} {name:<11} in-process {entry['in_process']['median_s']:.4f} s"
                   f"  fresh {entry['fresh']['median_s']:.3f} s"
                   f"  {entry['fresh']['peak_rss_mb']:.1f} MB")
+    if "in_process_round_wins" in result:
+        wins = result["in_process_round_wins"]
+        for name, count in wins["commands"].items():
+            print(f"{wins['tree']} beat {wins['against']} on {name} in process in "
+                  f"{count['wins']} of {count['rounds']} rounds")
     return 0
 
 

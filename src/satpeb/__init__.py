@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .config import LinkBudget, ScenarioConfig, make_config
-from .fisher import MeasurementKind, rtt_range_sigma, tdoa_covariance, toa_range_sigma
+from .fisher import rtt_range_sigma, tdoa_covariance, toa_range_sigma
 from .geometry import (Geodetic, OrbitSpec, geodetic_to_ecef, hex_constellation,
                        make_virtual_anchors, propagate_circular_orbit)
 from .scenarios import (PebSampleSet, RunBundle, SummaryStats, drop_ues, run,
@@ -11,7 +11,7 @@ from .scenarios import (PebSampleSet, RunBundle, SummaryStats, drop_ues, run,
 
 __all__ = [
     "__version__",
-    "Geodetic", "LinkBudget", "MeasurementKind", "OrbitSpec", "PebSampleSet",
+    "Geodetic", "LinkBudget", "OrbitSpec", "PebSampleSet",
     "RunBundle", "ScenarioConfig", "SummaryStats", "drop_ues", "geodetic_to_ecef",
     "hex_constellation", "make_config", "make_virtual_anchors",
     "propagate_circular_orbit", "rtt_range_sigma", "run", "summarize",

@@ -1,7 +1,8 @@
 """Validation oracle: synthetic measurements and a Gauss-Newton position
 solver, used to check that empirical RMSE approaches the computed bound.
 
-The solver fits the horizontal position at fixed altitude. `validate` draws
+The solver fits the horizontal position at fixed altitude through the
+bound's own `line_of_sight` and `geometry_jacobian`. `validate` draws
 all trials in one call and solves up to `_BLOCK_TRIALS` of them per pass as
 stacked rows, each with its own convergence mask, so a row solves as it
 would alone. Every row of a pass starts at the same guess, so the pass's
@@ -13,15 +14,14 @@ matrix by matrix, which keeps each row's bits those of a lone solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, VisibilityError
-from .fisher import (DEGENERATE_EIGENVALUE, MeasurementKind, fim_diagonal,
-                     min_gdop_subsets, peb_arrays, tdoa_covariance,
-                     unit_vectors_en)
-from .geometry import Geodetic, enu_frames, geodetic_to_ecef, hex_constellation
+from .errors import DegenerateGeometryError
+from .fisher import (DEGENERATE_EIGENVALUE, fim_diagonal, geometry_jacobian,
+                     line_of_sight, min_gdop_subsets, peb_arrays, tdoa_covariance)
+from .geometry import Geodetic, enu_frames, hex_constellation
 from .constants import EARTH_RADIUS_M
 
 MAX_ITERATIONS = 50
@@ -36,19 +36,6 @@ MAX_TRIALS = 5_000_000
 
 
 @dataclass(frozen=True)
-class SyntheticMeasurements:
-    """Noisy observables drawn around the true geometry, (M,) or (trials, M),
-    from the (N, 3) ECEF `anchors`."""
-
-    kind: MeasurementKind
-    anchors: np.ndarray
-    observed_m: np.ndarray
-    covariance: np.ndarray
-    truth: Geodetic
-    reference_index: int | None = None
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     scenario: str
     n_trials: int
@@ -59,16 +46,12 @@ class ValidationReport:
     mean_error_m: float
 
 
-def predict(kind: MeasurementKind, anchors: np.ndarray,
-            reference_index: int | None, position_ecef: np.ndarray) -> np.ndarray:
-    """Geometric observables at (..., 3) ECEF positions from the (N, 3)
-    `anchors`: ranges for RTT, range differences against the reference for
-    TDOA."""
-    ranges = np.linalg.norm(anchors - position_ecef[..., None, :], axis=-1)
-    if kind is MeasurementKind.RTT:
+def _observables(ranges: np.ndarray, ref: int | None) -> np.ndarray:
+    """The (..., N) `ranges`, or their differences against range `ref`, in
+    the order of `geometry_jacobian`'s rows."""
+    if ref is None:
         return ranges
-    keep = np.delete(np.arange(len(anchors)), reference_index)
-    return ranges[..., keep] - ranges[..., reference_index, None]
+    return np.delete(ranges, ref, axis=-1) - ranges[..., ref, None]
 
 
 def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
@@ -80,18 +63,16 @@ def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
         return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _simulate(truth: Geodetic, kind: MeasurementKind, anchors: np.ndarray,
-              covariance: np.ndarray, rng: np.random.Generator,
-              reference_index: int | None, n_trials: int) -> SyntheticMeasurements:
-    """(n_trials, M) draws from one call on the stream; row t equals draw t,
-    and a zero covariance gives the exact observables."""
+def _simulate(truth: Geodetic, anchors: np.ndarray, covariance: np.ndarray,
+              rng: np.random.Generator, ref: int | None, n_trials: int) -> np.ndarray:
+    """(n_trials, M) noisy observables of the UE at `truth` from the (N, 3)
+    ECEF `anchors`, drawn in one call on the stream: row t equals draw t, and
+    a zero covariance gives the exact observables."""
     cov = np.atleast_2d(np.asarray(covariance, dtype=float))
-    geometric = predict(kind, anchors, reference_index, geodetic_to_ecef(truth))
+    ue_ecef, basis = enu_frames(truth.lat_rad, truth.lon_rad, truth.alt_m)
+    geometric = _observables(line_of_sight(ue_ecef, anchors, basis)[0], ref)
     z = rng.standard_normal((n_trials, geometric.size))
-    noise = (_psd_sqrt(cov) @ z[..., None])[..., 0]
-    return SyntheticMeasurements(
-        kind=kind, anchors=anchors, observed_m=geometric + noise,
-        covariance=cov, truth=truth, reference_index=reference_index)
+    return geometric + (_psd_sqrt(cov) @ z[..., None])[..., 0]
 
 
 def _smallest_eigenvalue(normal: np.ndarray) -> np.ndarray:
@@ -103,20 +84,14 @@ def _smallest_eigenvalue(normal: np.ndarray) -> np.ndarray:
     return (a + d) / 2.0 - np.hypot((a - d) / 2.0, b)
 
 
-def _step(observed, lat, lon, alt_m, anchors, ref, keep, weight) -> np.ndarray:
+def _step(observed, lat, lon, alt_m, anchors, ref, weight) -> np.ndarray:
     """(T, 2) Gauss-Newton steps of the (T, M) `observed` rows, linearised at
     (T,) `lat`/`lon`, or at one (1,) point shared by every row, whose geometry
     then broadcasts over the rows; temporaries die on return."""
     p, basis = enu_frames(lat, lon, alt_m)
-    units = p[:, None, :] - anchors  # anchor->UE, the direction of d(range)/d(UE)
-    ranges = np.sqrt(np.sum(units * units, axis=-1))  # np.linalg.norm with one temporary
-    units /= ranges[..., None]
-    if np.any(np.sum(units * basis[:, None, 2], axis=-1) >= 0):
-        raise VisibilityError("anchor at or below the UE horizon")
-    J = np.concatenate([units @ basis[:, 0, :, None], units @ basis[:, 1, :, None]], axis=-1)
-    del p, basis, units  # the (T, N, 3) arrays go before the normal equations
-    if ref is not None:  # TDOA against `ref`, as in `predict` and `geometry_jacobian`
-        J, ranges = J[:, keep] - J[:, ref:ref + 1], ranges[:, keep] - ranges[:, ref, None]
+    ranges, units = line_of_sight(p, anchors, basis)
+    J = geometry_jacobian(units, ref)
+    residual = observed - _observables(ranges, ref)
     JtW = np.swapaxes(J, -1, -2) @ weight
     normal = JtW @ J
     if np.any(_smallest_eigenvalue(normal) < DEGENERATE_EIGENVALUE):
@@ -124,24 +99,24 @@ def _step(observed, lat, lon, alt_m, anchors, ref, keep, weight) -> np.ndarray:
             "normal equations do not constrain the horizontal position")
     # LAPACK's solve, matrix by matrix: a closed-form 2x2 solve rounds
     # differently and moves `rmse_m` by up to 2.4e-13 relative
-    return np.linalg.solve(normal, JtW @ (observed - ranges)[..., None])[..., 0]
+    return np.linalg.solve(normal, JtW @ residual[..., None])[..., 0]
 
 
-def _gauss_newton(meas: SyntheticMeasurements, guess: Geodetic,
-                  max_iterations: int, tolerance_m: float):
+def _gauss_newton(observed: np.ndarray, anchors: np.ndarray, ref: int | None,
+                  covariance: np.ndarray, guess: Geodetic, max_iterations: int,
+                  tolerance_m: float):
     """Weighted Gauss-Newton over the horizontal position at fixed altitude,
-    for each row of the (T, M) `meas.observed_m`, all rows at once; returns
-    (T,) latitude, longitude, iteration-count and converged arrays.
+    for each row of the (T, M) `observed` `_observables` of the (N, 3)
+    `anchors`, all rows at once; returns (T,) latitude, longitude,
+    iteration-count and converged arrays.
 
     A row converges when its step norm drops below `tolerance_m`. A row whose
     step diverges restarts once with halved steps; one that still does not
     converge is flagged. A singular normal matrix raises
     DegenerateGeometryError."""
-    observed, anchors = np.atleast_2d(meas.observed_m), meas.anchors
-    ref = meas.reference_index if meas.kind is MeasurementKind.TDOA else None
-    keep = None if ref is None else np.delete(np.arange(len(anchors)), ref)
+    observed = np.atleast_2d(observed)
     try:
-        weight = np.linalg.inv(meas.covariance)
+        weight = np.linalg.inv(covariance)
     except np.linalg.LinAlgError:
         weight = np.eye(observed.shape[-1])  # noiseless / singular: unweighted
     r, rows = EARTH_RADIUS_M + guess.alt_m, np.arange(len(observed))
@@ -156,7 +131,7 @@ def _gauss_newton(meas: SyntheticMeasurements, guess: Geodetic,
             at = active[:1] if shared else active
             shared = False
             delta = step_scale * _step(observed[active], lat[at], lon[at],
-                                       guess.alt_m, anchors, ref, keep, weight)
+                                       guess.alt_m, anchors, ref, weight)
             step = np.linalg.norm(delta, axis=-1)
             diverged = ~np.all(np.isfinite(delta), axis=-1) | (step > _DIVERGENCE_STEP_M)
             rows = np.concatenate([rows, active[diverged]])
@@ -170,47 +145,45 @@ def _gauss_newton(meas: SyntheticMeasurements, guess: Geodetic,
     return lat, lon, iterations, converged
 
 
-def reference_tdoa_case(range_sigma_m: float = 1.0,
-                        altitude_m: float = 780e3) -> tuple:
-    """Well-conditioned 4-LEO TDOA fixture: hexagonal grid, UE offset from the
-    beam center, per-satellite range sigmas equal. Returns
+def reference_tdoa_case(range_sigma_m: float = 1.0) -> tuple:
+    """Well-conditioned 4-LEO TDOA fixture: hexagonal grid at 780 km, UE
+    offset from the beam center, per-satellite range sigmas equal. Returns
     (truth, anchors, covariance, reference_index, initial_guess)."""
     center = Geodetic(0.0, 0.0, 0.0)
-    grid = hex_constellation(center, math.radians(13.0), math.radians(6.9), altitude_m)
+    grid = hex_constellation(center, math.radians(13.0), math.radians(6.9), 780e3)
     truth = Geodetic(math.radians(0.05), math.radians(0.08), 0.0)
     ue_ecef, basis = enu_frames(truth.lat_rad, truth.lon_rad)
     # The serving satellite (grid index 0) sorts first in the chosen subset.
-    anchors = grid[min_gdop_subsets(unit_vectors_en(ue_ecef, grid, basis)[None], 0, 4)[0]]
+    anchors = grid[min_gdop_subsets(line_of_sight(ue_ecef, grid, basis)[1][None], 0, 4)[0]]
     cov = tdoa_covariance(np.full(4, range_sigma_m), 0)
     return truth, anchors, cov, 0, center
 
 
-def validate(scenario: str = "multi-leo-tdoa4", n_trials: int = 2000,
-             range_sigma_m: float = 1.0, seed: int = 0) -> ValidationReport:
+def validate(n_trials: int = 2000, range_sigma_m: float = 1.0,
+             seed: int = 0) -> ValidationReport:
     """Monte Carlo bound-achievability check on the reference TDOA case,
-    `scenario` "multi-leo-tdoa4", the only one implemented, with every
-    satellite's range sigma `range_sigma_m`; any other name raises
-    ValueError, as does a trial count outside [1, MAX_TRIALS]."""
-    if scenario != "multi-leo-tdoa4":
-        raise ValueError(f"unknown validation scenario {scenario!r}; "
-                         "only 'multi-leo-tdoa4' is implemented")
+    scenario "multi-leo-tdoa4", with every satellite's range sigma
+    `range_sigma_m`. A trial count outside [1, MAX_TRIALS], or a range sigma
+    that is not positive and finite, raises ValueError."""
     if not 1 <= n_trials <= MAX_TRIALS:
         raise ValueError(f"n_trials must lie in [1, {MAX_TRIALS:,}], got {n_trials}")
+    if not 0.0 < range_sigma_m < math.inf:
+        raise ValueError(f"range_sigma_m must be positive and finite, got {range_sigma_m}")
     truth, anchors, cov, ref, guess = reference_tdoa_case(range_sigma_m)
     truth_ecef, truth_basis = enu_frames(truth.lat_rad, truth.lon_rad, truth.alt_m)
-    units = unit_vectors_en(truth_ecef, anchors, truth_basis)
+    units = line_of_sight(truth_ecef, anchors, truth_basis)[1]
     variances = np.full(len(anchors), range_sigma_m) ** 2
     bound = float(peb_arrays(fim_diagonal(units, variances, clock_bias=True))[0])
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x76616c]))
-    meas = _simulate(truth, MeasurementKind.TDOA, anchors, cov, rng, ref, n_trials)
-    blocks = np.split(meas.observed_m, range(_BLOCK_TRIALS, n_trials, _BLOCK_TRIALS))
-    solved = [_gauss_newton(replace(meas, observed_m=block), guess, MAX_ITERATIONS,
+    observed = _simulate(truth, anchors, cov, rng, ref, n_trials)
+    blocks = np.split(observed, range(_BLOCK_TRIALS, n_trials, _BLOCK_TRIALS))
+    solved = [_gauss_newton(block, anchors, ref, cov, guess, MAX_ITERATIONS,
                             STEP_TOLERANCE_M) for block in blocks]
     lat, lon, _, converged = (np.concatenate(column) for column in zip(*solved))
     estimate_ecef, _ = enu_frames(lat, lon, guess.alt_m)
     errors = (truth_basis @ (estimate_ecef - truth_ecef)[..., None])[:, :2, 0]
     rmse = float(np.sqrt(np.mean(np.sum(errors**2, axis=1))))
     return ValidationReport(
-        scenario=scenario, n_trials=n_trials, rmse_m=rmse, peb_m=bound,
+        scenario="multi-leo-tdoa4", n_trials=n_trials, rmse_m=rmse, peb_m=bound,
         ratio=rmse / bound, convergence_rate=float(np.mean(converged)),
         mean_error_m=float(np.linalg.norm(np.mean(errors, axis=0))))

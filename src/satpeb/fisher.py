@@ -7,14 +7,14 @@ synchronized anchors sharing one unknown UE clock bias, eliminated by a Schur
 complement: the equivalent FIM of Shen and Win (IEEE Trans. Inf. Theory, 2010)
 and the GNSS pseudorange model, as informative as TDOA against any reference.
 A case's information is a sum of independent `fim_diagonal` blocks, and
-`peb_arrays` turns it into the bound.
+`peb_arrays` turns it into the bound. The estimator shares the geometry:
+`line_of_sight` and `geometry_jacobian`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from enum import Enum
 
 import numpy as np
 
@@ -22,11 +22,6 @@ from .constants import SPEED_OF_LIGHT
 from .errors import VisibilityError
 
 DEGENERATE_EIGENVALUE = 1e-12  # m^-2; smaller horizontal information is unusable
-
-
-class MeasurementKind(str, Enum):
-    RTT = "rtt"
-    TDOA = "tdoa"
 
 
 def toa_range_sigma(snr_db, bandwidth_hz) -> float | np.ndarray:
@@ -70,37 +65,36 @@ def tdoa_covariance(sigmas_m, reference_index: int) -> np.ndarray:
             + ref_var[..., None, None] * np.ones((n - 1, n - 1)))
 
 
-def unit_vectors_en(ue_ecef: np.ndarray, positions: np.ndarray, basis: np.ndarray,
-                    check_horizon: bool = True) -> np.ndarray:
-    """(..., N, 2) east/north components of the UE->anchor unit vectors;
-    raises if any anchor sits at or below its UE's horizon, unless
-    `check_horizon` is false.
+def line_of_sight(ue_ecef: np.ndarray, positions: np.ndarray, basis: np.ndarray,
+                  check_horizon: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """(..., N) UE->anchor ranges and (..., N, 2) east/north components of
+    the UE->anchor unit vectors; raises if any anchor sits at or below its
+    UE's horizon, unless `check_horizon` is false.
 
     Broadcasts over leading axes: `ue_ecef` (..., 3), anchor `positions`
     (..., N, 3) and `basis` (..., 3, 3), whose rows are the UE's east, north
     and up unit vectors, as `geometry.enu_frames` returns them.
     """
     ue = np.asarray(ue_ecef, dtype=float)
-    d = np.asarray(positions, dtype=float) - ue[..., None, :]
-    dist = np.linalg.norm(d, axis=-1)
-    units = d / dist[..., None]
-    if check_horizon and np.any(units @ basis[..., 2, :, None] <= 0):
+    units = np.asarray(positions, dtype=float) - ue[..., None, :]
+    ranges = np.sqrt(np.sum(units * units, axis=-1))  # np.linalg.norm with one temporary
+    units /= ranges[..., None]
+    if check_horizon and np.any(np.sum(units * basis[..., None, 2, :], axis=-1) <= 0):
         raise VisibilityError("anchor at or below the UE horizon")
-    return np.concatenate([units @ basis[..., 0, :, None],
-                           units @ basis[..., 1, :, None]], axis=-1)
+    return ranges, np.concatenate([units @ basis[..., 0, :, None],
+                                   units @ basis[..., 1, :, None]], axis=-1)
 
 
-def geometry_jacobian(kind: MeasurementKind, units_en: np.ndarray,
-                      reference_index: int | None = None) -> np.ndarray:
+def geometry_jacobian(units_en: np.ndarray, reference_index: int | None = None) -> np.ndarray:
     """Partials of the observables with respect to east/north UE
     displacement at fixed altitude, from the anchor geometry alone: the
-    (..., N, 2) UE->anchor unit vectors of `unit_vectors_en`.
+    (..., N, 2) UE->anchor unit vectors of `line_of_sight`.
 
-    RTT row i:  d(range_i)/d(e,n) = -(east, north) of the UE->anchor_i unit
-    vector. TDOA row i: d(range_i - range_ref)/d(e,n), over the
-    non-reference anchors in order. Broadcasts over leading axes.
+    Range row i: d(range_i)/d(e,n) = -(east, north) of the UE->anchor_i unit
+    vector. With a `reference_index`, TDOA row i: d(range_i - range_ref)/d(e,n),
+    over the non-reference anchors in order. Broadcasts over leading axes.
     """
-    if kind is MeasurementKind.RTT:
+    if reference_index is None:
         return -units_en
     rows = np.delete(np.arange(units_en.shape[-2]), reference_index)
     return (units_en[..., reference_index:reference_index + 1, :]
@@ -123,27 +117,25 @@ def fim_diagonal(J: np.ndarray, variances: np.ndarray,
     return (f + np.swapaxes(f, -1, -2)) / 2.0
 
 
-def peb_arrays(f: np.ndarray, mean_variance=1.0,
-               degenerate_threshold: float = DEGENERATE_EIGENVALUE):
+def peb_arrays(f: np.ndarray, mean_variance=1.0):
     """Position error bound sqrt(trace(F^-1)) over stacked (..., 2, 2) FIMs:
     (peb_m, gdop, degenerate) arrays, with NaN bound and GDOP where the smaller
-    eigenvalue is below `degenerate_threshold`. GDOP is the bound over
+    eigenvalue is below `DEGENERATE_EIGENVALUE`. GDOP is the bound over
     sqrt(`mean_variance`), the mean measurement variance, which broadcasts
     against the stack."""
     eig = np.linalg.eigvalsh(f)
-    degenerate = eig[..., 0] < degenerate_threshold
+    degenerate = eig[..., 0] < DEGENERATE_EIGENVALUE
     usable = np.where(degenerate[..., None], 1.0, eig)
     bound = np.where(degenerate, np.nan, np.sqrt(np.sum(1.0 / usable, axis=-1)))
     return bound, bound / np.sqrt(mean_variance), degenerate
 
 
 def min_gdop_subsets(units_en: np.ndarray, serving_index: int, k: int,
-                     kind: MeasurementKind = MeasurementKind.TDOA,
                      visible: np.ndarray | None = None) -> np.ndarray:
     """(D, k) sorted indices of each UE drop's minimum-GDOP k-subset
     containing the serving anchor, by exhaustive enumeration, from the
-    (D, N, 2) unit vectors of `unit_vectors_en`. GDOP takes every range sigma
-    at 1 m, and TDOA eliminates the clock bias.
+    (D, N, 2) unit vectors of `line_of_sight`. GDOP takes every range sigma
+    at 1 m and eliminates the clock bias, as TDOA does.
 
     All subsets of all drops are scored at once, then walked in enumeration
     order: a subset wins only below (1 - 1e-10) times the best so far, so
@@ -160,7 +152,7 @@ def min_gdop_subsets(units_en: np.ndarray, serving_index: int, k: int,
     combos = list(itertools.combinations(others, k - 1))
     subsets = np.array([sorted((serving_index,) + c) for c in combos])
     _, gdop, degenerate = peb_arrays(fim_diagonal(
-        units_en[:, subsets], np.ones(k), clock_bias=kind is MeasurementKind.TDOA))
+        units_en[:, subsets], np.ones(k), clock_bias=True))
     gdop = np.where(degenerate, np.inf, gdop)
     best = np.full(len(units_en), np.inf)
     choice = np.zeros(len(units_en), dtype=int)

@@ -59,8 +59,8 @@ from .channel import AntennaPattern, LinkParams
 from .config import ScenarioConfig
 from .constants import EARTH_RADIUS_M
 from .errors import ConfigError, StatisticsError
-from .fisher import (fim_diagonal, min_gdop_subsets, peb_arrays, rtt_range_sigma,
-                     toa_range_sigma, unit_vectors_en)
+from .fisher import (fim_diagonal, line_of_sight, min_gdop_subsets, peb_arrays,
+                     rtt_range_sigma, toa_range_sigma)
 from .geometry import (Geodetic, angle_between, destination_point,
                        ecef_to_geodetic, enu_frames, geodetic_to_ecef,
                        ground_track_orbit, make_virtual_anchors, hex_constellation,
@@ -431,7 +431,7 @@ class _Evaluator:
             draws = _link_draws(seed, tag, n, self.config.n_virtual_anchors)
             info.update(zip(windows, zip(*self._rtt(anchors, ue_ecef, basis, draws))))
         if self.grid is not None:
-            grid = (unit_vectors_en(ue_ecef, self.grid, basis, check_horizon=False),
+            grid = (line_of_sight(ue_ecef, self.grid, basis, check_horizon=False)[1],
                     *self.model.grid_dl_sigma(self.grid, ue_ecef, *_link_draws(
                         seed, "ml-link", n, len(self.grid))))
         for block in self.blocks:
@@ -463,7 +463,7 @@ class _Evaluator:
         sigma, visible = self.model.leo_rtt_sigma(anchors.reshape(w * m, 3), ue_ecef,
                                                   *(np.tile(z, w) for z in draws))
         variances = (sigma**2).reshape(-1, w, m).swapaxes(0, 1)
-        units = unit_vectors_en(ue_ecef, anchors[:, None], basis, check_horizon=False)
+        units = line_of_sight(ue_ecef, anchors[:, None], basis, check_horizon=False)[1]
         return (fim_diagonal(units, variances), variances,
                 ~np.all(visible.reshape(-1, w, m), axis=2).T)
 

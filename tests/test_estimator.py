@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -8,24 +7,34 @@ from hypothesis import strategies as st
 
 from satpeb import estimator
 from satpeb.errors import DegenerateGeometryError, VisibilityError
-from satpeb.estimator import (SyntheticMeasurements, predict,
-                              reference_tdoa_case, validate)
-from satpeb.fisher import DEGENERATE_EIGENVALUE, MeasurementKind, tdoa_covariance
+from satpeb.estimator import reference_tdoa_case, validate
+from satpeb.fisher import DEGENERATE_EIGENVALUE, tdoa_covariance
 from satpeb.geometry import (Geodetic, enu_frames, geodetic_to_ecef,
                              ground_track_orbit, make_virtual_anchors)
 
 
-def draw_one(truth, kind, anchors, covariance, rng, reference_index=None):
-    """One noisy (1, M) measurement row: `estimator._simulate` at one trial."""
-    return estimator._simulate(truth, kind, anchors, covariance, rng, reference_index, 1)
+def draw_one(truth, anchors, covariance, rng, reference_index=None):
+    """One noisy (1, M) observation row: `estimator._simulate` at one trial."""
+    return estimator._simulate(truth, anchors, covariance, rng, reference_index, 1)
 
 
-def solve_one(meas, guess, max_iterations=estimator.MAX_ITERATIONS):
-    """`estimator._gauss_newton` on the one row of `meas`: (estimate,
+def solve_one(observed, anchors, reference_index, covariance, guess,
+              max_iterations=estimator.MAX_ITERATIONS):
+    """`estimator._gauss_newton` on the one row of `observed`: (estimate,
     iterations, converged)."""
     lat, lon, iterations, converged = (column.item() for column in estimator._gauss_newton(
-        meas, guess, max_iterations, estimator.STEP_TOLERANCE_M))
+        observed, anchors, reference_index, covariance, guess, max_iterations,
+        estimator.STEP_TOLERANCE_M))
     return Geodetic(lat, lon, guess.alt_m), iterations, converged
+
+
+def exact_observables(truth, anchors, reference_index=None):
+    """Noiseless ranges from the UE at `truth` to the (N, 3) `anchors`, or
+    their differences against `reference_index`, by `np.linalg.norm`."""
+    ranges = np.linalg.norm(anchors - geodetic_to_ecef(truth), axis=-1)
+    if reference_index is None:
+        return ranges
+    return np.delete(ranges, reference_index) - ranges[reference_index]
 
 
 @pytest.fixture
@@ -37,26 +46,25 @@ class TestSimulate:
     def test_zero_covariance_is_exact(self, tdoa_case):
         truth, anchors, _, ref, _ = tdoa_case
         rng = np.random.default_rng(0)
-        meas = draw_one(truth, MeasurementKind.TDOA, anchors, np.zeros((3, 3)), rng, ref)
-        exact = predict(MeasurementKind.TDOA, anchors, ref, geodetic_to_ecef(truth))
-        assert np.array_equal(meas.observed_m[0], exact)
+        observed = draw_one(truth, anchors, np.zeros((3, 3)), rng, ref)
+        assert np.array_equal(observed[0], exact_observables(truth, anchors, ref))
+        ranges = draw_one(truth, anchors, np.zeros((4, 4)), rng)
+        assert np.array_equal(ranges[0], exact_observables(truth, anchors))
 
     def test_same_seed_same_draws(self, tdoa_case):
         truth, anchors, cov, ref, _ = tdoa_case
-        a = draw_one(truth, MeasurementKind.TDOA, anchors, cov, np.random.default_rng(42), ref)
-        b = draw_one(truth, MeasurementKind.TDOA, anchors, cov, np.random.default_rng(42), ref)
-        assert np.array_equal(a.observed_m, b.observed_m)
+        a = draw_one(truth, anchors, cov, np.random.default_rng(42), ref)
+        b = draw_one(truth, anchors, cov, np.random.default_rng(42), ref)
+        assert np.array_equal(a, b)
 
     def test_empirical_covariance_matches(self, tdoa_case):
         truth, anchors, _, ref, _ = tdoa_case
         cov = tdoa_covariance([3.0, 1.0, 2.0, 4.0], ref)
         rng = np.random.default_rng(7)
         n = 100_000
-        exact = predict(MeasurementKind.TDOA, anchors, ref, geodetic_to_ecef(truth))
-        draws = np.array([
-            draw_one(truth, MeasurementKind.TDOA, anchors, cov, rng, ref).observed_m[0] - exact
-            for _ in range(n)
-        ])
+        exact = exact_observables(truth, anchors, ref)
+        draws = np.array([draw_one(truth, anchors, cov, rng, ref)[0] - exact
+                          for _ in range(n)])
         empirical = np.cov(draws.T)
         for i in range(3):
             for j in range(3):
@@ -67,10 +75,10 @@ class TestSimulate:
 class TestSolve:
     def test_noiseless_recovery_from_5km(self, tdoa_case):
         truth, anchors, _, ref, _ = tdoa_case
-        meas = draw_one(truth, MeasurementKind.TDOA, anchors, np.zeros((3, 3)),
-                        np.random.default_rng(0), ref)
+        cov = np.zeros((3, 3))
+        observed = draw_one(truth, anchors, cov, np.random.default_rng(0), ref)
         guess = Geodetic(truth.lat_rad + 5e3 / 6371e3, truth.lon_rad, 0.0)
-        estimate, iterations, converged = solve_one(meas, guess)
+        estimate, iterations, converged = solve_one(observed, anchors, ref, cov, guess)
         assert converged
         assert iterations <= 50
         err = np.linalg.norm(geodetic_to_ecef(estimate) - geodetic_to_ecef(truth))
@@ -81,24 +89,25 @@ class TestSolve:
         anchors = make_virtual_anchors(orbit, 10.0, 10)
         truth = Geodetic(math.radians(0.05), 0.0, 0.0)
         cov = np.eye(10) * 25.0
-        meas = draw_one(truth, MeasurementKind.RTT, anchors, cov, np.random.default_rng(3))
+        observed = draw_one(truth, anchors, cov, np.random.default_rng(3))
         with pytest.raises(DegenerateGeometryError):
-            solve_one(meas, truth)
+            solve_one(observed, anchors, None, cov, truth)
 
     def test_guess_with_anchors_below_its_horizon_raises(self, tdoa_case):
         truth, anchors, cov, ref, _ = tdoa_case
-        meas = draw_one(truth, MeasurementKind.TDOA, anchors, cov, np.random.default_rng(0), ref)
-        with pytest.raises(VisibilityError):
-            solve_one(meas, Geodetic(0.0, math.pi, 0.0))  # the far side of the Earth
+        observed = draw_one(truth, anchors, cov, np.random.default_rng(0), ref)
+        with pytest.raises(VisibilityError):  # a guess on the far side of the Earth
+            solve_one(observed, anchors, ref, cov, Geodetic(0.0, math.pi, 0.0))
 
     def test_rtt_solve_matches_truth(self):
         orbit = ground_track_orbit(Geodetic(0.0, 0.0, 0.0), 600e3)
         anchors = make_virtual_anchors(orbit, 10.0, 10)
         truth = Geodetic(math.radians(0.05), math.radians(0.1), 0.0)
-        meas = draw_one(truth, MeasurementKind.RTT, anchors, np.zeros((10, 10)),
-                        np.random.default_rng(1))
+        cov = np.zeros((10, 10))
+        observed = draw_one(truth, anchors, cov, np.random.default_rng(1))
         # an on-track guess is singular by mirror symmetry; start beside it
-        estimate, _, converged = solve_one(meas, Geodetic(0.0, math.radians(0.02), 0.0))
+        estimate, _, converged = solve_one(observed, anchors, None, cov,
+                                           Geodetic(0.0, math.radians(0.02), 0.0))
         assert converged
         err = np.linalg.norm(geodetic_to_ecef(estimate) - geodetic_to_ecef(truth))
         assert err < 1e-3
@@ -107,6 +116,7 @@ class TestSolve:
 class TestValidate:
     def test_report_fields(self):
         report = validate(n_trials=50, seed=11)
+        assert report.scenario == "multi-leo-tdoa4"
         assert report.ratio == pytest.approx(report.rmse_m / report.peb_m)
         assert report.ratio > 0
         assert 0.0 <= report.convergence_rate <= 1.0
@@ -123,15 +133,16 @@ class TestValidate:
         assert high.ratio < low.ratio - 0.005
         assert 0.95 <= high.ratio <= 1.10
 
-    def test_unknown_scenario_raises_instead_of_mislabelling(self):
-        assert validate(scenario="multi-leo-tdoa4", n_trials=5).scenario == "multi-leo-tdoa4"
-        with pytest.raises(ValueError, match="single-leo-rtt"):
-            validate(scenario="single-leo-rtt", n_trials=5)
-
     @pytest.mark.parametrize("n_trials", [0, -3, estimator.MAX_TRIALS + 1])
     def test_needs_a_trial(self, n_trials):
         with pytest.raises(ValueError, match="n_trials"):
             validate(n_trials=n_trials)
+
+    # 0 and NaN gave a NaN bound and ratio; -1 ran as +1, squared away.
+    @pytest.mark.parametrize("range_sigma_m", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_needs_a_positive_finite_range_sigma(self, range_sigma_m):
+        with pytest.raises(ValueError, match="range_sigma_m"):
+            validate(n_trials=5, range_sigma_m=range_sigma_m)
 
     def test_unbiased_at_high_snr(self):
         report = validate(n_trials=2000, range_sigma_m=1.0, seed=0)
@@ -141,12 +152,12 @@ class TestValidate:
 def _trial_by_trial(seed, n_trials, **solve_kwargs):
     """Reference for `validate`: its stream, SeedSequence([seed, 0x76616c]),
     drawn one trial at a time with `draw_one` and each trial solved alone.
-    Returns (truth, measurements, `solve_one` results)."""
+    Returns (truth, (1, M) observation rows, `solve_one` results)."""
     truth, anchors, cov, ref, guess = reference_tdoa_case(1.0)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x76616c]))
-    meas = [draw_one(truth, MeasurementKind.TDOA, anchors, cov, rng, ref)
-            for _ in range(n_trials)]
-    return truth, meas, [solve_one(m, guess, **solve_kwargs) for m in meas]
+    rows = [draw_one(truth, anchors, cov, rng, ref) for _ in range(n_trials)]
+    return truth, rows, [solve_one(row, anchors, ref, cov, guess, **solve_kwargs)
+                         for row in rows]
 
 
 class TestSolverPaths:
@@ -176,9 +187,10 @@ class TestSolverPaths:
 
     @pytest.mark.parametrize("cap", [2, 3])
     def test_iteration_cap(self, cap):
-        _, meas, free = _trial_by_trial(3, 50)
-        guess = reference_tdoa_case(1.0)[4]
-        capped = [solve_one(m, guess, max_iterations=cap) for m in meas]
+        _, rows, free = _trial_by_trial(3, 50)
+        _, anchors, cov, ref, guess = reference_tdoa_case(1.0)
+        capped = [solve_one(row, anchors, ref, cov, guess, max_iterations=cap)
+                  for row in rows]
         for (_, free_iterations, _), (_, iterations, converged) in zip(free, capped):
             assert iterations == min(free_iterations, cap)
             assert converged == (free_iterations <= cap)
@@ -192,13 +204,12 @@ class TestSolverPaths:
     def test_stacked_rows_solve_as_if_alone(self, monkeypatch, threshold, cap):
         if threshold is not None:
             monkeypatch.setattr(estimator, "_DIVERGENCE_STEP_M", threshold)
-        _, meas, _ = _trial_by_trial(4, 50)
-        guess = reference_tdoa_case(1.0)[4]
-        alone = [solve_one(m, guess, max_iterations=cap) for m in meas]
-        stacked = dataclasses.replace(
-            meas[0], observed_m=np.concatenate([m.observed_m for m in meas]))
+        _, rows, _ = _trial_by_trial(4, 50)
+        _, anchors, cov, ref, guess = reference_tdoa_case(1.0)
+        alone = [solve_one(row, anchors, ref, cov, guess, max_iterations=cap)
+                 for row in rows]
         lat, lon, iterations, converged = estimator._gauss_newton(
-            stacked, guess, cap, estimator.STEP_TOLERANCE_M)
+            np.concatenate(rows), anchors, ref, cov, guess, cap, estimator.STEP_TOLERANCE_M)
         assert lat.tolist() == [estimate.lat_rad for estimate, _, _ in alone]
         assert lon.tolist() == [estimate.lon_rad for estimate, _, _ in alone]
         assert iterations.tolist() == [n for _, n, _ in alone]
@@ -207,10 +218,9 @@ class TestSolverPaths:
     def test_stacked_draws_equal_sequential_draws(self):
         truth, anchors, cov, ref, _ = reference_tdoa_case(1.0)
         sequential_rng, stacked_rng = np.random.default_rng(9), np.random.default_rng(9)
-        sequential = np.array([
-            draw_one(truth, MeasurementKind.TDOA, anchors, cov, sequential_rng, ref).observed_m[0]
-            for _ in range(50)])
-        exact = predict(MeasurementKind.TDOA, anchors, ref, geodetic_to_ecef(truth))
+        sequential = np.array([draw_one(truth, anchors, cov, sequential_rng, ref)[0]
+                               for _ in range(50)])
+        exact = exact_observables(truth, anchors, ref)
         root = np.linalg.cholesky(cov)
         stacked = np.array([exact + root @ z
                             for z in stacked_rng.standard_normal((50, 3))])
@@ -219,12 +229,10 @@ class TestSolverPaths:
     def test_one_stacked_draw_equals_sequential_draws(self):
         truth, anchors, cov, ref, _ = reference_tdoa_case(1.0)
         sequential_rng, stacked_rng = np.random.default_rng(9), np.random.default_rng(9)
-        sequential = [draw_one(truth, MeasurementKind.TDOA, anchors, cov, sequential_rng,
-                               ref).observed_m[0]
+        sequential = [draw_one(truth, anchors, cov, sequential_rng, ref)[0]
                       for _ in range(500)]
-        stacked = estimator._simulate(truth, MeasurementKind.TDOA, anchors, cov,
-                                      stacked_rng, ref, 500)
-        assert np.array_equal(stacked.observed_m, sequential)
+        stacked = estimator._simulate(truth, anchors, cov, stacked_rng, ref, 500)
+        assert np.array_equal(stacked, sequential)
 
     def test_report_does_not_depend_on_the_block_bound(self, monkeypatch):
         one_pass = validate(n_trials=450, seed=6)
@@ -235,9 +243,9 @@ class TestSolverPaths:
     def test_default_trials_solve_in_one_pass(self, monkeypatch):
         calls, gauss_newton = [], estimator._gauss_newton
 
-        def counted(meas, *args):
-            calls.append(len(meas.observed_m))
-            return gauss_newton(meas, *args)
+        def counted(observed, *args):
+            calls.append(len(observed))
+            return gauss_newton(observed, *args)
 
         monkeypatch.setattr(estimator, "_gauss_newton", counted)
         validate(seed=0)
@@ -265,52 +273,83 @@ class TestSolverPaths:
         assert report.ratio == pytest.approx(ratio, rel=1e-12, abs=0)
 
 
-def _ground_track_rtt(n_trials):
-    """RTT draws of a UE beside a single-LEO ground track, whose on-track
-    points are singular: (measurements, a guess beside the track)."""
+def _problem(kind, n_trials):
+    """(observed, anchors, ref, covariance, guess) of `n_trials` draws:
+    "tdoa" the reference case; "rtt" a UE beside a single-LEO ground track,
+    whose on-track points are singular, with a guess beside the track."""
+    if kind == "tdoa":
+        truth, anchors, cov, ref, guess = reference_tdoa_case(1.0)
+        return (estimator._simulate(truth, anchors, cov, np.random.default_rng(5), ref,
+                                    n_trials), anchors, ref, cov, guess)
     orbit = ground_track_orbit(Geodetic(0.0, 0.0, 0.0), 600e3)
     anchors = make_virtual_anchors(orbit, 10.0, 10)
     truth = Geodetic(math.radians(0.05), math.radians(0.1), 0.0)
-    meas = estimator._simulate(truth, MeasurementKind.RTT, anchors, np.eye(10) * 25.0,
-                               np.random.default_rng(1), None, n_trials)
-    return meas, Geodetic(0.0, math.radians(0.02), 0.0)
+    cov = np.eye(10) * 25.0
+    return (estimator._simulate(truth, anchors, cov, np.random.default_rng(1), None,
+                                n_trials), anchors, None, cov,
+            Geodetic(0.0, math.radians(0.02), 0.0))
+
+
+def _step_own_geometry(observed, lat, lon, alt_m, anchors, ref, keep, weight):
+    """`estimator._step` as it stood with its own copy of the anchor->UE
+    geometry, before it called `fisher.line_of_sight` and
+    `fisher.geometry_jacobian`: kept as the bit-for-bit oracle of that
+    sharing."""
+    p, basis = enu_frames(lat, lon, alt_m)
+    units = p[:, None, :] - anchors  # anchor->UE, the direction of d(range)/d(UE)
+    ranges = np.sqrt(np.sum(units * units, axis=-1))
+    units /= ranges[..., None]
+    if np.any(np.sum(units * basis[:, None, 2], axis=-1) >= 0):
+        raise VisibilityError("anchor at or below the UE horizon")
+    J = np.concatenate([units @ basis[:, 0, :, None], units @ basis[:, 1, :, None]], axis=-1)
+    if ref is not None:
+        J, ranges = J[:, keep] - J[:, ref:ref + 1], ranges[:, keep] - ranges[:, ref, None]
+    JtW = np.swapaxes(J, -1, -2) @ weight
+    normal = JtW @ J
+    if np.any(estimator._smallest_eigenvalue(normal) < DEGENERATE_EIGENVALUE):
+        raise DegenerateGeometryError(
+            "normal equations do not constrain the horizontal position")
+    return np.linalg.solve(normal, JtW @ (observed - ranges)[..., None])[..., 0]
 
 
 class TestSharedLinearisation:
     """Every row of a pass starts at the guess, so its first `_step`
     linearises once there and broadcasts the geometry over the rows."""
 
-    @staticmethod
-    def _step_args(meas):
-        ref = meas.reference_index if meas.kind is MeasurementKind.TDOA else None
-        keep = None if ref is None else np.delete(np.arange(len(meas.anchors)), ref)
-        return meas.anchors, ref, keep, np.linalg.inv(meas.covariance)
-
     @pytest.mark.parametrize("kind", ["tdoa", "rtt"])
     def test_shared_point_equals_per_row_copies(self, kind):
-        if kind == "tdoa":
-            truth, anchors, cov, ref, guess = reference_tdoa_case(1.0)
-            meas = estimator._simulate(truth, MeasurementKind.TDOA, anchors, cov,
-                                       np.random.default_rng(5), ref, 300)
-        else:
-            meas, guess = _ground_track_rtt(300)
-        rows = len(meas.observed_m)
-        shared = estimator._step(meas.observed_m, np.array([guess.lat_rad]),
-                                 np.array([guess.lon_rad]), guess.alt_m,
-                                 *self._step_args(meas))
-        copies = estimator._step(meas.observed_m, np.full(rows, guess.lat_rad),
-                                 np.full(rows, guess.lon_rad), guess.alt_m,
-                                 *self._step_args(meas))
+        observed, anchors, ref, cov, guess = _problem(kind, 300)
+        rows, weight = len(observed), np.linalg.inv(cov)
+        shared = estimator._step(observed, np.array([guess.lat_rad]), np.array([guess.lon_rad]),
+                                 guess.alt_m, anchors, ref, weight)
+        copies = estimator._step(observed, np.full(rows, guess.lat_rad),
+                                 np.full(rows, guess.lon_rad), guess.alt_m, anchors, ref,
+                                 weight)
         assert shared.shape == (rows, 2)
         assert np.array_equal(shared, copies)
 
+    @pytest.mark.parametrize("kind", ["tdoa", "rtt"])
+    def test_step_equals_own_geometry_oracle(self, kind):
+        observed, anchors, ref, cov, guess = _problem(kind, 300)
+        rows, weight = len(observed), np.linalg.inv(cov)
+        keep = None if ref is None else np.delete(np.arange(len(anchors)), ref)
+        # per-row points up to 0.01 deg from the guess, which keeps the RTT
+        # points off the singular ground track
+        offsets = np.radians(np.random.default_rng(8).uniform(-0.01, 0.01, (2, rows)))
+        for lat, lon in [(np.array([guess.lat_rad]), np.array([guess.lon_rad])),
+                         (guess.lat_rad + offsets[0], guess.lon_rad + offsets[1])]:
+            step = estimator._step(observed, lat, lon, guess.alt_m, anchors, ref, weight)
+            assert step.shape == (rows, 2)
+            assert np.array_equal(step, _step_own_geometry(
+                observed, lat, lon, guess.alt_m, anchors, ref, keep, weight))
+
     @pytest.mark.parametrize("n_trials", [1, 7])
     def test_singular_guess_raises_for_any_row_count(self, n_trials):
-        meas, _ = _ground_track_rtt(n_trials)
+        observed, anchors, _, cov, _ = _problem("rtt", n_trials)
         on_track = Geodetic(math.radians(0.05), 0.0, 0.0)
         with pytest.raises(DegenerateGeometryError):
-            estimator._gauss_newton(meas, on_track, estimator.MAX_ITERATIONS,
-                                    estimator.STEP_TOLERANCE_M)
+            estimator._gauss_newton(observed, anchors, None, cov, on_track,
+                                    estimator.MAX_ITERATIONS, estimator.STEP_TOLERANCE_M)
 
     @staticmethod
     def _spy_on_step(monkeypatch):
@@ -397,17 +436,11 @@ def test_solver_invariant_under_frame_rotation(tdoa_case):
                     [math.sin(shift), math.cos(shift), 0.0],
                     [0.0, 0.0, 1.0]])
 
-    meas = draw_one(truth, MeasurementKind.TDOA, anchors, cov, np.random.default_rng(17), ref)
-    base, _, base_converged = solve_one(meas, guess)
+    observed = draw_one(truth, anchors, cov, np.random.default_rng(17), ref)
+    base, _, base_converged = solve_one(observed, anchors, ref, cov, guess)
 
-    rot_anchors = anchors @ rot.T
-    rot_truth = Geodetic(truth.lat_rad, truth.lon_rad + shift, truth.alt_m)
     rot_guess = Geodetic(guess.lat_rad, guess.lon_rad + shift, guess.alt_m)
-    rot_meas = SyntheticMeasurements(
-        kind=MeasurementKind.TDOA, anchors=rot_anchors,
-        observed_m=meas.observed_m, covariance=cov, truth=rot_truth,
-        reference_index=ref)
-    rotated, _, rotated_converged = solve_one(rot_meas, rot_guess)
+    rotated, _, rotated_converged = solve_one(observed, anchors @ rot.T, ref, cov, rot_guess)
 
     assert rotated_converged == base_converged
     assert rotated.lat_rad == pytest.approx(base.lat_rad, abs=1e-10)

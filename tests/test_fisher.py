@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from satpeb.constants import EARTH_RADIUS_M
 from satpeb.errors import VisibilityError
-from satpeb.fisher import (DEGENERATE_EIGENVALUE, MeasurementKind, fim_diagonal,
-                           geometry_jacobian, min_gdop_subsets, peb_arrays,
-                           rtt_range_sigma, tdoa_covariance, toa_range_sigma,
-                           unit_vectors_en)
+from satpeb.fisher import (DEGENERATE_EIGENVALUE, fim_diagonal, geometry_jacobian,
+                           line_of_sight, min_gdop_subsets, peb_arrays, rtt_range_sigma,
+                           tdoa_covariance, toa_range_sigma)
 from satpeb.geometry import (Geodetic, enu_frames, geodetic_to_ecef,
                              ground_track_orbit, hex_constellation,
                              make_virtual_anchors)
@@ -36,23 +35,34 @@ def fim(J: np.ndarray, R: np.ndarray) -> np.ndarray:
     return (f + np.swapaxes(f, -1, -2)) / 2.0
 
 
-def unit_sigma_gdop(units_en: np.ndarray, reference_index: int,
-                    kind: MeasurementKind = MeasurementKind.TDOA) -> float:
+def unit_vectors_en(ue_ecef: np.ndarray, positions: np.ndarray, basis: np.ndarray,
+                    check_horizon: bool = True) -> np.ndarray:
+    """The (..., N, 2) east/north UE->anchor unit vectors as the package
+    computed them before `line_of_sight` also returned the ranges, with
+    `np.linalg.norm` and a matrix-product horizon test: the bit-for-bit
+    oracle of `line_of_sight(...)[1]`."""
+    ue = np.asarray(ue_ecef, dtype=float)
+    d = np.asarray(positions, dtype=float) - ue[..., None, :]
+    dist = np.linalg.norm(d, axis=-1)
+    units = d / dist[..., None]
+    if check_horizon and np.any(units @ basis[..., 2, :, None] <= 0):
+        raise VisibilityError("anchor at or below the UE horizon")
+    return np.concatenate([units @ basis[..., 0, :, None],
+                           units @ basis[..., 1, :, None]], axis=-1)
+
+
+def unit_sigma_gdop(units_en: np.ndarray, reference_index: int) -> float:
     """GDOP of one anchor set's (N, 2) unit vectors with every range sigma at
     1 m, through `fim` and a TDOA covariance against `reference_index`; inf
     where degenerate."""
     ones = np.ones(len(units_en))
-    if kind is MeasurementKind.TDOA:
-        f = fim(geometry_jacobian(kind, units_en, reference_index),
-                tdoa_covariance(ones, reference_index))
-    else:
-        f = fim(geometry_jacobian(kind, units_en), np.diag(ones))
+    f = fim(geometry_jacobian(units_en, reference_index),
+            tdoa_covariance(ones, reference_index))
     eig = np.linalg.eigvalsh(f)
     return math.inf if eig[0] < DEGENERATE_EIGENVALUE else math.sqrt(float(np.sum(1.0 / eig)))
 
 
-def best_subset_indices(units_en: np.ndarray, serving_index: int, k: int,
-                        kind: MeasurementKind = MeasurementKind.TDOA) -> tuple[int, ...]:
+def best_subset_indices(units_en: np.ndarray, serving_index: int, k: int) -> tuple[int, ...]:
     """Reference for `min_gdop_subsets` on one drop's (N, 2) unit vectors:
     each k-subset containing the serving anchor scored alone by
     `unit_sigma_gdop`, in enumeration order. Ties go to the lexicographically
@@ -65,7 +75,7 @@ def best_subset_indices(units_en: np.ndarray, serving_index: int, k: int,
     best_gdop = math.inf
     for combo in itertools.combinations(others, k - 1):
         indices = tuple(sorted((serving_index,) + combo))
-        gdop = unit_sigma_gdop(units_en[list(indices)], indices.index(serving_index), kind)
+        gdop = unit_sigma_gdop(units_en[list(indices)], indices.index(serving_index))
         # Relative guard keeps the first (lexicographically smallest) subset
         # on exact ties reached through symmetric geometry.
         if gdop < best_gdop * (1.0 - 1e-10):
@@ -80,7 +90,7 @@ def best_subset_indices(units_en: np.ndarray, serving_index: int, k: int,
 def _units(ue: Geodetic, anchors: np.ndarray) -> np.ndarray:
     """(N, 2) unit vectors of the (N, 3) `anchors` in the local frame of `ue`."""
     ue_ecef, basis = enu_frames(ue.lat_rad, ue.lon_rad, ue.alt_m)
-    return unit_vectors_en(ue_ecef, anchors, basis)
+    return line_of_sight(ue_ecef, anchors, basis)[1]
 
 
 def _anchors_from_sky(ue: Geodetic, sky: list[tuple[float, float, float]]) -> np.ndarray:
@@ -170,13 +180,13 @@ class TestJacobian:
         ue = Geodetic(0.2, 0.4, 0.0)
         anchors = _anchors_from_sky(ue, [(0.0, math.pi / 2, 600e3),
                                          (1.0, 0.5, 900e3)])
-        J = geometry_jacobian(MeasurementKind.RTT, _units(ue, anchors))
+        J = geometry_jacobian(_units(ue, anchors))
         assert np.allclose(J[0], [0.0, 0.0], atol=1e-9)
 
     def test_due_east_anchor_at_45_degrees(self):
         ue = Geodetic(0.0, 0.0, 0.0)
         anchors = _anchors_from_sky(ue, [(math.pi / 2, math.pi / 4, 800e3)])
-        J = geometry_jacobian(MeasurementKind.RTT, _units(ue, anchors))
+        J = geometry_jacobian(_units(ue, anchors))
         assert J[0, 0] == pytest.approx(-math.cos(math.pi / 4), abs=1e-9)
         assert J[0, 1] == pytest.approx(0.0, abs=1e-9)
 
@@ -186,19 +196,17 @@ class TestJacobian:
         with pytest.raises(VisibilityError):
             _units(ue, anchors)
 
-    @pytest.mark.parametrize("kind", [MeasurementKind.RTT, MeasurementKind.TDOA])
-    def test_stacked_geometry_jacobian_matches_single(self, kind):
+    @pytest.mark.parametrize("ref", [None, 0], ids=["rtt", "tdoa"])
+    def test_stacked_geometry_jacobian_matches_single(self, ref):
         rng = np.random.default_rng(19)
         grid = hex_constellation(Geodetic(0.0, 0.0, 0.0), math.radians(13.0),
                                  math.radians(6.9), 780e3)
         lat = rng.uniform(-0.02, 0.02, 30)
         lon = rng.uniform(-0.02, 0.02, 30)
         ue_ecef, basis = enu_frames(lat, lon)
-        ref = 0 if kind is MeasurementKind.TDOA else None
-        stacked = geometry_jacobian(
-            kind, unit_vectors_en(ue_ecef, grid, basis), ref)
+        stacked = geometry_jacobian(line_of_sight(ue_ecef, grid, basis)[1], ref)
         for ue, b, rows in zip(ue_ecef, basis, stacked):
-            single = geometry_jacobian(kind, unit_vectors_en(ue, grid, b), ref)
+            single = geometry_jacobian(line_of_sight(ue, grid, b)[1], ref)
             assert np.allclose(rows, single, rtol=0.0, atol=1e-12)
 
     def test_stacked_below_horizon_raises(self):
@@ -207,25 +215,26 @@ class TestJacobian:
         bad = _anchors_from_sky(ue, [(0.3, -0.05, 2000e3)])
         ue_ecef, basis = enu_frames(np.zeros(2), np.zeros(2))
         with pytest.raises(VisibilityError):
-            unit_vectors_en(ue_ecef, np.stack([good, bad]), basis)
+            line_of_sight(ue_ecef, np.stack([good, bad]), basis)
 
-    @pytest.mark.parametrize("kind", [MeasurementKind.RTT, MeasurementKind.TDOA])
-    def test_finite_difference_oracle(self, kind):
+    @pytest.mark.parametrize("ref", [None, 0], ids=["rtt", "tdoa"])
+    def test_finite_difference_oracle(self, ref):
         rng = np.random.default_rng(21)
         for _ in range(100):
-            assert_jacobian_matches_fd(rng, kind, rel_tol=1e-6)
+            assert_jacobian_matches_fd(rng, ref, rel_tol=1e-6)
 
 
-def observables(kind, anchors, ref, ue_ecef):
+def observables(anchors, ref, ue_ecef):
     ranges = np.linalg.norm(anchors - ue_ecef, axis=1)
-    if kind is MeasurementKind.RTT:
+    if ref is None:
         return ranges
     keep = np.delete(np.arange(len(anchors)), ref)
     return ranges[keep] - ranges[ref]
 
 
-def assert_jacobian_matches_fd(rng, kind, rel_tol, step_m=0.1):
-    """Independent central-difference check of the analytic rows."""
+def assert_jacobian_matches_fd(rng, ref, rel_tol, step_m=0.1):
+    """Independent central-difference check of the analytic rows: of ranges
+    when `ref` is None, else of range differences against anchor `ref`."""
     ue = Geodetic(rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi), 0.0)
     n = int(rng.integers(2, 7))
     # keep azimuths separated so TDOA rows cannot nearly cancel
@@ -234,8 +243,7 @@ def assert_jacobian_matches_fd(rng, kind, rel_tol, step_m=0.1):
     sky = [(float(az), float(rng.uniform(math.radians(10), math.radians(80))),
             float(rng.uniform(650e3, 24000e3))) for az in azimuths]
     anchors = _anchors_from_sky(ue, sky)
-    ref = 0 if kind is MeasurementKind.TDOA else None
-    analytic = geometry_jacobian(kind, _units(ue, anchors), ref)
+    analytic = geometry_jacobian(_units(ue, anchors), ref)
 
     def displaced(de, dn):
         r = EARTH_RADIUS_M + ue.alt_m
@@ -244,8 +252,8 @@ def assert_jacobian_matches_fd(rng, kind, rel_tol, step_m=0.1):
 
     fd = np.empty_like(analytic)
     for col, (de, dn) in enumerate([(step_m, 0.0), (0.0, step_m)]):
-        plus = observables(kind, anchors, ref, geodetic_to_ecef(displaced(de, dn)))
-        minus = observables(kind, anchors, ref, geodetic_to_ecef(displaced(-de, -dn)))
+        plus = observables(anchors, ref, geodetic_to_ecef(displaced(de, dn)))
+        minus = observables(anchors, ref, geodetic_to_ecef(displaced(-de, -dn)))
         fd[:, col] = (plus - minus) / (2.0 * step_m)
     # row-wise relative error; elevations <= 80 deg keep row norms well away
     # from zero, so the quotient is meaningful
@@ -324,7 +332,7 @@ class TestFim:
         eps = np.finfo(float).eps
         tol = 64 * eps * scale * variances.max() / variances.min()
         for r in range(len(sky)):
-            oracle = fim(geometry_jacobian(MeasurementKind.TDOA, units, r),
+            oracle = fim(geometry_jacobian(units, r),
                          tdoa_covariance(sigmas, r))
             assert np.all(np.abs(f - oracle) <= tol), r
         order = data.draw(st.permutations(range(len(sky))))
@@ -356,7 +364,7 @@ class TestPeb:
         orbit = ground_track_orbit(Geodetic(0.0, 0.0, 0.0), 600e3)
         anchors = make_virtual_anchors(orbit, 10.0, 10)
         ue = Geodetic(math.radians(0.05), 0.0, 0.0)
-        J = geometry_jacobian(MeasurementKind.RTT, _units(ue, anchors))
+        J = geometry_jacobian(_units(ue, anchors))
         _, _, degenerate = peb_arrays(fim_diagonal(J, np.full(10, 25.0)))
         assert degenerate
 
@@ -456,8 +464,8 @@ class TestSelection:
 
     @staticmethod
     def _batched(anchors: np.ndarray, ue: Geodetic, k: int,
-                 kind=MeasurementKind.TDOA, serving: int = 0) -> tuple[int, ...]:
-        return tuple(min_gdop_subsets(_units(ue, anchors)[None], serving, k, kind)[0])
+                 serving: int = 0) -> tuple[int, ...]:
+        return tuple(min_gdop_subsets(_units(ue, anchors)[None], serving, k)[0])
 
     def test_full_set_returned_when_k_equals_n(self):
         ue = Geodetic(0.1, 0.1, 0.0)
@@ -507,9 +515,8 @@ class TestSelection:
         ue = Geodetic(0.1, 0.1, 0.0)
         anchors = self._grid(ue)
         for k in (2, 3, 4, 6):
-            for kind in MeasurementKind:
-                assert self._batched(anchors, ue, k, kind) == best_subset_indices(
-                    _units(ue, anchors), 0, k, kind)
+            assert self._batched(anchors, ue, k) == best_subset_indices(
+                _units(ue, anchors), 0, k)
 
     def test_batched_symmetric_tie_breaks_to_lowest_indices(self):
         ue = Geodetic(0.0, 0.0, 0.0)
@@ -540,7 +547,7 @@ class TestSelection:
         lat = rng.uniform(-0.03, 0.03, 250)
         lon = rng.uniform(-0.03, 0.03, 250)
         ue_ecef, basis = enu_frames(lat, lon)
-        units = unit_vectors_en(ue_ecef, grid, basis)
+        units = line_of_sight(ue_ecef, grid, basis)[1]
         batched = min_gdop_subsets(units, 0, k)
         for drop, chosen in zip(units, batched):
             assert tuple(chosen) == best_subset_indices(drop, 0, k)
@@ -556,10 +563,9 @@ class TestSelection:
                  for _ in range(200)]
         ue_ecef = geodetic_to_ecef(ue)
         positions = np.stack(skies)
-        units = unit_vectors_en(np.broadcast_to(ue_ecef, (200, 3)), positions,
-                                np.broadcast_to(enu_frames(ue.lat_rad, ue.lon_rad)[1],
-                                                (200, 3, 3)))
-        for kind in MeasurementKind:
-            batched = min_gdop_subsets(units, 2, k, kind)
-            for drop, chosen in zip(units, batched):
-                assert tuple(chosen) == best_subset_indices(drop, 2, k, kind)
+        units = line_of_sight(np.broadcast_to(ue_ecef, (200, 3)), positions,
+                              np.broadcast_to(enu_frames(ue.lat_rad, ue.lon_rad)[1],
+                                              (200, 3, 3)))[1]
+        batched = min_gdop_subsets(units, 2, k)
+        for drop, chosen in zip(units, batched):
+            assert tuple(chosen) == best_subset_indices(drop, 2, k)

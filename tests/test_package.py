@@ -88,8 +88,6 @@ _UNREACHED = {
     # Past the Airy main lobe of the aperture pattern; no drop's off-axis
     # angle gets that far.
     "channel._miller_j1",
-    # The tests' Jacobian oracle, until the solver shares the bound's model.
-    "fisher.geometry_jacobian",
     # Criterion 9's orbital-speed spot check.
     "geometry.OrbitSpec.speed",
     # The reference that `substreams` reproduces, until the one-stream redraw.

@@ -10,13 +10,13 @@ from satpeb import channel, scenarios
 from satpeb.config import make_config
 from satpeb.constants import EARTH_RADIUS_M
 from satpeb.errors import StatisticsError
-from satpeb.fisher import min_gdop_subsets, unit_vectors_en
+from satpeb.fisher import line_of_sight, min_gdop_subsets
 from satpeb.geometry import (Geodetic, angle_between, enu_frames,
                              geodetic_to_ecef, ground_track_orbit,
                              make_virtual_anchors, propagate_circular_orbit)
 from satpeb.scenarios import (PebSampleSet, cap_half_angle, drop_ues, run, substream,
                               substreams, summarize, _Evaluator, _link_draws)
-from tests.test_fisher import best_subset_indices
+from tests.test_fisher import best_subset_indices, unit_vectors_en
 
 
 def _sample_set(values, degenerate=0):
@@ -221,7 +221,7 @@ class TestHiddenNeighbors:
         _, visible = evaluator.model.grid_dl_sigma(
             evaluator.grid, ue_ecef, *_link_draws(cfg.seed, "ml-link", 200, 7))
         assert np.count_nonzero((~visible).sum(axis=1) == 1) == 190
-        units = unit_vectors_en(ue_ecef, evaluator.grid, basis, check_horizon=False)
+        units = line_of_sight(ue_ecef, evaluator.grid, basis, check_horizon=False)[1]
         for k in (3, 4):
             batched = min_gdop_subsets(units, 0, k, visible=visible)
             for drop, shown, chosen in zip(units, visible, batched):
@@ -445,6 +445,27 @@ class TestStackedWindows:
         bundle = run(make_config("single-leo", n_ue_drops=7, measurement_times_s=times))
         assert len(bundle.cases) == n_times
         assert len(calls) == 2
+
+
+class TestLineOfSight:
+    """`fisher.line_of_sight` on the shapes the evaluator passes it, bit for
+    bit against the `unit_vectors_en` oracle and `np.linalg.norm`."""
+
+    @pytest.mark.parametrize("variant", ["single-leo", "multi-leo"])
+    def test_matches_oracle_on_scenario_shapes(self, variant):
+        evaluator = _Evaluator(make_config(variant, n_ue_drops=200))
+        ue_ecef, basis = enu_frames(evaluator.lat_rad, evaluator.lon_rad)
+        if variant == "single-leo":  # every window of the tag at once: (W, D, M)
+            windows, anchors = next(iter(evaluator.rtt_windows.values()))
+            positions, shape = anchors[:, None], (len(windows), 200, anchors.shape[1])
+        else:  # the hexagonal grid: (D, 7)
+            positions, shape = evaluator.grid, (200, 7)
+        ranges, units = line_of_sight(ue_ecef, positions, basis, check_horizon=False)
+        assert ranges.shape == shape and units.shape == shape + (2,)
+        assert np.array_equal(units, unit_vectors_en(ue_ecef, positions, basis,
+                                                     check_horizon=False))
+        assert np.array_equal(ranges, np.linalg.norm(positions - ue_ecef[..., None, :],
+                                                     axis=-1))
 
 
 class TestRunBundle:
