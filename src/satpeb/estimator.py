@@ -1,14 +1,16 @@
 """Validation oracle: synthetic measurements and a Gauss-Newton position
 solver, used to check that empirical RMSE approaches the computed bound.
 
-The solver fits the horizontal position at fixed altitude through the
-bound's own `line_of_sight` and `geometry_jacobian`. `validate` draws
-all trials in one call and solves up to `_BLOCK_TRIALS` of them per pass as
-stacked rows, each with its own convergence mask, so a row solves as it
-would alone. Every row of a pass starts at the same guess, so the pass's
-first step linearises once there and broadcasts that geometry over the rows;
-later steps linearise row by row. The normal equations stay LAPACK's solve,
-matrix by matrix, which keeps each row's bits those of a lone solve.
+The solver fits the horizontal position at fixed altitude to TOA rows with
+the bound's model: `line_of_sight`'s ranges and unit vectors, and a clock
+bias eliminated as `fim_diagonal(..., clock_bias=True)` eliminates it.
+`validate` draws all trials in one call and solves up to `_BLOCK_TRIALS` of
+them per pass as stacked rows, each with its own convergence mask, so a row
+solves as it would alone. Every row of a pass starts at the same guess, so
+the pass's first step linearises once there and broadcasts that geometry
+over the rows; later steps linearise row by row. The normal equations stay
+LAPACK's solve, matrix by matrix, which keeps each row's bits those of a
+lone solve.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError
-from .fisher import (DEGENERATE_EIGENVALUE, fim_diagonal, geometry_jacobian,
-                     line_of_sight, min_gdop_subsets, peb_arrays, tdoa_covariance)
+from .fisher import (DEGENERATE_EIGENVALUE, fim_diagonal, line_of_sight, min_gdop_subsets,
+                     peb_arrays, tdoa_covariance)
 from .geometry import Geodetic, enu_frames, hex_constellation
 from .constants import EARTH_RADIUS_M
 
@@ -47,8 +49,7 @@ class ValidationReport:
 
 
 def _observables(ranges: np.ndarray, ref: int | None) -> np.ndarray:
-    """The (..., N) `ranges`, or their differences against range `ref`, in
-    the order of `geometry_jacobian`'s rows."""
+    """The (..., N) `ranges`, or their differences against range `ref`."""
     if ref is None:
         return ranges
     return np.delete(ranges, ref, axis=-1) - ranges[..., ref, None]
@@ -84,15 +85,26 @@ def _smallest_eigenvalue(normal: np.ndarray) -> np.ndarray:
     return (a + d) / 2.0 - np.hypot((a - d) / 2.0, b)
 
 
-def _step(observed, lat, lon, alt_m, anchors, ref, weight) -> np.ndarray:
-    """(T, 2) Gauss-Newton steps of the (T, M) `observed` rows, linearised at
-    (T,) `lat`/`lon`, or at one (1,) point shared by every row, whose geometry
-    then broadcasts over the rows; temporaries die on return."""
+def _centred(residual: np.ndarray, units: np.ndarray, w: np.ndarray):
+    """The (..., N) `residual` and Jacobian rows -`units` (..., N, 2) of TOAs
+    sharing a clock bias, centred on their means under the 1/variance weights
+    `w` as `fim_diagonal(..., clock_bias=True)` centres; row-wise reductions
+    keep a stacked row's bits those of a lone one."""
+    total = np.sum(w)
+    return (residual - np.einsum("m,...m->...", w, residual)[..., None] / total,
+            np.einsum("m,...mk->...k", w, units)[..., None, :] / total - units)
+
+
+def _step(observed, lat, lon, alt_m, anchors, variances, clock_bias) -> np.ndarray:
+    """(T, 2) Gauss-Newton steps of the (T, N) `observed` TOA rows, linearised
+    at (T,) `lat`/`lon`, or at one (1,) point shared by every row, whose
+    geometry then broadcasts over the rows; temporaries die on return."""
     p, basis = enu_frames(lat, lon, alt_m)
     ranges, units = line_of_sight(p, anchors, basis)
-    J = geometry_jacobian(units, ref)
-    residual = observed - _observables(ranges, ref)
-    JtW = np.swapaxes(J, -1, -2) @ weight
+    w = 1.0 / variances
+    residual, J = (_centred(observed - ranges, units, w) if clock_bias
+                   else (observed - ranges, -units))
+    JtW = np.swapaxes(J * w[..., None], -1, -2)
     normal = JtW @ J
     if np.any(_smallest_eigenvalue(normal) < DEGENERATE_EIGENVALUE):
         raise DegenerateGeometryError(
@@ -102,23 +114,18 @@ def _step(observed, lat, lon, alt_m, anchors, ref, weight) -> np.ndarray:
     return np.linalg.solve(normal, JtW @ residual[..., None])[..., 0]
 
 
-def _gauss_newton(observed: np.ndarray, anchors: np.ndarray, ref: int | None,
-                  covariance: np.ndarray, guess: Geodetic, max_iterations: int,
-                  tolerance_m: float):
+def _gauss_newton(observed: np.ndarray, anchors: np.ndarray, variances: np.ndarray,
+                  clock_bias: bool, guess: Geodetic, max_iterations: int, tolerance_m: float):
     """Weighted Gauss-Newton over the horizontal position at fixed altitude,
-    for each row of the (T, M) `observed` `_observables` of the (N, 3)
-    `anchors`, all rows at once; returns (T,) latitude, longitude,
-    iteration-count and converged arrays.
+    for each row of the (T, N) `observed` TOAs of the (N, 3) `anchors`, all
+    rows at once, with `clock_bias` a bias common to a row's TOAs; returns
+    (T,) latitude, longitude, iteration-count and converged arrays.
 
     A row converges when its step norm drops below `tolerance_m`. A row whose
     step diverges restarts once with halved steps; one that still does not
     converge is flagged. A singular normal matrix raises
     DegenerateGeometryError."""
     observed = np.atleast_2d(observed)
-    try:
-        weight = np.linalg.inv(covariance)
-    except np.linalg.LinAlgError:
-        weight = np.eye(observed.shape[-1])  # noiseless / singular: unweighted
     r, rows = EARTH_RADIUS_M + guess.alt_m, np.arange(len(observed))
     lat, lon, iterations = np.empty(len(rows)), np.empty(len(rows)), np.zeros_like(rows)
     converged = np.zeros(len(rows), dtype=bool)
@@ -131,7 +138,7 @@ def _gauss_newton(observed: np.ndarray, anchors: np.ndarray, ref: int | None,
             at = active[:1] if shared else active
             shared = False
             delta = step_scale * _step(observed[active], lat[at], lon[at],
-                                       guess.alt_m, anchors, ref, weight)
+                                       guess.alt_m, anchors, variances, clock_bias)
             step = np.linalg.norm(delta, axis=-1)
             diverged = ~np.all(np.isfinite(delta), axis=-1) | (step > _DIVERGENCE_STEP_M)
             rows = np.concatenate([rows, active[diverged]])
@@ -164,7 +171,8 @@ def validate(n_trials: int = 2000, range_sigma_m: float = 1.0,
     """Monte Carlo bound-achievability check on the reference TDOA case,
     scenario "multi-leo-tdoa4", with every satellite's range sigma
     `range_sigma_m`. A trial count outside [1, MAX_TRIALS], or a range sigma
-    that is not positive and finite, raises ValueError."""
+    that is not positive and finite or gives no finite bound, raises
+    ValueError."""
     if not 1 <= n_trials <= MAX_TRIALS:
         raise ValueError(f"n_trials must lie in [1, {MAX_TRIALS:,}], got {n_trials}")
     if not 0.0 < range_sigma_m < math.inf:
@@ -174,10 +182,13 @@ def validate(n_trials: int = 2000, range_sigma_m: float = 1.0,
     units = line_of_sight(truth_ecef, anchors, truth_basis)[1]
     variances = np.full(len(anchors), range_sigma_m) ** 2
     bound = float(peb_arrays(fim_diagonal(units, variances, clock_bias=True))[0])
+    if not math.isfinite(bound):  # sigma**2 out of float range, or information below the gate
+        raise ValueError(f"range_sigma_m={range_sigma_m} gives no finite bound")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x76616c]))
-    observed = _simulate(truth, anchors, cov, rng, ref, n_trials)
+    # the drawn differences against `ref` enter as TOAs whose reference TOA is 0
+    observed = np.insert(_simulate(truth, anchors, cov, rng, ref, n_trials), ref, 0.0, axis=-1)
     blocks = np.split(observed, range(_BLOCK_TRIALS, n_trials, _BLOCK_TRIALS))
-    solved = [_gauss_newton(block, anchors, ref, cov, guess, MAX_ITERATIONS,
+    solved = [_gauss_newton(block, anchors, variances, True, guess, MAX_ITERATIONS,
                             STEP_TOLERANCE_M) for block in blocks]
     lat, lon, _, converged = (np.concatenate(column) for column in zip(*solved))
     estimate_ecef, _ = enu_frames(lat, lon, guess.alt_m)

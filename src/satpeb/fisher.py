@@ -6,9 +6,11 @@ RTT ranges are free of UE clock bias. TDOA takes downlink TOAs from perfectly
 synchronized anchors sharing one unknown UE clock bias, eliminated by a Schur
 complement: the equivalent FIM of Shen and Win (IEEE Trans. Inf. Theory, 2010)
 and the GNSS pseudorange model, as informative as TDOA against any reference.
-A case's information is a sum of independent `fim_diagonal` blocks, and
-`peb_arrays` turns it into the bound. The estimator shares the geometry:
-`line_of_sight` and `geometry_jacobian`.
+A block's Jacobian rows are the negated east/north UE->anchor unit vectors
+of `line_of_sight`. A case's information is a sum of independent
+`fim_diagonal` blocks, and `peb_arrays` turns it into the bound. The
+estimator's solver fits the same model: `line_of_sight`, and the clock bias
+eliminated by the same weighted centring of its rows.
 """
 
 from __future__ import annotations
@@ -83,22 +85,6 @@ def line_of_sight(ue_ecef: np.ndarray, positions: np.ndarray, basis: np.ndarray,
         raise VisibilityError("anchor at or below the UE horizon")
     return ranges, np.concatenate([units @ basis[..., 0, :, None],
                                    units @ basis[..., 1, :, None]], axis=-1)
-
-
-def geometry_jacobian(units_en: np.ndarray, reference_index: int | None = None) -> np.ndarray:
-    """Partials of the observables with respect to east/north UE
-    displacement at fixed altitude, from the anchor geometry alone: the
-    (..., N, 2) UE->anchor unit vectors of `line_of_sight`.
-
-    Range row i: d(range_i)/d(e,n) = -(east, north) of the UE->anchor_i unit
-    vector. With a `reference_index`, TDOA row i: d(range_i - range_ref)/d(e,n),
-    over the non-reference anchors in order. Broadcasts over leading axes.
-    """
-    if reference_index is None:
-        return -units_en
-    rows = np.delete(np.arange(units_en.shape[-2]), reference_index)
-    return (units_en[..., reference_index:reference_index + 1, :]
-            - units_en[..., rows, :])
 
 
 def fim_diagonal(J: np.ndarray, variances: np.ndarray,

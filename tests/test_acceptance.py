@@ -11,8 +11,7 @@ import pytest
 from satpeb.config import make_config
 from satpeb.errors import DegenerateGeometryError
 from satpeb.estimator import validate
-from satpeb.fisher import (fim_diagonal, geometry_jacobian, line_of_sight, peb_arrays,
-                           toa_range_sigma)
+from satpeb.fisher import fim_diagonal, line_of_sight, peb_arrays, toa_range_sigma
 from satpeb.geometry import (Geodetic, OrbitSpec, enu_frames, geodetic_to_ecef,
                              ground_track_orbit, make_virtual_anchors)
 from satpeb.scenarios import run
@@ -121,8 +120,8 @@ def test_criterion_3_gnss_leo(gnss_leo, gnss_only):
 def test_criterion_4_jacobian_oracle():
     rng = np.random.default_rng(2024)
     for trial in range(1000):
-        ref = None if trial % 2 == 0 else 0  # RTT ranges, then TDOA differences
-        assert_jacobian_matches_fd(rng, ref, rel_tol=1e-6)
+        # RTT ranges, then TOAs with the clock bias centred out
+        assert_jacobian_matches_fd(rng, trial % 2 == 1, rel_tol=1e-6)
     _report("4 (Jacobian finite-difference oracle)", True,
             "1000 random geometries, relative error < 1e-6")
 
@@ -154,11 +153,11 @@ def test_criterion_6_ground_track_degeneracy():
     sigma = np.full(10, 5.0)
     cov = np.diag(sigma**2)
     ue_ecef, basis = enu_frames(ue.lat_rad, ue.lon_rad, ue.alt_m)
-    J = geometry_jacobian(line_of_sight(ue_ecef, anchors, basis)[1])
+    J = -line_of_sight(ue_ecef, anchors, basis)[1]
     flagged = bool(peb_arrays(fim_diagonal(J, sigma**2))[2])
     observed = draw_one(ue, anchors, cov, np.random.default_rng(0))
     try:
-        solve_one(observed, anchors, None, cov, ue)
+        solve_one(observed, anchors, None, sigma**2, ue)
         solver_degenerate = False
     except DegenerateGeometryError:
         solver_degenerate = True
@@ -174,9 +173,9 @@ def test_criterion_7_crlb_achievability():
 
     from satpeb.estimator import reference_tdoa_case
     t, anchors, _, ref, guess = reference_tdoa_case(1.0)
-    zero = np.zeros((3, 3))
-    noiseless = draw_one(t, anchors, zero, np.random.default_rng(1), ref)
-    estimate, _, converged = solve_one(noiseless, anchors, ref, zero, guess)
+    noiseless = draw_one(t, anchors, np.zeros((3, 3)), np.random.default_rng(1), ref)
+    # weights do not move a noiseless fixed point; a zero variance would be an infinite one
+    estimate, _, converged = solve_one(noiseless, anchors, ref, np.ones(4), guess)
     recovery = np.linalg.norm(geodetic_to_ecef(estimate) - geodetic_to_ecef(t))
     recovery_ok = converged and recovery < 1e-3
     runtime_ok = elapsed < 30.0

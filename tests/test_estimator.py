@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satpeb import estimator
+from satpeb.constants import EARTH_RADIUS_M
 from satpeb.errors import DegenerateGeometryError, VisibilityError
 from satpeb.estimator import reference_tdoa_case, validate
-from satpeb.fisher import DEGENERATE_EIGENVALUE, tdoa_covariance
+from satpeb.fisher import (DEGENERATE_EIGENVALUE, fim_diagonal, line_of_sight, peb_arrays,
+                           tdoa_covariance)
 from satpeb.geometry import (Geodetic, enu_frames, geodetic_to_ecef,
                              ground_track_orbit, make_virtual_anchors)
+from tests.test_fisher import _anchors_from_sky, geometry_jacobian
 
 
 def draw_one(truth, anchors, covariance, rng, reference_index=None):
@@ -18,13 +23,22 @@ def draw_one(truth, anchors, covariance, rng, reference_index=None):
     return estimator._simulate(truth, anchors, covariance, rng, reference_index, 1)
 
 
-def solve_one(observed, anchors, reference_index, covariance, guess,
+def toas(observed, reference_index=None):
+    """Drawn rows as `validate` hands them to the solver: ranges as they are,
+    differences against `reference_index` as TOAs whose reference TOA is 0."""
+    if reference_index is None:
+        return observed
+    return np.insert(observed, reference_index, 0.0, axis=-1)
+
+
+def solve_one(observed, anchors, reference_index, variances, guess,
               max_iterations=estimator.MAX_ITERATIONS):
-    """`estimator._gauss_newton` on the one row of `observed`: (estimate,
-    iterations, converged)."""
+    """`estimator._gauss_newton` on the one drawn row of `observed`, with the
+    (N,) `variances` and, for differences against `reference_index`, the
+    clock bias: (estimate, iterations, converged)."""
     lat, lon, iterations, converged = (column.item() for column in estimator._gauss_newton(
-        observed, anchors, reference_index, covariance, guess, max_iterations,
-        estimator.STEP_TOLERANCE_M))
+        toas(observed, reference_index), anchors, variances, reference_index is not None,
+        guess, max_iterations, estimator.STEP_TOLERANCE_M))
     return Geodetic(lat, lon, guess.alt_m), iterations, converged
 
 
@@ -72,13 +86,14 @@ class TestSimulate:
                 assert abs(empirical[i, j] - cov[i, j]) < 3.0 * se
 
 
+# The noiseless solves weight by positive variances: a zero variance is an
+# infinite weight, and weights do not move a noiseless fixed point.
 class TestSolve:
     def test_noiseless_recovery_from_5km(self, tdoa_case):
         truth, anchors, _, ref, _ = tdoa_case
-        cov = np.zeros((3, 3))
-        observed = draw_one(truth, anchors, cov, np.random.default_rng(0), ref)
+        observed = draw_one(truth, anchors, np.zeros((3, 3)), np.random.default_rng(0), ref)
         guess = Geodetic(truth.lat_rad + 5e3 / 6371e3, truth.lon_rad, 0.0)
-        estimate, iterations, converged = solve_one(observed, anchors, ref, cov, guess)
+        estimate, iterations, converged = solve_one(observed, anchors, ref, np.ones(4), guess)
         assert converged
         assert iterations <= 50
         err = np.linalg.norm(geodetic_to_ecef(estimate) - geodetic_to_ecef(truth))
@@ -91,22 +106,21 @@ class TestSolve:
         cov = np.eye(10) * 25.0
         observed = draw_one(truth, anchors, cov, np.random.default_rng(3))
         with pytest.raises(DegenerateGeometryError):
-            solve_one(observed, anchors, None, cov, truth)
+            solve_one(observed, anchors, None, np.full(10, 25.0), truth)
 
     def test_guess_with_anchors_below_its_horizon_raises(self, tdoa_case):
         truth, anchors, cov, ref, _ = tdoa_case
         observed = draw_one(truth, anchors, cov, np.random.default_rng(0), ref)
         with pytest.raises(VisibilityError):  # a guess on the far side of the Earth
-            solve_one(observed, anchors, ref, cov, Geodetic(0.0, math.pi, 0.0))
+            solve_one(observed, anchors, ref, np.ones(4), Geodetic(0.0, math.pi, 0.0))
 
     def test_rtt_solve_matches_truth(self):
         orbit = ground_track_orbit(Geodetic(0.0, 0.0, 0.0), 600e3)
         anchors = make_virtual_anchors(orbit, 10.0, 10)
         truth = Geodetic(math.radians(0.05), math.radians(0.1), 0.0)
-        cov = np.zeros((10, 10))
-        observed = draw_one(truth, anchors, cov, np.random.default_rng(1))
+        observed = draw_one(truth, anchors, np.zeros((10, 10)), np.random.default_rng(1))
         # an on-track guess is singular by mirror symmetry; start beside it
-        estimate, _, converged = solve_one(observed, anchors, None, cov,
+        estimate, _, converged = solve_one(observed, anchors, None, np.full(10, 25.0),
                                            Geodetic(0.0, math.radians(0.02), 0.0))
         assert converged
         err = np.linalg.norm(geodetic_to_ecef(estimate) - geodetic_to_ecef(truth))
@@ -138,8 +152,14 @@ class TestValidate:
         with pytest.raises(ValueError, match="n_trials"):
             validate(n_trials=n_trials)
 
-    # 0 and NaN gave a NaN bound and ratio; -1 ran as +1, squared away.
-    @pytest.mark.parametrize("range_sigma_m", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
+    # 0 and NaN gave a NaN bound and ratio; -1 ran as +1, squared away. The
+    # square of 1e-170 underflows to 0 and that of 1e160 overflows, both to
+    # a NaN bound; 1e6 and 1e150 fall below the degenerate gate, and the
+    # solver raised DegenerateGeometryError on them.
+    # (NumPy warns as the extreme squares leave the float range.)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("range_sigma_m", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf,
+                                               1e-170, 1e160, 1e6, 1e150])
     def test_needs_a_positive_finite_range_sigma(self, range_sigma_m):
         with pytest.raises(ValueError, match="range_sigma_m"):
             validate(n_trials=5, range_sigma_m=range_sigma_m)
@@ -149,6 +169,11 @@ class TestValidate:
         assert report.mean_error_m < 0.1 * report.rmse_m
 
 
+_CRLB_GOLDEN = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "crlb-validate.json")
+    .read_text())
+
+
 def _trial_by_trial(seed, n_trials, **solve_kwargs):
     """Reference for `validate`: its stream, SeedSequence([seed, 0x76616c]),
     drawn one trial at a time with `draw_one` and each trial solved alone.
@@ -156,7 +181,7 @@ def _trial_by_trial(seed, n_trials, **solve_kwargs):
     truth, anchors, cov, ref, guess = reference_tdoa_case(1.0)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x76616c]))
     rows = [draw_one(truth, anchors, cov, rng, ref) for _ in range(n_trials)]
-    return truth, rows, [solve_one(row, anchors, ref, cov, guess, **solve_kwargs)
+    return truth, rows, [solve_one(row, anchors, ref, np.ones(4), guess, **solve_kwargs)
                          for row in rows]
 
 
@@ -188,8 +213,8 @@ class TestSolverPaths:
     @pytest.mark.parametrize("cap", [2, 3])
     def test_iteration_cap(self, cap):
         _, rows, free = _trial_by_trial(3, 50)
-        _, anchors, cov, ref, guess = reference_tdoa_case(1.0)
-        capped = [solve_one(row, anchors, ref, cov, guess, max_iterations=cap)
+        _, anchors, _, ref, guess = reference_tdoa_case(1.0)
+        capped = [solve_one(row, anchors, ref, np.ones(4), guess, max_iterations=cap)
                   for row in rows]
         for (_, free_iterations, _), (_, iterations, converged) in zip(free, capped):
             assert iterations == min(free_iterations, cap)
@@ -205,11 +230,12 @@ class TestSolverPaths:
         if threshold is not None:
             monkeypatch.setattr(estimator, "_DIVERGENCE_STEP_M", threshold)
         _, rows, _ = _trial_by_trial(4, 50)
-        _, anchors, cov, ref, guess = reference_tdoa_case(1.0)
-        alone = [solve_one(row, anchors, ref, cov, guess, max_iterations=cap)
+        _, anchors, _, ref, guess = reference_tdoa_case(1.0)
+        alone = [solve_one(row, anchors, ref, np.ones(4), guess, max_iterations=cap)
                  for row in rows]
         lat, lon, iterations, converged = estimator._gauss_newton(
-            np.concatenate(rows), anchors, ref, cov, guess, cap, estimator.STEP_TOLERANCE_M)
+            toas(np.concatenate(rows), ref), anchors, np.ones(4), True, guess, cap,
+            estimator.STEP_TOLERANCE_M)
         assert lat.tolist() == [estimate.lat_rad for estimate, _, _ in alone]
         assert lon.tolist() == [estimate.lon_rad for estimate, _, _ in alone]
         assert iterations.tolist() == [n for _, n, _ in alone]
@@ -251,65 +277,106 @@ class TestSolverPaths:
         validate(seed=0)
         assert calls == [2000]
 
-    # perfbench/golden/crlb-validate.json, copied here because that suite is
-    # not part of tier 1.
+    # The benchmark's gate figures, read from its golden file so that this
+    # check cannot drift from it.
     @pytest.mark.parametrize("seed, rmse_m, ratio", [
-        (0, 1.3689620640014828, 0.9967283665035659),
-        (1, 1.3663307957518598, 0.9948125649096098),
-        (2, 1.3606264760770936, 0.9906593035585797),
-        (3, 1.3401195996677178, 0.9757284402694523),
-        (4, 1.3684194487154726, 0.9963332934318666),
-        (5, 1.3757323256828506, 1.0016577301754463),
-        (6, 1.36240650122205, 0.9919553230771058),
-        (7, 1.3756446705360785, 1.0015939092898607),
-        (8, 1.36486419130455, 0.9937447440448),
-        (9, 1.3783871546283064, 1.0035906860898096),
-    ])
+        (int(seed), figures["rmse_m"], figures["ratio"])
+        for seed, figures in _CRLB_GOLDEN["seeds"].items()])
     def test_matches_benchmark_golden_figures(self, seed, rmse_m, ratio):
-        report = validate(n_trials=2000, seed=seed)
-        assert report.n_trials == 2000
-        assert report.peb_m == pytest.approx(1.3734555070441905, rel=1e-12, abs=0)
+        figures = _CRLB_GOLDEN["seeds"][str(seed)]
+        report = validate(n_trials=figures["n_trials"], seed=seed)
+        assert report.n_trials == figures["n_trials"]
+        assert report.peb_m == pytest.approx(figures["peb_m"], rel=1e-12, abs=0)
         assert report.rmse_m == pytest.approx(rmse_m, rel=1e-12, abs=0)
         assert report.ratio == pytest.approx(ratio, rel=1e-12, abs=0)
 
 
 def _problem(kind, n_trials):
-    """(observed, anchors, ref, covariance, guess) of `n_trials` draws:
-    "tdoa" the reference case; "rtt" a UE beside a single-LEO ground track,
-    whose on-track points are singular, with a guess beside the track."""
+    """(observed TOA rows, anchors, variances, ref, guess) of `n_trials`
+    draws with unequal sigmas: "tdoa" the reference case's satellites, with
+    differences against `ref` drawn as `validate` draws them; "rtt" a UE
+    beside a single-LEO ground track, whose on-track points are singular,
+    with a guess beside the track and `ref` None."""
     if kind == "tdoa":
-        truth, anchors, cov, ref, guess = reference_tdoa_case(1.0)
-        return (estimator._simulate(truth, anchors, cov, np.random.default_rng(5), ref,
-                                    n_trials), anchors, ref, cov, guess)
+        truth, anchors, _, ref, guess = reference_tdoa_case(1.0)
+        sigmas = np.array([1.0, 2.0, 0.5, 1.5])
+        drawn = estimator._simulate(truth, anchors, tdoa_covariance(sigmas, ref),
+                                    np.random.default_rng(5), ref, n_trials)
+        return toas(drawn, ref), anchors, sigmas**2, ref, guess
     orbit = ground_track_orbit(Geodetic(0.0, 0.0, 0.0), 600e3)
     anchors = make_virtual_anchors(orbit, 10.0, 10)
     truth = Geodetic(math.radians(0.05), math.radians(0.1), 0.0)
-    cov = np.eye(10) * 25.0
-    return (estimator._simulate(truth, anchors, cov, np.random.default_rng(1), None,
-                                n_trials), anchors, None, cov,
+    variances = np.linspace(16.0, 36.0, 10)
+    return (estimator._simulate(truth, anchors, np.diag(variances), np.random.default_rng(1),
+                                None, n_trials), anchors, variances, None,
             Geodetic(0.0, math.radians(0.02), 0.0))
 
 
-def _step_own_geometry(observed, lat, lon, alt_m, anchors, ref, keep, weight):
-    """`estimator._step` as it stood with its own copy of the anchor->UE
-    geometry, before it called `fisher.line_of_sight` and
-    `fisher.geometry_jacobian`: kept as the bit-for-bit oracle of that
-    sharing."""
+def _difference_step(observed, lat, lon, alt_m, anchors, variances, ref):
+    """`estimator._step` as it stood before it took TOAs and variances: the
+    (T, N) TOA rows `observed` as range differences against anchor `ref`, on
+    `geometry_jacobian`'s rows, weighted by the inverse of their covariance
+    `tdoa_covariance`; ranges weighted by their inverse variances where `ref`
+    is None. The oracle of the TOA form."""
     p, basis = enu_frames(lat, lon, alt_m)
-    units = p[:, None, :] - anchors  # anchor->UE, the direction of d(range)/d(UE)
-    ranges = np.sqrt(np.sum(units * units, axis=-1))
-    units /= ranges[..., None]
-    if np.any(np.sum(units * basis[:, None, 2], axis=-1) >= 0):
-        raise VisibilityError("anchor at or below the UE horizon")
-    J = np.concatenate([units @ basis[:, 0, :, None], units @ basis[:, 1, :, None]], axis=-1)
-    if ref is not None:
-        J, ranges = J[:, keep] - J[:, ref:ref + 1], ranges[:, keep] - ranges[:, ref, None]
+    ranges, units = line_of_sight(p, anchors, basis)
+    J = geometry_jacobian(units, ref)
+    if ref is None:
+        residual, weight = observed - ranges, np.diag(1.0 / variances)
+    else:
+        residual = ((np.delete(observed, ref, axis=-1) - observed[..., ref, None])
+                    - (np.delete(ranges, ref, axis=-1) - ranges[..., ref, None]))
+        weight = np.linalg.inv(tdoa_covariance(np.sqrt(variances), ref))
     JtW = np.swapaxes(J, -1, -2) @ weight
-    normal = JtW @ J
-    if np.any(estimator._smallest_eigenvalue(normal) < DEGENERATE_EIGENVALUE):
-        raise DegenerateGeometryError(
-            "normal equations do not constrain the horizontal position")
-    return np.linalg.solve(normal, JtW @ (observed - ranges)[..., None])[..., 0]
+    return np.linalg.solve(JtW @ J, JtW @ residual[..., None])[..., 0]
+
+
+def _rounding_bound(observed, lat, lon, alt_m, anchors, variances):
+    """A bound on what rounding may move a clock-bias step by: each residual
+    rounds by about eps * max|TOA|, and the step's gain from residuals is at
+    most PEB * sqrt(N * max(1/variance)), taken at the linearisation points."""
+    p, basis = enu_frames(lat, lon, alt_m)
+    units = line_of_sight(p, anchors, basis)[1]
+    peb = peb_arrays(fim_diagonal(units, variances, clock_bias=True))[0]
+    gain = peb * math.sqrt(len(variances) / np.min(variances))
+    return np.finfo(float).eps * np.max(np.abs(observed), axis=-1) * gain
+
+
+class TestToaForm:
+    """The TOA step with the clock bias centred out is the difference-form
+    step against any reference, with any sigmas; the reference case's equal
+    sigmas could not tell a weight left out of the centring."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-1.0, 1.0), st.floats(-math.pi, math.pi), st.floats(0.0, 2 * math.pi),
+           st.lists(st.tuples(st.floats(math.radians(10.0), math.radians(80.0)),
+                              st.floats(650e3, 24000e3), st.floats(-1.0, 3.0)),
+                    min_size=3, max_size=8),
+           st.floats(-1e4, 1e4), st.integers(0, 2**32 - 1))
+    def test_equals_difference_form_and_ignores_a_common_offset(self, lat, lon, heading, sky,
+                                                                offset_m, seed):
+        # Each anchor: elevation, range and log10 of its range sigma, at
+        # evenly separated azimuths, which keeps the geometry usable.
+        ue = Geodetic(lat, lon, 0.0)
+        azimuths = heading + np.linspace(0.0, 2 * math.pi, len(sky), endpoint=False)
+        anchors = _anchors_from_sky(ue, [(az, el, r) for az, (el, r, _) in zip(azimuths, sky)])
+        variances = 10.0 ** (2.0 * np.array([s for *_, s in sky]))
+        rng = np.random.default_rng(seed)
+        ranges = np.linalg.norm(anchors - geodetic_to_ecef(ue), axis=-1)
+        observed = ranges + np.sqrt(variances) * rng.standard_normal((4, len(sky)))
+        # one linearisation point up to 1 km from the UE, shared by the rows
+        lat_p, lon_p = np.array([lat]), np.array([lon])
+        lat_p += rng.uniform(-1e3, 1e3) / EARTH_RADIUS_M
+        lon_p += rng.uniform(-1e3, 1e3) / (EARTH_RADIUS_M * math.cos(lat))
+        step = estimator._step(observed, lat_p, lon_p, 0.0, anchors, variances, True)
+        bound = 4.0 * _rounding_bound(observed, lat_p, lon_p, 0.0, anchors, variances)
+        for ref in range(len(sky)):
+            oracle = _difference_step(observed, lat_p, lon_p, 0.0, anchors, variances, ref)
+            assert np.all(np.abs(step - oracle) <= bound[:, None]), ref
+        offset = observed + offset_m  # one constant on every TOA of a row
+        moved = estimator._step(offset, lat_p, lon_p, 0.0, anchors, variances, True)
+        bound = 4.0 * _rounding_bound(offset, lat_p, lon_p, 0.0, anchors, variances)
+        assert np.all(np.abs(moved - step) <= bound[:, None])
 
 
 class TestSharedLinearisation:
@@ -318,37 +385,41 @@ class TestSharedLinearisation:
 
     @pytest.mark.parametrize("kind", ["tdoa", "rtt"])
     def test_shared_point_equals_per_row_copies(self, kind):
-        observed, anchors, ref, cov, guess = _problem(kind, 300)
-        rows, weight = len(observed), np.linalg.inv(cov)
+        observed, anchors, variances, ref, guess = _problem(kind, 300)
+        rows, clock_bias = len(observed), ref is not None
         shared = estimator._step(observed, np.array([guess.lat_rad]), np.array([guess.lon_rad]),
-                                 guess.alt_m, anchors, ref, weight)
+                                 guess.alt_m, anchors, variances, clock_bias)
         copies = estimator._step(observed, np.full(rows, guess.lat_rad),
-                                 np.full(rows, guess.lon_rad), guess.alt_m, anchors, ref,
-                                 weight)
+                                 np.full(rows, guess.lon_rad), guess.alt_m, anchors, variances,
+                                 clock_bias)
         assert shared.shape == (rows, 2)
         assert np.array_equal(shared, copies)
 
     @pytest.mark.parametrize("kind", ["tdoa", "rtt"])
-    def test_step_equals_own_geometry_oracle(self, kind):
-        observed, anchors, ref, cov, guess = _problem(kind, 300)
-        rows, weight = len(observed), np.linalg.inv(cov)
-        keep = None if ref is None else np.delete(np.arange(len(anchors)), ref)
+    def test_step_equals_difference_form_oracle(self, kind):
+        observed, anchors, variances, ref, guess = _problem(kind, 300)
+        rows = len(observed)
         # per-row points up to 0.01 deg from the guess, which keeps the RTT
         # points off the singular ground track
         offsets = np.radians(np.random.default_rng(8).uniform(-0.01, 0.01, (2, rows)))
         for lat, lon in [(np.array([guess.lat_rad]), np.array([guess.lon_rad])),
                          (guess.lat_rad + offsets[0], guess.lon_rad + offsets[1])]:
-            step = estimator._step(observed, lat, lon, guess.alt_m, anchors, ref, weight)
+            step = estimator._step(observed, lat, lon, guess.alt_m, anchors, variances,
+                                   ref is not None)
+            oracle = _difference_step(observed, lat, lon, guess.alt_m, anchors, variances, ref)
             assert step.shape == (rows, 2)
-            assert np.array_equal(step, _step_own_geometry(
-                observed, lat, lon, guess.alt_m, anchors, ref, keep, weight))
+            if ref is None:  # no centring: only the weighting is written differently
+                assert np.allclose(step, oracle, rtol=1e-12, atol=0.0)
+            else:
+                bound = 4.0 * _rounding_bound(observed, lat, lon, guess.alt_m, anchors, variances)
+                assert np.all(np.abs(step - oracle) <= bound[:, None])
 
     @pytest.mark.parametrize("n_trials", [1, 7])
     def test_singular_guess_raises_for_any_row_count(self, n_trials):
-        observed, anchors, _, cov, _ = _problem("rtt", n_trials)
+        observed, anchors, variances, _, _ = _problem("rtt", n_trials)
         on_track = Geodetic(math.radians(0.05), 0.0, 0.0)
         with pytest.raises(DegenerateGeometryError):
-            estimator._gauss_newton(observed, anchors, None, cov, on_track,
+            estimator._gauss_newton(observed, anchors, variances, False, on_track,
                                     estimator.MAX_ITERATIONS, estimator.STEP_TOLERANCE_M)
 
     @staticmethod
@@ -437,10 +508,11 @@ def test_solver_invariant_under_frame_rotation(tdoa_case):
                     [0.0, 0.0, 1.0]])
 
     observed = draw_one(truth, anchors, cov, np.random.default_rng(17), ref)
-    base, _, base_converged = solve_one(observed, anchors, ref, cov, guess)
+    base, _, base_converged = solve_one(observed, anchors, ref, np.ones(4), guess)
 
     rot_guess = Geodetic(guess.lat_rad, guess.lon_rad + shift, guess.alt_m)
-    rotated, _, rotated_converged = solve_one(observed, anchors @ rot.T, ref, cov, rot_guess)
+    rotated, _, rotated_converged = solve_one(observed, anchors @ rot.T, ref, np.ones(4),
+                                              rot_guess)
 
     assert rotated_converged == base_converged
     assert rotated.lat_rad == pytest.approx(base.lat_rad, abs=1e-10)

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from satpeb.constants import EARTH_RADIUS_M
 from satpeb.errors import VisibilityError
-from satpeb.fisher import (DEGENERATE_EIGENVALUE, fim_diagonal, geometry_jacobian,
-                           line_of_sight, min_gdop_subsets, peb_arrays, rtt_range_sigma,
-                           tdoa_covariance, toa_range_sigma)
+from satpeb.estimator import _centred
+from satpeb.fisher import (DEGENERATE_EIGENVALUE, fim_diagonal, line_of_sight,
+                           min_gdop_subsets, peb_arrays, rtt_range_sigma, tdoa_covariance,
+                           toa_range_sigma)
 from satpeb.geometry import (Geodetic, enu_frames, geodetic_to_ecef,
                              ground_track_orbit, hex_constellation,
                              make_virtual_anchors)
@@ -33,6 +34,19 @@ def fim(J: np.ndarray, R: np.ndarray) -> np.ndarray:
         raise ValueError("singular measurement covariance") from None
     f = np.swapaxes(J, -1, -2) @ w
     return (f + np.swapaxes(f, -1, -2)) / 2.0
+
+
+def geometry_jacobian(units_en: np.ndarray, reference_index: int | None = None) -> np.ndarray:
+    """Reference for the rows the bound and the solver build from
+    `line_of_sight`'s (..., N, 2) unit vectors, as the package built them
+    before both took TDOA as TOA with a clock bias: range rows -units, or
+    with a `reference_index` the rows of range differences against it,
+    over the other anchors in order."""
+    if reference_index is None:
+        return -units_en
+    rows = np.delete(np.arange(units_en.shape[-2]), reference_index)
+    return (units_en[..., reference_index:reference_index + 1, :]
+            - units_en[..., rows, :])
 
 
 def unit_vectors_en(ue_ecef: np.ndarray, positions: np.ndarray, basis: np.ndarray,
@@ -180,13 +194,13 @@ class TestJacobian:
         ue = Geodetic(0.2, 0.4, 0.0)
         anchors = _anchors_from_sky(ue, [(0.0, math.pi / 2, 600e3),
                                          (1.0, 0.5, 900e3)])
-        J = geometry_jacobian(_units(ue, anchors))
+        J = -_units(ue, anchors)
         assert np.allclose(J[0], [0.0, 0.0], atol=1e-9)
 
     def test_due_east_anchor_at_45_degrees(self):
         ue = Geodetic(0.0, 0.0, 0.0)
         anchors = _anchors_from_sky(ue, [(math.pi / 2, math.pi / 4, 800e3)])
-        J = geometry_jacobian(_units(ue, anchors))
+        J = -_units(ue, anchors)
         assert J[0, 0] == pytest.approx(-math.cos(math.pi / 4), abs=1e-9)
         assert J[0, 1] == pytest.approx(0.0, abs=1e-9)
 
@@ -196,18 +210,24 @@ class TestJacobian:
         with pytest.raises(VisibilityError):
             _units(ue, anchors)
 
-    @pytest.mark.parametrize("ref", [None, 0], ids=["rtt", "tdoa"])
-    def test_stacked_geometry_jacobian_matches_single(self, ref):
+    @pytest.mark.parametrize("clock_bias", [False, True], ids=["rtt", "tdoa"])
+    def test_stacked_geometry_jacobian_matches_single(self, clock_bias):
+        # the rows the solver builds: -units, or weighted-centred ones
         rng = np.random.default_rng(19)
         grid = hex_constellation(Geodetic(0.0, 0.0, 0.0), math.radians(13.0),
                                  math.radians(6.9), 780e3)
         lat = rng.uniform(-0.02, 0.02, 30)
         lon = rng.uniform(-0.02, 0.02, 30)
+        w = 1.0 / rng.uniform(0.5, 2.0, len(grid)) ** 2
+
+        def rows(ue, basis):
+            ranges, units = line_of_sight(ue, grid, basis)
+            return _centred(ranges, units, w)[1] if clock_bias else -units
+
         ue_ecef, basis = enu_frames(lat, lon)
-        stacked = geometry_jacobian(line_of_sight(ue_ecef, grid, basis)[1], ref)
-        for ue, b, rows in zip(ue_ecef, basis, stacked):
-            single = geometry_jacobian(line_of_sight(ue, grid, b)[1], ref)
-            assert np.allclose(rows, single, rtol=0.0, atol=1e-12)
+        stacked = rows(ue_ecef, basis)
+        for ue, b, stacked_rows in zip(ue_ecef, basis, stacked):
+            assert np.allclose(stacked_rows, rows(ue, b), rtol=0.0, atol=1e-12)
 
     def test_stacked_below_horizon_raises(self):
         ue = Geodetic(0.0, 0.0, 0.0)
@@ -217,33 +237,38 @@ class TestJacobian:
         with pytest.raises(VisibilityError):
             line_of_sight(ue_ecef, np.stack([good, bad]), basis)
 
-    @pytest.mark.parametrize("ref", [None, 0], ids=["rtt", "tdoa"])
-    def test_finite_difference_oracle(self, ref):
+    @pytest.mark.parametrize("clock_bias", [False, True], ids=["rtt", "tdoa"])
+    def test_finite_difference_oracle(self, clock_bias):
         rng = np.random.default_rng(21)
         for _ in range(100):
-            assert_jacobian_matches_fd(rng, ref, rel_tol=1e-6)
+            assert_jacobian_matches_fd(rng, clock_bias, rel_tol=1e-6)
 
 
-def observables(anchors, ref, ue_ecef):
+def model_ranges(anchors, ue_ecef, w, clock_bias):
+    """Ranges from `ue_ecef` to the (N, 3) `anchors` by `np.linalg.norm`,
+    centred on their mean under the weights `w` where `clock_bias`."""
     ranges = np.linalg.norm(anchors - ue_ecef, axis=1)
-    if ref is None:
-        return ranges
-    keep = np.delete(np.arange(len(anchors)), ref)
-    return ranges[keep] - ranges[ref]
+    return ranges - np.sum(w * ranges) / np.sum(w) if clock_bias else ranges
 
 
-def assert_jacobian_matches_fd(rng, ref, rel_tol, step_m=0.1):
-    """Independent central-difference check of the analytic rows: of ranges
-    when `ref` is None, else of range differences against anchor `ref`."""
+def assert_jacobian_matches_fd(rng, clock_bias, rel_tol, step_m=0.1):
+    """Independent central-difference check of the rows the bound and the
+    solver build: -`line_of_sight(...)[1]` against the ranges, or where
+    `clock_bias` those rows weighted-centred by `estimator._centred` against
+    the weighted-centred ranges. Each sigma is proportional to its range, as
+    a free-space link's, so the weights differ without a draw from `rng`."""
     ue = Geodetic(rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi), 0.0)
     n = int(rng.integers(2, 7))
-    # keep azimuths separated so TDOA rows cannot nearly cancel
+    # keep azimuths separated so centred rows cannot nearly cancel
     azimuths = rng.uniform(0, 2 * math.pi) + np.linspace(0, 2 * math.pi, n,
                                                          endpoint=False)
     sky = [(float(az), float(rng.uniform(math.radians(10), math.radians(80))),
             float(rng.uniform(650e3, 24000e3))) for az in azimuths]
     anchors = _anchors_from_sky(ue, sky)
-    analytic = geometry_jacobian(_units(ue, anchors), ref)
+    ue_ecef, basis = enu_frames(ue.lat_rad, ue.lon_rad, ue.alt_m)
+    ranges, units = line_of_sight(ue_ecef, anchors, basis)
+    w = 1.0 / (ranges / 1e6) ** 2
+    analytic = _centred(ranges, units, w)[1] if clock_bias else -units
 
     def displaced(de, dn):
         r = EARTH_RADIUS_M + ue.alt_m
@@ -252,11 +277,13 @@ def assert_jacobian_matches_fd(rng, ref, rel_tol, step_m=0.1):
 
     fd = np.empty_like(analytic)
     for col, (de, dn) in enumerate([(step_m, 0.0), (0.0, step_m)]):
-        plus = observables(anchors, ref, geodetic_to_ecef(displaced(de, dn)))
-        minus = observables(anchors, ref, geodetic_to_ecef(displaced(-de, -dn)))
+        plus = model_ranges(anchors, geodetic_to_ecef(displaced(de, dn)), w, clock_bias)
+        minus = model_ranges(anchors, geodetic_to_ecef(displaced(-de, -dn)), w, clock_bias)
         fd[:, col] = (plus - minus) / (2.0 * step_m)
-    # row-wise relative error; elevations <= 80 deg keep row norms well away
-    # from zero, so the quotient is meaningful
+    # row-wise relative error; elevations <= 80 deg keep range rows well away
+    # from zero, so the quotient is meaningful. A centred row nears zero when
+    # its anchor dominates the weighted mean (down to 1.9e-3 over criterion
+    # 4's geometries), and the 1e-3 floor makes its check absolute.
     row_err = np.linalg.norm(analytic - fd, axis=1)
     row_norm = np.linalg.norm(fd, axis=1)
     assert np.all(row_err <= rel_tol * np.maximum(row_norm, 1e-3))
@@ -364,7 +391,7 @@ class TestPeb:
         orbit = ground_track_orbit(Geodetic(0.0, 0.0, 0.0), 600e3)
         anchors = make_virtual_anchors(orbit, 10.0, 10)
         ue = Geodetic(math.radians(0.05), 0.0, 0.0)
-        J = geometry_jacobian(_units(ue, anchors))
+        J = -_units(ue, anchors)
         _, _, degenerate = peb_arrays(fim_diagonal(J, np.full(10, 25.0)))
         assert degenerate
 
