@@ -81,6 +81,11 @@ _SERIES_MAX_ARG = 3.0
 _LOBE_SERIES = tuple((-1) ** k / (math.factorial(k) * math.factorial(k + 1))
                      for k in reversed(range(14)))
 _RESCALE_ABOVE = 1e150
+# Landau's bound |J1(x)| <= 0.7858 x^(-1/3) (J. Approx. Theory 103, 2000)
+# holds the lobe below antenna_gain's 1e-8 floor beyond this argument, so
+# the gain there is the floor without the recurrence, whose start order
+# would grow with x and overflow an integer for the x of a very narrow beam.
+_FLOOR_ARG = 1.5e6
 
 
 def _airy_lobe(x: np.ndarray) -> np.ndarray:
@@ -131,8 +136,11 @@ def antenna_gain(pattern: AntennaPattern, off_boresight_rad) -> float | np.ndarr
     else:
         # k*a product sized so the pattern crosses -3 dB at beamwidth/2.
         ka = _HALF_POWER_ARG / math.sin(pattern.beamwidth_rad / 2.0)
-        x = ka * np.sin(theta)
-        lobe = _airy_lobe(np.atleast_1d(x)).reshape(x.shape)
+        x = np.atleast_1d(ka * np.sin(theta))
+        lobe = np.zeros_like(x)
+        inside = x < _FLOOR_ARG
+        lobe[inside] = _airy_lobe(x[inside])
+        lobe = lobe.reshape(np.shape(theta))
         # Clamp pattern nulls to a deep but finite floor.
         gain = 20.0 * np.log10(np.maximum(np.abs(lobe), 1e-8))
     return float(gain) if gain.ndim == 0 else gain

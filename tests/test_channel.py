@@ -30,6 +30,19 @@ class TestAntennaPattern:
         gains = antenna_gain(pattern, grid)
         assert np.all(np.diff(gains) <= 1e-12)
 
+    def test_very_narrow_beam_floors_off_boresight_gain(self):
+        # A 1e-190 degree beam puts the Airy argument far past any integer
+        # recurrence order; the gain away from boresight is the 1e-8 floor.
+        pattern = AntennaPattern(math.radians(1e-190), "bessel-aperture")
+        gains = antenna_gain(pattern, np.array([0.0, 1e-16, 0.1, math.pi / 2]))
+        assert gains[0] == 0.0
+        assert np.all(gains[1:] == -160.0)
+
+    def test_floor_argument_lies_below_the_floor(self):
+        # Just below the switch the recurrence itself is already at the floor.
+        x = np.linspace(channel._FLOOR_ARG - 100.0, channel._FLOOR_ARG, 5)
+        assert np.all(np.abs(channel._airy_lobe(x)) < 1e-8)
+
     def test_rejects_out_of_range_angle(self):
         with pytest.raises(ValueError):
             antenna_gain(BESSEL, -0.1)
