@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DegenerateGeometryError
 from .fisher import (DEGENERATE_EIGENVALUE, fim_diagonal, line_of_sight, min_gdop_subsets,
                      peb_arrays, tdoa_covariance)
-from .geometry import Geodetic, enu_frames, hex_constellation
+from .geometry import Geodetic, enu_frames, hex_constellation, wrap_longitude
 from .constants import EARTH_RADIUS_M
 
 MAX_ITERATIONS = 50
@@ -145,8 +145,7 @@ def _gauss_newton(observed: np.ndarray, anchors: np.ndarray, variances: np.ndarr
             active, delta, step = active[~diverged], delta[~diverged], step[~diverged]
             lat[active], lon[active] = (
                 np.clip(lat[active] + delta[:, 1] / r, -math.pi / 2, math.pi / 2),
-                (lon[active] + delta[:, 0] / (r * np.cos(lat[active])) + math.pi)
-                % (2.0 * math.pi) - math.pi)
+                wrap_longitude(lon[active] + delta[:, 0] / (r * np.cos(lat[active]))))
             converged[active] = step < tolerance_m
             active = active[~converged[active]]
     return lat, lon, iterations, converged

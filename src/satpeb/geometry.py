@@ -18,7 +18,8 @@ import numpy as np
 from .constants import EARTH_RADIUS_M, MU_EARTH
 
 
-def _wrap_longitude(lon: float) -> float:
+def wrap_longitude(lon):
+    """Longitude in radians, or an array of them, wrapped into [-pi, pi)."""
     return (lon + math.pi) % (2.0 * math.pi) - math.pi
 
 
@@ -36,7 +37,7 @@ class Geodetic:
             raise ValueError("geodetic components must be finite")
         if not -math.pi / 2 <= self.lat_rad <= math.pi / 2:
             raise ValueError(f"latitude {self.lat_rad} outside [-pi/2, pi/2]")
-        object.__setattr__(self, "lon_rad", _wrap_longitude(self.lon_rad))
+        object.__setattr__(self, "lon_rad", wrap_longitude(self.lon_rad))
 
 
 @dataclass(frozen=True)
@@ -75,15 +76,6 @@ def geodetic_to_ecef(g: Geodetic) -> np.ndarray:
         r * cl * math.sin(g.lon_rad),
         r * math.sin(g.lat_rad),
     ])
-
-
-def ecef_to_geodetic(p: np.ndarray) -> Geodetic:
-    r = float(np.linalg.norm(p))
-    if r == 0.0:
-        raise ValueError("cannot convert the Earth center to geodetic")
-    lat = math.asin(np.clip(p[2] / r, -1.0, 1.0))
-    lon = math.atan2(p[1], p[0])
-    return Geodetic(lat, lon, r - EARTH_RADIUS_M)
 
 
 def enu_frames(lat_rad, lon_rad, alt_m=0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -150,18 +142,6 @@ def make_virtual_anchors(spec: OrbitSpec, measurement_time_s: float,
         raise ValueError("at least two virtual anchors are required")
     return propagate_circular_orbit(spec, np.linspace(
         -measurement_time_s / 2.0, measurement_time_s / 2.0, n_anchors))
-
-
-def destination_point(origin: Geodetic, bearing_rad: float,
-                      angular_distance_rad: float) -> Geodetic:
-    """Great-circle destination from `origin` along `bearing` (clockwise from
-    north) through the given Earth-central angle; altitude preserved."""
-    sd, cd = math.sin(angular_distance_rad), math.cos(angular_distance_rad)
-    s1, c1 = math.sin(origin.lat_rad), math.cos(origin.lat_rad)
-    lat2 = math.asin(max(-1.0, min(1.0, s1 * cd + c1 * sd * math.cos(bearing_rad))))
-    lon2 = origin.lon_rad + math.atan2(
-        math.sin(bearing_rad) * sd * c1, cd - s1 * math.sin(lat2))
-    return Geodetic(lat2, lon2, origin.alt_m)
 
 
 def hex_constellation(center: Geodetic, lon_gap_rad: float, lat_gap_rad: float,

@@ -34,12 +34,14 @@ read directly.
 Determinism: every random quantity is drawn from a substream keyed by
 (seed, stream tag, drop index[, element index]), so results are a pure
 function of (config, seed), and adding drops never perturbs earlier ones.
-The streams of one tag are seeded in batch: `substreams` runs NumPy's
-SeedSequence hashing for all of them as one uint32 array pass, derives each
-stream's PCG64 state from it, and re-seeds one Generator in place per
-stream, so its draws equal the scalar `substream`'s bit for bit. NumPy keeps
-both algorithms fixed (its stream-compatibility policy, NEP 19); should a
-release change either, the oracle test against `substream` fails.
+Every random array of a run comes from one call of `substream_draws`, the
+only code that knows how the streams are laid out: it runs NumPy's
+SeedSequence hashing for all streams of a tag as one uint32 array pass,
+derives each stream's PCG64 state from it, and fills the stream's row of
+uniforms (and normals) from one Generator re-seeded in place, so every row
+equals the scalar `substream`'s draws bit for bit. NumPy keeps both
+algorithms fixed (its stream-compatibility policy, NEP 19); should a release
+change either, the oracle test against `substream` fails.
 Link-level draws are shared across measurement times and cases of one run
 (common random numbers), which makes the more-information-never-hurts
 comparisons hold sample by sample.
@@ -49,7 +51,6 @@ from __future__ import annotations
 
 import math
 import zlib
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,10 +62,9 @@ from .constants import EARTH_RADIUS_M
 from .errors import ConfigError, StatisticsError
 from .fisher import (fim_diagonal, line_of_sight, min_gdop_subsets, peb_arrays,
                      rtt_range_sigma, toa_range_sigma)
-from .geometry import (Geodetic, angle_between, destination_point,
-                       ecef_to_geodetic, enu_frames, geodetic_to_ecef,
+from .geometry import (Geodetic, angle_between, enu_frames, geodetic_to_ecef,
                        ground_track_orbit, make_virtual_anchors, hex_constellation,
-                       propagate_circular_orbit)
+                       wrap_longitude)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +106,7 @@ class RunBundle:
 
 def substream(seed: int, *keys) -> np.random.Generator:
     """Deterministic RNG substream; string keys are hashed stably. The scalar
-    reference of `substreams`, which the run draws through."""
+    reference of `substream_draws`, which the run draws through."""
     ints = [int(seed)]
     for k in keys:
         ints.append(zlib.crc32(k.encode()) if isinstance(k, str) else int(k))
@@ -169,17 +169,20 @@ def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
     return (state[0::2] | state[1::2] << 32).T
 
 
-def substreams(seed: int, tag: str, n: int, *inner: int) -> Iterator[np.random.Generator]:
-    """The generators `substream(seed, tag, i, *j)` for every i < n and every
-    j in `np.ndindex(inner)`, in C order, bit for bit. All their SeedSequence
-    hashes run as one array pass; one PCG64 is then re-seeded in place with
-    each stream's state, so a yielded generator must be used before the next
-    is asked for."""
+def substream_draws(seed: int, tag: str, shape: tuple[int, ...],
+                    n_normal: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Uniforms of `shape` and standard normals of `shape[:-1] + (n_normal,)`:
+    for every index j of `shape[:-1]`, the row j of both is what
+    `substream(seed, tag, *j)` draws first, uniforms before normals, bit for
+    bit. All the streams' SeedSequence hashes run as one array pass; one
+    PCG64 is then re-seeded in place with each stream's state and fills its
+    rows."""
     seed = int(seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    if n > 1 << 32 or any(k > 1 << 32 for k in inner):
-        raise ValueError(f"substream indices must be below 2**32, got shape {(n, *inner)}")
+    *streams, n_uniform = shape
+    if any(k > 1 << 32 for k in streams):
+        raise ValueError(f"substream indices must be below 2**32, got shape {tuple(shape)}")
     # SeedSequence's entropy words: the seed's (one, or more from 2**32 on),
     # the tag's CRC, then one word per index.
     head = [seed & _MASK32]
@@ -187,20 +190,25 @@ def substreams(seed: int, tag: str, n: int, *inner: int) -> Iterator[np.random.G
         seed >>= 32
         head.append(seed & _MASK32)
     head.append(zlib.crc32(tag.encode()))
-    index = np.indices((n, *inner)).reshape(1 + len(inner), -1)
+    index = np.indices(streams).reshape(len(streams), math.prod(streams))
     entropy = np.empty((len(head) + len(index), index.shape[1]), np.uint32)
     entropy[:len(head)] = np.array(head, np.uint32)[:, None]
     entropy[len(head):] = index
+    uniforms = np.empty((index.shape[1], n_uniform))
+    normals = np.empty((index.shape[1], n_normal))
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
-    for s0, s1, q0, q1 in _pcg64_seeds(entropy).tolist():
+    for u, z, (s0, s1, q0, q1) in zip(uniforms, normals, _pcg64_seeds(entropy).tolist()):
         # pcg64_set_seed: initstate s0:s1, initseq q0:q1 (high:low), two LCG steps.
         inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
         state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
         bit_generator.state = {"bit_generator": "PCG64",
                                "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
-        yield rng
+        rng.random(out=u)
+        if n_normal:
+            rng.standard_normal(out=z)
+    return uniforms.reshape(shape), normals.reshape(*streams, n_normal)
 
 
 def cap_half_angle(altitude_m: float, beamwidth_rad: float) -> float:
@@ -218,24 +226,25 @@ def cap_half_angle(altitude_m: float, beamwidth_rad: float) -> float:
     return math.asin(r_sat / EARTH_RADIUS_M * math.sin(half_beam)) - half_beam
 
 
-def drop_ues(config: ScenarioConfig,
-             serving: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def drop_ues(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """(D,) latitudes and longitudes of ground UE positions uniform by area
-    over the beam's spherical cap, centered on the nadir of the serving
-    satellite's (3,) ECEF position. Drop i only consumes substream
-    (seed, "ue-drop", i)."""
-    nadir = ecef_to_geodetic(serving)
-    center = Geodetic(nadir.lat_rad, nadir.lon_rad, 0.0)
-    psi_max = cap_half_angle(nadir.alt_m, math.radians(config.link.beamwidth_deg))
-    cos_min = math.cos(psi_max)
-    lat, lon = np.empty((2, config.n_ue_drops))
-    for i, rng in enumerate(substreams(config.seed, "ue-drop", config.n_ue_drops)):
-        cos_psi = cos_min + (1.0 - cos_min) * rng.random()
-        bearing = 2.0 * math.pi * rng.random()
-        psi = math.acos(min(1.0, cos_psi))
-        ue = destination_point(center, bearing, psi)
-        lat[i], lon[i] = ue.lat_rad, ue.lon_rad
-    return lat, lon
+    over the beam's spherical cap about the coverage center, seen from the
+    nadir-pointed satellite at `leo_altitude_m` above it (the serving
+    satellite at t = 0). Drop i only consumes substream (seed, "ue-drop", i):
+    its central angle's cosine, then its bearing (clockwise from north)."""
+    lat0 = math.radians(config.center_lat_deg)
+    lon0 = wrap_longitude(math.radians(config.center_lon_deg))
+    cos_min = math.cos(cap_half_angle(config.leo_altitude_m,
+                                      math.radians(config.link.beamwidth_deg)))
+    draws, _ = substream_draws(config.seed, "ue-drop", (config.n_ue_drops, 2))
+    psi = np.arccos(np.minimum(1.0, cos_min + (1.0 - cos_min) * draws[:, 0]))
+    bearing = 2.0 * math.pi * draws[:, 1]
+    # The great-circle step from the center through psi along the bearing.
+    sd, cd = np.sin(psi), np.cos(psi)
+    s1, c1 = math.sin(lat0), math.cos(lat0)
+    lat = np.arcsin(np.clip(s1 * cd + c1 * sd * np.cos(bearing), -1.0, 1.0))
+    return lat, wrap_longitude(lon0 + np.arctan2(np.sin(bearing) * sd * c1,
+                                                 cd - s1 * np.sin(lat)))
 
 
 # ---------------------------------------------------------------------------
@@ -378,18 +387,6 @@ def case_table(config: ScenarioConfig) -> dict[str, tuple[Rtt | Tdoa | Gnss, ...
             for k in ks for r in flags}
 
 
-def _link_draws(seed: int, tag: str, n_drops: int,
-                n_links: int) -> tuple[np.ndarray, np.ndarray]:
-    """(D, n_links) LOS uniforms and shadowing normals, one substream per
-    drop, so a drop's draws do not depend on how many drops follow it."""
-    z_los = np.empty((n_drops, n_links))
-    z_shadow = np.empty((n_drops, n_links))
-    for los, shadow, rng in zip(z_los, z_shadow, substreams(seed, tag, n_drops)):
-        rng.random(out=los)
-        rng.standard_normal(out=shadow)
-    return z_los, z_shadow
-
-
 class _Evaluator:
     """Evaluates the config's case table over all of its drops."""
 
@@ -416,8 +413,7 @@ class _Evaluator:
                                           math.radians(config.lat_gap_deg),
                                           config.leo_altitude_m)
         self.model = _LinkModel(config, center)
-        # The grid's serving satellite sits where this orbit is at t = 0.
-        self.lat_rad, self.lon_rad = drop_ues(config, propagate_circular_orbit(orbit, 0.0))
+        self.lat_rad, self.lon_rad = drop_ues(config)
 
     def evaluate(self) -> dict[str, tuple[np.ndarray, ...]]:
         """Case id -> (D,) bound, GDOP and degenerate flag of every drop;
@@ -426,14 +422,17 @@ class _Evaluator:
         n = len(self.lat_rad)
         ue_ecef, basis = enu_frames(self.lat_rad, self.lon_rad)
         info = {}
-        # All windows of a tag in one pass, on the tag's one set of link draws.
+        # All windows of a tag in one pass, on the tag's one set of link
+        # draws: (D, M) LOS uniforms and (D, M) shadowing normals.
+        m = self.config.n_virtual_anchors
         for tag, (windows, anchors) in self.rtt_windows.items():
-            draws = _link_draws(seed, tag, n, self.config.n_virtual_anchors)
+            draws = substream_draws(seed, tag, (n, m), m)
             info.update(zip(windows, zip(*self._rtt(anchors, ue_ecef, basis, draws))))
         if self.grid is not None:
+            m = len(self.grid)
             grid = (line_of_sight(ue_ecef, self.grid, basis, check_horizon=False)[1],
-                    *self.model.grid_dl_sigma(self.grid, ue_ecef, *_link_draws(
-                        seed, "ml-link", n, len(self.grid))))
+                    *self.model.grid_dl_sigma(self.grid, ue_ecef, *substream_draws(
+                        seed, "ml-link", (n, m), m)))
         for block in self.blocks:
             if isinstance(block, Tdoa):
                 info[block] = self._tdoa(block.k, *grid)
@@ -486,10 +485,7 @@ class _Evaluator:
         information only through the east and north parts of its direction."""
         config, n_drops = self.config, len(self.lat_rad)
         # Per satellite: an elevation term, then an azimuth uniform.
-        draws = np.empty((n_drops, n, 2))
-        for row, rng in zip(draws.reshape(-1, 2),
-                            substreams(config.seed, "gnss-pos", n_drops, n)):
-            rng.random(out=row)
+        draws, _ = substream_draws(config.seed, "gnss-pos", (n_drops, n, 2))
         cos_zmax = math.cos(math.pi / 2 - math.radians(config.gnss_elevation_mask_deg))
         sin_el = cos_zmax + (1.0 - cos_zmax) * draws[..., 0]
         azimuth = 2.0 * math.pi * draws[..., 1]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from satpeb.constants import EARTH_RADIUS_M, MU_EARTH
-from satpeb.geometry import (Geodetic, OrbitSpec, destination_point,
-                             ecef_to_geodetic, enu_frames, geodetic_to_ecef,
+from satpeb.fisher import line_of_sight
+from satpeb.geometry import (Geodetic, OrbitSpec, enu_frames, geodetic_to_ecef,
                              ground_track_orbit, hex_constellation,
                              make_virtual_anchors, propagate_circular_orbit)
 
@@ -14,6 +14,12 @@ def _to_enu(point, origin: Geodetic) -> np.ndarray:
     """`point` in the east-north-up frame of `enu_frames` at `origin`."""
     ecef, basis = enu_frames(origin.lat_rad, origin.lon_rad, origin.alt_m)
     return basis @ (point - ecef)
+
+
+def _ecef_to_geodetic(p: np.ndarray) -> Geodetic:
+    """The inverse of `geodetic_to_ecef` on the sphere."""
+    r = float(np.linalg.norm(p))
+    return Geodetic(math.asin(p[2] / r), math.atan2(p[1], p[0]), r - EARTH_RADIUS_M)
 
 
 def _from_enu(enu, origin: Geodetic) -> np.ndarray:
@@ -56,7 +62,7 @@ class TestGeodeticEcef:
             g = Geodetic(rng.uniform(-math.pi / 2, math.pi / 2),
                          rng.uniform(-math.pi, math.pi),
                          rng.uniform(0.0, 2e6))
-            back = geodetic_to_ecef(ecef_to_geodetic(geodetic_to_ecef(g)))
+            back = geodetic_to_ecef(_ecef_to_geodetic(geodetic_to_ecef(g)))
             assert np.linalg.norm(back - geodetic_to_ecef(g)) < 1e-6
 
     def test_latitude_range_enforced(self):
@@ -235,7 +241,7 @@ class TestHexConstellation:
     def test_single_parallel_when_lat_gap_zero(self):
         grid = hex_constellation(Geodetic(0.0, 0.0, 0.0), math.radians(10.0),
                                  0.0, 780e3)
-        lats = [ecef_to_geodetic(p).lat_rad for p in grid]
+        lats = [_ecef_to_geodetic(p).lat_rad for p in grid]
         assert np.allclose(lats, 0.0, atol=1e-9)
         chord = np.linalg.norm(grid[2] - grid[0])
         expected = 2.0 * (EARTH_RADIUS_M + 780e3) * math.sin(math.radians(5.0))
@@ -248,19 +254,32 @@ class TestHexConstellation:
             assert abs(np.linalg.norm(p) - (EARTH_RADIUS_M + 780e3)) < 1.0
 
 
-class TestDestinationPoint:
-    def test_north_bearing_increases_latitude(self):
-        start = Geodetic(0.0, 0.0, 0.0)
-        out = destination_point(start, 0.0, 0.01)
-        assert out.lat_rad == pytest.approx(0.01, abs=1e-12)
-        assert out.lon_rad == pytest.approx(0.0, abs=1e-12)
+class TestSingleLeoTwin:
+    """The virtual anchors of one pass lie on a polar orbit over the beam
+    center and the Earth does not rotate, so a UE and its mirror across the
+    ground track see the same RTT ranges: a twin that the single-LEO bound,
+    a local one, cannot see. The hexagonal grid's satellites have
+    identities, and its range differences tell the twins apart."""
 
-    def test_preserves_central_angle(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            start = Geodetic(rng.uniform(-1.0, 1.0), rng.uniform(-3.0, 3.0), 0.0)
-            psi = rng.uniform(0.0, 0.5)
-            out = destination_point(start, rng.uniform(0, 2 * math.pi), psi)
-            a = geodetic_to_ecef(start) / EARTH_RADIUS_M
-            b = geodetic_to_ecef(out) / EARTH_RADIUS_M
-            assert math.acos(np.clip(a @ b, -1, 1)) == pytest.approx(psi, abs=1e-9)
+    @staticmethod
+    def _twins(dlon_deg):
+        """ECEF positions and ENU bases of the UEs at (0.1, +-dlon) degrees."""
+        return enu_frames(np.radians([0.1, 0.1]), np.radians([dlon_deg, -dlon_deg]))
+
+    @pytest.mark.parametrize("window_s", [2.0, 10.0])
+    @pytest.mark.parametrize("dlon_deg", [0.05, 0.2])
+    def test_mirrored_ues_see_equal_rtt_ranges(self, window_s, dlon_deg):
+        anchors = make_virtual_anchors(ground_track_orbit(Geodetic(0.0, 0.0), 600e3),
+                                       window_s, 10)
+        ue_ecef, basis = self._twins(dlon_deg)
+        ranges = line_of_sight(ue_ecef, anchors, basis)[0]
+        assert np.array_equal(ranges[0], ranges[1])
+
+    @pytest.mark.parametrize("dlon_deg", [0.05, 0.2])
+    def test_grid_range_differences_tell_twins_apart(self, dlon_deg):
+        grid = hex_constellation(Geodetic(0.0, 0.0), math.radians(13.0),
+                                 math.radians(6.9), 780e3)
+        ue_ecef, basis = self._twins(dlon_deg)
+        ranges = line_of_sight(ue_ecef, grid, basis)[0]
+        differences = ranges[:, 1:] - ranges[:, :1]  # against the serving satellite
+        assert np.max(np.abs(differences[0] - differences[1])) > 1e3

@@ -31,7 +31,8 @@ def test_exports_resolve():
 # `perfbench/layers.py` targets whose functions this package deleted, with
 # no command calling them; the benchmark records each as absent, 0 calls.
 _DELETED_LAYERS = ("fisher.best_subset_indices", "fisher.MeasurementSet", "fisher.jacobian",
-                   "fisher.fim", "fisher.peb", "geometry.enu_basis", "estimator.solve",
+                   "fisher.fim", "fisher.peb", "geometry.ecef_to_geodetic",
+                   "geometry.enu_basis", "geometry.destination_point", "estimator.solve",
                    "estimator.simulate_measurements")
 
 
@@ -90,7 +91,7 @@ _UNREACHED = {
     "channel._miller_j1",
     # Criterion 9's orbital-speed spot check.
     "geometry.OrbitSpec.speed",
-    # The reference that `substreams` reproduces, until the one-stream redraw.
+    # The oracle that `substream_draws` reproduces, until the one-stream redraw.
     "scenarios.substream",
 }
 

@@ -15,7 +15,7 @@ from satpeb.geometry import (Geodetic, angle_between, enu_frames,
                              geodetic_to_ecef, ground_track_orbit,
                              make_virtual_anchors, propagate_circular_orbit)
 from satpeb.scenarios import (PebSampleSet, cap_half_angle, drop_ues, run, substream,
-                              substreams, summarize, _Evaluator, _link_draws)
+                              substream_draws, summarize, _Evaluator)
 from tests.test_fisher import best_subset_indices, unit_vectors_en
 
 
@@ -34,6 +34,17 @@ def _columns_equal(a, b) -> bool:
 def _sample_columns(sample: PebSampleSet) -> tuple[np.ndarray, ...]:
     return (sample.ue_lat_rad, sample.ue_lon_rad, sample.peb_m, sample.gdop,
             sample.degenerate)
+
+
+# (latitude, longitude) of the coverage center in degrees: the default, a
+# mid-latitude one and one whose beam straddles the +-180 degree meridian.
+_CENTERS_DEG = pytest.mark.parametrize("center_deg", [
+    (0.0, 0.0), (45.0, 30.0), (-70.0, 179.95)], ids=["equator", "mid-latitude", "antimeridian"])
+
+
+def _centered_config(center_deg, **overrides):
+    lat, lon = center_deg
+    return make_config("single-leo", center_lat_deg=lat, center_lon_deg=lon, **overrides)
 
 
 class TestDropUes:
@@ -67,32 +78,51 @@ class TestDropUes:
         psi = cap_half_angle(altitude_m, math.radians(beamwidth_deg))
         assert psi == pytest.approx(lo, rel=1e-14, abs=0.0)
 
-    def test_drops_stay_inside_beam(self):
-        cfg = make_config("single-leo", n_ue_drops=200)
-        orbit = ground_track_orbit(Geodetic(0.0, 0.0, 0.0), cfg.leo_altitude_m)
-        serving = propagate_circular_orbit(orbit, 0.0)
-        beam_center = geodetic_to_ecef(Geodetic(0.0, 0.0, 0.0))
+    @_CENTERS_DEG
+    def test_drops_stay_inside_beam(self, center_deg):
+        cfg = _centered_config(center_deg, n_ue_drops=200)
+        center = Geodetic(*np.radians(center_deg))
+        serving = propagate_circular_orbit(ground_track_orbit(center, cfg.leo_altitude_m), 0.0)
+        beam_center = geodetic_to_ecef(center)
         half_beam = math.radians(cfg.link.beamwidth_deg) / 2.0
-        for lat, lon in zip(*drop_ues(cfg, serving)):
+        for lat, lon in zip(*drop_ues(cfg)):
             off = angle_between(beam_center - serving,
                                 geodetic_to_ecef(Geodetic(lat, lon, 0.0)) - serving)
             assert off <= half_beam + 1e-9
 
+    @_CENTERS_DEG
+    def test_drop_lies_at_its_drawn_angle_and_bearing(self, center_deg):
+        # Each drop is the great-circle step from the center through its
+        # drawn central angle psi along its drawn bearing, read back here
+        # from 3-D vectors, which do not wrap at +-180 degrees.
+        cfg = _centered_config(center_deg, n_ue_drops=200)
+        draws, _ = substream_draws(cfg.seed, "ue-drop", (200, 2))
+        cos_min = math.cos(cap_half_angle(cfg.leo_altitude_m,
+                                          math.radians(cfg.link.beamwidth_deg)))
+        psi = np.arccos(cos_min + (1.0 - cos_min) * draws[:, 0])
+        bearing = 2.0 * math.pi * draws[:, 1]
+        (center,), ((east, north, up),) = enu_frames(*np.radians([center_deg]).T)
+        lat, lon = drop_ues(cfg)
+        assert np.all((-math.pi <= lon) & (lon < math.pi))
+        ue = enu_frames(lat, lon)[0]
+        along = ue @ up
+        across = np.linalg.norm(np.cross(ue, up), axis=1)
+        assert np.allclose(np.arctan2(across, along), psi, rtol=0.0, atol=1e-12)
+        turn = np.arctan2(ue @ east, ue @ north) - bearing
+        assert np.allclose((turn + math.pi) % (2.0 * math.pi) - math.pi, 0.0,
+                           rtol=0.0, atol=1e-12)
+
     def test_seed_determinism(self):
         cfg = make_config("single-leo", n_ue_drops=50)
-        orbit = ground_track_orbit(Geodetic(0.0, 0.0, 0.0), cfg.leo_altitude_m)
-        serving = propagate_circular_orbit(orbit, 0.0)
-        a = drop_ues(cfg, serving)
-        b = drop_ues(cfg, serving)
+        a = drop_ues(cfg)
+        b = drop_ues(cfg)
         assert _columns_equal(a, b)
-        c = drop_ues(make_config("single-leo", n_ue_drops=50, seed=1), serving)
+        c = drop_ues(make_config("single-leo", n_ue_drops=50, seed=1))
         assert not _columns_equal(a, c)
 
     def test_drop_count_change_preserves_prefix(self):
-        orbit = ground_track_orbit(Geodetic(0.0, 0.0, 0.0), 600e3)
-        serving = propagate_circular_orbit(orbit, 0.0)
-        small = drop_ues(make_config("single-leo", n_ue_drops=20), serving)
-        large = drop_ues(make_config("single-leo", n_ue_drops=60), serving)
+        small = drop_ues(make_config("single-leo", n_ue_drops=20))
+        large = drop_ues(make_config("single-leo", n_ue_drops=60))
         assert _columns_equal((large[0][:20], large[1][:20]), small)
 
 
@@ -219,7 +249,7 @@ class TestHiddenNeighbors:
         evaluator = _Evaluator(cfg)
         ue_ecef, basis = enu_frames(evaluator.lat_rad, evaluator.lon_rad)
         _, visible = evaluator.model.grid_dl_sigma(
-            evaluator.grid, ue_ecef, *_link_draws(cfg.seed, "ml-link", 200, 7))
+            evaluator.grid, ue_ecef, *substream_draws(cfg.seed, "ml-link", (200, 7), 7))
         assert np.count_nonzero((~visible).sum(axis=1) == 1) == 190
         units = line_of_sight(ue_ecef, evaluator.grid, basis, check_horizon=False)[1]
         for k in (3, 4):
@@ -356,17 +386,16 @@ class TestSpans:
         # (and per GNSS satellite), whatever the number of cases; all of
         # them come from the batched helper, none from the scalar one
         streams = []
-        real = scenarios.substreams
+        real = scenarios.substream_draws
 
-        def counted(*args):
-            for rng in real(*args):
-                streams.append(args[:2])
-                yield rng
+        def counted(seed, tag, shape, n_normal=0):
+            streams.extend([tag] * math.prod(shape[:-1]))
+            return real(seed, tag, shape, n_normal)
 
         def scalar(*args):
             pytest.fail(f"substream{args} called on the run path")
 
-        monkeypatch.setattr(scenarios, "substreams", counted)
+        monkeypatch.setattr(scenarios, "substream_draws", counted)
         monkeypatch.setattr(scenarios, "substream", scalar)
         run(make_config(variant, n_ue_drops=7))
         assert len(streams) == per_drop * 7
@@ -382,47 +411,54 @@ class TestSpans:
 _TAGS = ["ue-drop", "sl-link", "ml-link", "ml-rtt", "gl-link", "gnss-pos", "ß-λ-衛星"]
 
 
-def _draws(rng) -> np.ndarray:
-    return np.concatenate([rng.random(5), rng.standard_normal(5)]).view(np.uint64)
-
-
-def _assert_matches_scalar(seed, tag, n, inner):
-    streams = substreams(seed, tag, n, *inner)
-    for i in range(n):
-        for j in np.ndindex(*inner):
-            assert np.array_equal(_draws(next(streams)), _draws(substream(seed, tag, i, *j))), \
-                (seed, tag, i, j)
-    assert next(streams, None) is None
+def _assert_matches_scalar(seed, tag, shape, n_normal):
+    uniforms, normals = substream_draws(seed, tag, shape, n_normal)
+    assert uniforms.shape == shape and normals.shape == (*shape[:-1], n_normal)
+    for j in np.ndindex(*shape[:-1]):
+        rng = substream(seed, tag, *j)
+        assert np.array_equal(uniforms[j].view(np.uint64),
+                              rng.random(shape[-1]).view(np.uint64)), (seed, tag, j)
+        assert np.array_equal(normals[j].view(np.uint64),
+                              rng.standard_normal(n_normal).view(np.uint64)), (seed, tag, j)
 
 
 class TestSubstreams:
     # `substream` (one SeedSequence per stream) is the oracle: the batched
-    # seeding must reproduce NumPy's SeedSequence and PCG64 bit for bit.
+    # seeding must reproduce NumPy's SeedSequence and PCG64 bit for bit, in
+    # uniform-only and in uniform-and-normal rows.
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**64 - 1), st.sampled_from(_TAGS) | st.text(max_size=6),
-           st.integers(1, 5), st.lists(st.integers(1, 3), max_size=2))
-    def test_streams_equal_scalar_substreams(self, seed, tag, n, inner):
-        _assert_matches_scalar(seed, tag, n, inner)
+           st.integers(1, 5), st.lists(st.integers(1, 3), max_size=2),
+           st.integers(0, 4), st.integers(0, 4))
+    def test_streams_equal_scalar_substreams(self, seed, tag, n, inner, n_uniform, n_normal):
+        _assert_matches_scalar(seed, tag, (n, *inner, n_uniform), n_normal)
 
     @pytest.mark.parametrize("inner", [(), (2,), (3,)])
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
     def test_seed_word_boundaries(self, seed, inner):
         for tag in _TAGS:
-            _assert_matches_scalar(seed, tag, 4, inner)
-            _assert_matches_scalar(seed, tag, 1, inner)
+            for n in (4, 1):
+                _assert_matches_scalar(seed, tag, (n, *inner, 2), 0)
+                _assert_matches_scalar(seed, tag, (n, *inner, 3), 3)
 
     @pytest.mark.parametrize("inner", [(), (3,)])
     def test_more_streams_keep_earlier_streams(self, inner):
-        short = [_draws(rng) for rng in substreams(7, "sl-link", 6, *inner)]
-        long = [_draws(rng) for rng in substreams(7, "sl-link", 11, *inner)]
-        assert len(long) == len(short) + 5 * math.prod(inner)
-        assert all(np.array_equal(a, b) for a, b in zip(short, long))
+        for n_normal in (0, 4):
+            short = substream_draws(7, "sl-link", (6, *inner, 4), n_normal)
+            long = substream_draws(7, "sl-link", (11, *inner, 4), n_normal)
+            assert all(np.array_equal(a, b[:6]) for a, b in zip(short, long))
 
-    @pytest.mark.parametrize("seed, shape", [(-1, (1,)), (0, (2**32 + 1,)), (0, (1, 2**32 + 1))])
-    def test_rejects_what_needs_other_words(self, seed, shape):
-        # an index of 2**32 or more would take a second entropy word
+    @pytest.mark.parametrize("seed, shape", [
+        (-1, (1, 2)), (0, (2**32 + 1, 2)), (0, (1, 2**32 + 1, 2))])
+    def test_rejects_what_needs_other_words(self, seed, shape, monkeypatch):
+        # an index of 2**32 or more would take a second entropy word; the
+        # check runs before any array of that size is made
+        def indices(*args):
+            pytest.fail("stream indices built before the check")
+
+        monkeypatch.setattr(np, "indices", indices)
         with pytest.raises(ValueError):
-            next(substreams(seed, "ue-drop", *shape))
+            substream_draws(seed, "ue-drop", shape)
 
 
 class TestStackedWindows:
