@@ -101,7 +101,7 @@ class TestDropUes:
                                           math.radians(cfg.link.beamwidth_deg)))
         psi = np.arccos(cos_min + (1.0 - cos_min) * draws[:, 0])
         bearing = 2.0 * math.pi * draws[:, 1]
-        (center,), ((east, north, up),) = enu_frames(*np.radians([center_deg]).T)
+        east, north, up = enu_frames(*np.radians(center_deg))[1]
         lat, lon = drop_ues(cfg)
         assert np.all((-math.pi <= lon) & (lon < math.pi))
         ue = enu_frames(lat, lon)[0]
