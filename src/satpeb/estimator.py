@@ -2,15 +2,13 @@
 solver, used to check that empirical RMSE approaches the computed bound.
 
 The solver fits the horizontal position at fixed altitude to TOA rows with
-the bound's model: `line_of_sight`'s ranges and unit vectors, and a clock
-bias eliminated as `fim_diagonal(..., clock_bias=True)` eliminates it.
+the bound's model: the ranges and unit vectors `line_of_sight` gives, and a
+clock bias eliminated as `fim_diagonal(..., clock_bias=True)` eliminates it.
 `validate` draws all trials in one call and solves up to `_BLOCK_TRIALS` of
-them per pass as stacked rows, each with its own convergence mask, so a row
-solves as it would alone. Every row of a pass starts at the same guess, so
-the pass's first step linearises once there and broadcasts that geometry
-over the rows; later steps linearise row by row. The normal equations stay
-LAPACK's solve, matrix by matrix, which keeps each row's bits those of a
-lone solve.
+them per pass as stacked rows. Every row of a pass starts at the same guess,
+so the pass's first step linearises once there. Each step solves its 2x2
+normal equations in closed form with elementwise ops only, so a row's bits
+are those of a lone solve.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError
+from .errors import DegenerateGeometryError, VisibilityError
 from .fisher import (DEGENERATE_EIGENVALUE, fim_diagonal, line_of_sight, min_gdop_subsets,
                      peb_arrays, tdoa_covariance)
 from .geometry import Geodetic, enu_frames, hex_constellation, wrap_longitude
@@ -30,10 +28,10 @@ MAX_ITERATIONS = 50
 STEP_TOLERANCE_M = 1e-4
 _DIVERGENCE_STEP_M = 5e6
 # Trials per `_gauss_newton` pass in `validate`: the default 2000 take one pass,
-# and the working set, about 0.45 kB a trial (0.9 MB here), stays bounded.
+# and the working set, about 0.55 kB a trial (1.1 MB here), stays bounded.
 _BLOCK_TRIALS = 2048
-# Largest `validate` run: peak RSS grows about 285 B a trial (322 MB at 1e6
-# trials), so this cap keeps a run near 1.4 GB (extrapolated, not run).
+# Largest `validate` run: peak RSS grows about 245 B a trial (268 MB at 1e6
+# trials), so this cap keeps a run near 1.2 GB (extrapolated, not run).
 MAX_TRIALS = 5_000_000
 
 
@@ -76,42 +74,40 @@ def _simulate(truth: Geodetic, anchors: np.ndarray, covariance: np.ndarray,
     return geometric + (_psd_sqrt(cov) @ z[..., None])[..., 0]
 
 
-def _smallest_eigenvalue(normal: np.ndarray) -> np.ndarray:
-    """Smaller eigenvalue of each symmetric (..., 2, 2) matrix in closed form,
-    read from the lower triangle as `np.linalg.eigvalsh` reads it. It agrees
-    with eigvalsh to a few ulps of the larger eigenvalue: enough for a gate,
-    not for an output."""
-    a, b, d = normal[..., 0, 0], normal[..., 1, 0], normal[..., 1, 1]
+def _smallest_eigenvalue(a, b, d):
+    """Smaller eigenvalue of each symmetric [[a, b], [b, d]] in closed form; it
+    agrees with `eigvalsh` to a few ulps of the larger one: enough for a gate."""
     return (a + d) / 2.0 - np.hypot((a - d) / 2.0, b)
 
 
-def _centred(residual: np.ndarray, units: np.ndarray, w: np.ndarray):
-    """The (..., N) `residual` and Jacobian rows -`units` (..., N, 2) of TOAs
-    sharing a clock bias, centred on their means under the 1/variance weights
-    `w` as `fim_diagonal(..., clock_bias=True)` centres; row-wise reductions
-    keep a stacked row's bits those of a lone one."""
-    total = np.sum(w)
-    return (residual - np.einsum("m,...m->...", w, residual)[..., None] / total,
-            np.einsum("m,...mk->...k", w, units)[..., None, :] / total - units)
-
-
 def _step(observed, lat, lon, alt_m, anchors, variances, clock_bias) -> np.ndarray:
-    """(T, 2) Gauss-Newton steps of the (T, N) `observed` TOA rows, linearised
-    at (T,) `lat`/`lon`, or at one (1,) point shared by every row, whose
-    geometry then broadcasts over the rows; temporaries die on return."""
-    p, basis = enu_frames(lat, lon, alt_m)
-    ranges, units = line_of_sight(p, anchors, basis)
-    w = 1.0 / variances
-    residual, J = (_centred(observed - ranges, units, w) if clock_bias
-                   else (observed - ranges, -units))
-    JtW = np.swapaxes(J * w[..., None], -1, -2)
-    normal = JtW @ J
-    if np.any(_smallest_eigenvalue(normal) < DEGENERATE_EIGENVALUE):
-        raise DegenerateGeometryError(
-            "normal equations do not constrain the horizontal position")
-    # LAPACK's solve, matrix by matrix: a closed-form 2x2 solve rounds
-    # differently and moves `rmse_m` by up to 2.4e-13 relative
-    return np.linalg.solve(normal, JtW @ residual[..., None])[..., 0]
+    """(T, 2) east/north Gauss-Newton steps of the (T, N) `observed` TOA rows,
+    linearised at (T,) `lat`/`lon`, or at one (1,) point shared by every row.
+
+    A closed form on (N, T) arrays, anchors first so that NumPy's inner loops
+    run over the rows. The Jacobian rows are the negated east/north unit
+    components, centred with the residuals on their 1/variance-weighted means
+    where a clock bias is shared. The normal matrix [[a, b], [b, d]] and the
+    right-hand side are weighted sums over the anchors, each adding whole rows
+    so that no row's bits depend on another's; Cramer's rule solves them."""
+    sl, cl, so, co = np.sin(lat), np.cos(lat), np.sin(lon), np.cos(lon)
+    (x, y, z), r = anchors.T[:, :, None], EARTH_RADIUS_M + alt_m
+    dx, dy, dz = x - r * cl * co, y - r * cl * so, z - r * sl
+    horizontal = co * dx + so * dy
+    if np.any(cl * horizontal + sl * dz <= 0):
+        raise VisibilityError("anchor at or below the UE horizon")
+    ranges = np.sqrt(dx * dx + dy * dy + dz * dz)
+    east, north = (co * dy - so * dx) / ranges, (cl * dz - sl * horizontal) / ranges
+    residual, w = observed.T - ranges, (1.0 / variances)[:, None]
+    if clock_bias:  # as `fim_diagonal(..., clock_bias=True)` centres its rows
+        residual, east, north = (v - sum(w * v) / np.sum(w) for v in (residual, east, north))
+    we, wn = w * east, w * north
+    a, b, d = sum(we * east), sum(we * north), sum(wn * north)
+    if np.any(_smallest_eigenvalue(a, b, d) < DEGENERATE_EIGENVALUE):
+        raise DegenerateGeometryError("normal equations do not constrain the horizontal position")
+    # the Jacobian rows are -east/-north: the right-hand side's sign folds in
+    ge, gn, det = sum(we * residual), sum(wn * residual), a * d - b * b
+    return np.stack([(b * gn - d * ge) / det, (b * ge - a * gn) / det], axis=-1)
 
 
 def _gauss_newton(observed: np.ndarray, anchors: np.ndarray, variances: np.ndarray,
@@ -123,32 +119,36 @@ def _gauss_newton(observed: np.ndarray, anchors: np.ndarray, variances: np.ndarr
 
     A row converges when its step norm drops below `tolerance_m`. A row whose
     step diverges restarts once with halved steps; one that still does not
-    converge is flagged. A singular normal matrix raises
-    DegenerateGeometryError."""
+    converge is flagged. A pass carries its running rows' TOAs and positions
+    only. A singular normal matrix raises DegenerateGeometryError."""
     observed = np.atleast_2d(observed)
-    r, rows = EARTH_RADIUS_M + guess.alt_m, np.arange(len(observed))
-    lat, lon, iterations = np.empty(len(rows)), np.empty(len(rows)), np.zeros_like(rows)
-    converged = np.zeros(len(rows), dtype=bool)
+    n, r = len(observed), EARTH_RADIUS_M + guess.alt_m
+    lat_out, lon_out = np.full(n, guess.lat_rad), np.full(n, guess.lon_rad)
+    iterations, converged, restart = np.zeros(n, dtype=int), np.zeros(n, dtype=bool), np.arange(n)
     for step_scale in (1.0, 0.5):  # rows whose step diverged restart at half step
-        lat[rows], lon[rows], iterations[rows] = guess.lat_rad, guess.lon_rad, 0
-        active, rows = rows, rows[:0]
-        shared = True  # every row of a pass starts at `guess`: linearise there once
-        while (active := active[iterations[active] < max_iterations]).size:
-            iterations[active] += 1
-            at = active[:1] if shared else active
-            shared = False
-            delta = step_scale * _step(observed[active], lat[at], lon[at],
-                                       guess.alt_m, anchors, variances, clock_bias)
-            step = np.linalg.norm(delta, axis=-1)
-            diverged = ~np.all(np.isfinite(delta), axis=-1) | (step > _DIVERGENCE_STEP_M)
-            rows = np.concatenate([rows, active[diverged]])
-            active, delta, step = active[~diverged], delta[~diverged], step[~diverged]
-            lat[active], lon[active] = (
-                np.clip(lat[active] + delta[:, 1] / r, -math.pi / 2, math.pi / 2),
-                wrap_longitude(lon[active] + delta[:, 0] / (r * np.cos(lat[active]))))
-            converged[active] = step < tolerance_m
-            active = active[~converged[active]]
-    return lat, lon, iterations, converged
+        rows, restart, obs, count = restart, restart[:0], observed[restart], 0
+        lat, lon = np.full(len(rows), guess.lat_rad), np.full(len(rows), guess.lon_rad)
+        while rows.size and count < max_iterations:
+            count += 1
+            at = slice(1 if count == 1 else None)  # all rows start at `guess`: linearise once
+            delta = step_scale * _step(obs, lat[at], lon[at], guess.alt_m, anchors,
+                                       variances, clock_bias)
+            step = np.sqrt(delta[:, 0] ** 2 + delta[:, 1] ** 2)
+            diverged = ~(step <= _DIVERGENCE_STEP_M)  # a NaN step diverges too
+            if diverged.any():  # such a row ends where it stood, unless it restarts
+                restart, stopped = np.concatenate([restart, rows[diverged]]), rows[diverged]
+                lat_out[stopped], lon_out[stopped], iterations[stopped] = (
+                    lat[diverged], lon[diverged], count)
+                rows, obs, lat, lon, delta, step = (x[~diverged] for x in
+                                                    (rows, obs, lat, lon, delta, step))
+            lat, lon = (np.clip(lat + delta[:, 1] / r, -math.pi / 2, math.pi / 2),
+                        wrap_longitude(lon + delta[:, 0] / (r * np.cos(lat))))
+            done = step < tolerance_m
+            if done.any() or count == max_iterations:  # rows still running are rewritten later
+                lat_out[rows], lon_out[rows], converged[rows] = lat, lon, done
+                iterations[rows] = count
+                rows, obs, lat, lon = (x[~done] for x in (rows, obs, lat, lon))
+    return lat_out, lon_out, iterations, converged
 
 
 def reference_tdoa_case(range_sigma_m: float = 1.0) -> tuple:

@@ -9,8 +9,8 @@ and the GNSS pseudorange model, as informative as TDOA against any reference.
 A block's Jacobian rows are the negated east/north UE->anchor unit vectors
 of `line_of_sight`. A case's information is a sum of independent
 `fim_diagonal` blocks, and `peb_arrays` turns it into the bound. The
-estimator's solver fits the same model: `line_of_sight`, and the clock bias
-eliminated by the same weighted centring of its rows.
+estimator's solver fits the same model: the same ranges and unit vectors,
+and the clock bias eliminated by the same weighted centring of its rows.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ from satpeb.estimator import reference_tdoa_case, validate
 from satpeb.fisher import (DEGENERATE_EIGENVALUE, fim_diagonal, line_of_sight, peb_arrays,
                            tdoa_covariance)
 from satpeb.geometry import (Geodetic, enu_frames, geodetic_to_ecef,
-                             ground_track_orbit, make_virtual_anchors)
-from tests.test_fisher import _anchors_from_sky, geometry_jacobian
+                             ground_track_orbit, make_virtual_anchors, wrap_longitude)
+from tests.test_fisher import _anchors_from_sky, centred_rows, geometry_jacobian
 
 
 def draw_one(truth, anchors, covariance, rng, reference_index=None):
@@ -291,6 +291,89 @@ class TestSolverPaths:
         assert report.ratio == pytest.approx(ratio, rel=1e-12, abs=0)
 
 
+def _full_array_gauss_newton(observed, anchors, variances, clock_bias, guess, max_iterations,
+                             tolerance_m):
+    """`estimator._gauss_newton` as it stood before it carried compact pass
+    state, frozen: each iteration gathers its active rows from the full (T,)
+    arrays and scatters them back. It drives the current `_step`, as
+    `_difference_step` is kept, so it is the oracle of the loop alone."""
+    observed = np.atleast_2d(observed)
+    r, rows = EARTH_RADIUS_M + guess.alt_m, np.arange(len(observed))
+    lat, lon, iterations = np.empty(len(rows)), np.empty(len(rows)), np.zeros_like(rows)
+    converged = np.zeros(len(rows), dtype=bool)
+    for step_scale in (1.0, 0.5):  # rows whose step diverged restart at half step
+        lat[rows], lon[rows], iterations[rows] = guess.lat_rad, guess.lon_rad, 0
+        active, rows = rows, rows[:0]
+        shared = True  # every row of a pass starts at `guess`: linearise there once
+        while (active := active[iterations[active] < max_iterations]).size:
+            iterations[active] += 1
+            at = active[:1] if shared else active
+            shared = False
+            delta = step_scale * estimator._step(observed[active], lat[at], lon[at],
+                                                 guess.alt_m, anchors, variances, clock_bias)
+            step = np.linalg.norm(delta, axis=-1)
+            diverged = (~np.all(np.isfinite(delta), axis=-1)
+                        | (step > estimator._DIVERGENCE_STEP_M))
+            rows = np.concatenate([rows, active[diverged]])
+            active, delta, step = active[~diverged], delta[~diverged], step[~diverged]
+            lat[active], lon[active] = (
+                np.clip(lat[active] + delta[:, 1] / r, -math.pi / 2, math.pi / 2),
+                wrap_longitude(lon[active] + delta[:, 0] / (r * np.cos(lat[active]))))
+            converged[active] = step < tolerance_m
+            active = active[~converged[active]]
+    return lat, lon, iterations, converged
+
+
+def _assert_loops_agree(observed, anchors, variances, clock_bias, guess, cap):
+    args = (observed, anchors, variances, clock_bias, guess, cap, estimator.STEP_TOLERANCE_M)
+    for compact, full in zip(estimator._gauss_newton(*args), _full_array_gauss_newton(*args)):
+        assert compact.dtype == full.dtype
+        assert np.array_equal(compact, full)
+
+
+class TestLoopOracle:
+    """The compact pass state ends every row where the full-array loop ends
+    it: same position bits, iteration count and flag. The "as if alone" tests
+    cannot show this, since `solve_one` runs the loop under test."""
+
+    # 10494.7 m: about half the rows restart; 7e3 m: every row restarts and
+    # converges at half steps; 1.0 m: both passes diverge on their first step;
+    # caps 2 and 3: no row, and then some rows, converge by the cap.
+    @pytest.mark.parametrize("threshold, cap", [
+        (None, estimator.MAX_ITERATIONS), (10494.7, estimator.MAX_ITERATIONS),
+        (7e3, estimator.MAX_ITERATIONS), (1.0, estimator.MAX_ITERATIONS), (None, 2), (None, 3)])
+    def test_reference_case(self, monkeypatch, threshold, cap):
+        if threshold is not None:
+            monkeypatch.setattr(estimator, "_DIVERGENCE_STEP_M", threshold)
+        truth, anchors, cov, ref, guess = reference_tdoa_case(1.0)
+        rng = np.random.default_rng(np.random.SeedSequence([4, 0x76616c]))
+        observed = toas(estimator._simulate(truth, anchors, cov, rng, ref, 200), ref)
+        _assert_loops_agree(observed, anchors, np.ones(4), True, guess, cap)
+
+    def test_rows_that_diverge_after_moving(self, monkeypatch):
+        # A stand-in step moves each row's latitude `gain` times its distance
+        # to the row's target: gains below 2 converge (or oscillate into the
+        # cap), gains in (2, 4) diverge and then converge at half steps, and
+        # larger ones diverge again, some iterations into the restart. A NaN
+        # gain makes a NaN step, which diverges at once.
+        def step(observed, lat, *_):
+            north = observed[:, 0] * (observed[:, 1] - lat) * EARTH_RADIUS_M
+            return np.stack([np.zeros_like(north), north], axis=-1)
+
+        monkeypatch.setattr(estimator, "_step", step)
+        rng = np.random.default_rng(12)
+        observed = np.stack([rng.uniform(0.1, 6.0, 400), rng.uniform(-1e-3, 1e-3, 400)], -1)
+        observed[::50, 0] = np.nan
+        _assert_loops_agree(observed, None, None, False, Geodetic(0.0, 0.0, 0.0),
+                            estimator.MAX_ITERATIONS)
+
+    @pytest.mark.parametrize("kind", ["tdoa", "rtt"])
+    def test_unequal_sigmas(self, kind):
+        observed, anchors, variances, ref, guess = _problem(kind, 300)
+        _assert_loops_agree(observed, anchors, variances, ref is not None, guess,
+                            estimator.MAX_ITERATIONS)
+
+
 def _problem(kind, n_trials):
     """(observed TOA rows, anchors, variances, ref, guess) of `n_trials`
     draws with unequal sigmas: "tdoa" the reference case's satellites, with
@@ -342,6 +425,59 @@ def _rounding_bound(observed, lat, lon, alt_m, anchors, variances):
     return np.finfo(float).eps * np.max(np.abs(observed), axis=-1) * gain
 
 
+def _lapack_step(observed, lat, lon, alt_m, anchors, variances, clock_bias):
+    """The Gauss-Newton step written out: Jacobian rows -`line_of_sight`'s
+    units, centred with the residuals by `centred_rows` where `clock_bias`,
+    and LAPACK's `np.linalg.solve(JᵀWJ, JᵀWr)`."""
+    p, basis = enu_frames(lat, lon, alt_m)
+    ranges, units = line_of_sight(p, anchors, basis)
+    w, residual, J = 1.0 / variances, observed - ranges, -units
+    if clock_bias:
+        residual = residual - np.sum(w * residual, -1, keepdims=True) / np.sum(w)
+        J = centred_rows(units, w)
+    JtW = np.swapaxes(J * w[:, None], -1, -2)
+    return np.linalg.solve(JtW @ J, JtW @ residual[..., None])[..., 0]
+
+
+# Each anchor of a sky: elevation, range and log10 of its range sigma.
+_SKIES = st.lists(st.tuples(st.floats(math.radians(10.0), math.radians(80.0)),
+                            st.floats(650e3, 24000e3), st.floats(-1.0, 3.0)),
+                  min_size=3, max_size=8)
+
+
+def _noisy_sky(lat, lon, heading, sky, rng):
+    """(anchors, variances, four noisy TOA rows) of a UE at `lat`/`lon` under
+    a `_SKIES` sky, its anchors at evenly separated azimuths from `heading`,
+    which keeps the geometry usable."""
+    ue = Geodetic(lat, lon, 0.0)
+    azimuths = heading + np.linspace(0.0, 2 * math.pi, len(sky), endpoint=False)
+    anchors = _anchors_from_sky(ue, [(az, el, r) for az, (el, r, _) in zip(azimuths, sky)])
+    variances = 10.0 ** (2.0 * np.array([s for *_, s in sky]))
+    ranges = np.linalg.norm(anchors - geodetic_to_ecef(ue), axis=-1)
+    return anchors, variances, ranges + np.sqrt(variances) * rng.standard_normal((4, len(sky)))
+
+
+class TestClosedForm:
+    """Cramer's rule on the weighted sums solves the same normal equations as
+    LAPACK on explicit Jacobian rows, with any sigmas."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-1.0, 1.0), st.floats(-math.pi, math.pi), st.floats(0.0, 2 * math.pi),
+           _SKIES, st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_lapack_solve(self, lat, lon, heading, sky, clock_bias, seed):
+        rng = np.random.default_rng(seed)
+        anchors, variances, observed = _noisy_sky(lat, lon, heading, sky, rng)
+        if clock_bias:  # each row's TOAs share one bias of up to 10 km
+            observed += rng.uniform(-1e4, 1e4, (4, 1))
+        # a linearisation point per row, up to 1 km from the UE
+        lat_p = lat + rng.uniform(-1e3, 1e3, 4) / EARTH_RADIUS_M
+        lon_p = lon + rng.uniform(-1e3, 1e3, 4) / (EARTH_RADIUS_M * math.cos(lat))
+        step = estimator._step(observed, lat_p, lon_p, 0.0, anchors, variances, clock_bias)
+        oracle = _lapack_step(observed, lat_p, lon_p, 0.0, anchors, variances, clock_bias)
+        bound = _rounding_bound(observed, lat_p, lon_p, 0.0, anchors, variances)
+        assert np.all(np.abs(step - oracle) <= bound[:, None])
+
+
 class TestToaForm:
     """The TOA step with the clock bias centred out is the difference-form
     step against any reference, with any sigmas; the reference case's equal
@@ -349,21 +485,11 @@ class TestToaForm:
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-1.0, 1.0), st.floats(-math.pi, math.pi), st.floats(0.0, 2 * math.pi),
-           st.lists(st.tuples(st.floats(math.radians(10.0), math.radians(80.0)),
-                              st.floats(650e3, 24000e3), st.floats(-1.0, 3.0)),
-                    min_size=3, max_size=8),
-           st.floats(-1e4, 1e4), st.integers(0, 2**32 - 1))
+           _SKIES, st.floats(-1e4, 1e4), st.integers(0, 2**32 - 1))
     def test_equals_difference_form_and_ignores_a_common_offset(self, lat, lon, heading, sky,
                                                                 offset_m, seed):
-        # Each anchor: elevation, range and log10 of its range sigma, at
-        # evenly separated azimuths, which keeps the geometry usable.
-        ue = Geodetic(lat, lon, 0.0)
-        azimuths = heading + np.linspace(0.0, 2 * math.pi, len(sky), endpoint=False)
-        anchors = _anchors_from_sky(ue, [(az, el, r) for az, (el, r, _) in zip(azimuths, sky)])
-        variances = 10.0 ** (2.0 * np.array([s for *_, s in sky]))
         rng = np.random.default_rng(seed)
-        ranges = np.linalg.norm(anchors - geodetic_to_ecef(ue), axis=-1)
-        observed = ranges + np.sqrt(variances) * rng.standard_normal((4, len(sky)))
+        anchors, variances, observed = _noisy_sky(lat, lon, heading, sky, rng)
         # one linearisation point up to 1 km from the UE, shared by the rows
         lat_p, lon_p = np.array([lat]), np.array([lon])
         lat_p += rng.uniform(-1e3, 1e3) / EARTH_RADIUS_M
@@ -455,9 +581,9 @@ class TestSharedLinearisation:
 _GATE_BAND_ULPS = 8
 
 
-def _assert_gate_agrees(normal):
-    reference = np.linalg.eigvalsh(normal)
-    closed = estimator._smallest_eigenvalue(normal)
+def _assert_gate_agrees(a, b, d):
+    reference = np.linalg.eigvalsh(_symmetric(a, b, d))
+    closed = estimator._smallest_eigenvalue(a, b, d)
     band = _GATE_BAND_ULPS * np.finfo(float).eps * np.abs(reference[..., 1])
     assert np.all(np.abs(closed - reference[..., 0]) <= band)
     outside = np.abs(reference[..., 0] - DEGENERATE_EIGENVALUE) > band
@@ -470,10 +596,10 @@ def _symmetric(a, b, d):
 
 
 def _rotated(large, small, angle):
-    """The symmetric matrix with eigenvalues `large` and `small`, rotated by `angle`."""
+    """(a, b, d) of the symmetric matrix [[a, b], [b, d]] with eigenvalues
+    `large` and `small`, rotated by `angle`."""
     c, s = math.cos(angle), math.sin(angle)
-    return _symmetric(c * c * large + s * s * small, c * s * (large - small),
-                      s * s * large + c * c * small)
+    return c * c * large + s * s * small, c * s * (large - small), s * s * large + c * c * small
 
 
 class TestDegenerateGate:
@@ -483,20 +609,20 @@ class TestDegenerateGate:
     def test_matches_eigvalsh_on_psd_matrices(self, log_large, decades_below, angle):
         # decades_below = inf: the smaller eigenvalue is exactly 0
         large = 10.0 ** log_large
-        _assert_gate_agrees(_rotated(large, large * 10.0 ** -decades_below, angle))
+        _assert_gate_agrees(*_rotated(large, large * 10.0 ** -decades_below, angle))
 
     @settings(max_examples=400, deadline=None)
     @given(st.floats(-12.0, 20.0), st.floats(-1e-3, 1e-3), st.floats(0.0, math.pi))
     def test_matches_eigvalsh_near_the_gate(self, log_large, offset, angle):
         small = DEGENERATE_EIGENVALUE * (1.0 + offset)
-        _assert_gate_agrees(_rotated(max(10.0 ** log_large, small), small, angle))
+        _assert_gate_agrees(*_rotated(max(10.0 ** log_large, small), small, angle))
 
     @settings(max_examples=400, deadline=None)
     @given(st.integers(-2**20, 2**20), st.integers(-2**20, 2**20), st.integers(-120, 60))
     @example(0, 0, 0)
     def test_matches_eigvalsh_on_exact_rank_one(self, p, q, scale):
         # 2**scale * [p, q]^T [p, q] is exactly representable and exactly singular
-        _assert_gate_agrees(math.ldexp(1.0, scale) * _symmetric(p * p, p * q, q * q))
+        _assert_gate_agrees(*(math.ldexp(1.0, scale) * np.array([p * p, p * q, q * q])))
 
 
 def test_solver_invariant_under_frame_rotation(tdoa_case):

@@ -8,13 +8,20 @@ from hypothesis import strategies as st
 
 from satpeb.constants import EARTH_RADIUS_M
 from satpeb.errors import VisibilityError
-from satpeb.estimator import _centred
 from satpeb.fisher import (DEGENERATE_EIGENVALUE, fim_diagonal, line_of_sight,
                            min_gdop_subsets, peb_arrays, rtt_range_sigma, tdoa_covariance,
                            toa_range_sigma)
 from satpeb.geometry import (Geodetic, enu_frames, geodetic_to_ecef,
                              ground_track_orbit, hex_constellation,
                              make_virtual_anchors)
+
+
+def centred_rows(units: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The Jacobian rows -`units` (..., N, 2) of TOAs sharing a clock bias,
+    centred on their mean under the (N,) weights `w` as
+    `fim_diagonal(..., clock_bias=True)` centres them."""
+    J = -units
+    return J - np.sum(J * w[:, None], -2, keepdims=True) / np.sum(w)
 
 
 def fim(J: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -212,7 +219,7 @@ class TestJacobian:
 
     @pytest.mark.parametrize("clock_bias", [False, True], ids=["rtt", "tdoa"])
     def test_stacked_geometry_jacobian_matches_single(self, clock_bias):
-        # the rows the solver builds: -units, or weighted-centred ones
+        # the rows the bound and the solver build: -units, or weighted-centred ones
         rng = np.random.default_rng(19)
         grid = hex_constellation(Geodetic(0.0, 0.0, 0.0), math.radians(13.0),
                                  math.radians(6.9), 780e3)
@@ -222,7 +229,7 @@ class TestJacobian:
 
         def rows(ue, basis):
             ranges, units = line_of_sight(ue, grid, basis)
-            return _centred(ranges, units, w)[1] if clock_bias else -units
+            return centred_rows(units, w) if clock_bias else -units
 
         ue_ecef, basis = enu_frames(lat, lon)
         stacked = rows(ue_ecef, basis)
@@ -254,7 +261,7 @@ def model_ranges(anchors, ue_ecef, w, clock_bias):
 def assert_jacobian_matches_fd(rng, clock_bias, rel_tol, step_m=0.1):
     """Independent central-difference check of the rows the bound and the
     solver build: -`line_of_sight(...)[1]` against the ranges, or where
-    `clock_bias` those rows weighted-centred by `estimator._centred` against
+    `clock_bias` those rows weighted-centred by `centred_rows` against
     the weighted-centred ranges. Each sigma is proportional to its range, as
     a free-space link's, so the weights differ without a draw from `rng`."""
     ue = Geodetic(rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi), 0.0)
@@ -268,7 +275,7 @@ def assert_jacobian_matches_fd(rng, clock_bias, rel_tol, step_m=0.1):
     ue_ecef, basis = enu_frames(ue.lat_rad, ue.lon_rad, ue.alt_m)
     ranges, units = line_of_sight(ue_ecef, anchors, basis)
     w = 1.0 / (ranges / 1e6) ** 2
-    analytic = _centred(ranges, units, w)[1] if clock_bias else -units
+    analytic = centred_rows(units, w) if clock_bias else -units
 
     def displaced(de, dn):
         r = EARTH_RADIUS_M + ue.alt_m
