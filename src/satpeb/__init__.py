@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .config import LinkBudget, ScenarioConfig, make_config
-from .fisher import rtt_range_sigma, tdoa_covariance, toa_range_sigma
+from .fisher import rtt_range_sigma, toa_range_sigma
 from .geometry import (Geodetic, OrbitSpec, geodetic_to_ecef, hex_constellation,
                        make_virtual_anchors, propagate_circular_orbit)
 from .scenarios import (PebSampleSet, RunBundle, SummaryStats, drop_ues, run,
@@ -15,5 +15,5 @@ __all__ = [
     "RunBundle", "ScenarioConfig", "SummaryStats", "drop_ues", "geodetic_to_ecef",
     "hex_constellation", "make_config", "make_virtual_anchors",
     "propagate_circular_orbit", "rtt_range_sigma", "run", "summarize",
-    "tdoa_covariance", "toa_range_sigma",
+    "toa_range_sigma",
 ]

@@ -53,8 +53,12 @@ def parse_config(path: str | Path, default_variant: str | None = None) -> Scenar
     if not p.exists():
         raise ConfigError("<config>", f"file not found: {p}")
     try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, or not UTF-8
+        raise ConfigError("<config>", f"cannot read {p}: {exc}") from None
+    try:
+        raw = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ConfigError("<config>", f"malformed JSON: {exc}") from None
     return config_from_dict(raw, default_variant=default_variant)
 

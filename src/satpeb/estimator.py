@@ -1,14 +1,15 @@
-"""Validation oracle: synthetic measurements and a Gauss-Newton position
-solver, used to check that empirical RMSE approaches the computed bound.
+"""Validation oracle: a Gauss-Newton position solver on synthetic TOAs, used
+to check that empirical RMSE approaches the computed bound.
 
 The solver fits the horizontal position at fixed altitude to TOA rows with
 the bound's model: the ranges and unit vectors `line_of_sight` gives, and a
 clock bias eliminated as `fim_diagonal(..., clock_bias=True)` eliminates it.
-`validate` draws all trials in one call and solves up to `_BLOCK_TRIALS` of
-them per pass as stacked rows. Every row of a pass starts at the same guess,
-so the pass's first step linearises once there. Each step solves its 2x2
-normal equations in closed form with elementwise ops only, so a row's bits
-are those of a lone solve.
+`validate` draws the rows of all trials in one call, from the ranges its
+bound is computed at, and solves up to `_BLOCK_TRIALS` of them per pass as
+stacked rows. Every row of a pass starts at the same guess, so the pass's
+first step linearises once there. Each step solves its 2x2 normal equations
+in closed form with elementwise ops only, so a row's bits are those of a
+lone solve.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, VisibilityError
 from .fisher import (DEGENERATE_EIGENVALUE, fim_diagonal, line_of_sight, min_gdop_subsets,
-                     peb_arrays, tdoa_covariance)
+                     peb_arrays)
 from .geometry import Geodetic, enu_frames, hex_constellation, wrap_longitude
 from .constants import EARTH_RADIUS_M
 
@@ -30,8 +31,9 @@ _DIVERGENCE_STEP_M = 5e6
 # Trials per `_gauss_newton` pass in `validate`: the default 2000 take one pass,
 # and the working set, about 0.55 kB a trial (1.1 MB here), stays bounded.
 _BLOCK_TRIALS = 2048
-# Largest `validate` run: peak RSS grows about 245 B a trial (268 MB at 1e6
-# trials), so this cap keeps a run near 1.2 GB (extrapolated, not run).
+# Largest `validate` run: peak RSS grows about 73 B a trial (69 MB at 1e6
+# trials; the drawn rows and each trial's errors), so this cap keeps a run
+# near 0.4 GB (extrapolated, not run).
 MAX_TRIALS = 5_000_000
 
 
@@ -44,34 +46,6 @@ class ValidationReport:
     ratio: float
     convergence_rate: float
     mean_error_m: float
-
-
-def _observables(ranges: np.ndarray, ref: int | None) -> np.ndarray:
-    """The (..., N) `ranges`, or their differences against range `ref`."""
-    if ref is None:
-        return ranges
-    return np.delete(ranges, ref, axis=-1) - ranges[..., ref, None]
-
-
-def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
-    """Matrix square root tolerating singular (including zero) covariance."""
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(cov)
-        return v * np.sqrt(np.clip(w, 0.0, None))
-
-
-def _simulate(truth: Geodetic, anchors: np.ndarray, covariance: np.ndarray,
-              rng: np.random.Generator, ref: int | None, n_trials: int) -> np.ndarray:
-    """(n_trials, M) noisy observables of the UE at `truth` from the (N, 3)
-    ECEF `anchors`, drawn in one call on the stream: row t equals draw t, and
-    a zero covariance gives the exact observables."""
-    cov = np.atleast_2d(np.asarray(covariance, dtype=float))
-    ue_ecef, basis = enu_frames(truth.lat_rad, truth.lon_rad, truth.alt_m)
-    geometric = _observables(line_of_sight(ue_ecef, anchors, basis)[0], ref)
-    z = rng.standard_normal((n_trials, geometric.size))
-    return geometric + (_psd_sqrt(cov) @ z[..., None])[..., 0]
 
 
 def _smallest_eigenvalue(a, b, d):
@@ -151,47 +125,45 @@ def _gauss_newton(observed: np.ndarray, anchors: np.ndarray, variances: np.ndarr
     return lat_out, lon_out, iterations, converged
 
 
-def reference_tdoa_case(range_sigma_m: float = 1.0) -> tuple:
+def reference_tdoa_case() -> tuple:
     """Well-conditioned 4-LEO TDOA fixture: hexagonal grid at 780 km, UE
-    offset from the beam center, per-satellite range sigmas equal. Returns
-    (truth, anchors, covariance, reference_index, initial_guess)."""
+    offset from the beam center. Returns (truth, anchors, initial_guess);
+    the serving satellite, the TDOA reference, is anchors[0]."""
     center = Geodetic(0.0, 0.0, 0.0)
     grid = hex_constellation(center, math.radians(13.0), math.radians(6.9), 780e3)
     truth = Geodetic(math.radians(0.05), math.radians(0.08), 0.0)
     ue_ecef, basis = enu_frames(truth.lat_rad, truth.lon_rad)
     # The serving satellite (grid index 0) sorts first in the chosen subset.
     anchors = grid[min_gdop_subsets(line_of_sight(ue_ecef, grid, basis)[1][None], 0, 4)[0]]
-    cov = tdoa_covariance(np.full(4, range_sigma_m), 0)
-    return truth, anchors, cov, 0, center
+    return truth, anchors, center
 
 
-def validate(n_trials: int = 2000, range_sigma_m: float = 1.0,
-             seed: int = 0) -> ValidationReport:
+def validate(n_trials: int = 2000, seed: int = 0) -> ValidationReport:
     """Monte Carlo bound-achievability check on the reference TDOA case,
-    scenario "multi-leo-tdoa4", with every satellite's range sigma
-    `range_sigma_m`. A trial count outside [1, MAX_TRIALS], or a range sigma
-    that is not positive and finite or gives no finite bound, raises
-    ValueError."""
+    scenario "multi-leo-tdoa4", with every satellite's range sigma 1 m. A
+    trial count outside [1, MAX_TRIALS] raises ValueError."""
     if not 1 <= n_trials <= MAX_TRIALS:
         raise ValueError(f"n_trials must lie in [1, {MAX_TRIALS:,}], got {n_trials}")
-    if not 0.0 < range_sigma_m < math.inf:
-        raise ValueError(f"range_sigma_m must be positive and finite, got {range_sigma_m}")
-    truth, anchors, cov, ref, guess = reference_tdoa_case(range_sigma_m)
+    truth, anchors, guess = reference_tdoa_case()
     truth_ecef, truth_basis = enu_frames(truth.lat_rad, truth.lon_rad, truth.alt_m)
-    units = line_of_sight(truth_ecef, anchors, truth_basis)[1]
-    variances = np.full(len(anchors), range_sigma_m) ** 2
+    ranges, units = line_of_sight(truth_ecef, anchors, truth_basis)
+    variances = np.ones(len(anchors))
     bound = float(peb_arrays(fim_diagonal(units, variances, clock_bias=True))[0])
-    if not math.isfinite(bound):  # sigma**2 out of float range, or information below the gate
-        raise ValueError(f"range_sigma_m={range_sigma_m} gives no finite bound")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x76616c]))
-    # the drawn differences against `ref` enter as TOAs whose reference TOA is 0
-    observed = np.insert(_simulate(truth, anchors, cov, rng, ref, n_trials), ref, 0.0, axis=-1)
-    blocks = np.split(observed, range(_BLOCK_TRIALS, n_trials, _BLOCK_TRIALS))
-    solved = [_gauss_newton(block, anchors, variances, True, guess, MAX_ITERATIONS,
-                            STEP_TOLERANCE_M) for block in blocks]
-    lat, lon, _, converged = (np.concatenate(column) for column in zip(*solved))
-    estimate_ecef, _ = enu_frames(lat, lon, guess.alt_m)
-    errors = (truth_basis @ (estimate_ecef - truth_ecef)[..., None])[:, :2, 0]
+    # TOA rows whose reference TOA is 0: the differences against anchor 0,
+    # drawn with their covariance diag(v[1:]) + v[0] by its Cholesky factor
+    root = np.linalg.cholesky(np.diag(variances[1:]) + variances[0])
+    observed = np.zeros((n_trials, len(anchors)))
+    observed[:, 1:] = ranges[1:] - ranges[0] + (
+        root @ rng.standard_normal((n_trials, len(anchors) - 1))[..., None])[..., 0]
+    # east/north errors pass by pass: frames are built for one pass, not all T trials
+    errors, converged = np.empty((n_trials, 2)), np.empty(n_trials, dtype=bool)
+    for start in range(0, n_trials, _BLOCK_TRIALS):
+        block = slice(start, start + _BLOCK_TRIALS)
+        lat, lon, _, converged[block] = _gauss_newton(
+            observed[block], anchors, variances, True, guess, MAX_ITERATIONS, STEP_TOLERANCE_M)
+        estimate_ecef = enu_frames(lat, lon, guess.alt_m)[0]
+        errors[block] = (truth_basis @ (estimate_ecef - truth_ecef)[..., None])[:, :2, 0]
     rmse = float(np.sqrt(np.mean(np.sum(errors**2, axis=1))))
     return ValidationReport(
         scenario="multi-leo-tdoa4", n_trials=n_trials, rmse_m=rmse, peb_m=bound,

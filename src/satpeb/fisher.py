@@ -51,22 +51,6 @@ def rtt_range_sigma(sigma_dl_m, sigma_ul_m) -> float | np.ndarray:
     return float(sigma) if sigma.ndim == 0 else sigma
 
 
-def tdoa_covariance(sigmas_m, reference_index: int) -> np.ndarray:
-    """Covariance of range differences sharing a reference anchor: diagonal
-    sigma_i^2 + sigma_ref^2, off-diagonal sigma_ref^2. Broadcasts over the
-    leading axes of `sigmas_m` (..., N)."""
-    sigmas = np.atleast_1d(np.asarray(sigmas_m, dtype=float))
-    n = sigmas.shape[-1]
-    if n < 2:
-        raise ValueError("TDOA requires at least two anchors")
-    if not 0 <= reference_index < n:
-        raise ValueError("reference index out of range")
-    others = np.delete(sigmas, reference_index, axis=-1)
-    ref_var = sigmas[..., reference_index] ** 2
-    return ((others**2)[..., None] * np.eye(n - 1)
-            + ref_var[..., None, None] * np.ones((n - 1, n - 1)))
-
-
 def line_of_sight(ue_ecef: np.ndarray, positions: np.ndarray, basis: np.ndarray,
                   check_horizon: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """(..., N) UE->anchor ranges and (..., N, 2) east/north components of

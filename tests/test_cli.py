@@ -21,6 +21,20 @@ def write_config(tmp_path, payload, name="config.json"):
     return path
 
 
+def unreadable_config(tmp_path, kind):
+    """A `--config` path that exists but holds no readable JSON text: a file
+    that is not UTF-8, or a directory."""
+    path = tmp_path / "config.json"
+    if kind == "not-utf8":
+        path.write_bytes(b'{"variant": "single-leo", "seed": "\xff"}')
+    else:
+        path.mkdir()
+    return path
+
+
+UNREADABLE = ["not-utf8", "directory"]
+
+
 SMALL_RUN = {
     "variant": "single-leo",
     "n_ue_drops": 12,
@@ -74,12 +88,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_unreadable_file_named(self, tmp_path, kind):
+        with pytest.raises(ConfigError) as err:
+            parse_config(unreadable_config(tmp_path, kind))
+        assert err.value.field == "<config>"
+        assert "cannot read" in str(err.value)
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{variant:")
-        with pytest.raises(ConfigError) as err:
-            parse_config(path)
-        assert "malformed" in str(err.value)
+        for text in ["{variant:", "[" * 100_000 + "]" * 100_000]:  # the second nests too deep
+            path.write_text(text)
+            with pytest.raises(ConfigError) as err:
+                parse_config(path)
+            assert "malformed" in str(err.value)
 
     def test_out_of_range_value(self, tmp_path):
         path = write_config(tmp_path, {"variant": "single-leo", "n_ue_drops": 0})
@@ -254,6 +276,13 @@ class TestExecute:
         assert main(["multi-leo", "--config", str(cfg), "--out", str(out)]) == 2
         manifest = json.loads((out / "manifest.json").read_text())
         assert any("leo_altitude_m" in e for e in manifest["errors"])
+
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_unreadable_config_exits_2_with_manifest(self, tmp_path, kind):
+        cfg, out = unreadable_config(tmp_path, kind), tmp_path / "out"
+        assert main(["single-leo", "--config", str(cfg), "--out", str(out)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert any(e.startswith("<config>: cannot read") for e in manifest["errors"])
 
     @pytest.mark.parametrize("argv", [
         ["single-leo", "--seed", "-1"],

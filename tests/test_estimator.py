@@ -11,35 +11,11 @@ from satpeb import estimator
 from satpeb.constants import EARTH_RADIUS_M
 from satpeb.errors import DegenerateGeometryError, VisibilityError
 from satpeb.estimator import reference_tdoa_case, validate
-from satpeb.fisher import (DEGENERATE_EIGENVALUE, fim_diagonal, line_of_sight, peb_arrays,
-                           tdoa_covariance)
+from satpeb.fisher import DEGENERATE_EIGENVALUE, fim_diagonal, line_of_sight, peb_arrays
 from satpeb.geometry import (Geodetic, enu_frames, geodetic_to_ecef,
                              ground_track_orbit, make_virtual_anchors, wrap_longitude)
-from tests.test_fisher import _anchors_from_sky, centred_rows, geometry_jacobian
-
-
-def draw_one(truth, anchors, covariance, rng, reference_index=None):
-    """One noisy (1, M) observation row: `estimator._simulate` at one trial."""
-    return estimator._simulate(truth, anchors, covariance, rng, reference_index, 1)
-
-
-def toas(observed, reference_index=None):
-    """Drawn rows as `validate` hands them to the solver: ranges as they are,
-    differences against `reference_index` as TOAs whose reference TOA is 0."""
-    if reference_index is None:
-        return observed
-    return np.insert(observed, reference_index, 0.0, axis=-1)
-
-
-def solve_one(observed, anchors, reference_index, variances, guess,
-              max_iterations=estimator.MAX_ITERATIONS):
-    """`estimator._gauss_newton` on the one drawn row of `observed`, with the
-    (N,) `variances` and, for differences against `reference_index`, the
-    clock bias: (estimate, iterations, converged)."""
-    lat, lon, iterations, converged = (column.item() for column in estimator._gauss_newton(
-        toas(observed, reference_index), anchors, variances, reference_index is not None,
-        guess, max_iterations, estimator.STEP_TOLERANCE_M))
-    return Geodetic(lat, lon, guess.alt_m), iterations, converged
+from tests.test_fisher import (_anchors_from_sky, centred_rows, geometry_jacobian,
+                               tdoa_covariance)
 
 
 def exact_observables(truth, anchors, reference_index=None):
@@ -51,49 +27,146 @@ def exact_observables(truth, anchors, reference_index=None):
     return np.delete(ranges, reference_index) - ranges[reference_index]
 
 
+def draw_one(truth, anchors, sigmas, rng):
+    """One noisy (1, N) TOA row: the exact ranges plus independent noise
+    `sigmas` * z, z drawn on `rng`."""
+    return exact_observables(truth, anchors) + sigmas * rng.standard_normal((1, len(anchors)))
+
+
+def reference_toas(n_trials, rng, sigma=1.0):
+    """(n_trials, 4) TOA rows of the reference case as `validate` draws them,
+    with every range sigma `sigma`: a reference TOA of 0, and the exact
+    differences against anchor 0 plus their noise sigma * cholesky(I + 1) @ z,
+    z drawn on `rng` three normals a row."""
+    truth, anchors, _ = reference_tdoa_case()
+    root = np.linalg.cholesky(np.eye(3) + 1.0)
+    noise = (root @ rng.standard_normal((n_trials, 3))[..., None])[..., 0]
+    return np.insert(exact_observables(truth, anchors, 0) + sigma * noise, 0, 0.0, axis=-1)
+
+
+def validate_stream(seed):
+    return np.random.default_rng(np.random.SeedSequence([seed, 0x76616c]))
+
+
+def solve_one(observed, anchors, variances, clock_bias, guess,
+              max_iterations=estimator.MAX_ITERATIONS):
+    """`estimator._gauss_newton` on the one TOA row of `observed`, with the
+    (N,) `variances` and, where `clock_bias`, a bias common to the row's TOAs:
+    (estimate, iterations, converged)."""
+    lat, lon, iterations, converged = (column.item() for column in estimator._gauss_newton(
+        observed, anchors, variances, clock_bias, guess, max_iterations,
+        estimator.STEP_TOLERANCE_M))
+    return Geodetic(lat, lon, guess.alt_m), iterations, converged
+
+
+def solve_reference_case(sigma, n_trials, seed):
+    """`validate` at every range sigma `sigma`, written out on test-side
+    draws: (RMSE, PEB, convergence rate, mean error) over `n_trials` trials
+    on its stream."""
+    truth, anchors, guess = reference_tdoa_case()
+    variances = np.full(4, sigma**2)
+    lat, lon, _, converged = estimator._gauss_newton(
+        reference_toas(n_trials, validate_stream(seed), sigma), anchors, variances, True, guess,
+        estimator.MAX_ITERATIONS, estimator.STEP_TOLERANCE_M)
+    origin, basis = enu_frames(truth.lat_rad, truth.lon_rad, truth.alt_m)
+    errors = (basis @ (enu_frames(lat, lon)[0] - origin)[..., None])[:, :2, 0]
+    peb = float(peb_arrays(fim_diagonal(line_of_sight(origin, anchors, basis)[1], variances,
+                                        clock_bias=True))[0])
+    rmse = math.sqrt(np.mean(np.sum(errors**2, axis=1)))
+    return rmse, peb, np.mean(converged), np.linalg.norm(np.mean(errors, axis=0))
+
+
+def captured_rows(**validate_kwargs):
+    """The TOA rows `validate` hands `_gauss_newton`, its passes concatenated."""
+    blocks, gauss_newton = [], estimator._gauss_newton
+
+    def capture(observed, *args):
+        blocks.append(observed.copy())
+        return gauss_newton(observed, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimator, "_gauss_newton", capture)
+        validate(**validate_kwargs)
+    return np.concatenate(blocks)
+
+
+def _parent_simulate(truth, anchors, covariance, rng, ref, n_trials):
+    """`estimator._simulate` as it stood before `validate` drew its TOA rows
+    directly, frozen with its `_observables`: differences against `ref`
+    plus a Cholesky factor of `covariance` times one stacked draw. (Its
+    eigendecomposition fallback for singular covariances is left out: the
+    reference case's is positive definite.)"""
+    ue_ecef, basis = enu_frames(truth.lat_rad, truth.lon_rad, truth.alt_m)
+    ranges = line_of_sight(ue_ecef, anchors, basis)[0]
+    geometric = np.delete(ranges, ref, axis=-1) - ranges[..., ref, None]
+    z = rng.standard_normal((n_trials, geometric.size))
+    return geometric + (np.linalg.cholesky(covariance) @ z[..., None])[..., 0]
+
+
+def parent_rows(seed, n_trials):
+    """`validate`'s TOA rows as the parent drew them: `tdoa_covariance`'s
+    range differences against anchor 0 by `_parent_simulate`, then a
+    reference TOA of 0 put in by `np.insert`. The bit-for-bit oracle."""
+    truth, anchors, _ = reference_tdoa_case()
+    drawn = _parent_simulate(truth, anchors, tdoa_covariance(np.full(4, 1.0), 0),
+                             validate_stream(seed), 0, n_trials)
+    return np.insert(drawn, 0, 0.0, axis=-1)
+
+
 @pytest.fixture
 def tdoa_case():
-    return reference_tdoa_case(range_sigma_m=1.0)
+    return reference_tdoa_case()
 
 
 class TestSimulate:
-    def test_zero_covariance_is_exact(self, tdoa_case):
-        truth, anchors, _, ref, _ = tdoa_case
-        rng = np.random.default_rng(0)
-        observed = draw_one(truth, anchors, np.zeros((3, 3)), rng, ref)
-        assert np.array_equal(observed[0], exact_observables(truth, anchors, ref))
-        ranges = draw_one(truth, anchors, np.zeros((4, 4)), rng)
-        assert np.array_equal(ranges[0], exact_observables(truth, anchors))
+    """`validate`'s draw: the reference case's TOA rows, drawn in one call."""
 
-    def test_same_seed_same_draws(self, tdoa_case):
-        truth, anchors, cov, ref, _ = tdoa_case
-        a = draw_one(truth, anchors, cov, np.random.default_rng(42), ref)
-        b = draw_one(truth, anchors, cov, np.random.default_rng(42), ref)
+    @pytest.mark.parametrize("n_trials", [2000, 5000])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_rows_equal_the_parent_draw_bit_for_bit(self, seed, n_trials):
+        rows, parent = captured_rows(n_trials=n_trials, seed=seed), parent_rows(seed, n_trials)
+        assert rows.shape == parent.shape == (n_trials, 4)
+        assert rows.tobytes() == parent.tobytes()  # -0.0 and 0.0 told apart too
+
+    def test_zero_covariance_is_exact(self, monkeypatch, tdoa_case):
+        truth, anchors, _ = tdoa_case
+
+        class Silent:  # a stream that draws only zeros
+            def __init__(self, *_):
+                pass
+
+            def standard_normal(self, shape):
+                return np.zeros(shape)
+
+        monkeypatch.setattr(np.random, "default_rng", Silent)
+        rows = captured_rows(n_trials=3)
+        assert np.array_equal(rows, np.tile(np.insert(
+            exact_observables(truth, anchors, 0), 0, 0.0), (3, 1)))
+
+    def test_same_seed_same_draws(self):
+        a, b = captured_rows(n_trials=50, seed=42), captured_rows(n_trials=50, seed=42)
         assert np.array_equal(a, b)
+        assert not np.array_equal(a, captured_rows(n_trials=50, seed=43))
 
     def test_empirical_covariance_matches(self, tdoa_case):
-        truth, anchors, _, ref, _ = tdoa_case
-        cov = tdoa_covariance([3.0, 1.0, 2.0, 4.0], ref)
-        rng = np.random.default_rng(7)
+        truth, anchors, _ = tdoa_case
         n = 100_000
-        exact = exact_observables(truth, anchors, ref)
-        draws = np.array([draw_one(truth, anchors, cov, rng, ref)[0] - exact
-                          for _ in range(n)])
-        empirical = np.cov(draws.T)
+        rows = captured_rows(n_trials=n, seed=7)
+        assert not rows[:, 0].any()
+        draws = rows[:, 1:] - exact_observables(truth, anchors, 0)
+        empirical, cov = np.cov(draws.T), tdoa_covariance(np.ones(4), 0)
         for i in range(3):
             for j in range(3):
                 se = math.sqrt((cov[i, i] * cov[j, j] + cov[i, j] ** 2) / n)
                 assert abs(empirical[i, j] - cov[i, j]) < 3.0 * se
 
 
-# The noiseless solves weight by positive variances: a zero variance is an
-# infinite weight, and weights do not move a noiseless fixed point.
 class TestSolve:
     def test_noiseless_recovery_from_5km(self, tdoa_case):
-        truth, anchors, _, ref, _ = tdoa_case
-        observed = draw_one(truth, anchors, np.zeros((3, 3)), np.random.default_rng(0), ref)
+        truth, anchors, _ = tdoa_case
+        observed = exact_observables(truth, anchors)[None]
         guess = Geodetic(truth.lat_rad + 5e3 / 6371e3, truth.lon_rad, 0.0)
-        estimate, iterations, converged = solve_one(observed, anchors, ref, np.ones(4), guess)
+        estimate, iterations, converged = solve_one(observed, anchors, np.ones(4), True, guess)
         assert converged
         assert iterations <= 50
         err = np.linalg.norm(geodetic_to_ecef(estimate) - geodetic_to_ecef(truth))
@@ -103,24 +176,23 @@ class TestSolve:
         orbit = ground_track_orbit(Geodetic(0.0, 0.0, 0.0), 600e3)
         anchors = make_virtual_anchors(orbit, 10.0, 10)
         truth = Geodetic(math.radians(0.05), 0.0, 0.0)
-        cov = np.eye(10) * 25.0
-        observed = draw_one(truth, anchors, cov, np.random.default_rng(3))
+        observed = draw_one(truth, anchors, 5.0, np.random.default_rng(3))
         with pytest.raises(DegenerateGeometryError):
-            solve_one(observed, anchors, None, np.full(10, 25.0), truth)
+            solve_one(observed, anchors, np.full(10, 25.0), False, truth)
 
     def test_guess_with_anchors_below_its_horizon_raises(self, tdoa_case):
-        truth, anchors, cov, ref, _ = tdoa_case
-        observed = draw_one(truth, anchors, cov, np.random.default_rng(0), ref)
+        _, anchors, _ = tdoa_case
+        observed = reference_toas(1, np.random.default_rng(0))
         with pytest.raises(VisibilityError):  # a guess on the far side of the Earth
-            solve_one(observed, anchors, ref, np.ones(4), Geodetic(0.0, math.pi, 0.0))
+            solve_one(observed, anchors, np.ones(4), True, Geodetic(0.0, math.pi, 0.0))
 
     def test_rtt_solve_matches_truth(self):
         orbit = ground_track_orbit(Geodetic(0.0, 0.0, 0.0), 600e3)
         anchors = make_virtual_anchors(orbit, 10.0, 10)
         truth = Geodetic(math.radians(0.05), math.radians(0.1), 0.0)
-        observed = draw_one(truth, anchors, np.zeros((10, 10)), np.random.default_rng(1))
+        observed = exact_observables(truth, anchors)[None]
         # an on-track guess is singular by mirror symmetry; start beside it
-        estimate, _, converged = solve_one(observed, anchors, None, np.full(10, 25.0),
+        estimate, _, converged = solve_one(observed, anchors, np.full(10, 25.0), False,
                                            Geodetic(0.0, math.radians(0.02), 0.0))
         assert converged
         err = np.linalg.norm(geodetic_to_ecef(estimate) - geodetic_to_ecef(truth))
@@ -136,36 +208,31 @@ class TestValidate:
         assert 0.0 <= report.convergence_rate <= 1.0
         assert report.n_trials == 50
 
+    # `validate` runs at 1 m; these take its reference case to other sigmas.
     def test_effectively_noiseless_trials_all_converge(self):
-        report = validate(n_trials=100, range_sigma_m=1e-4, seed=2)
-        assert report.convergence_rate == 1.0
-        assert report.rmse_m < 1e-3
+        rmse, _, convergence_rate, _ = solve_reference_case(1e-4, 100, seed=2)
+        assert convergence_rate == 1.0
+        assert rmse < 1e-3
 
     def test_ratio_decreases_toward_one_with_snr(self):
-        low = validate(n_trials=400, range_sigma_m=2e5, seed=5)
-        high = validate(n_trials=400, range_sigma_m=2e4, seed=5)
-        assert high.ratio < low.ratio - 0.005
-        assert 0.95 <= high.ratio <= 1.10
+        low_rmse, low_peb, _, _ = solve_reference_case(2e5, 400, seed=5)
+        high_rmse, high_peb, _, _ = solve_reference_case(2e4, 400, seed=5)
+        assert high_rmse / high_peb < low_rmse / low_peb - 0.005
+        assert 0.95 <= high_rmse / high_peb <= 1.10
+
+    def test_reference_case_at_one_metre_is_validate(self):
+        report = validate(n_trials=300, seed=8)
+        assert solve_reference_case(1.0, 300, seed=8) == pytest.approx(
+            (report.rmse_m, report.peb_m, report.convergence_rate, report.mean_error_m),
+            rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("n_trials", [0, -3, estimator.MAX_TRIALS + 1])
     def test_needs_a_trial(self, n_trials):
         with pytest.raises(ValueError, match="n_trials"):
             validate(n_trials=n_trials)
 
-    # 0 and NaN gave a NaN bound and ratio; -1 ran as +1, squared away. The
-    # square of 1e-170 underflows to 0 and that of 1e160 overflows, both to
-    # a NaN bound; 1e6 and 1e150 fall below the degenerate gate, and the
-    # solver raised DegenerateGeometryError on them.
-    # (NumPy warns as the extreme squares leave the float range.)
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("range_sigma_m", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf,
-                                               1e-170, 1e160, 1e6, 1e150])
-    def test_needs_a_positive_finite_range_sigma(self, range_sigma_m):
-        with pytest.raises(ValueError, match="range_sigma_m"):
-            validate(n_trials=5, range_sigma_m=range_sigma_m)
-
     def test_unbiased_at_high_snr(self):
-        report = validate(n_trials=2000, range_sigma_m=1.0, seed=0)
+        report = validate(n_trials=2000, seed=0)
         assert report.mean_error_m < 0.1 * report.rmse_m
 
 
@@ -175,13 +242,13 @@ _CRLB_GOLDEN = json.loads(
 
 
 def _trial_by_trial(seed, n_trials, **solve_kwargs):
-    """Reference for `validate`: its stream, SeedSequence([seed, 0x76616c]),
-    drawn one trial at a time with `draw_one` and each trial solved alone.
-    Returns (truth, (1, M) observation rows, `solve_one` results)."""
-    truth, anchors, cov, ref, guess = reference_tdoa_case(1.0)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x76616c]))
-    rows = [draw_one(truth, anchors, cov, rng, ref) for _ in range(n_trials)]
-    return truth, rows, [solve_one(row, anchors, ref, np.ones(4), guess, **solve_kwargs)
+    """Reference for `validate`: its stream, drawn one trial at a time with
+    `reference_toas` and each trial solved alone. Returns (truth, (1, 4) TOA
+    rows, `solve_one` results)."""
+    truth, anchors, guess = reference_tdoa_case()
+    rng = validate_stream(seed)
+    rows = [reference_toas(1, rng) for _ in range(n_trials)]
+    return truth, rows, [solve_one(row, anchors, np.ones(4), True, guess, **solve_kwargs)
                          for row in rows]
 
 
@@ -213,8 +280,8 @@ class TestSolverPaths:
     @pytest.mark.parametrize("cap", [2, 3])
     def test_iteration_cap(self, cap):
         _, rows, free = _trial_by_trial(3, 50)
-        _, anchors, _, ref, guess = reference_tdoa_case(1.0)
-        capped = [solve_one(row, anchors, ref, np.ones(4), guess, max_iterations=cap)
+        _, anchors, guess = reference_tdoa_case()
+        capped = [solve_one(row, anchors, np.ones(4), True, guess, max_iterations=cap)
                   for row in rows]
         for (_, free_iterations, _), (_, iterations, converged) in zip(free, capped):
             assert iterations == min(free_iterations, cap)
@@ -230,35 +297,29 @@ class TestSolverPaths:
         if threshold is not None:
             monkeypatch.setattr(estimator, "_DIVERGENCE_STEP_M", threshold)
         _, rows, _ = _trial_by_trial(4, 50)
-        _, anchors, _, ref, guess = reference_tdoa_case(1.0)
-        alone = [solve_one(row, anchors, ref, np.ones(4), guess, max_iterations=cap)
+        _, anchors, guess = reference_tdoa_case()
+        alone = [solve_one(row, anchors, np.ones(4), True, guess, max_iterations=cap)
                  for row in rows]
         lat, lon, iterations, converged = estimator._gauss_newton(
-            toas(np.concatenate(rows), ref), anchors, np.ones(4), True, guess, cap,
+            np.concatenate(rows), anchors, np.ones(4), True, guess, cap,
             estimator.STEP_TOLERANCE_M)
         assert lat.tolist() == [estimate.lat_rad for estimate, _, _ in alone]
         assert lon.tolist() == [estimate.lon_rad for estimate, _, _ in alone]
         assert iterations.tolist() == [n for _, n, _ in alone]
         assert converged.tolist() == [c for _, _, c in alone]
 
-    def test_stacked_draws_equal_sequential_draws(self):
-        truth, anchors, cov, ref, _ = reference_tdoa_case(1.0)
-        sequential_rng, stacked_rng = np.random.default_rng(9), np.random.default_rng(9)
-        sequential = np.array([draw_one(truth, anchors, cov, sequential_rng, ref)[0]
-                               for _ in range(50)])
-        exact = exact_observables(truth, anchors, ref)
-        root = np.linalg.cholesky(cov)
-        stacked = np.array([exact + root @ z
-                            for z in stacked_rng.standard_normal((50, 3))])
-        assert np.array_equal(sequential, stacked)
+    # `validate` draws every trial in one call: row t is what a trial-by-trial
+    # draw on its stream gives at trial t, in one pass or split over several.
+    def test_stacked_draws_equal_sequential_draws(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_BLOCK_TRIALS", 20)  # three passes
+        rng = validate_stream(9)
+        sequential = np.concatenate([reference_toas(1, rng) for _ in range(50)])
+        assert np.array_equal(captured_rows(n_trials=50, seed=9), sequential)
 
     def test_one_stacked_draw_equals_sequential_draws(self):
-        truth, anchors, cov, ref, _ = reference_tdoa_case(1.0)
-        sequential_rng, stacked_rng = np.random.default_rng(9), np.random.default_rng(9)
-        sequential = [draw_one(truth, anchors, cov, sequential_rng, ref)[0]
-                      for _ in range(500)]
-        stacked = estimator._simulate(truth, anchors, cov, stacked_rng, ref, 500)
-        assert np.array_equal(stacked, sequential)
+        rng = validate_stream(9)
+        sequential = np.concatenate([reference_toas(1, rng) for _ in range(500)])
+        assert np.array_equal(captured_rows(n_trials=500, seed=9), sequential)
 
     def test_report_does_not_depend_on_the_block_bound(self, monkeypatch):
         one_pass = validate(n_trials=450, seed=6)
@@ -345,9 +406,8 @@ class TestLoopOracle:
     def test_reference_case(self, monkeypatch, threshold, cap):
         if threshold is not None:
             monkeypatch.setattr(estimator, "_DIVERGENCE_STEP_M", threshold)
-        truth, anchors, cov, ref, guess = reference_tdoa_case(1.0)
-        rng = np.random.default_rng(np.random.SeedSequence([4, 0x76616c]))
-        observed = toas(estimator._simulate(truth, anchors, cov, rng, ref, 200), ref)
+        _, anchors, guess = reference_tdoa_case()
+        observed = reference_toas(200, validate_stream(4))
         _assert_loops_agree(observed, anchors, np.ones(4), True, guess, cap)
 
     def test_rows_that_diverge_after_moving(self, monkeypatch):
@@ -376,23 +436,23 @@ class TestLoopOracle:
 
 def _problem(kind, n_trials):
     """(observed TOA rows, anchors, variances, ref, guess) of `n_trials`
-    draws with unequal sigmas: "tdoa" the reference case's satellites, with
-    differences against `ref` drawn as `validate` draws them; "rtt" a UE
-    beside a single-LEO ground track, whose on-track points are singular,
-    with a guess beside the track and `ref` None."""
+    draws with unequal sigmas, each TOA with its own noise: "tdoa" the
+    reference case's satellites sharing a clock bias, with `ref` the anchor
+    the difference-form oracles take differences against; "rtt" a UE beside
+    a single-LEO ground track, whose on-track points are singular, with a
+    guess beside the track and `ref` None."""
     if kind == "tdoa":
-        truth, anchors, _, ref, guess = reference_tdoa_case(1.0)
-        sigmas = np.array([1.0, 2.0, 0.5, 1.5])
-        drawn = estimator._simulate(truth, anchors, tdoa_covariance(sigmas, ref),
-                                    np.random.default_rng(5), ref, n_trials)
-        return toas(drawn, ref), anchors, sigmas**2, ref, guess
-    orbit = ground_track_orbit(Geodetic(0.0, 0.0, 0.0), 600e3)
-    anchors = make_virtual_anchors(orbit, 10.0, 10)
-    truth = Geodetic(math.radians(0.05), math.radians(0.1), 0.0)
-    variances = np.linspace(16.0, 36.0, 10)
-    return (estimator._simulate(truth, anchors, np.diag(variances), np.random.default_rng(1),
-                                None, n_trials), anchors, variances, None,
-            Geodetic(0.0, math.radians(0.02), 0.0))
+        truth, anchors, guess = reference_tdoa_case()
+        sigmas, rng, ref = np.array([1.0, 2.0, 0.5, 1.5]), np.random.default_rng(5), 0
+    else:
+        anchors = make_virtual_anchors(ground_track_orbit(Geodetic(0.0, 0.0, 0.0), 600e3),
+                                       10.0, 10)
+        truth, guess = (Geodetic(math.radians(0.05), math.radians(0.1), 0.0),
+                        Geodetic(0.0, math.radians(0.02), 0.0))
+        sigmas, rng, ref = np.sqrt(np.linspace(16.0, 36.0, 10)), np.random.default_rng(1), None
+    observed = exact_observables(truth, anchors) + sigmas * rng.standard_normal(
+        (n_trials, len(anchors)))
+    return observed, anchors, sigmas**2, ref, guess
 
 
 def _difference_step(observed, lat, lon, alt_m, anchors, variances, ref):
@@ -627,17 +687,17 @@ class TestDegenerateGate:
 
 def test_solver_invariant_under_frame_rotation(tdoa_case):
     # rotating the whole problem about the Earth axis rotates the estimate
-    truth, anchors, cov, ref, guess = tdoa_case
+    _, anchors, guess = tdoa_case
     shift = math.radians(37.0)
     rot = np.array([[math.cos(shift), -math.sin(shift), 0.0],
                     [math.sin(shift), math.cos(shift), 0.0],
                     [0.0, 0.0, 1.0]])
 
-    observed = draw_one(truth, anchors, cov, np.random.default_rng(17), ref)
-    base, _, base_converged = solve_one(observed, anchors, ref, np.ones(4), guess)
+    observed = reference_toas(1, np.random.default_rng(17))
+    base, _, base_converged = solve_one(observed, anchors, np.ones(4), True, guess)
 
     rot_guess = Geodetic(guess.lat_rad, guess.lon_rad + shift, guess.alt_m)
-    rotated, _, rotated_converged = solve_one(observed, anchors @ rot.T, ref, np.ones(4),
+    rotated, _, rotated_converged = solve_one(observed, anchors @ rot.T, np.ones(4), True,
                                               rot_guess)
 
     assert rotated_converged == base_converged

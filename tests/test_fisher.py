@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from satpeb.constants import EARTH_RADIUS_M
 from satpeb.errors import VisibilityError
 from satpeb.fisher import (DEGENERATE_EIGENVALUE, fim_diagonal, line_of_sight,
-                           min_gdop_subsets, peb_arrays, rtt_range_sigma, tdoa_covariance,
-                           toa_range_sigma)
+                           min_gdop_subsets, peb_arrays, rtt_range_sigma, toa_range_sigma)
 from satpeb.geometry import (Geodetic, enu_frames, geodetic_to_ecef,
                              ground_track_orbit, hex_constellation,
                              make_virtual_anchors)
@@ -41,6 +40,23 @@ def fim(J: np.ndarray, R: np.ndarray) -> np.ndarray:
         raise ValueError("singular measurement covariance") from None
     f = np.swapaxes(J, -1, -2) @ w
     return (f + np.swapaxes(f, -1, -2)) / 2.0
+
+
+def tdoa_covariance(sigmas_m, reference_index: int) -> np.ndarray:
+    """The TDOA oracle: covariance of range differences against a reference
+    anchor, diagonal sigma_i^2 + sigma_ref^2 and off-diagonal sigma_ref^2,
+    which `fim_diagonal(..., clock_bias=True)` must match with `fim`.
+    Broadcasts over the leading axes of `sigmas_m` (..., N)."""
+    sigmas = np.atleast_1d(np.asarray(sigmas_m, dtype=float))
+    n = sigmas.shape[-1]
+    if n < 2:
+        raise ValueError("TDOA requires at least two anchors")
+    if not 0 <= reference_index < n:
+        raise ValueError("reference index out of range")
+    others = np.delete(sigmas, reference_index, axis=-1)
+    ref_var = sigmas[..., reference_index] ** 2
+    return ((others**2)[..., None] * np.eye(n - 1)
+            + ref_var[..., None, None] * np.ones((n - 1, n - 1)))
 
 
 def geometry_jacobian(units_en: np.ndarray, reference_index: int | None = None) -> np.ndarray:

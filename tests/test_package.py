@@ -31,8 +31,9 @@ def test_exports_resolve():
 # `perfbench/layers.py` targets whose functions this package deleted, with
 # no command calling them; the benchmark records each as absent, 0 calls.
 _DELETED_LAYERS = ("fisher.best_subset_indices", "fisher.MeasurementSet", "fisher.jacobian",
-                   "fisher.fim", "fisher.peb", "geometry.ecef_to_geodetic",
-                   "geometry.enu_basis", "geometry.destination_point", "estimator.solve",
+                   "fisher.fim", "fisher.peb", "fisher.tdoa_covariance",
+                   "geometry.ecef_to_geodetic", "geometry.enu_basis",
+                   "geometry.destination_point", "estimator.solve",
                    "estimator.simulate_measurements")
 
 
