@@ -63,11 +63,10 @@ def parse_config(path: str | Path, default_variant: str | None = None) -> Scenar
     return config_from_dict(raw, default_variant=default_variant)
 
 
-def config_hash(config: ScenarioConfig) -> str:
-    """sha256 of the canonical (key-sorted) resolved config; stable under key
-    reordering in the source file."""
-    canonical = json.dumps(config_to_dict(config), sort_keys=True,
-                           separators=(",", ":"))
+def config_hash(resolved: dict) -> str:
+    """sha256 of the canonical (key-sorted) form of a `config_to_dict`
+    snapshot; stable under key reordering in the source file."""
+    canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -142,8 +141,8 @@ def write_samples_json(bundle: RunBundle, path: Path) -> None:
 
 
 def write_summary(bundle: RunBundle, path: Path) -> None:
-    payload = {case_id: dataclasses.asdict(stats)
-               for case_id, stats in bundle.stats.items()}
+    # SummaryStats is flat: its fields are read as they stand, not deep-copied
+    payload = {case_id: vars(stats) for case_id, stats in bundle.stats.items()}
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
@@ -167,13 +166,14 @@ def emit_manifest(out_dir: Path, configs: list[ScenarioConfig], seed: int,
         for name, expected in PINNED_TABLE_CHECKSUMS.items()
         if checksums.get(name) != expected
     ]
+    resolved = [config_to_dict(c) for c in configs]
     manifest = {
         "tool_version": __version__,
         "seed": seed,
         "started_utc": started,
         "finished_utc": finished,
-        "config_hash": [config_hash(c) for c in configs],
-        "resolved_config": [config_to_dict(c) for c in configs],
+        "config_hash": [config_hash(r) for r in resolved],
+        "resolved_config": resolved,
         "calibration": {
             "leo_dl_processing_gain_db": CALIBRATED_LEO_DL_PROCESSING_GAIN_DB,
             "leo_ul_processing_gain_db": CALIBRATED_LEO_UL_PROCESSING_GAIN_DB,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, VisibilityError
 from .fisher import (DEGENERATE_EIGENVALUE, fim_diagonal, line_of_sight, min_gdop_subsets,
-                     peb_arrays)
+                     peb_arrays, smallest_eigenvalue)
 from .geometry import Geodetic, enu_frames, hex_constellation, wrap_longitude
 from .constants import EARTH_RADIUS_M
 
@@ -48,12 +48,6 @@ class ValidationReport:
     mean_error_m: float
 
 
-def _smallest_eigenvalue(a, b, d):
-    """Smaller eigenvalue of each symmetric [[a, b], [b, d]] in closed form; it
-    agrees with `eigvalsh` to a few ulps of the larger one: enough for a gate."""
-    return (a + d) / 2.0 - np.hypot((a - d) / 2.0, b)
-
-
 def _step(observed, lat, lon, alt_m, anchors, variances, clock_bias) -> np.ndarray:
     """(T, 2) east/north Gauss-Newton steps of the (T, N) `observed` TOA rows,
     linearised at (T,) `lat`/`lon`, or at one (1,) point shared by every row.
@@ -77,7 +71,7 @@ def _step(observed, lat, lon, alt_m, anchors, variances, clock_bias) -> np.ndarr
         residual, east, north = (v - sum(w * v) / np.sum(w) for v in (residual, east, north))
     we, wn = w * east, w * north
     a, b, d = sum(we * east), sum(we * north), sum(wn * north)
-    if np.any(_smallest_eigenvalue(a, b, d) < DEGENERATE_EIGENVALUE):
+    if np.any(smallest_eigenvalue(a, b, d) < DEGENERATE_EIGENVALUE):
         raise DegenerateGeometryError("normal equations do not constrain the horizontal position")
     # the Jacobian rows are -east/-north: the right-hand side's sign folds in
     ge, gn, det = sum(we * residual), sum(wn * residual), a * d - b * b

@@ -11,6 +11,14 @@ of `line_of_sight`. A case's information is a sum of independent
 `fim_diagonal` blocks, and `peb_arrays` turns it into the bound. The
 estimator's solver fits the same model: the same ranges and unit vectors,
 and the clock bias eliminated by the same weighted centring of its rows.
+
+The subset search (`subset_gdop`) and the solver's step gate work on 2x2
+information matrices [[a, b], [b, d]] in closed form, with one degeneracy
+rule, `smallest_eigenvalue`. The subset scores only rank subsets and the
+gate only refuses singular steps, so neither writes a number of its own.
+`peb_arrays` alone still calls LAPACK's `eigvalsh`: its bound and GDOP are
+written to every output, and the benchmark's golden files pin their bits at
+1e-12, so moving them to a closed form is a change of its own.
 """
 
 from __future__ import annotations
@@ -87,6 +95,12 @@ def fim_diagonal(J: np.ndarray, variances: np.ndarray,
     return (f + np.swapaxes(f, -1, -2)) / 2.0
 
 
+def smallest_eigenvalue(a, b, d):
+    """Smaller eigenvalue of each symmetric [[a, b], [b, d]] in closed form; it
+    agrees with `eigvalsh` to a few ulps of the larger one: enough for a gate."""
+    return (a + d) / 2.0 - np.hypot((a - d) / 2.0, b)
+
+
 def peb_arrays(f: np.ndarray, mean_variance=1.0):
     """Position error bound sqrt(trace(F^-1)) over stacked (..., 2, 2) FIMs:
     (peb_m, gdop, degenerate) arrays, with NaN bound and GDOP where the smaller
@@ -100,38 +114,67 @@ def peb_arrays(f: np.ndarray, mean_variance=1.0):
     return bound, bound / np.sqrt(mean_variance), degenerate
 
 
+def subset_gdop(units_en: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """(D, C) GDOP of each of the (C, k) anchor `subsets` of each drop's
+    (D, N, 2) unit vectors, with every range sigma at 1 m and the clock bias
+    eliminated, as TDOA does; inf where degenerate.
+
+    The centred information comes from per-anchor sums: with the (N, C) 0/1
+    membership matrix M, a = (e*e) @ M - (e @ M)**2 / k over the east
+    components e, and likewise b and d, so GDOP is
+    sqrt((a + d) / (a*d - b**2)): the Schur complement of Shen and Win
+    written as centred sums, with no (D, C, k, 2) stack and no LAPACK call.
+    """
+    c, k = subsets.shape
+    members = np.zeros((units_en.shape[-2], c))
+    members[subsets, np.arange(c)[:, None]] = 1.0
+    e, u = units_en[..., 0], units_en[..., 1]
+    se, su, ee, eu, uu = np.stack([e, u, e * e, e * u, u * u]) @ members
+    a, b, d = ee - se * se / k, eu - se * su / k, uu - su * su / k
+    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate subsets score inf
+        gdop = np.sqrt((a + d) / (a * d - b * b))
+    gdop[smallest_eigenvalue(a, b, d) < DEGENERATE_EIGENVALUE] = np.inf
+    return gdop
+
+
 def min_gdop_subsets(units_en: np.ndarray, serving_index: int, k: int,
                      visible: np.ndarray | None = None) -> np.ndarray:
     """(D, k) sorted indices of each UE drop's minimum-GDOP k-subset
     containing the serving anchor, by exhaustive enumeration, from the
-    (D, N, 2) unit vectors of `line_of_sight`. GDOP takes every range sigma
-    at 1 m and eliminates the clock bias, as TDOA does.
+    (D, N, 2) unit vectors of `line_of_sight`, scored by `subset_gdop`.
 
-    All subsets of all drops are scored at once, then walked in enumeration
-    order: a subset wins only below (1 - 1e-10) times the best so far, so
-    exact ties reached through symmetric geometry go to the lexicographically
-    smallest index set, and a drop whose candidates are all degenerate gets
-    its first. A (D, N) `visible` mask leaves each drop's hidden anchors out
-    of its candidates; a drop with no fully visible subset gets the first
-    subset.
+    The winner is that of a walk in enumeration order: a subset wins only
+    below (1 - 1e-10) times the best so far, so exact ties reached through
+    symmetric geometry go to the lexicographically smallest index set, and a
+    drop whose candidates are all degenerate gets its first. The walk's
+    winner w always has GDOP(w) * (1 - 1e-10) <= the drop's least GDOP, so a
+    drop where one subset alone passes that test takes its argmin, and only
+    the other drops are walked. A (D, N) `visible` mask leaves each drop's
+    hidden anchors out of its candidates; a drop with no fully visible
+    subset gets the first subset.
     """
     n = units_en.shape[-2]
     if k > n:
         raise ValueError(f"cannot select {k} of {n} visible satellites")
     others = [i for i in range(n) if i != serving_index]
-    combos = list(itertools.combinations(others, k - 1))
-    subsets = np.array([sorted((serving_index,) + c) for c in combos])
-    _, gdop, degenerate = peb_arrays(fim_diagonal(
-        units_en[:, subsets], np.ones(k), clock_bias=True))
-    gdop = np.where(degenerate, np.inf, gdop)
-    best = np.full(len(units_en), np.inf)
+    subsets = np.array([sorted((serving_index,) + c)
+                        for c in itertools.combinations(others, k - 1)])
+    gdop = subset_gdop(units_en, subsets)
     choice = np.zeros(len(units_en), dtype=int)
     if visible is not None:
         usable = np.all(visible[:, subsets], axis=-1)
-        gdop = np.where(usable, gdop, np.inf)
+        gdop[~usable] = np.inf
         choice = np.argmax(usable, axis=1)  # the all-degenerate fallback
-    for c in range(len(combos)):
-        better = gdop[:, c] < best * (1.0 - 1e-10)
-        best = np.where(better, gdop[:, c], best)
-        choice[better] = c
+    walk = np.count_nonzero(gdop * (1.0 - 1e-10) <= np.min(gdop, axis=1, keepdims=True),
+                            axis=1) > 1
+    choice = np.where(walk, choice, np.argmin(gdop, axis=1))
+    rows = np.flatnonzero(walk)
+    if rows.size:
+        gdop, walked = gdop[rows], choice[rows]
+        best = np.full(len(rows), np.inf)
+        for c in range(len(subsets)):
+            better = gdop[:, c] < best * (1.0 - 1e-10)
+            best = np.where(better, gdop[:, c], best)
+            walked[better] = c
+        choice[rows] = walked
     return subsets[choice]

@@ -9,7 +9,7 @@ from satpeb import channel
 from satpeb.cli import (SAMPLE_FIELDS, _build_parser, _fmt, _merge_bundles,
                         config_hash, main, parse_config, write_samples_csv,
                         write_samples_json, write_summary)
-from satpeb.config import make_config
+from satpeb.config import config_to_dict, make_config
 from satpeb.errors import ConfigError
 from satpeb.estimator import MAX_TRIALS
 from satpeb.scenarios import PebSampleSet, RunBundle, run, summarize
@@ -187,13 +187,13 @@ class TestParseConfig:
             "variant": "single-leo", "seed": 3, "n_ue_drops": 10}, "a.json"))
         b = parse_config(write_config(tmp_path, {
             "n_ue_drops": 10, "seed": 3, "variant": "single-leo"}, "b.json"))
-        assert config_hash(a) == config_hash(b)
+        assert config_hash(config_to_dict(a)) == config_hash(config_to_dict(b))
 
     def test_hash_sensitive_to_values(self, tmp_path):
         a = parse_config(write_config(tmp_path, {"variant": "single-leo"}, "a.json"))
         b = parse_config(write_config(tmp_path, {"variant": "single-leo",
                                                  "seed": 1}, "b.json"))
-        assert config_hash(a) != config_hash(b)
+        assert config_hash(config_to_dict(a)) != config_hash(config_to_dict(b))
 
 
 class TestExecute:

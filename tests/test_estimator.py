@@ -11,7 +11,8 @@ from satpeb import estimator
 from satpeb.constants import EARTH_RADIUS_M
 from satpeb.errors import DegenerateGeometryError, VisibilityError
 from satpeb.estimator import reference_tdoa_case, validate
-from satpeb.fisher import DEGENERATE_EIGENVALUE, fim_diagonal, line_of_sight, peb_arrays
+from satpeb.fisher import (DEGENERATE_EIGENVALUE, fim_diagonal, line_of_sight, peb_arrays,
+                           smallest_eigenvalue)
 from satpeb.geometry import (Geodetic, enu_frames, geodetic_to_ecef,
                              ground_track_orbit, make_virtual_anchors, wrap_longitude)
 from tests.test_fisher import (_anchors_from_sky, centred_rows, geometry_jacobian,
@@ -643,7 +644,7 @@ _GATE_BAND_ULPS = 8
 
 def _assert_gate_agrees(a, b, d):
     reference = np.linalg.eigvalsh(_symmetric(a, b, d))
-    closed = estimator._smallest_eigenvalue(a, b, d)
+    closed = smallest_eigenvalue(a, b, d)
     band = _GATE_BAND_ULPS * np.finfo(float).eps * np.abs(reference[..., 1])
     assert np.all(np.abs(closed - reference[..., 0]) <= band)
     outside = np.abs(reference[..., 0] - DEGENERATE_EIGENVALUE) > band

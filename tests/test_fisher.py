@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from satpeb.constants import EARTH_RADIUS_M
 from satpeb.errors import VisibilityError
 from satpeb.fisher import (DEGENERATE_EIGENVALUE, fim_diagonal, line_of_sight,
-                           min_gdop_subsets, peb_arrays, rtt_range_sigma, toa_range_sigma)
+                           min_gdop_subsets, peb_arrays, rtt_range_sigma, subset_gdop,
+                           toa_range_sigma)
 from satpeb.geometry import (Geodetic, enu_frames, geodetic_to_ecef,
                              ground_track_orbit, hex_constellation,
                              make_virtual_anchors)
@@ -619,3 +620,134 @@ class TestSelection:
         batched = min_gdop_subsets(units, 2, k)
         for drop, chosen in zip(units, batched):
             assert tuple(chosen) == best_subset_indices(drop, 2, k)
+
+
+def best_visible_subset(units_en: np.ndarray, serving_index: int, k: int,
+                        visible: np.ndarray) -> tuple[int, ...]:
+    """Reference for `min_gdop_subsets` with a `visible` mask on one drop:
+    `best_subset_indices` over the visible anchors alone, mapped back to the
+    drop's indices, or the first subset where no k-subset containing the
+    serving anchor is fully visible."""
+    shown = np.flatnonzero(visible)
+    if not visible[serving_index] or len(shown) < k:
+        others = [i for i in range(len(units_en)) if i != serving_index]
+        return tuple(sorted((serving_index,) + tuple(others[:k - 1])))
+    chosen = best_subset_indices(units_en[shown], int(np.searchsorted(shown, serving_index)), k)
+    return tuple(int(i) for i in shown[list(chosen)])
+
+
+def _sky_units(azimuth: np.ndarray, elevation: np.ndarray) -> np.ndarray:
+    """(..., 2) east/north components of unit vectors on the sky."""
+    return np.stack([np.cos(elevation) * np.sin(azimuth),
+                     np.cos(elevation) * np.cos(azimuth)], axis=-1)
+
+
+def _sky(kind: str, n: int, serving: int, rng: np.random.Generator) -> np.ndarray:
+    """(n, 2) unit vectors of one drop's sky of the given kind:
+
+    * "random": azimuths and elevations uniform;
+    * "collinear": every anchor on one line through the UE, its azimuth
+      off by 0, 1e-9 or 1e-2 rad times 1 to 2, so that subsets range from
+      exactly degenerate to ill-conditioned but usable;
+    * "mirror": the serving anchor on an axis and the others in pairs
+      mirrored about it, so mirror-image subsets tie up to rounding; one
+      pair's azimuth is then off by 0, 1e-13 (still a tie) or 1e-6 rad.
+    """
+    azimuth, elevation = rng.uniform(0.0, 2.0 * math.pi, n), rng.uniform(0.05, 1.5, n)
+    if kind == "collinear":
+        offset = rng.choice([0.0, 1e-9, 1e-2]) * rng.choice([-1.0, 1.0], n)
+        azimuth = azimuth[0] + math.pi * rng.integers(0, 2, n) + offset * rng.uniform(1, 2, n)
+    elif kind == "mirror":
+        others = rng.permutation([i for i in range(n) if i != serving])
+        azimuth[serving] = axis = azimuth[0]
+        for plus, minus in zip(others[0::2], others[1::2]):
+            azimuth[plus], azimuth[minus] = axis + azimuth[plus], axis - azimuth[plus]
+            elevation[minus] = elevation[plus]
+        if len(others) % 2:
+            azimuth[others[-1]] = axis + math.pi
+        if len(others) > 1:
+            azimuth[others[0]] += rng.choice([0.0, 1e-13, 1e-6])
+    return _sky_units(azimuth, elevation)
+
+
+_SKY_KINDS = ("random", "collinear", "mirror")
+
+
+class TestClosedFormSelection:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 7).flatmap(lambda n: st.tuples(
+               st.just(n), st.integers(2, n), st.integers(0, n - 1))),
+           st.lists(st.sampled_from(_SKY_KINDS), max_size=9),
+           st.sampled_from(["none", "all", "random"]),
+           st.integers(0, 2**32 - 1))
+    def test_matches_scalar_oracle_drop_by_drop(self, shape, kinds, masking, seed):
+        # Every batch holds each kind of sky at least once: mirror ties send
+        # their rows through the enumeration-order walk, the other rows take
+        # the argmin. k = 2 and exactly collinear skies leave every subset
+        # degenerate, and random masks leave some drops no usable subset.
+        n, k, serving = shape
+        rng = np.random.default_rng(seed)
+        units = np.stack([_sky(kind, n, serving, rng)
+                          for kind in _SKY_KINDS + ("mirror",) * 3 + tuple(kinds)])
+        if masking == "none":
+            for drop, chosen in zip(units, min_gdop_subsets(units, serving, k)):
+                assert tuple(chosen) == best_subset_indices(drop, serving, k)
+            return
+        visible = (np.ones(units.shape[:2], dtype=bool) if masking == "all"
+                   else rng.random(units.shape[:2]) < 0.8)
+        chosen = min_gdop_subsets(units, serving, k, visible=visible)
+        for drop, shown, picked in zip(units, visible, chosen):
+            assert tuple(picked) == best_visible_subset(drop, serving, k, shown)
+
+    def test_fallbacks(self):
+        rng = np.random.default_rng(7)
+        collinear = _sky_units(np.array([0.3, 0.3 + math.pi, 0.3, 0.3 + math.pi, 0.3]),
+                               rng.uniform(0.1, 1.4, 5))
+        spread = _sky("random", 5, 0, rng)
+        units = np.stack([collinear, spread, spread])
+        visible = np.ones((3, 5), dtype=bool)
+        visible[1, 0] = False  # the serving anchor hidden: no usable subset
+        visible[2, [1, 2]] = False
+        chosen = min_gdop_subsets(units, 0, 3, visible=visible)
+        # all subsets degenerate: the first; none usable: the first; else a
+        # subset of the visible anchors
+        assert [tuple(c) for c in chosen[:2]] == [(0, 1, 2), (0, 1, 2)]
+        assert set(chosen[2]) <= {0, 3, 4}
+        hidden = visible.copy()
+        hidden[0, 1] = False  # the all-degenerate fallback skips unusable subsets
+        assert tuple(min_gdop_subsets(units, 0, 3, visible=hidden)[0]) == (0, 2, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 9).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n))),
+           st.integers(0, 2**32 - 1))
+    def test_gdop_matches_peb_arrays(self, shape, seed):
+        # The closed form's sums carry an absolute error of a few ulps of
+        # sum(e*e + n*n) <= k, so its relative error grows as k * eps over
+        # the smaller eigenvalue: 1e-12 on well-conditioned subsets.
+        n, k = shape
+        rng = np.random.default_rng(seed)
+        units = np.stack([_sky(kind, n, 0, rng) for kind in _SKY_KINDS * 4])
+        subsets = np.array(list(itertools.combinations(range(n), k)))
+        gdop = subset_gdop(units, subsets)
+        f = fim_diagonal(units[:, subsets], np.ones(k), clock_bias=True)
+        _, reference, degenerate = peb_arrays(f)
+        smaller = np.linalg.eigvalsh(f)[..., 0]
+        assert np.array_equal(np.isinf(gdop), degenerate)
+        relative = np.abs(gdop[~degenerate] / reference[~degenerate] - 1.0)
+        eps = np.finfo(float).eps
+        assert np.all(relative <= 2.0 * k * eps / smaller[~degenerate])
+        assert np.all(relative[smaller[~degenerate] >= 0.01] <= 1e-12)
+
+    @pytest.mark.parametrize("gaps_deg", [(13.0, 6.9), (27.0, 6.9), (1.0, 0.5)])
+    def test_gdop_matches_peb_arrays_on_hex_grids(self, gaps_deg):
+        rng = np.random.default_rng(300)
+        grid = hex_constellation(Geodetic(0.0, 0.0, 0.0), *map(math.radians, gaps_deg), 780e3)
+        lat, lon = rng.uniform(-0.03, 0.03, 500), rng.uniform(-0.03, 0.03, 500)
+        ue_ecef, basis = enu_frames(lat, lon)
+        units = line_of_sight(ue_ecef, grid, basis, check_horizon=False)[1]
+        subsets = np.array([(0,) + c for c in itertools.combinations(range(1, 7), 3)])
+        gdop = subset_gdop(units, subsets)
+        _, reference, degenerate = peb_arrays(fim_diagonal(units[:, subsets], np.ones(4),
+                                                           clock_bias=True))
+        assert not np.any(degenerate)
+        assert np.all(np.abs(gdop / reference - 1.0) <= 1e-12)
