@@ -681,10 +681,11 @@ class TestClosedFormSelection:
            st.sampled_from(["none", "all", "random"]),
            st.integers(0, 2**32 - 1))
     def test_matches_scalar_oracle_drop_by_drop(self, shape, kinds, masking, seed):
-        # Every batch holds each kind of sky at least once: mirror ties send
-        # their rows through the enumeration-order walk, the other rows take
-        # the argmin. k = 2 and exactly collinear skies leave every subset
-        # degenerate, and random masks leave some drops no usable subset.
+        # Every batch holds each kind of sky, mirror skies four times: a
+        # mirror sky whose best subsets tie sends its row through the
+        # enumeration-order walk, and the other rows take the argmin. k = 2
+        # and exactly collinear skies leave every subset degenerate, and
+        # random masks leave some drops no usable subset.
         n, k, serving = shape
         rng = np.random.default_rng(seed)
         units = np.stack([_sky(kind, n, serving, rng)
