@@ -146,12 +146,9 @@ def min_gdop_subsets(units_en: np.ndarray, serving_index: int, k: int,
     The winner is that of a walk in enumeration order: a subset wins only
     below (1 - 1e-10) times the best so far, so exact ties reached through
     symmetric geometry go to the lexicographically smallest index set, and a
-    drop whose candidates are all degenerate gets its first. The walk's
-    winner w always has GDOP(w) * (1 - 1e-10) <= the drop's least GDOP, so a
-    drop where one subset alone passes that test takes its argmin, and only
-    the other drops are walked. A (D, N) `visible` mask leaves each drop's
-    hidden anchors out of its candidates; a drop with no fully visible
-    subset gets the first subset.
+    drop whose candidates are all degenerate gets its first. A (D, N)
+    `visible` mask leaves each drop's hidden anchors out of its candidates;
+    a drop with no fully visible subset gets the first subset.
     """
     n = units_en.shape[-2]
     if k > n:
@@ -165,16 +162,9 @@ def min_gdop_subsets(units_en: np.ndarray, serving_index: int, k: int,
         usable = np.all(visible[:, subsets], axis=-1)
         gdop[~usable] = np.inf
         choice = np.argmax(usable, axis=1)  # the all-degenerate fallback
-    walk = np.count_nonzero(gdop * (1.0 - 1e-10) <= np.min(gdop, axis=1, keepdims=True),
-                            axis=1) > 1
-    choice = np.where(walk, choice, np.argmin(gdop, axis=1))
-    rows = np.flatnonzero(walk)
-    if rows.size:
-        gdop, walked = gdop[rows], choice[rows]
-        best = np.full(len(rows), np.inf)
-        for c in range(len(subsets)):
-            better = gdop[:, c] < best * (1.0 - 1e-10)
-            best = np.where(better, gdop[:, c], best)
-            walked[better] = c
-        choice[rows] = walked
+    best = np.full(len(units_en), np.inf)
+    for c, g in enumerate(gdop.T):
+        better = g < best * (1.0 - 1e-10)
+        np.copyto(best, g, where=better)
+        choice[better] = c
     return subsets[choice]

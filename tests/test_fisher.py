@@ -682,10 +682,10 @@ class TestClosedFormSelection:
            st.integers(0, 2**32 - 1))
     def test_matches_scalar_oracle_drop_by_drop(self, shape, kinds, masking, seed):
         # Every batch holds each kind of sky, mirror skies four times: a
-        # mirror sky whose best subsets tie sends its row through the
-        # enumeration-order walk, and the other rows take the argmin. k = 2
-        # and exactly collinear skies leave every subset degenerate, and
-        # random masks leave some drops no usable subset.
+        # mirror sky's best subsets tie, so its row's winner rests on the
+        # enumeration-order walk and its margin. k = 2 and exactly
+        # collinear skies leave every subset degenerate, and random masks
+        # leave some drops no usable subset.
         n, k, serving = shape
         rng = np.random.default_rng(seed)
         units = np.stack([_sky(kind, n, serving, rng)
