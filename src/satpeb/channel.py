@@ -132,7 +132,8 @@ def antenna_gain(pattern: AntennaPattern, off_boresight_rad) -> float | np.ndarr
     if np.any(theta < 0) or np.any(theta > math.pi):
         raise ValueError("off-boresight angle must lie in [0, pi]")
     if pattern.model == "gaussian-approx":
-        gain = -12.0 * (theta / pattern.beamwidth_rad) ** 2
+        # floored at the Bessel pattern's -160 dB, not -inf for a very narrow beam
+        gain = np.maximum(-12.0 * (theta / pattern.beamwidth_rad) ** 2, -160.0)
     else:
         # k*a product sized so the pattern crosses -3 dB at beamwidth/2.
         ka = _HALF_POWER_ARG / math.sin(pattern.beamwidth_rad / 2.0)

@@ -31,10 +31,10 @@ CALIBRATED_LEO_UL_PROCESSING_GAIN_DB = 0.0
 CALIBRATED_GNSS_PROCESSING_GAIN_DB = 58.0
 
 # Run-size caps that keep the largest accepted run under about 2 GB of peak
-# RSS. A run's memory grows by about 135 B per realized link, a UE-to-anchor
-# link of one RTT window (single-leo: 20,000 drops are 1.8M links and peak at
-# 280 MB), and by about 4.3 kB per drop in the multi-leo subset search
-# (100,000 drops peak at 470 MB), whatever the link count.
+# RSS. A run's memory grows by about 130 B per realized link, a UE-to-anchor
+# link of one RTT window (single-leo: 1.8M links at 20,000 drops peak at
+# 306 MB, 4.5M at 50,000 at 658 MB), and by about 2.8 kB per multi-leo drop
+# (20,000 drops peak at 93 MB), whatever the link count.
 MAX_VIRTUAL_ANCHORS = 100_000
 MAX_UE_DROPS = 250_000
 MAX_REALIZED_LINKS = 10_000_000

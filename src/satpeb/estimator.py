@@ -2,8 +2,9 @@
 to check that empirical RMSE approaches the computed bound.
 
 The solver fits the horizontal position at fixed altitude to TOA rows with
-the bound's model: the ranges and unit vectors `line_of_sight` gives, and a
-clock bias eliminated as `fim_diagonal(..., clock_bias=True)` eliminates it.
+the bound's model: the ranges and unit vectors of `line_of_sight`, the
+run's one geometry pass, and a clock bias eliminated as
+`fim_diagonal(..., clock_bias=True)` eliminates it.
 `validate` draws the rows of all trials in one call, from the ranges its
 bound is computed at, and solves up to `_BLOCK_TRIALS` of them per pass as
 stacked rows. Every row of a pass starts at the same guess, so the pass's
@@ -135,12 +136,15 @@ def reference_tdoa_case() -> tuple:
 def validate(n_trials: int = 2000, seed: int = 0) -> ValidationReport:
     """Monte Carlo bound-achievability check on the reference TDOA case,
     scenario "multi-leo-tdoa4", with every satellite's range sigma 1 m. A
-    trial count outside [1, MAX_TRIALS] raises ValueError."""
+    trial count outside [1, MAX_TRIALS] raises ValueError, and an anchor
+    whose `line_of_sight` elevation sine is <= 0 VisibilityError."""
     if not 1 <= n_trials <= MAX_TRIALS:
         raise ValueError(f"n_trials must lie in [1, {MAX_TRIALS:,}], got {n_trials}")
     truth, anchors, guess = reference_tdoa_case()
     truth_ecef, truth_basis = enu_frames(truth.lat_rad, truth.lon_rad, truth.alt_m)
-    ranges, units = line_of_sight(truth_ecef, anchors, truth_basis)
+    ranges, units, sin_el = line_of_sight(truth_ecef, anchors, truth_basis)
+    if np.any(sin_el <= 0):
+        raise VisibilityError("anchor at or below the UE horizon")
     variances = np.ones(len(anchors))
     bound = float(peb_arrays(fim_diagonal(units, variances, clock_bias=True))[0])
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x76616c]))

@@ -6,11 +6,11 @@ RTT ranges are free of UE clock bias. TDOA takes downlink TOAs from perfectly
 synchronized anchors sharing one unknown UE clock bias, eliminated by a Schur
 complement: the equivalent FIM of Shen and Win (IEEE Trans. Inf. Theory, 2010)
 and the GNSS pseudorange model, as informative as TDOA against any reference.
-A block's Jacobian rows are the negated east/north UE->anchor unit vectors
-of `line_of_sight`. A case's information is a sum of independent
-`fim_diagonal` blocks, and `peb_arrays` turns it into the bound. The
-estimator's solver fits the same model: the same ranges and unit vectors,
-and the clock bias eliminated by the same weighted centring of its rows.
+`line_of_sight` is the one geometry pass over a set of links: its ranges
+and elevation sines feed the link budget, and its negated east/north unit
+vectors are a block's Jacobian rows. A case sums independent `fim_diagonal`
+blocks, and `peb_arrays` turns the sum into the bound. The estimator's
+solver fits the same model, with the same weighted centring of its rows.
 
 The subset search (`subset_gdop`) and the solver's step gate work on 2x2
 information matrices [[a, b], [b, d]] in closed form, with one degeneracy
@@ -29,7 +29,6 @@ import math
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .errors import VisibilityError
 
 DEGENERATE_EIGENVALUE = 1e-12  # m^-2; smaller horizontal information is unusable
 
@@ -59,24 +58,26 @@ def rtt_range_sigma(sigma_dl_m, sigma_ul_m) -> float | np.ndarray:
     return float(sigma) if sigma.ndim == 0 else sigma
 
 
-def line_of_sight(ue_ecef: np.ndarray, positions: np.ndarray, basis: np.ndarray,
-                  check_horizon: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """(..., N) UE->anchor ranges and (..., N, 2) east/north components of
-    the UE->anchor unit vectors; raises if any anchor sits at or below its
-    UE's horizon, unless `check_horizon` is false.
+def line_of_sight(ue_ecef: np.ndarray, positions: np.ndarray,
+                  basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(..., N) UE->anchor ranges, (..., N, 2) east/north components of the
+    UE->anchor unit vectors, and (..., N) elevation sines, <= 0 where an
+    anchor sits at or below its UE's horizon: the one geometry pass that
+    serves both the link budget and the FIM.
 
     Broadcasts over leading axes: `ue_ecef` (..., 3), anchor `positions`
     (..., N, 3) and `basis` (..., 3, 3), whose rows are the UE's east, north
-    and up unit vectors, as `geometry.enu_frames` returns them.
+    and up unit vectors, as `geometry.enu_frames` returns them. The sine is
+    taken on the geocentric up before the vectors are normalised.
     """
     ue = np.asarray(ue_ecef, dtype=float)
     units = np.asarray(positions, dtype=float) - ue[..., None, :]
     ranges = np.sqrt(np.sum(units * units, axis=-1))  # np.linalg.norm with one temporary
+    up = ue / np.linalg.norm(ue, axis=-1, keepdims=True)
+    sin_el = (units @ up[..., :, None])[..., 0] / ranges
     units /= ranges[..., None]
-    if check_horizon and np.any(np.sum(units * basis[..., None, 2, :], axis=-1) <= 0):
-        raise VisibilityError("anchor at or below the UE horizon")
     return ranges, np.concatenate([units @ basis[..., 0, :, None],
-                                   units @ basis[..., 1, :, None]], axis=-1)
+                                   units @ basis[..., 1, :, None]], axis=-1), sin_el
 
 
 def fim_diagonal(J: np.ndarray, variances: np.ndarray,

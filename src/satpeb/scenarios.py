@@ -18,12 +18,12 @@ range variances, with the UE clock bias eliminated for TDOA and GNSS.
 
 All drops of a run are evaluated in one in-process array pass: geometry,
 link realization, subset selection and Fisher information run on stacked
-(drops, anchors) arrays. Each block, each link-draw tag and the grid's
-downlink sigmas are computed once and shared by the cases that use them.
-The RTT windows of one link-draw tag are realized together: one stacked
-pass of (windows, drops, anchors) arrays gives every window's link budget
-and FIM. The bounds of all cases then come from one PEB pass over their
-stacked (cases, drops, 2, 2) FIMs.
+(drops, anchors) arrays. Each anchor set, the grid or one link-draw tag's
+RTT windows stacked to (windows, drops, anchors), gets one `line_of_sight`
+pass: its ranges and elevation sines feed the link budget, its unit
+vectors the FIM. Each block is computed once and shared by the cases that
+use it, and one PEB pass over the cases' stacked (cases, drops, 2, 2)
+FIMs gives every bound.
 
 Results stay columnar: `drop_ues` gives (D,) latitude and longitude arrays,
 the pass yields per case (D,) bound, GDOP and degenerate-flag arrays (NaN
@@ -62,9 +62,8 @@ from .constants import EARTH_RADIUS_M
 from .errors import ConfigError, StatisticsError
 from .fisher import (fim_diagonal, line_of_sight, min_gdop_subsets, peb_arrays,
                      rtt_range_sigma, toa_range_sigma)
-from .geometry import (Geodetic, angle_between, enu_frames, geodetic_to_ecef,
-                       ground_track_orbit, make_virtual_anchors, hex_constellation,
-                       wrap_longitude)
+from .geometry import (Geodetic, enu_frames, geodetic_to_ecef, ground_track_orbit,
+                       make_virtual_anchors, hex_constellation, wrap_longitude)
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,51 +281,48 @@ class _LinkModel:
                                       budget.gnss_processing_gain_db)
         self.gnss_range_sigma = toa_range_sigma(gnss_snr, budget.gnss_bandwidth_hz)
 
-    def _realize(self, params: tuple[LinkParams, ...], anchor_pos: np.ndarray,
-                 ue_ecef: np.ndarray, z_los: np.ndarray, z_shadow: np.ndarray):
-        """SNR under each of `params` of the links from D UEs (D, 3) to M
-        anchors (M, 3) that clear the UE's horizon, flattened in (D, M) order,
-        and the (D, M) mask of those links. Links below the horizon are not
-        realized. One LOS/shadowing draw (`z_*`, (D, M)) and one pattern
-        gain govern every direction of a link (reciprocal large-scale
-        channel)."""
-        vec = anchor_pos - ue_ecef[:, None, :]
-        dist = np.linalg.norm(vec, axis=-1)
-        up = ue_ecef / np.linalg.norm(ue_ecef, axis=-1, keepdims=True)
-        elevation = np.arcsin(np.clip((vec @ up[:, :, None])[..., 0] / dist, -1.0, 1.0))
-        visible = elevation > 0
-        elevation = elevation[visible]
-        off_boresight = angle_between(self.beam_center - anchor_pos, -vec)[visible]
+    def _realize(self, params: tuple[LinkParams, ...], anchors: np.ndarray,
+                 ue_ecef: np.ndarray, ranges: np.ndarray, sin_el: np.ndarray, draws):
+        """SNR under each of `params` of the links from D UEs (D, 3) to the
+        `anchors` with (..., D, M) `line_of_sight` `ranges` and elevation
+        sines `sin_el` that clear the horizon (sine > 0), flattened in the C
+        order of their mask, and that mask. One LOS/shadowing draw (`draws`,
+        (D, M) each, shared by the leading axes) and one pattern gain govern
+        every direction of a link (reciprocal large-scale channel)."""
+        visible = sin_el > 0
+        elevation = np.arcsin(np.minimum(sin_el[visible], 1.0))
+        axis = self.beam_center - anchors  # each beam axis normed once; the links' are `ranges`
+        cos = (np.sum(axis * (ue_ecef[:, None, :] - anchors), axis=-1)
+               / (np.linalg.norm(axis, axis=-1) * ranges))
+        off_boresight = np.arccos(np.clip(cos[visible], -1.0, 1.0))
+        z_los, z_shadow = (np.broadcast_to(z, visible.shape)[visible] for z in draws)
         if self.los_only:
             los = np.ones(elevation.shape, dtype=bool)
         else:
-            los = z_los[visible] < channel.los_probability(self.cls, elevation)
+            los = z_los < channel.los_probability(self.cls, elevation)
         sigma_sh, clutter = channel.shadowing_sigma(self.cls, elevation, los)
-        shadow = z_shadow[visible] * sigma_sh
         gain = channel.antenna_gain(self.pattern, off_boresight)
-        return [channel.link_snr(p, dist[visible], gain, shadow, clutter)
+        return [channel.link_snr(p, ranges[visible], gain, z_shadow * sigma_sh, clutter)
                 for p in params], visible
 
-    def leo_rtt_sigma(self, anchor_pos, ue_ecef, z_los,
-                      z_shadow) -> tuple[np.ndarray, np.ndarray]:
-        """(D, M) two-way range sigma per UE and anchor, and the (D, M) mask
-        of links above the UE's horizon; hidden links keep a 1 m placeholder
+    def leo_rtt_sigma(self, anchors, ue_ecef, ranges, sin_el, draws) -> tuple[np.ndarray, ...]:
+        """(..., D, M) two-way range sigma per UE and anchor, and the mask of
+        links above the UE's horizon; hidden links keep a 1 m placeholder
         sigma."""
-        (dl, ul), visible = self._realize((self.dl, self.ul), anchor_pos, ue_ecef,
-                                          z_los, z_shadow)
+        (dl, ul), visible = self._realize((self.dl, self.ul), anchors, ue_ecef, ranges,
+                                          sin_el, draws)
         sigma = np.ones(visible.shape)
         sigma[visible] = rtt_range_sigma(toa_range_sigma(dl, self.dl.bandwidth_hz),
                                          toa_range_sigma(ul, self.ul.bandwidth_hz))
         return sigma, visible
 
-    def grid_dl_sigma(self, grid_pos, ue_ecef, z_los,
-                      z_shadow) -> tuple[np.ndarray, np.ndarray]:
+    def grid_dl_sigma(self, grid_pos, ue_ecef, ranges, sin_el, draws) -> tuple[np.ndarray, ...]:
         """(D, N) downlink TOA range sigma per UE and grid satellite, and the
         (D, N) mask of links above the UE's horizon; hidden links keep a 1 m
         placeholder sigma. All beams point at the coverage center, but only
         the serving satellite (index 0) runs the nominal budget."""
-        (dl, neighbor), visible = self._realize((self.dl, self.dl_neighbor), grid_pos,
-                                                ue_ecef, z_los, z_shadow)
+        (dl, neighbor), visible = self._realize((self.dl, self.dl_neighbor), grid_pos, ue_ecef,
+                                                ranges, sin_el, draws)
         sigma = np.ones(visible.shape)
         sigma[visible] = toa_range_sigma(np.where(np.nonzero(visible)[1] == 0, dl, neighbor),
                                          self.dl.bandwidth_hz)
@@ -397,15 +393,15 @@ class _Evaluator:
         center = Geodetic(math.radians(config.center_lat_deg),
                           math.radians(config.center_lon_deg), 0.0)
         orbit = ground_track_orbit(center, config.leo_altitude_m)
-        # Link-draw tag -> its RTT windows in block order and their (W, M, 3)
-        # virtual anchors.
+        # Link-draw tag -> its RTT windows in block order and their virtual
+        # anchors, (W, 1, M, 3) so that each window's row spans the drops.
         windows = {}
         for b in self.blocks:
             if isinstance(b, Rtt):
                 windows.setdefault(b.tag, []).append(b)
         self.rtt_windows = {
             tag: (blocks, np.array([make_virtual_anchors(orbit, b.time_s, config.n_virtual_anchors)
-                                    for b in blocks]))
+                                    for b in blocks])[:, None])
             for tag, blocks in windows.items()}
         self.grid = None  # (7, 3) hexagonal grid positions, serving satellite first
         if any(isinstance(b, Tdoa) for b in self.blocks):
@@ -429,10 +425,9 @@ class _Evaluator:
             draws = substream_draws(seed, tag, (n, m), m)
             info.update(zip(windows, zip(*self._rtt(anchors, ue_ecef, basis, draws))))
         if self.grid is not None:
-            m = len(self.grid)
-            grid = (line_of_sight(ue_ecef, self.grid, basis, check_horizon=False)[1],
-                    *self.model.grid_dl_sigma(self.grid, ue_ecef, *substream_draws(
-                        seed, "ml-link", (n, m), m)))
+            ranges, units, sin_el = line_of_sight(ue_ecef, self.grid, basis)
+            draws = substream_draws(seed, "ml-link", sin_el.shape, len(self.grid))
+            grid = (units, *self.model.grid_dl_sigma(self.grid, ue_ecef, ranges, sin_el, draws))
         for block in self.blocks:
             if isinstance(block, Tdoa):
                 info[block] = self._tdoa(block.k, *grid)
@@ -455,16 +450,13 @@ class _Evaluator:
     def _rtt(self, anchors, ue_ecef, basis, draws):
         """(W, D, 2, 2) RTT information, (W, D, M) range variances, and the
         (W, D) mask of drops with a virtual anchor at or below their horizon,
-        for the W windows of (W, M, 3) `anchors`. Every window realizes its
-        anchor m with the tag's (D, M) draws of column m, so the W·M links
-        are realized in one call on the draws tiled W times."""
-        w, m = anchors.shape[:2]
-        sigma, visible = self.model.leo_rtt_sigma(anchors.reshape(w * m, 3), ue_ecef,
-                                                  *(np.tile(z, w) for z in draws))
-        variances = (sigma**2).reshape(-1, w, m).swapaxes(0, 1)
-        units = line_of_sight(ue_ecef, anchors[:, None], basis, check_horizon=False)[1]
-        return (fim_diagonal(units, variances), variances,
-                ~np.all(visible.reshape(-1, w, m), axis=2).T)
+        for the W windows of (W, 1, M, 3) `anchors`: one `line_of_sight` pass
+        feeds the link budget and the FIM, and the tag's (D, M) draws
+        broadcast over the windows."""
+        ranges, units, sin_el = line_of_sight(ue_ecef, anchors, basis)
+        sigma, visible = self.model.leo_rtt_sigma(anchors, ue_ecef, ranges, sin_el, draws)
+        variances = sigma**2
+        return fim_diagonal(units, variances), variances, ~np.all(visible, axis=2)
 
     def _tdoa(self, k: int, units, sigma_dl, visible):
         """(D, 2, 2) grid TDOA information, (D, k-1) range-difference

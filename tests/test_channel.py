@@ -38,6 +38,17 @@ class TestAntennaPattern:
         assert gains[0] == 0.0
         assert np.all(gains[1:] == -160.0)
 
+    def test_very_narrow_gaussian_beam_floors_off_boresight_gain(self):
+        # (theta / beamwidth)**2 overflows to inf for a 1e-38 degree beam; the
+        # gain keeps the Bessel pattern's -160 dB floor instead of -inf.
+        pattern = AntennaPattern(math.radians(1.1754943508222875e-38), "gaussian-approx")
+        with np.errstate(over="ignore"):
+            gains = antenna_gain(pattern, np.array([0.0, 1e-30, 0.1, math.pi / 2]))
+        assert gains[0] == 0.0
+        assert np.all(gains[1:] == -160.0)
+        wide = AntennaPattern(math.radians(4.0), "gaussian-approx")
+        assert antenna_gain(wide, math.radians(1.0)) == -12.0 * 0.25**2
+
     def test_floor_argument_lies_below_the_floor(self):
         # Just below the switch the recurrence itself is already at the floor.
         x = np.linspace(channel._FLOOR_ARG - 100.0, channel._FLOOR_ARG, 5)

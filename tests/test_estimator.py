@@ -227,6 +227,16 @@ class TestValidate:
             (report.rmse_m, report.peb_m, report.convergence_rate, report.mean_error_m),
             rel=1e-12, abs=0)
 
+    def test_anchor_below_the_truth_horizon_raises(self, monkeypatch):
+        # `line_of_sight` only reports the elevation sines; `validate` refuses
+        # a reference case whose truth cannot see every anchor
+        truth, anchors, guess = reference_tdoa_case()
+        hidden = anchors.copy()
+        hidden[-1] = -hidden[-1]  # the antipode of a 780 km satellite
+        monkeypatch.setattr(estimator, "reference_tdoa_case", lambda: (truth, hidden, guess))
+        with pytest.raises(VisibilityError, match="horizon"):
+            validate(n_trials=10)
+
     @pytest.mark.parametrize("n_trials", [0, -3, estimator.MAX_TRIALS + 1])
     def test_needs_a_trial(self, n_trials):
         with pytest.raises(ValueError, match="n_trials"):
@@ -463,7 +473,7 @@ def _difference_step(observed, lat, lon, alt_m, anchors, variances, ref):
     `tdoa_covariance`; ranges weighted by their inverse variances where `ref`
     is None. The oracle of the TOA form."""
     p, basis = enu_frames(lat, lon, alt_m)
-    ranges, units = line_of_sight(p, anchors, basis)
+    ranges, units, _ = line_of_sight(p, anchors, basis)
     J = geometry_jacobian(units, ref)
     if ref is None:
         residual, weight = observed - ranges, np.diag(1.0 / variances)
@@ -491,7 +501,7 @@ def _lapack_step(observed, lat, lon, alt_m, anchors, variances, clock_bias):
     units, centred with the residuals by `centred_rows` where `clock_bias`,
     and LAPACK's `np.linalg.solve(JᵀWJ, JᵀWr)`."""
     p, basis = enu_frames(lat, lon, alt_m)
-    ranges, units = line_of_sight(p, anchors, basis)
+    ranges, units, _ = line_of_sight(p, anchors, basis)
     w, residual, J = 1.0 / variances, observed - ranges, -units
     if clock_bias:
         residual = residual - np.sum(w * residual, -1, keepdims=True) / np.sum(w)

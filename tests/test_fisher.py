@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satpeb.constants import EARTH_RADIUS_M
-from satpeb.errors import VisibilityError
 from satpeb.fisher import (DEGENERATE_EIGENVALUE, fim_diagonal, line_of_sight,
                            min_gdop_subsets, peb_arrays, rtt_range_sigma, subset_gdop,
                            toa_range_sigma)
@@ -73,18 +72,15 @@ def geometry_jacobian(units_en: np.ndarray, reference_index: int | None = None) 
             - units_en[..., rows, :])
 
 
-def unit_vectors_en(ue_ecef: np.ndarray, positions: np.ndarray, basis: np.ndarray,
-                    check_horizon: bool = True) -> np.ndarray:
+def unit_vectors_en(ue_ecef: np.ndarray, positions: np.ndarray,
+                    basis: np.ndarray) -> np.ndarray:
     """The (..., N, 2) east/north UE->anchor unit vectors as the package
     computed them before `line_of_sight` also returned the ranges, with
-    `np.linalg.norm` and a matrix-product horizon test: the bit-for-bit
-    oracle of `line_of_sight(...)[1]`."""
+    `np.linalg.norm`: the bit-for-bit oracle of `line_of_sight(...)[1]`."""
     ue = np.asarray(ue_ecef, dtype=float)
     d = np.asarray(positions, dtype=float) - ue[..., None, :]
     dist = np.linalg.norm(d, axis=-1)
     units = d / dist[..., None]
-    if check_horizon and np.any(units @ basis[..., 2, :, None] <= 0):
-        raise VisibilityError("anchor at or below the UE horizon")
     return np.concatenate([units @ basis[..., 0, :, None],
                            units @ basis[..., 1, :, None]], axis=-1)
 
@@ -228,11 +224,11 @@ class TestJacobian:
         assert J[0, 0] == pytest.approx(-math.cos(math.pi / 4), abs=1e-9)
         assert J[0, 1] == pytest.approx(0.0, abs=1e-9)
 
-    def test_below_horizon_raises(self):
+    def test_below_horizon_has_negative_elevation_sine(self):
         ue = Geodetic(0.0, 0.0, 0.0)
         anchors = _anchors_from_sky(ue, [(0.3, -0.05, 2000e3)])
-        with pytest.raises(VisibilityError):
-            _units(ue, anchors)
+        ue_ecef, basis = enu_frames(ue.lat_rad, ue.lon_rad, ue.alt_m)
+        assert line_of_sight(ue_ecef, anchors, basis)[2][0] == pytest.approx(math.sin(-0.05))
 
     @pytest.mark.parametrize("clock_bias", [False, True], ids=["rtt", "tdoa"])
     def test_stacked_geometry_jacobian_matches_single(self, clock_bias):
@@ -245,7 +241,7 @@ class TestJacobian:
         w = 1.0 / rng.uniform(0.5, 2.0, len(grid)) ** 2
 
         def rows(ue, basis):
-            ranges, units = line_of_sight(ue, grid, basis)
+            units = line_of_sight(ue, grid, basis)[1]
             return centred_rows(units, w) if clock_bias else -units
 
         ue_ecef, basis = enu_frames(lat, lon)
@@ -253,13 +249,15 @@ class TestJacobian:
         for ue, b, stacked_rows in zip(ue_ecef, basis, stacked):
             assert np.allclose(stacked_rows, rows(ue, b), rtol=0.0, atol=1e-12)
 
-    def test_stacked_below_horizon_raises(self):
+    def test_stacked_elevation_sines_tell_hidden_anchors(self):
+        # the sign of the sine is the horizon mask the run and the solver use
         ue = Geodetic(0.0, 0.0, 0.0)
         good = _anchors_from_sky(ue, [(0.3, 0.5, 2000e3)])
         bad = _anchors_from_sky(ue, [(0.3, -0.05, 2000e3)])
         ue_ecef, basis = enu_frames(np.zeros(2), np.zeros(2))
-        with pytest.raises(VisibilityError):
-            line_of_sight(ue_ecef, np.stack([good, bad]), basis)
+        sin_el = line_of_sight(ue_ecef, np.stack([good, bad]), basis)[2]
+        assert sin_el.shape == (2, 1)
+        np.testing.assert_allclose(sin_el[:, 0], [math.sin(0.5), math.sin(-0.05)], rtol=1e-12)
 
     @pytest.mark.parametrize("clock_bias", [False, True], ids=["rtt", "tdoa"])
     def test_finite_difference_oracle(self, clock_bias):
@@ -290,7 +288,7 @@ def assert_jacobian_matches_fd(rng, clock_bias, rel_tol, step_m=0.1):
             float(rng.uniform(650e3, 24000e3))) for az in azimuths]
     anchors = _anchors_from_sky(ue, sky)
     ue_ecef, basis = enu_frames(ue.lat_rad, ue.lon_rad, ue.alt_m)
-    ranges, units = line_of_sight(ue_ecef, anchors, basis)
+    ranges, units, _ = line_of_sight(ue_ecef, anchors, basis)
     w = 1.0 / (ranges / 1e6) ** 2
     analytic = centred_rows(units, w) if clock_bias else -units
 
@@ -745,7 +743,7 @@ class TestClosedFormSelection:
         grid = hex_constellation(Geodetic(0.0, 0.0, 0.0), *map(math.radians, gaps_deg), 780e3)
         lat, lon = rng.uniform(-0.03, 0.03, 500), rng.uniform(-0.03, 0.03, 500)
         ue_ecef, basis = enu_frames(lat, lon)
-        units = line_of_sight(ue_ecef, grid, basis, check_horizon=False)[1]
+        units = line_of_sight(ue_ecef, grid, basis)[1]
         subsets = np.array([(0,) + c for c in itertools.combinations(range(1, 7), 3)])
         gdop = subset_gdop(units, subsets)
         _, reference, degenerate = peb_arrays(fim_diagonal(units[:, subsets], np.ones(4),

@@ -259,7 +259,8 @@ class TestSingleLeoTwin:
     center and the Earth does not rotate, so a UE and its mirror across the
     ground track see the same RTT ranges: a twin that the single-LEO bound,
     a local one, cannot see. The hexagonal grid's satellites have
-    identities, and its range differences tell the twins apart."""
+    identities, and its range differences tell the twins apart; so does the
+    one range difference of two GNSS satellites off the track's plane."""
 
     @staticmethod
     def _twins(dlon_deg):
@@ -283,3 +284,16 @@ class TestSingleLeoTwin:
         ranges = line_of_sight(ue_ecef, grid, basis)[0]
         differences = ranges[:, 1:] - ranges[:, :1]  # against the serving satellite
         assert np.max(np.abs(differences[0] - differences[1])) > 1e3
+
+    @pytest.mark.parametrize("dlon_deg", [0.05, 0.2])
+    def test_gnss_range_difference_tells_twins_apart(self, dlon_deg):
+        # The gnss-leo cases' Gnss(2) block: two GNSS satellites off the
+        # ground track's plane, at fixed sky positions 20,200 km up.
+        gnss = np.stack([geodetic_to_ecef(Geodetic(math.radians(lat), math.radians(lon),
+                                                   20_200e3))
+                         for lat, lon in ((10.0, 40.0), (-15.0, -35.0))])
+        ue_ecef, basis = self._twins(dlon_deg)
+        ranges, _, sin_el = line_of_sight(ue_ecef, gnss, basis)
+        assert np.all(sin_el > 0)
+        differences = ranges[:, 1] - ranges[:, 0]  # against the first satellite
+        assert abs(differences[0] - differences[1]) > 1e3

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from satpeb import channel, scenarios
+from satpeb import channel, geometry, scenarios
 from satpeb.config import make_config
 from satpeb.constants import EARTH_RADIUS_M
 from satpeb.errors import StatisticsError
@@ -248,10 +248,11 @@ class TestHiddenNeighbors:
         cfg = make_config("multi-leo", n_ue_drops=200, lon_gap_deg=27.0)
         evaluator = _Evaluator(cfg)
         ue_ecef, basis = enu_frames(evaluator.lat_rad, evaluator.lon_rad)
+        ranges, units, sin_el = line_of_sight(ue_ecef, evaluator.grid, basis)
         _, visible = evaluator.model.grid_dl_sigma(
-            evaluator.grid, ue_ecef, *substream_draws(cfg.seed, "ml-link", (200, 7), 7))
+            evaluator.grid, ue_ecef, ranges, sin_el,
+            substream_draws(cfg.seed, "ml-link", (200, 7), 7))
         assert np.count_nonzero((~visible).sum(axis=1) == 1) == 190
-        units = line_of_sight(ue_ecef, evaluator.grid, basis, check_horizon=False)[1]
         for k in (3, 4):
             batched = min_gdop_subsets(units, 0, k, visible=visible)
             for drop, shown, chosen in zip(units, visible, batched):
@@ -482,26 +483,61 @@ class TestStackedWindows:
         assert len(bundle.cases) == n_times
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("variant, times, expected", [
+        ("single-leo", (2.0,), 1), ("single-leo", (2.0, 3.0, 4.0), 1),
+        ("single-leo", tuple(float(t) for t in range(2, 11)), 1),
+        ("multi-leo", (), 2), ("gnss-leo", (2.0, 5.0), 1)])
+    def test_one_geometry_pass_per_anchor_set(self, variant, times, expected, monkeypatch):
+        # The link budget and the FIM read the same `line_of_sight` result:
+        # one call per RTT tag (all its windows) and one for the grid.
+        calls = []
+        real = scenarios.line_of_sight
+        monkeypatch.setattr(scenarios, "line_of_sight",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        for module in (geometry, scenarios):
+            monkeypatch.setattr(module, "angle_between", raising=False,
+                                value=lambda *a: pytest.fail("angle_between on the run path"))
+        extra = {"measurement_times_s": times} if times else {}
+        run(make_config(variant, n_ue_drops=7, **extra))
+        assert len(calls) == expected
+
 
 class TestLineOfSight:
-    """`fisher.line_of_sight` on the shapes the evaluator passes it, bit for
-    bit against the `unit_vectors_en` oracle and `np.linalg.norm`."""
+    """`fisher.line_of_sight` and the link model's off-boresight angle on the
+    shapes the evaluator passes them, bit for bit against the oracles that
+    computed them before one geometry pass fed both the link budget and the
+    FIM: `unit_vectors_en`, `np.linalg.norm`, the elevation sine against the
+    geocentric up, and `geometry.angle_between`."""
 
     @pytest.mark.parametrize("variant", ["single-leo", "multi-leo"])
-    def test_matches_oracle_on_scenario_shapes(self, variant):
+    def test_matches_oracle_on_scenario_shapes(self, variant, monkeypatch):
         evaluator = _Evaluator(make_config(variant, n_ue_drops=200))
         ue_ecef, basis = enu_frames(evaluator.lat_rad, evaluator.lon_rad)
         if variant == "single-leo":  # every window of the tag at once: (W, D, M)
             windows, anchors = next(iter(evaluator.rtt_windows.values()))
-            positions, shape = anchors[:, None], (len(windows), 200, anchors.shape[1])
+            positions, shape = anchors, (len(windows), 200, anchors.shape[2])
         else:  # the hexagonal grid: (D, 7)
             positions, shape = evaluator.grid, (200, 7)
-        ranges, units = line_of_sight(ue_ecef, positions, basis, check_horizon=False)
-        assert ranges.shape == shape and units.shape == shape + (2,)
-        assert np.array_equal(units, unit_vectors_en(ue_ecef, positions, basis,
-                                                     check_horizon=False))
-        assert np.array_equal(ranges, np.linalg.norm(positions - ue_ecef[..., None, :],
-                                                     axis=-1))
+        ranges, units, sin_el = line_of_sight(ue_ecef, positions, basis)
+        assert ranges.shape == sin_el.shape == shape and units.shape == shape + (2,)
+        assert np.array_equal(units, unit_vectors_en(ue_ecef, positions, basis))
+        vec = positions - ue_ecef[..., None, :]
+        norm = np.linalg.norm(vec, axis=-1)
+        assert np.array_equal(ranges, norm)
+        up = ue_ecef / np.linalg.norm(ue_ecef, axis=-1, keepdims=True)
+        assert np.array_equal(sin_el, (vec @ up[:, :, None])[..., 0] / norm)
+        # the off-boresight angles the link model hands the antenna pattern
+        angles = []
+        real = channel.antenna_gain
+        monkeypatch.setattr(channel, "antenna_gain",
+                            lambda pattern, theta: angles.append(theta) or real(pattern, theta))
+        draws = (np.zeros(shape[-2:]),) * 2
+        _, visible = evaluator.model._realize((evaluator.model.dl,), positions, ue_ecef,
+                                              ranges, sin_el, draws)
+        assert np.array_equal(visible, sin_el > 0) and len(angles) == 1
+        oracle = angle_between(evaluator.model.beam_center - positions,
+                               ue_ecef[:, None, :] - positions)
+        assert np.array_equal(angles[0], oracle[visible])
 
 
 class TestRunBundle:
