@@ -291,7 +291,8 @@ class _LinkModel:
         every direction of a link (reciprocal large-scale channel)."""
         visible = sin_el > 0
         elevation = np.arcsin(np.minimum(sin_el[visible], 1.0))
-        axis = self.beam_center - anchors  # each beam axis normed once; the links' are `ranges`
+        # `ue - anchor` and `ranges`, not unit vectors: these operations keep the pinned bits
+        axis = self.beam_center - anchors
         cos = (np.sum(axis * (ue_ecef[:, None, :] - anchors), axis=-1)
                / (np.linalg.norm(axis, axis=-1) * ranges))
         off_boresight = np.arccos(np.clip(cos[visible], -1.0, 1.0))
