@@ -504,10 +504,10 @@ class TestStackedWindows:
 
 class TestLineOfSight:
     """`fisher.line_of_sight` and the link model's off-boresight angle on the
-    shapes the evaluator passes them, bit for bit against the oracles that
-    computed them before one geometry pass fed both the link budget and the
-    FIM: `unit_vectors_en`, `np.linalg.norm`, the elevation sine against the
-    geocentric up, and `geometry.angle_between`."""
+    shapes the evaluator passes them, bit for bit against their oracles:
+    `unit_vectors_en`, and the link budget's ranges, elevation sines (on the
+    geocentric up) and `geometry.angle_between` angles taken on every drop's
+    flat (D, W·M) row of anchors."""
 
     @pytest.mark.parametrize("variant", ["single-leo", "multi-leo"])
     def test_matches_oracle_on_scenario_shapes(self, variant, monkeypatch):
@@ -521,11 +521,16 @@ class TestLineOfSight:
         ranges, units, sin_el = line_of_sight(ue_ecef, positions, basis)
         assert ranges.shape == sin_el.shape == shape and units.shape == shape + (2,)
         assert np.array_equal(units, unit_vectors_en(ue_ecef, positions, basis))
-        vec = positions - ue_ecef[..., None, :]
+
+        def links(flat):  # (D, W·M) -> the evaluator's shape
+            return np.moveaxis(flat.reshape(200, -1, shape[-1]), 0, -2).reshape(shape)
+
+        flat = positions.reshape(-1, 3)
+        vec = flat - ue_ecef[:, None, :]
         norm = np.linalg.norm(vec, axis=-1)
-        assert np.array_equal(ranges, norm)
         up = ue_ecef / np.linalg.norm(ue_ecef, axis=-1, keepdims=True)
-        assert np.array_equal(sin_el, (vec @ up[:, :, None])[..., 0] / norm)
+        assert np.array_equal(ranges, links(norm))
+        assert np.array_equal(sin_el, links((vec @ up[:, :, None])[..., 0] / norm))
         # the off-boresight angles the link model hands the antenna pattern
         angles = []
         real = channel.antenna_gain
@@ -535,8 +540,7 @@ class TestLineOfSight:
         _, visible = evaluator.model._realize((evaluator.model.dl,), positions, ue_ecef,
                                               ranges, sin_el, draws)
         assert np.array_equal(visible, sin_el > 0) and len(angles) == 1
-        oracle = angle_between(evaluator.model.beam_center - positions,
-                               ue_ecef[:, None, :] - positions)
+        oracle = links(angle_between(evaluator.model.beam_center - flat, -vec))
         assert np.array_equal(angles[0], oracle[visible])
 
 
