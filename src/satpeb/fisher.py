@@ -12,13 +12,11 @@ vectors are a block's Jacobian rows. A case sums independent `fim_diagonal`
 blocks, and `peb_arrays` turns the sum into the bound. The estimator's
 solver fits the same model, with the same weighted centring of its rows.
 
-The subset search (`subset_gdop`) and the solver's step gate work on 2x2
-information matrices [[a, b], [b, d]] in closed form, with one degeneracy
-rule, `smallest_eigenvalue`. The subset scores only rank subsets and the
-gate only refuses singular steps, so neither writes a number of its own.
-`peb_arrays` alone still calls LAPACK's `eigvalsh`: its bound and GDOP are
-written to every output, and the benchmark's golden files pin their bits at
-1e-12, so moving them to a closed form is a change of its own.
+Every 2x2 information matrix [[a, b], [b, d]] is read in closed form, with
+no LAPACK call: the case bound of `peb_arrays`, the subset scores of
+`subset_gdop` and the solver's step gate all call it degenerate by one rule,
+`smallest_eigenvalue` below `DEGENERATE_EIGENVALUE`, and the first two share
+one bound, sqrt((a + d) / (a*d - b*b)).
 """
 
 from __future__ import annotations
@@ -97,21 +95,27 @@ def fim_diagonal(J: np.ndarray, variances: np.ndarray,
 
 
 def smallest_eigenvalue(a, b, d):
-    """Smaller eigenvalue of each symmetric [[a, b], [b, d]] in closed form; it
-    agrees with `eigvalsh` to a few ulps of the larger one: enough for a gate."""
+    """Smaller eigenvalue of each symmetric [[a, b], [b, d]] in closed form,
+    within a few ulps of the larger one: the one degeneracy rule of the case
+    bound, the subset scores and the solver's step gate."""
     return (a + d) / 2.0 - np.hypot((a - d) / 2.0, b)
+
+
+def _bound(a, b, d, fill):
+    """sqrt(trace(F^-1)) = sqrt((a + d) / (a*d - b*b)) of each [[a, b], [b, d]],
+    with `fill` where it is degenerate, and that degenerate mask."""
+    degenerate = smallest_eigenvalue(a, b, d) < DEGENERATE_EIGENVALUE
+    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate ones get `fill`
+        return np.where(degenerate, fill, np.sqrt((a + d) / (a * d - b * b))), degenerate
 
 
 def peb_arrays(f: np.ndarray, mean_variance=1.0):
     """Position error bound sqrt(trace(F^-1)) over stacked (..., 2, 2) FIMs:
-    (peb_m, gdop, degenerate) arrays, with NaN bound and GDOP where the smaller
-    eigenvalue is below `DEGENERATE_EIGENVALUE`. GDOP is the bound over
-    sqrt(`mean_variance`), the mean measurement variance, which broadcasts
-    against the stack."""
-    eig = np.linalg.eigvalsh(f)
-    degenerate = eig[..., 0] < DEGENERATE_EIGENVALUE
-    usable = np.where(degenerate[..., None], 1.0, eig)
-    bound = np.where(degenerate, np.nan, np.sqrt(np.sum(1.0 / usable, axis=-1)))
+    (peb_m, gdop, degenerate) arrays from `_bound`, with NaN bound and GDOP
+    where `smallest_eigenvalue` is below `DEGENERATE_EIGENVALUE`. GDOP is the
+    bound over sqrt(`mean_variance`), the mean measurement variance, which
+    broadcasts against the stack."""
+    bound, degenerate = _bound(f[..., 0, 0], f[..., 0, 1], f[..., 1, 1], np.nan)
     return bound, bound / np.sqrt(mean_variance), degenerate
 
 
@@ -124,18 +128,14 @@ def subset_gdop(units_en: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     membership matrix M, a = (e*e) @ M - (e @ M)**2 / k over the east
     components e, and likewise b and d, so GDOP is
     sqrt((a + d) / (a*d - b**2)): the Schur complement of Shen and Win
-    written as centred sums, with no (D, C, k, 2) stack and no LAPACK call.
+    written as centred sums, with no (D, C, k, 2) stack.
     """
     c, k = subsets.shape
     members = np.zeros((units_en.shape[-2], c))
     members[subsets, np.arange(c)[:, None]] = 1.0
     e, u = units_en[..., 0], units_en[..., 1]
     se, su, ee, eu, uu = np.stack([e, u, e * e, e * u, u * u]) @ members
-    a, b, d = ee - se * se / k, eu - se * su / k, uu - su * su / k
-    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate subsets score inf
-        gdop = np.sqrt((a + d) / (a * d - b * b))
-    gdop[smallest_eigenvalue(a, b, d) < DEGENERATE_EIGENVALUE] = np.inf
-    return gdop
+    return _bound(ee - se * se / k, eu - se * su / k, uu - su * su / k, np.inf)[0]
 
 
 def min_gdop_subsets(units_en: np.ndarray, serving_index: int, k: int,

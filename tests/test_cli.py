@@ -269,6 +269,27 @@ class TestExecute:
             rows = list(csv.DictReader(fh))
         assert all(r["case_id"] == "gnss_only" for r in rows)
 
+    @pytest.mark.parametrize("variant", ["gnss-only", "single-leo", "multi-leo", "gnss-leo",
+                                         "validate"])
+    def test_no_command_calls_eigvalsh(self, tmp_path, monkeypatch, variant):
+        # Bounds, subset scores and the solver's step gate are closed forms.
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        out = tmp_path / "out"
+        if variant == "validate":
+            argv, outputs = ["validate", "--trials", "5"], {"validation.json"}
+        else:
+            cfg = write_config(tmp_path, {"variant": variant, "n_ue_drops": 3})
+            command = "gnss-leo" if variant == "gnss-only" else variant
+            argv = [command, "--config", str(cfg)]
+            outputs = {"samples.csv", "summary.json", "boxplot.csv"}
+        assert main(argv + ["--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["errors"] == [] and set(manifest["outputs"]) == outputs
+        assert all((out / name).stat().st_size > 0 for name in outputs)
+
     def test_config_error_exits_2_with_manifest(self, tmp_path):
         cfg = write_config(tmp_path, {"variant": "multi-leo",
                                       "leo_altitude_m": math.nan})

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from satpeb.constants import EARTH_RADIUS_M
 from satpeb.fisher import (DEGENERATE_EIGENVALUE, fim_diagonal, line_of_sight,
-                           min_gdop_subsets, peb_arrays, rtt_range_sigma, subset_gdop,
-                           toa_range_sigma)
+                           min_gdop_subsets, peb_arrays, rtt_range_sigma, smallest_eigenvalue,
+                           subset_gdop, toa_range_sigma)
 from satpeb.geometry import (Geodetic, enu_frames, geodetic_to_ecef,
                              ground_track_orbit, hex_constellation,
                              make_virtual_anchors)
@@ -389,7 +389,52 @@ class TestFim:
         assert np.all(np.abs(permuted - f) <= 16 * eps * scale)
 
 
+def _fim_with_eigenvalues(large: float, small: float, angle: float) -> np.ndarray:
+    """The 2x2 FIM with eigenvalues `large` and `small`, its principal axes
+    rotated by `angle`, rounded to float64."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c * c * large + s * s * small, c * s * (large - small)],
+                     [c * s * (large - small), s * s * large + c * c * small]])
+
+
+# The closed form loses about (5/8) eps * cond to the cancellation in
+# a*d - b*b, and eigvalsh's smaller eigenvalue sits within 3 ulps of the
+# larger one, about (3/2) eps * cond in the bound; with a few roundings of
+# the rest, the two bounds stay within this many eps per unit of condition.
+_BOUND_EPS_PER_CONDITION = 8
+
+
+def _assert_bound_matches_eigvalsh(f: np.ndarray):
+    bound, gdop, degenerate = peb_arrays(f)
+    assert np.array_equal(degenerate, smallest_eigenvalue(f[:, 0, 0], f[:, 0, 1], f[:, 1, 1])
+                          < DEGENERATE_EIGENVALUE)
+    assert np.all(np.isnan(bound[degenerate])) and np.all(np.isnan(gdop[degenerate]))
+    eig = np.linalg.eigvalsh(f[~degenerate])  # the oracle: sqrt(1/l1 + 1/l2)
+    oracle = np.sqrt(np.sum(1.0 / eig, axis=-1))
+    tol = _BOUND_EPS_PER_CONDITION * np.finfo(float).eps * eig[:, 1] / eig[:, 0]
+    assert np.all(np.abs(bound[~degenerate] / oracle - 1.0) <= tol)
+
+
 class TestPeb:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-14.0, 8.0), st.floats(0.0, 12.0),
+                              st.floats(0.0, math.pi)), min_size=1, max_size=8))
+    def test_ill_conditioned_fims_match_eigvalsh(self, specs):
+        # Each spec: the decade of the smaller eigenvalue, the condition
+        # number's decades from 1 to 1e12, and the angle of the principal axes.
+        _assert_bound_matches_eigvalsh(np.array([
+            _fim_with_eigenvalues(10.0 ** (small + decades), 10.0 ** small, angle)
+            for small, decades, angle in specs]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1e-6, 1e-6), st.floats(0.0, 12.0),
+                              st.floats(0.0, math.pi)), min_size=1, max_size=8))
+    def test_fims_straddling_the_gate(self, specs):
+        _assert_bound_matches_eigvalsh(np.array([
+            _fim_with_eigenvalues(DEGENERATE_EIGENVALUE * (1.0 + offset) * 10.0 ** decades,
+                                  DEGENERATE_EIGENVALUE * (1.0 + offset), angle)
+            for offset, decades, angle in specs]))
+
     def test_identity_fim(self):
         bound, gdop, degenerate = peb_arrays(np.eye(2))
         assert not degenerate
@@ -466,8 +511,8 @@ class TestPeb:
     def test_scaling_every_sigma_scales_bound_only(self, specs, s):
         # Each spec: the FIM's eigenvalues along a unit vector u at angle phi
         # and its normal, the mean variance, and whether the FIM is singular.
-        # Singular FIMs stay small, so eigvalsh's rounding of their zero
-        # eigenvalue stays far below the degeneracy threshold at every scale.
+        # Singular FIMs stay small, so `smallest_eigenvalue`'s rounding of
+        # their zero eigenvalue stays far below the gate at every scale.
         fims, variances = [], []
         for along, across, phi, variance, singular in specs:
             u = np.array([math.cos(phi), math.sin(phi)])
@@ -720,9 +765,11 @@ class TestClosedFormSelection:
     @given(st.integers(3, 9).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n))),
            st.integers(0, 2**32 - 1))
     def test_gdop_matches_peb_arrays(self, shape, seed):
-        # The closed form's sums carry an absolute error of a few ulps of
-        # sum(e*e + n*n) <= k, so its relative error grows as k * eps over
-        # the smaller eigenvalue: 1e-12 on well-conditioned subsets.
+        # Two closed forms of one bound from different sums: the subset
+        # score's per-anchor sums and `fim_diagonal`'s centred rows. Each
+        # carries an absolute error of a few ulps of sum(e*e + n*n) <= k, so
+        # they part by k * eps over the smaller eigenvalue: 1e-12 on
+        # well-conditioned subsets.
         n, k = shape
         rng = np.random.default_rng(seed)
         units = np.stack([_sky(kind, n, 0, rng) for kind in _SKY_KINDS * 4])
