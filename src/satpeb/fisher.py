@@ -13,10 +13,10 @@ blocks, and `peb_arrays` turns the sum into the bound. The estimator's
 solver fits the same model, with the same weighted centring of its rows.
 
 Every 2x2 information matrix [[a, b], [b, d]] is read in closed form, with
-no LAPACK call: the case bound of `peb_arrays`, the subset scores of
-`subset_gdop` and the solver's step gate all call it degenerate by one rule,
-`smallest_eigenvalue` below `DEGENERATE_EIGENVALUE`, and the first two share
-one bound, sqrt((a + d) / (a*d - b*b)).
+no LAPACK call. One rule, `smallest_eigenvalue` below
+`DEGENERATE_EIGENVALUE`, calls it degenerate for the case bound, the subset
+scores and the solver's step gate, and its flags reach every output. The
+bound and the scores share one kernel, sqrt((a + d) / (a*d - b*b)).
 """
 
 from __future__ import annotations

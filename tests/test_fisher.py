@@ -397,10 +397,11 @@ def _fim_with_eigenvalues(large: float, small: float, angle: float) -> np.ndarra
                      [c * s * (large - small), s * s * large + c * c * small]])
 
 
-# The closed form loses about (5/8) eps * cond to the cancellation in
-# a*d - b*b, and eigvalsh's smaller eigenvalue sits within 3 ulps of the
-# larger one, about (3/2) eps * cond in the bound; with a few roundings of
-# the rest, the two bounds stay within this many eps per unit of condition.
+# The closed form's a*d - b*b cancels to about (5/8) eps * cond of relative
+# error, half that in the bound; eigvalsh's smaller eigenvalue sits within
+# 3 ulps of the larger one, about (3/2) eps * cond in the bound. With a few
+# roundings of the rest, the two bounds stay within this many eps per unit
+# of condition.
 _BOUND_EPS_PER_CONDITION = 8
 
 
