@@ -61,7 +61,7 @@ def _case_fims(config, fim):
 
     with mock.patch.object(scenarios, "fim_diagonal", fim), \
             mock.patch.object(scenarios, "peb_arrays", record):
-        columns = scenarios._Evaluator(config).evaluate()
+        columns = scenarios.evaluate(config, *scenarios.drop_ues(config))
     return seen[0], np.stack([degenerate for _, _, degenerate in columns.values()])
 
 

@@ -25,11 +25,14 @@ vectors the FIM. Each block is computed once and shared by the cases that
 use it, and one PEB pass over the cases' stacked (cases, drops, 2, 2)
 FIMs gives every bound.
 
-Results stay columnar: `drop_ues` gives (D,) latitude and longitude arrays,
-the pass yields per case (D,) bound, GDOP and degenerate-flag arrays (NaN
-bound and GDOP where degenerate), and `run` wraps them into one
-`PebSampleSet` of columns per case, which `summarize` and the CLI writers
-read directly.
+A run is three functions: `drop_ues(config)` gives (D,) latitude and
+longitude arrays, `evaluate(config, lat, lon)` gives per case (D,) bound,
+GDOP and degenerate-flag arrays (NaN bound and GDOP where degenerate), and
+`summarize` reads one case's columns; `run` chains them, wrapping each case
+into one `PebSampleSet`, which the CLI writers read directly. `evaluate`
+holds no state between calls: row i of the positions takes drop i's link
+and sky draws, so any positions, not only the drawn ones, can be evaluated,
+and a row's result depends on the config and its own position alone.
 
 Determinism: every random quantity is drawn from a substream keyed by
 (seed, stream tag, drop index[, element index]), so results are a pure
@@ -250,84 +253,32 @@ def drop_ues(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
 # Link realization
 
 
-class _LinkModel:
-    """Per-run radio model: budgets, pattern, and channel-class tables, with
-    every beam pointed at `center`."""
-
-    def __init__(self, config: ScenarioConfig, center: Geodetic):
-        budget = config.link
-        self.beam_center = geodetic_to_ecef(center)
-        self.cls = config.scenario_class
-        self.los_only = config.los_only
-        self.pattern = AntennaPattern(math.radians(budget.beamwidth_deg), budget.antenna_model)
-        self.dl = LinkParams(
-            carrier_hz=budget.carrier_hz,
-            bandwidth_hz=budget.bandwidth_hz,
-            eirp_dbw=budget.dl_eirp_dbw,
-            rx_g_over_t_db_k=budget.ue_g_over_t_db_k,
-            extra_losses_db=budget.extra_losses_db,
-            processing_gain_db=budget.leo_dl_processing_gain_db,
-        )
-        self.dl_neighbor = replace(self.dl, neighbor_penalty_db=budget.neighbor_penalty_db)
-        self.ul = LinkParams(
-            carrier_hz=budget.carrier_hz,
-            bandwidth_hz=budget.bandwidth_hz,
-            eirp_dbw=budget.ue_eirp_dbw,
-            rx_g_over_t_db_k=budget.sat_g_over_t_db_k,
-            extra_losses_db=budget.extra_losses_db,
-            processing_gain_db=budget.leo_ul_processing_gain_db,
-        )
-        gnss_snr = channel.cn0_to_snr(budget.gnss_cn0_dbhz, budget.gnss_bandwidth_hz,
-                                      budget.gnss_processing_gain_db)
-        self.gnss_range_sigma = toa_range_sigma(gnss_snr, budget.gnss_bandwidth_hz)
-
-    def _realize(self, params: tuple[LinkParams, ...], anchors: np.ndarray,
-                 ue_ecef: np.ndarray, ranges: np.ndarray, sin_el: np.ndarray, draws):
-        """SNR under each of `params` of the links from D UEs (D, 3) to the
-        `anchors` with (..., D, M) `line_of_sight` `ranges` and elevation
-        sines `sin_el` that clear the horizon (sine > 0), flattened in the C
-        order of their mask, and that mask. One LOS/shadowing draw (`draws`,
-        (D, M) each, shared by the leading axes) and one pattern gain govern
-        every direction of a link (reciprocal large-scale channel)."""
-        visible = sin_el > 0
-        elevation = np.arcsin(np.minimum(sin_el[visible], 1.0))
-        # `ue - anchor` and `ranges`, not unit vectors: these operations keep the pinned bits
-        axis = self.beam_center - anchors
-        cos = (np.sum(axis * (ue_ecef[:, None, :] - anchors), axis=-1)
-               / (np.linalg.norm(axis, axis=-1) * ranges))
-        off_boresight = np.arccos(np.clip(cos[visible], -1.0, 1.0))
-        z_los, z_shadow = (np.broadcast_to(z, visible.shape)[visible] for z in draws)
-        if self.los_only:
-            los = np.ones(elevation.shape, dtype=bool)
-        else:
-            los = z_los < channel.los_probability(self.cls, elevation)
-        sigma_sh, clutter = channel.shadowing_sigma(self.cls, elevation, los)
-        gain = channel.antenna_gain(self.pattern, off_boresight)
-        return [channel.link_snr(p, ranges[visible], gain, z_shadow * sigma_sh, clutter)
-                for p in params], visible
-
-    def leo_rtt_sigma(self, anchors, ue_ecef, ranges, sin_el, draws) -> tuple[np.ndarray, ...]:
-        """(..., D, M) two-way range sigma per UE and anchor, and the mask of
-        links above the UE's horizon; hidden links keep a 1 m placeholder
-        sigma."""
-        (dl, ul), visible = self._realize((self.dl, self.ul), anchors, ue_ecef, ranges,
-                                          sin_el, draws)
-        sigma = np.ones(visible.shape)
-        sigma[visible] = rtt_range_sigma(toa_range_sigma(dl, self.dl.bandwidth_hz),
-                                         toa_range_sigma(ul, self.ul.bandwidth_hz))
-        return sigma, visible
-
-    def grid_dl_sigma(self, grid_pos, ue_ecef, ranges, sin_el, draws) -> tuple[np.ndarray, ...]:
-        """(D, N) downlink TOA range sigma per UE and grid satellite, and the
-        (D, N) mask of links above the UE's horizon; hidden links keep a 1 m
-        placeholder sigma. All beams point at the coverage center, but only
-        the serving satellite (index 0) runs the nominal budget."""
-        (dl, neighbor), visible = self._realize((self.dl, self.dl_neighbor), grid_pos, ue_ecef,
-                                                ranges, sin_el, draws)
-        sigma = np.ones(visible.shape)
-        sigma[visible] = toa_range_sigma(np.where(np.nonzero(visible)[1] == 0, dl, neighbor),
-                                         self.dl.bandwidth_hz)
-        return sigma, visible
+def _realize(config: ScenarioConfig, pattern: AntennaPattern, beam_center: np.ndarray,
+             params: tuple[LinkParams, ...], anchors: np.ndarray, ue_ecef: np.ndarray,
+             ranges: np.ndarray, sin_el: np.ndarray, draws):
+    """SNR under each of `params` of the links from D UEs (D, 3) to the
+    `anchors` with (..., D, M) `line_of_sight` `ranges` and elevation
+    sines `sin_el` that clear the horizon (sine > 0), flattened in the C
+    order of their mask, and that mask. Every beam has `pattern` and points
+    at `beam_center`. One LOS/shadowing draw (`draws`, (D, M) each, shared by
+    the leading axes) and one pattern gain govern every direction of a link
+    (reciprocal large-scale channel)."""
+    visible = sin_el > 0
+    elevation = np.arcsin(np.minimum(sin_el[visible], 1.0))
+    # `ue - anchor` and `ranges`, not unit vectors: these operations keep the pinned bits
+    axis = beam_center - anchors
+    cos = (np.sum(axis * (ue_ecef[:, None, :] - anchors), axis=-1)
+           / (np.linalg.norm(axis, axis=-1) * ranges))
+    off_boresight = np.arccos(np.clip(cos[visible], -1.0, 1.0))
+    z_los, z_shadow = (np.broadcast_to(z, visible.shape)[visible] for z in draws)
+    if config.los_only:
+        los = np.ones(elevation.shape, dtype=bool)
+    else:
+        los = z_los < channel.los_probability(config.scenario_class, elevation)
+    sigma_sh, clutter = channel.shadowing_sigma(config.scenario_class, elevation, los)
+    gain = channel.antenna_gain(pattern, off_boresight)
+    return [channel.link_snr(p, ranges[visible], gain, z_shadow * sigma_sh, clutter)
+            for p in params], visible
 
 
 # ---------------------------------------------------------------------------
@@ -384,116 +335,131 @@ def case_table(config: ScenarioConfig) -> dict[str, tuple[Rtt | Tdoa | Gnss, ...
             for k in ks for r in flags}
 
 
-class _Evaluator:
-    """Evaluates the config's case table over all of its drops."""
+def evaluate(config: ScenarioConfig, lat_rad: np.ndarray,
+             lon_rad: np.ndarray) -> dict[str, tuple[np.ndarray, ...]]:
+    """Case id -> (D,) bound, GDOP and degenerate flag of every case of the
+    config for UEs at the (D,) ground positions `lat_rad`, `lon_rad`; bound
+    and GDOP are NaN where the drop is degenerate. Row i takes drop i's
+    draws (link, GNSS sky) of the config's seed, so a row's result depends
+    only on the config and that row's position. The inputs are not
+    modified."""
+    cases = case_table(config)
+    blocks = list(dict.fromkeys(b for bs in cases.values() for b in bs))
+    budget, seed, n = config.link, config.seed, len(lat_rad)
+    center = Geodetic(math.radians(config.center_lat_deg),
+                      math.radians(config.center_lon_deg), 0.0)
+    # The run's radio model: every beam points at the coverage center.
+    beam = (AntennaPattern(math.radians(budget.beamwidth_deg), budget.antenna_model),
+            geodetic_to_ecef(center))
+    dl = LinkParams(carrier_hz=budget.carrier_hz, bandwidth_hz=budget.bandwidth_hz,
+                    eirp_dbw=budget.dl_eirp_dbw, rx_g_over_t_db_k=budget.ue_g_over_t_db_k,
+                    extra_losses_db=budget.extra_losses_db,
+                    processing_gain_db=budget.leo_dl_processing_gain_db)
+    ul = replace(dl, eirp_dbw=budget.ue_eirp_dbw, rx_g_over_t_db_k=budget.sat_g_over_t_db_k,
+                 processing_gain_db=budget.leo_ul_processing_gain_db)
+    gnss_snr = channel.cn0_to_snr(budget.gnss_cn0_dbhz, budget.gnss_bandwidth_hz,
+                                  budget.gnss_processing_gain_db)
+    gnss_sigma = toa_range_sigma(gnss_snr, budget.gnss_bandwidth_hz)
+    ue_ecef, basis = enu_frames(lat_rad, lon_rad)
+    info = {}
 
-    def __init__(self, config: ScenarioConfig):
-        self.config = config
-        self.cases = case_table(config)
-        self.blocks = list(dict.fromkeys(b for bs in self.cases.values() for b in bs))
-        center = Geodetic(math.radians(config.center_lat_deg),
-                          math.radians(config.center_lon_deg), 0.0)
-        orbit = ground_track_orbit(center, config.leo_altitude_m)
-        # Link-draw tag -> its RTT windows in block order and their virtual
-        # anchors, (W, 1, M, 3) so that each window's row spans the drops.
-        windows = {}
-        for b in self.blocks:
-            if isinstance(b, Rtt):
-                windows.setdefault(b.tag, []).append(b)
-        self.rtt_windows = {
-            tag: (blocks, np.array([make_virtual_anchors(orbit, b.time_s, config.n_virtual_anchors)
-                                    for b in blocks])[:, None])
-            for tag, blocks in windows.items()}
-        self.grid = None  # (7, 3) hexagonal grid positions, serving satellite first
-        if any(isinstance(b, Tdoa) for b in self.blocks):
-            self.grid = hex_constellation(center, math.radians(config.lon_gap_deg),
-                                          math.radians(config.lat_gap_deg),
-                                          config.leo_altitude_m)
-        self.model = _LinkModel(config, center)
-        self.lat_rad, self.lon_rad = drop_ues(config)
-
-    def evaluate(self) -> dict[str, tuple[np.ndarray, ...]]:
-        """Case id -> (D,) bound, GDOP and degenerate flag of every drop;
-        bound and GDOP are NaN where the drop is degenerate."""
-        seed = self.config.seed
-        n = len(self.lat_rad)
-        ue_ecef, basis = enu_frames(self.lat_rad, self.lon_rad)
-        info = {}
-        # All windows of a tag in one pass, on the tag's one set of link
-        # draws: (D, M) LOS uniforms and (D, M) shadowing normals.
-        m = self.config.n_virtual_anchors
-        for tag, (windows, anchors) in self.rtt_windows.items():
-            draws = substream_draws(seed, tag, (n, m), m)
-            info.update(zip(windows, zip(*self._rtt(anchors, ue_ecef, basis, draws))))
-        if self.grid is not None:
-            ranges, units, sin_el = line_of_sight(ue_ecef, self.grid, basis)
-            draws = substream_draws(seed, "ml-link", sin_el.shape, len(self.grid))
-            grid = (units, *self.model.grid_dl_sigma(self.grid, ue_ecef, ranges, sin_el, draws))
-        for block in self.blocks:
-            if isinstance(block, Tdoa):
-                info[block] = self._tdoa(block.k, *grid)
-            elif isinstance(block, Gnss):
-                info[block] = (*self._gnss(block.n), np.zeros(n, dtype=bool))
-
-        # Every case's summed FIM and mean variance, stacked to (C, D, 2, 2)
-        # and (C, D) for one bound pass.
-        fims, mean_variances, shorts = [], [], []
-        for blocks in self.cases.values():
-            f, variances, short = zip(*(info[b] for b in blocks))
-            fims.append(sum(f[1:], f[0]))
-            mean_variances.append(np.mean(np.concatenate(variances, axis=1), axis=1))
-            shorts.append(np.any(short, axis=0))
-        peb_m, gdop, degenerate = peb_arrays(np.stack(fims), np.stack(mean_variances))
-        degenerate |= np.stack(shorts)
-        peb_m[degenerate] = gdop[degenerate] = np.nan
-        return dict(zip(self.cases, zip(peb_m, gdop, degenerate)))
-
-    def _rtt(self, anchors, ue_ecef, basis, draws):
-        """(W, D, 2, 2) RTT information, (W, D, M) range variances, and the
-        (W, D) mask of drops with a virtual anchor at or below their horizon,
-        for the W windows of (W, 1, M, 3) `anchors`: one `line_of_sight` pass
-        feeds the link budget and the FIM, and the tag's (D, M) draws
-        broadcast over the windows."""
+    # All RTT windows of a link-draw tag in one pass, on the tag's one set of
+    # link draws: (D, M) LOS uniforms and (D, M) shadowing normals, shared by
+    # the (W, 1, M, 3) windows' virtual anchors. One `line_of_sight` pass
+    # feeds the link budget and the FIM; hidden links keep a 1 m placeholder
+    # sigma, and a drop with a hidden anchor is degenerate in the window.
+    orbit = ground_track_orbit(center, config.leo_altitude_m)
+    m = config.n_virtual_anchors
+    windows = {}
+    for b in blocks:
+        if isinstance(b, Rtt):
+            windows.setdefault(b.tag, []).append(b)
+    for tag, rtts in windows.items():
+        anchors = np.array([make_virtual_anchors(orbit, b.time_s, m) for b in rtts])[:, None]
         ranges, units, sin_el = line_of_sight(ue_ecef, anchors, basis)
-        sigma, visible = self.model.leo_rtt_sigma(anchors, ue_ecef, ranges, sin_el, draws)
+        draws = substream_draws(seed, tag, (n, m), m)
+        (dl_snr, ul_snr), visible = _realize(config, *beam, (dl, ul), anchors, ue_ecef,
+                                             ranges, sin_el, draws)
+        sigma = np.ones(visible.shape)
+        sigma[visible] = rtt_range_sigma(toa_range_sigma(dl_snr, dl.bandwidth_hz),
+                                         toa_range_sigma(ul_snr, ul.bandwidth_hz))
+        del dl_snr, ul_snr  # the SNRs are not held through the subset search's peak
         variances = sigma**2
-        return fim_diagonal(units, variances), variances, ~np.all(visible, axis=2)
+        info.update(zip(rtts, zip(fim_diagonal(units, variances), variances,
+                                  ~np.all(visible, axis=2))))
 
-    def _tdoa(self, k: int, units, sigma_dl, visible):
-        """(D, 2, 2) grid TDOA information, (D, k-1) range-difference
-        variances against the serving satellite (grid index 0, so first in
-        every sorted subset), and the (D,) mask of drops with fewer than k
-        visible satellites."""
-        subsets = min_gdop_subsets(units, 0, k, visible=visible)
-        short = ~np.all(np.take_along_axis(visible, subsets, axis=1), axis=1)
-        variances = np.take_along_axis(sigma_dl, subsets, axis=1) ** 2
-        f = fim_diagonal(np.take_along_axis(units, subsets[..., None], axis=1), variances,
-                         clock_bias=True)
-        return f, variances[:, 1:] + variances[:, :1], short
+    # The (7, 3) hexagonal grid, serving satellite first: (D, 7) downlink TOA
+    # sigmas, where only the serving satellite runs the nominal budget.
+    if any(isinstance(b, Tdoa) for b in blocks):
+        grid = hex_constellation(center, math.radians(config.lon_gap_deg),
+                                 math.radians(config.lat_gap_deg), config.leo_altitude_m)
+        ranges, units, sin_el = line_of_sight(ue_ecef, grid, basis)
+        draws = substream_draws(seed, "ml-link", sin_el.shape, len(grid))
+        neighbor = replace(dl, neighbor_penalty_db=budget.neighbor_penalty_db)
+        (serving, others), visible = _realize(config, *beam, (dl, neighbor), grid, ue_ecef,
+                                              ranges, sin_el, draws)
+        sigma = np.ones(visible.shape)
+        sigma[visible] = toa_range_sigma(np.where(np.nonzero(visible)[1] == 0, serving, others),
+                                         dl.bandwidth_hz)
+        del serving, others
+        grid_links = (units, sigma, visible)
+    for block in blocks:
+        if isinstance(block, Tdoa):
+            info[block] = _tdoa(block.k, *grid_links)
+        elif isinstance(block, Gnss):
+            info[block] = (*_gnss(config, block.n, n, gnss_sigma), np.zeros(n, dtype=bool))
 
-    def _gnss(self, n: int):
-        """(D, 2, 2) GNSS TDOA information and (D, n-1) range-difference
-        variances of n satellite directions, each uniform by solid angle on
-        its UE's sky cap above the elevation mask. A satellite enters the
-        information only through the east and north parts of its direction."""
-        config, n_drops = self.config, len(self.lat_rad)
-        # Per satellite: an elevation term, then an azimuth uniform.
-        draws, _ = substream_draws(config.seed, "gnss-pos", (n_drops, n, 2))
-        cos_zmax = math.cos(math.pi / 2 - math.radians(config.gnss_elevation_mask_deg))
-        sin_el = cos_zmax + (1.0 - cos_zmax) * draws[..., 0]
-        azimuth = 2.0 * math.pi * draws[..., 1]
-        cos_el = np.sqrt(np.maximum(0.0, 1.0 - sin_el**2))
-        units = np.stack([cos_el * np.sin(azimuth), cos_el * np.cos(azimuth)], axis=-1)
-        variances = np.full(n, self.model.gnss_range_sigma) ** 2
-        return (fim_diagonal(units, variances, clock_bias=True),
-                np.broadcast_to(variances[1:] + variances[:1], (n_drops, n - 1)))
+    # Every case's summed FIM and mean variance, stacked to (C, D, 2, 2)
+    # and (C, D) for one bound pass.
+    fims, mean_variances, shorts = [], [], []
+    for case_blocks in cases.values():
+        f, variances, short = zip(*(info[b] for b in case_blocks))
+        fims.append(sum(f[1:], f[0]))
+        mean_variances.append(np.mean(np.concatenate(variances, axis=1), axis=1))
+        shorts.append(np.any(short, axis=0))
+    peb_m, gdop, degenerate = peb_arrays(np.stack(fims), np.stack(mean_variances))
+    degenerate |= np.stack(shorts)
+    peb_m[degenerate] = gdop[degenerate] = np.nan
+    return dict(zip(cases, zip(peb_m, gdop, degenerate)))
+
+
+def _tdoa(k: int, units, sigma_dl, visible):
+    """(D, 2, 2) grid TDOA information, (D, k-1) range-difference variances
+    against the serving satellite (grid index 0, so first in every sorted
+    subset), and the (D,) mask of drops with fewer than k visible
+    satellites."""
+    subsets = min_gdop_subsets(units, 0, k, visible=visible)
+    short = ~np.all(np.take_along_axis(visible, subsets, axis=1), axis=1)
+    variances = np.take_along_axis(sigma_dl, subsets, axis=1) ** 2
+    f = fim_diagonal(np.take_along_axis(units, subsets[..., None], axis=1), variances,
+                     clock_bias=True)
+    return f, variances[:, 1:] + variances[:, :1], short
+
+
+def _gnss(config: ScenarioConfig, n: int, n_drops: int, range_sigma: float):
+    """(D, 2, 2) GNSS TDOA information and (D, n-1) range-difference
+    variances of n satellite directions, each uniform by solid angle on its
+    UE's sky cap above the elevation mask, with TOA range sigma
+    `range_sigma`. A satellite enters the information only through the east
+    and north parts of its direction, so the sky is drawn in the UE's own
+    frame."""
+    # Per satellite: an elevation term, then an azimuth uniform.
+    draws, _ = substream_draws(config.seed, "gnss-pos", (n_drops, n, 2))
+    cos_zmax = math.cos(math.pi / 2 - math.radians(config.gnss_elevation_mask_deg))
+    sin_el = cos_zmax + (1.0 - cos_zmax) * draws[..., 0]
+    azimuth = 2.0 * math.pi * draws[..., 1]
+    cos_el = np.sqrt(np.maximum(0.0, 1.0 - sin_el**2))
+    units = np.stack([cos_el * np.sin(azimuth), cos_el * np.cos(azimuth)], axis=-1)
+    variances = np.full(n, range_sigma) ** 2
+    return (fim_diagonal(units, variances, clock_bias=True),
+            np.broadcast_to(variances[1:] + variances[:1], (n_drops, n - 1)))
 
 
 def run(config: ScenarioConfig) -> RunBundle:
     """Evaluate every case of a scenario over all of its drops."""
-    evaluator = _Evaluator(config)
-    cases = {case_id: PebSampleSet(case_id, evaluator.lat_rad, evaluator.lon_rad, *columns)
-             for case_id, columns in evaluator.evaluate().items()}
+    lat_rad, lon_rad = drop_ues(config)
+    cases = {case_id: PebSampleSet(case_id, lat_rad, lon_rad, *columns)
+             for case_id, columns in evaluate(config, lat_rad, lon_rad).items()}
     stats = {case_id: summarize(sample) for case_id, sample in cases.items()}
     return RunBundle(cases=cases, stats=stats)
 

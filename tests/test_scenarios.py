@@ -12,10 +12,10 @@ from satpeb.constants import EARTH_RADIUS_M
 from satpeb.errors import StatisticsError
 from satpeb.fisher import line_of_sight, min_gdop_subsets
 from satpeb.geometry import (Geodetic, angle_between, enu_frames,
-                             geodetic_to_ecef, ground_track_orbit,
+                             geodetic_to_ecef, ground_track_orbit, hex_constellation,
                              make_virtual_anchors, propagate_circular_orbit)
-from satpeb.scenarios import (PebSampleSet, cap_half_angle, drop_ues, run, substream,
-                              substream_draws, summarize, _Evaluator)
+from satpeb.scenarios import (PebSampleSet, cap_half_angle, drop_ues, evaluate, run,
+                              substream, substream_draws, summarize)
 from tests.test_fisher import best_subset_indices, unit_vectors_en
 
 
@@ -45,6 +45,21 @@ _CENTERS_DEG = pytest.mark.parametrize("center_deg", [
 def _centered_config(center_deg, **overrides):
     lat, lon = center_deg
     return make_config("single-leo", center_lat_deg=lat, center_lon_deg=lon, **overrides)
+
+
+def _center(cfg) -> Geodetic:
+    return Geodetic(math.radians(cfg.center_lat_deg), math.radians(cfg.center_lon_deg), 0.0)
+
+
+def _grid(cfg) -> np.ndarray:
+    """The config's (7, 3) hexagonal grid, serving satellite first."""
+    return hex_constellation(_center(cfg), math.radians(cfg.lon_gap_deg),
+                             math.radians(cfg.lat_gap_deg), cfg.leo_altitude_m)
+
+
+def _at(lat_deg, lon_deg) -> tuple[np.ndarray, np.ndarray]:
+    """One UE position as the (1,) arrays `evaluate` takes."""
+    return np.radians([lat_deg]), np.radians([lon_deg])
 
 
 class TestDropUes:
@@ -198,9 +213,7 @@ class TestSingleLeo:
     def test_ue_on_ground_track_flagged_degenerate(self):
         cfg = make_config("single-leo", n_ue_drops=1,
                           measurement_times_s=(10.0,), los_only=True)
-        evaluator = _Evaluator(cfg)
-        evaluator.lat_rad[0], evaluator.lon_rad[0] = math.radians(0.02), 0.0
-        peb_m, _, degenerate = evaluator.evaluate()["single_leo_t10"]
+        peb_m, _, degenerate = evaluate(cfg, *_at(0.02, 0.0))["single_leo_t10"]
         assert degenerate[0]
         assert math.isnan(peb_m[0])
 
@@ -243,17 +256,22 @@ class TestMultiLeo:
 
 
 class TestHiddenNeighbors:
-    def test_batched_choice_matches_scalar_on_visible_anchors(self):
+    def test_batched_choice_matches_scalar_on_visible_anchors(self, monkeypatch):
         # 27 deg gaps put one same-row neighbor below most drops' horizon
         cfg = make_config("multi-leo", n_ue_drops=200, lon_gap_deg=27.0)
-        evaluator = _Evaluator(cfg)
-        ue_ecef, basis = enu_frames(evaluator.lat_rad, evaluator.lon_rad)
-        ranges, units, sin_el = line_of_sight(ue_ecef, evaluator.grid, basis)
-        _, visible = evaluator.model.grid_dl_sigma(
-            evaluator.grid, ue_ecef, ranges, sin_el,
-            substream_draws(cfg.seed, "ml-link", (200, 7), 7))
-        assert np.count_nonzero((~visible).sum(axis=1) == 1) == 190
-        for k in (3, 4):
+        ue_ecef, basis = enu_frames(*drop_ues(cfg))
+        _, units, sin_el = line_of_sight(ue_ecef, _grid(cfg), basis)
+        # the grid directions and link mask `evaluate` selects from
+        searches = []
+        real = scenarios.min_gdop_subsets
+        monkeypatch.setattr(scenarios, "min_gdop_subsets", lambda u, serving, k, visible:
+                            searches.append((u, visible, k)) or real(u, serving, k, visible=visible))
+        evaluate(cfg, *drop_ues(cfg))
+        assert [k for *_, k in searches] == [3, 4]
+        for searched, visible, k in searches:
+            assert np.array_equal(searched, units)
+            assert np.array_equal(visible, sin_el > 0)
+            assert np.count_nonzero((~visible).sum(axis=1) == 1) == 190
             batched = min_gdop_subsets(units, 0, k, visible=visible)
             for drop, shown, chosen in zip(units, visible, batched):
                 index = np.flatnonzero(shown)
@@ -266,7 +284,7 @@ class TestHiddenNeighbors:
 
     def test_too_few_visible_satellites_degenerate_in_every_case(self):
         cfg = make_config("multi-leo", n_ue_drops=5, lon_gap_deg=60.0)
-        records = _Evaluator(cfg).evaluate()
+        records = evaluate(cfg, *drop_ues(cfg))
         assert list(records) == ["multi_leo_tdoa3", "multi_leo_tdoa3_rtt",
                                  "multi_leo_tdoa4", "multi_leo_tdoa4_rtt"]
         for peb_m, gdop, degenerate in records.values():
@@ -281,8 +299,7 @@ class TestHiddenVirtualAnchors:
         cfg = make_config("single-leo", n_ue_drops=50, measurement_times_s=(10.0, 770.0))
         bundle = run(cfg)
         case = bundle.cases["single_leo_t770"]
-        center = Geodetic(math.radians(cfg.center_lat_deg), math.radians(cfg.center_lon_deg), 0.0)
-        anchors = make_virtual_anchors(ground_track_orbit(center, cfg.leo_altitude_m),
+        anchors = make_virtual_anchors(ground_track_orbit(_center(cfg), cfg.leo_altitude_m),
                                        770.0, cfg.n_virtual_anchors)
         ue_ecef, basis = enu_frames(case.ue_lat_rad, case.ue_lon_rad)
         height = np.einsum("dmk,dk->dm", anchors - ue_ecef[:, None, :], basis[:, 2])
@@ -325,11 +342,9 @@ class TestGnssLeo:
         # single-LEO LOS-only: UEs mirrored across the track get equal bounds
         cfg = make_config("single-leo", n_ue_drops=1,
                           measurement_times_s=(10.0,), los_only=True)
-        evaluator = _Evaluator(cfg)
-        evaluator.lat_rad[0], evaluator.lon_rad[0] = math.radians(0.05), math.radians(0.08)
-        east = evaluator.evaluate()["single_leo_t10"][0][0]
-        evaluator.lon_rad[0] = math.radians(-0.08)
-        west = evaluator.evaluate()["single_leo_t10"][0][0]
+        # each a one-drop evaluation, so both take drop 0's link draws
+        east = evaluate(cfg, *_at(0.05, 0.08))["single_leo_t10"][0][0]
+        west = evaluate(cfg, *_at(0.05, -0.08))["single_leo_t10"][0][0]
         assert east == pytest.approx(west, rel=1e-6)
 
 
@@ -344,7 +359,8 @@ class TestBlockSums:
            st.integers(0, 1000), st.sampled_from(EXTRA))
     def test_adding_a_block_never_raises_a_bound(self, variant, seed, extra):
         config = make_config(variant, n_ue_drops=30, seed=seed)
-        base = _Evaluator(config).evaluate()
+        positions = drop_ues(config)
+        base = evaluate(config, *positions)
         real = scenarios.case_table
 
         def with_extra(config):
@@ -352,7 +368,7 @@ class TestBlockSums:
             return {**cases, "extra_alone": (extra,)}
 
         with mock.patch.object(scenarios, "case_table", with_extra):
-            extended = _Evaluator(config).evaluate()
+            extended = evaluate(config, *positions)
         # A drop that cannot form the extra block (hidden anchors, too few
         # visible satellites) is degenerate in it alone, and so in every sum.
         cannot = extended.pop("extra_alone")[2]
@@ -362,6 +378,40 @@ class TestBlockSums:
             assert not np.any(more_degenerate & ~degenerate & ~cannot), case_id
             both = ~degenerate & ~more_degenerate
             assert np.all(more_peb[both] <= peb_m[both] * (1.0 + 1e-9)), case_id
+
+
+def _bits(column: np.ndarray) -> bytes:
+    return np.ascontiguousarray(column).tobytes()
+
+
+class TestEvaluate:
+    # Row i takes drop i's draws, whatever the other rows hold: what
+    # evaluating drops in chunks or one drop alone rests on.
+    @pytest.mark.parametrize("variant", ["single-leo", "multi-leo", "gnss-leo", "gnss-only"])
+    def test_moving_one_drop_changes_only_its_row(self, variant):
+        cfg = make_config(variant, n_ue_drops=12)
+        lat, lon = drop_ues(cfg)
+        inputs = _bits(lat), _bits(lon)
+        base = evaluate(cfg, lat, lon)
+        assert (_bits(lat), _bits(lon)) == inputs
+        moved_lat, moved_lon = lat.copy(), lon.copy()
+        moved_lat[5] += math.radians(0.03)
+        moved_lon[5] -= math.radians(0.02)
+        moved_inputs = _bits(moved_lat), _bits(moved_lon)
+        moved = evaluate(cfg, moved_lat, moved_lon)
+        assert (_bits(moved_lat), _bits(moved_lon)) == moved_inputs
+        assert list(moved) == list(base)
+        others = np.arange(12) != 5
+        for case_id, columns in base.items():
+            for old, new in zip(columns, moved[case_id]):
+                assert _bits(new[others]) == _bits(old[others]), case_id
+            (peb_m, gdop, degenerate), (new_peb, new_gdop, new_degenerate) = (
+                [c[5] for c in cols] for cols in (columns, moved[case_id]))
+            assert not degenerate and not new_degenerate
+            if variant == "gnss-only":  # the sky is drawn in the UE's own frame
+                assert (new_peb, new_gdop) == (peb_m, gdop)
+            else:  # every other case holds a LEO block
+                assert new_peb != peb_m, case_id
 
 
 class TestSpans:
@@ -403,10 +453,14 @@ class TestSpans:
 
     def test_drop_records_follow_drop_positions(self):
         cfg = make_config("multi-leo", n_ue_drops=6)
-        evaluator = _Evaluator(cfg)
-        for sample in run(cfg).cases.values():
-            assert np.array_equal(sample.ue_lat_rad, evaluator.lat_rad)
-            assert np.array_equal(sample.ue_lon_rad, evaluator.lon_rad)
+        lat, lon = drop_ues(cfg)
+        columns = evaluate(cfg, lat, lon)
+        bundle = run(cfg)
+        assert list(bundle.cases) == list(columns)
+        for case_id, sample in bundle.cases.items():
+            assert np.array_equal(sample.ue_lat_rad, lat)
+            assert np.array_equal(sample.ue_lon_rad, lon)
+            assert _columns_equal(_sample_columns(sample)[2:], columns[case_id])
 
 
 _TAGS = ["ue-drop", "sl-link", "ml-link", "ml-rtt", "gl-link", "gnss-pos", "ß-λ-衛星"]
@@ -504,25 +558,29 @@ class TestStackedWindows:
 
 class TestLineOfSight:
     """`fisher.line_of_sight` and the link model's off-boresight angle on the
-    shapes the evaluator passes them, bit for bit against their oracles:
+    shapes `evaluate` passes them, bit for bit against their oracles:
     `unit_vectors_en`, and the link budget's ranges, elevation sines (on the
     geocentric up) and `geometry.angle_between` angles taken on every drop's
     flat (D, W·M) row of anchors."""
 
     @pytest.mark.parametrize("variant", ["single-leo", "multi-leo"])
     def test_matches_oracle_on_scenario_shapes(self, variant, monkeypatch):
-        evaluator = _Evaluator(make_config(variant, n_ue_drops=200))
-        ue_ecef, basis = enu_frames(evaluator.lat_rad, evaluator.lon_rad)
+        # multi-leo without RTT, so that the grid is the only anchor set
+        cfg = make_config(variant, n_ue_drops=200,
+                          **({"rtt_augmentation": False} if variant == "multi-leo" else {}))
+        ue_ecef, basis = enu_frames(*drop_ues(cfg))
         if variant == "single-leo":  # every window of the tag at once: (W, D, M)
-            windows, anchors = next(iter(evaluator.rtt_windows.values()))
-            positions, shape = anchors, (len(windows), 200, anchors.shape[2])
+            orbit = ground_track_orbit(_center(cfg), cfg.leo_altitude_m)
+            positions = np.array([make_virtual_anchors(orbit, t, cfg.n_virtual_anchors)
+                                  for t in cfg.measurement_times_s])[:, None]
+            shape = (len(cfg.measurement_times_s), 200, cfg.n_virtual_anchors)
         else:  # the hexagonal grid: (D, 7)
-            positions, shape = evaluator.grid, (200, 7)
+            positions, shape = _grid(cfg), (200, 7)
         ranges, units, sin_el = line_of_sight(ue_ecef, positions, basis)
         assert ranges.shape == sin_el.shape == shape and units.shape == shape + (2,)
         assert np.array_equal(units, unit_vectors_en(ue_ecef, positions, basis))
 
-        def links(flat):  # (D, W·M) -> the evaluator's shape
+        def links(flat):  # (D, W·M) -> the shape `evaluate` uses
             return np.moveaxis(flat.reshape(200, -1, shape[-1]), 0, -2).reshape(shape)
 
         flat = positions.reshape(-1, 3)
@@ -531,17 +589,16 @@ class TestLineOfSight:
         up = ue_ecef / np.linalg.norm(ue_ecef, axis=-1, keepdims=True)
         assert np.array_equal(ranges, links(norm))
         assert np.array_equal(sin_el, links((vec @ up[:, :, None])[..., 0] / norm))
-        # the off-boresight angles the link model hands the antenna pattern
+        # the off-boresight angles the link model hands the antenna pattern,
+        # on the links whose elevation sine clears the horizon
         angles = []
         real = channel.antenna_gain
         monkeypatch.setattr(channel, "antenna_gain",
                             lambda pattern, theta: angles.append(theta) or real(pattern, theta))
-        draws = (np.zeros(shape[-2:]),) * 2
-        _, visible = evaluator.model._realize((evaluator.model.dl,), positions, ue_ecef,
-                                              ranges, sin_el, draws)
-        assert np.array_equal(visible, sin_el > 0) and len(angles) == 1
-        oracle = links(angle_between(evaluator.model.beam_center - flat, -vec))
-        assert np.array_equal(angles[0], oracle[visible])
+        evaluate(cfg, *drop_ues(cfg))
+        assert len(angles) == 1
+        oracle = links(angle_between(geodetic_to_ecef(_center(cfg)) - flat, -vec))
+        assert np.array_equal(angles[0], oracle[sin_el > 0])
 
 
 class TestRunBundle:
