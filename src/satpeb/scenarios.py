@@ -383,7 +383,7 @@ def evaluate(config: ScenarioConfig, lat_rad: np.ndarray,
         sigma = np.ones(visible.shape)
         sigma[visible] = rtt_range_sigma(toa_range_sigma(dl_snr, dl.bandwidth_hz),
                                          toa_range_sigma(ul_snr, ul.bandwidth_hz))
-        del dl_snr, ul_snr  # the SNRs are not held through the subset search's peak
+        del dl_snr, ul_snr  # kept, the SNRs would add to the subset search's memory peak
         variances = sigma**2
         info.update(zip(rtts, zip(fim_diagonal(units, variances), variances,
                                   ~np.all(visible, axis=2))))

@@ -259,14 +259,16 @@ class TestHiddenNeighbors:
     def test_batched_choice_matches_scalar_on_visible_anchors(self, monkeypatch):
         # 27 deg gaps put one same-row neighbor below most drops' horizon
         cfg = make_config("multi-leo", n_ue_drops=200, lon_gap_deg=27.0)
-        ue_ecef, basis = enu_frames(*drop_ues(cfg))
+        positions = drop_ues(cfg)
+        ue_ecef, basis = enu_frames(*positions)
         _, units, sin_el = line_of_sight(ue_ecef, _grid(cfg), basis)
         # the grid directions and link mask `evaluate` selects from
         searches = []
         real = scenarios.min_gdop_subsets
-        monkeypatch.setattr(scenarios, "min_gdop_subsets", lambda u, serving, k, visible:
-                            searches.append((u, visible, k)) or real(u, serving, k, visible=visible))
-        evaluate(cfg, *drop_ues(cfg))
+        monkeypatch.setattr(scenarios, "min_gdop_subsets",
+                            lambda u, serving, k, visible: searches.append((u, visible, k))
+                            or real(u, serving, k, visible=visible))
+        evaluate(cfg, *positions)
         assert [k for *_, k in searches] == [3, 4]
         for searched, visible, k in searches:
             assert np.array_equal(searched, units)
@@ -380,10 +382,6 @@ class TestBlockSums:
             assert np.all(more_peb[both] <= peb_m[both] * (1.0 + 1e-9)), case_id
 
 
-def _bits(column: np.ndarray) -> bytes:
-    return np.ascontiguousarray(column).tobytes()
-
-
 class TestEvaluate:
     # Row i takes drop i's draws, whatever the other rows hold: what
     # evaluating drops in chunks or one drop alone rests on.
@@ -391,20 +389,20 @@ class TestEvaluate:
     def test_moving_one_drop_changes_only_its_row(self, variant):
         cfg = make_config(variant, n_ue_drops=12)
         lat, lon = drop_ues(cfg)
-        inputs = _bits(lat), _bits(lon)
+        inputs = lat.tobytes(), lon.tobytes()
         base = evaluate(cfg, lat, lon)
-        assert (_bits(lat), _bits(lon)) == inputs
+        assert (lat.tobytes(), lon.tobytes()) == inputs
         moved_lat, moved_lon = lat.copy(), lon.copy()
         moved_lat[5] += math.radians(0.03)
         moved_lon[5] -= math.radians(0.02)
-        moved_inputs = _bits(moved_lat), _bits(moved_lon)
+        moved_inputs = moved_lat.tobytes(), moved_lon.tobytes()
         moved = evaluate(cfg, moved_lat, moved_lon)
-        assert (_bits(moved_lat), _bits(moved_lon)) == moved_inputs
+        assert (moved_lat.tobytes(), moved_lon.tobytes()) == moved_inputs
         assert list(moved) == list(base)
         others = np.arange(12) != 5
         for case_id, columns in base.items():
             for old, new in zip(columns, moved[case_id]):
-                assert _bits(new[others]) == _bits(old[others]), case_id
+                assert new[others].tobytes() == old[others].tobytes(), case_id
             (peb_m, gdop, degenerate), (new_peb, new_gdop, new_degenerate) = (
                 [c[5] for c in cols] for cols in (columns, moved[case_id]))
             assert not degenerate and not new_degenerate
