@@ -3,7 +3,10 @@
 Covers the satellite antenna pattern, free-space path loss, the
 elevation-dependent LOS-probability / shadow-fading / clutter-loss tables of
 the 3GPP NTN channel model (TR 38.811, S-band entries), and the link budget
-that turns a link geometry into a post-integration SNR.
+that turns a link geometry into a post-integration SNR. The budget reads the
+config's validated `LinkBudget` itself; the caller passes only the terms of
+one direction (EIRP, G/T, processing gain). Every kernel takes and returns
+arrays, one element per link.
 
 Tables ship as CSV assets under ``satpeb/tables`` (columns: elevation_deg,
 value; one file per scenario class and quantity). They are loaded once,
@@ -16,50 +19,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
 import numpy as np
 
-from .config import ANTENNA_MODELS, SCENARIO_CLASSES
+from .config import ANTENNA_MODELS, SCENARIO_CLASSES, LinkBudget
 from .constants import BOLTZMANN, SPEED_OF_LIGHT
-
-
-@dataclass(frozen=True)
-class AntennaPattern:
-    """Normalized pattern: 0 dB at boresight, -3 dB at half the beamwidth.
-    `model` is one of `config.ANTENNA_MODELS`."""
-
-    beamwidth_rad: float
-    model: str = "bessel-aperture"
-
-    def __post_init__(self):
-        if not 0.0 < self.beamwidth_rad < math.pi:
-            raise ValueError("beamwidth must lie in (0, pi)")
-        if self.model not in ANTENNA_MODELS:
-            raise ValueError(f"unknown antenna model {self.model!r}")
-
-
-@dataclass(frozen=True)
-class LinkParams:
-    """Link-budget terms for one direction of one link."""
-
-    carrier_hz: float
-    bandwidth_hz: float
-    eirp_dbw: float
-    rx_g_over_t_db_k: float
-    extra_losses_db: float = 0.0
-    neighbor_penalty_db: float = 0.0
-    processing_gain_db: float = 0.0
-
-    def __post_init__(self):
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.carrier_hz <= 0:
-            raise ValueError("carrier frequency must be positive")
-        if self.neighbor_penalty_db < 0:
-            raise ValueError("neighbor penalty must be non-negative")
 
 
 # Argument where the circular-aperture pattern 4*(J1(x)/x)^2 crosses -3 dB
@@ -126,34 +92,34 @@ def _miller_j1(x: np.ndarray) -> np.ndarray:
     return j1 / total
 
 
-def antenna_gain(pattern: AntennaPattern, off_boresight_rad) -> float | np.ndarray:
-    """Pattern gain in dB relative to peak at the given off-boresight angle."""
+def antenna_gain(beamwidth_rad: float, model: str, off_boresight_rad) -> np.ndarray:
+    """Gain in dB relative to peak, at the given off-boresight angles, of the
+    normalized pattern `model` (one of `config.ANTENNA_MODELS`): 0 dB at
+    boresight, -3 dB at half of `beamwidth_rad`."""
     theta = np.asarray(off_boresight_rad, dtype=float)
     if np.any(theta < 0) or np.any(theta > math.pi):
         raise ValueError("off-boresight angle must lie in [0, pi]")
-    if pattern.model == "gaussian-approx":
+    if model not in ANTENNA_MODELS:
+        raise ValueError(f"unknown antenna model {model!r}")
+    if model == "gaussian-approx":
         # floored at the Bessel pattern's -160 dB, not -inf for a very narrow beam
-        gain = np.maximum(-12.0 * (theta / pattern.beamwidth_rad) ** 2, -160.0)
-    else:
-        # k*a product sized so the pattern crosses -3 dB at beamwidth/2.
-        ka = _HALF_POWER_ARG / math.sin(pattern.beamwidth_rad / 2.0)
-        x = np.atleast_1d(ka * np.sin(theta))
-        lobe = np.zeros_like(x)
-        inside = x < _FLOOR_ARG
-        lobe[inside] = _airy_lobe(x[inside])
-        lobe = lobe.reshape(np.shape(theta))
-        # Clamp pattern nulls to a deep but finite floor.
-        gain = 20.0 * np.log10(np.maximum(np.abs(lobe), 1e-8))
-    return float(gain) if gain.ndim == 0 else gain
+        return np.maximum(-12.0 * (theta / beamwidth_rad) ** 2, -160.0)
+    # k*a product sized so the pattern crosses -3 dB at beamwidth/2.
+    ka = _HALF_POWER_ARG / math.sin(beamwidth_rad / 2.0)
+    x = ka * np.sin(theta)
+    lobe = np.zeros_like(x)
+    inside = x < _FLOOR_ARG
+    lobe[inside] = _airy_lobe(x[inside])
+    # Clamp pattern nulls to a deep but finite floor.
+    return 20.0 * np.log10(np.maximum(np.abs(lobe), 1e-8))
 
 
-def free_space_path_loss(distance_m, carrier_hz) -> float | np.ndarray:
+def free_space_path_loss(distance_m, carrier_hz) -> np.ndarray:
     """Free-space path loss in dB: 20*log10(4*pi*d*f/c)."""
     d = np.asarray(distance_m, dtype=float)
     if np.any(d <= 0):
         raise ValueError("distance must be positive")
-    loss = 20.0 * np.log10(4.0 * math.pi * d * carrier_hz / SPEED_OF_LIGHT)
-    return float(loss) if loss.ndim == 0 else loss
+    return 20.0 * np.log10(4.0 * math.pi * d * carrier_hz / SPEED_OF_LIGHT)
 
 
 # ---------------------------------------------------------------------------
@@ -236,37 +202,29 @@ def table_checksums() -> dict[str, str]:
     return {name: digest for name, (_, digest) in _table_assets().items()}
 
 
-def _interp_table(quantity: str, cls: str, elevation_rad) -> float | np.ndarray:
+def _interp_table(quantity: str, cls: str, elevation_rad) -> np.ndarray:
     el = np.asarray(elevation_rad, dtype=float)
     if np.any(el <= 0) or np.any(el > math.pi / 2):
         raise ValueError("elevation must lie in (0, pi/2]")
     grid, vals = _tables()[(quantity, cls)]
     # np.interp clamps at the table ends (entries below 10 deg reuse the
     # 10 deg value).
-    out = np.interp(np.degrees(el), grid, vals)
-    return float(out) if out.ndim == 0 else out
+    return np.interp(np.degrees(el), grid, vals)
 
 
-def los_probability(cls: str, elevation_rad) -> float | np.ndarray:
+def los_probability(cls: str, elevation_rad) -> np.ndarray:
     """LOS probability at the given elevation, linearly interpolated between
     the 10-degree-spaced table entries."""
     return _interp_table("los_probability", cls, elevation_rad)
 
 
-def shadowing_sigma(cls: str, elevation_rad, los) -> tuple:
-    """(shadow-fading sigma dB, deterministic clutter loss dB).
-
-    Clutter loss is zero for LOS links. Accepts scalar or array `los`.
-    """
+def shadowing_sigma(cls: str, elevation_rad, los) -> tuple[np.ndarray, np.ndarray]:
+    """(shadow-fading sigma dB, deterministic clutter loss dB) of links at
+    the given elevations and LOS states; clutter loss is zero for LOS links."""
     s_los = _interp_table("shadow_sigma_los", cls, elevation_rad)
     s_nlos = _interp_table("shadow_sigma_nlos", cls, elevation_rad)
     cl = _interp_table("clutter_loss", cls, elevation_rad)
-    los_arr = np.asarray(los, dtype=bool)
-    sigma = np.where(los_arr, s_los, s_nlos)
-    clutter = np.where(los_arr, 0.0, cl)
-    if los_arr.ndim == 0:
-        return float(sigma), float(clutter)
-    return sigma, clutter
+    return np.where(los, s_los, s_nlos), np.where(los, 0.0, cl)
 
 
 # ---------------------------------------------------------------------------
@@ -277,23 +235,24 @@ def noise_floor_db(bandwidth_hz: float) -> float:
     return 10.0 * math.log10(BOLTZMANN * bandwidth_hz)
 
 
-def link_snr(params: LinkParams, distance_m, gain_db, shadow_db,
-             clutter_db=0.0) -> float | np.ndarray:
-    """Budget out one link realization to its post-integration SNR in dB,
-    scalar or aligned with the array inputs. `gain_db` is the satellite
-    pattern gain toward the UE (`antenna_gain`), which both directions of a
-    link share.
+def link_snr(budget: LinkBudget, eirp_dbw: float, rx_g_over_t_db_k: float,
+             processing_gain_db: float, distance_m, gain_db, shadow_db, clutter_db,
+             penalty_db) -> np.ndarray:
+    """Post-integration SNR in dB of link realizations in one direction,
+    aligned with the array inputs. The direction's terms are its EIRP, its
+    receiver's G/T and its processing gain; the carrier, bandwidth and extra
+    losses come from `budget`. `gain_db` is the satellite pattern gain toward
+    the UE (`antenna_gain`), which both directions of a link share, and
+    `penalty_db` the neighbour-satellite penalty of each link (0 on a link to
+    the serving satellite).
 
     snr = EIRP + G/T - FSPL - shadow - clutter - extra - neighbor penalty
           + pattern gain + processing gain - 10*log10(k*B)
     """
-    fspl = free_space_path_loss(distance_m, params.carrier_hz)
-    gain = np.asarray(gain_db, dtype=float)
-    snr = (params.eirp_dbw + params.rx_g_over_t_db_k - fspl
-           - np.asarray(shadow_db, dtype=float) - np.asarray(clutter_db, dtype=float)
-           - params.extra_losses_db - params.neighbor_penalty_db
-           + gain + params.processing_gain_db - noise_floor_db(params.bandwidth_hz))
-    return float(snr) if np.ndim(snr) == 0 else snr
+    fspl = free_space_path_loss(distance_m, budget.carrier_hz)
+    return (eirp_dbw + rx_g_over_t_db_k - fspl - shadow_db - clutter_db
+            - budget.extra_losses_db - penalty_db
+            + gain_db + processing_gain_db - noise_floor_db(budget.bandwidth_hz))
 
 
 def cn0_to_snr(cn0_dbhz: float, bandwidth_hz: float,

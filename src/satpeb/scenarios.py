@@ -54,12 +54,11 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import channel
-from .channel import AntennaPattern, LinkParams
 from .config import ScenarioConfig
 from .constants import EARTH_RADIUS_M
 from .errors import ConfigError, StatisticsError
@@ -253,16 +252,20 @@ def drop_ues(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
 # Link realization
 
 
-def _realize(config: ScenarioConfig, pattern: AntennaPattern, beam_center: np.ndarray,
-             params: tuple[LinkParams, ...], anchors: np.ndarray, ue_ecef: np.ndarray,
-             ranges: np.ndarray, sin_el: np.ndarray, draws):
-    """SNR under each of `params` of the links from D UEs (D, 3) to the
-    `anchors` with (..., D, M) `line_of_sight` `ranges` and elevation
-    sines `sin_el` that clear the horizon (sine > 0), flattened in the C
-    order of their mask, and that mask. Every beam has `pattern` and points
-    at `beam_center`. One LOS/shadowing draw (`draws`, (D, M) each, shared by
-    the leading axes) and one pattern gain govern every direction of a link
-    (reciprocal large-scale channel)."""
+def _realize(config: ScenarioConfig, beam_center: np.ndarray, directions, anchors: np.ndarray,
+             ue_ecef: np.ndarray, ranges: np.ndarray, sin_el: np.ndarray, draws,
+             penalty_db=0.0):
+    """SNR in each of `directions`, (EIRP, G/T, processing gain) triples of
+    `channel.link_snr` under the config's `LinkBudget`, of the links from D
+    UEs (D, 3) to the `anchors` with (..., D, M) `line_of_sight` `ranges`
+    and elevation sines `sin_el` that clear the horizon (sine > 0),
+    flattened in the C order of their mask, and that mask. `penalty_db`
+    (scalar or (M,), one term per anchor) is each link's neighbour penalty.
+    Every beam has the budget's pattern and points at `beam_center`. One
+    LOS/shadowing draw (`draws`, (D, M) each, shared by the leading axes)
+    and one pattern gain govern every direction of a link (reciprocal
+    large-scale channel)."""
+    budget = config.link
     visible = sin_el > 0
     elevation = np.arcsin(np.minimum(sin_el[visible], 1.0))
     # `ue - anchor` and `ranges`, not unit vectors: these operations keep the pinned bits
@@ -276,9 +279,12 @@ def _realize(config: ScenarioConfig, pattern: AntennaPattern, beam_center: np.nd
     else:
         los = z_los < channel.los_probability(config.scenario_class, elevation)
     sigma_sh, clutter = channel.shadowing_sigma(config.scenario_class, elevation, los)
-    gain = channel.antenna_gain(pattern, off_boresight)
-    return [channel.link_snr(p, ranges[visible], gain, z_shadow * sigma_sh, clutter)
-            for p in params], visible
+    gain = channel.antenna_gain(math.radians(budget.beamwidth_deg), budget.antenna_model,
+                                off_boresight)
+    penalty = np.broadcast_to(penalty_db, visible.shape)[visible]
+    return [channel.link_snr(budget, *d, ranges[visible], gain, z_shadow * sigma_sh, clutter,
+                             penalty)
+            for d in directions], visible
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +354,11 @@ def evaluate(config: ScenarioConfig, lat_rad: np.ndarray,
     budget, seed, n = config.link, config.seed, len(lat_rad)
     center = Geodetic(math.radians(config.center_lat_deg),
                       math.radians(config.center_lon_deg), 0.0)
-    # The run's radio model: every beam points at the coverage center.
-    beam = (AntennaPattern(math.radians(budget.beamwidth_deg), budget.antenna_model),
-            geodetic_to_ecef(center))
-    dl = LinkParams(carrier_hz=budget.carrier_hz, bandwidth_hz=budget.bandwidth_hz,
-                    eirp_dbw=budget.dl_eirp_dbw, rx_g_over_t_db_k=budget.ue_g_over_t_db_k,
-                    extra_losses_db=budget.extra_losses_db,
-                    processing_gain_db=budget.leo_dl_processing_gain_db)
-    ul = replace(dl, eirp_dbw=budget.ue_eirp_dbw, rx_g_over_t_db_k=budget.sat_g_over_t_db_k,
-                 processing_gain_db=budget.leo_ul_processing_gain_db)
+    # Every beam points at the coverage center. A link direction is its
+    # (EIRP, G/T, processing gain).
+    beam_center = geodetic_to_ecef(center)
+    dl = (budget.dl_eirp_dbw, budget.ue_g_over_t_db_k, budget.leo_dl_processing_gain_db)
+    ul = (budget.ue_eirp_dbw, budget.sat_g_over_t_db_k, budget.leo_ul_processing_gain_db)
     gnss_snr = channel.cn0_to_snr(budget.gnss_cn0_dbhz, budget.gnss_bandwidth_hz,
                                   budget.gnss_processing_gain_db)
     gnss_sigma = toa_range_sigma(gnss_snr, budget.gnss_bandwidth_hz)
@@ -378,30 +380,31 @@ def evaluate(config: ScenarioConfig, lat_rad: np.ndarray,
         anchors = np.array([make_virtual_anchors(orbit, b.time_s, m) for b in rtts])[:, None]
         ranges, units, sin_el = line_of_sight(ue_ecef, anchors, basis)
         draws = substream_draws(seed, tag, (n, m), m)
-        (dl_snr, ul_snr), visible = _realize(config, *beam, (dl, ul), anchors, ue_ecef,
+        (dl_snr, ul_snr), visible = _realize(config, beam_center, (dl, ul), anchors, ue_ecef,
                                              ranges, sin_el, draws)
         sigma = np.ones(visible.shape)
-        sigma[visible] = rtt_range_sigma(toa_range_sigma(dl_snr, dl.bandwidth_hz),
-                                         toa_range_sigma(ul_snr, ul.bandwidth_hz))
+        sigma[visible] = rtt_range_sigma(toa_range_sigma(dl_snr, budget.bandwidth_hz),
+                                         toa_range_sigma(ul_snr, budget.bandwidth_hz))
         del dl_snr, ul_snr  # kept, the SNRs would add to the subset search's memory peak
         variances = sigma**2
         info.update(zip(rtts, zip(fim_diagonal(units, variances), variances,
                                   ~np.all(visible, axis=2))))
 
     # The (7, 3) hexagonal grid, serving satellite first: (D, 7) downlink TOA
-    # sigmas, where only the serving satellite runs the nominal budget.
+    # sigmas in one budget pass, where only the serving satellite runs the
+    # nominal budget and every neighbour takes its penalty.
     if any(isinstance(b, Tdoa) for b in blocks):
         grid = hex_constellation(center, math.radians(config.lon_gap_deg),
                                  math.radians(config.lat_gap_deg), config.leo_altitude_m)
         ranges, units, sin_el = line_of_sight(ue_ecef, grid, basis)
         draws = substream_draws(seed, "ml-link", sin_el.shape, len(grid))
-        neighbor = replace(dl, neighbor_penalty_db=budget.neighbor_penalty_db)
-        (serving, others), visible = _realize(config, *beam, (dl, neighbor), grid, ue_ecef,
-                                              ranges, sin_el, draws)
+        penalty = np.full(len(grid), budget.neighbor_penalty_db)
+        penalty[0] = 0.0
+        (snr,), visible = _realize(config, beam_center, (dl,), grid, ue_ecef, ranges, sin_el,
+                                   draws, penalty)
         sigma = np.ones(visible.shape)
-        sigma[visible] = toa_range_sigma(np.where(np.nonzero(visible)[1] == 0, serving, others),
-                                         dl.bandwidth_hz)
-        del serving, others
+        sigma[visible] = toa_range_sigma(snr, budget.bandwidth_hz)
+        del snr
         grid_links = (units, sigma, visible)
     for block in blocks:
         if isinstance(block, Tdoa):

@@ -4,50 +4,50 @@ import numpy as np
 import pytest
 
 from satpeb import channel
-from satpeb.channel import (AntennaPattern, LinkParams, PINNED_TABLE_CHECKSUMS,
-                            antenna_gain, cn0_to_snr, free_space_path_loss,
-                            link_snr, los_probability, shadowing_sigma,
-                            table_checksums)
-from satpeb.config import SCENARIO_CLASSES
+from satpeb.channel import (PINNED_TABLE_CHECKSUMS, antenna_gain, cn0_to_snr,
+                            free_space_path_loss, link_snr, los_probability,
+                            shadowing_sigma, table_checksums)
+from satpeb.config import SCENARIO_CLASSES, LinkBudget
 
-BESSEL = AntennaPattern(math.radians(4.4127), "bessel-aperture")
-GAUSS = AntennaPattern(math.radians(4.4127), "gaussian-approx")
+# (beamwidth_rad, model) of the default beam under each antenna model
+BESSEL = (math.radians(4.4127), "bessel-aperture")
+GAUSS = (math.radians(4.4127), "gaussian-approx")
 
 
 class TestAntennaPattern:
     @pytest.mark.parametrize("pattern", [BESSEL, GAUSS], ids=["bessel", "gauss"])
     def test_boresight_is_zero_db(self, pattern):
-        assert antenna_gain(pattern, 0.0) == 0.0
+        assert antenna_gain(*pattern, 0.0) == 0.0
 
     @pytest.mark.parametrize("pattern", [BESSEL, GAUSS], ids=["bessel", "gauss"])
     def test_half_beamwidth_is_minus_3db(self, pattern):
-        gain = antenna_gain(pattern, pattern.beamwidth_rad / 2.0)
+        gain = antenna_gain(*pattern, pattern[0] / 2.0)
         assert abs(gain - (-3.0)) < 0.01
 
     @pytest.mark.parametrize("pattern", [BESSEL, GAUSS], ids=["bessel", "gauss"])
     def test_main_lobe_monotone(self, pattern):
-        grid = np.linspace(0.0, pattern.beamwidth_rad / 2.0, 100)
-        gains = antenna_gain(pattern, grid)
+        grid = np.linspace(0.0, pattern[0] / 2.0, 100)
+        gains = antenna_gain(*pattern, grid)
         assert np.all(np.diff(gains) <= 1e-12)
 
     def test_very_narrow_beam_floors_off_boresight_gain(self):
         # A 1e-190 degree beam puts the Airy argument far past any integer
         # recurrence order; the gain away from boresight is the 1e-8 floor.
-        pattern = AntennaPattern(math.radians(1e-190), "bessel-aperture")
-        gains = antenna_gain(pattern, np.array([0.0, 1e-16, 0.1, math.pi / 2]))
+        gains = antenna_gain(math.radians(1e-190), "bessel-aperture",
+                             np.array([0.0, 1e-16, 0.1, math.pi / 2]))
         assert gains[0] == 0.0
         assert np.all(gains[1:] == -160.0)
 
     def test_very_narrow_gaussian_beam_floors_off_boresight_gain(self):
         # (theta / beamwidth)**2 overflows to inf for a 1e-38 degree beam; the
         # gain keeps the Bessel pattern's -160 dB floor instead of -inf.
-        pattern = AntennaPattern(math.radians(1.1754943508222875e-38), "gaussian-approx")
         with np.errstate(over="ignore"):
-            gains = antenna_gain(pattern, np.array([0.0, 1e-30, 0.1, math.pi / 2]))
+            gains = antenna_gain(math.radians(1.1754943508222875e-38), "gaussian-approx",
+                                 np.array([0.0, 1e-30, 0.1, math.pi / 2]))
         assert gains[0] == 0.0
         assert np.all(gains[1:] == -160.0)
-        wide = AntennaPattern(math.radians(4.0), "gaussian-approx")
-        assert antenna_gain(wide, math.radians(1.0)) == -12.0 * 0.25**2
+        assert antenna_gain(math.radians(4.0), "gaussian-approx",
+                            math.radians(1.0)) == -12.0 * 0.25**2
 
     def test_floor_argument_lies_below_the_floor(self):
         # Just below the switch the recurrence itself is already at the floor.
@@ -56,13 +56,14 @@ class TestAntennaPattern:
 
     def test_rejects_out_of_range_angle(self):
         with pytest.raises(ValueError):
-            antenna_gain(BESSEL, -0.1)
+            antenna_gain(*BESSEL, -0.1)
 
     def test_beamwidth_validation(self):
-        with pytest.raises(ValueError):
-            AntennaPattern(0.0)
+        # The beamwidth's range is `validate_config`'s check
+        # (tests/test_config.py); an unknown model must not fall through to
+        # the Bessel pattern.
         with pytest.raises(ValueError, match="antenna model"):
-            AntennaPattern(0.1, "dipole")
+            antenna_gain(0.1, "dipole", 0.0)
 
 
 def _j1(x):
@@ -188,54 +189,45 @@ class TestTables:
         assert shadowing_sigma(cls, el, False) == shadowing_sigma(cls, el, False)
 
 
-def _params(bandwidth_hz=10e6, eirp_dbw=44.0, penalty=0.0):
-    return LinkParams(
-        carrier_hz=2e9,
-        bandwidth_hz=bandwidth_hz,
-        eirp_dbw=eirp_dbw,
-        rx_g_over_t_db_k=-31.6,
-        neighbor_penalty_db=penalty,
-    )
+def _snr(distance_m, gain_db, shadow_db, clutter_db=0.0, bandwidth_hz=10e6, penalty_db=0.0):
+    """A 44 dBW, -31.6 dB/K direction without processing gain at 2 GHz."""
+    budget = LinkBudget(carrier_hz=2e9, bandwidth_hz=bandwidth_hz, extra_losses_db=0.0)
+    return link_snr(budget, 44.0, -31.6, 0.0, distance_m, gain_db, shadow_db, clutter_db,
+                    penalty_db)
 
 
 class TestLinkSnr:
     def test_halving_bandwidth_raises_snr_3db(self):
-        full = link_snr(_params(10e6), 600e3, antenna_gain(BESSEL, 0.0), 0.0)
-        half = link_snr(_params(5e6), 600e3, antenna_gain(BESSEL, 0.0), 0.0)
+        full = _snr(600e3, antenna_gain(*BESSEL, 0.0), 0.0, bandwidth_hz=10e6)
+        half = _snr(600e3, antenna_gain(*BESSEL, 0.0), 0.0, bandwidth_hz=5e6)
         assert half - full == pytest.approx(3.01, abs=0.01)
 
     def test_neighbor_penalty_is_exact(self):
-        base = link_snr(_params(), 900e3, antenna_gain(BESSEL, 0.01), 1.3)
-        hit = link_snr(_params(penalty=6.0), 900e3, antenna_gain(BESSEL, 0.01), 1.3)
+        base = _snr(900e3, antenna_gain(*BESSEL, 0.01), 1.3)
+        hit = _snr(900e3, antenna_gain(*BESSEL, 0.01), 1.3, penalty_db=6.0)
         assert base - hit == pytest.approx(6.0, abs=1e-12)
 
     def test_pinned_default_downlink_snr(self):
         # serving-LEO downlink at nadir, 600 km, calibrated defaults
-        from satpeb.config import LinkBudget
         budget = LinkBudget()
-        params = LinkParams(
-            carrier_hz=budget.carrier_hz,
-            bandwidth_hz=budget.bandwidth_hz,
-            eirp_dbw=budget.dl_eirp_dbw,
-            rx_g_over_t_db_k=budget.ue_g_over_t_db_k,
-            processing_gain_db=budget.leo_dl_processing_gain_db,
-        )
-        snr = link_snr(params, 600e3, antenna_gain(BESSEL, 0.0), 0.0)
+        snr = link_snr(budget, budget.dl_eirp_dbw, budget.ue_g_over_t_db_k,
+                       budget.leo_dl_processing_gain_db, 600e3, antenna_gain(*BESSEL, 0.0),
+                       0.0, 0.0, 0.0)
         assert snr == pytest.approx(6.967977542068468, abs=1e-9)
 
     def test_strictly_decreasing_in_distance(self):
         distances = np.linspace(600e3, 2500e3, 50)
-        snr = link_snr(_params(), distances, antenna_gain(BESSEL, 0.0), 0.0)
+        snr = _snr(distances, antenna_gain(*BESSEL, 0.0), 0.0)
         assert np.all(np.diff(snr) < 0.0)
 
     def test_strictly_decreasing_off_boresight(self):
-        angles = np.linspace(0.0, BESSEL.beamwidth_rad / 2.0, 50)
-        snr = link_snr(_params(), 600e3, antenna_gain(BESSEL, angles), 0.0)
+        angles = np.linspace(0.0, BESSEL[0] / 2.0, 50)
+        snr = _snr(600e3, antenna_gain(*BESSEL, angles), 0.0)
         assert np.all(np.diff(snr) < 0.0)
 
     def test_shadow_and_clutter_subtract(self):
-        clean = link_snr(_params(), 600e3, antenna_gain(BESSEL, 0.0), 0.0, 0.0)
-        faded = link_snr(_params(), 600e3, antenna_gain(BESSEL, 0.0), 2.5, 19.52)
+        clean = _snr(600e3, antenna_gain(*BESSEL, 0.0), 0.0, 0.0)
+        faded = _snr(600e3, antenna_gain(*BESSEL, 0.0), 2.5, 19.52)
         assert clean - faded == pytest.approx(22.02, abs=1e-9)
 
 

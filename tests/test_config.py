@@ -190,10 +190,19 @@ def test_accepted_config_file_runs_to_a_manifest_without_errors(config, top, lin
     ({"variant": "gnss-only", "link": {"gnss_cn0_dbhz": -1e6}}, "link.gnss_cn0_dbhz"),
     ({"variant": "multi-leo", "link": {"bandwidth_hz": 1e-300}}, "link.bandwidth_hz"),
     ({"variant": "multi-leo", "leo_altitude_m": 1e200}, "leo_altitude_m"),
+    ({"variant": "single-leo", "link": {"beamwidth_deg": 0}}, "link.beamwidth_deg"),
+    ({"variant": "single-leo", "link": {"beamwidth_deg": 180}}, "link.beamwidth_deg"),
+    ({"variant": "single-leo", "link": {"antenna_model": "dipole"}}, "link.antenna_model"),
+    ({"variant": "multi-leo", "link": {"neighbor_penalty_db": -0.5}}, "link.neighbor_penalty_db"),
+    ({"variant": "multi-leo", "link": {"carrier_hz": 5e6, "bandwidth_hz": 10e6}},
+     "link.bandwidth_hz"),
 ])
 def test_link_budget_out_of_float_range_names_the_field(raw, field):
-    """A value that would take a link's linear SNR out of the float range is
-    refused before the run, naming the field."""
+    """A value that would take a link's linear SNR out of the float range, or
+    a link-budget term out of its own range (beamwidth, antenna model,
+    neighbour penalty, bandwidth above the carrier), is refused before the
+    run, naming the field. `validate_config` is the only check on these
+    values: the radio model reads the validated `LinkBudget` as it is."""
     with pytest.raises(ConfigError) as err:
         config_from_dict({"n_ue_drops": 2, **raw})
     assert err.value.field == field

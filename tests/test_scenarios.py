@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satpeb import channel, geometry, scenarios
-from satpeb.config import make_config
+from satpeb.config import LinkBudget, make_config
 from satpeb.constants import EARTH_RADIUS_M
 from satpeb.errors import StatisticsError
 from satpeb.fisher import line_of_sight, min_gdop_subsets
@@ -283,6 +283,24 @@ class TestHiddenNeighbors:
         for case in bundle.cases.values():
             assert len(case.peb_m) == 200
             assert not np.any(case.degenerate)
+
+    def test_grid_links_take_one_budget_pass(self, monkeypatch):
+        # One `link_snr` call over the visible grid links, whose penalty term
+        # is 0 toward the serving satellite (grid index 0) and the config's
+        # neighbour penalty toward every other satellite.
+        cfg = make_config("multi-leo", n_ue_drops=50, lon_gap_deg=27.0, rtt_augmentation=False,
+                          link=LinkBudget(neighbor_penalty_db=3.5))
+        positions = drop_ues(cfg)
+        ue_ecef, basis = enu_frames(*positions)
+        _, _, sin_el = line_of_sight(ue_ecef, _grid(cfg), basis)
+        calls = []
+        real = channel.link_snr
+        monkeypatch.setattr(channel, "link_snr", lambda *a: calls.append(a) or real(*a))
+        evaluate(cfg, *positions)
+        assert len(calls) == 1
+        satellite = np.nonzero(sin_el > 0)[1]
+        assert np.count_nonzero(satellite == 0) == 50 and satellite.size < 50 * 7
+        assert np.array_equal(calls[0][-1], np.where(satellite == 0, 0.0, 3.5))
 
     def test_too_few_visible_satellites_degenerate_in_every_case(self):
         cfg = make_config("multi-leo", n_ue_drops=5, lon_gap_deg=60.0)
@@ -591,8 +609,8 @@ class TestLineOfSight:
         # on the links whose elevation sine clears the horizon
         angles = []
         real = channel.antenna_gain
-        monkeypatch.setattr(channel, "antenna_gain",
-                            lambda pattern, theta: angles.append(theta) or real(pattern, theta))
+        monkeypatch.setattr(channel, "antenna_gain", lambda beamwidth, model, theta:
+                            angles.append(theta) or real(beamwidth, model, theta))
         evaluate(cfg, *drop_ues(cfg))
         assert len(angles) == 1
         oracle = links(angle_between(geodetic_to_ecef(_center(cfg)) - flat, -vec))
