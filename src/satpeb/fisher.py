@@ -16,7 +16,8 @@ Every 2x2 information matrix [[a, b], [b, d]] is read in closed form, with
 no LAPACK call. One rule, `smallest_eigenvalue` below
 `DEGENERATE_EIGENVALUE`, calls it degenerate for the case bound, the subset
 scores and the solver's step gate, and its flags reach every output. The
-bound and the scores share one kernel, sqrt((a + d) / (a*d - b*b)).
+bound and the scores share one kernel, sqrt((a + d) / (a*d - b*b)), which
+also calls a determinant that rounds to zero or below degenerate.
 """
 
 from __future__ import annotations
@@ -103,16 +104,21 @@ def smallest_eigenvalue(a, b, d):
 
 def _bound(a, b, d, fill):
     """sqrt(trace(F^-1)) = sqrt((a + d) / (a*d - b*b)) of each [[a, b], [b, d]],
-    with `fill` where it is degenerate, and that degenerate mask."""
+    with `fill` where it is degenerate, and that degenerate mask. Besides the
+    `smallest_eigenvalue` rule, a determinant that rounds to zero or below
+    is degenerate: with entries near 1e14 the eigenvalue's rounding alone
+    passes the gate, and such a matrix has no finite bound."""
     degenerate = smallest_eigenvalue(a, b, d) < DEGENERATE_EIGENVALUE
     with np.errstate(divide="ignore", invalid="ignore"):  # degenerate ones get `fill`
-        return np.where(degenerate, fill, np.sqrt((a + d) / (a * d - b * b))), degenerate
+        det = a * d - b * b
+        degenerate = degenerate | ~(det > 0)
+        return np.where(degenerate, fill, np.sqrt((a + d) / det)), degenerate
 
 
 def peb_arrays(f: np.ndarray, mean_variance=1.0):
     """Position error bound sqrt(trace(F^-1)) over stacked (..., 2, 2) FIMs:
     (peb_m, gdop, degenerate) arrays from `_bound`, with NaN bound and GDOP
-    where `smallest_eigenvalue` is below `DEGENERATE_EIGENVALUE`. GDOP is the
+    where `_bound` calls the FIM degenerate. GDOP is the
     bound over sqrt(`mean_variance`), the mean measurement variance, which
     broadcasts against the stack."""
     bound, degenerate = _bound(f[..., 0, 0], f[..., 0, 1], f[..., 1, 1], np.nan)

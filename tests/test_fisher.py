@@ -436,6 +436,22 @@ class TestPeb:
                                   DEGENERATE_EIGENVALUE * (1.0 + offset), angle)
             for offset, decades, angle in specs]))
 
+    def test_determinant_rounding_to_zero_is_degenerate(self):
+        # Rank-one FIMs at 1e13-1e15 scale: the closed-form smaller
+        # eigenvalue rounds to 2e-3-6e-2 m^-2, above the gate, while a*d - b*b
+        # rounds to exactly 0, which would give an infinite bound.
+        f = np.array([[[21820007839048.95, 32507937423899.965],
+                       [32507937423899.965, 48431054807643.75]],
+                      [[128510354302.54944, -1592603915163.544],
+                       [-1592603915163.544, 19736831669009.965]],
+                      [[616535632973822.8, 451509842862977.2],
+                       [451509842862977.2, 330655889617990.7]]])
+        a, b, d = f[:, 0, 0], f[:, 0, 1], f[:, 1, 1]
+        assert np.all(a * d - b * b == 0.0)
+        assert np.all(smallest_eigenvalue(a, b, d) > DEGENERATE_EIGENVALUE)
+        bound, gdop, degenerate = peb_arrays(f)
+        assert np.all(degenerate) and np.all(np.isnan(bound)) and np.all(np.isnan(gdop))
+
     def test_identity_fim(self):
         bound, gdop, degenerate = peb_arrays(np.eye(2))
         assert not degenerate
