@@ -6,10 +6,11 @@ Commands write four artifacts into the output directory: per-UE samples
 run manifest recording the resolved configuration, calibration constants, and
 table-asset checksums.
 
-Samples are written by column: each case's bound, GDOP and degenerate
-columns become text as whole lists, the UE position text is formatted once per
-run whose cases share it, and each case id is quoted once. There is one row per
-case and drop, cases in bundle order: UE latitude and longitude in degrees,
+Every writer takes the list of runs, one per config, and writes their cases
+in run order. Samples are written by column: each case's bound, GDOP and
+degenerate columns become text as whole lists, each run's UE position text is
+formatted once for all of its cases, and each case id is quoted once. There is
+one row per case and drop: UE latitude and longitude in degrees,
 case id, bound, GDOP and the degenerate flag, with no bound or GDOP where
 degenerate. `samples.csv` holds the bytes of a row-by-row `csv.writer` (floats
 in shortest round-trip form, empty cells for the missing bound and GDOP), and
@@ -70,16 +71,6 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(float(value))  # shortest round-trip decimal form
-    return str(value)
-
-
 def _csv_cell(text: str) -> str:
     """`text` quoted as csv.writer quotes it inside a samples.csv row."""
     buf = io.StringIO()
@@ -87,24 +78,19 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[:-2]  # the empty second cell's "," and the "\n"
 
 
-def write_samples_csv(bundle: RunBundle, path: Path) -> None:
-    """The sample rows in `_fmt` form, built per case from whole columns.
-    Cases of one run share their position arrays, so each distinct pair of
-    them is formatted once."""
-    positions = {}
+def write_samples_csv(runs: list[RunBundle], path: Path) -> None:
+    """The sample rows, floats in shortest round-trip form, built per case
+    from whole columns; each run's positions are formatted once."""
     lines = [",".join(SAMPLE_FIELDS) + "\n"]
-    for case_id, s in bundle.cases.items():
-        key = (id(s.ue_lat_rad), id(s.ue_lon_rad))
-        if key not in positions:
-            positions[key] = [
-                f"{math.degrees(lat)!r},{math.degrees(lon)!r},"
-                for lat, lon in zip(s.ue_lat_rad.tolist(), s.ue_lon_rad.tolist())]
-        cell = _csv_cell(case_id)
-        lines += [f"{pos}{cell},,,true\n" if degenerate else
-                  f"{pos}{cell},{peb_m!r},{gdop!r},false\n"
-                  for pos, peb_m, gdop, degenerate in zip(
-                      positions[key], s.peb_m.tolist(), s.gdop.tolist(),
-                      s.degenerate.tolist())]
+    for bundle in runs:
+        positions = [f"{math.degrees(lat)!r},{math.degrees(lon)!r},"
+                     for lat, lon in zip(bundle.lat_rad.tolist(), bundle.lon_rad.tolist())]
+        for case_id, (peb_m, gdop, degenerate) in bundle.cases.items():
+            cell = _csv_cell(case_id)
+            lines += [f"{pos}{cell},,,true\n" if flag else
+                      f"{pos}{cell},{p!r},{g!r},false\n"
+                      for pos, p, g, flag in zip(positions, peb_m.tolist(), gdop.tolist(),
+                                                 degenerate.tolist())]
     with open(path, "w", newline="") as fh:
         fh.writelines(lines)
 
@@ -115,46 +101,43 @@ def _json_numbers(values: list[float]) -> list[str]:
     return json.dumps(values)[1:-1].split(", ") if values else []
 
 
-def write_samples_json(bundle: RunBundle, path: Path) -> None:
+def write_samples_json(runs: list[RunBundle], path: Path) -> None:
     """The sample rows as `json.dumps(rows, indent=2)` writes them, built per
-    case from whole columns; each distinct pair of position arrays is
-    formatted once, as in `write_samples_csv`."""
-    positions = {}
+    case from whole columns; each run's positions are formatted once, as in
+    `write_samples_csv`."""
     rows = []
-    for case_id, s in bundle.cases.items():
-        key = (id(s.ue_lat_rad), id(s.ue_lon_rad))
-        if key not in positions:
-            positions[key] = [
-                f'  {{\n    "ue_lat_deg": {lat},\n    "ue_lon_deg": {lon},\n    "case_id": '
-                for lat, lon in zip(
-                    _json_numbers([math.degrees(x) for x in s.ue_lat_rad.tolist()]),
-                    _json_numbers([math.degrees(x) for x in s.ue_lon_rad.tolist()]))]
-        cell = json.dumps(case_id)
-        rows += [f'{pos}{cell},\n    "peb_m": null,\n    "gdop": null,\n'
-                 '    "degenerate": true\n  }' if degenerate else
-                 f'{pos}{cell},\n    "peb_m": {peb_m},\n    "gdop": {gdop},\n'
-                 '    "degenerate": false\n  }'
-                 for pos, peb_m, gdop, degenerate in zip(
-                     positions[key], _json_numbers(s.peb_m.tolist()),
-                     _json_numbers(s.gdop.tolist()), s.degenerate.tolist())]
+    for bundle in runs:
+        positions = [
+            f'  {{\n    "ue_lat_deg": {lat},\n    "ue_lon_deg": {lon},\n    "case_id": '
+            for lat, lon in zip(
+                _json_numbers([math.degrees(x) for x in bundle.lat_rad.tolist()]),
+                _json_numbers([math.degrees(x) for x in bundle.lon_rad.tolist()]))]
+        for case_id, (peb_m, gdop, degenerate) in bundle.cases.items():
+            cell = json.dumps(case_id)
+            rows += [f'{pos}{cell},\n    "peb_m": null,\n    "gdop": null,\n'
+                     '    "degenerate": true\n  }' if flag else
+                     f'{pos}{cell},\n    "peb_m": {p},\n    "gdop": {g},\n'
+                     '    "degenerate": false\n  }'
+                     for pos, p, g, flag in zip(positions, _json_numbers(peb_m.tolist()),
+                                                _json_numbers(gdop.tolist()),
+                                                degenerate.tolist())]
     path.write_text("[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n")
 
 
-def write_summary(bundle: RunBundle, path: Path) -> None:
+def write_summary(runs: list[RunBundle], path: Path) -> None:
     # SummaryStats is flat: its fields are read as they stand, not deep-copied
-    payload = {case_id: vars(stats) for case_id, stats in bundle.stats.items()}
+    payload = {case_id: vars(stats) for bundle in runs for case_id, stats in bundle.stats.items()}
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def write_boxplot(bundle: RunBundle, path: Path) -> None:
+def write_boxplot(runs: list[RunBundle], path: Path) -> None:
+    # csv.writer writes a float as its repr, the shortest round-trip form
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(BOXPLOT_FIELDS)
-        for case_id, s in bundle.stats.items():
-            writer.writerow([
-                case_id, _fmt(s.mean), _fmt(s.median), _fmt(s.q1), _fmt(s.q3),
-                _fmt(s.whisker_lo), _fmt(s.whisker_hi), str(s.outlier_count),
-            ])
+        writer.writerows([case_id, s.mean, s.median, s.q1, s.q3, s.whisker_lo, s.whisker_hi,
+                          s.outlier_count]
+                         for bundle in runs for case_id, s in bundle.stats.items())
 
 
 def emit_manifest(out_dir: Path, configs: list[ScenarioConfig], seed: int,
@@ -189,18 +172,6 @@ def emit_manifest(out_dir: Path, configs: list[ScenarioConfig], seed: int,
     return path
 
 
-def _merge_bundles(bundles: list[RunBundle]) -> RunBundle:
-    cases = {}
-    stats = {}
-    for b in bundles:
-        overlap = set(cases) & set(b.cases)
-        if overlap:
-            raise ValueError(f"duplicate case ids across bundles: {sorted(overlap)}")
-        cases.update(b.cases)
-        stats.update(b.stats)
-    return RunBundle(cases=cases, stats=stats)
-
-
 def _scenario_configs(command: str, args) -> list[ScenarioConfig]:
     variant = command
     if args.config:
@@ -219,18 +190,17 @@ def _scenario_configs(command: str, args) -> list[ScenarioConfig]:
 
 
 def _run_and_write(configs: list[ScenarioConfig], args, out_dir: Path) -> list[str]:
-    bundles = [run(c) for c in configs]
-    bundle = _merge_bundles(bundles) if len(bundles) > 1 else bundles[0]
+    runs = [run(c) for c in configs]
     outputs = []
     if args.format == "json":
-        write_samples_json(bundle, out_dir / "samples.json")
+        write_samples_json(runs, out_dir / "samples.json")
         outputs.append("samples.json")
     else:
-        write_samples_csv(bundle, out_dir / "samples.csv")
+        write_samples_csv(runs, out_dir / "samples.csv")
         outputs.append("samples.csv")
-    write_summary(bundle, out_dir / "summary.json")
+    write_summary(runs, out_dir / "summary.json")
     outputs.append("summary.json")
-    write_boxplot(bundle, out_dir / "boxplot.csv")
+    write_boxplot(runs, out_dir / "boxplot.csv")
     outputs.append("boxplot.csv")
     return outputs
 

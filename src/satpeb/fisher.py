@@ -32,7 +32,7 @@ from .constants import SPEED_OF_LIGHT
 DEGENERATE_EIGENVALUE = 1e-12  # m^-2; smaller horizontal information is unusable
 
 
-def toa_range_sigma(snr_db, bandwidth_hz) -> float | np.ndarray:
+def toa_range_sigma(snr_db, bandwidth_hz) -> np.ndarray:
     """Delay-estimation lower bound mapped to range. For a flat spectrum of
     bandwidth B the RMS bandwidth is B/sqrt(12), giving
     sigma = c * sqrt(3 / (2 * pi^2 * B^2 * snr))."""
@@ -42,19 +42,17 @@ def toa_range_sigma(snr_db, bandwidth_hz) -> float | np.ndarray:
     snr_lin = 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0)
     if np.any(snr_lin <= 0) or not np.all(np.isfinite(snr_lin)):
         raise ValueError("linear SNR must be positive and finite")
-    sigma = SPEED_OF_LIGHT * np.sqrt(3.0 / (2.0 * math.pi**2 * bandwidth**2 * snr_lin))
-    return float(sigma) if sigma.ndim == 0 else sigma
+    return SPEED_OF_LIGHT * np.sqrt(3.0 / (2.0 * math.pi**2 * bandwidth**2 * snr_lin))
 
 
-def rtt_range_sigma(sigma_dl_m, sigma_ul_m) -> float | np.ndarray:
+def rtt_range_sigma(sigma_dl_m, sigma_ul_m) -> np.ndarray:
     """Range sigma of a two-way measurement: range = c*RTT/2 averages the two
     one-way delays, so sigma^2 = (sigma_dl^2 + sigma_ul^2) / 4."""
     dl = np.asarray(sigma_dl_m, dtype=float)
     ul = np.asarray(sigma_ul_m, dtype=float)
     if np.any(dl < 0) or np.any(ul < 0):
         raise ValueError("sigmas must be non-negative")
-    sigma = np.sqrt((dl**2 + ul**2) / 4.0)
-    return float(sigma) if sigma.ndim == 0 else sigma
+    return np.sqrt((dl**2 + ul**2) / 4.0)
 
 
 def line_of_sight(ue_ecef: np.ndarray, positions: np.ndarray,
@@ -145,7 +143,7 @@ def subset_gdop(units_en: np.ndarray, subsets: np.ndarray) -> np.ndarray:
 
 
 def min_gdop_subsets(units_en: np.ndarray, serving_index: int, k: int,
-                     visible: np.ndarray | None = None) -> np.ndarray:
+                     visible: np.ndarray) -> np.ndarray:
     """(D, k) sorted indices of each UE drop's minimum-GDOP k-subset
     containing the serving anchor, by exhaustive enumeration, from the
     (D, N, 2) unit vectors of `line_of_sight`, scored by `subset_gdop`.
@@ -153,7 +151,7 @@ def min_gdop_subsets(units_en: np.ndarray, serving_index: int, k: int,
     The winner is that of a walk in enumeration order: a subset wins only
     below (1 - 1e-10) times the best so far, so exact ties reached through
     symmetric geometry go to the lexicographically smallest index set, and a
-    drop whose candidates are all degenerate gets its first. A (D, N)
+    drop whose candidates are all degenerate gets its first. The (D, N)
     `visible` mask leaves each drop's hidden anchors out of its candidates;
     a drop with no fully visible subset gets the first subset.
     """
@@ -164,11 +162,9 @@ def min_gdop_subsets(units_en: np.ndarray, serving_index: int, k: int,
     subsets = np.array([sorted((serving_index,) + c)
                         for c in itertools.combinations(others, k - 1)])
     gdop = subset_gdop(units_en, subsets)
-    choice = np.zeros(len(units_en), dtype=int)
-    if visible is not None:
-        usable = np.all(visible[:, subsets], axis=-1)
-        gdop[~usable] = np.inf
-        choice = np.argmax(usable, axis=1)  # the all-degenerate fallback
+    usable = np.all(visible[:, subsets], axis=-1)
+    gdop[~usable] = np.inf
+    choice = np.argmax(usable, axis=1)  # the all-degenerate fallback
     best = np.full(len(units_en), np.inf)
     for c, g in enumerate(gdop.T):
         better = g < best * (1.0 - 1e-10)

@@ -120,15 +120,14 @@ def ground_track_orbit(point: Geodetic, altitude_m: float) -> OrbitSpec:
     )
 
 
-def angle_between(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+def angle_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Angle between vectors; broadcasts over leading dimensions."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     na = np.linalg.norm(a, axis=-1)
     nb = np.linalg.norm(b, axis=-1)
     cosang = np.sum(a * b, axis=-1) / (na * nb)
-    ang = np.arccos(np.clip(cosang, -1.0, 1.0))
-    return float(ang) if ang.ndim == 0 else ang
+    return np.arccos(np.clip(cosang, -1.0, 1.0))
 
 
 def make_virtual_anchors(spec: OrbitSpec, measurement_time_s: float,

@@ -28,11 +28,12 @@ FIMs gives every bound.
 A run is three functions: `drop_ues(config)` gives (D,) latitude and
 longitude arrays, `evaluate(config, lat, lon)` gives per case (D,) bound,
 GDOP and degenerate-flag arrays (NaN bound and GDOP where degenerate), and
-`summarize` reads one case's columns; `run` chains them, wrapping each case
-into one `PebSampleSet`, which the CLI writers read directly. `evaluate`
-holds no state between calls: row i of the positions takes drop i's link
-and sky draws, so any positions, not only the drawn ones, can be evaluated,
-and a row's result depends on the config and its own position alone.
+`summarize` reads one case's columns; `run` chains them into a `RunBundle`
+that holds the drop positions once and `evaluate`'s columns per case, which
+the CLI writers read directly. `evaluate` holds no state between calls: row
+i of the positions takes drop i's link and sky draws, so any positions, not
+only the drawn ones, can be evaluated, and a row's result depends on the
+config and its own position alone.
 
 Determinism: every random quantity is drawn from a substream keyed by
 (seed, stream tag, drop index[, element index]), so results are a pure
@@ -68,20 +69,6 @@ from .geometry import (Geodetic, enu_frames, geodetic_to_ecef, ground_track_orbi
                        make_virtual_anchors, hex_constellation, wrap_longitude)
 
 
-@dataclass(frozen=True, eq=False)
-class PebSampleSet:
-    """All UE outcomes of one case as (D,) columns in drop order: the UE's
-    ground position, the bound and GDOP (NaN where degenerate) and the
-    degenerate flag."""
-
-    case_id: str
-    ue_lat_rad: np.ndarray
-    ue_lon_rad: np.ndarray
-    peb_m: np.ndarray
-    gdop: np.ndarray
-    degenerate: np.ndarray
-
-
 @dataclass(frozen=True)
 class SummaryStats:
     """Tukey box-plot statistics over the non-degenerate PEB samples."""
@@ -97,11 +84,15 @@ class SummaryStats:
     n_samples: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunBundle:
-    """Full results of one run: per-case samples and statistics."""
+    """Full results of one run: the (D,) drop positions that every case
+    shares, each case's `evaluate` columns (bound, GDOP, degenerate flag) in
+    drop order, and each case's statistics."""
 
-    cases: dict[str, PebSampleSet]
+    lat_rad: np.ndarray
+    lon_rad: np.ndarray
+    cases: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
     stats: dict[str, SummaryStats]
 
 
@@ -431,7 +422,7 @@ def _tdoa(k: int, units, sigma_dl, visible):
     against the serving satellite (grid index 0, so first in every sorted
     subset), and the (D,) mask of drops with fewer than k visible
     satellites."""
-    subsets = min_gdop_subsets(units, 0, k, visible=visible)
+    subsets = min_gdop_subsets(units, 0, k, visible)
     short = ~np.all(np.take_along_axis(visible, subsets, axis=1), axis=1)
     variances = np.take_along_axis(sigma_dl, subsets, axis=1) ** 2
     f = fim_diagonal(np.take_along_axis(units, subsets[..., None], axis=1), variances,
@@ -461,10 +452,10 @@ def _gnss(config: ScenarioConfig, n: int, n_drops: int, range_sigma: float):
 def run(config: ScenarioConfig) -> RunBundle:
     """Evaluate every case of a scenario over all of its drops."""
     lat_rad, lon_rad = drop_ues(config)
-    cases = {case_id: PebSampleSet(case_id, lat_rad, lon_rad, *columns)
-             for case_id, columns in evaluate(config, lat_rad, lon_rad).items()}
-    stats = {case_id: summarize(sample) for case_id, sample in cases.items()}
-    return RunBundle(cases=cases, stats=stats)
+    cases = evaluate(config, lat_rad, lon_rad)
+    stats = {case_id: summarize(case_id, peb_m, degenerate)
+             for case_id, (peb_m, _, degenerate) in cases.items()}
+    return RunBundle(lat_rad, lon_rad, cases, stats)
 
 
 def _linear_quantile(ordered: np.ndarray, q: float) -> float:
@@ -481,13 +472,14 @@ def _linear_quantile(ordered: np.ndarray, q: float) -> float:
     return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
-def summarize(samples: PebSampleSet) -> SummaryStats:
-    """Tukey box-plot statistics: quartiles by linear interpolation of order
-    statistics, whiskers at the most extreme samples within 1.5*IQR of the
-    quartiles, outliers beyond. Degenerate samples are counted separately."""
-    values = samples.peb_m[~samples.degenerate]
+def summarize(case_id: str, peb_m: np.ndarray, degenerate: np.ndarray) -> SummaryStats:
+    """Tukey box-plot statistics of one case's (D,) bound and degenerate
+    columns: quartiles by linear interpolation of order statistics, whiskers
+    at the most extreme samples within 1.5*IQR of the quartiles, outliers
+    beyond. Degenerate samples are counted separately."""
+    values = peb_m[~degenerate]
     if values.size == 0:
-        raise StatisticsError(f"case {samples.case_id}: no non-degenerate samples")
+        raise StatisticsError(f"case {case_id}: no non-degenerate samples")
     ordered = np.sort(values)
     q1, median, q3 = (_linear_quantile(ordered, q) for q in (0.25, 0.5, 0.75))
     iqr = q3 - q1
@@ -502,6 +494,6 @@ def summarize(samples: PebSampleSet) -> SummaryStats:
         whisker_lo=float(np.min(inside)),
         whisker_hi=float(np.max(inside)),
         outlier_count=int(values.size - inside.size),
-        degenerate_count=int(np.count_nonzero(samples.degenerate)),
-        n_samples=len(samples.degenerate),
+        degenerate_count=int(np.count_nonzero(degenerate)),
+        n_samples=len(degenerate),
     )

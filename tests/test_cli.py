@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from satpeb import channel
-from satpeb.cli import (SAMPLE_FIELDS, _build_parser, _fmt, _merge_bundles,
-                        config_hash, main, parse_config, write_samples_csv,
-                        write_samples_json, write_summary)
+from satpeb.cli import (SAMPLE_FIELDS, _build_parser, config_hash, main, parse_config,
+                        write_samples_csv, write_samples_json, write_summary)
 from satpeb.config import config_to_dict, make_config
 from satpeb.errors import ConfigError
 from satpeb.estimator import MAX_TRIALS
-from satpeb.scenarios import PebSampleSet, RunBundle, run, summarize
+from satpeb.scenarios import RunBundle, run, summarize
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -531,84 +530,97 @@ def _csv_value(field, text):
     return float(text) if text else None
 
 
-def _sample_rows(bundle):
+def _sample_rows(runs):
     """One dict per case and drop, keyed by SAMPLE_FIELDS: the rows both
     sample writers serialize."""
-    for case_id, s in bundle.cases.items():
-        for lat, lon, peb_m, gdop, degenerate in zip(
-                s.ue_lat_rad.tolist(), s.ue_lon_rad.tolist(), s.peb_m.tolist(),
-                s.gdop.tolist(), s.degenerate.tolist()):
-            yield {
-                "ue_lat_deg": math.degrees(lat),
-                "ue_lon_deg": math.degrees(lon),
-                "case_id": case_id,
-                "peb_m": None if degenerate else peb_m,
-                "gdop": None if degenerate else gdop,
-                "degenerate": degenerate,
-            }
+    for bundle in runs:
+        for case_id, (peb_m, gdop, degenerate) in bundle.cases.items():
+            for lat, lon, p, g, flag in zip(
+                    bundle.lat_rad.tolist(), bundle.lon_rad.tolist(), peb_m.tolist(),
+                    gdop.tolist(), degenerate.tolist()):
+                yield {
+                    "ue_lat_deg": math.degrees(lat),
+                    "ue_lon_deg": math.degrees(lon),
+                    "case_id": case_id,
+                    "peb_m": None if flag else p,
+                    "gdop": None if flag else g,
+                    "degenerate": flag,
+                }
 
 
-def _row_wise_samples_json(bundle, path):
+def _row_wise_samples_json(runs, path):
     """samples.json as one `json.dumps` of the row dicts: the byte-level
     oracle for the columnar `write_samples_json`."""
-    path.write_text(json.dumps(list(_sample_rows(bundle)), indent=2) + "\n")
+    path.write_text(json.dumps(list(_sample_rows(runs)), indent=2) + "\n")
 
 
-def _row_wise_samples_csv(bundle, path):
+def _cell(value) -> str:
+    """A samples.csv cell: empty for a missing bound or GDOP, true/false for
+    the flag, a float's shortest round-trip form, the case id as it is."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else value
+
+
+def _row_wise_samples_csv(runs, path):
     """samples.csv written row by row through csv.writer: the byte-level
     oracle for the columnar `write_samples_csv`."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SAMPLE_FIELDS)
-        for row in _sample_rows(bundle):
-            writer.writerow([_fmt(row[k]) for k in SAMPLE_FIELDS])
+        for row in _sample_rows(runs):
+            writer.writerow([_cell(row[k]) for k in SAMPLE_FIELDS])
 
 
-def _hand_built_bundle(*case_ids):
-    """Three drops, the second degenerate, shared by every case."""
+def _hand_built_runs(*case_ids):
+    """One run of three drops, the second degenerate, in every case."""
     lat, lon = np.radians([1.0, 2.0, 3.0]), np.radians([-4.0, 5.0, 6.0])
-    cases = {c: PebSampleSet(c, lat, lon, np.array([10.5, np.nan, 12.25]),
-                             np.array([1.5, np.nan, 2.0]), np.array([False, True, False]))
-             for c in case_ids}
-    return RunBundle(cases=cases, stats={c: summarize(s) for c, s in cases.items()})
+    peb_m, degenerate = np.array([10.5, np.nan, 12.25]), np.array([False, True, False])
+    cases = {c: (peb_m, np.array([1.5, np.nan, 2.0]), degenerate) for c in case_ids}
+    return [RunBundle(lat, lon, cases, {c: summarize(c, peb_m, degenerate) for c in case_ids})]
 
 
 class TestSampleSerialization:
-    @pytest.mark.parametrize("bundle", [
-        pytest.param(lambda: _hand_built_bundle("case", 'odd, "quoted"\nid', ""),
+    @pytest.mark.parametrize("runs", [
+        pytest.param(lambda: _hand_built_runs("case", 'odd, "quoted"\nid', ""),
                      id="hand-built"),
-        pytest.param(lambda: _merge_bundles([
-            run(make_config("single-leo", n_ue_drops=25)),
-            run(make_config("gnss-leo", n_ue_drops=25, seed=1))]), id="merged"),
-        *(pytest.param(lambda v=v: run(make_config(v, n_ue_drops=25)), id=v)
+        pytest.param(lambda: [run(make_config("single-leo", n_ue_drops=25)),
+                              run(make_config("gnss-leo", n_ue_drops=25, seed=1))],
+                     id="merged"),
+        *(pytest.param(lambda v=v: [run(make_config(v, n_ue_drops=25))], id=v)
           for v in ("single-leo", "multi-leo", "gnss-leo", "gnss-only")),
     ])
-    def test_columnar_csv_equals_row_wise_writer(self, tmp_path, bundle):
-        bundle = bundle()
-        write_samples_csv(bundle, tmp_path / "columnar.csv")
-        _row_wise_samples_csv(bundle, tmp_path / "row_wise.csv")
+    def test_columnar_csv_equals_row_wise_writer(self, tmp_path, runs):
+        runs = runs()
+        write_samples_csv(runs, tmp_path / "columnar.csv")
+        _row_wise_samples_csv(runs, tmp_path / "row_wise.csv")
         columnar = (tmp_path / "columnar.csv").read_bytes()
         assert columnar == (tmp_path / "row_wise.csv").read_bytes()
 
-    @pytest.mark.parametrize("bundle", [
-        pytest.param(lambda: _hand_built_bundle("case", 'odd, "quoted"\nid', "",
-                                                "d\u00e9g\u00e9n\u00e9r\u00e9 \u03c3 \U0001f6f0"),
+    @pytest.mark.parametrize("runs", [
+        pytest.param(lambda: _hand_built_runs("case", 'odd, "quoted"\nid', "",
+                                              "d\u00e9g\u00e9n\u00e9r\u00e9 \u03c3 \U0001f6f0"),
                      id="hand-built"),
-        *(pytest.param(lambda v=v: run(make_config(v, n_ue_drops=25)), id=v)
+        pytest.param(lambda: [run(make_config("single-leo", n_ue_drops=25)),
+                              run(make_config("gnss-leo", n_ue_drops=25, seed=1))],
+                     id="merged"),
+        *(pytest.param(lambda v=v: [run(make_config(v, n_ue_drops=25))], id=v)
           for v in ("single-leo", "multi-leo", "gnss-leo", "gnss-only")),
     ])
-    def test_columnar_json_equals_row_wise_dumps(self, tmp_path, bundle):
-        bundle = bundle()
-        write_samples_json(bundle, tmp_path / "columnar.json")
-        _row_wise_samples_json(bundle, tmp_path / "row_wise.json")
+    def test_columnar_json_equals_row_wise_dumps(self, tmp_path, runs):
+        runs = runs()
+        write_samples_json(runs, tmp_path / "columnar.json")
+        _row_wise_samples_json(runs, tmp_path / "row_wise.json")
         columnar = (tmp_path / "columnar.json").read_bytes()
         assert columnar == (tmp_path / "row_wise.json").read_bytes()
 
     def test_csv_and_json_samples_agree(self, tmp_path):
-        bundle = _hand_built_bundle("case")
-        write_samples_csv(bundle, tmp_path / "samples.csv")
-        write_samples_json(bundle, tmp_path / "samples.json")
-        write_summary(bundle, tmp_path / "summary.json")
+        runs = _hand_built_runs("case")
+        write_samples_csv(runs, tmp_path / "samples.csv")
+        write_samples_json(runs, tmp_path / "samples.json")
+        write_summary(runs, tmp_path / "summary.json")
         with open(tmp_path / "samples.csv") as fh:
             csv_rows = list(csv.DictReader(fh))
         json_rows = json.loads((tmp_path / "samples.json").read_text())
@@ -625,7 +637,49 @@ class TestSampleSerialization:
         assert summary["mean"] == pytest.approx(11.375)
 
 
+def _joined(parts: list[bytes], opening: bytes, closing: bytes) -> bytes:
+    """One JSON array or object whose items are those of each of `parts`, in
+    order, as `json.dumps(..., indent=2)` writes them."""
+    assert all(p.startswith(opening) and p.endswith(closing) for p in parts)
+    return opening + b",\n".join(p[len(opening):-len(closing)] for p in parts) + closing
+
+
 class TestReproduceFigures:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_outputs_are_the_variant_commands_in_order(self, tmp_path, monkeypatch, seed, fmt):
+        # reproduce-figures writes the samples, summary and box-plot rows of
+        # the single-leo, multi-leo, gnss-leo and gnss-only commands at its
+        # seed, one variant after another, byte for byte
+        import satpeb.cli as cli_mod
+        from satpeb.config import make_config as real_make
+
+        monkeypatch.setattr(cli_mod, "make_config",
+                            lambda variant, **kw: real_make(variant, n_ue_drops=20, **kw))
+        common = ["--seed", str(seed), "--format", fmt, "--out"]
+        figures = tmp_path / "figures"
+        assert main(["reproduce-figures", *common, str(figures)]) == 0
+        gnss_only = write_config(tmp_path, {"variant": "gnss-only", "n_ue_drops": 20})
+        parts = []
+        for i, command in enumerate([["single-leo"], ["multi-leo"], ["gnss-leo"],
+                                     ["gnss-leo", "--config", str(gnss_only)]]):
+            parts.append(tmp_path / f"variant{i}")
+            assert main([*command, *common, str(parts[-1])]) == 0
+
+        def read(name):
+            return [(p / name).read_bytes() for p in parts]
+
+        for name in ["boxplot.csv"] + (["samples.csv"] if fmt == "csv" else []):
+            # one header, then every variant's rows
+            heads, rows = zip(*(text.split(b"\n", 1) for text in read(name)))
+            assert len(set(heads)) == 1
+            assert (figures / name).read_bytes() == heads[0] + b"\n" + b"".join(rows)
+        if fmt == "json":
+            assert (figures / "samples.json").read_bytes() == _joined(
+                read("samples.json"), b"[\n", b"\n]\n")
+        assert (figures / "summary.json").read_bytes() == _joined(
+            read("summary.json"), b"{\n", b"\n}\n")
+
     def test_all_cases_emitted(self, tmp_path, monkeypatch):
         # shrink the run; the full reproduction is exercised by the
         # acceptance suite

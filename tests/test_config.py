@@ -321,8 +321,9 @@ _FIELD_CHANGES = {
 
 
 def _outputs(raw: dict) -> dict:
-    return {case_id: (s.ue_lat_rad, s.ue_lon_rad, s.peb_m)
-            for case_id, s in run(config_from_dict(raw)).cases.items()}
+    bundle = run(config_from_dict(raw))
+    return {case_id: (bundle.lat_rad, bundle.lon_rad, peb_m)
+            for case_id, (peb_m, _, _) in bundle.cases.items()}
 
 
 @pytest.mark.parametrize("path", [f.name for f in fields(ScenarioConfig)]

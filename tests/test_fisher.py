@@ -576,7 +576,8 @@ class TestSelection:
     @staticmethod
     def _batched(anchors: np.ndarray, ue: Geodetic, k: int,
                  serving: int = 0) -> tuple[int, ...]:
-        return tuple(min_gdop_subsets(_units(ue, anchors)[None], serving, k)[0])
+        units = _units(ue, anchors)[None]
+        return tuple(min_gdop_subsets(units, serving, k, _all_visible(units))[0])
 
     def test_full_set_returned_when_k_equals_n(self):
         ue = Geodetic(0.1, 0.1, 0.0)
@@ -659,7 +660,7 @@ class TestSelection:
         lon = rng.uniform(-0.03, 0.03, 250)
         ue_ecef, basis = enu_frames(lat, lon)
         units = line_of_sight(ue_ecef, grid, basis)[1]
-        batched = min_gdop_subsets(units, 0, k)
+        batched = min_gdop_subsets(units, 0, k, _all_visible(units))
         for drop, chosen in zip(units, batched):
             assert tuple(chosen) == best_subset_indices(drop, 0, k)
 
@@ -677,9 +678,14 @@ class TestSelection:
         units = line_of_sight(np.broadcast_to(ue_ecef, (200, 3)), positions,
                               np.broadcast_to(enu_frames(ue.lat_rad, ue.lon_rad)[1],
                                               (200, 3, 3)))[1]
-        batched = min_gdop_subsets(units, 2, k)
+        batched = min_gdop_subsets(units, 2, k, _all_visible(units))
         for drop, chosen in zip(units, batched):
             assert tuple(chosen) == best_subset_indices(drop, 2, k)
+
+
+def _all_visible(units_en: np.ndarray) -> np.ndarray:
+    """The (D, N) mask of `min_gdop_subsets` that hides no anchor."""
+    return np.ones(units_en.shape[:2], dtype=bool)
 
 
 def best_visible_subset(units_en: np.ndarray, serving_index: int, k: int,
@@ -750,13 +756,14 @@ class TestClosedFormSelection:
         rng = np.random.default_rng(seed)
         units = np.stack([_sky(kind, n, serving, rng)
                           for kind in _SKY_KINDS + ("mirror",) * 3 + tuple(kinds)])
-        if masking == "none":
-            for drop, chosen in zip(units, min_gdop_subsets(units, serving, k)):
-                assert tuple(chosen) == best_subset_indices(drop, serving, k)
+        if masking == "none":  # every anchor visible, against the unmasked oracle
+            chosen = min_gdop_subsets(units, serving, k, _all_visible(units))
+            for drop, picked in zip(units, chosen):
+                assert tuple(picked) == best_subset_indices(drop, serving, k)
             return
-        visible = (np.ones(units.shape[:2], dtype=bool) if masking == "all"
+        visible = (_all_visible(units) if masking == "all"
                    else rng.random(units.shape[:2]) < 0.8)
-        chosen = min_gdop_subsets(units, serving, k, visible=visible)
+        chosen = min_gdop_subsets(units, serving, k, visible)
         for drop, shown, picked in zip(units, visible, chosen):
             assert tuple(picked) == best_visible_subset(drop, serving, k, shown)
 
@@ -769,14 +776,14 @@ class TestClosedFormSelection:
         visible = np.ones((3, 5), dtype=bool)
         visible[1, 0] = False  # the serving anchor hidden: no usable subset
         visible[2, [1, 2]] = False
-        chosen = min_gdop_subsets(units, 0, 3, visible=visible)
+        chosen = min_gdop_subsets(units, 0, 3, visible)
         # all subsets degenerate: the first; none usable: the first; else a
         # subset of the visible anchors
         assert [tuple(c) for c in chosen[:2]] == [(0, 1, 2), (0, 1, 2)]
         assert set(chosen[2]) <= {0, 3, 4}
         hidden = visible.copy()
         hidden[0, 1] = False  # the all-degenerate fallback skips unusable subsets
-        assert tuple(min_gdop_subsets(units, 0, 3, visible=hidden)[0]) == (0, 2, 3)
+        assert tuple(min_gdop_subsets(units, 0, 3, hidden)[0]) == (0, 2, 3)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(3, 9).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n))),

@@ -35,18 +35,18 @@ def _nullable(column) -> list:
 
 def _snapshot(variant: str, seed: int) -> dict:
     bundle = run(make_config(variant, n_ue_drops=N_DROPS, seed=seed))
+    ue = [[lat, lon, 0.0] for lat, lon in zip(bundle.lat_rad.tolist(), bundle.lon_rad.tolist())]
     return {
         "variant": variant,
         "seed": seed,
         "cases": {
             case_id: {
-                "ue": [[lat, lon, 0.0] for lat, lon in zip(sample.ue_lat_rad.tolist(),
-                                                           sample.ue_lon_rad.tolist())],
-                "peb_m": _nullable(sample.peb_m),
-                "gdop": _nullable(sample.gdop),
-                "degenerate": sample.degenerate.tolist(),
+                "ue": ue,
+                "peb_m": _nullable(peb_m),
+                "gdop": _nullable(gdop),
+                "degenerate": degenerate.tolist(),
             }
-            for case_id, sample in bundle.cases.items()
+            for case_id, (peb_m, gdop, degenerate) in bundle.cases.items()
         },
     }
 

@@ -2,6 +2,7 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -26,6 +27,26 @@ print(json.dumps([status, sorted(m for m in sys.modules if m.split(".")[0] == "s
 def test_exports_resolve():
     missing = [name for name in satpeb.__all__ if not hasattr(satpeb, name)]
     assert not missing
+
+
+def _readme_section(title: str) -> str:
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_python_api_names_the_exports():
+    # Every export is named in code form, and every type named there in
+    # code form is one the package has: a removed type cannot linger.
+    section = _readme_section("Python API")
+    unnamed = [name for name in satpeb.__all__
+               if not re.search(rf"`{re.escape(name)}[`(]", section)]
+    assert not unnamed
+    code = " ".join(re.findall(r"`([^`]*)`", section))
+    types_named = set(re.findall(r"(?<![\w.])[A-Z][a-z0-9]\w*", code))
+    assert types_named and not {t for t in types_named if not hasattr(satpeb, t)}
+    for dotted in set(re.findall(r"\bsatpeb(?:\.\w+)+", code)):  # a name or a module
+        module, _, attr = dotted.rpartition(".")
+        assert hasattr(importlib.import_module(module), attr) or importlib.import_module(dotted)
 
 
 # `perfbench/layers.py` targets whose functions this package deleted, with

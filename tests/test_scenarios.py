@@ -14,26 +14,26 @@ from satpeb.fisher import line_of_sight, min_gdop_subsets
 from satpeb.geometry import (Geodetic, angle_between, enu_frames,
                              geodetic_to_ecef, ground_track_orbit, hex_constellation,
                              make_virtual_anchors, propagate_circular_orbit)
-from satpeb.scenarios import (PebSampleSet, cap_half_angle, drop_ues, evaluate, run,
-                              substream, substream_draws, summarize)
+from satpeb.scenarios import (RunBundle, cap_half_angle, drop_ues, evaluate, run, substream,
+                              substream_draws, summarize)
 from tests.test_fisher import best_subset_indices, unit_vectors_en
 
 
-def _sample_set(values, degenerate=0):
-    n = len(values) + degenerate
-    flags = np.arange(n) >= len(values)
-    return PebSampleSet("case", np.zeros(n), np.zeros(n),
-                        np.append(np.asarray(values, dtype=float), np.full(degenerate, np.nan)),
-                        np.where(flags, np.nan, 1.0), flags)
+def _summarize(values, degenerate=0):
+    """`summarize` of case "case": the bounds `values`, then `degenerate`
+    degenerate (NaN) drops."""
+    flags = np.arange(len(values) + degenerate) >= len(values)
+    return summarize("case", np.append(np.asarray(values, dtype=float),
+                                       np.full(degenerate, np.nan)), flags)
 
 
 def _columns_equal(a, b) -> bool:
     return all(np.array_equal(x, y, equal_nan=True) for x, y in zip(a, b))
 
 
-def _sample_columns(sample: PebSampleSet) -> tuple[np.ndarray, ...]:
-    return (sample.ue_lat_rad, sample.ue_lon_rad, sample.peb_m, sample.gdop,
-            sample.degenerate)
+def _sample_columns(bundle: RunBundle, case_id: str) -> tuple[np.ndarray, ...]:
+    """A case's (D,) drop positions, bound, GDOP and degenerate flag."""
+    return (bundle.lat_rad, bundle.lon_rad, *bundle.cases[case_id])
 
 
 # (latitude, longitude) of the coverage center in degrees: the default, a
@@ -143,7 +143,7 @@ class TestDropUes:
 
 class TestSummarize:
     def test_reference_example(self):
-        s = summarize(_sample_set([1.0, 2.0, 3.0, 4.0, 100.0]))
+        s = _summarize([1.0, 2.0, 3.0, 4.0, 100.0])
         assert s.median == 3.0
         assert s.q1 == 2.0
         assert s.q3 == 4.0
@@ -153,23 +153,23 @@ class TestSummarize:
         assert s.mean == pytest.approx(22.0)
 
     def test_constant_samples(self):
-        s = summarize(_sample_set([5.0, 5.0, 5.0]))
+        s = _summarize([5.0, 5.0, 5.0])
         assert s.mean == s.median == 5.0
         assert s.q3 - s.q1 == 0.0
         assert s.outlier_count == 0
 
     def test_degenerate_counted_not_averaged(self):
-        s = summarize(_sample_set([2.0, 4.0], degenerate=3))
+        s = _summarize([2.0, 4.0], degenerate=3)
         assert s.mean == 3.0
         assert s.degenerate_count == 3
         assert s.n_samples == 5
 
     def test_all_degenerate_raises(self):
-        with pytest.raises(StatisticsError):
-            summarize(_sample_set([], degenerate=4))
+        with pytest.raises(StatisticsError, match="^case case: "):
+            _summarize([], degenerate=4)
 
     def test_singleton(self):
-        s = summarize(_sample_set([7.5]))
+        s = _summarize([7.5])
         assert s.mean == s.median == s.q1 == s.q3 == 7.5
 
     # Lists drawn from a small pool of values, so ties are common.
@@ -181,7 +181,7 @@ class TestSummarize:
     @example([1e-3, 1e6])
     @example([2.0, 2.0, 5.0, 5.0])
     def test_quartiles_equal_numpy_percentile(self, values):
-        s = summarize(_sample_set(values))
+        s = _summarize(values)
         assert [s.q1, s.median, s.q3] == np.percentile(values, [25.0, 50.0, 75.0]).tolist()
 
     def test_nan_makes_every_quartile_nan_as_in_numpy(self):
@@ -199,8 +199,8 @@ class TestSingleLeo:
         b = run(cfg)
         assert list(a.cases) == ["single_leo_t2", "single_leo_t10"]
         for case in a.cases:
-            assert len(a.cases[case].peb_m) == 30
-            assert _columns_equal(_sample_columns(a.cases[case]), _sample_columns(b.cases[case]))
+            assert len(a.cases[case][0]) == 30
+            assert _columns_equal(_sample_columns(a, case), _sample_columns(b, case))
 
     def test_mean_non_increasing_in_time_and_above_median(self):
         cfg = make_config("single-leo", n_ue_drops=300)
@@ -234,10 +234,9 @@ class TestMultiLeo:
 
     def test_rtt_augmentation_never_hurts_any_ue(self, bundle):
         for k in (3, 4):
-            plain = bundle.cases[f"multi_leo_tdoa{k}"]
-            boosted = bundle.cases[f"multi_leo_tdoa{k}_rtt"]
-            for p, b, p_deg, b_deg in zip(plain.peb_m, boosted.peb_m,
-                                          plain.degenerate, boosted.degenerate):
+            plain_peb, _, plain_deg = bundle.cases[f"multi_leo_tdoa{k}"]
+            boosted_peb, _, boosted_deg = bundle.cases[f"multi_leo_tdoa{k}_rtt"]
+            for p, b, p_deg, b_deg in zip(plain_peb, boosted_peb, plain_deg, boosted_deg):
                 if p_deg or b_deg:
                     continue
                 assert b <= p + 1e-9
@@ -267,22 +266,23 @@ class TestHiddenNeighbors:
         real = scenarios.min_gdop_subsets
         monkeypatch.setattr(scenarios, "min_gdop_subsets",
                             lambda u, serving, k, visible: searches.append((u, visible, k))
-                            or real(u, serving, k, visible=visible))
+                            or real(u, serving, k, visible))
         evaluate(cfg, *positions)
         assert [k for *_, k in searches] == [3, 4]
         for searched, visible, k in searches:
             assert np.array_equal(searched, units)
             assert np.array_equal(visible, sin_el > 0)
             assert np.count_nonzero((~visible).sum(axis=1) == 1) == 190
-            batched = min_gdop_subsets(units, 0, k, visible=visible)
+            batched = min_gdop_subsets(units, 0, k, visible)
             for drop, shown, chosen in zip(units, visible, batched):
                 index = np.flatnonzero(shown)
                 assert tuple(chosen) == tuple(index[list(best_subset_indices(
                     drop[index], 0, k))])
         bundle = run(cfg)
-        for case in bundle.cases.values():
-            assert len(case.peb_m) == 200
-            assert not np.any(case.degenerate)
+        assert len(bundle.lat_rad) == 200
+        for peb_m, _, degenerate in bundle.cases.values():
+            assert len(peb_m) == 200
+            assert not np.any(degenerate)
 
     def test_grid_links_take_one_budget_pass(self, monkeypatch):
         # One `link_snr` call over the visible grid links, whose penalty term
@@ -318,30 +318,30 @@ class TestHiddenVirtualAnchors:
         # A 770 s window carries the satellite below some drops' horizon.
         cfg = make_config("single-leo", n_ue_drops=50, measurement_times_s=(10.0, 770.0))
         bundle = run(cfg)
-        case = bundle.cases["single_leo_t770"]
+        peb_m, gdop, degenerate = bundle.cases["single_leo_t770"]
         anchors = make_virtual_anchors(ground_track_orbit(_center(cfg), cfg.leo_altitude_m),
                                        770.0, cfg.n_virtual_anchors)
-        ue_ecef, basis = enu_frames(case.ue_lat_rad, case.ue_lon_rad)
+        ue_ecef, basis = enu_frames(bundle.lat_rad, bundle.lon_rad)
         height = np.einsum("dmk,dk->dm", anchors - ue_ecef[:, None, :], basis[:, 2])
         hidden = np.any(height <= 0, axis=1)
         assert 0 < np.count_nonzero(hidden) < 50
-        assert np.array_equal(case.degenerate, hidden)
-        assert np.all(np.isnan(case.peb_m[hidden])) and np.all(np.isnan(case.gdop[hidden]))
-        assert not np.any(bundle.cases["single_leo_t10"].degenerate)
+        assert np.array_equal(degenerate, hidden)
+        assert np.all(np.isnan(peb_m[hidden])) and np.all(np.isnan(gdop[hidden]))
+        assert not np.any(bundle.cases["single_leo_t10"][2])
 
     def test_hidden_rtt_block_flags_only_the_cases_holding_it(self):
         # 900 s carries the 780 km satellite below some drops' horizon.
         cfg = make_config("multi-leo", n_ue_drops=20, rtt_measurement_time_s=900.0)
         plain = run(make_config("multi-leo", n_ue_drops=20))
         bundle = run(cfg)
-        hidden = bundle.cases["multi_leo_tdoa3_rtt"].degenerate
+        hidden = bundle.cases["multi_leo_tdoa3_rtt"][2]
         assert 0 < np.count_nonzero(hidden) < 20
-        for case_id, case in bundle.cases.items():
+        for case_id, (_, _, degenerate) in bundle.cases.items():
             if case_id.endswith("_rtt"):
-                assert np.array_equal(case.degenerate, hidden)
+                assert np.array_equal(degenerate, hidden)
             else:
-                assert _columns_equal(_sample_columns(case),
-                                      _sample_columns(plain.cases[case_id]))
+                assert _columns_equal(_sample_columns(bundle, case_id),
+                                      _sample_columns(plain, case_id))
 
 
 class TestGnssLeo:
@@ -441,10 +441,10 @@ class TestSpans:
         short = run(make_config(variant, n_ue_drops=10, seed=4, **overrides))
         long = run(make_config(variant, n_ue_drops=23, seed=4, **overrides))
         assert list(short.cases) == list(long.cases)
-        for case_id, sample in long.cases.items():
-            assert len(sample.peb_m) == 23
-            assert _columns_equal(_sample_columns(short.cases[case_id]),
-                                  [c[:10] for c in _sample_columns(sample)])
+        for case_id in long.cases:
+            assert len(long.cases[case_id][0]) == 23
+            assert _columns_equal(_sample_columns(short, case_id),
+                                  [c[:10] for c in _sample_columns(long, case_id)])
 
     @pytest.mark.parametrize("variant, per_drop", [
         ("single-leo", 2), ("multi-leo", 3), ("gnss-leo", 4), ("gnss-only", 4)])
@@ -473,10 +473,10 @@ class TestSpans:
         columns = evaluate(cfg, lat, lon)
         bundle = run(cfg)
         assert list(bundle.cases) == list(columns)
-        for case_id, sample in bundle.cases.items():
-            assert np.array_equal(sample.ue_lat_rad, lat)
-            assert np.array_equal(sample.ue_lon_rad, lon)
-            assert _columns_equal(_sample_columns(sample)[2:], columns[case_id])
+        assert np.array_equal(bundle.lat_rad, lat)
+        assert np.array_equal(bundle.lon_rad, lon)
+        for case_id, case in bundle.cases.items():
+            assert _columns_equal(case, columns[case_id])
 
 
 _TAGS = ["ue-drop", "sl-link", "ml-link", "ml-rtt", "gl-link", "gnss-pos", "ß-λ-衛星"]
@@ -539,8 +539,8 @@ class TestStackedWindows:
         alone = run(make_config(variant, n_ue_drops=40, measurement_times_s=(5.0,)))
         case_id = variant.replace("-", "_") + "_t5"
         assert list(alone.cases) == [case_id]
-        assert _columns_equal(_sample_columns(sweep.cases[case_id]),
-                              _sample_columns(alone.cases[case_id]))
+        assert _columns_equal(_sample_columns(sweep, case_id),
+                              _sample_columns(alone, case_id))
 
     @pytest.mark.parametrize("n_times", [1, 3, 9])
     def test_one_downlink_and_one_uplink_budget_per_tag(self, n_times, monkeypatch):
@@ -621,10 +621,10 @@ class TestRunBundle:
     def test_single_drop_stats_equal_sample(self):
         cfg = make_config("single-leo", n_ue_drops=1, measurement_times_s=(5.0,))
         bundle = run(cfg)
-        case = bundle.cases["single_leo_t5"]
-        if not case.degenerate[0]:
+        peb_m, _, degenerate = bundle.cases["single_leo_t5"]
+        if not degenerate[0]:
             s = bundle.stats["single_leo_t5"]
-            assert s.mean == s.median == case.peb_m[0]
+            assert s.mean == s.median == peb_m[0]
 
 
 class TestLongitudeShift:
@@ -636,8 +636,8 @@ class TestLongitudeShift:
         base = run(make_config(variant, n_ue_drops=20))
         moved = run(make_config(variant, n_ue_drops=20, center_lon_deg=shift_deg))
         assert list(moved.cases) == list(base.cases)
-        for case_id, a in base.cases.items():
-            b = moved.cases[case_id]
-            assert np.array_equal(b.degenerate, a.degenerate)
-            np.testing.assert_allclose(b.peb_m, a.peb_m, rtol=1e-8, atol=0)
-            np.testing.assert_allclose(b.gdop, a.gdop, rtol=1e-8, atol=0)
+        for case_id, (peb_m, gdop, degenerate) in base.cases.items():
+            moved_peb, moved_gdop, moved_degenerate = moved.cases[case_id]
+            assert np.array_equal(moved_degenerate, degenerate)
+            np.testing.assert_allclose(moved_peb, peb_m, rtol=1e-8, atol=0)
+            np.testing.assert_allclose(moved_gdop, gdop, rtol=1e-8, atol=0)
