@@ -3,12 +3,15 @@
 evaluation of the same inputs, per variant.
 
 Each variant runs at `--drops` drops per seed twice. The first run is the
-package's own: it records every case's summed (D, 2, 2) FIM as `peb_arrays`
-receives it. The second run gives `fim_diagonal` the same float64 Jacobian
-rows and variances, since nothing upstream of it depends on its result, but
-forms each block, its clock-bias centring and the case sums in
-`np.longdouble`; its closed form sqrt((a + d) / (a*d - b*b)) is the
-reference. Two float64 forms of the first run's FIMs are scored against it:
+package's own: it records every case's summed information (a, b, d) of
+the FIM [[a, b], [b, d]] as `peb_arrays` receives it. The second run gives
+`information` the same float64 east/north rows and variances, since
+nothing upstream of it depends on its result, but cast to `np.longdouble`:
+the kernel then forms each block, its clock-bias centring and its sums over
+the anchor axis in long double, and so does the run's case sum. The closed
+form sqrt((a + d) / (a*d - b*b)) of that run's information is the
+reference. Two float64 forms of the first run's information are scored
+against it:
 
 * `closed`: `peb_arrays`, the closed form the package writes;
 * `eigvalsh`: sqrt(1/l1 + 1/l2) from LAPACK's eigenvalues.
@@ -35,42 +38,41 @@ import numpy as np
 
 from satpeb import scenarios
 from satpeb.config import make_config
-from satpeb.fisher import fim_diagonal, peb_arrays
+from satpeb.fisher import information, peb_arrays
 
 VARIANTS = ("single-leo", "multi-leo", "gnss-leo", "gnss-only")
 THRESHOLD = 1e-12
 
 
-def _fim_longdouble(J, variances, clock_bias=False):
-    """`fim_diagonal` in long double, from the same float64 inputs."""
-    J, w = np.asarray(J, np.longdouble), 1 / np.asarray(variances, np.longdouble)
-    if clock_bias:
-        J = J - np.sum(J * w[..., None], -2, keepdims=True) / np.sum(w, -1)[..., None, None]
-    f = np.swapaxes(J, -1, -2) @ (J * w[..., None])
-    return (f + np.swapaxes(f, -1, -2)) / 2
+def _information_longdouble(east, north, variances, clock_bias=False):
+    """`information` in long double, from the same float64 inputs."""
+    return information(*(np.asarray(x, np.longdouble) for x in (east, north, variances)),
+                       clock_bias)
 
 
-def _case_fims(config, fim):
-    """(C, D, 2, 2) summed FIMs of every case, with blocks from `fim`, and
-    the (C, D) degenerate flags of the package's run."""
+def _case_information(config, kernel):
+    """(3, C, D) summed (a, b, d) of every case, with blocks from `kernel`,
+    and the (C, D) degenerate flags of the package's run."""
     seen = []
 
-    def record(f, mean_variance=1.0):
-        seen.append(f)
-        return peb_arrays(np.asarray(f, float), mean_variance)
+    def record(a, b, d, mean_variance=1.0):
+        seen.append(np.stack([a, b, d]))
+        return peb_arrays(*(np.asarray(x, float) for x in (a, b, d)), mean_variance)
 
-    with mock.patch.object(scenarios, "fim_diagonal", fim), \
+    with mock.patch.object(scenarios, "information", kernel), \
             mock.patch.object(scenarios, "peb_arrays", record):
         columns = scenarios.evaluate(config, *scenarios.drop_ues(config))
     return seen[0], np.stack([degenerate for _, _, degenerate in columns.values()])
 
 
-def _bound_longdouble(f):
-    a, b, d = f[..., 0, 0], f[..., 0, 1], f[..., 1, 1]
+def _bound_longdouble(abd):
+    a, b, d = abd
     return np.sqrt((a + d) / (a * d - b * b))
 
 
-def _bound_eigvalsh(f):
+def _bound_eigvalsh(abd):
+    a, b, d = abd
+    f = np.stack([np.stack([a, b], -1), np.stack([b, d], -1)], -2)
     return np.sqrt(np.sum(1.0 / np.linalg.eigvalsh(f), axis=-1))
 
 
@@ -93,10 +95,11 @@ def main(argv=None) -> int:
     for variant in VARIANTS:
         for seed in _seed_range(args.seeds):
             config = make_config(variant, n_ue_drops=args.drops, seed=seed)
-            f, degenerate = _case_fims(config, fim_diagonal)
-            reference = _bound_longdouble(_case_fims(config, _fim_longdouble)[0])[~degenerate]
+            abd, degenerate = _case_information(config, information)
+            reference = _bound_longdouble(
+                _case_information(config, _information_longdouble)[0])[~degenerate]
             row = f"{variant:<11}{seed:>5}{reference.size:>8}  "
-            for bound in (peb_arrays(f)[0], _bound_eigvalsh(f)):
+            for bound in (peb_arrays(*abd)[0], _bound_eigvalsh(abd)):
                 error = np.abs(bound[~degenerate] / reference - 1).astype(float)
                 row += (f"{error.max():>13.2e}{np.percentile(error, 99.9):>9.2e}"
                         f"{np.count_nonzero(error > THRESHOLD):>8}  ")

@@ -2,13 +2,12 @@
 to check that empirical RMSE approaches the computed bound.
 
 The solver fits the horizontal position at fixed altitude to TOA rows with
-the bound's model: a clock bias eliminated by the same 1/variance-weighted
-centring as `fim_diagonal(..., clock_bias=True)`, and the same
-`smallest_eigenvalue` gate on every normal matrix. `validate` takes the
-bound's geometry from `line_of_sight`; `_step` computes its ranges and
-east/north components inline, at each row's current position, because a
-step built each iteration on `enu_frames` and `line_of_sight` took
-`validate(2000)` from 3.0 to 5.0 ms (best of 15 runs, 2-vCPU VM).
+the bound's model and the bound's code: each step takes `line_of_sight` at
+the rows' current positions and `information` over their residuals, with
+the clock bias centred out as the bound centres it, and `is_degenerate`
+gates every normal matrix as it gates the bound. So at the truth, with
+noise-free rows, a step's normal matrix is the bound's information bit for
+bit.
 `validate` draws the rows of all trials in one call, from the ranges its
 bound is computed at, and solves up to `_BLOCK_TRIALS` of them per pass as
 stacked rows. Every row of a pass starts at the same guess, so the pass's
@@ -25,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, VisibilityError
-from .fisher import (DEGENERATE_EIGENVALUE, fim_diagonal, line_of_sight, min_gdop_subsets,
-                     peb_arrays, smallest_eigenvalue)
+from .fisher import information, is_degenerate, line_of_sight, min_gdop_subsets, peb_arrays
 from .geometry import Geodetic, enu_frames, hex_constellation, wrap_longitude
 from .constants import EARTH_RADIUS_M
 
@@ -57,29 +55,19 @@ def _step(observed, lat, lon, alt_m, anchors, variances, clock_bias) -> np.ndarr
     """(T, 2) east/north Gauss-Newton steps of the (T, N) `observed` TOA rows,
     linearised at (T,) `lat`/`lon`, or at one (1,) point shared by every row.
 
-    A closed form on (N, T) arrays, anchors first so that NumPy's inner loops
-    run over the rows. The Jacobian rows are the negated east/north unit
-    components, centred with the residuals on their 1/variance-weighted means
-    where a clock bias is shared. The normal matrix [[a, b], [b, d]] and the
-    right-hand side are weighted sums over the anchors, each adding whole rows
-    so that no row's bits depend on another's; Cramer's rule solves them."""
-    sl, cl, so, co = np.sin(lat), np.cos(lat), np.sin(lon), np.cos(lon)
-    (x, y, z), r = anchors.T[:, :, None], EARTH_RADIUS_M + alt_m
-    dx, dy, dz = x - r * cl * co, y - r * cl * so, z - r * sl
-    horizontal = co * dx + so * dy
-    if np.any(cl * horizontal + sl * dz <= 0):
+    The bound's model on (N, T) arrays: `line_of_sight` at the rows'
+    positions, and `information` over the residuals, which gives the normal
+    matrix [[a, b], [b, d]] and the right-hand side with the clock bias
+    centred out where one is shared. Each sum adds whole rows, so that no
+    row's bits depend on another's; Cramer's rule solves them."""
+    ranges, east, north, sin_el = line_of_sight(lat, lon, alt_m, anchors[:, None])
+    if np.any(sin_el <= 0):
         raise VisibilityError("anchor at or below the UE horizon")
-    ranges = np.sqrt(dx * dx + dy * dy + dz * dz)
-    east, north = (co * dy - so * dx) / ranges, (cl * dz - sl * horizontal) / ranges
-    residual, w = observed.T - ranges, (1.0 / variances)[:, None]
-    if clock_bias:  # as `fim_diagonal(..., clock_bias=True)` centres its rows
-        residual, east, north = (v - sum(w * v) / np.sum(w) for v in (residual, east, north))
-    we, wn = w * east, w * north
-    a, b, d = sum(we * east), sum(we * north), sum(wn * north)
-    if np.any(smallest_eigenvalue(a, b, d) < DEGENERATE_EIGENVALUE):
+    a, b, d, ge, gn = information(east, north, variances[:, None], clock_bias,
+                                  observed.T - ranges)
+    if np.any(is_degenerate(a, b, d)):
         raise DegenerateGeometryError("normal equations do not constrain the horizontal position")
-    # the Jacobian rows are -east/-north: the right-hand side's sign folds in
-    ge, gn, det = sum(we * residual), sum(wn * residual), a * d - b * b
+    det = a * d - b * b
     return np.stack([(b * gn - d * ge) / det, (b * ge - a * gn) / det], axis=-1)
 
 
@@ -131,10 +119,10 @@ def reference_tdoa_case() -> tuple:
     center = Geodetic(0.0, 0.0, 0.0)
     grid = hex_constellation(center, math.radians(13.0), math.radians(6.9), 780e3)
     truth = Geodetic(math.radians(0.05), math.radians(0.08), 0.0)
-    ue_ecef, basis = enu_frames(truth.lat_rad, truth.lon_rad)
     # The serving satellite (grid index 0) sorts first in the chosen subset.
-    _, units, sin_el = line_of_sight(ue_ecef, grid, basis)
-    anchors = grid[min_gdop_subsets(units[None], 0, 4, (sin_el > 0)[None])[0]]
+    _, east, north, sin_el = line_of_sight(truth.lat_rad, truth.lon_rad, truth.alt_m,
+                                           grid[:, None])
+    anchors = grid[min_gdop_subsets(east, north, 0, 4, sin_el > 0)[0]]
     return truth, anchors, center
 
 
@@ -146,12 +134,15 @@ def validate(n_trials: int = 2000, seed: int = 0) -> ValidationReport:
     if not 1 <= n_trials <= MAX_TRIALS:
         raise ValueError(f"n_trials must lie in [1, {MAX_TRIALS:,}], got {n_trials}")
     truth, anchors, guess = reference_tdoa_case()
-    truth_ecef, truth_basis = enu_frames(truth.lat_rad, truth.lon_rad, truth.alt_m)
-    ranges, units, sin_el = line_of_sight(truth_ecef, anchors, truth_basis)
+    # The bound's geometry and information at the truth, on (N, 1) arrays as
+    # `_step` builds them at one point
+    ranges, east, north, sin_el = line_of_sight(np.array([truth.lat_rad]),
+                                                np.array([truth.lon_rad]), truth.alt_m,
+                                                anchors[:, None])
     if np.any(sin_el <= 0):
         raise VisibilityError("anchor at or below the UE horizon")
-    variances = np.ones(len(anchors))
-    bound = float(peb_arrays(fim_diagonal(units, variances, clock_bias=True))[0])
+    variances, ranges = np.ones(len(anchors)), ranges[:, 0]
+    bound = peb_arrays(*information(east, north, variances[:, None], clock_bias=True))[0].item()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x76616c]))
     # TOA rows whose reference TOA is 0: the differences against anchor 0,
     # drawn with their covariance diag(v[1:]) + v[0] by its Cholesky factor
@@ -160,6 +151,7 @@ def validate(n_trials: int = 2000, seed: int = 0) -> ValidationReport:
     observed[:, 1:] = ranges[1:] - ranges[0] + (
         root @ rng.standard_normal((n_trials, len(anchors) - 1))[..., None])[..., 0]
     # east/north errors pass by pass: frames are built for one pass, not all T trials
+    truth_ecef, truth_basis = enu_frames(truth.lat_rad, truth.lon_rad, truth.alt_m)
     errors, converged = np.empty((n_trials, 2)), np.empty(n_trials, dtype=bool)
     for start in range(0, n_trials, _BLOCK_TRIALS):
         block = slice(start, start + _BLOCK_TRIALS)

@@ -11,19 +11,19 @@ UE drops. `case_table` maps each case of a variant to its blocks (`Rtt`,
     gnss-leo    gnss_leo_t{T}          gnss(2), rtt(T, "gl-link")
     gnss-only   gnss_only              gnss(3)
 
-A case's FIM is the sum of its blocks' FIMs in table order; the mean
-variance behind its GDOP is taken over the blocks' measurement variances
-concatenated in that order. Every block's FIM is `fim_diagonal` over its
-range variances, with the UE clock bias eliminated for TDOA and GNSS.
+A block's FIM [[a, b], [b, d]] is `fisher.information` over its range
+variances, with the UE clock bias eliminated for TDOA and GNSS; a case adds
+its blocks' (a, b, d) in table order, and the mean variance behind its GDOP
+is taken over the blocks' measurement variances concatenated in that order.
 
 All drops of a run are evaluated in one in-process array pass: geometry,
 link realization, subset selection and Fisher information run on stacked
-(drops, anchors) arrays. Each anchor set, the grid or one link-draw tag's
-RTT windows stacked to (windows, drops, anchors), gets one `line_of_sight`
-pass: its ranges and elevation sines feed the link budget, its unit
-vectors the FIM. Each block is computed once and shared by the cases that
-use it, and one PEB pass over the cases' stacked (cases, drops, 2, 2)
-FIMs gives every bound.
+(anchors, drops) arrays, anchor axis first. Each anchor set, the grid or
+one link-draw tag's RTT windows stacked to (anchors, windows, drops), gets
+one `line_of_sight` pass: its ranges and elevation sines feed the link
+budget, its east/north components the information. Each block is computed
+once and shared by the cases that use it, and one PEB pass over the cases'
+stacked (cases, drops) entries gives every bound.
 
 A run is three functions: `drop_ues(config)` gives (D,) latitude and
 longitude arrays, `evaluate(config, lat, lon)` gives per case (D,) bound,
@@ -63,7 +63,7 @@ from . import channel
 from .config import ScenarioConfig
 from .constants import EARTH_RADIUS_M
 from .errors import ConfigError, StatisticsError
-from .fisher import (fim_diagonal, line_of_sight, min_gdop_subsets, peb_arrays,
+from .fisher import (information, line_of_sight, min_gdop_subsets, peb_arrays,
                      rtt_range_sigma, toa_range_sigma)
 from .geometry import (Geodetic, enu_frames, geodetic_to_ecef, ground_track_orbit,
                        make_virtual_anchors, hex_constellation, wrap_longitude)
@@ -248,21 +248,21 @@ def _realize(config: ScenarioConfig, beam_center: np.ndarray, directions, anchor
              penalty_db=0.0):
     """SNR in each of `directions`, (EIRP, G/T, processing gain) triples of
     `channel.link_snr` under the config's `LinkBudget`, of the links from D
-    UEs (D, 3) to the `anchors` with (..., D, M) `line_of_sight` `ranges`
-    and elevation sines `sin_el` that clear the horizon (sine > 0),
-    flattened in the C order of their mask, and that mask. `penalty_db`
-    (scalar or (M,), one term per anchor) is each link's neighbour penalty.
-    Every beam has the budget's pattern and points at `beam_center`. One
-    LOS/shadowing draw (`draws`, (D, M) each, shared by the leading axes)
-    and one pattern gain govern every direction of a link (reciprocal
-    large-scale channel)."""
+    UEs (D, 3) to the `anchors` as `line_of_sight` takes them, with its
+    (..., D) `ranges` and elevation sines `sin_el`, on the links that clear
+    the horizon (sine > 0), flattened in the C order of their mask, and that
+    mask. `penalty_db` (scalar, or per anchor) is each link's neighbour
+    penalty. Every beam has the budget's pattern and points at
+    `beam_center`. One LOS/shadowing draw (`draws`) and one pattern gain
+    govern every direction of a link (reciprocal large-scale channel); the
+    penalty and draws broadcast against the mask."""
     budget = config.link
     visible = sin_el > 0
     elevation = np.arcsin(np.minimum(sin_el[visible], 1.0))
     # `ue - anchor` and `ranges`, not unit vectors: these operations keep the pinned bits
-    axis = beam_center - anchors
-    cos = (np.sum(axis * (ue_ecef[:, None, :] - anchors), axis=-1)
-           / (np.linalg.norm(axis, axis=-1) * ranges))
+    axis = beam_center - anchors[..., None, :]
+    cos = np.sum(axis * (ue_ecef - anchors[..., None, :]), axis=-1) / (
+        np.linalg.norm(axis, axis=-1) * ranges)
     off_boresight = np.arccos(np.clip(cos[visible], -1.0, 1.0))
     z_los, z_shadow = (np.broadcast_to(z, visible.shape)[visible] for z in draws)
     if config.los_only:
@@ -353,14 +353,15 @@ def evaluate(config: ScenarioConfig, lat_rad: np.ndarray,
     gnss_snr = channel.cn0_to_snr(budget.gnss_cn0_dbhz, budget.gnss_bandwidth_hz,
                                   budget.gnss_processing_gain_db)
     gnss_sigma = toa_range_sigma(gnss_snr, budget.gnss_bandwidth_hz)
-    ue_ecef, basis = enu_frames(lat_rad, lon_rad)
+    ue_ecef = enu_frames(lat_rad, lon_rad)[0]
     info = {}
 
     # All RTT windows of a link-draw tag in one pass, on the tag's one set of
     # link draws: (D, M) LOS uniforms and (D, M) shadowing normals, shared by
-    # the (W, 1, M, 3) windows' virtual anchors. One `line_of_sight` pass
-    # feeds the link budget and the FIM; hidden links keep a 1 m placeholder
-    # sigma, and a drop with a hidden anchor is degenerate in the window.
+    # the (M, W, 1, 3) windows' virtual anchors. One (M, W, D) `line_of_sight`
+    # pass feeds the link budget and the information; hidden links keep a 1 m
+    # placeholder sigma, and a drop with a hidden anchor is degenerate in the
+    # window.
     orbit = ground_track_orbit(center, config.leo_altitude_m)
     m = config.n_virtual_anchors
     windows = {}
@@ -368,9 +369,9 @@ def evaluate(config: ScenarioConfig, lat_rad: np.ndarray,
         if isinstance(b, Rtt):
             windows.setdefault(b.tag, []).append(b)
     for tag, rtts in windows.items():
-        anchors = np.array([make_virtual_anchors(orbit, b.time_s, m) for b in rtts])[:, None]
-        ranges, units, sin_el = line_of_sight(ue_ecef, anchors, basis)
-        draws = substream_draws(seed, tag, (n, m), m)
+        anchors = np.stack([make_virtual_anchors(orbit, b.time_s, m) for b in rtts], axis=1)
+        ranges, east, north, sin_el = line_of_sight(lat_rad, lon_rad, 0.0, anchors[:, :, None])
+        draws = (z.T[:, None] for z in substream_draws(seed, tag, (n, m), m))
         (dl_snr, ul_snr), visible = _realize(config, beam_center, (dl, ul), anchors, ue_ecef,
                                              ranges, sin_el, draws)
         sigma = np.ones(visible.shape)
@@ -378,60 +379,60 @@ def evaluate(config: ScenarioConfig, lat_rad: np.ndarray,
                                          toa_range_sigma(ul_snr, budget.bandwidth_hz))
         del dl_snr, ul_snr  # kept, the SNRs would add to the subset search's memory peak
         variances = sigma**2
-        info.update(zip(rtts, zip(fim_diagonal(units, variances), variances,
-                                  ~np.all(visible, axis=2))))
+        info.update(zip(rtts, zip(zip(*information(east, north, variances)),
+                                  np.swapaxes(variances, 0, 1), ~np.all(visible, axis=0))))
 
-    # The (7, 3) hexagonal grid, serving satellite first: (D, 7) downlink TOA
+    # The (7, 3) hexagonal grid, serving satellite first: (7, D) downlink TOA
     # sigmas in one budget pass, where only the serving satellite runs the
     # nominal budget and every neighbour takes its penalty.
     if any(isinstance(b, Tdoa) for b in blocks):
         grid = hex_constellation(center, math.radians(config.lon_gap_deg),
                                  math.radians(config.lat_gap_deg), config.leo_altitude_m)
-        ranges, units, sin_el = line_of_sight(ue_ecef, grid, basis)
-        draws = substream_draws(seed, "ml-link", sin_el.shape, len(grid))
-        penalty = np.full(len(grid), budget.neighbor_penalty_db)
+        ranges, east, north, sin_el = line_of_sight(lat_rad, lon_rad, 0.0, grid[:, None])
+        draws = (z.T for z in substream_draws(seed, "ml-link", (n, len(grid)), len(grid)))
+        penalty = np.full((len(grid), 1), budget.neighbor_penalty_db)
         penalty[0] = 0.0
         (snr,), visible = _realize(config, beam_center, (dl,), grid, ue_ecef, ranges, sin_el,
                                    draws, penalty)
         sigma = np.ones(visible.shape)
         sigma[visible] = toa_range_sigma(snr, budget.bandwidth_hz)
         del snr
-        grid_links = (units, sigma, visible)
+        grid_links = (east, north, sigma, visible)
     for block in blocks:
         if isinstance(block, Tdoa):
             info[block] = _tdoa(block.k, *grid_links)
         elif isinstance(block, Gnss):
             info[block] = (*_gnss(config, block.n, n, gnss_sigma), np.zeros(n, dtype=bool))
 
-    # Every case's summed FIM and mean variance, stacked to (C, D, 2, 2)
-    # and (C, D) for one bound pass.
-    fims, mean_variances, shorts = [], [], []
+    # Every case's summed information and mean variance, stacked to (C, D)
+    # for one bound pass.
+    abd, mean_variances, shorts = [], [], []
     for case_blocks in cases.values():
-        f, variances, short = zip(*(info[b] for b in case_blocks))
-        fims.append(sum(f[1:], f[0]))
-        mean_variances.append(np.mean(np.concatenate(variances, axis=1), axis=1))
+        entries, variances, short = zip(*(info[b] for b in case_blocks))
+        abd.append([sum(x[1:], x[0]) for x in zip(*entries)])
+        mean_variances.append(np.mean(np.concatenate(variances), axis=0))
         shorts.append(np.any(short, axis=0))
-    peb_m, gdop, degenerate = peb_arrays(np.stack(fims), np.stack(mean_variances))
+    peb_m, gdop, degenerate = peb_arrays(*np.stack(abd, axis=1), np.stack(mean_variances))
     degenerate |= np.stack(shorts)
     peb_m[degenerate] = gdop[degenerate] = np.nan
     return dict(zip(cases, zip(peb_m, gdop, degenerate)))
 
 
-def _tdoa(k: int, units, sigma_dl, visible):
-    """(D, 2, 2) grid TDOA information, (D, k-1) range-difference variances
-    against the serving satellite (grid index 0, so first in every sorted
-    subset), and the (D,) mask of drops with fewer than k visible
-    satellites."""
-    subsets = min_gdop_subsets(units, 0, k, visible)
-    short = ~np.all(np.take_along_axis(visible, subsets, axis=1), axis=1)
-    variances = np.take_along_axis(sigma_dl, subsets, axis=1) ** 2
-    f = fim_diagonal(np.take_along_axis(units, subsets[..., None], axis=1), variances,
-                     clock_bias=True)
-    return f, variances[:, 1:] + variances[:, :1], short
+def _tdoa(k: int, east, north, sigma_dl, visible):
+    """(a, b, d) of the grid TDOA information, (k-1, D) range-difference
+    variances against the serving satellite (grid index 0, so first in
+    every sorted subset), and the (D,) mask of drops with fewer than k
+    visible satellites, from the grid's (7, D) arrays."""
+    subsets = min_gdop_subsets(east, north, 0, k, visible).T
+    east, north, sigma_dl, visible = (np.take_along_axis(x, subsets, axis=0)
+                                      for x in (east, north, sigma_dl, visible))
+    variances = sigma_dl**2
+    return (information(east, north, variances, clock_bias=True),
+            variances[1:] + variances[:1], ~np.all(visible, axis=0))
 
 
 def _gnss(config: ScenarioConfig, n: int, n_drops: int, range_sigma: float):
-    """(D, 2, 2) GNSS TDOA information and (D, n-1) range-difference
+    """(a, b, d) of the GNSS TDOA information and (n-1, D) range-difference
     variances of n satellite directions, each uniform by solid angle on its
     UE's sky cap above the elevation mask, with TOA range sigma
     `range_sigma`. A satellite enters the information only through the east
@@ -440,13 +441,13 @@ def _gnss(config: ScenarioConfig, n: int, n_drops: int, range_sigma: float):
     # Per satellite: an elevation term, then an azimuth uniform.
     draws, _ = substream_draws(config.seed, "gnss-pos", (n_drops, n, 2))
     cos_zmax = math.cos(math.pi / 2 - math.radians(config.gnss_elevation_mask_deg))
-    sin_el = cos_zmax + (1.0 - cos_zmax) * draws[..., 0]
-    azimuth = 2.0 * math.pi * draws[..., 1]
+    sin_el = cos_zmax + (1.0 - cos_zmax) * draws[..., 0].T
+    azimuth = 2.0 * math.pi * draws[..., 1].T
     cos_el = np.sqrt(np.maximum(0.0, 1.0 - sin_el**2))
-    units = np.stack([cos_el * np.sin(azimuth), cos_el * np.cos(azimuth)], axis=-1)
-    variances = np.full(n, range_sigma) ** 2
-    return (fim_diagonal(units, variances, clock_bias=True),
-            np.broadcast_to(variances[1:] + variances[:1], (n_drops, n - 1)))
+    variances = np.full((n, 1), range_sigma) ** 2
+    return (information(cos_el * np.sin(azimuth), cos_el * np.cos(azimuth), variances,
+                        clock_bias=True),
+            np.broadcast_to(variances[1:] + variances[:1], (n - 1, n_drops)))
 
 
 def run(config: ScenarioConfig) -> RunBundle:

@@ -11,12 +11,12 @@ import pytest
 from satpeb.config import make_config
 from satpeb.errors import DegenerateGeometryError
 from satpeb.estimator import validate
-from satpeb.fisher import fim_diagonal, line_of_sight, peb_arrays, toa_range_sigma
-from satpeb.geometry import (Geodetic, OrbitSpec, enu_frames, geodetic_to_ecef,
-                             ground_track_orbit, make_virtual_anchors)
+from satpeb.fisher import information, line_of_sight, peb_arrays, toa_range_sigma
+from satpeb.geometry import (Geodetic, OrbitSpec, geodetic_to_ecef, ground_track_orbit,
+                             make_virtual_anchors)
 from satpeb.scenarios import run
 from tests.test_estimator import draw_one, exact_observables, solve_one
-from tests.test_fisher import assert_jacobian_matches_fd, fim
+from tests.test_fisher import assert_jacobian_matches_fd, fim, peb_of
 
 FIG4_MEANS = {  # published single-LEO mean PEB per measurement time
     "single_leo_t2": 2220.19, "single_leo_t3": 1692.03,
@@ -136,8 +136,8 @@ def test_criterion_5_information_monotonicity():
         m2 = int(rng.integers(1, 5))
         b = rng.standard_normal((m2, m2))
         extra = fim(rng.standard_normal((m2, 2)), b @ b.T + 0.5 * np.eye(m2))
-        before, _, before_degenerate = peb_arrays(f)
-        after, _, after_degenerate = peb_arrays(f + extra)
+        before, _, before_degenerate = peb_of(f)
+        after, _, after_degenerate = peb_of(f + extra)
         if before_degenerate or after_degenerate:
             continue
         assert after <= before + 1e-9
@@ -151,9 +151,8 @@ def test_criterion_6_ground_track_degeneracy():
     anchors = make_virtual_anchors(orbit, 10.0, 10)
     ue = Geodetic(math.radians(0.05), 0.0, 0.0)  # exactly on the ground track
     sigma = np.full(10, 5.0)
-    ue_ecef, basis = enu_frames(ue.lat_rad, ue.lon_rad, ue.alt_m)
-    J = -line_of_sight(ue_ecef, anchors, basis)[1]
-    flagged = bool(peb_arrays(fim_diagonal(J, sigma**2))[2])
+    _, east, north, _ = line_of_sight(ue.lat_rad, ue.lon_rad, ue.alt_m, anchors)
+    flagged = bool(peb_arrays(*information(east, north, sigma**2))[2])
     observed = draw_one(ue, anchors, sigma, np.random.default_rng(0))
     try:
         solve_one(observed, anchors, sigma**2, False, ue)

@@ -11,12 +11,12 @@ from satpeb import estimator
 from satpeb.constants import EARTH_RADIUS_M
 from satpeb.errors import DegenerateGeometryError, VisibilityError
 from satpeb.estimator import reference_tdoa_case, validate
-from satpeb.fisher import (DEGENERATE_EIGENVALUE, fim_diagonal, line_of_sight, peb_arrays,
+from satpeb.fisher import (DEGENERATE_EIGENVALUE, information, line_of_sight, peb_arrays,
                            smallest_eigenvalue)
 from satpeb.geometry import (Geodetic, enu_frames, geodetic_to_ecef,
                              ground_track_orbit, make_virtual_anchors, wrap_longitude)
 from tests.test_fisher import (_anchors_from_sky, centred_rows, geometry_jacobian,
-                               tdoa_covariance)
+                               tdoa_covariance, unit_vectors_en)
 
 
 def exact_observables(truth, anchors, reference_index=None):
@@ -71,8 +71,8 @@ def solve_reference_case(sigma, n_trials, seed):
         estimator.MAX_ITERATIONS, estimator.STEP_TOLERANCE_M)
     origin, basis = enu_frames(truth.lat_rad, truth.lon_rad, truth.alt_m)
     errors = (basis @ (enu_frames(lat, lon)[0] - origin)[..., None])[:, :2, 0]
-    peb = float(peb_arrays(fim_diagonal(line_of_sight(origin, anchors, basis)[1], variances,
-                                        clock_bias=True))[0])
+    _, east, north, _ = line_of_sight(truth.lat_rad, truth.lon_rad, truth.alt_m, anchors)
+    peb = float(peb_arrays(*information(east, north, variances, clock_bias=True))[0])
     rmse = math.sqrt(np.mean(np.sum(errors**2, axis=1)))
     return rmse, peb, np.mean(converged), np.linalg.norm(np.mean(errors, axis=0))
 
@@ -97,8 +97,7 @@ def _parent_simulate(truth, anchors, covariance, rng, ref, n_trials):
     plus a Cholesky factor of `covariance` times one stacked draw. (Its
     eigendecomposition fallback for singular covariances is left out: the
     reference case's is positive definite.)"""
-    ue_ecef, basis = enu_frames(truth.lat_rad, truth.lon_rad, truth.alt_m)
-    ranges = line_of_sight(ue_ecef, anchors, basis)[0]
+    ranges = line_of_sight(truth.lat_rad, truth.lon_rad, truth.alt_m, anchors)[0]
     geometric = np.delete(ranges, ref, axis=-1) - ranges[..., ref, None]
     z = rng.standard_normal((n_trials, geometric.size))
     return geometric + (np.linalg.cholesky(covariance) @ z[..., None])[..., 0]
@@ -466,14 +465,22 @@ def _problem(kind, n_trials):
     return observed, anchors, sigmas**2, ref, guess
 
 
+def _matmul_geometry(lat, lon, alt_m, anchors):
+    """(T, N) ranges by `np.linalg.norm` and (T, N, 2) `unit_vectors_en` of
+    the (N, 3) `anchors` from the UEs at (T,) `lat`/`lon`: the geometry of
+    the step oracles, on the `enu_frames` basis rather than the solver's
+    elementwise `line_of_sight`."""
+    p, basis = enu_frames(lat, lon, alt_m)
+    return np.linalg.norm(anchors - p[:, None], axis=-1), unit_vectors_en(p, anchors, basis)
+
+
 def _difference_step(observed, lat, lon, alt_m, anchors, variances, ref):
     """`estimator._step` as it stood before it took TOAs and variances: the
     (T, N) TOA rows `observed` as range differences against anchor `ref`, on
     `geometry_jacobian`'s rows, weighted by the inverse of their covariance
     `tdoa_covariance`; ranges weighted by their inverse variances where `ref`
     is None. The oracle of the TOA form."""
-    p, basis = enu_frames(lat, lon, alt_m)
-    ranges, units, _ = line_of_sight(p, anchors, basis)
+    ranges, units = _matmul_geometry(lat, lon, alt_m, anchors)
     J = geometry_jacobian(units, ref)
     if ref is None:
         residual, weight = observed - ranges, np.diag(1.0 / variances)
@@ -489,19 +496,17 @@ def _rounding_bound(observed, lat, lon, alt_m, anchors, variances):
     """A bound on what rounding may move a clock-bias step by: each residual
     rounds by about eps * max|TOA|, and the step's gain from residuals is at
     most PEB * sqrt(N * max(1/variance)), taken at the linearisation points."""
-    p, basis = enu_frames(lat, lon, alt_m)
-    units = line_of_sight(p, anchors, basis)[1]
-    peb = peb_arrays(fim_diagonal(units, variances, clock_bias=True))[0]
+    _, east, north, _ = line_of_sight(lat, lon, alt_m, anchors[:, None])
+    peb = peb_arrays(*information(east, north, variances[:, None], clock_bias=True))[0]
     gain = peb * math.sqrt(len(variances) / np.min(variances))
     return np.finfo(float).eps * np.max(np.abs(observed), axis=-1) * gain
 
 
 def _lapack_step(observed, lat, lon, alt_m, anchors, variances, clock_bias):
-    """The Gauss-Newton step written out: Jacobian rows -`line_of_sight`'s
-    units, centred with the residuals by `centred_rows` where `clock_bias`,
-    and LAPACK's `np.linalg.solve(JᵀWJ, JᵀWr)`."""
-    p, basis = enu_frames(lat, lon, alt_m)
-    ranges, units, _ = line_of_sight(p, anchors, basis)
+    """The Gauss-Newton step written out: Jacobian rows -`unit_vectors_en`,
+    centred with the residuals by `centred_rows` where `clock_bias`, and
+    LAPACK's `np.linalg.solve(JᵀWJ, JᵀWr)`."""
+    ranges, units = _matmul_geometry(lat, lon, alt_m, anchors)
     w, residual, J = 1.0 / variances, observed - ranges, -units
     if clock_bias:
         residual = residual - np.sum(w * residual, -1, keepdims=True) / np.sum(w)
@@ -694,6 +699,45 @@ class TestDegenerateGate:
     def test_matches_eigvalsh_on_exact_rank_one(self, p, q, scale):
         # 2**scale * [p, q]^T [p, q] is exactly representable and exactly singular
         _assert_gate_agrees(*(math.ldexp(1.0, scale) * np.array([p * p, p * q, q * q])))
+
+
+    def test_step_gate_is_the_bound_rule(self, monkeypatch, tdoa_case):
+        # det rounds to 0.0 while the closed-form smaller eigenvalue, 0.0078,
+        # passes the eigenvalue gate: the bound calls this degenerate, and so
+        # must the step, which would divide by the determinant
+        a, b, d = 5690823089940.399, 23166718402765.66, 94309176910059.6
+        assert a * d - b * b == 0.0 and smallest_eigenvalue(a, b, d) > DEGENERATE_EIGENVALUE
+        assert peb_arrays(a, b, d)[2]
+        truth, anchors, _ = tdoa_case
+        monkeypatch.setattr(estimator, "information", lambda *_: tuple(
+            np.full(1, x) for x in (a, b, d, 1.0, 1.0)))
+        with pytest.raises(DegenerateGeometryError):
+            estimator._step(np.zeros((1, 4)), np.array([truth.lat_rad]),
+                            np.array([truth.lon_rad]), 0.0, anchors, np.ones(4), True)
+
+
+def test_step_at_the_truth_shares_the_bound_information(monkeypatch, tdoa_case):
+    # With noise-free TOA rows, a step linearised at the reference case's
+    # truth builds `validate`'s bound information bit for bit, and moves by
+    # rounding alone.
+    calls, kernel = [], estimator.information
+
+    def spy(*args, **kwargs):
+        calls.append(kernel(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(estimator, "information", spy)
+    validate(n_trials=1)
+    bound_information = calls[0]
+    truth, anchors, _ = tdoa_case
+    ranges = np.linalg.norm(anchors - geodetic_to_ecef(truth), axis=-1)
+    observed = np.stack([ranges - ranges[0], ranges + 1e3])  # any bias common to a row
+    step = estimator._step(observed, np.array([truth.lat_rad]), np.array([truth.lon_rad]),
+                           truth.alt_m, anchors, np.ones(4), True)
+    a, b, d, *_ = calls[-1]
+    for solver, bound in zip((a, b, d), bound_information):
+        assert solver.tobytes() == bound.tobytes()
+    assert np.all(np.abs(step) < 1e-6)
 
 
 def test_solver_invariant_under_frame_rotation(tdoa_case):

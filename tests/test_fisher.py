@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satpeb.constants import EARTH_RADIUS_M
-from satpeb.fisher import (DEGENERATE_EIGENVALUE, fim_diagonal, line_of_sight,
-                           min_gdop_subsets, peb_arrays, rtt_range_sigma, smallest_eigenvalue,
-                           subset_gdop, toa_range_sigma)
+from satpeb.fisher import (DEGENERATE_EIGENVALUE, _bound, information, is_degenerate,
+                           line_of_sight, min_gdop_subsets, peb_arrays, rtt_range_sigma,
+                           smallest_eigenvalue, subset_gdop, toa_range_sigma)
 from satpeb.geometry import (Geodetic, enu_frames, geodetic_to_ecef,
                              ground_track_orbit, hex_constellation,
                              make_virtual_anchors)
@@ -18,7 +18,7 @@ from satpeb.geometry import (Geodetic, enu_frames, geodetic_to_ecef,
 def centred_rows(units: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The Jacobian rows -`units` (..., N, 2) of TOAs sharing a clock bias,
     centred on their mean under the (N,) weights `w` as
-    `fim_diagonal(..., clock_bias=True)` centres them."""
+    `information(..., clock_bias=True)` centres them."""
     J = -units
     return J - np.sum(J * w[:, None], -2, keepdims=True) / np.sum(w)
 
@@ -42,10 +42,34 @@ def fim(J: np.ndarray, R: np.ndarray) -> np.ndarray:
     return (f + np.swapaxes(f, -1, -2)) / 2.0
 
 
+def fim_diagonal(J: np.ndarray, variances: np.ndarray,
+                 clock_bias: bool = False) -> np.ndarray:
+    """Reference for `information`, in the Jacobian form the package used
+    before it: J^T R^-1 J of independent measurements, from (..., M, 2)
+    Jacobians and their (..., M) variances, the rows scaled by the
+    reciprocal variances, as a symmetrised (..., 2, 2) stack. `clock_bias`
+    centres the rows on their 1/variance-weighted mean."""
+    w = 1.0 / variances
+    if clock_bias:
+        J = J - np.sum(J * w[..., None], -2, keepdims=True) / np.sum(w, -1)[..., None, None]
+    f = np.swapaxes(J, -1, -2) @ (J * w[..., None])
+    return (f + np.swapaxes(f, -1, -2)) / 2.0
+
+
+def stacked(a, b, d) -> np.ndarray:
+    """The (..., 2, 2) stack of the FIMs [[a, b], [b, d]]."""
+    return np.stack([np.stack([a, b], -1), np.stack([b, d], -1)], -2)
+
+
+def peb_of(f: np.ndarray, mean_variance=1.0):
+    """`peb_arrays` of a (..., 2, 2) FIM stack, read as (a, b, d)."""
+    return peb_arrays(f[..., 0, 0], f[..., 0, 1], f[..., 1, 1], mean_variance)
+
+
 def tdoa_covariance(sigmas_m, reference_index: int) -> np.ndarray:
     """The TDOA oracle: covariance of range differences against a reference
     anchor, diagonal sigma_i^2 + sigma_ref^2 and off-diagonal sigma_ref^2,
-    which `fim_diagonal(..., clock_bias=True)` must match with `fim`.
+    which `information(..., clock_bias=True)` must match with `fim`.
     Broadcasts over the leading axes of `sigmas_m` (..., N)."""
     sigmas = np.atleast_1d(np.asarray(sigmas_m, dtype=float))
     n = sigmas.shape[-1]
@@ -75,8 +99,10 @@ def geometry_jacobian(units_en: np.ndarray, reference_index: int | None = None) 
 def unit_vectors_en(ue_ecef: np.ndarray, positions: np.ndarray,
                     basis: np.ndarray) -> np.ndarray:
     """The (..., N, 2) east/north UE->anchor unit vectors as the package
-    computed them before `line_of_sight` also returned the ranges, with
-    `np.linalg.norm`: the bit-for-bit oracle of `line_of_sight(...)[1]`."""
+    computed them before `line_of_sight` went elementwise: normalised by
+    `np.linalg.norm` and projected on the `enu_frames` basis by matmul. The
+    oracle of `line_of_sight`'s east and north components, within a few
+    ulps."""
     ue = np.asarray(ue_ecef, dtype=float)
     d = np.asarray(positions, dtype=float) - ue[..., None, :]
     dist = np.linalg.norm(d, axis=-1)
@@ -122,9 +148,18 @@ def best_subset_indices(units_en: np.ndarray, serving_index: int, k: int) -> tup
 
 
 def _units(ue: Geodetic, anchors: np.ndarray) -> np.ndarray:
-    """(N, 2) unit vectors of the (N, 3) `anchors` in the local frame of `ue`."""
-    ue_ecef, basis = enu_frames(ue.lat_rad, ue.lon_rad, ue.alt_m)
-    return line_of_sight(ue_ecef, anchors, basis)[1]
+    """(N, 2) east/north unit components of the (N, 3) `anchors` in the
+    local frame of `ue`."""
+    _, east, north, _ = line_of_sight(ue.lat_rad, ue.lon_rad, ue.alt_m, anchors)
+    return np.stack([east, north], axis=-1)
+
+
+def search(units_en: np.ndarray, serving: int, k: int, visible=None) -> np.ndarray:
+    """`min_gdop_subsets` on the (D, N, 2) unit vectors of D drops and a
+    (D, N) mask, every anchor visible by default."""
+    if visible is None:
+        visible = np.ones(units_en.shape[:2], dtype=bool)
+    return min_gdop_subsets(units_en[..., 0].T, units_en[..., 1].T, serving, k, visible.T)
 
 
 def _anchors_from_sky(ue: Geodetic, sky: list[tuple[float, float, float]]) -> np.ndarray:
@@ -227,8 +262,8 @@ class TestJacobian:
     def test_below_horizon_has_negative_elevation_sine(self):
         ue = Geodetic(0.0, 0.0, 0.0)
         anchors = _anchors_from_sky(ue, [(0.3, -0.05, 2000e3)])
-        ue_ecef, basis = enu_frames(ue.lat_rad, ue.lon_rad, ue.alt_m)
-        assert line_of_sight(ue_ecef, anchors, basis)[2][0] == pytest.approx(math.sin(-0.05))
+        assert line_of_sight(ue.lat_rad, ue.lon_rad, ue.alt_m, anchors)[3][0] == pytest.approx(
+            math.sin(-0.05))
 
     @pytest.mark.parametrize("clock_bias", [False, True], ids=["rtt", "tdoa"])
     def test_stacked_geometry_jacobian_matches_single(self, clock_bias):
@@ -240,24 +275,23 @@ class TestJacobian:
         lon = rng.uniform(-0.02, 0.02, 30)
         w = 1.0 / rng.uniform(0.5, 2.0, len(grid)) ** 2
 
-        def rows(ue, basis):
-            units = line_of_sight(ue, grid, basis)[1]
+        def rows(lat, lon, anchors):
+            _, east, north, _ = line_of_sight(lat, lon, 0.0, anchors)
+            units = np.moveaxis(np.stack([east, north], axis=-1), 0, -2)  # (..., N, 2)
             return centred_rows(units, w) if clock_bias else -units
 
-        ue_ecef, basis = enu_frames(lat, lon)
-        stacked = rows(ue_ecef, basis)
-        for ue, b, stacked_rows in zip(ue_ecef, basis, stacked):
-            assert np.allclose(stacked_rows, rows(ue, b), rtol=0.0, atol=1e-12)
+        for one_lat, one_lon, stacked_rows in zip(lat, lon, rows(lat, lon, grid[:, None])):
+            assert np.allclose(stacked_rows, rows(one_lat, one_lon, grid), rtol=0.0, atol=1e-12)
 
     def test_stacked_elevation_sines_tell_hidden_anchors(self):
         # the sign of the sine is the horizon mask the run and the solver use
         ue = Geodetic(0.0, 0.0, 0.0)
         good = _anchors_from_sky(ue, [(0.3, 0.5, 2000e3)])
         bad = _anchors_from_sky(ue, [(0.3, -0.05, 2000e3)])
-        ue_ecef, basis = enu_frames(np.zeros(2), np.zeros(2))
-        sin_el = line_of_sight(ue_ecef, np.stack([good, bad]), basis)[2]
-        assert sin_el.shape == (2, 1)
-        np.testing.assert_allclose(sin_el[:, 0], [math.sin(0.5), math.sin(-0.05)], rtol=1e-12)
+        # one anchor per drop: (1, 2, 3) anchors against two UEs
+        sin_el = line_of_sight(np.zeros(2), np.zeros(2), 0.0, np.stack([good, bad], axis=1))[3]
+        assert sin_el.shape == (1, 2)
+        np.testing.assert_allclose(sin_el[0], [math.sin(0.5), math.sin(-0.05)], rtol=1e-12)
 
     @pytest.mark.parametrize("clock_bias", [False, True], ids=["rtt", "tdoa"])
     def test_finite_difference_oracle(self, clock_bias):
@@ -275,7 +309,7 @@ def model_ranges(anchors, ue_ecef, w, clock_bias):
 
 def assert_jacobian_matches_fd(rng, clock_bias, rel_tol, step_m=0.1):
     """Independent central-difference check of the rows the bound and the
-    solver build: -`line_of_sight(...)[1]` against the ranges, or where
+    solver build: -`line_of_sight`'s east/north against the ranges, or where
     `clock_bias` those rows weighted-centred by `centred_rows` against
     the weighted-centred ranges. Each sigma is proportional to its range, as
     a free-space link's, so the weights differ without a draw from `rng`."""
@@ -287,8 +321,8 @@ def assert_jacobian_matches_fd(rng, clock_bias, rel_tol, step_m=0.1):
     sky = [(float(az), float(rng.uniform(math.radians(10), math.radians(80))),
             float(rng.uniform(650e3, 24000e3))) for az in azimuths]
     anchors = _anchors_from_sky(ue, sky)
-    ue_ecef, basis = enu_frames(ue.lat_rad, ue.lon_rad, ue.alt_m)
-    ranges, units, _ = line_of_sight(ue_ecef, anchors, basis)
+    ranges, east, north, _ = line_of_sight(ue.lat_rad, ue.lon_rad, ue.alt_m, anchors)
+    units = np.stack([east, north], axis=-1)
     w = 1.0 / (ranges / 1e6) ** 2
     analytic = centred_rows(units, w) if clock_bias else -units
 
@@ -372,7 +406,7 @@ class TestFim:
         units = np.stack([np.cos(el) * np.sin(az), np.cos(el) * np.cos(az)], axis=-1)
         sigmas = 10.0 ** np.array([s for *_, s in sky])
         variances = sigmas**2
-        f = fim_diagonal(units, variances, clock_bias=True)
+        f = stacked(*information(units[:, 0], units[:, 1], variances, clock_bias=True))
         # F can be tiny on a collinear sky, so errors are measured against
         # the uncentred information sum(w_i |u_i|^2). The LU solve behind
         # the oracle loses accuracy with the covariance's condition number,
@@ -385,8 +419,38 @@ class TestFim:
                          tdoa_covariance(sigmas, r))
             assert np.all(np.abs(f - oracle) <= tol), r
         order = data.draw(st.permutations(range(len(sky))))
-        permuted = fim_diagonal(units[order], variances[order], clock_bias=True)
+        permuted = stacked(*information(units[order, 0], units[order, 1], variances[order],
+                                        clock_bias=True))
         assert np.all(np.abs(permuted - f) <= 16 * eps * scale)
+
+    @pytest.mark.parametrize("clock_bias", [False, True], ids=["rtt", "tdoa"])
+    def test_information_matches_the_jacobian_form(self, clock_bias):
+        # (a, b, d) of the anchor-first kernel against the Jacobian form's
+        # (D, 2, 2) stack: the same sums, added in another order
+        rng = np.random.default_rng(57)
+        east, north = rng.uniform(-1.0, 1.0, (2, 6, 40))
+        variances = 10.0 ** rng.uniform(-2.0, 4.0, (6, 40))
+        oracle = fim_diagonal(np.stack([-east.T, -north.T], axis=-1), variances.T, clock_bias)
+        scale = np.sum((east**2 + north**2) / variances, axis=0)[:, None, None]
+        f = stacked(*information(east, north, variances, clock_bias))
+        assert np.all(np.abs(f - oracle) <= 64 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("clock_bias", [False, True], ids=["rtt", "tdoa"])
+    def test_residual_gives_the_normal_equations_right_hand_side(self, clock_bias):
+        # J^T W r with J the rows -east/-north, centred with r where a bias
+        # is shared; the kernel folds J's sign into the right-hand side
+        rng = np.random.default_rng(59)
+        east, north, residual = rng.uniform(-1.0, 1.0, (3, 5, 30))
+        variances = rng.uniform(0.5, 4.0, (5, 1))
+        a, b, d, ge, gn = information(east, north, variances, clock_bias, residual)
+        assert np.array_equal(np.stack([a, b, d]),
+                              np.stack(information(east, north, variances, clock_bias)))
+        w = 1.0 / variances[:, 0]
+        for t in range(30):
+            J, r = np.stack([-east[:, t], -north[:, t]], axis=-1), residual[:, t]
+            if clock_bias:
+                J, r = centred_rows(-J, w), r - np.sum(w * r) / np.sum(w)
+            np.testing.assert_allclose([-ge[t], -gn[t]], J.T @ (w * r), rtol=0, atol=1e-13)
 
 
 def _fim_with_eigenvalues(large: float, small: float, angle: float) -> np.ndarray:
@@ -406,7 +470,7 @@ _BOUND_EPS_PER_CONDITION = 8
 
 
 def _assert_bound_matches_eigvalsh(f: np.ndarray):
-    bound, gdop, degenerate = peb_arrays(f)
+    bound, gdop, degenerate = peb_of(f)
     assert np.array_equal(degenerate, smallest_eigenvalue(f[:, 0, 0], f[:, 0, 1], f[:, 1, 1])
                           < DEGENERATE_EIGENVALUE)
     assert np.all(np.isnan(bound[degenerate])) and np.all(np.isnan(gdop[degenerate]))
@@ -449,34 +513,44 @@ class TestPeb:
         a, b, d = f[:, 0, 0], f[:, 0, 1], f[:, 1, 1]
         assert np.all(a * d - b * b == 0.0)
         assert np.all(smallest_eigenvalue(a, b, d) > DEGENERATE_EIGENVALUE)
-        bound, gdop, degenerate = peb_arrays(f)
+        bound, gdop, degenerate = peb_of(f)
         assert np.all(degenerate) and np.all(np.isnan(bound)) and np.all(np.isnan(gdop))
+        assert np.all(is_degenerate(a, b, d))
+
+    @pytest.mark.filterwarnings("error")
+    def test_degenerate_entries_raise_no_warning(self):
+        # (a + d) / det of the first would overflow and of the second divide
+        # by zero: the division runs on non-degenerate entries alone
+        a, b, d = np.array([1e200, 0.0, 4.0]), np.zeros(3), np.array([1e-310, 5.0, 1.0])
+        bound, degenerate = _bound(a, b, d, np.nan)
+        assert degenerate.tolist() == [True, True, False]
+        assert np.isnan(bound[:2]).all() and bound[2] == math.sqrt(1.25)
 
     def test_identity_fim(self):
-        bound, gdop, degenerate = peb_arrays(np.eye(2))
+        bound, gdop, degenerate = peb_of(np.eye(2))
         assert not degenerate
         assert bound == pytest.approx(math.sqrt(2.0))
         assert gdop == pytest.approx(math.sqrt(2.0))
 
     def test_diagonal_fim(self):
-        bound, _, _ = peb_arrays(np.diag([4.0, 1.0]))
+        bound, _, _ = peb_of(np.diag([4.0, 1.0]))
         assert bound == pytest.approx(math.sqrt(1.25))
 
     def test_degenerate_flagged_not_raised(self):
-        bound, gdop, degenerate = peb_arrays(np.diag([0.0, 5.0]))
+        bound, gdop, degenerate = peb_of(np.diag([0.0, 5.0]))
         assert degenerate
         assert np.isnan(bound) and np.isnan(gdop)
 
     def test_gdop_uses_mean_variance(self):
-        bound, gdop, _ = peb_arrays(np.eye(2), mean_variance=4.0)
+        bound, gdop, _ = peb_of(np.eye(2), mean_variance=4.0)
         assert gdop == pytest.approx(bound / 2.0)
 
     def test_on_ground_track_single_leo_is_degenerate(self):
         orbit = ground_track_orbit(Geodetic(0.0, 0.0, 0.0), 600e3)
         anchors = make_virtual_anchors(orbit, 10.0, 10)
         ue = Geodetic(math.radians(0.05), 0.0, 0.0)
-        J = -_units(ue, anchors)
-        _, _, degenerate = peb_arrays(fim_diagonal(J, np.full(10, 25.0)))
+        _, east, north, _ = line_of_sight(ue.lat_rad, ue.lon_rad, ue.alt_m, anchors)
+        _, _, degenerate = peb_arrays(*information(east, north, np.full(10, 25.0)))
         assert degenerate
 
     def test_information_monotonicity(self):
@@ -484,8 +558,8 @@ class TestPeb:
         for _ in range(100):
             f = fim(rng.standard_normal((3, 2)), np.eye(3))
             extra = fim(rng.standard_normal((2, 2)), np.diag(rng.uniform(0.5, 3.0, 2)))
-            before, _, before_degenerate = peb_arrays(f)
-            after, _, after_degenerate = peb_arrays(f + extra)
+            before, _, before_degenerate = peb_of(f)
+            after, _, after_degenerate = peb_of(f + extra)
             if before_degenerate or after_degenerate:
                 continue
             assert after <= before + 1e-9
@@ -496,7 +570,7 @@ class TestPeb:
                 for _ in range(40)]
         fims += [np.diag([0.0, 5.0]), np.diag([5e-13, 1.0]), np.eye(2) * 1e-12]
         variances = rng.uniform(0.5, 9.0, len(fims))
-        bound, gdop, degenerate = peb_arrays(np.array(fims), variances)
+        bound, gdop, degenerate = peb_of(np.array(fims), variances)
         for i, (f, v) in enumerate(zip(fims, variances)):
             # the smaller eigenvalue in closed form, and the bound by inversion
             smaller = (f[0, 0] + f[1, 1]) / 2 - math.hypot((f[0, 0] - f[1, 1]) / 2, f[0, 1])
@@ -514,11 +588,11 @@ class TestPeb:
                             rng.uniform(0.5, 3.0, (6, 50, 3)))
         fims[:, :3] = [np.diag([0.0, 5.0]), np.diag([5e-13, 1.0]), np.eye(2) * 1e-12]
         variances = rng.uniform(0.5, 9.0, (6, 50))
-        stacked = peb_arrays(fims, variances)
+        together = peb_of(fims, variances)
         for c in range(len(fims)):
-            for column, per_case in zip(stacked, peb_arrays(fims[c], variances[c])):
+            for column, per_case in zip(together, peb_of(fims[c], variances[c])):
                 assert np.array_equal(column[c], per_case, equal_nan=True)
-        assert np.all(stacked[2][:, :2]) and not np.any(stacked[2][:, 2])
+        assert np.all(together[2][:, :2]) and not np.any(together[2][:, 2])
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.floats(1e-2, 1e2), st.floats(1e-2, 1e2),
@@ -538,9 +612,9 @@ class TestPeb:
                         else along * np.outer(u, u) + across * np.outer(w, w))
             variances.append(variance)
         f, v = np.array(fims), np.array(variances)
-        bound, gdop, degenerate = peb_arrays(f, v)
+        bound, gdop, degenerate = peb_of(f, v)
         # Every sigma times s: information over s^2, variances times s^2.
-        bound_s, gdop_s, degenerate_s = peb_arrays(f / s**2, v * s**2)
+        bound_s, gdop_s, degenerate_s = peb_of(f / s**2, v * s**2)
         assert degenerate.tolist() == [spec[-1] for spec in specs]
         assert np.array_equal(degenerate_s, degenerate)
         usable = ~degenerate
@@ -551,12 +625,12 @@ class TestPeb:
         rng = np.random.default_rng(43)
         J = rng.standard_normal((5, 2))
         R = np.diag(rng.uniform(0.5, 2.0, 5))
-        base, base_gdop, _ = peb_arrays(fim(J, R), mean_variance=float(np.mean(np.diag(R))))
+        base, base_gdop, _ = peb_of(fim(J, R), mean_variance=float(np.mean(np.diag(R))))
         for phi in rng.uniform(0, 2 * math.pi, 10):
             rot = np.array([[math.cos(phi), -math.sin(phi)],
                             [math.sin(phi), math.cos(phi)]])
-            rotated, rotated_gdop, _ = peb_arrays(fim(J @ rot, R),
-                                                  mean_variance=float(np.mean(np.diag(R))))
+            rotated, rotated_gdop, _ = peb_of(fim(J @ rot, R),
+                                              mean_variance=float(np.mean(np.diag(R))))
             assert rotated == pytest.approx(base, rel=1e-9)
             assert rotated_gdop == pytest.approx(base_gdop, rel=1e-9)
 
@@ -576,8 +650,7 @@ class TestSelection:
     @staticmethod
     def _batched(anchors: np.ndarray, ue: Geodetic, k: int,
                  serving: int = 0) -> tuple[int, ...]:
-        units = _units(ue, anchors)[None]
-        return tuple(min_gdop_subsets(units, serving, k, _all_visible(units))[0])
+        return tuple(search(_units(ue, anchors)[None], serving, k)[0])
 
     def test_full_set_returned_when_k_equals_n(self):
         ue = Geodetic(0.1, 0.1, 0.0)
@@ -658,10 +731,9 @@ class TestSelection:
                                  math.radians(6.9), 780e3)
         lat = rng.uniform(-0.03, 0.03, 250)
         lon = rng.uniform(-0.03, 0.03, 250)
-        ue_ecef, basis = enu_frames(lat, lon)
-        units = line_of_sight(ue_ecef, grid, basis)[1]
-        batched = min_gdop_subsets(units, 0, k, _all_visible(units))
-        for drop, chosen in zip(units, batched):
+        _, east, north, _ = line_of_sight(lat, lon, 0.0, grid[:, None])
+        batched = min_gdop_subsets(east, north, 0, k, np.ones(east.shape, dtype=bool))
+        for drop, chosen in zip(np.stack([east.T, north.T], axis=-1), batched):
             assert tuple(chosen) == best_subset_indices(drop, 0, k)
 
     @pytest.mark.parametrize("k", [3, 4])
@@ -673,19 +745,11 @@ class TestSelection:
                                          float(rng.uniform(700e3, 3000e3)))
                                         for _ in range(6)])
                  for _ in range(200)]
-        ue_ecef = geodetic_to_ecef(ue)
-        positions = np.stack(skies)
-        units = line_of_sight(np.broadcast_to(ue_ecef, (200, 3)), positions,
-                              np.broadcast_to(enu_frames(ue.lat_rad, ue.lon_rad)[1],
-                                              (200, 3, 3)))[1]
-        batched = min_gdop_subsets(units, 2, k, _all_visible(units))
-        for drop, chosen in zip(units, batched):
+        # (6, 200, 3): each drop's own sky, anchor axis first
+        _, east, north, _ = line_of_sight(ue.lat_rad, ue.lon_rad, ue.alt_m, np.stack(skies, 1))
+        batched = min_gdop_subsets(east, north, 2, k, np.ones(east.shape, dtype=bool))
+        for drop, chosen in zip(np.stack([east.T, north.T], axis=-1), batched):
             assert tuple(chosen) == best_subset_indices(drop, 2, k)
-
-
-def _all_visible(units_en: np.ndarray) -> np.ndarray:
-    """The (D, N) mask of `min_gdop_subsets` that hides no anchor."""
-    return np.ones(units_en.shape[:2], dtype=bool)
 
 
 def best_visible_subset(units_en: np.ndarray, serving_index: int, k: int,
@@ -757,13 +821,13 @@ class TestClosedFormSelection:
         units = np.stack([_sky(kind, n, serving, rng)
                           for kind in _SKY_KINDS + ("mirror",) * 3 + tuple(kinds)])
         if masking == "none":  # every anchor visible, against the unmasked oracle
-            chosen = min_gdop_subsets(units, serving, k, _all_visible(units))
+            chosen = search(units, serving, k)
             for drop, picked in zip(units, chosen):
                 assert tuple(picked) == best_subset_indices(drop, serving, k)
             return
-        visible = (_all_visible(units) if masking == "all"
+        visible = (np.ones(units.shape[:2], dtype=bool) if masking == "all"
                    else rng.random(units.shape[:2]) < 0.8)
-        chosen = min_gdop_subsets(units, serving, k, visible)
+        chosen = search(units, serving, k, visible)
         for drop, shown, picked in zip(units, visible, chosen):
             assert tuple(picked) == best_visible_subset(drop, serving, k, shown)
 
@@ -776,21 +840,21 @@ class TestClosedFormSelection:
         visible = np.ones((3, 5), dtype=bool)
         visible[1, 0] = False  # the serving anchor hidden: no usable subset
         visible[2, [1, 2]] = False
-        chosen = min_gdop_subsets(units, 0, 3, visible)
+        chosen = search(units, 0, 3, visible)
         # all subsets degenerate: the first; none usable: the first; else a
         # subset of the visible anchors
         assert [tuple(c) for c in chosen[:2]] == [(0, 1, 2), (0, 1, 2)]
         assert set(chosen[2]) <= {0, 3, 4}
         hidden = visible.copy()
         hidden[0, 1] = False  # the all-degenerate fallback skips unusable subsets
-        assert tuple(min_gdop_subsets(units, 0, 3, hidden)[0]) == (0, 2, 3)
+        assert tuple(search(units, 0, 3, hidden)[0]) == (0, 2, 3)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(3, 9).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n))),
            st.integers(0, 2**32 - 1))
     def test_gdop_matches_peb_arrays(self, shape, seed):
         # Two closed forms of one bound from different sums: the subset
-        # score's per-anchor sums and `fim_diagonal`'s centred rows. Each
+        # score's per-anchor sums and `information`'s centred rows. Each
         # carries an absolute error of a few ulps of sum(e*e + n*n) <= k, so
         # they part by k * eps over the smaller eigenvalue: 1e-12 on
         # well-conditioned subsets.
@@ -798,10 +862,11 @@ class TestClosedFormSelection:
         rng = np.random.default_rng(seed)
         units = np.stack([_sky(kind, n, 0, rng) for kind in _SKY_KINDS * 4])
         subsets = np.array(list(itertools.combinations(range(n), k)))
-        gdop = subset_gdop(units, subsets)
-        f = fim_diagonal(units[:, subsets], np.ones(k), clock_bias=True)
-        _, reference, degenerate = peb_arrays(f)
-        smaller = np.linalg.eigvalsh(f)[..., 0]
+        east, north = units[..., 0].T, units[..., 1].T
+        gdop = subset_gdop(east, north, subsets)
+        abd = information(east[subsets.T], north[subsets.T], np.ones((k, 1, 1)), clock_bias=True)
+        _, reference, degenerate = peb_arrays(*abd)
+        smaller = np.linalg.eigvalsh(stacked(*abd))[..., 0]
         assert np.array_equal(np.isinf(gdop), degenerate)
         relative = np.abs(gdop[~degenerate] / reference[~degenerate] - 1.0)
         eps = np.finfo(float).eps
@@ -813,11 +878,10 @@ class TestClosedFormSelection:
         rng = np.random.default_rng(300)
         grid = hex_constellation(Geodetic(0.0, 0.0, 0.0), *map(math.radians, gaps_deg), 780e3)
         lat, lon = rng.uniform(-0.03, 0.03, 500), rng.uniform(-0.03, 0.03, 500)
-        ue_ecef, basis = enu_frames(lat, lon)
-        units = line_of_sight(ue_ecef, grid, basis)[1]
+        _, east, north, _ = line_of_sight(lat, lon, 0.0, grid[:, None])
         subsets = np.array([(0,) + c for c in itertools.combinations(range(1, 7), 3)])
-        gdop = subset_gdop(units, subsets)
-        _, reference, degenerate = peb_arrays(fim_diagonal(units[:, subsets], np.ones(4),
-                                                           clock_bias=True))
+        gdop = subset_gdop(east, north, subsets)
+        _, reference, degenerate = peb_arrays(*information(
+            east[subsets.T], north[subsets.T], np.ones((4, 1, 1)), clock_bias=True))
         assert not np.any(degenerate)
         assert np.all(np.abs(gdop / reference - 1.0) <= 1e-12)

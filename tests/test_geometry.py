@@ -264,26 +264,25 @@ class TestSingleLeoTwin:
 
     @staticmethod
     def _twins(dlon_deg):
-        """ECEF positions and ENU bases of the UEs at (0.1, +-dlon) degrees."""
-        return enu_frames(np.radians([0.1, 0.1]), np.radians([dlon_deg, -dlon_deg]))
+        """Latitudes, longitudes and altitude of the UEs at (0.1, +-dlon)
+        degrees, as `line_of_sight` takes them."""
+        return np.radians([0.1, 0.1]), np.radians([dlon_deg, -dlon_deg]), 0.0
 
     @pytest.mark.parametrize("window_s", [2.0, 10.0])
     @pytest.mark.parametrize("dlon_deg", [0.05, 0.2])
     def test_mirrored_ues_see_equal_rtt_ranges(self, window_s, dlon_deg):
         anchors = make_virtual_anchors(ground_track_orbit(Geodetic(0.0, 0.0), 600e3),
                                        window_s, 10)
-        ue_ecef, basis = self._twins(dlon_deg)
-        ranges = line_of_sight(ue_ecef, anchors, basis)[0]
-        assert np.array_equal(ranges[0], ranges[1])
+        ranges = line_of_sight(*self._twins(dlon_deg), anchors[:, None])[0]  # (N, 2)
+        assert np.array_equal(ranges[:, 0], ranges[:, 1])
 
     @pytest.mark.parametrize("dlon_deg", [0.05, 0.2])
     def test_grid_range_differences_tell_twins_apart(self, dlon_deg):
         grid = hex_constellation(Geodetic(0.0, 0.0), math.radians(13.0),
                                  math.radians(6.9), 780e3)
-        ue_ecef, basis = self._twins(dlon_deg)
-        ranges = line_of_sight(ue_ecef, grid, basis)[0]
-        differences = ranges[:, 1:] - ranges[:, :1]  # against the serving satellite
-        assert np.max(np.abs(differences[0] - differences[1])) > 1e3
+        ranges = line_of_sight(*self._twins(dlon_deg), grid[:, None])[0]
+        differences = ranges[1:] - ranges[:1]  # against the serving satellite
+        assert np.max(np.abs(differences[:, 0] - differences[:, 1])) > 1e3
 
     @pytest.mark.parametrize("dlon_deg", [0.05, 0.2])
     def test_gnss_range_difference_tells_twins_apart(self, dlon_deg):
@@ -292,8 +291,7 @@ class TestSingleLeoTwin:
         gnss = np.stack([geodetic_to_ecef(Geodetic(math.radians(lat), math.radians(lon),
                                                    20_200e3))
                          for lat, lon in ((10.0, 40.0), (-15.0, -35.0))])
-        ue_ecef, basis = self._twins(dlon_deg)
-        ranges, _, sin_el = line_of_sight(ue_ecef, gnss, basis)
+        ranges, _, _, sin_el = line_of_sight(*self._twins(dlon_deg), gnss[:, None])
         assert np.all(sin_el > 0)
-        differences = ranges[:, 1] - ranges[:, 0]  # against the first satellite
+        differences = ranges[1] - ranges[0]  # against the first satellite
         assert abs(differences[0] - differences[1]) > 1e3

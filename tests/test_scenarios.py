@@ -259,22 +259,22 @@ class TestHiddenNeighbors:
         # 27 deg gaps put one same-row neighbor below most drops' horizon
         cfg = make_config("multi-leo", n_ue_drops=200, lon_gap_deg=27.0)
         positions = drop_ues(cfg)
-        ue_ecef, basis = enu_frames(*positions)
-        _, units, sin_el = line_of_sight(ue_ecef, _grid(cfg), basis)
-        # the grid directions and link mask `evaluate` selects from
+        _, east, north, sin_el = line_of_sight(*positions, 0.0, _grid(cfg)[:, None])
+        # the (7, D) grid directions and link mask `evaluate` selects from
         searches = []
         real = scenarios.min_gdop_subsets
         monkeypatch.setattr(scenarios, "min_gdop_subsets",
-                            lambda u, serving, k, visible: searches.append((u, visible, k))
-                            or real(u, serving, k, visible))
+                            lambda e, n, serving, k, visible: searches.append((e, n, visible, k))
+                            or real(e, n, serving, k, visible))
         evaluate(cfg, *positions)
         assert [k for *_, k in searches] == [3, 4]
-        for searched, visible, k in searches:
-            assert np.array_equal(searched, units)
+        units = np.stack([east.T, north.T], axis=-1)  # (D, 7, 2)
+        for searched_east, searched_north, visible, k in searches:
+            assert np.array_equal(searched_east, east) and np.array_equal(searched_north, north)
             assert np.array_equal(visible, sin_el > 0)
-            assert np.count_nonzero((~visible).sum(axis=1) == 1) == 190
-            batched = min_gdop_subsets(units, 0, k, visible)
-            for drop, shown, chosen in zip(units, visible, batched):
+            assert np.count_nonzero((~visible).sum(axis=0) == 1) == 190
+            batched = min_gdop_subsets(east, north, 0, k, visible)
+            for drop, shown, chosen in zip(units, visible.T, batched):
                 index = np.flatnonzero(shown)
                 assert tuple(chosen) == tuple(index[list(best_subset_indices(
                     drop[index], 0, k))])
@@ -291,14 +291,13 @@ class TestHiddenNeighbors:
         cfg = make_config("multi-leo", n_ue_drops=50, lon_gap_deg=27.0, rtt_augmentation=False,
                           link=LinkBudget(neighbor_penalty_db=3.5))
         positions = drop_ues(cfg)
-        ue_ecef, basis = enu_frames(*positions)
-        _, _, sin_el = line_of_sight(ue_ecef, _grid(cfg), basis)
+        sin_el = line_of_sight(*positions, 0.0, _grid(cfg)[:, None])[3]
         calls = []
         real = channel.link_snr
         monkeypatch.setattr(channel, "link_snr", lambda *a: calls.append(a) or real(*a))
         evaluate(cfg, *positions)
         assert len(calls) == 1
-        satellite = np.nonzero(sin_el > 0)[1]
+        satellite = np.nonzero(sin_el > 0)[0]  # the links in the (7, D) mask's order
         assert np.count_nonzero(satellite == 0) == 50 and satellite.size < 50 * 7
         assert np.array_equal(calls[0][-1], np.where(satellite == 0, 0.0, 3.5))
 
@@ -574,44 +573,49 @@ class TestStackedWindows:
 
 class TestLineOfSight:
     """`fisher.line_of_sight` and the link model's off-boresight angle on the
-    shapes `evaluate` passes them, bit for bit against their oracles:
-    `unit_vectors_en`, and the link budget's ranges, elevation sines (on the
-    geocentric up) and `geometry.angle_between` angles taken on every drop's
-    flat (D, W·M) row of anchors."""
+    shapes `evaluate` passes them, against their oracles taken on every
+    drop's flat (D, K) row of anchors: the ranges and the off-boresight
+    angles (`geometry.angle_between`) bit for bit, and within a few ulps the
+    east/north components of `unit_vectors_en` and the elevation sines on
+    the geocentric up, which `line_of_sight` forms elementwise."""
 
     @pytest.mark.parametrize("variant", ["single-leo", "multi-leo"])
     def test_matches_oracle_on_scenario_shapes(self, variant, monkeypatch):
         # multi-leo without RTT, so that the grid is the only anchor set
         cfg = make_config(variant, n_ue_drops=200,
                           **({"rtt_augmentation": False} if variant == "multi-leo" else {}))
-        ue_ecef, basis = enu_frames(*drop_ues(cfg))
-        if variant == "single-leo":  # every window of the tag at once: (W, D, M)
+        lat, lon = drop_ues(cfg)
+        ue_ecef, basis = enu_frames(lat, lon)
+        if variant == "single-leo":  # every window of the tag at once: (M, W, D)
             orbit = ground_track_orbit(_center(cfg), cfg.leo_altitude_m)
-            positions = np.array([make_virtual_anchors(orbit, t, cfg.n_virtual_anchors)
-                                  for t in cfg.measurement_times_s])[:, None]
-            shape = (len(cfg.measurement_times_s), 200, cfg.n_virtual_anchors)
-        else:  # the hexagonal grid: (D, 7)
-            positions, shape = _grid(cfg), (200, 7)
-        ranges, units, sin_el = line_of_sight(ue_ecef, positions, basis)
-        assert ranges.shape == sin_el.shape == shape and units.shape == shape + (2,)
-        assert np.array_equal(units, unit_vectors_en(ue_ecef, positions, basis))
+            positions = np.stack([make_virtual_anchors(orbit, t, cfg.n_virtual_anchors)
+                                  for t in cfg.measurement_times_s], axis=1)
+            shape = (cfg.n_virtual_anchors, len(cfg.measurement_times_s), 200)
+        else:  # the hexagonal grid: (7, D)
+            positions, shape = _grid(cfg), (7, 200)
+        ranges, east, north, sin_el = line_of_sight(lat, lon, 0.0, positions[..., None, :])
+        assert ranges.shape == east.shape == north.shape == sin_el.shape == shape
 
-        def links(flat):  # (D, W·M) -> the shape `evaluate` uses
-            return np.moveaxis(flat.reshape(200, -1, shape[-1]), 0, -2).reshape(shape)
+        def links(flat):  # (D, K) -> the shape `evaluate` uses
+            return flat.T.reshape(shape)
 
         flat = positions.reshape(-1, 3)
         vec = flat - ue_ecef[:, None, :]
         norm = np.linalg.norm(vec, axis=-1)
         up = ue_ecef / np.linalg.norm(ue_ecef, axis=-1, keepdims=True)
+        units = unit_vectors_en(ue_ecef, flat, basis)
         assert np.array_equal(ranges, links(norm))
-        assert np.array_equal(sin_el, links((vec @ up[:, :, None])[..., 0] / norm))
+        eps = np.finfo(float).eps
+        for got, oracle in ((east, units[..., 0]), (north, units[..., 1]),
+                            (sin_el, (vec @ up[:, :, None])[..., 0] / norm)):
+            assert np.max(np.abs(got - links(oracle))) <= 4 * eps
         # the off-boresight angles the link model hands the antenna pattern,
         # on the links whose elevation sine clears the horizon
         angles = []
         real = channel.antenna_gain
         monkeypatch.setattr(channel, "antenna_gain", lambda beamwidth, model, theta:
                             angles.append(theta) or real(beamwidth, model, theta))
-        evaluate(cfg, *drop_ues(cfg))
+        evaluate(cfg, lat, lon)
         assert len(angles) == 1
         oracle = links(angle_between(geodetic_to_ecef(_center(cfg)) - flat, -vec))
         assert np.array_equal(angles[0], oracle[sin_el > 0])
