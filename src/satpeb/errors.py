@@ -22,4 +22,4 @@ class DegenerateGeometryError(SatPebError):
 
 
 class StatisticsError(SatPebError):
-    """No usable samples to summarize."""
+    """No usable samples to summarize, or a usable one that is not finite."""

@@ -5,9 +5,9 @@ The solver fits the horizontal position at fixed altitude to TOA rows with
 the bound's model and the bound's code: each step takes `line_of_sight` at
 the rows' current positions and `information` over their residuals, with
 the clock bias centred out as the bound centres it, and `is_degenerate`
-gates every normal matrix as it gates the bound. So at the truth, with
-noise-free rows, a step's normal matrix is the bound's information bit for
-bit.
+gates every normal matrix as it gates the bound, by its conditioning (see
+`fisher.DEGENERATE_RATIO`). So at the truth, with noise-free rows, a step's
+normal matrix is the bound's information bit for bit.
 `validate` draws the rows of all trials in one call, from the ranges its
 bound is computed at, and solves up to `_BLOCK_TRIALS` of them per pass as
 stacked rows. Every row of a pass starts at the same guess, so the pass's

@@ -27,7 +27,7 @@ import numpy as np
 
 from .constants import EARTH_RADIUS_M, SPEED_OF_LIGHT
 
-DEGENERATE_EIGENVALUE = 1e-12  # m^-2; smaller horizontal information is unusable
+DEGENERATE_RATIO = 1e-10  # dimensionless: det/t^2 of a FIM, see `is_degenerate`
 
 
 def toa_range_sigma(snr_db, bandwidth_hz) -> np.ndarray:
@@ -90,28 +90,27 @@ def information(east, north, variances, clock_bias: bool = False, residual=None)
     return abd + (sum(we * residual[0]), sum(wn * residual[0]))
 
 
-def smallest_eigenvalue(a, b, d):
-    """Smaller eigenvalue of each symmetric [[a, b], [b, d]] in closed form,
-    within a few ulps of the larger one."""
-    return (a + d) / 2.0 - np.hypot((a - d) / 2.0, b)
-
-
 def is_degenerate(a, b, d):
-    """The one degeneracy rule of the bound, the subset scores and the
-    solver's step: `smallest_eigenvalue` below `DEGENERATE_EIGENVALUE`, or a
-    determinant that rounds to zero or below, which the eigenvalue's
-    rounding alone can miss at entries near 1e14."""
-    return (smallest_eigenvalue(a, b, d) < DEGENERATE_EIGENVALUE) | ~(a * d - b * b > 0)
+    """The one degeneracy rule of the bound, the subset scores and the solver's step:
+    [[a, b], [b, d]] is degenerate unless det = a*d - b*b > `DEGENERATE_RATIO` * t^2,
+    t = a + d. det/t^2, about lmin/lmax, rounds by about eps (1.1e-16), so past 1e-10
+    det and the bound are within about 1e-6 of exact. Read off a/t, b/t and d/t, no
+    scale moves it; NaN, inf or t <= 0 is degenerate; scalars give a NumPy bool."""
+    with np.errstate(all="ignore"):
+        t = np.add(a, d)
+        return ~((t > 0) & ((a / t) * (d / t) - (b / t) ** 2 > DEGENERATE_RATIO))
 
 
 def _bound(a, b, d, fill):
-    """sqrt(trace(F^-1)) = sqrt((a + d) / (a*d - b*b)) of each [[a, b], [b, d]],
-    with `fill` where `is_degenerate` holds (no division runs there, so none
-    can overflow), and that degenerate mask."""
-    degenerate = is_degenerate(a, b, d)
-    ratio = np.divide(a + d, a * d - b * b, out=np.full(degenerate.shape, fill),
-                      where=~degenerate)
-    return np.sqrt(ratio), degenerate
+    """sqrt(trace(F^-1)) = sqrt((a + d) / (a*d - b*b)) of each [[a, b], [b, d]], with
+    `fill` where `is_degenerate` holds, and that mask. Scaled by the even power of two
+    that puts a + d in [1/2, 2), no bit or flag moves and no product can overflow."""
+    with np.errstate(all="ignore"):  # only degenerate entries can raise
+        e = np.frexp(np.add(a, d))[1] & -2
+        a, b, d = np.ldexp(a, -e), np.ldexp(b, -e), np.ldexp(d, -e)
+        degenerate = is_degenerate(a, b, d)
+        ratio = np.where(degenerate, fill, (a + d) / (a * d - b * b))
+    return np.ldexp(np.sqrt(ratio), -e // 2), degenerate
 
 
 def peb_arrays(a, b, d, mean_variance=1.0):
@@ -166,7 +165,8 @@ def min_gdop_subsets(east: np.ndarray, north: np.ndarray, serving_index: int, k:
     others = [i for i in range(n) if i != serving_index]
     subsets = np.array([sorted((serving_index,) + c)
                         for c in itertools.combinations(others, k - 1)])
-    gdop = subset_gdop(east, north, subsets)
+    # every subset holds the serving anchor; relative to it, sums round to eps of its spread
+    gdop = subset_gdop(east - east[serving_index], north - north[serving_index], subsets)
     usable = np.all(visible[subsets], axis=1)
     gdop[~usable] = np.inf
     choice = np.argmax(usable, axis=0)  # the all-degenerate fallback

@@ -463,8 +463,6 @@ def _linear_quantile(ordered: np.ndarray, q: float) -> float:
     """Quantile `q` of the sorted 1-D `ordered` by NumPy's "linear" method,
     with its arithmetic, so the bits equal `np.percentile(ordered, 100 * q)`
     (which would import `numpy.ma` on first use)."""
-    if math.isnan(ordered[-1]):  # NaN sorts last and, as in NumPy, wins
-        return math.nan
     virtual = (len(ordered) - 1) * q
     i = math.floor(virtual)
     t = virtual - i
@@ -481,7 +479,9 @@ def summarize(case_id: str, peb_m: np.ndarray, degenerate: np.ndarray) -> Summar
     values = peb_m[~degenerate]
     if values.size == 0:
         raise StatisticsError(f"case {case_id}: no non-degenerate samples")
-    ordered = np.sort(values)
+    ordered = np.sort(values)  # NaN sorts last
+    if not np.isfinite(ordered[[0, -1]]).all():
+        raise StatisticsError(f"case {case_id}: a non-degenerate bound is not finite")
     q1, median, q3 = (_linear_quantile(ordered, q) for q in (0.25, 0.5, 0.75))
     iqr = q3 - q1
     lo_fence = q1 - 1.5 * iqr

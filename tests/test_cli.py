@@ -230,6 +230,25 @@ class TestExecute:
             outs.append((out / "samples.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_weak_links_keep_every_bound(self, tmp_path):
+        # +100 dB of losses multiplies every range sigma by 1e5: the bounds
+        # scale, and no drop turns degenerate, so the command still succeeds
+        summaries = []
+        for name, losses in (("base", 0.0), ("weak", 100.0)):
+            cfg = write_config(tmp_path, {"variant": "single-leo", "n_ue_drops": 200,
+                                          "link": {"extra_losses_db": losses}}, f"{name}.json")
+            out = tmp_path / name
+            assert main(["single-leo", "--config", str(cfg), "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["errors"] == []
+            assert set(manifest["outputs"]) == {"samples.csv", "summary.json", "boxplot.csv"}
+            summaries.append(json.loads((out / "summary.json").read_text()))
+        base, weak = summaries
+        assert list(weak) == list(base)
+        for case_id, stats in base.items():
+            assert weak[case_id]["degenerate_count"] == stats["degenerate_count"]
+            assert weak[case_id]["median"] == pytest.approx(1e5 * stats["median"], rel=1e-12)
+
     def test_json_format(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_RUN)
         out = tmp_path / "out"

@@ -11,12 +11,12 @@ from satpeb import estimator
 from satpeb.constants import EARTH_RADIUS_M
 from satpeb.errors import DegenerateGeometryError, VisibilityError
 from satpeb.estimator import reference_tdoa_case, validate
-from satpeb.fisher import (DEGENERATE_EIGENVALUE, information, line_of_sight, peb_arrays,
-                           smallest_eigenvalue)
+from satpeb.fisher import (DEGENERATE_RATIO, information, is_degenerate, line_of_sight,
+                           peb_arrays)
 from satpeb.geometry import (Geodetic, enu_frames, geodetic_to_ecef,
                              ground_track_orbit, make_virtual_anchors, wrap_longitude)
-from tests.test_fisher import (_anchors_from_sky, centred_rows, geometry_jacobian,
-                               tdoa_covariance, unit_vectors_en)
+from tests.test_fisher import (_anchors_from_sky, assert_rule_matches_eigvalsh, centred_rows,
+                               geometry_jacobian, tdoa_covariance, unit_vectors_en)
 
 
 def exact_observables(truth, anchors, reference_index=None):
@@ -651,24 +651,10 @@ class TestSharedLinearisation:
         assert all(points == rows for rows, points in calls[1:starts[1]] + calls[starts[1] + 1:])
 
 
-# `eigvalsh` and the closed form each land within a few ulps of the larger
-# eigenvalue (at most 2.7 over 4e6 random matrices from 1e-20 to 1e20), so
-# they may disagree only where the smaller one lies this close to the gate.
-_GATE_BAND_ULPS = 8
-
-
 def _assert_gate_agrees(a, b, d):
-    reference = np.linalg.eigvalsh(_symmetric(a, b, d))
-    closed = smallest_eigenvalue(a, b, d)
-    band = _GATE_BAND_ULPS * np.finfo(float).eps * np.abs(reference[..., 1])
-    assert np.all(np.abs(closed - reference[..., 0]) <= band)
-    outside = np.abs(reference[..., 0] - DEGENERATE_EIGENVALUE) > band
-    assert np.array_equal((closed < DEGENERATE_EIGENVALUE)[outside],
-                          (reference[..., 0] < DEGENERATE_EIGENVALUE)[outside])
-
-
-def _symmetric(a, b, d):
-    return np.array([[a, b], [b, d]])
+    """The solver's and the bound's gate, `is_degenerate`, against eigvalsh's
+    eigenvalue ratio, outside the band where rounding may part them."""
+    assert_rule_matches_eigvalsh(a, b, d, is_degenerate(a, b, d))
 
 
 def _rotated(large, small, angle):
@@ -688,10 +674,10 @@ class TestDegenerateGate:
         _assert_gate_agrees(*_rotated(large, large * 10.0 ** -decades_below, angle))
 
     @settings(max_examples=400, deadline=None)
-    @given(st.floats(-12.0, 20.0), st.floats(-1e-3, 1e-3), st.floats(0.0, math.pi))
+    @given(st.floats(-20.0, 20.0), st.floats(-1e-3, 1e-3), st.floats(0.0, math.pi))
     def test_matches_eigvalsh_near_the_gate(self, log_large, offset, angle):
-        small = DEGENERATE_EIGENVALUE * (1.0 + offset)
-        _assert_gate_agrees(*_rotated(max(10.0 ** log_large, small), small, angle))
+        large = 10.0 ** log_large
+        _assert_gate_agrees(*_rotated(large, DEGENERATE_RATIO * (1.0 + offset) * large, angle))
 
     @settings(max_examples=400, deadline=None)
     @given(st.integers(-2**20, 2**20), st.integers(-2**20, 2**20), st.integers(-120, 60))
@@ -700,20 +686,23 @@ class TestDegenerateGate:
         # 2**scale * [p, q]^T [p, q] is exactly representable and exactly singular
         _assert_gate_agrees(*(math.ldexp(1.0, scale) * np.array([p * p, p * q, q * q])))
 
-
     def test_step_gate_is_the_bound_rule(self, monkeypatch, tdoa_case):
-        # det rounds to 0.0 while the closed-form smaller eigenvalue, 0.0078,
-        # passes the eigenvalue gate: the bound calls this degenerate, and so
-        # must the step, which would divide by the determinant
-        a, b, d = 5690823089940.399, 23166718402765.66, 94309176910059.6
-        assert a * d - b * b == 0.0 and smallest_eigenvalue(a, b, d) > DEGENERATE_EIGENVALUE
-        assert peb_arrays(a, b, d)[2]
+        # Two normal matrices the bound calls degenerate, so the step, which
+        # would divide by the determinant, must too: one conditioned at 1e-11
+        # whose smaller eigenvalue, 1e-5, and determinant, 10, are far from
+        # 0, and a rank-one one whose determinant rounds to exactly 0
+        conditioned = _rotated(1e6, 1e-5, 0.3)
+        rank_one = 5690823089940.399, 23166718402765.66, 94309176910059.6
+        assert rank_one[0] * rank_one[2] - rank_one[1] ** 2 == 0.0
         truth, anchors, _ = tdoa_case
-        monkeypatch.setattr(estimator, "information", lambda *_: tuple(
-            np.full(1, x) for x in (a, b, d, 1.0, 1.0)))
-        with pytest.raises(DegenerateGeometryError):
-            estimator._step(np.zeros((1, 4)), np.array([truth.lat_rad]),
-                            np.array([truth.lon_rad]), 0.0, anchors, np.ones(4), True)
+        for a, b, d in (conditioned, rank_one):
+            flag = peb_arrays(a, b, d)[2]
+            assert type(flag) is np.bool_ and flag
+            monkeypatch.setattr(estimator, "information", lambda *_: tuple(
+                np.full(1, x) for x in (a, b, d, 1.0, 1.0)))
+            with pytest.raises(DegenerateGeometryError):
+                estimator._step(np.zeros((1, 4)), np.array([truth.lat_rad]),
+                                np.array([truth.lon_rad]), 0.0, anchors, np.ones(4), True)
 
 
 def test_step_at_the_truth_shares_the_bound_information(monkeypatch, tdoa_case):

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satpeb.constants import EARTH_RADIUS_M
-from satpeb.fisher import (DEGENERATE_EIGENVALUE, _bound, information, is_degenerate,
+from satpeb.fisher import (DEGENERATE_RATIO, _bound, information, is_degenerate,
                            line_of_sight, min_gdop_subsets, peb_arrays, rtt_range_sigma,
-                           smallest_eigenvalue, subset_gdop, toa_range_sigma)
+                           subset_gdop, toa_range_sigma)
 from satpeb.geometry import (Geodetic, enu_frames, geodetic_to_ecef,
                              ground_track_orbit, hex_constellation,
                              make_virtual_anchors)
@@ -119,7 +119,9 @@ def unit_sigma_gdop(units_en: np.ndarray, reference_index: int) -> float:
     f = fim(geometry_jacobian(units_en, reference_index),
             tdoa_covariance(ones, reference_index))
     eig = np.linalg.eigvalsh(f)
-    return math.inf if eig[0] < DEGENERATE_EIGENVALUE else math.sqrt(float(np.sum(1.0 / eig)))
+    if eig[0] <= DEGENERATE_RATIO * eig[1]:
+        return math.inf
+    return math.sqrt(float(np.sum(1.0 / eig)))
 
 
 def best_subset_indices(units_en: np.ndarray, serving_index: int, k: int) -> tuple[int, ...]:
@@ -469,10 +471,29 @@ def _fim_with_eigenvalues(large: float, small: float, angle: float) -> np.ndarra
 _BOUND_EPS_PER_CONDITION = 8
 
 
+# `eigvalsh` lands within a few ulps of the larger eigenvalue (at most 2.7
+# over 4e6 random matrices from 1e-20 to 1e20), and `is_degenerate` rounds
+# det/t^2 by a few eps_mach, so the rule and eigvalsh's lmin < ratio * lmax
+# may part only where lmin lies within this many eps * lmax of the gate.
+_GATE_BAND_EPS = 8
+
+
+def assert_rule_matches_eigvalsh(a, b, d, degenerate):
+    """`degenerate`, the rule's flags of the FIMs [[a, b], [b, d]], equal
+    eigvalsh's lmin <= `DEGENERATE_RATIO` * lmax outside the band around it.
+    For a small ratio r = lmin/lmax, the rule's det/t^2 = r/(1+r)^2 parts
+    from r by 2r^2, far inside the band."""
+    eig = np.linalg.eigvalsh(stacked(a, b, d))
+    small, large = eig[..., 0], eig[..., 1]
+    reference = small <= DEGENERATE_RATIO * large
+    outside = ~(np.abs(small - DEGENERATE_RATIO * large)
+                < _GATE_BAND_EPS * np.finfo(float).eps * np.abs(large))
+    assert np.array_equal(np.asarray(degenerate)[outside], reference[outside])
+
+
 def _assert_bound_matches_eigvalsh(f: np.ndarray):
     bound, gdop, degenerate = peb_of(f)
-    assert np.array_equal(degenerate, smallest_eigenvalue(f[:, 0, 0], f[:, 0, 1], f[:, 1, 1])
-                          < DEGENERATE_EIGENVALUE)
+    assert_rule_matches_eigvalsh(f[:, 0, 0], f[:, 0, 1], f[:, 1, 1], degenerate)
     assert np.all(np.isnan(bound[degenerate])) and np.all(np.isnan(gdop[degenerate]))
     eig = np.linalg.eigvalsh(f[~degenerate])  # the oracle: sqrt(1/l1 + 1/l2)
     oracle = np.sqrt(np.sum(1.0 / eig, axis=-1))
@@ -492,18 +513,20 @@ class TestPeb:
             for small, decades, angle in specs]))
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(st.floats(-1e-6, 1e-6), st.floats(0.0, 12.0),
+    @given(st.lists(st.tuples(st.floats(-1e-3, 1e-3), st.floats(-20.0, 20.0),
                               st.floats(0.0, math.pi)), min_size=1, max_size=8))
     def test_fims_straddling_the_gate(self, specs):
+        # Each spec: the smaller eigenvalue's relative offset from
+        # DEGENERATE_RATIO times the larger, whose decade is the second entry.
         _assert_bound_matches_eigvalsh(np.array([
-            _fim_with_eigenvalues(DEGENERATE_EIGENVALUE * (1.0 + offset) * 10.0 ** decades,
-                                  DEGENERATE_EIGENVALUE * (1.0 + offset), angle)
-            for offset, decades, angle in specs]))
+            _fim_with_eigenvalues(10.0 ** large, DEGENERATE_RATIO * (1.0 + offset) * 10.0 ** large,
+                                  angle)
+            for offset, large, angle in specs]))
 
     def test_determinant_rounding_to_zero_is_degenerate(self):
-        # Rank-one FIMs at 1e13-1e15 scale: the closed-form smaller
-        # eigenvalue rounds to 2e-3-6e-2 m^-2, above the gate, while a*d - b*b
-        # rounds to exactly 0, which would give an infinite bound.
+        # Rank-one FIMs at 1e13-1e15 scale whose a*d - b*b rounds to exactly
+        # 0, which would give an infinite bound: the rule reads their det/t^2,
+        # which rounds to within a few eps of 0 at any scale.
         f = np.array([[[21820007839048.95, 32507937423899.965],
                        [32507937423899.965, 48431054807643.75]],
                       [[128510354302.54944, -1592603915163.544],
@@ -512,7 +535,6 @@ class TestPeb:
                        [451509842862977.2, 330655889617990.7]]])
         a, b, d = f[:, 0, 0], f[:, 0, 1], f[:, 1, 1]
         assert np.all(a * d - b * b == 0.0)
-        assert np.all(smallest_eigenvalue(a, b, d) > DEGENERATE_EIGENVALUE)
         bound, gdop, degenerate = peb_of(f)
         assert np.all(degenerate) and np.all(np.isnan(bound)) and np.all(np.isnan(gdop))
         assert np.all(is_degenerate(a, b, d))
@@ -568,13 +590,17 @@ class TestPeb:
         rng = np.random.default_rng(47)
         fims = [fim(rng.standard_normal((3, 2)), np.diag(rng.uniform(0.5, 3.0, 3)))
                 for _ in range(40)]
-        fims += [np.diag([0.0, 5.0]), np.diag([5e-13, 1.0]), np.eye(2) * 1e-12]
+        # singular, conditioned at 5e-13, and well conditioned at 1e-12 and
+        # 1e-14 m^-2, far below where an absolute eigenvalue gate would cut
+        fims += [np.diag([0.0, 5.0]), np.diag([5e-13, 1.0]), np.eye(2) * 1e-12,
+                 np.diag([2e-14, 1e-14])]
         variances = rng.uniform(0.5, 9.0, len(fims))
         bound, gdop, degenerate = peb_of(np.array(fims), variances)
+        assert degenerate[-4:].tolist() == [True, True, False, False]
         for i, (f, v) in enumerate(zip(fims, variances)):
-            # the smaller eigenvalue in closed form, and the bound by inversion
-            smaller = (f[0, 0] + f[1, 1]) / 2 - math.hypot((f[0, 0] - f[1, 1]) / 2, f[0, 1])
-            assert degenerate[i] == (smaller < DEGENERATE_EIGENVALUE)
+            # the eigenvalue ratio by eigvalsh, and the bound by inversion
+            smaller, larger = np.linalg.eigvalsh(f)
+            assert degenerate[i] == (smaller <= DEGENERATE_RATIO * larger)
             if degenerate[i]:
                 assert np.isnan(bound[i]) and np.isnan(gdop[i])
             else:
@@ -598,12 +624,12 @@ class TestPeb:
     @given(st.lists(st.tuples(st.floats(1e-2, 1e2), st.floats(1e-2, 1e2),
                               st.floats(0.0, math.pi), st.floats(1e-2, 1e2), st.booleans()),
                     min_size=1, max_size=8),
-           st.floats(0.1, 10.0))
+           st.floats(1e-6, 1e6))
     def test_scaling_every_sigma_scales_bound_only(self, specs, s):
         # Each spec: the FIM's eigenvalues along a unit vector u at angle phi
         # and its normal, the mean variance, and whether the FIM is singular.
-        # Singular FIMs stay small, so `smallest_eigenvalue`'s rounding of
-        # their zero eigenvalue stays far below the gate at every scale.
+        # The rule reads det/t^2, which no scale moves, so a singular FIM
+        # stays degenerate, and a well-conditioned one usable, at every s.
         fims, variances = [], []
         for along, across, phi, variance, singular in specs:
             u = np.array([math.cos(phi), math.sin(phi)])
@@ -633,6 +659,94 @@ class TestPeb:
                                               mean_variance=float(np.mean(np.diag(R))))
             assert rotated == pytest.approx(base, rel=1e-9)
             assert rotated_gdop == pytest.approx(base_gdop, rel=1e-9)
+
+
+def _entries(specs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, d) arrays of the FIMs whose larger eigenvalue is 10**(first
+    entry of each spec), the smaller 10**(second) times that, at the angle."""
+    f = np.array([_fim_with_eigenvalues(10.0 ** large, 10.0 ** (large + ratio), angle)
+                  for large, ratio, angle in specs])
+    return f[:, 0, 0], f[:, 0, 1], f[:, 1, 1]
+
+
+# Log ratios on both sides of the gate: anywhere from 1e-20 to 1, or within
+# about 2.3e-4 of DEGENERATE_RATIO (1e-10).
+_LOG_RATIOS = st.floats(-20.0, 0.0) | st.floats(-10.0001, -9.9999)
+_SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf]
+
+
+class TestDegeneracyRule:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-200.0, 200.0), _LOG_RATIOS, st.floats(0.0, math.pi)),
+                    min_size=1, max_size=8),
+           st.integers(-60, 60))
+    def test_scaling_by_a_power_of_two_changes_no_flag(self, specs, k):
+        # 2**k scales each entry, their sum and no ratio of them, exactly
+        a, b, d = _entries(specs)
+        scaled = is_degenerate(*(np.ldexp(x, k) for x in (a, b, d)))
+        assert np.array_equal(scaled, is_degenerate(a, b, d))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-20.0, 20.0), _LOG_RATIOS, st.floats(0.0, math.pi)),
+                    min_size=1, max_size=8),
+           st.integers(-400, 400))
+    def test_scaling_by_a_power_of_four_scales_the_bound_exactly(self, specs, k):
+        # 4**k scales the bound by 2**-k: `_bound` works at the scale of a + d,
+        # so entries out to 1e-280 and 1e260, whose products leave the float
+        # range, keep every bit of it
+        a, b, d = _entries(specs)
+        bound, _, degenerate = peb_arrays(a, b, d)
+        scaled, _, scaled_degenerate = peb_arrays(*(np.ldexp(x, 2 * k) for x in (a, b, d)))
+        assert np.array_equal(scaled_degenerate, degenerate)
+        assert np.array_equal(scaled, np.ldexp(bound, -k), equal_nan=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-2**20, 2**20), st.integers(-2**20, 2**20), st.integers(-120, 60),
+           st.floats(-20.0, 20.0), st.floats(0.0, math.pi))
+    def test_rank_one_fims_are_degenerate(self, p, q, scale, log_large, angle):
+        # 2**scale * [p, q]^T [p, q] is exactly representable and exactly
+        # singular; the rotated one is rounded from eigenvalues 10**log_large and 0
+        exact = math.ldexp(1.0, scale) * np.array([p * p, p * q, q * q])
+        rotated = _entries([(log_large, -math.inf, angle)])
+        for abd in (exact, rotated):
+            bound, gdop, degenerate = peb_arrays(*abd)
+            assert np.all(degenerate) and np.all(np.isnan(bound)) and np.all(np.isnan(gdop))
+
+    def test_random_rank_one_fims_get_no_bound(self):
+        # [p, q]^T [p, q] of random directions and of random normal vectors, at
+        # scales from 1e-20 to 1e20: the absolute eigenvalue gate gave 6,827
+        # of these 200,000 a finite bound
+        rng = np.random.default_rng(67)
+        angle = rng.uniform(0.0, math.pi, 100_000)
+        vectors = np.concatenate([[np.cos(angle), np.sin(angle)],
+                                  rng.standard_normal((2, 100_000))], axis=1)
+        p, q = vectors * np.sqrt(10.0 ** rng.uniform(-20.0, 20.0, 200_000))
+        assert not np.any(np.isfinite(peb_arrays(p * p, p * q, q * q)[0]))
+
+    @settings(max_examples=300, deadline=None)  # tier 1 turns a RuntimeWarning into an error
+    @given(st.lists(st.tuples(*[st.sampled_from(_SPECIAL) | st.builds(
+        lambda sign, decade: sign * 10.0 ** decade, st.sampled_from([-1.0, 1.0]),
+        st.floats(-300.0, 300.0))] * 3), min_size=1, max_size=8))
+    def test_no_warning_at_any_scale(self, entries):
+        a, b, d = np.array(entries).T
+        degenerate = is_degenerate(a, b, d)
+        assert degenerate.dtype == bool
+        assert np.all(degenerate[~(np.isfinite(a) & np.isfinite(b) & np.isfinite(d))])
+        bound, gdop, flags = peb_arrays(a, b, d)
+        assert np.array_equal(flags, degenerate)
+
+    def test_scalar_inputs_give_numpy_bools(self):
+        # `~` on a Python bool is bitwise not: a flag built from Python floats
+        # must still be a NumPy bool, not the truthy int -2
+        a, b, d = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0], [1.0, 0.0, 1e-11],
+                            [math.nan, 0.0, 1.0], [0.0, 0.0, 0.0]]).T
+        expected = is_degenerate(a, b, d)
+        assert expected.tolist() == [False, True, True, True, True]
+        for i in range(len(a)):
+            for kind in (float, np.float64, np.array):
+                entries = [kind(x[i]) for x in (a, b, d)]
+                for flag in (is_degenerate(*entries), peb_arrays(*entries)[2]):
+                    assert type(flag) is np.bool_ and flag == expected[i]
 
 
 class TestSelection:
@@ -854,24 +968,41 @@ class TestClosedFormSelection:
            st.integers(0, 2**32 - 1))
     def test_gdop_matches_peb_arrays(self, shape, seed):
         # Two closed forms of one bound from different sums: the subset
-        # score's per-anchor sums and `information`'s centred rows. Each
-        # carries an absolute error of a few ulps of sum(e*e + n*n) <= k, so
-        # they part by k * eps over the smaller eigenvalue: 1e-12 on
-        # well-conditioned subsets.
+        # score's per-anchor sums, on units relative to anchor 0, which every
+        # subset holds, as `min_gdop_subsets` passes them, and `information`'s
+        # centred rows. Each carries an absolute error of a few ulps of
+        # sum(e*e + n*n) <= 4k, so they part by k * eps over the smaller
+        # eigenvalue: 1e-12 on well-conditioned subsets.
         n, k = shape
         rng = np.random.default_rng(seed)
         units = np.stack([_sky(kind, n, 0, rng) for kind in _SKY_KINDS * 4])
-        subsets = np.array(list(itertools.combinations(range(n), k)))
+        subsets = np.array([(0,) + c for c in itertools.combinations(range(1, n), k - 1)])
         east, north = units[..., 0].T, units[..., 1].T
-        gdop = subset_gdop(east, north, subsets)
+        gdop = subset_gdop(east - east[0], north - north[0], subsets)
         abd = information(east[subsets.T], north[subsets.T], np.ones((k, 1, 1)), clock_bias=True)
         _, reference, degenerate = peb_arrays(*abd)
         smaller = np.linalg.eigvalsh(stacked(*abd))[..., 0]
         assert np.array_equal(np.isinf(gdop), degenerate)
+        assert_rule_matches_eigvalsh(*abd, degenerate)
         relative = np.abs(gdop[~degenerate] / reference[~degenerate] - 1.0)
         eps = np.finfo(float).eps
         assert np.all(relative <= 2.0 * k * eps / smaller[~degenerate])
         assert np.all(relative[smaller[~degenerate] >= 0.01] <= 1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 7).flatmap(lambda n: st.tuples(
+               st.just(n), st.integers(2, n), st.integers(0, n - 1))),
+           st.integers(0, 2**32 - 1))
+    def test_clustered_anchors_choose_as_their_spread_does(self, shape, seed):
+        # Units 2**-30 times an integer spread away from one direction, as a
+        # grid with tiny gaps gives: taken relative to the serving anchor,
+        # every score is exactly 2**30 times the spread's, so the choice is
+        # the spread's. Sums of the raw units would round to eps of |u|^2,
+        # 1e-4 to 1e-3 of these subsets' centred information.
+        n, k, serving = shape
+        spread = np.random.default_rng(seed).integers(-1000, 1001, (8, n, 2)).astype(float)
+        clustered = np.array([0.5, 0.25]) + np.ldexp(spread, -30)
+        assert np.array_equal(search(clustered, serving, k), search(spread, serving, k))
 
     @pytest.mark.parametrize("gaps_deg", [(13.0, 6.9), (27.0, 6.9), (1.0, 0.5)])
     def test_gdop_matches_peb_arrays_on_hex_grids(self, gaps_deg):
