@@ -60,7 +60,7 @@ def _step(observed, lat, lon, alt_m, anchors, variances, clock_bias) -> np.ndarr
     matrix [[a, b], [b, d]] and the right-hand side with the clock bias
     centred out where one is shared. Each sum adds whole rows, so that no
     row's bits depend on another's; Cramer's rule solves them."""
-    ranges, east, north, sin_el = line_of_sight(lat, lon, alt_m, anchors[:, None])
+    ranges, east, north, sin_el, _ = line_of_sight(lat, lon, alt_m, anchors[:, None])
     if np.any(sin_el <= 0):
         raise VisibilityError("anchor at or below the UE horizon")
     a, b, d, ge, gn = information(east, north, variances[:, None], clock_bias,
@@ -120,8 +120,8 @@ def reference_tdoa_case() -> tuple:
     grid = hex_constellation(center, math.radians(13.0), math.radians(6.9), 780e3)
     truth = Geodetic(math.radians(0.05), math.radians(0.08), 0.0)
     # The serving satellite (grid index 0) sorts first in the chosen subset.
-    _, east, north, sin_el = line_of_sight(truth.lat_rad, truth.lon_rad, truth.alt_m,
-                                           grid[:, None])
+    _, east, north, sin_el, _ = line_of_sight(truth.lat_rad, truth.lon_rad, truth.alt_m,
+                                              grid[:, None])
     anchors = grid[min_gdop_subsets(east, north, 0, 4, sin_el > 0)[0]]
     return truth, anchors, center
 
@@ -136,9 +136,9 @@ def validate(n_trials: int = 2000, seed: int = 0) -> ValidationReport:
     truth, anchors, guess = reference_tdoa_case()
     # The bound's geometry and information at the truth, on (N, 1) arrays as
     # `_step` builds them at one point
-    ranges, east, north, sin_el = line_of_sight(np.array([truth.lat_rad]),
-                                                np.array([truth.lon_rad]), truth.alt_m,
-                                                anchors[:, None])
+    ranges, east, north, sin_el, _ = line_of_sight(np.array([truth.lat_rad]),
+                                                   np.array([truth.lon_rad]), truth.alt_m,
+                                                   anchors[:, None])
     if np.any(sin_el <= 0):
         raise VisibilityError("anchor at or below the UE horizon")
     variances, ranges = np.ones(len(anchors)), ranges[:, 0]

@@ -7,11 +7,11 @@ synchronized anchors sharing one unknown UE clock bias, eliminated by a Schur
 complement: the equivalent FIM of Shen and Win (IEEE Trans. Inf. Theory, 2010)
 and the GNSS pseudorange model, as informative as TDOA against any reference.
 The model is written once, on anchor-first arrays: `line_of_sight` is the
-geometry pass (its ranges and elevation sines feed the link budget), and
-`information` turns its east/north components into a block's (a, b, d),
-centred where a clock bias is shared. A case adds its blocks' (a, b, d) and
-`peb_arrays` reads the bound; the estimator's solver steps on the same two
-kernels.
+geometry pass (its ranges, elevation sines and anchor - UE offsets feed the
+link budget), and `information` turns its east/north components into a
+block's (a, b, d), centred where a clock bias is shared. A case adds its
+blocks' (a, b, d) and `peb_arrays` reads the bound; the estimator's solver
+steps on the same two kernels.
 
 Every 2x2 information matrix [[a, b], [b, d]] is read in closed form, with
 no LAPACK call, and one rule, `is_degenerate`, decides which have no
@@ -55,18 +55,18 @@ def rtt_range_sigma(sigma_dl_m, sigma_ul_m) -> np.ndarray:
 
 def line_of_sight(lat_rad, lon_rad, alt_m, anchors: np.ndarray):
     """UE->anchor ranges, east and north components of the UE->anchor unit
-    vectors, and elevation sines (on the geocentric up; <= 0 where an anchor
-    sits at or below its UE's horizon), elementwise from per-coordinate
-    differences. The ECEF coordinates `anchors[..., i]` broadcast against
-    the UE latitudes and longitudes at altitude `alt_m`; with the anchor
-    axis first, (N, 1, 3) anchors against (D,) UEs give (N, D) arrays."""
+    vectors, elevation sines (on the geocentric up; <= 0 where an anchor sits
+    at or below its UE's horizon) and the (dx, dy, dz) anchor - UE offsets
+    they come from, elementwise. The ECEF coordinates `anchors[..., i]`
+    broadcast against the UE latitudes and longitudes at altitude `alt_m`;
+    (N, 1, 3) anchors against (D,) UEs give (N, D) arrays."""
     sl, cl, so, co = np.sin(lat_rad), np.cos(lat_rad), np.sin(lon_rad), np.cos(lon_rad)
     (x, y, z), r = np.moveaxis(anchors, -1, 0), EARTH_RADIUS_M + alt_m
     dx, dy, dz = x - r * cl * co, y - r * cl * so, z - r * sl
     horizontal = co * dx + so * dy
     ranges = np.sqrt(dx * dx + dy * dy + dz * dz)
     return (ranges, (co * dy - so * dx) / ranges, (cl * dz - sl * horizontal) / ranges,
-            (cl * horizontal + sl * dz) / ranges)
+            (cl * horizontal + sl * dz) / ranges, (dx, dy, dz))
 
 
 def information(east, north, variances, clock_bias: bool = False, residual=None):
@@ -125,21 +125,24 @@ def subset_gdop(east: np.ndarray, north: np.ndarray, subsets: np.ndarray) -> np.
     """(C, D) GDOP of each of the (C, k) anchor `subsets` of each drop, from
     the (N, D) east and north unit components of `line_of_sight`, with
     every range sigma at 1 m and the clock bias eliminated, as TDOA does;
-    inf where degenerate.
+    inf where degenerate. The sums run relative to an anchor all subsets hold
+    (ValueError if none), so they round to eps of a subset's spread, not of
+    |u|^2, and a tight rank-one subset scores inf.
 
     The centred information comes from per-anchor sums: with the (C, N) 0/1
     membership matrix M, a = M @ (e*e) - (M @ e)**2 / k over the east
     components e, and likewise b and d, so GDOP is
     sqrt((a + d) / (a*d - b**2)): the Schur complement of Shen and Win as
-    centred sums, with no (k, C, D) stack. `information` on those stacks was
-    1.4x to 2.0x slower over the grid's 15 and 20 subsets at 50 and 1000
-    drops (best of 15, 2-vCPU host); its centred scores differ from these by
-    up to 1.2e-5 relative on near-collinear 3-subsets, with the same choice
-    in all 20,000 searches of the multi-leo defaults at seeds 0-9.
+    centred sums, with no (k, C, D) stack; README gives its speed and its
+    agreement against `information` on such stacks.
     """
     c, k = subsets.shape
     members = np.zeros((c, len(east)))
     members[np.arange(c)[:, None], subsets] = 1.0
+    held = np.flatnonzero(np.all(members, axis=0))
+    if not held.size:
+        raise ValueError("the subsets share no anchor")
+    east, north = east - east[held[0]], north - north[held[0]]
     se, sn, ee, en, nn = members @ np.stack([east, north, east * east, east * north,
                                              north * north])
     return _bound(ee - se * se / k, en - se * sn / k, nn - sn * sn / k, np.inf)[0]
@@ -165,8 +168,7 @@ def min_gdop_subsets(east: np.ndarray, north: np.ndarray, serving_index: int, k:
     others = [i for i in range(n) if i != serving_index]
     subsets = np.array([sorted((serving_index,) + c)
                         for c in itertools.combinations(others, k - 1)])
-    # every subset holds the serving anchor; relative to it, sums round to eps of its spread
-    gdop = subset_gdop(east - east[serving_index], north - north[serving_index], subsets)
+    gdop = subset_gdop(east, north, subsets)
     usable = np.all(visible[subsets], axis=1)
     gdop[~usable] = np.inf
     choice = np.argmax(usable, axis=0)  # the all-degenerate fallback

@@ -43,7 +43,8 @@ class Geodetic:
 @dataclass(frozen=True)
 class OrbitSpec:
     """Circular orbit: altitude, inclination, ascending-node longitude, and
-    initial argument of latitude (angle along the orbit from the node)."""
+    initial argument of latitude (angle along the orbit from the node); the
+    last two may be arrays of one shape, one orbit per element."""
 
     altitude_m: float
     inclination_rad: float
@@ -95,13 +96,13 @@ def enu_frames(lat_rad, lon_rad, alt_m=0.0) -> tuple[np.ndarray, np.ndarray]:
 
 
 def propagate_circular_orbit(spec: OrbitSpec, t) -> np.ndarray:
-    """(..., 3) ECEF positions on a two-body circular orbit at the times `t`
-    (seconds from epoch, a scalar or an array)."""
+    """(..., 3) ECEF positions on two-body circular orbits at the times `t`
+    (seconds from epoch), broadcast against the spec's array fields, if any."""
     if not np.all(np.isfinite(t)):
         raise ValueError("propagation time must be finite")
     u = spec.arg_lat0_rad + spec.angular_rate * np.asarray(t, dtype=float)
-    ci, si = math.cos(spec.inclination_rad), math.sin(spec.inclination_rad)
-    co, so = math.cos(spec.raan_rad), math.sin(spec.raan_rad)
+    ci, si = np.cos(spec.inclination_rad), np.sin(spec.inclination_rad)
+    co, so = np.cos(spec.raan_rad), np.sin(spec.raan_rad)
     cu, su = np.cos(u), np.sin(u)
     return spec.radius_m * np.stack([
         cu * co - su * ci * so,
@@ -130,36 +131,32 @@ def angle_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(cosang, -1.0, 1.0))
 
 
-def make_virtual_anchors(spec: OrbitSpec, measurement_time_s: float,
+def make_virtual_anchors(spec: OrbitSpec, measurement_time_s,
                          n_anchors: int) -> np.ndarray:
-    """(n_anchors, 3) satellite positions uniformly spaced in time over
+    """(n_anchors, ..., 3) satellite positions uniformly spaced in time over
     [-T/2, +T/2] about the epoch at which the beam center crosses the
-    coverage-area center."""
-    if measurement_time_s <= 0:
+    coverage-area center, in one propagation for all window lengths T of
+    `measurement_time_s` (a scalar, or an array of shape `...`)."""
+    times = np.asarray(measurement_time_s, dtype=float)
+    if np.any(times <= 0):
         raise ValueError("measurement time must be positive")
     if n_anchors < 2:
         raise ValueError("at least two virtual anchors are required")
-    return propagate_circular_orbit(spec, np.linspace(
-        -measurement_time_s / 2.0, measurement_time_s / 2.0, n_anchors))
+    return propagate_circular_orbit(spec, np.linspace(-times / 2.0, times / 2.0, n_anchors))
 
 
 def hex_constellation(center: Geodetic, lon_gap_rad: float, lat_gap_rad: float,
                       altitude_m: float) -> np.ndarray:
-    """(7, 3) positions of seven satellites on a hexagonal grid: the serving
-    satellite above `center` first, two same-row neighbors at +-lon_gap, and
-    four side-row neighbors at +-lat_gap offset by half a longitude gap. A zero
-    latitude gap collapses the grid onto a single parallel."""
-    if lon_gap_rad <= 0 or lat_gap_rad < 0:
-        raise ValueError("grid gaps must be positive (latitude gap may be zero)")
-    offsets = [
-        (0.0, 0.0),
-        (0.0, -lon_gap_rad),
-        (0.0, lon_gap_rad),
-        (lat_gap_rad, -lon_gap_rad / 2.0),
-        (lat_gap_rad, lon_gap_rad / 2.0),
-        (-lat_gap_rad, -lon_gap_rad / 2.0),
-        (-lat_gap_rad, lon_gap_rad / 2.0),
-    ]
-    return np.array([propagate_circular_orbit(ground_track_orbit(
-        Geodetic(center.lat_rad + dlat, center.lon_rad + dlon), altitude_m), 0.0)
-        for dlat, dlon in offsets])
+    """(7, 3) positions at t = 0, in one propagation, of seven satellites on the
+    `ground_track_orbit`s of a hexagonal grid: the serving satellite above
+    `center` first, two same-row neighbors at +-lon_gap, and four side-row
+    neighbors at +-lat_gap offset by half a longitude gap. A zero latitude gap
+    collapses the grid onto a single parallel."""
+    if not (0 < lon_gap_rad < math.inf and 0 <= lat_gap_rad < math.inf):
+        raise ValueError("grid gaps must be finite and positive (latitude gap may be zero)")
+    lat = center.lat_rad + lat_gap_rad * np.array([0.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0])
+    lon = center.lon_rad + lon_gap_rad * np.array([0.0, -1.0, 1.0, -0.5, 0.5, -0.5, 0.5])
+    if not (np.all(np.abs(lat) <= math.pi / 2) and np.all(np.isfinite(lon))):
+        raise ValueError("grid latitudes must lie in [-pi/2, pi/2] and longitudes be finite")
+    return propagate_circular_orbit(
+        OrbitSpec(altitude_m, math.pi / 2, wrap_longitude(lon), lat), 0.0)

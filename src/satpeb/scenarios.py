@@ -19,11 +19,12 @@ is taken over the blocks' measurement variances concatenated in that order.
 All drops of a run are evaluated in one in-process array pass: geometry,
 link realization, subset selection and Fisher information run on stacked
 (anchors, drops) arrays, anchor axis first. Each anchor set, the grid or
-one link-draw tag's RTT windows stacked to (anchors, windows, drops), gets
-one `line_of_sight` pass: its ranges and elevation sines feed the link
-budget, its east/north components the information. Each block is computed
-once and shared by the cases that use it, and one PEB pass over the cases'
-stacked (cases, drops) entries gives every bound.
+one link-draw tag's RTT windows stacked to (anchors, windows, drops), is
+one orbit propagation and one `line_of_sight` pass: its ranges, elevation
+sines and off-boresight cosines (taken from its anchor - UE offsets) feed
+the link budget, its east/north components the information. Each block is
+computed once and shared by the cases that use it, and one PEB pass over
+the cases' stacked (cases, drops) entries gives every bound.
 
 A run is three functions: `drop_ues(config)` gives (D,) latitude and
 longitude arrays, `evaluate(config, lat, lon)` gives per case (D,) bound,
@@ -65,8 +66,8 @@ from .constants import EARTH_RADIUS_M
 from .errors import ConfigError, StatisticsError
 from .fisher import (information, line_of_sight, min_gdop_subsets, peb_arrays,
                      rtt_range_sigma, toa_range_sigma)
-from .geometry import (Geodetic, enu_frames, geodetic_to_ecef, ground_track_orbit,
-                       make_virtual_anchors, hex_constellation, wrap_longitude)
+from .geometry import (Geodetic, geodetic_to_ecef, ground_track_orbit, make_virtual_anchors,
+                       hex_constellation, wrap_longitude)
 
 
 @dataclass(frozen=True)
@@ -243,26 +244,28 @@ def drop_ues(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
 # Link realization
 
 
-def _realize(config: ScenarioConfig, beam_center: np.ndarray, directions, anchors: np.ndarray,
-             ue_ecef: np.ndarray, ranges: np.ndarray, sin_el: np.ndarray, draws,
-             penalty_db=0.0):
+def _sight(lat_rad, lon_rad, anchors: np.ndarray, beam_center: np.ndarray):
+    """`line_of_sight` of the (D,) ground UEs and (..., 3) `anchors` on (..., D) arrays,
+    its anchor - UE offsets turned into cosines off each beam's axis, anchor to `beam_center`."""
+    *sight, (dx, dy, dz) = line_of_sight(lat_rad, lon_rad, 0.0, anchors[..., None, :])
+    ax, ay, az = np.moveaxis(anchors - beam_center, -1, 0)[..., None]
+    # np.sum's order, (p0 + p1) + p2, and the ranges keep the pinned bits
+    return *sight, (ax * dx + ay * dy + az * dz) / (np.sqrt(ax * ax + ay * ay + az * az) * sight[0])
+
+
+def _realize(config: ScenarioConfig, directions, ranges: np.ndarray, sin_el: np.ndarray,
+             cos: np.ndarray, draws, penalty_db=0.0):
     """SNR in each of `directions`, (EIRP, G/T, processing gain) triples of
-    `channel.link_snr` under the config's `LinkBudget`, of the links from D
-    UEs (D, 3) to the `anchors` as `line_of_sight` takes them, with its
-    (..., D) `ranges` and elevation sines `sin_el`, on the links that clear
-    the horizon (sine > 0), flattened in the C order of their mask, and that
-    mask. `penalty_db` (scalar, or per anchor) is each link's neighbour
-    penalty. Every beam has the budget's pattern and points at
-    `beam_center`. One LOS/shadowing draw (`draws`) and one pattern gain
-    govern every direction of a link (reciprocal large-scale channel); the
-    penalty and draws broadcast against the mask."""
+    `channel.link_snr` under the config's `LinkBudget`, on the links of
+    `_sight`'s (..., D) `ranges`, elevation sines and off-boresight cosines
+    that clear the horizon (sine > 0), flattened in their mask's C order, and
+    that mask. `penalty_db` (scalar, or per anchor) is each link's neighbour
+    penalty; every beam has the budget's pattern. One LOS/shadowing draw
+    (`draws`) and one pattern gain govern every direction of a link
+    (reciprocal large-scale channel); the penalty and draws broadcast against the mask."""
     budget = config.link
     visible = sin_el > 0
     elevation = np.arcsin(np.minimum(sin_el[visible], 1.0))
-    # `ue - anchor` and `ranges`, not unit vectors: these operations keep the pinned bits
-    axis = beam_center - anchors[..., None, :]
-    cos = np.sum(axis * (ue_ecef - anchors[..., None, :]), axis=-1) / (
-        np.linalg.norm(axis, axis=-1) * ranges)
     off_boresight = np.arccos(np.clip(cos[visible], -1.0, 1.0))
     z_los, z_shadow = (np.broadcast_to(z, visible.shape)[visible] for z in draws)
     if config.los_only:
@@ -353,15 +356,14 @@ def evaluate(config: ScenarioConfig, lat_rad: np.ndarray,
     gnss_snr = channel.cn0_to_snr(budget.gnss_cn0_dbhz, budget.gnss_bandwidth_hz,
                                   budget.gnss_processing_gain_db)
     gnss_sigma = toa_range_sigma(gnss_snr, budget.gnss_bandwidth_hz)
-    ue_ecef = enu_frames(lat_rad, lon_rad)[0]
     info = {}
 
     # All RTT windows of a link-draw tag in one pass, on the tag's one set of
     # link draws: (D, M) LOS uniforms and (D, M) shadowing normals, shared by
-    # the (M, W, 1, 3) windows' virtual anchors. One (M, W, D) `line_of_sight`
-    # pass feeds the link budget and the information; hidden links keep a 1 m
-    # placeholder sigma, and a drop with a hidden anchor is degenerate in the
-    # window.
+    # the (M, W, 3) windows' virtual anchors, propagated in one call. One
+    # (M, W, D) `_sight` pass feeds the link budget and the information;
+    # hidden links keep a 1 m placeholder sigma, and a drop with a hidden
+    # anchor is degenerate in the window.
     orbit = ground_track_orbit(center, config.leo_altitude_m)
     m = config.n_virtual_anchors
     windows = {}
@@ -369,11 +371,10 @@ def evaluate(config: ScenarioConfig, lat_rad: np.ndarray,
         if isinstance(b, Rtt):
             windows.setdefault(b.tag, []).append(b)
     for tag, rtts in windows.items():
-        anchors = np.stack([make_virtual_anchors(orbit, b.time_s, m) for b in rtts], axis=1)
-        ranges, east, north, sin_el = line_of_sight(lat_rad, lon_rad, 0.0, anchors[:, :, None])
+        anchors = make_virtual_anchors(orbit, [b.time_s for b in rtts], m)
+        ranges, east, north, sin_el, cos = _sight(lat_rad, lon_rad, anchors, beam_center)
         draws = (z.T[:, None] for z in substream_draws(seed, tag, (n, m), m))
-        (dl_snr, ul_snr), visible = _realize(config, beam_center, (dl, ul), anchors, ue_ecef,
-                                             ranges, sin_el, draws)
+        (dl_snr, ul_snr), visible = _realize(config, (dl, ul), ranges, sin_el, cos, draws)
         sigma = np.ones(visible.shape)
         sigma[visible] = rtt_range_sigma(toa_range_sigma(dl_snr, budget.bandwidth_hz),
                                          toa_range_sigma(ul_snr, budget.bandwidth_hz))
@@ -388,12 +389,11 @@ def evaluate(config: ScenarioConfig, lat_rad: np.ndarray,
     if any(isinstance(b, Tdoa) for b in blocks):
         grid = hex_constellation(center, math.radians(config.lon_gap_deg),
                                  math.radians(config.lat_gap_deg), config.leo_altitude_m)
-        ranges, east, north, sin_el = line_of_sight(lat_rad, lon_rad, 0.0, grid[:, None])
+        ranges, east, north, sin_el, cos = _sight(lat_rad, lon_rad, grid, beam_center)
         draws = (z.T for z in substream_draws(seed, "ml-link", (n, len(grid)), len(grid)))
         penalty = np.full((len(grid), 1), budget.neighbor_penalty_db)
         penalty[0] = 0.0
-        (snr,), visible = _realize(config, beam_center, (dl,), grid, ue_ecef, ranges, sin_el,
-                                   draws, penalty)
+        (snr,), visible = _realize(config, (dl,), ranges, sin_el, cos, draws, penalty)
         sigma = np.ones(visible.shape)
         sigma[visible] = toa_range_sigma(snr, budget.bandwidth_hz)
         del snr

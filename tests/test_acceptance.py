@@ -151,7 +151,7 @@ def test_criterion_6_ground_track_degeneracy():
     anchors = make_virtual_anchors(orbit, 10.0, 10)
     ue = Geodetic(math.radians(0.05), 0.0, 0.0)  # exactly on the ground track
     sigma = np.full(10, 5.0)
-    _, east, north, _ = line_of_sight(ue.lat_rad, ue.lon_rad, ue.alt_m, anchors)
+    _, east, north, _, _ = line_of_sight(ue.lat_rad, ue.lon_rad, ue.alt_m, anchors)
     flagged = bool(peb_arrays(*information(east, north, sigma**2))[2])
     observed = draw_one(ue, anchors, sigma, np.random.default_rng(0))
     try:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from satpeb import estimator
+from satpeb import estimator, geometry
 from satpeb.constants import EARTH_RADIUS_M
 from satpeb.errors import DegenerateGeometryError, VisibilityError
 from satpeb.estimator import reference_tdoa_case, validate
@@ -71,7 +71,7 @@ def solve_reference_case(sigma, n_trials, seed):
         estimator.MAX_ITERATIONS, estimator.STEP_TOLERANCE_M)
     origin, basis = enu_frames(truth.lat_rad, truth.lon_rad, truth.alt_m)
     errors = (basis @ (enu_frames(lat, lon)[0] - origin)[..., None])[:, :2, 0]
-    _, east, north, _ = line_of_sight(truth.lat_rad, truth.lon_rad, truth.alt_m, anchors)
+    _, east, north, _, _ = line_of_sight(truth.lat_rad, truth.lon_rad, truth.alt_m, anchors)
     peb = float(peb_arrays(*information(east, north, variances, clock_bias=True))[0])
     rmse = math.sqrt(np.mean(np.sum(errors**2, axis=1)))
     return rmse, peb, np.mean(converged), np.linalg.norm(np.mean(errors, axis=0))
@@ -225,6 +225,14 @@ class TestValidate:
         assert solve_reference_case(1.0, 300, seed=8) == pytest.approx(
             (report.rmse_m, report.peb_m, report.convergence_rate, report.mean_error_m),
             rel=1e-12, abs=0)
+
+    def test_reference_grid_is_one_propagation(self, monkeypatch):
+        calls = []
+        real = geometry.propagate_circular_orbit
+        monkeypatch.setattr(geometry, "propagate_circular_orbit",
+                            lambda *a: calls.append(a) or real(*a))
+        validate(n_trials=10)
+        assert len(calls) == 1
 
     def test_anchor_below_the_truth_horizon_raises(self, monkeypatch):
         # `line_of_sight` only reports the elevation sines; `validate` refuses
@@ -496,7 +504,7 @@ def _rounding_bound(observed, lat, lon, alt_m, anchors, variances):
     """A bound on what rounding may move a clock-bias step by: each residual
     rounds by about eps * max|TOA|, and the step's gain from residuals is at
     most PEB * sqrt(N * max(1/variance)), taken at the linearisation points."""
-    _, east, north, _ = line_of_sight(lat, lon, alt_m, anchors[:, None])
+    _, east, north, _, _ = line_of_sight(lat, lon, alt_m, anchors[:, None])
     peb = peb_arrays(*information(east, north, variances[:, None], clock_bias=True))[0]
     gain = peb * math.sqrt(len(variances) / np.min(variances))
     return np.finfo(float).eps * np.max(np.abs(observed), axis=-1) * gain

@@ -152,7 +152,7 @@ def best_subset_indices(units_en: np.ndarray, serving_index: int, k: int) -> tup
 def _units(ue: Geodetic, anchors: np.ndarray) -> np.ndarray:
     """(N, 2) east/north unit components of the (N, 3) `anchors` in the
     local frame of `ue`."""
-    _, east, north, _ = line_of_sight(ue.lat_rad, ue.lon_rad, ue.alt_m, anchors)
+    _, east, north, _, _ = line_of_sight(ue.lat_rad, ue.lon_rad, ue.alt_m, anchors)
     return np.stack([east, north], axis=-1)
 
 
@@ -278,7 +278,7 @@ class TestJacobian:
         w = 1.0 / rng.uniform(0.5, 2.0, len(grid)) ** 2
 
         def rows(lat, lon, anchors):
-            _, east, north, _ = line_of_sight(lat, lon, 0.0, anchors)
+            _, east, north, _, _ = line_of_sight(lat, lon, 0.0, anchors)
             units = np.moveaxis(np.stack([east, north], axis=-1), 0, -2)  # (..., N, 2)
             return centred_rows(units, w) if clock_bias else -units
 
@@ -323,7 +323,7 @@ def assert_jacobian_matches_fd(rng, clock_bias, rel_tol, step_m=0.1):
     sky = [(float(az), float(rng.uniform(math.radians(10), math.radians(80))),
             float(rng.uniform(650e3, 24000e3))) for az in azimuths]
     anchors = _anchors_from_sky(ue, sky)
-    ranges, east, north, _ = line_of_sight(ue.lat_rad, ue.lon_rad, ue.alt_m, anchors)
+    ranges, east, north, _, _ = line_of_sight(ue.lat_rad, ue.lon_rad, ue.alt_m, anchors)
     units = np.stack([east, north], axis=-1)
     w = 1.0 / (ranges / 1e6) ** 2
     analytic = centred_rows(units, w) if clock_bias else -units
@@ -571,7 +571,7 @@ class TestPeb:
         orbit = ground_track_orbit(Geodetic(0.0, 0.0, 0.0), 600e3)
         anchors = make_virtual_anchors(orbit, 10.0, 10)
         ue = Geodetic(math.radians(0.05), 0.0, 0.0)
-        _, east, north, _ = line_of_sight(ue.lat_rad, ue.lon_rad, ue.alt_m, anchors)
+        _, east, north, _, _ = line_of_sight(ue.lat_rad, ue.lon_rad, ue.alt_m, anchors)
         _, _, degenerate = peb_arrays(*information(east, north, np.full(10, 25.0)))
         assert degenerate
 
@@ -845,7 +845,7 @@ class TestSelection:
                                  math.radians(6.9), 780e3)
         lat = rng.uniform(-0.03, 0.03, 250)
         lon = rng.uniform(-0.03, 0.03, 250)
-        _, east, north, _ = line_of_sight(lat, lon, 0.0, grid[:, None])
+        _, east, north, _, _ = line_of_sight(lat, lon, 0.0, grid[:, None])
         batched = min_gdop_subsets(east, north, 0, k, np.ones(east.shape, dtype=bool))
         for drop, chosen in zip(np.stack([east.T, north.T], axis=-1), batched):
             assert tuple(chosen) == best_subset_indices(drop, 0, k)
@@ -860,7 +860,7 @@ class TestSelection:
                                         for _ in range(6)])
                  for _ in range(200)]
         # (6, 200, 3): each drop's own sky, anchor axis first
-        _, east, north, _ = line_of_sight(ue.lat_rad, ue.lon_rad, ue.alt_m, np.stack(skies, 1))
+        _, east, north, _, _ = line_of_sight(ue.lat_rad, ue.lon_rad, ue.alt_m, np.stack(skies, 1))
         batched = min_gdop_subsets(east, north, 2, k, np.ones(east.shape, dtype=bool))
         for drop, chosen in zip(np.stack([east.T, north.T], axis=-1), batched):
             assert tuple(chosen) == best_subset_indices(drop, 2, k)
@@ -1004,12 +1004,29 @@ class TestClosedFormSelection:
         clustered = np.array([0.5, 0.25]) + np.ldexp(spread, -30)
         assert np.array_equal(search(clustered, serving, k), search(spread, serving, k))
 
+    def test_rank_one_subset_on_raw_units_is_degenerate(self):
+        # Anchors 0 and 1 of this collinear sky make an exactly rank-one
+        # 2-subset. On raw units its per-anchor sums round to eps of |u|^2,
+        # which scored it 2.35e8; `subset_gdop` sums relative to an anchor
+        # both subsets hold, so raw units give what relative ones do.
+        units = _sky("collinear", 7, 0, np.random.default_rng(5))
+        east, north = units[:, 0, None], units[:, 1, None]
+        subsets = np.array([[0, 1], [0, 2]])
+        gdop = subset_gdop(east, north, subsets)
+        assert gdop[0, 0] == np.inf
+        assert gdop.tobytes() == subset_gdop(east - east[0], north - north[0], subsets).tobytes()
+
+    def test_subsets_sharing_no_anchor_raise(self):
+        units = _sky("random", 4, 0, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="share no anchor"):
+            subset_gdop(units[:, 0, None], units[:, 1, None], np.array([[0, 1], [2, 3]]))
+
     @pytest.mark.parametrize("gaps_deg", [(13.0, 6.9), (27.0, 6.9), (1.0, 0.5)])
     def test_gdop_matches_peb_arrays_on_hex_grids(self, gaps_deg):
         rng = np.random.default_rng(300)
         grid = hex_constellation(Geodetic(0.0, 0.0, 0.0), *map(math.radians, gaps_deg), 780e3)
         lat, lon = rng.uniform(-0.03, 0.03, 500), rng.uniform(-0.03, 0.03, 500)
-        _, east, north, _ = line_of_sight(lat, lon, 0.0, grid[:, None])
+        _, east, north, _, _ = line_of_sight(lat, lon, 0.0, grid[:, None])
         subsets = np.array([(0,) + c for c in itertools.combinations(range(1, 7), 3)])
         gdop = subset_gdop(east, north, subsets)
         _, reference, degenerate = peb_arrays(*information(

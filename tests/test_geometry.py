@@ -1,7 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satpeb.constants import EARTH_RADIUS_M, MU_EARTH
 from satpeb.fisher import line_of_sight
@@ -25,6 +28,41 @@ def _ecef_to_geodetic(p: np.ndarray) -> Geodetic:
 def _from_enu(enu, origin: Geodetic) -> np.ndarray:
     ecef, basis = enu_frames(origin.lat_rad, origin.lon_rad, origin.alt_m)
     return ecef + enu @ basis
+
+
+def _propagate_one_orbit(spec: OrbitSpec, t) -> np.ndarray:
+    """`propagate_circular_orbit` as it took one orbit per call, its angles
+    through `math`: the oracle of the one-call anchor layouts."""
+    u = spec.arg_lat0_rad + spec.angular_rate * np.asarray(t, dtype=float)
+    ci, si = math.cos(spec.inclination_rad), math.sin(spec.inclination_rad)
+    co, so = math.cos(spec.raan_rad), math.sin(spec.raan_rad)
+    cu, su = np.cos(u), np.sin(u)
+    return spec.radius_m * np.stack([cu * co - su * ci * so, cu * so + su * ci * co, su * si],
+                                    axis=-1)
+
+
+def _grid_per_satellite(center: Geodetic, lon_gap_rad, lat_gap_rad, altitude_m) -> np.ndarray:
+    """The hexagonal grid built one `Geodetic`, `OrbitSpec` and propagation
+    per satellite: the oracle of `hex_constellation`."""
+    offsets = [(0.0, 0.0), (0.0, -lon_gap_rad), (0.0, lon_gap_rad),
+               (lat_gap_rad, -lon_gap_rad / 2.0), (lat_gap_rad, lon_gap_rad / 2.0),
+               (-lat_gap_rad, -lon_gap_rad / 2.0), (-lat_gap_rad, lon_gap_rad / 2.0)]
+    return np.array([_propagate_one_orbit(ground_track_orbit(
+        Geodetic(center.lat_rad + dlat, center.lon_rad + dlon), altitude_m), 0.0)
+        for dlat, dlon in offsets])
+
+
+def _windows_per_call(spec: OrbitSpec, times, n_anchors: int) -> np.ndarray:
+    """(n_anchors, W, 3) virtual anchors of each window propagated on its
+    own, stacked on axis 1: the oracle of `make_virtual_anchors` on an array
+    of windows."""
+    return np.stack([_propagate_one_orbit(spec, np.linspace(-t / 2.0, t / 2.0, n_anchors))
+                     for t in times], axis=1)
+
+
+_LATITUDES = st.floats(-1.25, 1.25)
+_LONGITUDES = st.floats(-7.0, 7.0)
+_ALTITUDES = st.floats(200e3, 4e7)
 
 
 def _enu_frames_stacked(lat_rad, lon_rad, alt_m=0.0):
@@ -219,6 +257,31 @@ class TestVirtualAnchors:
         with pytest.raises(ValueError):
             make_virtual_anchors(spec, 0.0, 10)
 
+    @pytest.mark.parametrize("times", [[2.0, 0.0], [-1.0, 5.0], [[3.0], [-0.0]],
+                                       np.array([10.0, -1e-300])])
+    def test_rejects_any_non_positive_window(self, times):
+        spec = ground_track_orbit(Geodetic(0.0, 0.0, 0.0), 600e3)
+        with pytest.raises(ValueError, match="positive"):
+            make_virtual_anchors(spec, times, 10)
+
+    def test_rejects_a_non_finite_window(self):
+        spec = ground_track_orbit(Geodetic(0.0, 0.0, 0.0), 600e3)
+        with pytest.raises(ValueError, match="finite"):
+            make_virtual_anchors(spec, [5.0, math.nan], 10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_LATITUDES, _LONGITUDES, _ALTITUDES,
+           st.lists(st.floats(1e-3, 3e3), min_size=1, max_size=12), st.integers(2, 20))
+    def test_window_array_equals_one_propagation_per_window(self, lat, lon, altitude_m,
+                                                              times, n):
+        spec = ground_track_orbit(Geodetic(lat, lon), altitude_m)
+        anchors = make_virtual_anchors(spec, times, n)
+        assert anchors.shape == (n, len(times), 3)
+        assert anchors.tobytes() == _windows_per_call(spec, times, n).tobytes()
+        assert (make_virtual_anchors(spec, times[0], n).tobytes()
+                == _propagate_one_orbit(spec, np.linspace(-times[0] / 2, times[0] / 2,
+                                                          n)).tobytes())
+
 
 class TestHexConstellation:
     def test_structure(self):
@@ -252,6 +315,30 @@ class TestHexConstellation:
                                  math.radians(6.9), 780e3)
         for p in grid:
             assert abs(np.linalg.norm(p) - (EARTH_RADIUS_M + 780e3)) < 1.0
+
+    @settings(max_examples=500, deadline=None)
+    @given(_LATITUDES, _LONGITUDES, st.floats(1e-9, 2.0 * math.pi), st.floats(0.0, 0.3),
+           _ALTITUDES)
+    def test_equals_the_per_satellite_grid(self, lat, lon, lon_gap, lat_gap, altitude_m):
+        center = Geodetic(lat, lon)
+        assert (hex_constellation(center, lon_gap, lat_gap, altitude_m).tobytes()
+                == _grid_per_satellite(center, lon_gap, lat_gap, altitude_m).tobytes())
+
+    @pytest.mark.parametrize("center, lon_gap, lat_gap", [
+        (Geodetic(1.4, 0.0), 0.2, 0.2),  # side rows beyond +90 degrees
+        (Geodetic(-1.4, 3.0), 0.2, 0.2),  # and beyond -90 degrees
+        (Geodetic(0.0, 0.0), 0.2, 2.0),
+        (SimpleNamespace(lat_rad=math.nan, lon_rad=0.0), 0.2, 0.1),
+        (SimpleNamespace(lat_rad=0.0, lon_rad=math.inf), 0.2, 0.1),
+        (SimpleNamespace(lat_rad=-math.inf, lon_rad=0.0), 0.2, 0.0),
+        (Geodetic(0.0, 0.0), math.inf, 0.1),
+        (Geodetic(0.0, 0.0), 0.2, math.nan),
+        (Geodetic(0.0, 0.0), 0.2, math.inf)])
+    def test_rejects_rows_off_the_sphere(self, center, lon_gap, lat_gap):
+        with pytest.raises(ValueError, match="grid"):
+            hex_constellation(center, lon_gap, lat_gap, 780e3)
+        with pytest.raises(ValueError):  # as the per-satellite `Geodetic`s did
+            _grid_per_satellite(center, lon_gap, lat_gap, 780e3)
 
 
 class TestSingleLeoTwin:
@@ -291,7 +378,7 @@ class TestSingleLeoTwin:
         gnss = np.stack([geodetic_to_ecef(Geodetic(math.radians(lat), math.radians(lon),
                                                    20_200e3))
                          for lat, lon in ((10.0, 40.0), (-15.0, -35.0))])
-        ranges, _, _, sin_el = line_of_sight(*self._twins(dlon_deg), gnss[:, None])
+        ranges, _, _, sin_el, _ = line_of_sight(*self._twins(dlon_deg), gnss[:, None])
         assert np.all(sin_el > 0)
         differences = ranges[1] - ranges[0]  # against the first satellite
         assert abs(differences[0] - differences[1]) > 1e3

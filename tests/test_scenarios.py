@@ -259,7 +259,7 @@ class TestHiddenNeighbors:
         # 27 deg gaps put one same-row neighbor below most drops' horizon
         cfg = make_config("multi-leo", n_ue_drops=200, lon_gap_deg=27.0)
         positions = drop_ues(cfg)
-        _, east, north, sin_el = line_of_sight(*positions, 0.0, _grid(cfg)[:, None])
+        _, east, north, sin_el, _ = line_of_sight(*positions, 0.0, _grid(cfg)[:, None])
         # the (7, D) grid directions and link mask `evaluate` selects from
         searches = []
         real = scenarios.min_gdop_subsets
@@ -555,70 +555,87 @@ class TestStackedWindows:
     @pytest.mark.parametrize("variant, times, expected", [
         ("single-leo", (2.0,), 1), ("single-leo", (2.0, 3.0, 4.0), 1),
         ("single-leo", tuple(float(t) for t in range(2, 11)), 1),
-        ("multi-leo", (), 2), ("gnss-leo", (2.0, 5.0), 1)])
+        ("multi-leo", (), 2), ("gnss-leo", (2.0, 5.0), 1), ("gnss-leo", (), 1)])
     def test_one_geometry_pass_per_anchor_set(self, variant, times, expected, monkeypatch):
         # The link budget and the FIM read the same `line_of_sight` result:
-        # one call per RTT tag (all its windows) and one for the grid.
-        calls = []
+        # one call per RTT tag (all its windows) and one for the grid, and
+        # each of those anchor layouts is one propagation. The off-boresight
+        # angles come from `line_of_sight`'s offsets, with no UE frames.
+        calls, propagations = [], []
         real = scenarios.line_of_sight
         monkeypatch.setattr(scenarios, "line_of_sight",
                             lambda *a, **k: calls.append(a) or real(*a, **k))
+        propagate = geometry.propagate_circular_orbit
+        monkeypatch.setattr(geometry, "propagate_circular_orbit",
+                            lambda *a: propagations.append(a) or propagate(*a))
         for module in (geometry, scenarios):
-            monkeypatch.setattr(module, "angle_between", raising=False,
-                                value=lambda *a: pytest.fail("angle_between on the run path"))
+            for name in ("angle_between", "enu_frames"):
+                monkeypatch.setattr(module, name, raising=False, value=lambda *a, name=name:
+                                    pytest.fail(f"{name} on the run path"))
         extra = {"measurement_times_s": times} if times else {}
         run(make_config(variant, n_ue_drops=7, **extra))
-        assert len(calls) == expected
+        assert len(calls) == len(propagations) == expected
 
 
 class TestLineOfSight:
     """`fisher.line_of_sight` and the link model's off-boresight angle on the
     shapes `evaluate` passes them, against their oracles taken on every
-    drop's flat (D, K) row of anchors: the ranges and the off-boresight
-    angles (`geometry.angle_between`) bit for bit, and within a few ulps the
-    east/north components of `unit_vectors_en` and the elevation sines on
-    the geocentric up, which `line_of_sight` forms elementwise."""
+    drop's flat (D, K) row of anchors: the ranges, the anchor - UE offsets
+    and the off-boresight angles (`geometry.angle_between`) bit for bit, and
+    within a few ulps the east/north components of `unit_vectors_en` and the
+    elevation sines on the geocentric up, which `line_of_sight` forms
+    elementwise."""
 
-    @pytest.mark.parametrize("variant", ["single-leo", "multi-leo"])
-    def test_matches_oracle_on_scenario_shapes(self, variant, monkeypatch):
-        # multi-leo without RTT, so that the grid is the only anchor set
-        cfg = make_config(variant, n_ue_drops=200,
-                          **({"rtt_augmentation": False} if variant == "multi-leo" else {}))
+    @pytest.mark.parametrize("variant, overrides", [
+        pytest.param("single-leo", {}, id="single-leo"),
+        pytest.param("multi-leo", {"rtt_augmentation": False}, id="multi-leo"),
+        pytest.param("multi-leo", {"rtt_augmentation": True}, id="multi-leo-rtt"),
+        pytest.param("gnss-leo", {}, id="gnss-leo")])
+    def test_matches_oracle_on_scenario_shapes(self, variant, overrides, monkeypatch):
+        # Every anchor set of the run in `evaluate`'s order: the RTT tag's
+        # windows at once, (M, W, D), then the hexagonal grid, (7, D)
+        cfg = make_config(variant, n_ue_drops=200, **overrides)
         lat, lon = drop_ues(cfg)
         ue_ecef, basis = enu_frames(lat, lon)
-        if variant == "single-leo":  # every window of the tag at once: (M, W, D)
-            orbit = ground_track_orbit(_center(cfg), cfg.leo_altitude_m)
-            positions = np.stack([make_virtual_anchors(orbit, t, cfg.n_virtual_anchors)
-                                  for t in cfg.measurement_times_s], axis=1)
-            shape = (cfg.n_virtual_anchors, len(cfg.measurement_times_s), 200)
-        else:  # the hexagonal grid: (7, D)
-            positions, shape = _grid(cfg), (7, 200)
-        ranges, east, north, sin_el = line_of_sight(lat, lon, 0.0, positions[..., None, :])
-        assert ranges.shape == east.shape == north.shape == sin_el.shape == shape
-
-        def links(flat):  # (D, K) -> the shape `evaluate` uses
-            return flat.T.reshape(shape)
-
-        flat = positions.reshape(-1, 3)
-        vec = flat - ue_ecef[:, None, :]
-        norm = np.linalg.norm(vec, axis=-1)
-        up = ue_ecef / np.linalg.norm(ue_ecef, axis=-1, keepdims=True)
-        units = unit_vectors_en(ue_ecef, flat, basis)
-        assert np.array_equal(ranges, links(norm))
-        eps = np.finfo(float).eps
-        for got, oracle in ((east, units[..., 0]), (north, units[..., 1]),
-                            (sin_el, (vec @ up[:, :, None])[..., 0] / norm)):
-            assert np.max(np.abs(got - links(oracle))) <= 4 * eps
+        times = (cfg.measurement_times_s if variant != "multi-leo"
+                 else (cfg.rtt_measurement_time_s,) if cfg.rtt_augmentation else ())
+        orbit = ground_track_orbit(_center(cfg), cfg.leo_altitude_m)
+        anchor_sets = [np.stack([make_virtual_anchors(orbit, t, cfg.n_virtual_anchors)
+                                 for t in times], axis=1)] if times else []
+        if variant == "multi-leo":
+            anchor_sets.append(_grid(cfg))
         # the off-boresight angles the link model hands the antenna pattern,
-        # on the links whose elevation sine clears the horizon
+        # one array per anchor set
         angles = []
         real = channel.antenna_gain
         monkeypatch.setattr(channel, "antenna_gain", lambda beamwidth, model, theta:
                             angles.append(theta) or real(beamwidth, model, theta))
         evaluate(cfg, lat, lon)
-        assert len(angles) == 1
-        oracle = links(angle_between(geodetic_to_ecef(_center(cfg)) - flat, -vec))
-        assert np.array_equal(angles[0], oracle[sin_el > 0])
+        assert len(angles) == len(anchor_sets)
+        eps = np.finfo(float).eps
+        for positions, angle in zip(anchor_sets, angles):
+            shape = positions.shape[:-1] + (200,)
+            ranges, east, north, sin_el, offsets = line_of_sight(lat, lon, 0.0,
+                                                                 positions[..., None, :])
+            assert ranges.shape == east.shape == north.shape == sin_el.shape == shape
+
+            def links(flat, shape=shape):  # (D, K) -> the shape `evaluate` uses
+                return flat.T.reshape(shape)
+
+            flat = positions.reshape(-1, 3)
+            vec = flat - ue_ecef[:, None, :]
+            norm = np.linalg.norm(vec, axis=-1)
+            up = ue_ecef / np.linalg.norm(ue_ecef, axis=-1, keepdims=True)
+            units = unit_vectors_en(ue_ecef, flat, basis)
+            assert np.array_equal(ranges, links(norm))
+            for i, offset in enumerate(offsets):  # anchor - UE
+                assert np.array_equal(offset, links(vec[..., i]))
+            for got, oracle in ((east, units[..., 0]), (north, units[..., 1]),
+                                (sin_el, (vec @ up[:, :, None])[..., 0] / norm)):
+                assert np.max(np.abs(got - links(oracle))) <= 4 * eps
+            # on the links whose elevation sine clears the horizon
+            oracle = links(angle_between(geodetic_to_ecef(_center(cfg)) - flat, -vec))
+            assert np.array_equal(angle, oracle[sin_el > 0])
 
 
 class TestRunBundle:
