@@ -37,7 +37,7 @@ from . import __version__
 from .channel import PINNED_TABLE_CHECKSUMS, table_checksums
 from .config import (CALIBRATED_GNSS_PROCESSING_GAIN_DB,
                      CALIBRATED_LEO_DL_PROCESSING_GAIN_DB,
-                     CALIBRATED_LEO_UL_PROCESSING_GAIN_DB, ScenarioConfig,
+                     CALIBRATED_LEO_UL_PROCESSING_GAIN_DB, VARIANTS, ScenarioConfig,
                      check_seed, config_from_dict, config_to_dict, make_config, with_seed)
 from .errors import ConfigError, SatPebError
 from .estimator import MAX_TRIALS, validate
@@ -142,7 +142,7 @@ def write_boxplot(runs: list[RunBundle], path: Path) -> None:
 
 def emit_manifest(out_dir: Path, configs: list[ScenarioConfig], seed: int,
                   outputs: list[str], errors: list[str],
-                  started: str, finished: str) -> Path:
+                  started: str, finished: str) -> None:
     checksums = table_checksums()
     warnings = [
         f"table asset {name} checksum mismatch (expected {expected})"
@@ -167,9 +167,7 @@ def emit_manifest(out_dir: Path, configs: list[ScenarioConfig], seed: int,
         "warnings": warnings,
         "errors": errors,
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _scenario_configs(command: str, args) -> list[ScenarioConfig]:
@@ -234,12 +232,7 @@ def execute(args) -> int:
                   f"ratio={report.ratio:.3f} convergence={report.convergence_rate:.3f}")
         elif args.command == "reproduce-figures":
             seed = args.seed if args.seed is not None else 0
-            configs = [
-                with_seed(make_config("single-leo"), seed),
-                with_seed(make_config("multi-leo"), seed),
-                with_seed(make_config("gnss-leo"), seed),
-                with_seed(make_config("gnss-only"), seed),
-            ]
+            configs = [with_seed(make_config(variant), seed) for variant in VARIANTS]
             outputs = _run_and_write(configs, args, out_dir)
         else:
             configs = _scenario_configs(args.command, args)
@@ -254,9 +247,7 @@ def execute(args) -> int:
         status = 2 if isinstance(exc, ConfigError) else 1
 
     seed = args.seed if args.seed is not None else (configs[0].seed if configs else 0)
-    manifest = emit_manifest(out_dir, configs, seed, outputs, errors,
-                             started, _utcnow())
-    outputs.append(manifest.name)
+    emit_manifest(out_dir, configs, seed, outputs, errors, started, _utcnow())
     return status
 
 

@@ -31,10 +31,10 @@ CALIBRATED_LEO_UL_PROCESSING_GAIN_DB = 0.0
 CALIBRATED_GNSS_PROCESSING_GAIN_DB = 58.0
 
 # Run-size caps that keep the largest accepted run under about 2 GB of peak
-# RSS. A run's memory grows by about 130 B per realized link, a UE-to-anchor
+# RSS. A run's memory grows by about 116 B per realized link, a UE-to-anchor
 # link of one RTT window (single-leo: 1.8M links at 20,000 drops peak at
-# 306 MB, 4.5M at 50,000 at 658 MB), and by about 2.8 kB per multi-leo drop
-# (20,000 drops peak at 93 MB), whatever the link count.
+# 282 MB, 4.5M at 50,000 at 595 MB), and by about 2.8 kB per multi-leo drop
+# (20,000 drops peak at 94 MB), whatever the link count.
 MAX_VIRTUAL_ANCHORS = 100_000
 MAX_UE_DROPS = 250_000
 MAX_REALIZED_LINKS = 10_000_000
@@ -132,8 +132,11 @@ def validate_config(config: ScenarioConfig) -> None:
         raise ConfigError("measurement_times_s",
                           f"must be empty for variant {config.variant!r}, which has no "
                           "measurement-time sweep")
-    links = (config.n_ue_drops * max(1, len(config.measurement_times_s))
-             * config.n_virtual_anchors)
+    # The RTT windows the run realizes: one per time, multi-leo's one unless
+    # rtt_augmentation is false, and none for gnss-only (which has no times).
+    windows = (int(config.rtt_augmentation is not False) if config.variant == "multi-leo"
+               else len(config.measurement_times_s))
+    links = config.n_ue_drops * windows * config.n_virtual_anchors
     if links > MAX_REALIZED_LINKS:
         raise ConfigError("n_ue_drops",
                           f"n_ue_drops x RTT windows x n_virtual_anchors is {links:,} "

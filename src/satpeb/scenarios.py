@@ -22,9 +22,12 @@ link realization, subset selection and Fisher information run on stacked
 one link-draw tag's RTT windows stacked to (anchors, windows, drops), is
 one orbit propagation and one `line_of_sight` pass: its ranges, elevation
 sines and off-boresight cosines (taken from its anchor - UE offsets) feed
-the link budget, its east/north components the information. Each block is
-computed once and shared by the cases that use it, and one PEB pass over
-the cases' stacked (cases, drops) entries gives every bound.
+the link budget, its east/north components the information. The budget
+runs on those whole arrays, hidden links at a grazing elevation, and one
+`np.where` gives each hidden link a 1 m placeholder sigma that no bound
+reads. Each block is computed once and shared by the cases that use it,
+and one PEB pass over the cases' stacked (cases, drops) entries gives every
+bound.
 
 A run is three functions: `drop_ues(config)` gives (D,) latitude and
 longitude arrays, `evaluate(config, lat, lon)` gives per case (D,) bound,
@@ -253,32 +256,37 @@ def _sight(lat_rad, lon_rad, anchors: np.ndarray, beam_center: np.ndarray):
     return *sight, (ax * dx + ay * dy + az * dz) / (np.sqrt(ax * ax + ay * ay + az * az) * sight[0])
 
 
-def _realize(config: ScenarioConfig, directions, ranges: np.ndarray, sin_el: np.ndarray,
+def _realize(config: ScenarioConfig, two_way: bool, ranges: np.ndarray, sin_el: np.ndarray,
              cos: np.ndarray, draws, penalty_db=0.0):
-    """SNR in each of `directions`, (EIRP, G/T, processing gain) triples of
-    `channel.link_snr` under the config's `LinkBudget`, on the links of
-    `_sight`'s (..., D) `ranges`, elevation sines and off-boresight cosines
-    that clear the horizon (sine > 0), flattened in their mask's C order, and
-    that mask. `penalty_db` (scalar, or per anchor) is each link's neighbour
-    penalty; every beam has the budget's pattern. One LOS/shadowing draw
-    (`draws`) and one pattern gain govern every direction of a link
-    (reciprocal large-scale channel); the penalty and draws broadcast against the mask."""
-    budget = config.link
-    visible = sin_el > 0
-    elevation = np.arcsin(np.minimum(sin_el[visible], 1.0))
-    off_boresight = np.arccos(np.clip(cos[visible], -1.0, 1.0))
-    z_los, z_shadow = (np.broadcast_to(z, visible.shape)[visible] for z in draws)
-    if config.los_only:
-        los = np.ones(elevation.shape, dtype=bool)
-    else:
-        los = z_los < channel.los_probability(config.scenario_class, elevation)
-    sigma_sh, clutter = channel.shadowing_sigma(config.scenario_class, elevation, los)
+    """Range sigma of each of `_sight`'s (..., D) links under the config's
+    `LinkBudget` (the downlink TOA sigma, or with `two_way` the RTT sigma),
+    and the mask of the links above the horizon (sine > 0). The budget runs
+    on the whole link arrays: a hidden link's sine is clipped up to the
+    smallest normal float, which reads the tables' 10 deg entry, and its
+    sigma is the 1 m placeholder. One LOS/shadowing draw (`draws`) and one
+    pattern gain govern both directions of a link (reciprocal large-scale
+    channel); the draws and the neighbour penalty `penalty_db` (scalar, or
+    per anchor) broadcast against the links."""
+    budget, cls = config.link, config.scenario_class
+    elevation = np.arcsin(np.clip(sin_el, np.finfo(float).tiny, 1.0))
+    z_los, z_shadow = draws
+    los = True if config.los_only else z_los < channel.los_probability(cls, elevation)
+    sigma_sh, clutter = channel.shadowing_sigma(cls, elevation, los)
     gain = channel.antenna_gain(math.radians(budget.beamwidth_deg), budget.antenna_model,
-                                off_boresight)
-    penalty = np.broadcast_to(penalty_db, visible.shape)[visible]
-    return [channel.link_snr(budget, *d, ranges[visible], gain, z_shadow * sigma_sh, clutter,
-                             penalty)
-            for d in directions], visible
+                                np.arccos(np.clip(cos, -1.0, 1.0)))
+    shadow = z_shadow * sigma_sh
+
+    def toa(eirp_dbw, g_over_t_db_k, processing_gain_db):
+        snr = channel.link_snr(budget, eirp_dbw, g_over_t_db_k, processing_gain_db, ranges,
+                               gain, shadow, clutter, penalty_db)
+        return toa_range_sigma(snr, budget.bandwidth_hz)
+
+    sigma = toa(budget.dl_eirp_dbw, budget.ue_g_over_t_db_k, budget.leo_dl_processing_gain_db)
+    if two_way:
+        sigma = rtt_range_sigma(sigma, toa(budget.ue_eirp_dbw, budget.sat_g_over_t_db_k,
+                                           budget.leo_ul_processing_gain_db))
+    visible = sin_el > 0
+    return np.where(visible, sigma, 1.0), visible
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +356,7 @@ def evaluate(config: ScenarioConfig, lat_rad: np.ndarray,
     budget, seed, n = config.link, config.seed, len(lat_rad)
     center = Geodetic(math.radians(config.center_lat_deg),
                       math.radians(config.center_lon_deg), 0.0)
-    # Every beam points at the coverage center. A link direction is its
-    # (EIRP, G/T, processing gain).
-    beam_center = geodetic_to_ecef(center)
-    dl = (budget.dl_eirp_dbw, budget.ue_g_over_t_db_k, budget.leo_dl_processing_gain_db)
-    ul = (budget.ue_eirp_dbw, budget.sat_g_over_t_db_k, budget.leo_ul_processing_gain_db)
+    beam_center = geodetic_to_ecef(center)  # every beam points at the coverage center
     gnss_snr = channel.cn0_to_snr(budget.gnss_cn0_dbhz, budget.gnss_bandwidth_hz,
                                   budget.gnss_processing_gain_db)
     gnss_sigma = toa_range_sigma(gnss_snr, budget.gnss_bandwidth_hz)
@@ -361,9 +365,8 @@ def evaluate(config: ScenarioConfig, lat_rad: np.ndarray,
     # All RTT windows of a link-draw tag in one pass, on the tag's one set of
     # link draws: (D, M) LOS uniforms and (D, M) shadowing normals, shared by
     # the (M, W, 3) windows' virtual anchors, propagated in one call. One
-    # (M, W, D) `_sight` pass feeds the link budget and the information;
-    # hidden links keep a 1 m placeholder sigma, and a drop with a hidden
-    # anchor is degenerate in the window.
+    # (M, W, D) `_sight` pass feeds the link budget and the information; a
+    # drop with a hidden anchor is degenerate in the window.
     orbit = ground_track_orbit(center, config.leo_altitude_m)
     m = config.n_virtual_anchors
     windows = {}
@@ -374,12 +377,8 @@ def evaluate(config: ScenarioConfig, lat_rad: np.ndarray,
         anchors = make_virtual_anchors(orbit, [b.time_s for b in rtts], m)
         ranges, east, north, sin_el, cos = _sight(lat_rad, lon_rad, anchors, beam_center)
         draws = (z.T[:, None] for z in substream_draws(seed, tag, (n, m), m))
-        (dl_snr, ul_snr), visible = _realize(config, (dl, ul), ranges, sin_el, cos, draws)
-        sigma = np.ones(visible.shape)
-        sigma[visible] = rtt_range_sigma(toa_range_sigma(dl_snr, budget.bandwidth_hz),
-                                         toa_range_sigma(ul_snr, budget.bandwidth_hz))
-        del dl_snr, ul_snr  # kept, the SNRs would add to the subset search's memory peak
-        variances = sigma**2
+        variances, visible = _realize(config, True, ranges, sin_el, cos, draws)
+        variances **= 2  # the sigmas, squared in place: no copy outlives the pass
         info.update(zip(rtts, zip(zip(*information(east, north, variances)),
                                   np.swapaxes(variances, 0, 1), ~np.all(visible, axis=0))))
 
@@ -393,10 +392,7 @@ def evaluate(config: ScenarioConfig, lat_rad: np.ndarray,
         draws = (z.T for z in substream_draws(seed, "ml-link", (n, len(grid)), len(grid)))
         penalty = np.full((len(grid), 1), budget.neighbor_penalty_db)
         penalty[0] = 0.0
-        (snr,), visible = _realize(config, (dl,), ranges, sin_el, cos, draws, penalty)
-        sigma = np.ones(visible.shape)
-        sigma[visible] = toa_range_sigma(snr, budget.bandwidth_hz)
-        del snr
+        sigma, visible = _realize(config, False, ranges, sin_el, cos, draws, penalty)
         grid_links = (east, north, sigma, visible)
     for block in blocks:
         if isinstance(block, Tdoa):

@@ -274,10 +274,12 @@ def test_run_size_caps_name_the_field(overrides, field):
 
 
 def test_run_size_caps_admit_the_tail_study_sizes():
-    """64,000 drops of the default sweep (5.76M links), and the largest run
-    at each cap."""
+    """64,000 drops of the default sweep (5.76M links), the largest run at
+    each cap, and runs that realize no RTT link whatever their anchor count."""
     make_config("single-leo", n_ue_drops=64_000)
     make_config("gnss-only", n_ue_drops=MAX_UE_DROPS)
+    make_config("gnss-only", n_ue_drops=20_000, n_virtual_anchors=1_000)
+    make_config("multi-leo", n_ue_drops=20_000, n_virtual_anchors=1_000, rtt_augmentation=False)
     make_config("single-leo", n_ue_drops=MAX_REALIZED_LINKS // 90)
     make_config("single-leo", n_ue_drops=1, n_virtual_anchors=MAX_VIRTUAL_ANCHORS)
 

@@ -1,4 +1,7 @@
+import itertools
 import math
+import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -7,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satpeb import channel, geometry, scenarios
-from satpeb.config import SCENARIO_CLASSES, LinkBudget, make_config
+from satpeb.config import ANTENNA_MODELS, SCENARIO_CLASSES, LinkBudget, make_config
 from satpeb.constants import EARTH_RADIUS_M
 from satpeb.errors import StatisticsError
 from satpeb.fisher import line_of_sight, min_gdop_subsets
@@ -254,6 +257,17 @@ class TestMultiLeo:
         assert list(bundle.cases) == ["multi_leo_tdoa3_rtt"]
 
 
+# Both antenna models under the default budget and at both ends of the
+# accepted +-300 dB range of the extra losses and the LEO processing gains:
+# hidden links run the budget too, at a grazing elevation, and must neither
+# warn nor fail however far their SNR goes.
+_EXTREME_LINKS = [
+    LinkBudget(antenna_model=model, **({} if db is None else {
+        "extra_losses_db": db, "leo_dl_processing_gain_db": -db,
+        "leo_ul_processing_gain_db": -db}))
+    for model in ANTENNA_MODELS for db in (None, 300.0, -300.0)]
+
+
 class TestHiddenNeighbors:
     def test_batched_choice_matches_scalar_on_visible_anchors(self, monkeypatch):
         # 27 deg gaps put one same-row neighbor below most drops' horizon
@@ -285,31 +299,43 @@ class TestHiddenNeighbors:
             assert not np.any(degenerate)
 
     def test_grid_links_take_one_budget_pass(self, monkeypatch):
-        # One `link_snr` call over the visible grid links, whose penalty term
-        # is 0 toward the serving satellite (grid index 0) and the config's
-        # neighbour penalty toward every other satellite.
+        # One `link_snr` call over the whole (7, D) grid links, hidden ones
+        # included, whose penalty term is 0 toward the serving satellite
+        # (grid index 0) and the config's neighbour penalty toward every
+        # other satellite; the hidden links then carry the 1 m placeholder.
         cfg = make_config("multi-leo", n_ue_drops=50, lon_gap_deg=27.0, rtt_augmentation=False,
                           link=LinkBudget(neighbor_penalty_db=3.5))
         positions = drop_ues(cfg)
-        sin_el = line_of_sight(*positions, 0.0, _grid(cfg)[:, None])[3]
-        calls = []
-        real = channel.link_snr
+        ranges, _, _, sin_el, _ = line_of_sight(*positions, 0.0, _grid(cfg)[:, None])
+        calls, grids = [], []
+        real, real_tdoa = channel.link_snr, scenarios._tdoa
         monkeypatch.setattr(channel, "link_snr", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(scenarios, "_tdoa", lambda k, *a: grids.append(a) or real_tdoa(k, *a))
         evaluate(cfg, *positions)
         assert len(calls) == 1
-        satellite = np.nonzero(sin_el > 0)[0]  # the links in the (7, D) mask's order
-        assert np.count_nonzero(satellite == 0) == 50 and satellite.size < 50 * 7
-        assert np.array_equal(calls[0][-1], np.where(satellite == 0, 0.0, 3.5))
+        assert np.all(sin_el[0] > 0) and np.any(sin_el <= 0)
+        assert np.array_equal(calls[0][4], ranges)
+        penalty = np.full(ranges.shape, 3.5)
+        penalty[0] = 0.0
+        assert np.array_equal(np.broadcast_to(calls[0][-1], ranges.shape), penalty)
+        for _, _, sigma, visible in grids:
+            assert np.array_equal(visible, sin_el > 0)
+            assert np.all(sigma[~visible] == 1.0) and not np.any(sigma[visible] == 1.0)
 
     def test_too_few_visible_satellites_degenerate_in_every_case(self):
-        cfg = make_config("multi-leo", n_ue_drops=5, lon_gap_deg=60.0)
-        records = evaluate(cfg, *drop_ues(cfg))
-        assert list(records) == ["multi_leo_tdoa3", "multi_leo_tdoa3_rtt",
-                                 "multi_leo_tdoa4", "multi_leo_tdoa4_rtt"]
-        for peb_m, gdop, degenerate in records.values():
-            assert np.all(degenerate) and np.all(np.isnan(peb_m)) and np.all(np.isnan(gdop))
-        with pytest.raises(StatisticsError, match="multi_leo_tdoa3"):
-            run(cfg)
+        # 60 deg gaps hide most of the grid, and a 900 s window some RTT anchors.
+        for link, rtt_time_s in itertools.product(_EXTREME_LINKS, (10.0, 900.0)):
+            cfg = make_config("multi-leo", n_ue_drops=5, lon_gap_deg=60.0,
+                              rtt_measurement_time_s=rtt_time_s, link=link)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                records = evaluate(cfg, *drop_ues(cfg))
+            assert list(records) == ["multi_leo_tdoa3", "multi_leo_tdoa3_rtt",
+                                     "multi_leo_tdoa4", "multi_leo_tdoa4_rtt"]
+            for peb_m, gdop, degenerate in records.values():
+                assert np.all(degenerate) and np.all(np.isnan(peb_m)) and np.all(np.isnan(gdop))
+            with pytest.raises(StatisticsError, match="multi_leo_tdoa3"):
+                run(cfg)
 
 
 class TestHiddenVirtualAnchors:
@@ -330,17 +356,22 @@ class TestHiddenVirtualAnchors:
 
     def test_hidden_rtt_block_flags_only_the_cases_holding_it(self):
         # 900 s carries the 780 km satellite below some drops' horizon.
-        cfg = make_config("multi-leo", n_ue_drops=20, rtt_measurement_time_s=900.0)
-        plain = run(make_config("multi-leo", n_ue_drops=20))
-        bundle = run(cfg)
-        hidden = bundle.cases["multi_leo_tdoa3_rtt"][2]
-        assert 0 < np.count_nonzero(hidden) < 20
-        for case_id, (_, _, degenerate) in bundle.cases.items():
-            if case_id.endswith("_rtt"):
-                assert np.array_equal(degenerate, hidden)
-            else:
-                assert _columns_equal(_sample_columns(bundle, case_id),
-                                      _sample_columns(plain, case_id))
+        for link in _EXTREME_LINKS:
+            cfg = make_config("multi-leo", n_ue_drops=20, rtt_measurement_time_s=900.0,
+                              link=link)
+            plain = run(make_config("multi-leo", n_ue_drops=20, link=link))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                bundle = run(cfg)
+            hidden = bundle.cases["multi_leo_tdoa3_rtt"][2]
+            assert 0 < np.count_nonzero(hidden) < 20
+            assert np.all(np.isfinite(bundle.cases["multi_leo_tdoa3_rtt"][0][~hidden]))
+            for case_id, (_, _, degenerate) in bundle.cases.items():
+                if case_id.endswith("_rtt"):
+                    assert np.array_equal(degenerate, hidden)
+                else:
+                    assert _columns_equal(_sample_columns(bundle, case_id),
+                                          _sample_columns(plain, case_id))
 
 
 class TestGnssLeo:
@@ -365,6 +396,29 @@ class TestGnssLeo:
         east = evaluate(cfg, *_at(0.05, 0.08))["single_leo_t10"][0][0]
         west = evaluate(cfg, *_at(0.05, -0.08))["single_leo_t10"][0][0]
         assert east == pytest.approx(west, rel=1e-6)
+
+
+# tracemalloc's peak over `evaluate` at 2,000 drops is 133 B per realized RTT
+# link for single-leo (22.81 MiB over 180,000 links) and 135 B for gnss-leo
+# (10.31 MiB over 80,000). The bound leaves 5 to 7 B (4 to 5%) for NumPy's
+# temporaries to move, and fails a budget that gathers the visible links into
+# copies first (148 B for both).
+_PEAK_BYTES_PER_RTT_LINK = 140
+
+
+@pytest.mark.parametrize("variant", ["single-leo", "gnss-leo"])
+def test_evaluate_peak_memory_per_rtt_link(variant):
+    cfg = make_config(variant, n_ue_drops=2000)
+    lat, lon = drop_ues(cfg)
+    evaluate(make_config(variant, n_ue_drops=1), lat[:1], lon[:1])  # the tables, loaded once
+    links = cfg.n_ue_drops * len(cfg.measurement_times_s) * cfg.n_virtual_anchors
+    tracemalloc.start()
+    try:
+        evaluate(cfg, lat, lon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _PEAK_BYTES_PER_RTT_LINK * links, f"{peak / links:.1f} B per link"
 
 
 class TestBlockSums:
@@ -633,9 +687,9 @@ class TestLineOfSight:
             for got, oracle in ((east, units[..., 0]), (north, units[..., 1]),
                                 (sin_el, (vec @ up[:, :, None])[..., 0] / norm)):
                 assert np.max(np.abs(got - links(oracle))) <= 4 * eps
-            # on the links whose elevation sine clears the horizon
+            # on every link, hidden or not
             oracle = links(angle_between(geodetic_to_ecef(_center(cfg)) - flat, -vec))
-            assert np.array_equal(angle, oracle[sin_el > 0])
+            assert np.array_equal(angle, oracle)
 
 
 class TestRunBundle:
