@@ -5,10 +5,14 @@ Each source tree given as `--tree LABEL=DIR` (DIR holds `src/satpeb`) is
 measured in alternating rounds, so that a drift of the host's speed falls on
 every tree alike:
 
-* in process: one persistent worker interpreter per tree imports the tree's
-  `satpeb.cli` and runs each command once to warm it. Each round then times
-  every command once on each tree, one command at a time, the trees taking
-  turns and swapping which goes first every round;
+* in process: each round starts a new worker interpreter per tree, in that
+  round's order, which imports the tree's `satpeb.cli` and runs each
+  command once to warm it. The round then times every command once on each
+  tree, one command at a time, the trees taking turns and swapping which
+  goes first every round, and stops its workers. A worker kept for the
+  whole run would carry what is particular to its process (its address
+  layout, where the host schedules it) into every round, where it does not
+  cancel; new workers every round turn it into noise;
 * fresh: each command as a new interpreter, started by a minimal launcher
   process that reports the command's wall time and peak RSS.
 
@@ -110,7 +114,7 @@ def worker(tree: Path) -> None:
 
 
 class _Worker:
-    """A persistent `worker` interpreter for one tree."""
+    """A `worker` interpreter for one tree, kept for one round."""
 
     def __init__(self, tree: Path):
         self.tree = tree
@@ -203,22 +207,25 @@ def main(argv=None) -> int:
     labels = list(trees)
     in_process = {label: {} for label in trees}
     fresh = {label: {} for label in trees}
-    with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
+    sizes = {}
+    with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         argvs = commands(work)
-        workers = {label: stack.enter_context(contextlib.closing(_Worker(tree)))
-                   for label, tree in trees.items()}
-        sizes = {}
-        for label in labels:  # every worker runs each command once to warm it
-            for name, argv in argvs.items():
-                warm = workers[label].run(name)
-                sizes[name] = {"argv": argv, "items": warm["items"], "cases": warm["cases"]}
         for r in range(args.rounds):
             order = labels if r % 2 == 0 else labels[::-1]
-            for name in argvs:
-                for label in order:
-                    in_process[label].setdefault(name, []).append(
-                        workers[label].run(name)["seconds"])
+            with contextlib.ExitStack() as stack:
+                workers = {}
+                for label in order:  # a new worker per tree, run once per command to warm it
+                    workers[label] = stack.enter_context(
+                        contextlib.closing(_Worker(trees[label])))
+                    for name, argv in argvs.items():
+                        warm = workers[label].run(name)
+                        sizes[name] = {"argv": argv, "items": warm["items"],
+                                       "cases": warm["cases"]}
+                for name in argvs:
+                    for label in order:
+                        in_process[label].setdefault(name, []).append(
+                            workers[label].run(name)["seconds"])
             for label in order:
                 for name, cmd in argvs.items():
                     fresh[label].setdefault(name, []).append(

@@ -16,8 +16,9 @@ against it:
 * `closed`: `peb_arrays`, the closed form the package writes;
 * `eigvalsh`: sqrt(1/l1 + 1/l2) from LAPACK's eigenvalues.
 
-Only bounds the outputs carry are scored: drops degenerate by the gate, or
-with an anchor below the horizon, are left out. Per variant and seed it
+Only bounds the outputs carry are scored: drops degenerate by the gate are
+left out, those with an anchor below the horizon among them (its NaN range
+sigma makes the case FIM NaN). Per variant and seed it
 prints how many bounds were scored and, per form, the max and p99.9
 relative error and the count above 1e-12. Forming F in float64 costs
 about eps * cond(F) in either form; a form that works on the Jacobian rows

@@ -15,7 +15,8 @@ steps on the same two kernels.
 
 Every 2x2 information matrix [[a, b], [b, d]] is read in closed form, with
 no LAPACK call, and one rule, `is_degenerate`, decides which have no
-bound, for the case bound, the subset scores and the solver's step gate.
+bound, for the case bound (a hidden link's NaN range sigma makes its FIM
+NaN), the subset scores and the solver's step gate.
 """
 
 from __future__ import annotations

@@ -24,10 +24,10 @@ one orbit propagation and one `line_of_sight` pass: its ranges, elevation
 sines and off-boresight cosines (taken from its anchor - UE offsets) feed
 the link budget, its east/north components the information. The budget
 runs on those whole arrays, hidden links at a grazing elevation, and one
-`np.where` gives each hidden link a 1 m placeholder sigma that no bound
-reads. Each block is computed once and shared by the cases that use it,
-and one PEB pass over the cases' stacked (cases, drops) entries gives every
-bound.
+`np.where` makes each hidden link's sigma NaN: its drop's information is
+NaN, so `fisher.is_degenerate`, the one rule, flags every case holding it.
+Each block is computed once and shared by the cases that use it, and one
+PEB pass over the cases' stacked (cases, drops) entries gives every bound.
 
 A run is three functions: `drop_ues(config)` gives (D,) latitude and
 longitude arrays, `evaluate(config, lat, lon)` gives per case (D,) bound,
@@ -260,10 +260,10 @@ def _realize(config: ScenarioConfig, two_way: bool, ranges: np.ndarray, sin_el: 
              cos: np.ndarray, draws, penalty_db=0.0):
     """Range sigma of each of `_sight`'s (..., D) links under the config's
     `LinkBudget` (the downlink TOA sigma, or with `two_way` the RTT sigma),
-    and the mask of the links above the horizon (sine > 0). The budget runs
-    on the whole link arrays: a hidden link's sine is clipped up to the
-    smallest normal float, which reads the tables' 10 deg entry, and its
-    sigma is the 1 m placeholder. One LOS/shadowing draw (`draws`) and one
+    NaN on a link at or below the horizon (sine <= 0). The budget runs on
+    the whole link arrays: a hidden link's sine is clipped up to the
+    smallest normal float, which reads the tables' 10 deg entry, before its
+    sigma is set to NaN. One LOS/shadowing draw (`draws`) and one
     pattern gain govern both directions of a link (reciprocal large-scale
     channel); the draws and the neighbour penalty `penalty_db` (scalar, or
     per anchor) broadcast against the links."""
@@ -285,8 +285,7 @@ def _realize(config: ScenarioConfig, two_way: bool, ranges: np.ndarray, sin_el: 
     if two_way:
         sigma = rtt_range_sigma(sigma, toa(budget.ue_eirp_dbw, budget.sat_g_over_t_db_k,
                                            budget.leo_ul_processing_gain_db))
-    visible = sin_el > 0
-    return np.where(visible, sigma, 1.0), visible
+    return np.where(sin_el > 0, sigma, np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +305,8 @@ class Rtt:
 class Tdoa:
     """Downlink range differences over each drop's minimum-GDOP k-subset of
     the hexagonal grid's satellites above its horizon, the serving satellite
-    as reference. A drop with fewer than k visible satellites is degenerate
-    in every case that holds the block."""
+    as reference. A drop with fewer than k visible satellites gets a subset
+    with a hidden one and is degenerate in every case that holds the block."""
 
     k: int
 
@@ -347,26 +346,23 @@ def evaluate(config: ScenarioConfig, lat_rad: np.ndarray,
              lon_rad: np.ndarray) -> dict[str, tuple[np.ndarray, ...]]:
     """Case id -> (D,) bound, GDOP and degenerate flag of every case of the
     config for UEs at the (D,) ground positions `lat_rad`, `lon_rad`; bound
-    and GDOP are NaN where the drop is degenerate. Row i takes drop i's
-    draws (link, GNSS sky) of the config's seed, so a row's result depends
-    only on the config and that row's position. The inputs are not
-    modified."""
+    and GDOP are NaN where degenerate, as on every drop with a hidden link.
+    Row i takes drop i's draws (link, GNSS sky) of the config's seed, so a
+    row's result depends only on the config and that row's position. The
+    inputs are not modified."""
     cases = case_table(config)
     blocks = list(dict.fromkeys(b for bs in cases.values() for b in bs))
     budget, seed, n = config.link, config.seed, len(lat_rad)
     center = Geodetic(math.radians(config.center_lat_deg),
                       math.radians(config.center_lon_deg), 0.0)
     beam_center = geodetic_to_ecef(center)  # every beam points at the coverage center
-    gnss_snr = channel.cn0_to_snr(budget.gnss_cn0_dbhz, budget.gnss_bandwidth_hz,
-                                  budget.gnss_processing_gain_db)
-    gnss_sigma = toa_range_sigma(gnss_snr, budget.gnss_bandwidth_hz)
     info = {}
 
     # All RTT windows of a link-draw tag in one pass, on the tag's one set of
     # link draws: (D, M) LOS uniforms and (D, M) shadowing normals, shared by
     # the (M, W, 3) windows' virtual anchors, propagated in one call. One
     # (M, W, D) `_sight` pass feeds the link budget and the information; a
-    # drop with a hidden anchor is degenerate in the window.
+    # hidden anchor's NaN variance makes its drop's window information NaN.
     orbit = ground_track_orbit(center, config.leo_altitude_m)
     m = config.n_virtual_anchors
     windows = {}
@@ -377,10 +373,10 @@ def evaluate(config: ScenarioConfig, lat_rad: np.ndarray,
         anchors = make_virtual_anchors(orbit, [b.time_s for b in rtts], m)
         ranges, east, north, sin_el, cos = _sight(lat_rad, lon_rad, anchors, beam_center)
         draws = (z.T[:, None] for z in substream_draws(seed, tag, (n, m), m))
-        variances, visible = _realize(config, True, ranges, sin_el, cos, draws)
+        variances = _realize(config, True, ranges, sin_el, cos, draws)
         variances **= 2  # the sigmas, squared in place: no copy outlives the pass
         info.update(zip(rtts, zip(zip(*information(east, north, variances)),
-                                  np.swapaxes(variances, 0, 1), ~np.all(visible, axis=0))))
+                                  np.swapaxes(variances, 0, 1))))
 
     # The (7, 3) hexagonal grid, serving satellite first: (7, D) downlink TOA
     # sigmas in one budget pass, where only the serving satellite runs the
@@ -392,55 +388,54 @@ def evaluate(config: ScenarioConfig, lat_rad: np.ndarray,
         draws = (z.T for z in substream_draws(seed, "ml-link", (n, len(grid)), len(grid)))
         penalty = np.full((len(grid), 1), budget.neighbor_penalty_db)
         penalty[0] = 0.0
-        sigma, visible = _realize(config, False, ranges, sin_el, cos, draws, penalty)
-        grid_links = (east, north, sigma, visible)
+        sigma = _realize(config, False, ranges, sin_el, cos, draws, penalty)
+        grid_links = (east, north, sigma, sin_el > 0)
     for block in blocks:
         if isinstance(block, Tdoa):
             info[block] = _tdoa(block.k, *grid_links)
         elif isinstance(block, Gnss):
-            info[block] = (*_gnss(config, block.n, n, gnss_sigma), np.zeros(n, dtype=bool))
+            info[block] = _gnss(config, block.n, n)
 
     # Every case's summed information and mean variance, stacked to (C, D)
     # for one bound pass.
-    abd, mean_variances, shorts = [], [], []
+    abd, mean_variances = [], []
     for case_blocks in cases.values():
-        entries, variances, short = zip(*(info[b] for b in case_blocks))
+        entries, variances = zip(*(info[b] for b in case_blocks))
         abd.append([sum(x[1:], x[0]) for x in zip(*entries)])
         mean_variances.append(np.mean(np.concatenate(variances), axis=0))
-        shorts.append(np.any(short, axis=0))
-    peb_m, gdop, degenerate = peb_arrays(*np.stack(abd, axis=1), np.stack(mean_variances))
-    degenerate |= np.stack(shorts)
-    peb_m[degenerate] = gdop[degenerate] = np.nan
-    return dict(zip(cases, zip(peb_m, gdop, degenerate)))
+    return dict(zip(cases, zip(*peb_arrays(*np.stack(abd, axis=1), np.stack(mean_variances)))))
 
 
 def _tdoa(k: int, east, north, sigma_dl, visible):
-    """(a, b, d) of the grid TDOA information, (k-1, D) range-difference
+    """(a, b, d) of the grid TDOA information and (k-1, D) range-difference
     variances against the serving satellite (grid index 0, so first in
-    every sorted subset), and the (D,) mask of drops with fewer than k
-    visible satellites, from the grid's (7, D) arrays."""
+    every sorted subset), from the grid's (7, D) arrays; `visible` keeps
+    hidden satellites out of the subset search."""
     subsets = min_gdop_subsets(east, north, 0, k, visible).T
-    east, north, sigma_dl, visible = (np.take_along_axis(x, subsets, axis=0)
-                                      for x in (east, north, sigma_dl, visible))
+    east, north, sigma_dl = (np.take_along_axis(x, subsets, axis=0)
+                             for x in (east, north, sigma_dl))
     variances = sigma_dl**2
     return (information(east, north, variances, clock_bias=True),
-            variances[1:] + variances[:1], ~np.all(visible, axis=0))
+            variances[1:] + variances[:1])
 
 
-def _gnss(config: ScenarioConfig, n: int, n_drops: int, range_sigma: float):
+def _gnss(config: ScenarioConfig, n: int, n_drops: int):
     """(a, b, d) of the GNSS TDOA information and (n-1, D) range-difference
     variances of n satellite directions, each uniform by solid angle on its
-    UE's sky cap above the elevation mask, with TOA range sigma
-    `range_sigma`. A satellite enters the information only through the east
-    and north parts of its direction, so the sky is drawn in the UE's own
-    frame."""
+    UE's sky cap above the elevation mask, with the TOA range sigma of the
+    config's GNSS C/N0. A satellite enters the information only through the
+    east and north parts of its direction, so the sky is drawn in the UE's
+    own frame."""
     # Per satellite: an elevation term, then an azimuth uniform.
     draws, _ = substream_draws(config.seed, "gnss-pos", (n_drops, n, 2))
     cos_zmax = math.cos(math.pi / 2 - math.radians(config.gnss_elevation_mask_deg))
     sin_el = cos_zmax + (1.0 - cos_zmax) * draws[..., 0].T
     azimuth = 2.0 * math.pi * draws[..., 1].T
     cos_el = np.sqrt(np.maximum(0.0, 1.0 - sin_el**2))
-    variances = np.full((n, 1), range_sigma) ** 2
+    budget = config.link
+    snr = channel.cn0_to_snr(budget.gnss_cn0_dbhz, budget.gnss_bandwidth_hz,
+                             budget.gnss_processing_gain_db)
+    variances = np.full((n, 1), toa_range_sigma(snr, budget.gnss_bandwidth_hz)) ** 2
     return (information(cos_el * np.sin(azimuth), cos_el * np.cos(azimuth), variances,
                         clock_bias=True),
             np.broadcast_to(variances[1:] + variances[:1], (n - 1, n_drops)))

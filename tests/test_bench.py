@@ -40,3 +40,40 @@ def test_paired_ratios_are_taken_within_rounds():
     reversed_order = bench._paired(second, first)
     assert reversed_order["ratio_median"] == round(1 / 0.9, 4)
     assert reversed_order["wins"] == 1
+
+
+def test_every_round_times_a_new_warmed_worker_pair(tmp_path, monkeypatch):
+    # Fake workers log their start, warm-up and timed runs; fake fresh runs
+    # start nothing. Each round starts one worker per tree in its order,
+    # warms it on every command, times it, and stops it.
+    log, names = [], list(bench.commands(tmp_path))
+
+    class Worker:
+        def __init__(self, tree):
+            self.tree, self.runs = tree.name, 0
+            log.append(("start", self.tree))
+
+        def run(self, name):
+            self.runs += 1
+            log.append(("warm" if self.runs <= len(names) else "time", self.tree, name))
+            return {"seconds": 1.0, "items": 10, "cases": 1}
+
+        def close(self):
+            log.append(("stop", self.tree))
+
+    monkeypatch.setattr(bench, "_Worker", Worker)
+    monkeypatch.setattr(bench, "_fresh", lambda tree, argv, out: (1.0, 30.0))
+    for label in ("a", "b"):
+        (tmp_path / label / "src" / "satpeb").mkdir(parents=True)
+        (tmp_path / label / "src" / "satpeb" / "cli.py").touch()
+    bench.main(["--tree", f"a={tmp_path / 'a'}", "--tree", f"b={tmp_path / 'b'}",
+                "--rounds", "3", "--out", str(tmp_path / "bench.json")])
+    per_round = 4 * len(names) + 4  # two starts, two warm-ups, two timings, two stops
+    assert len(log) == 3 * per_round
+    for r, order in enumerate(["ab", "ba", "ab"]):
+        steps = log[r * per_round:(r + 1) * per_round]
+        warmed = [step for label in order for step in
+                  [("start", label)] + [("warm", label, n) for n in names]]
+        timed = [("time", label, n) for n in names for label in order]
+        assert steps[:-2] == warmed + timed
+        assert sorted(steps[-2:]) == [("stop", "a"), ("stop", "b")]

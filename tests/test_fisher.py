@@ -383,6 +383,23 @@ class TestFim:
         for j, r, f in zip(J, R, stacked):
             assert np.array_equal(f, fim(j, r))
 
+    @pytest.mark.parametrize("clock_bias", [False, True], ids=["rtt", "tdoa"])
+    def test_nan_variance_poisons_only_its_column(self, clock_bias):
+        # A hidden link's NaN sigma makes its drop's (a, b, d) NaN, which
+        # `is_degenerate` flags, and leaves every other drop's bits alone
+        rng = np.random.default_rng(41)
+        east, north = rng.uniform(-1.0, 1.0, (2, 5, 12))
+        variances = 10.0 ** rng.uniform(-2.0, 4.0, (5, 12))
+        clean = np.stack(information(east, north, variances, clock_bias))
+        for anchor, column in [(0, 0), (2, 7), (4, 11)]:
+            hidden = variances.copy()
+            hidden[anchor, column] = np.nan
+            poisoned = np.stack(information(east, north, hidden, clock_bias))
+            assert np.all(np.isnan(poisoned[:, column]))
+            assert is_degenerate(*poisoned[:, column])
+            others = np.arange(12) != column
+            assert np.array_equal(poisoned[:, others], clean[:, others])
+
     @pytest.mark.parametrize("m", [2, 3, 10, 11])
     def test_diagonal_form_equals_solve_bit_for_bit(self, m):
         rng = np.random.default_rng(40 + m)

@@ -302,7 +302,8 @@ class TestHiddenNeighbors:
         # One `link_snr` call over the whole (7, D) grid links, hidden ones
         # included, whose penalty term is 0 toward the serving satellite
         # (grid index 0) and the config's neighbour penalty toward every
-        # other satellite; the hidden links then carry the 1 m placeholder.
+        # other satellite; the hidden links then carry a NaN sigma, and the
+        # visible ones a finite one.
         cfg = make_config("multi-leo", n_ue_drops=50, lon_gap_deg=27.0, rtt_augmentation=False,
                           link=LinkBudget(neighbor_penalty_db=3.5))
         positions = drop_ues(cfg)
@@ -320,7 +321,7 @@ class TestHiddenNeighbors:
         assert np.array_equal(np.broadcast_to(calls[0][-1], ranges.shape), penalty)
         for _, _, sigma, visible in grids:
             assert np.array_equal(visible, sin_el > 0)
-            assert np.all(sigma[~visible] == 1.0) and not np.any(sigma[visible] == 1.0)
+            assert np.all(np.isnan(sigma[~visible])) and np.all(np.isfinite(sigma[visible]))
 
     def test_too_few_visible_satellites_degenerate_in_every_case(self):
         # 60 deg gaps hide most of the grid, and a 900 s window some RTT anchors.
@@ -442,6 +443,11 @@ class TestBlockSums:
 
         with mock.patch.object(scenarios, "case_table", with_extra):
             extended = evaluate(config, *positions)
+        # One rule decides every drop without a bound, hidden links included:
+        # bound and GDOP are NaN exactly where the flag is set.
+        for case_id, (peb_m, gdop, degenerate) in [*base.items(), *extended.items()]:
+            assert np.array_equal(degenerate, np.isnan(peb_m)), case_id
+            assert np.array_equal(degenerate, np.isnan(gdop)), case_id
         # A drop that cannot form the extra block (hidden anchors, too few
         # visible satellites) is degenerate in it alone, and so in every sum.
         cannot = extended.pop("extra_alone")[2]
